@@ -23,7 +23,7 @@ fn run(m: usize, levels: usize, coarse: CoarseKind, galerkin_mid: bool, label: &
         fine_kind: if galerkin_mid {
             OperatorKind::Assembled
         } else {
-            OperatorKind::Tensor
+            GmgConfig::default().fine_kind
         },
         galerkin_intermediate: galerkin_mid,
         coarse,

@@ -1,7 +1,6 @@
 //! Quick convergence-rate measurement for the SolCx verification problem.
 
 use ptatin_core::models::solcx::{SolCxConfig, SolCxModel};
-use ptatin_ops::OperatorKind;
 
 fn main() {
     for (el, er) in [(1.0, 1.0), (1.0, 1e4)] {
@@ -14,7 +13,6 @@ fn main() {
                 mz: m,
                 eta_left: el,
                 eta_right: er,
-                fine_kind: OperatorKind::Tensor,
                 ..SolCxConfig::default()
             });
             let rep = model.solve();

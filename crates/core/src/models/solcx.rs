@@ -177,7 +177,7 @@ impl Default for SolCxConfig {
             levels: 2,
             eta_left: 1.0,
             eta_right: 1e4,
-            fine_kind: OperatorKind::Tensor,
+            fine_kind: GmgConfig::default().fine_kind,
             rtol: 1e-10,
             max_it: 1500,
         }

@@ -70,7 +70,9 @@ pub enum CoefficientRestriction {
 pub struct GmgConfig {
     /// Number of geometric levels (paper: 3).
     pub levels: usize,
-    /// Operator application on the finest level.
+    /// Operator application on the finest level. The smoothed levels below
+    /// it are matrix-free (`TensorBatched`) unless this is `Assembled` or
+    /// `galerkin_intermediate` is set, which keep every level assembled.
     pub fine_kind: OperatorKind,
     /// Intermediate levels via Galerkin projection of the level above
     /// (requires an assembled finer level — GMG-ii) instead of
@@ -107,7 +109,7 @@ impl Default for GmgConfig {
     fn default() -> Self {
         Self {
             levels: 3,
-            fine_kind: OperatorKind::Tensor,
+            fine_kind: OperatorKind::TensorBatched,
             galerkin_intermediate: false,
             galerkin_coarsest: true,
             pre_smooth: 2,
@@ -120,6 +122,24 @@ impl Default for GmgConfig {
             coarse: CoarseKind::Amg { coarse_blocks: 4 },
             sfc_reorder: false,
         }
+    }
+}
+
+/// The operator that backs smoothed level `l` (1 = coarsest smoothed,
+/// `cfg.levels - 1` = finest). A level rediscretized from its mesh is
+/// matrix-free — the finest of kind `cfg.fine_kind`, the ones below it
+/// [`OperatorKind::TensorBatched`] — and smooths with the `ptatin_ops::diag`
+/// diagonal. Matrices exist only as Galerkin products, as inputs to them,
+/// and for the coarse solve; the two assembled reference hierarchies of
+/// Table IV keep theirs: `fine_kind = Assembled` (every level assembled)
+/// and `galerkin_intermediate` (GMG-ii, which requires the former).
+fn level_kind(cfg: &GmgConfig, l: usize) -> OperatorKind {
+    if l == cfg.levels - 1 {
+        cfg.fine_kind
+    } else if cfg.galerkin_intermediate || cfg.fine_kind == OperatorKind::Assembled {
+        OperatorKind::Assembled
+    } else {
+        OperatorKind::TensorBatched
     }
 }
 
@@ -168,23 +188,22 @@ pub struct StokesSolver {
     pub bc: DirichletBc,
 }
 
-/// Build the viscous operator of the requested kind as a shared handle.
-/// `base` caches the gathered element tables across rebuilds (see
-/// [`SetupCache`]); pass `&mut None` for a one-shot build.
+/// Build the matrix-free viscous operator of the requested kind as a
+/// shared handle. `base` caches the gathered element tables across
+/// rebuilds (see [`SetupCache`]).
 fn build_arc_operator(
     kind: OperatorKind,
     mesh: &ptatin_mesh::StructuredMesh,
-    tables: &Q2QuadTables,
     eta_qp: Vec<f64>,
     bc: &DirichletBc,
     newton: Option<ptatin_ops::NewtonData>,
     base: &mut Option<ViscousOpData>,
 ) -> ArcOp {
     match kind {
-        OperatorKind::Assembled => {
-            assert!(newton.is_none(), "Newton uses matrix-free kinds");
-            Arc::new(ptatin_ops::assembled_viscous_op(mesh, tables, &eta_qp, bc))
-        }
+        // PANIC-OK: the level loop takes assembled levels from their cached
+        // pattern and the Newton action maps `Assembled` to a matrix-free
+        // kind, so no caller passes it.
+        OperatorKind::Assembled => unreachable!("assembled levels have no matrix-free form"),
         OperatorKind::MatrixFree => {
             let data = make_op_data(base, mesh, eta_qp, bc, newton);
             Arc::new(MfViscousOp::new(Arc::new(data)))
@@ -275,8 +294,8 @@ pub struct SetupCache {
     /// Geometry-only gradient block `J_pu` and its bc-masked twin.
     b_full: Option<Csr>,
     b_masked: Option<Csr>,
-    /// Gathered fine-level element tables for the matrix-free operators.
-    fine_base: Option<ViscousOpData>,
+    /// Gathered element tables of every matrix-free level.
+    op_base: Vec<Option<ViscousOpData>>,
     /// Memoized λmax estimates per smoothed level, keyed on the exact
     /// inputs that determine them (see [`LambdaMemo`]).
     lambda_memo: Vec<Option<LambdaMemo>>,
@@ -314,6 +333,9 @@ struct LambdaMemo {
 /// `reordered` is `None` until a build ran with SFC reorder on.
 struct PlanMemo {
     depth: usize,
+    /// Whether the level matrix was a Galerkin product: at one viscosity
+    /// its pattern and values differ from the rediscretized matrix's.
+    galerkin: bool,
     eta_bits: Vec<u64>,
     natural: Option<Arc<FusedPlan>>,
     reordered: Option<Option<Arc<FusedPlan>>>,
@@ -344,6 +366,7 @@ impl SetupCache {
         let levels = hier.num_levels();
         self.patterns.resize_with(levels, || None);
         self.values.resize_with(levels, Vec::new);
+        self.op_base.resize_with(levels, || None);
         self.transfer_t
             .resize_with(levels.saturating_sub(1), || None);
         self.lambda_memo.resize_with(levels, || None);
@@ -480,6 +503,7 @@ pub fn build_stokes_solver_spec_cached(
     let _ev = prof::scope("StokesSetup");
     let t_setup = std::time::Instant::now();
     let levels = cfg.levels;
+    assert!(levels >= 2, "the velocity multigrid needs a smoothed level");
     assert_eq!(hier.num_levels(), levels);
     assert_eq!(bcs.len(), levels);
     cache.validate(hier, bcs);
@@ -563,90 +587,57 @@ pub fn build_stokes_solver_spec_cached(
         .clone();
     drop(_tr_scope);
 
-    // Level operators. Intermediate levels are assembled (rediscretized or
-    // Galerkin); the finest is the chosen kind; the coarsest matrix feeds
-    // the coarse solver. Assembly goes through the per-level cached
-    // patterns; Galerkin products reuse the cached transfer transposes.
+    // Level matrices. A level is assembled only where the rule of
+    // [`level_kind`] smooths on a matrix, as the input of a Galerkin
+    // product, or for the coarse solve; a matrix that was only a Galerkin
+    // input is dropped as soon as the product is formed, before the
+    // matrix-free level operators are built. Assembly goes through the
+    // per-level cached patterns; Galerkin products reuse the cached
+    // transfer transposes.
+    let top = levels - 1;
     let mut assembled: Vec<Option<Csr>> = vec![None; levels];
-    if levels >= 2 {
-        if cfg.galerkin_intermediate {
-            assert_eq!(
-                cfg.fine_kind,
-                OperatorKind::Assembled,
-                "Galerkin intermediate levels require an assembled fine level"
-            );
-            assembled[levels - 1] = Some(assembled_level_cached(
-                &mut cache.patterns[levels - 1],
-                &mut cache.values[levels - 1],
-                &mut cache.lane_scratch,
-                fine_mesh,
-                &tables,
-                &eta_qp[levels - 1],
-                &bcs[levels - 1],
-            ));
-            for l in (0..levels - 1).rev() {
-                let _s = prof::scope("setup/rap");
-                let pt = cache.transfer_t[l].get_or_insert_with(|| transfers[l].transpose());
-                // PANIC-OK: the finest level was assembled just above and
-                // the loop runs top-down, so level l+1 is always filled.
-                let above = assembled[l + 1].as_ref().unwrap();
-                let ac = galerkin_coarse_with_pt(above, &transfers[l], pt, &masks[l]);
-                assembled[l] = Some(ac);
-            }
-        } else {
-            // Rediscretize intermediates; coarsest per flag.
-            for l in 1..levels - 1 {
-                assembled[l] = Some(assembled_level_cached(
-                    &mut cache.patterns[l],
-                    &mut cache.values[l],
-                    &mut cache.lane_scratch,
-                    &hier.meshes[l],
-                    &tables,
-                    &eta_qp[l],
-                    &bcs[l],
-                ));
-            }
-            assembled[0] = Some(if cfg.galerkin_coarsest && levels >= 2 {
-                if levels == 2 && assembled[1].is_none() {
-                    // Galerkin directly from the (assembled) fine level.
-                    assembled[1] = Some(assembled_level_cached(
-                        &mut cache.patterns[1],
-                        &mut cache.values[1],
-                        &mut cache.lane_scratch,
-                        fine_mesh,
-                        &tables,
-                        &eta_qp[1],
-                        &bcs[1],
-                    ));
-                }
-                let _s = prof::scope("setup/rap");
-                let pt = cache.transfer_t[0].get_or_insert_with(|| transfers[0].transpose());
-                // PANIC-OK: level 1 was filled by the rediscretization
-                // loop (levels > 2) or just above (levels == 2).
-                let above = assembled[1].as_ref().unwrap();
-                galerkin_coarse_with_pt(above, &transfers[0], pt, &masks[0])
-            } else {
-                assembled_level_cached(
-                    &mut cache.patterns[0],
-                    &mut cache.values[0],
-                    &mut cache.lane_scratch,
-                    &hier.meshes[0],
-                    &tables,
-                    &eta_qp[0],
-                    &bcs[0],
-                )
-            });
-        }
-    } else {
-        assembled[0] = Some(assembled_level_cached(
-            &mut cache.patterns[0],
-            &mut cache.values[0],
+    let assemble = |cache: &mut SetupCache, l: usize| {
+        assembled_level_cached(
+            &mut cache.patterns[l],
+            &mut cache.values[l],
             &mut cache.lane_scratch,
-            &hier.meshes[0],
+            &hier.meshes[l],
             &tables,
-            &eta_qp[0],
-            &bcs[0],
-        ));
+            &eta_qp[l],
+            &bcs[l],
+        )
+    };
+    let galerkin = |cache: &mut SetupCache, l: usize, above: &Csr| {
+        let _s = prof::scope("setup/rap");
+        let pt = cache.transfer_t[l].get_or_insert_with(|| transfers[l].transpose());
+        galerkin_coarse_with_pt(above, &transfers[l], pt, &masks[l])
+    };
+    if cfg.galerkin_intermediate {
+        assert_eq!(
+            cfg.fine_kind,
+            OperatorKind::Assembled,
+            "Galerkin intermediate levels require an assembled fine level"
+        );
+        let mut above = assemble(cache, top);
+        for l in (0..top).rev() {
+            let ac = galerkin(cache, l, &above);
+            assembled[l + 1] = Some(std::mem::replace(&mut above, ac));
+        }
+        assembled[0] = Some(above);
+    } else {
+        let keeps_matrix = |l: usize| level_kind(cfg, l) == OperatorKind::Assembled;
+        for l in 1..levels {
+            if keeps_matrix(l) || (l == 1 && cfg.galerkin_coarsest) {
+                assembled[l] = Some(assemble(cache, l));
+            }
+        }
+        assembled[0] = Some(match &assembled[1] {
+            Some(above) if cfg.galerkin_coarsest => galerkin(cache, 0, above),
+            _ => assemble(cache, 0),
+        });
+        if !keeps_matrix(1) {
+            assembled[1] = None;
+        }
     }
 
     // Coarse solver from the coarsest assembled matrix.
@@ -707,51 +698,32 @@ pub fn build_stokes_solver_spec_cached(
     };
     drop(_coarse_scope);
 
-    // Smoothed levels: 1..levels-1 assembled, finest the chosen kind.
+    // Smoothed levels, each backed by the operator [`level_kind`] names.
     let mut level_ops: Vec<Arc<TimedOperator<ArcOp>>> = Vec::new();
     let mut gmg_levels: Vec<GmgLevel> = Vec::new();
     let plan_depth = cfg.pre_smooth.max(cfg.post_smooth).max(1);
     let mut assembled_smoothed = vec![false; levels];
     for l in 1..levels {
+        let kind = level_kind(cfg, l);
         // Keep the `Arc<Csr>` of assembled levels alongside the timing
         // wrapper: the fused cache-blocked smoother needs matrix rows,
         // which the `dyn LinearOperator` interface cannot provide.
-        let (op, csr): (ArcOp, Option<Arc<Csr>>) = if l == levels - 1 {
-            match assembled[l].take() {
-                Some(a) => {
-                    let a = Arc::new(a);
-                    (a.clone() as ArcOp, Some(a))
-                }
-                None if cfg.fine_kind == OperatorKind::Assembled => {
-                    let a = Arc::new(assembled_level_cached(
-                        &mut cache.patterns[l],
-                        &mut cache.values[l],
-                        &mut cache.lane_scratch,
-                        fine_mesh,
-                        &tables,
-                        &eta_qp[l],
-                        &bcs[l],
-                    ));
-                    (a.clone() as ArcOp, Some(a))
-                }
-                None => (
-                    build_arc_operator(
-                        cfg.fine_kind,
-                        fine_mesh,
-                        &tables,
-                        eta_qp[l].clone(),
-                        &bcs[l],
-                        None,
-                        &mut cache.fine_base,
-                    ),
-                    None,
-                ),
+        let (op, csr): (ArcOp, Option<Arc<Csr>>) = match assembled[l].take() {
+            Some(a) => {
+                let a = Arc::new(a);
+                (a.clone() as ArcOp, Some(a))
             }
-        } else {
-            // PANIC-OK: the assembled-intermediates path above filled
-            // every level this branch visits.
-            let a = Arc::new(assembled[l].take().expect("intermediate assembled"));
-            (a.clone() as ArcOp, Some(a))
+            None => (
+                build_arc_operator(
+                    kind,
+                    &hier.meshes[l],
+                    eta_qp[l].clone(),
+                    &bcs[l],
+                    None,
+                    &mut cache.op_base[l],
+                ),
+                None,
+            ),
         };
         let timed = Arc::new(TimedOperator::new(op));
         // λmax power iteration: value-dependent, so it re-runs whenever
@@ -761,11 +733,6 @@ pub fn build_stokes_solver_spec_cached(
         // memoized bounds are exactly what a re-run would produce, so
         // reuse preserves the fresh-equals-cached bitwise contract.
         let _s = prof::scope("setup/lambda");
-        let kind = if l == levels - 1 {
-            cfg.fine_kind
-        } else {
-            OperatorKind::Assembled
-        };
         let galerkin = (cfg.galerkin_intermediate, cfg.galerkin_coarsest);
         let memo = cache.lambda_memo[l].take().filter(|m| {
             m.kind == kind
@@ -811,7 +778,7 @@ pub fn build_stokes_solver_spec_cached(
             Some(a) => {
                 let memo = cache.plan_memo[l]
                     .as_ref()
-                    .filter(|p| p.depth == plan_depth);
+                    .filter(|p| p.depth == plan_depth && p.galerkin == cfg.galerkin_intermediate);
                 let eta_same = memo.is_some_and(|p| eta_bits_equal(&p.eta_bits, &eta_qp[l]));
                 let mut lvl = GmgLevel::with_assembled(timed as ArcOp, a, smoother)
                     .with_fused_hints(
@@ -857,6 +824,7 @@ pub fn build_stokes_solver_spec_cached(
         if assembled_smoothed[l] {
             cache.plan_memo[l] = Some(PlanMemo {
                 depth: plan_depth,
+                galerkin: cfg.galerkin_intermediate,
                 eta_bits: eta_qp[l].iter().map(|v| v.to_bits()).collect(),
                 natural: lvl.fused_plan_arc(),
                 reordered: lvl.reorder_ref().map(|ro| ro.plan.clone()),
@@ -875,15 +843,14 @@ pub fn build_stokes_solver_spec_cached(
     let a_newton = a_newton.map(|nd| {
         build_arc_operator(
             match cfg.fine_kind {
-                OperatorKind::Assembled | OperatorKind::TensorC => OperatorKind::Tensor,
+                OperatorKind::Assembled | OperatorKind::TensorC => OperatorKind::TensorBatched,
                 k => k,
             },
             fine_mesh,
-            &tables,
-            eta_qp[levels - 1].clone(),
-            &bcs[levels - 1],
+            eta_qp[top].clone(),
+            &bcs[top],
             Some(nd),
-            &mut cache.fine_base,
+            &mut cache.op_base[top],
         )
     });
 
@@ -931,6 +898,26 @@ pub fn build_stokes_solver_spec_cached(
 // Full-space operator and field-split preconditioner.
 // ---------------------------------------------------------------------------
 
+thread_local! {
+    /// Work vector of the block operator and preconditioner applies below:
+    /// both run once per Krylov iteration, and both structs are built per
+    /// solve from borrowed parts, so the buffer lives with the thread.
+    static BLOCK_SCRATCH: std::cell::RefCell<Vec<f64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on `n` entries of this thread's block scratch. The contents
+/// are unspecified on entry; `f` must not apply another block operator.
+fn with_block_scratch<R>(n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    BLOCK_SCRATCH.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < n {
+            buf.resize(n, 0.0);
+        }
+        f(&mut buf[..n])
+    })
+}
+
 /// The coupled operator of Eq. (14): `[[J_uu, J_up], [J_pu, 0]]` acting on
 /// interleaved `[u; p]` vectors (velocity first).
 pub struct StokesOperator<'s> {
@@ -952,9 +939,10 @@ impl LinearOperator for StokesOperator<'_> {
         let (yu, yp) = y.split_at_mut(self.nu);
         // yu = A xu + Bᵀ xp
         self.a.apply(xu, yu);
-        let mut bt = vec![0.0; self.nu];
-        self.b.spmv_transpose(xp, &mut bt);
-        vec_ops::axpy(1.0, &bt, yu);
+        with_block_scratch(self.nu, |bt| {
+            self.b.spmv_transpose(xp, bt);
+            vec_ops::axpy(1.0, bt, yu);
+        });
         // yp = B xu
         self.b.spmv(xu, yp);
     }
@@ -978,12 +966,13 @@ impl<M: Preconditioner + ?Sized> Preconditioner for BlockLowerTriangularPc<'_, M
         let (ru, rp) = r.split_at(self.nu);
         let (zu, zp) = z.split_at_mut(self.nu);
         self.mg.apply(ru, zu);
-        // t = r_p − B z_u
-        let mut t = vec![0.0; self.np];
-        self.b.spmv(zu, &mut t);
-        vec_ops::axpby(1.0, rp, -1.0, &mut t);
-        // z_p = Ŝ⁻¹ t = −M⁻¹ t.
-        self.schur.apply_inverse(&t, zp);
+        with_block_scratch(self.np, |t| {
+            // t = r_p − B z_u
+            self.b.spmv(zu, t);
+            vec_ops::axpby(1.0, rp, -1.0, t);
+            // z_p = Ŝ⁻¹ t = −M⁻¹ t.
+            self.schur.apply_inverse(t, zp);
+        });
         for v in zp.iter_mut() {
             *v = -*v;
         }

@@ -536,36 +536,38 @@ fn gcr_monitored_impl(
     let tol = tolerance(cfg, r0);
     let mut ps: Vec<Vec<f64>> = Vec::with_capacity(m);
     let mut aps: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut z = vec![0.0; n];
-    let mut az = vec![0.0; n];
+    // Direction vectors move into the bases instead of being copied; a
+    // restart hands the whole basis back as the next cycle's work vectors.
+    let mut pool: Vec<Vec<f64>> = Vec::new();
     let mut it = 0usize;
     while it < cfg.max_it {
         if ps.len() == m {
-            ps.clear();
-            aps.clear();
+            pool.append(&mut ps);
+            pool.append(&mut aps);
         }
-        pc_apply(pc, &r, &mut z);
-        a.apply(&z, &mut az);
-        // Orthogonalize A z against previous normalized A p_i.
-        let mut p = z.clone();
+        let mut p = pool.pop().unwrap_or_else(|| vec![0.0; n]);
+        let mut ap = pool.pop().unwrap_or_else(|| vec![0.0; n]);
+        pc_apply(pc, &r, &mut p);
+        a.apply(&p, &mut ap);
+        // Orthogonalize A p against previous normalized A p_i.
         for (pi, api) in ps.iter().zip(&aps) {
-            let beta = v::dot(&az, api);
-            v::axpy(-beta, api, &mut az);
+            let beta = v::dot(&ap, api);
+            v::axpy(-beta, api, &mut ap);
             v::axpy(-beta, pi, &mut p);
         }
-        let anorm = v::norm2(&az);
+        let anorm = v::norm2(&ap);
         if anorm <= 1e-300 {
             // Breakdown: preconditioned direction in the nullspace.
             stats.set_breakdown(BreakdownKind::NullDirection);
             break;
         }
         v::scale(1.0 / anorm, &mut p);
-        v::scale(1.0 / anorm, &mut az);
-        let gamma = v::dot(&r, &az);
+        v::scale(1.0 / anorm, &mut ap);
+        let gamma = v::dot(&r, &ap);
         v::axpy(gamma, &p, x);
-        v::axpy(-gamma, &az, &mut r);
-        ps.push(p.clone());
-        aps.push(az.clone());
+        v::axpy(-gamma, &ap, &mut r);
+        ps.push(p);
+        aps.push(ap);
         it += 1;
         let rnorm = v::norm2(&r);
         stats.push(rnorm, cfg.record_history);

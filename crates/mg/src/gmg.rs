@@ -14,7 +14,7 @@ use ptatin_la::transfer::BatchedTransfer;
 use ptatin_la::vec_ops;
 use ptatin_prof as prof;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Per-level smoother event names (profiling scopes need `&'static str`);
 /// levels deeper than the table share the last entry.
@@ -268,6 +268,11 @@ impl GmgLevel {
         self
     }
 
+    /// The assembled matrix of this level, if it keeps one.
+    pub fn matrix(&self) -> Option<&Csr> {
+        self.assembled.as_deref()
+    }
+
     /// The fused plan of the natural-order matrix, if one was kept.
     pub fn fused_plan_ref(&self) -> Option<&FusedPlan> {
         self.fused.as_deref()
@@ -282,6 +287,16 @@ impl GmgLevel {
     pub fn reorder_ref(&self) -> Option<&LevelReorder> {
         self.reorder.as_ref()
     }
+}
+
+/// Cycle vectors of one smoothed level, sized at construction: the
+/// residual and the prolonged correction on the level, the restricted
+/// residual and the coarse correction on the level below.
+struct LevelWork {
+    r: Vec<f64>,
+    corr: Vec<f64>,
+    rc: Vec<f64>,
+    xc: Vec<f64>,
 }
 
 /// A geometric multigrid V(m,n)-cycle usable as a [`Preconditioner`].
@@ -312,6 +327,10 @@ pub struct GeometricMg {
     /// Force the pre-batching code path (scalar CSR transfers, unfused
     /// full-mesh smoothing). Benchmark baseline and equivalence-test hook.
     scalar_pipeline: bool,
+    /// Per-level cycle vectors. A cycle locks a level's set while it works
+    /// on that level and below, so concurrent applications of one
+    /// hierarchy take turns instead of allocating.
+    work: Vec<Mutex<LevelWork>>,
     /// Accumulated coarse-solve time (ns) and application count.
     coarse_nanos: AtomicU64,
     coarse_calls: AtomicU64,
@@ -384,10 +403,24 @@ impl GeometricMg {
                 }
             }
         }
+        let work = levels
+            .iter()
+            .zip(&prolongations)
+            .map(|(lvl, p)| {
+                let (n, nc) = (lvl.op.nrows(), p.ncols());
+                Mutex::new(LevelWork {
+                    r: vec![0.0; n],
+                    corr: vec![0.0; n],
+                    rc: vec![0.0; nc],
+                    xc: vec![0.0; nc],
+                })
+            })
+            .collect();
         Self {
             levels,
             prolongations,
             transfers,
+            work,
             coarse,
             pre_smooth,
             post_smooth,
@@ -478,24 +511,24 @@ impl GeometricMg {
             let _ev = prof::scope(smooth_event(k));
             self.smooth_level(lvl, b, x, self.pre_smooth);
         }
+        // The vectors are scratch, overwritten below before they are read,
+        // so a lock poisoned by a panicking cycle is still good to use.
+        let mut work = self.work[k - 1]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let LevelWork { r, corr, rc, xc } = &mut *work;
         // Residual: r = b - A x (axpby(1, b, -1, r) is bitwise-identical
         // to the elementwise subtraction and runs on the worker pool).
-        let n = b.len();
-        // ALLOC-OK: per-level cycle scratch (r, rc, xc, corr), once
-        // per V-cycle visit and amortized over the smoothing work done
-        // at this level.
-        let mut r = vec![0.0; n];
-        a.apply(x, &mut r);
-        vec_ops::axpby(1.0, b, -1.0, &mut r);
+        a.apply(x, r);
+        vec_ops::axpby(1.0, b, -1.0, r);
         // Restrict through Pᵀ.
         let p = &self.prolongations[k - 1];
-        let mut rc = vec![0.0; p.ncols()]; // ALLOC-OK: see `r` above.
         {
             let _ev = prof::scope("MGRestrict");
             if self.scalar_pipeline {
-                p.spmv_transpose(&r, &mut rc);
+                p.spmv_transpose(r, rc);
             } else {
-                self.transfers[k - 1].restrict(&r, &mut rc);
+                self.transfers[k - 1].restrict(r, rc);
             }
         }
         // μ-cycle: recurse μ times on the *same* coarse problem with a
@@ -509,21 +542,21 @@ impl GeometricMg {
             CycleType::W if k == 1 => 1,
             CycleType::W => 2,
         };
-        let mut xc = vec![0.0; p.ncols()]; // ALLOC-OK: see `r` above.
+        xc.fill(0.0);
         for _ in 0..visits {
-            self.vcycle(k - 1, &rc, &mut xc);
+            self.vcycle(k - 1, rc, xc);
         }
         // Prolong and correct.
-        let mut corr = vec![0.0; n]; // ALLOC-OK: see `r` above.
         {
             let _ev = prof::scope("MGProlong");
             if self.scalar_pipeline {
-                p.spmv(&xc, &mut corr);
+                p.spmv(xc, corr);
             } else {
-                self.transfers[k - 1].prolong(&xc, &mut corr);
+                self.transfers[k - 1].prolong(xc, corr);
             }
         }
-        vec_ops::axpy(1.0, &corr, x);
+        vec_ops::axpy(1.0, corr, x);
+        drop(work);
         {
             let _ev = prof::scope(smooth_event(k));
             self.smooth_level(lvl, b, x, self.post_smooth);

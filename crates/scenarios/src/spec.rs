@@ -13,7 +13,7 @@
 //! material.background.eta = 100
 //! material.background.plasticity = drucker_prager
 //! material.background.cohesion = 20
-//! solver.fine_kind = tensor
+//! solver.fine_kind = assembled
 //! ```
 //!
 //! The same key set is shared with the ensemble sweep grammar
@@ -57,17 +57,30 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Parse an operator-kind name as used by `solver.fine_kind` spec keys and
-/// the CLI (`tensor_batched`, …).
+/// Operator-kind names as used by `solver.fine_kind` spec keys and the
+/// CLI. A spec that names none runs `GmgConfig::default().fine_kind`.
+const OPERATOR_KIND_NAMES: [(&str, OperatorKind); 5] = [
+    ("assembled", OperatorKind::Assembled),
+    ("matrix_free", OperatorKind::MatrixFree),
+    ("tensor", OperatorKind::Tensor),
+    ("tensor_c", OperatorKind::TensorC),
+    ("tensor_batched", OperatorKind::TensorBatched),
+];
+
+/// Parse an operator-kind name (`tensor_batched`, …).
 pub fn parse_operator_kind(v: &str) -> Option<OperatorKind> {
-    Some(match v {
-        "assembled" => OperatorKind::Assembled,
-        "matrix_free" => OperatorKind::MatrixFree,
-        "tensor" => OperatorKind::Tensor,
-        "tensor_c" => OperatorKind::TensorC,
-        "tensor_batched" => OperatorKind::TensorBatched,
-        _ => return None,
-    })
+    OPERATOR_KIND_NAMES
+        .iter()
+        .find(|(name, _)| *name == v)
+        .map(|&(_, kind)| kind)
+}
+
+/// The name [`parse_operator_kind`] maps to `kind`.
+pub fn operator_kind_name(kind: OperatorKind) -> &'static str {
+    OPERATOR_KIND_NAMES
+        .iter()
+        .find(|(_, k)| *k == kind)
+        .map_or("?", |&(name, _)| name)
 }
 
 /// Scenario kind selected by the `scenario =` key.
@@ -921,15 +934,14 @@ material.block.theta = 4.0
 
     #[test]
     fn operator_kind_names_round_trip() {
-        for (name, kind) in [
-            ("assembled", OperatorKind::Assembled),
-            ("matrix_free", OperatorKind::MatrixFree),
-            ("tensor", OperatorKind::Tensor),
-            ("tensor_c", OperatorKind::TensorC),
-            ("tensor_batched", OperatorKind::TensorBatched),
-        ] {
+        for (name, kind) in OPERATOR_KIND_NAMES {
             assert_eq!(parse_operator_kind(name), Some(kind));
+            assert_eq!(operator_kind_name(kind), name);
         }
+        assert_eq!(
+            parse_operator_kind(operator_kind_name(GmgConfig::default().fine_kind)),
+            Some(OperatorKind::TensorBatched)
+        );
         assert_eq!(parse_operator_kind("gpu"), None);
     }
 }

@@ -10,6 +10,7 @@
 //! picture.
 
 use ptatin_core::models::solcx::{SolCxConfig, SolCxModel};
+use ptatin_core::GmgConfig;
 use ptatin_ops::OperatorKind;
 
 /// Gate policy: which resolutions to run and which fitted rates to demand.
@@ -44,7 +45,7 @@ impl GateConfig {
             my: 2,
             eta_left: 1.0,
             eta_right: 1e4,
-            fine_kind: OperatorKind::Tensor,
+            fine_kind: GmgConfig::default().fine_kind,
             levels: 2,
             rtol: 1e-10,
             max_it: 2000,

@@ -10,7 +10,6 @@
 use ptatin3d::core::models::sinker::{SinkerConfig, SinkerModel};
 use ptatin3d::core::{CoarseKind, GmgConfig, KrylovOperatorChoice};
 use ptatin_la::krylov::KrylovConfig;
-use ptatin_ops::OperatorKind;
 
 fn main() {
     // 1. Describe the model: 8³ Q2 elements, viscosity contrast 10⁴.
@@ -32,12 +31,12 @@ fn main() {
     //    FEM coefficient fields (Eqs. 12–13 of the paper).
     let fields = model.coefficients();
 
-    // 3. Build the solver: tensor-product matrix-free fine level, Galerkin
+    // 3. Build the solver: the default SIMD-batched tensor-product kernel
+    //    on both smoothed levels (no matrix above the coarse one), Galerkin
     //    coarsest operator, Chebyshev(2)/Jacobi smoothing, smoothed
     //    aggregation AMG as the coarse-grid solver.
     let gmg = GmgConfig {
         levels: 3,
-        fine_kind: OperatorKind::Tensor,
         coarse: CoarseKind::Amg { coarse_blocks: 4 },
         ..GmgConfig::default()
     };

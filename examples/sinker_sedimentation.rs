@@ -15,7 +15,6 @@ use ptatin3d::core::{CoarseKind, GmgConfig, KrylovOperatorChoice};
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_mpm::advect::{advect_rk2, cull_lost, reclaim_lost};
 use ptatin_mpm::locate::ElementLocator;
-use ptatin_ops::OperatorKind;
 
 fn sphere_centroid_depth(model: &SinkerModel) -> f64 {
     // Mean z of the sphere-lithology points.
@@ -39,7 +38,6 @@ fn main() {
     });
     let gmg = GmgConfig {
         levels: 2,
-        fine_kind: OperatorKind::Tensor,
         coarse: CoarseKind::Direct,
         ..GmgConfig::default()
     };

@@ -48,9 +48,12 @@ done
 # them from the gate. The goldens go through the production solver build,
 # i.e. pattern-reuse batched assembly, at both thread counts: iteration
 # counts must not move, because batched assembly is bitwise-contracted
-# against the scalar reference (DESIGN.md §13).
+# against the scalar reference (DESIGN.md §13). The level rule of the
+# multigrid (no matrix on a default-built smoothed level, DESIGN.md §4)
+# is named for the same reason.
 step "tests (PTATIN_TEST_THREADS=1)"
 PTATIN_TEST_THREADS=1 cargo test --workspace -q
+PTATIN_TEST_THREADS=1 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
 PTATIN_TEST_THREADS=1 cargo test -q -p ptatin-ckpt
 PTATIN_TEST_THREADS=1 cargo test -q --test checkpoint_restart
 PTATIN_TEST_THREADS=1 cargo test -q --test ensemble_sweep
@@ -59,6 +62,7 @@ PTATIN_TEST_THREADS=1 cargo test -q --test operator_equivalence
 
 step "tests (PTATIN_TEST_THREADS=4)"
 PTATIN_TEST_THREADS=4 cargo test --workspace -q
+PTATIN_TEST_THREADS=4 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
 PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-ckpt
 PTATIN_TEST_THREADS=4 cargo test -q --test checkpoint_restart
 PTATIN_TEST_THREADS=4 cargo test -q --test ensemble_sweep
@@ -170,6 +174,13 @@ if [[ $FAST -eq 0 ]]; then
         || { echo "solcx smoke gate failed"; cat "$CKDIR/solcx_nt1.txt"; exit 1; }
     diff "$CKDIR/solcx_nt1.txt" "$CKDIR/solcx_nt4.txt" \
         || { echo "solcx gate report differs between nt=1 and nt=4"; exit 1; }
+
+    # The repository benchmark's plumbing on shrunk sizes: all four
+    # workloads run on the default solver configuration and their output
+    # checks must pass (exit 0). Nothing is recorded; timings come from
+    # `benchmark/run.sh --runs 10` on a quiet host (EXPERIMENTS.md).
+    step "benchmark smoke (four workloads, output checks only)"
+    benchmark/run.sh --smoke
 
     # One registry-driven scenario end to end through the CLI: the
     # checked-in shear-band spec must parse, run and converge (exit 0).

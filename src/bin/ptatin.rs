@@ -133,7 +133,10 @@ fn main() {
             eprintln!("  ensemble: sweep=FILE slice=2 retries=2 flop-budget=N events=FILE|-");
             eprintln!("            ckpt-dir=DIR bench=FILE [keep-ckpt] [no-preempt] --fault=LIST");
             eprintln!("  scenario: file=SPEC steps=N");
-            eprintln!("  verify:   mode=full|smoke fine_kind=tensor");
+            eprintln!(
+                "  verify:   mode=full|smoke fine_kind={}",
+                scenarios::operator_kind_name(GmgConfig::default().fine_kind)
+            );
             std::process::exit(if cmd == "help" { 0 } else { 2 });
         }
     }

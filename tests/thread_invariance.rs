@@ -171,6 +171,54 @@ fn batched_operator_invariant_and_bitwise() {
     }
 }
 
+#[test]
+fn default_config_bitwise_across_thread_counts_and_simd_paths() {
+    let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The production hierarchy — batched kernel on both smoothed levels,
+    // AMG coarse solve — promises more than the tolerance bands above:
+    // the iterate itself is identical at every thread count and on both
+    // kernel paths (`BatchedViscousOp` reads `PTATIN_NO_AVX` when it is
+    // built, so the portable kernel can be selected per solver; the
+    // other tests of this binary hold `NT_LOCK` and build none meanwhile).
+    let (model, fields) = sinker_setup(8, 3, 1e3);
+    let gmg = GmgConfig {
+        levels: 3,
+        ..GmgConfig::default()
+    };
+    let iterate_bits = |nt: usize| {
+        par::set_num_threads(nt);
+        let solver = model.build_solver(&fields, &gmg);
+        let rhs = model.rhs(&solver, &fields);
+        let mut x = vec![0.0; solver.nu + solver.np];
+        solver.solve(
+            &rhs,
+            &mut x,
+            &KrylovConfig::default().with_rtol(1e-12).with_max_it(8),
+            KrylovOperatorChoice::Picard,
+            None,
+        );
+        par::set_num_threads(0);
+        x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+    };
+    let base = iterate_bits(1);
+    for nt in [2usize, 4] {
+        assert!(iterate_bits(nt) == base, "iterate differs at nt={nt}");
+    }
+    let saved = std::env::var_os("PTATIN_NO_AVX");
+    let other = if ptatin_la::simd::detected_simd_path() == ptatin_la::simd::SimdPath::Portable {
+        "0"
+    } else {
+        "1"
+    };
+    std::env::set_var("PTATIN_NO_AVX", other);
+    let flipped = iterate_bits(1);
+    match saved {
+        Some(v) => std::env::set_var("PTATIN_NO_AVX", v),
+        None => std::env::remove_var("PTATIN_NO_AVX"),
+    }
+    assert!(flipped == base, "iterate differs on the other SIMD path");
+}
+
 /// A 2·PAR_MIN_POINTS-capable swarm: 8³ elements × 2³ points per element
 /// lands exactly on [`projection::PAR_MIN_POINTS`]; `delta` then nudges
 /// the size to either side of the serial/parallel seam.
