@@ -76,13 +76,24 @@ const POOL_IMPL: &str = "crates/la/src/par.rs";
 /// assembly surfaces whose timings the bench tables and the autotuner
 /// attribute. Narrower than [`rules::is_hot_fn`] — element-level `_into`
 /// kernels and `*kernel*` lane bodies are internals of these entries and
-/// are timed through them.
+/// are timed through them. The material-point pipeline's per-call entry
+/// points are listed by name (`mpm.*` scopes: one per call, never per
+/// point).
 fn is_prof_entry(name: &str) -> bool {
     name == "apply"
         || name.starts_with("apply_")
         || name.starts_with("spmv")
         || name.starts_with("assemble")
         || name.starts_with("reassemble")
+        || matches!(
+            name,
+            "advect_rk2"
+                | "relocate_all"
+                | "exchange"
+                | "control_population"
+                | "project_to_corners"
+                | "corners_to_quadrature"
+        )
 }
 
 struct Ctx<'a> {

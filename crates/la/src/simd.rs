@@ -15,6 +15,8 @@
 //! by construction (each IEEE operation is performed on the same operands
 //! in the same order); kernels that fuse use `f64::mul_add` portably and
 //! `_mm256_fmadd_pd` under AVX — identical fusion order, identical bits.
+//! (The advection kernels get their two implementations from one body
+//! generic over the lane type instead of from two written-out copies.)
 //! Workspace crates outside la/ops forbid `unsafe`, so the AVX bodies live
 //! here and callers pick a path via [`SimdPath`].
 
@@ -359,12 +361,294 @@ fn dot8_table_portable(wq: &[[f64; 8]], f: &[F64x4; 8], out: &mut [F64x4]) {
 }
 
 // ---------------------------------------------------------------------------
+// Material-point advection lane kernels
+// ---------------------------------------------------------------------------
+//
+// Four independent points per call, array-of-structs in and out: the
+// kernels transpose into lanes themselves, so a caller hands over plain
+// per-point arrays (one `&` per lane — lanes in the same element share the
+// reference). Each kernel is one body, generic over [`Lane`], instantiated
+// with `F64x4` (portable) and with the AVX register wrapper `avx::V4`:
+// the same plain mul/add/sub/div/sqrt sequence either way, no FMA.
+
+/// The lane arithmetic the advection kernels are written in. Every method
+/// is one correctly-rounded IEEE operation per lane, so two implementations
+/// cannot differ in bits.
+trait Lane:
+    Copy
+    + std::ops::Add<Output = Self>
+    + std::ops::Sub<Output = Self>
+    + std::ops::Mul<Output = Self>
+    + std::ops::Div<Output = Self>
+{
+    fn splat(v: f64) -> Self;
+    fn from_array(a: [f64; LANES]) -> Self;
+    fn to_array(self) -> [f64; LANES];
+    fn sqrt(self) -> Self;
+    /// Per-lane `f64::clamp` (NaN stays NaN).
+    fn clamp(self, lo: f64, hi: f64) -> Self;
+}
+
+impl Lane for F64x4 {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        F64x4::splat(v)
+    }
+    #[inline(always)]
+    fn from_array(a: [f64; LANES]) -> Self {
+        F64x4(a)
+    }
+    #[inline(always)]
+    fn to_array(self) -> [f64; LANES] {
+        self.0
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        F64x4(self.0.map(f64::sqrt))
+    }
+    #[inline(always)]
+    fn clamp(self, lo: f64, hi: f64) -> Self {
+        F64x4(self.0.map(|v| v.clamp(lo, hi)))
+    }
+}
+
+/// Four per-point 3-vectors as three coordinate lane vectors. (Written
+/// out, like every loop in the bodies below: a closure passed to
+/// `array::map` is compiled outside the AVX wrapper's target features and
+/// the intrinsics in it stay calls.)
+#[inline(always)]
+fn lanes_of3<V: Lane>(p: [&[f64; 3]; LANES]) -> [V; 3] {
+    [
+        V::from_array([p[0][0], p[1][0], p[2][0], p[3][0]]),
+        V::from_array([p[0][1], p[1][1], p[2][1], p[3][1]]),
+        V::from_array([p[0][2], p[1][2], p[2][2], p[3][2]]),
+    ]
+}
+
+/// The inverse of [`lanes_of3`].
+#[inline(always)]
+fn points_of3<V: Lane>(v: [V; 3]) -> [[f64; 3]; LANES] {
+    let a = [v[0].to_array(), v[1].to_array(), v[2].to_array()];
+    let mut out = [[0.0; 3]; LANES];
+    for l in 0..LANES {
+        out[l] = [a[0][l], a[1][l], a[2][l]];
+    }
+    out
+}
+
+/// Newton inversion of the trilinear map for 4 points at once: lane `l`
+/// solves `x(ξ) = x[l]` in the hexahedron `corners[l]`, cold start ξ = 0.
+/// Returns the per-lane convergence flags; `xi[l]` is written only for
+/// converged lanes.
+///
+/// Mirrors `ptatin_fem::geometry::inverse_map` operation for operation
+/// (`q1_basis`/`map_to_physical`, `q1_grad`/`jacobian`, `det3`/`inv3`, the
+/// ±10 clamp) in the same operand order, so a converged lane holds exactly
+/// the bits the scalar routine returns and a lane the scalar routine
+/// rejects (singular Jacobian, `max_it` exhausted) is never flagged
+/// converged. Lanes keep iterating after they converge or fail — their ξ
+/// was captured at the convergence test, nothing later feeds another lane
+/// — and the loop ends when every lane is settled.
+pub fn trilinear_inverse_x4(
+    path: SimdPath,
+    corners: [&[[f64; 3]; 8]; LANES],
+    x: &[[f64; 3]; LANES],
+    tol: f64,
+    max_it: usize,
+    xi: &mut [[f64; 3]; LANES],
+) -> [bool; LANES] {
+    match path {
+        SimdPath::Portable => trilinear_inverse_x4_body::<F64x4>(corners, x, tol, max_it, xi),
+        SimdPath::Avx2Fma => {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `axpy` — path implies hardware support.
+            unsafe {
+                avx::trilinear_inverse_x4(corners, x, tol, max_it, xi)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            trilinear_inverse_x4_body::<F64x4>(corners, x, tol, max_it, xi)
+        }
+    }
+}
+
+#[inline(always)]
+fn trilinear_inverse_x4_body<V: Lane>(
+    corners: [&[[f64; 3]; 8]; LANES],
+    x: &[[f64; 3]; LANES],
+    tol: f64,
+    max_it: usize,
+    xi_out: &mut [[f64; 3]; LANES],
+) -> [bool; LANES] {
+    let zero = V::splat(0.0);
+    let half = V::splat(0.5);
+    let one = V::splat(1.0);
+    let dh = [V::splat(-0.5), half];
+    let mut cl = [[zero; 3]; 8];
+    for (k, c) in cl.iter_mut().enumerate() {
+        *c = lanes_of3([
+            &corners[0][k],
+            &corners[1][k],
+            &corners[2][k],
+            &corners[3][k],
+        ]);
+    }
+    let xt: [V; 3] = lanes_of3([&x[0], &x[1], &x[2], &x[3]]);
+    let mut xi = [zero; 3];
+    let mut active = [true; LANES];
+    let mut converged = [false; LANES];
+    for _ in 0..max_it {
+        let lx = [half * (one - xi[0]), half * (one + xi[0])];
+        let ly = [half * (one - xi[1]), half * (one + xi[1])];
+        let lz = [half * (one - xi[2]), half * (one + xi[2])];
+        // map_to_physical: Σ N_n · corner_n from 0.0, ascending n.
+        let mut xc = [zero; 3];
+        let mut n = 0;
+        for c in 0..2 {
+            for b in 0..2 {
+                for a in 0..2 {
+                    let w = lx[a] * ly[b] * lz[c];
+                    for i in 0..3 {
+                        xc[i] = xc[i] + w * cl[n][i];
+                    }
+                    n += 1;
+                }
+            }
+        }
+        let r = [xt[0] - xc[0], xt[1] - xc[1], xt[2] - xc[2]];
+        let rn = (r[0] * r[0] + r[1] * r[1] + r[2] * r[2]).sqrt().to_array();
+        for l in 0..LANES {
+            if active[l] && rn[l] < tol {
+                xi_out[l] = points_of3(xi)[l];
+                active[l] = false;
+                converged[l] = true;
+            }
+        }
+        if active == [false; LANES] {
+            break;
+        }
+        // jacobian: Σ corner_n ⊗ ∇N_n from 0.0, ascending n.
+        let mut j = [[zero; 3]; 3];
+        let mut n = 0;
+        for c in 0..2 {
+            for b in 0..2 {
+                for a in 0..2 {
+                    let g = [
+                        dh[a] * ly[b] * lz[c],
+                        lx[a] * dh[b] * lz[c],
+                        lx[a] * ly[b] * dh[c],
+                    ];
+                    for i in 0..3 {
+                        for d in 0..3 {
+                            j[i][d] = j[i][d] + cl[n][i] * g[d];
+                        }
+                    }
+                    n += 1;
+                }
+            }
+        }
+        // det3 / inv3.
+        let det = j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
+            - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
+            + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]);
+        for (l, d) in det.to_array().into_iter().enumerate() {
+            if d.abs() < 1e-300 {
+                active[l] = false;
+            }
+        }
+        let id = one / det;
+        let inv = [
+            [
+                (j[1][1] * j[2][2] - j[1][2] * j[2][1]) * id,
+                (j[0][2] * j[2][1] - j[0][1] * j[2][2]) * id,
+                (j[0][1] * j[1][2] - j[0][2] * j[1][1]) * id,
+            ],
+            [
+                (j[1][2] * j[2][0] - j[1][0] * j[2][2]) * id,
+                (j[0][0] * j[2][2] - j[0][2] * j[2][0]) * id,
+                (j[0][2] * j[1][0] - j[0][0] * j[1][2]) * id,
+            ],
+            [
+                (j[1][0] * j[2][1] - j[1][1] * j[2][0]) * id,
+                (j[0][1] * j[2][0] - j[0][0] * j[2][1]) * id,
+                (j[0][0] * j[1][1] - j[0][1] * j[1][0]) * id,
+            ],
+        ];
+        for d in 0..3 {
+            let step = inv[d][0] * r[0] + inv[d][1] * r[1] + inv[d][2] * r[2];
+            xi[d] = (xi[d] + step).clamp(-10.0, 10.0);
+        }
+    }
+    converged
+}
+
+/// Interpolate a 3-component Q2 nodal field at 4 points at once: lane `l`
+/// evaluates the 27 triquadratic basis functions at `xi[l]` against its
+/// element's nodal values `nodal[l]` (basis order, components interleaved).
+///
+/// Mirrors `ptatin_fem::basis::q2_basis` and the `v[d] += N_i · u_i[d]`
+/// loop of `interpolate_velocity` — `(bx·by)·bz`, accumulated from 0.0 in
+/// ascending node order — so each lane is bitwise identical to the scalar
+/// interpolation.
+pub fn q2_interp3_x4(
+    path: SimdPath,
+    xi: &[[f64; 3]; LANES],
+    nodal: [&[f64; 81]; LANES],
+) -> [[f64; 3]; LANES] {
+    match path {
+        SimdPath::Portable => q2_interp3_x4_body::<F64x4>(xi, nodal),
+        SimdPath::Avx2Fma => {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `axpy` — path implies hardware support.
+            unsafe {
+                avx::q2_interp3_x4(xi, nodal)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            q2_interp3_x4_body::<F64x4>(xi, nodal)
+        }
+    }
+}
+
+#[inline(always)]
+fn q2_interp3_x4_body<V: Lane>(
+    xi: &[[f64; 3]; LANES],
+    nodal: [&[f64; 81]; LANES],
+) -> [[f64; 3]; LANES] {
+    let half = V::splat(0.5);
+    let one = V::splat(1.0);
+    let basis_1d = |t: V| [half * t * (t - one), one - t * t, half * t * (t + one)];
+    let t: [V; 3] = lanes_of3([&xi[0], &xi[1], &xi[2], &xi[3]]);
+    let (bx, by, bz) = (basis_1d(t[0]), basis_1d(t[1]), basis_1d(t[2]));
+    // Four points of one element read the same nodal array: broadcast it
+    // instead of transposing four copies (same lane values either way).
+    let uniform = nodal.iter().all(|n| std::ptr::eq(*n, nodal[0]));
+    let mut v = [V::splat(0.0); 3];
+    let mut k = 0;
+    for c in 0..3 {
+        for b in 0..3 {
+            for a in 0..3 {
+                let w = bx[a] * by[b] * bz[c];
+                for vd in &mut v {
+                    let u = if uniform {
+                        V::splat(nodal[0][k])
+                    } else {
+                        V::from_array([nodal[0][k], nodal[1][k], nodal[2][k], nodal[3][k]])
+                    };
+                    *vd = *vd + w * u;
+                    k += 1;
+                }
+            }
+        }
+    }
+    points_of3(v)
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 bodies
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::F64x4;
+    use super::{q2_interp3_x4_body, trilinear_inverse_x4_body, F64x4, Lane};
     use core::arch::x86_64::*;
 
     // SAFETY: F64x4 is #[repr(align(32))], so the load is aligned;
@@ -534,6 +818,85 @@ mod avx {
             st(&mut out[q], acc);
         }
     }
+    /// One AVX register as a [`Lane`]: each method is the single
+    /// instruction that performs the portable method's operation per lane.
+    /// Values exist only inside the `avx2,fma` kernels below, which is
+    /// what makes the intrinsic calls sound.
+    #[derive(Clone, Copy)]
+    struct V4(__m256d);
+
+    macro_rules! v4_binop {
+        ($trait:ident, $method:ident, $intrinsic:ident) => {
+            impl std::ops::$trait for V4 {
+                type Output = V4;
+                #[inline(always)]
+                fn $method(self, o: V4) -> V4 {
+                    // SAFETY: a `V4` exists only under avx2+fma (see type).
+                    V4(unsafe { $intrinsic(self.0, o.0) })
+                }
+            }
+        };
+    }
+    v4_binop!(Add, add, _mm256_add_pd);
+    v4_binop!(Sub, sub, _mm256_sub_pd);
+    v4_binop!(Mul, mul, _mm256_mul_pd);
+    v4_binop!(Div, div, _mm256_div_pd);
+
+    impl Lane for V4 {
+        #[inline(always)]
+        fn splat(v: f64) -> Self {
+            // SAFETY: only instantiated under avx2+fma (see type).
+            V4(unsafe { _mm256_set1_pd(v) })
+        }
+        #[inline(always)]
+        fn from_array(a: [f64; 4]) -> Self {
+            // SAFETY: only instantiated under avx2+fma (see type).
+            V4(unsafe { _mm256_set_pd(a[3], a[2], a[1], a[0]) })
+        }
+        #[inline(always)]
+        fn to_array(self) -> [f64; 4] {
+            let mut out = F64x4::ZERO;
+            // SAFETY: a `V4` exists only under avx2+fma (see type).
+            unsafe { st(&mut out, self.0) };
+            out.0
+        }
+        #[inline(always)]
+        fn sqrt(self) -> Self {
+            // SAFETY: a `V4` exists only under avx2+fma (see type).
+            V4(unsafe { _mm256_sqrt_pd(self.0) })
+        }
+        #[inline(always)]
+        fn clamp(self, lo: f64, hi: f64) -> Self {
+            // max/min return their second operand when either is NaN, so
+            // with the value second a NaN lane stays NaN, as in
+            // `f64::clamp`.
+            // SAFETY: a `V4` exists only under avx2+fma (see type).
+            V4(unsafe {
+                _mm256_min_pd(
+                    _mm256_set1_pd(hi),
+                    _mm256_max_pd(_mm256_set1_pd(lo), self.0),
+                )
+            })
+        }
+    }
+
+    // SAFETY: caller must have verified avx2+fma support.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn trilinear_inverse_x4(
+        corners: [&[[f64; 3]; 8]; 4],
+        x: &[[f64; 3]; 4],
+        tol: f64,
+        max_it: usize,
+        xi: &mut [[f64; 3]; 4],
+    ) -> [bool; 4] {
+        trilinear_inverse_x4_body::<V4>(corners, x, tol, max_it, xi)
+    }
+
+    // SAFETY: caller must have verified avx2+fma support.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn q2_interp3_x4(xi: &[[f64; 3]; 4], nodal: [&[f64; 81]; 4]) -> [[f64; 3]; 4] {
+        q2_interp3_x4_body::<V4>(xi, nodal)
+    }
 }
 
 #[cfg(test)]
@@ -585,6 +948,96 @@ mod tests {
                 let want = 0.4 * d0[i] + 2.5 * inv[i] * b[i];
                 assert_eq!(d[i].to_bits(), want.to_bits(), "{p:?} cheb_update {i}");
             }
+        }
+    }
+
+    /// A hexahedron near the unit cube, corners perturbed by `amp`.
+    fn hexahedron(seed: u64, amp: f64) -> [[f64; 3]; 8] {
+        let jitter = vals(24, seed);
+        std::array::from_fn(|n| {
+            std::array::from_fn(|d| ((n >> d) & 1) as f64 + amp * jitter[3 * n + d])
+        })
+    }
+
+    #[test]
+    fn advection_kernels_bitwise_across_paths() {
+        if !avx2_fma_available() {
+            return;
+        }
+        let paths = [SimdPath::Portable, SimdPath::Avx2Fma];
+        let hexes: Vec<_> = (0..4).map(|l| hexahedron(20 + l, 0.15)).collect();
+        let mut flat = hexahedron(30, 0.1);
+        for c in &mut flat {
+            c[2] = 0.0; // singular Jacobian: the lane must fail, not converge
+        }
+        let t = vals(12, 31);
+        // Inside, outside (still converges), far away (clamps, never
+        // converges) and on the singular element.
+        let x = [
+            [0.5 + 0.3 * t[0], 0.5 + 0.3 * t[1], 0.5 + 0.3 * t[2]],
+            [1.4, 0.5 + 0.3 * t[4], 0.5 + 0.3 * t[5]],
+            [40.0, -35.0, 50.0],
+            [0.4, 0.6, 0.3],
+        ];
+        let mixed = [&hexes[0], &hexes[1], &hexes[2], &flat];
+        let uniform = [&hexes[3]; 4];
+        for (corners, want) in [
+            (mixed, [true, true, false, false]),
+            (uniform, [true, true, false, true]),
+        ] {
+            let run = |p| {
+                let mut xi = [[f64::NAN; 3]; LANES];
+                let conv = trilinear_inverse_x4(p, corners, &x, 1e-12, 30, &mut xi);
+                (conv, xi.map(|v| v.map(f64::to_bits)))
+            };
+            let (conv, xi) = run(paths[0]);
+            assert_eq!(conv, want);
+            assert_eq!(run(paths[1]), (conv, xi));
+            // Converged lanes map back onto their target; the others were
+            // left untouched.
+            for l in 0..LANES {
+                let at = xi[l].map(f64::from_bits);
+                if !conv[l] {
+                    assert!(at.iter().all(|v| v.is_nan()));
+                    continue;
+                }
+                let s = |d: usize, hi: usize| 0.5 * (1.0 + (2.0 * hi as f64 - 1.0) * at[d]);
+                for d in 0..3 {
+                    let back: f64 = (0..8)
+                        .map(|n| s(0, n & 1) * s(1, (n >> 1) & 1) * s(2, n >> 2) * corners[l][n][d])
+                        .sum();
+                    assert!(
+                        (back - x[l][d]).abs() < 1e-11,
+                        "lane {l}: {back} vs {}",
+                        x[l][d]
+                    );
+                }
+            }
+        }
+
+        let fields: Vec<[f64; 81]> = (0..4)
+            .map(|l| {
+                let v = vals(81, 40 + l);
+                std::array::from_fn(|k| v[k])
+            })
+            .collect();
+        let xi = [
+            [t[0], t[1], t[2]],
+            [t[3], t[4], t[5]],
+            [t[6], t[7], t[8]],
+            [1.0, -1.0, 0.0],
+        ];
+        for nodal in [
+            [&fields[0], &fields[1], &fields[2], &fields[3]],
+            [&fields[1]; 4],
+        ] {
+            let run = |p| q2_interp3_x4(p, &xi, nodal).map(|v| v.map(f64::to_bits));
+            assert_eq!(run(paths[0]), run(paths[1]));
+            // Lane 3 sits on a node (a = 2, b = 0, c = 1): interpolation
+            // returns that node's values exactly.
+            let k = 3 * (2 + 9);
+            let got = q2_interp3_x4(paths[0], &xi, nodal)[3];
+            assert_eq!(got, [nodal[3][k], nodal[3][k + 1], nodal[3][k + 2]]);
         }
     }
 

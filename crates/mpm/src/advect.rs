@@ -8,10 +8,12 @@
 //! behaviour §II-D prescribes ("permits material points to leave the
 //! domain if any outflow type boundary conditions are prescribed").
 
-use crate::locate::{locate_point, ElementLocator};
+use crate::locate::{locate_point, locate_point_from, ElementLocator, NEWTON_MAX_IT, NEWTON_TOL};
 use crate::points::MaterialPoints;
 use crate::projection::interpolate_velocity;
+use ptatin_la::simd::{self, SimdPath, LANES};
 use ptatin_mesh::StructuredMesh;
+use ptatin_prof as prof;
 
 /// Outcome of one advection step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -22,10 +24,207 @@ pub struct AdvectionStats {
     pub lost: usize,
 }
 
+/// Element data for the lane group in flight: corner coordinates for the
+/// Newton inverse map and the 27×3 nodal velocities for the Q2
+/// interpolation. The swarm is only roughly element-major (swap-removes
+/// and relocations mix it), so every lane names its own element; the four
+/// slots are a small cache — lanes in one element share a slot, and an
+/// element still resident from an earlier group is not reloaded.
+struct LaneElements {
+    held: [u32; LANES],
+    corners: [[[f64; 3]; 8]; LANES],
+    nodal: [[f64; 81]; LANES],
+}
+
+impl LaneElements {
+    fn new() -> Self {
+        Self {
+            held: [u32::MAX; LANES],
+            corners: [[[0.0; 3]; 8]; LANES],
+            nodal: [[0.0; 81]; LANES],
+        }
+    }
+
+    /// Make every lane's element resident; returns the slot holding it.
+    /// `velocity = None` skips the nodal gather (location only).
+    fn gather(
+        &mut self,
+        mesh: &StructuredMesh,
+        velocity: Option<&[f64]>,
+        elements: [u32; LANES],
+    ) -> [usize; LANES] {
+        let mut slot = [0; LANES];
+        for l in 0..LANES {
+            let e = elements[l];
+            if let Some(s) = self.held.iter().position(|&h| h == e) {
+                slot[l] = s;
+                continue;
+            }
+            // Evict a slot no earlier lane of this group points at.
+            let s = (0..LANES)
+                .find(|s| !slot[..l].contains(s))
+                // PANIC-OK: four slots, at most three earlier lanes.
+                .expect("a free slot");
+            slot[l] = s;
+            self.held[s] = e;
+            // Nodes are x-fastest: each (b, c) row of the element's 3×3×3
+            // block is three consecutive nodes, its ends the corners and
+            // its 9 interleaved values already in basis order.
+            let (ei, ej, ek) = mesh.element_ijk(e as usize);
+            for c in 0..3 {
+                for b in 0..3 {
+                    let n = mesh.node_index(2 * ei, 2 * ej + b, 2 * ek + c);
+                    if b != 1 && c != 1 {
+                        let k = b + 2 * c;
+                        self.corners[s][k] = mesh.coords[n];
+                        self.corners[s][k + 1] = mesh.coords[n + 2];
+                    }
+                    if let Some(velocity) = velocity {
+                        let row = 9 * (b + 3 * c);
+                        self.nodal[s][row..row + 9].copy_from_slice(&velocity[3 * n..3 * n + 9]);
+                    }
+                }
+            }
+        }
+        slot
+    }
+}
+
+/// The lane group starting at point `p0`: which of its lanes hold a located
+/// point, and the point each lane computes on — its own, or the group's
+/// first located point for lanes that are unlocated or past the end (their
+/// results are discarded). `None` when no lane is located.
+fn lane_group(points: &MaterialPoints, p0: usize) -> ([bool; LANES], Option<[usize; LANES]>) {
+    let located: [bool; LANES] =
+        std::array::from_fn(|l| points.element.get(p0 + l).is_some_and(|&e| e != u32::MAX));
+    let src = located
+        .iter()
+        .position(|&v| v)
+        .map(|first| std::array::from_fn(|l| p0 + if located[l] { l } else { first }));
+    (located, src)
+}
+
 /// Advect all points with velocity `v` (interleaved Q2 nodal field) over
 /// `dt` using RK2. Updates positions, owning elements and local
 /// coordinates in place.
+///
+/// Points are processed four per [`simd::F64x4`] lane group in point
+/// order: both velocity interpolations and both point locations are first
+/// attempted batched on the point's current element; a lane whose midpoint
+/// or end point is not inside that element (≈5 % and ≈9 % of points per
+/// `swarm_advect` step) continues through the scalar walk of
+/// `locate_point`. The kernels repeat the scalar
+/// arithmetic operation for operation, so positions, ξ, elements and stats
+/// are bitwise identical to [`advect_rk2_scalar`] on both SIMD paths
+/// (`tests/mpm_advect_equivalence.rs`).
 pub fn advect_rk2(
+    mesh: &StructuredMesh,
+    locator: &ElementLocator,
+    points: &mut MaterialPoints,
+    velocity: &[f64],
+    dt: f64,
+) -> AdvectionStats {
+    let path = simd::runtime_simd_path();
+    advect_rk2_with_path(mesh, locator, points, velocity, dt, path)
+}
+
+/// [`advect_rk2`] with an explicit SIMD path (equivalence tests).
+pub fn advect_rk2_with_path(
+    mesh: &StructuredMesh,
+    locator: &ElementLocator,
+    points: &mut MaterialPoints,
+    velocity: &[f64],
+    dt: f64,
+    path: SimdPath,
+) -> AdvectionStats {
+    let _s = prof::scope("mpm.advect");
+    let mut stats = AdvectionStats::default();
+    let mut elems = LaneElements::new();
+    let n = points.len();
+    for p0 in (0..n).step_by(LANES) {
+        let m = (n - p0).min(LANES);
+        let (live, src) = lane_group(points, p0);
+        stats.lost += (0..m).filter(|&l| !live[l]).count();
+        let Some(src) = src else {
+            continue;
+        };
+        let e0 = src.map(|p| points.element[p]);
+        let x0 = src.map(|p| points.x[p]);
+        let slot = elems.gather(mesh, Some(velocity), e0);
+        let corners = slot.map(|s| &elems.corners[s]);
+        let nodal = slot.map(|s| &elems.nodal[s]);
+
+        let v1 = simd::q2_interp3_x4(path, &src.map(|p| points.xi[p]), nodal);
+        let xmid: [[f64; 3]; LANES] = std::array::from_fn(|l| {
+            [
+                x0[l][0] + 0.5 * dt * v1[l][0],
+                x0[l][1] + 0.5 * dt * v1[l][1],
+                x0[l][2] + 0.5 * dt * v1[l][2],
+            ]
+        });
+        let mut xim = [[0.0; 3]; LANES];
+        let conv =
+            simd::trilinear_inverse_x4(path, corners, &xmid, NEWTON_TOL, NEWTON_MAX_IT, &mut xim);
+        let mut v2 = simd::q2_interp3_x4(path, &xim, nodal);
+        for l in (0..m).filter(|&l| live[l]) {
+            // Midpoint velocity from wherever the midpoint is; the batched
+            // value stands when that is still the point's element.
+            let hint = e0[l] as usize;
+            match locate_point_from(mesh, locator, xmid[l], hint, conv[l].then_some(xim[l])) {
+                Some((em, _)) if em == hint => {}
+                Some((em, xi)) => v2[l] = interpolate_velocity(mesh, velocity, em, xi),
+                // Left the domain (e.g. near a free surface): reuse v1.
+                None => v2[l] = v1[l],
+            }
+        }
+        let x1: [[f64; 3]; LANES] = std::array::from_fn(|l| {
+            [
+                x0[l][0] + dt * v2[l][0],
+                x0[l][1] + dt * v2[l][1],
+                x0[l][2] + dt * v2[l][2],
+            ]
+        });
+        let mut xi1 = [[0.0; 3]; LANES];
+        let conv =
+            simd::trilinear_inverse_x4(path, corners, &x1, NEWTON_TOL, NEWTON_MAX_IT, &mut xi1);
+        for l in (0..m).filter(|&l| live[l]) {
+            let hint = e0[l] as usize;
+            let found = locate_point_from(mesh, locator, x1[l], hint, conv[l].then_some(xi1[l]));
+            finish_advected(points, p0 + l, x1[l], hint, found, &mut stats);
+        }
+    }
+    stats
+}
+
+/// Store the end position of point `p` and where it was found.
+fn finish_advected(
+    points: &mut MaterialPoints,
+    p: usize,
+    x1: [f64; 3],
+    e0: usize,
+    found: Option<(usize, [f64; 3])>,
+    stats: &mut AdvectionStats,
+) {
+    points.x[p] = x1;
+    match found {
+        Some((e1, xi1)) => {
+            points.xi[p] = xi1;
+            if e1 != e0 {
+                stats.relocated += 1;
+            }
+            points.element[p] = e1 as u32;
+        }
+        None => {
+            points.element[p] = u32::MAX;
+            stats.lost += 1;
+        }
+    }
+}
+
+/// Scalar reference implementation of [`advect_rk2`]: one point at a time
+/// through `interpolate_velocity` and `locate_point`. The batched
+/// advection is bitwise identical to this (equivalence suite).
+pub fn advect_rk2_scalar(
     mesh: &StructuredMesh,
     locator: &ElementLocator,
     points: &mut MaterialPoints,
@@ -54,52 +253,105 @@ pub fn advect_rk2(
             None => v1,
         };
         let x1 = [x0[0] + dt * v2[0], x0[1] + dt * v2[1], x0[2] + dt * v2[2]];
-        match locate_point(mesh, locator, x1, Some(e0)) {
-            Some((e1, xi1)) => {
-                points.x[p] = x1;
-                points.xi[p] = xi1;
-                if e1 != e0 {
-                    stats.relocated += 1;
-                }
-                points.element[p] = e1 as u32;
-            }
-            None => {
-                points.x[p] = x1;
-                points.element[p] = u32::MAX;
-                stats.lost += 1;
-            }
-        }
+        let found = locate_point(mesh, locator, x1, Some(e0));
+        finish_advected(points, p, x1, e0, found, &mut stats);
     }
     stats
 }
 
 /// Re-locate every point against (a possibly remeshed) `mesh` — required
 /// after each ALE mesh update, since ξ caches are mesh-dependent.
+///
+/// Lane-batched like [`advect_rk2`]: points with a cached element try it
+/// four at a time, the rest — and every lane the attempt does not place —
+/// go through the scalar search. Bitwise identical to
+/// [`relocate_all_scalar`].
 pub fn relocate_all(
+    mesh: &StructuredMesh,
+    locator: &ElementLocator,
+    points: &mut MaterialPoints,
+) -> AdvectionStats {
+    relocate_all_with_path(mesh, locator, points, simd::runtime_simd_path())
+}
+
+/// [`relocate_all`] with an explicit SIMD path (equivalence tests).
+pub fn relocate_all_with_path(
+    mesh: &StructuredMesh,
+    locator: &ElementLocator,
+    points: &mut MaterialPoints,
+    path: SimdPath,
+) -> AdvectionStats {
+    let _s = prof::scope("mpm.relocate");
+    let mut stats = AdvectionStats::default();
+    // A cached element is a hint only; `locate_walk` clamps it into the
+    // mesh, and so does the batched attempt.
+    let last_element = mesh.num_elements().saturating_sub(1) as u32;
+    let hint = |e: u32| e.min(last_element);
+    let mut elems = LaneElements::new();
+    let n = points.len();
+    for p0 in (0..n).step_by(LANES) {
+        let m = (n - p0).min(LANES);
+        let (hinted, src) = lane_group(points, p0);
+        let mut conv = [false; LANES];
+        let mut xi = [[0.0; 3]; LANES];
+        if let Some(src) = src {
+            let slot = elems.gather(mesh, None, src.map(|p| hint(points.element[p])));
+            let corners = slot.map(|s| &elems.corners[s]);
+            let x = src.map(|p| points.x[p]);
+            conv =
+                simd::trilinear_inverse_x4(path, corners, &x, NEWTON_TOL, NEWTON_MAX_IT, &mut xi);
+        }
+        for l in 0..m {
+            let p = p0 + l;
+            let found = if hinted[l] {
+                let e = hint(points.element[p]) as usize;
+                locate_point_from(mesh, locator, points.x[p], e, conv[l].then_some(xi[l]))
+            } else {
+                locate_point(mesh, locator, points.x[p], None)
+            };
+            finish_relocated(points, p, found, &mut stats);
+        }
+    }
+    stats
+}
+
+/// Store where point `p` was found.
+fn finish_relocated(
+    points: &mut MaterialPoints,
+    p: usize,
+    found: Option<(usize, [f64; 3])>,
+    stats: &mut AdvectionStats,
+) {
+    match found {
+        Some((e, xi)) => {
+            if points.element[p] != e as u32 {
+                stats.relocated += 1;
+            }
+            points.element[p] = e as u32;
+            points.xi[p] = xi;
+        }
+        None => {
+            points.element[p] = u32::MAX;
+            stats.lost += 1;
+        }
+    }
+}
+
+/// Scalar reference implementation of [`relocate_all`] (equivalence
+/// suite).
+pub fn relocate_all_scalar(
     mesh: &StructuredMesh,
     locator: &ElementLocator,
     points: &mut MaterialPoints,
 ) -> AdvectionStats {
     let mut stats = AdvectionStats::default();
     for p in 0..points.len() {
-        let hint = if points.element[p] == u32::MAX {
-            None
-        } else {
-            Some(points.element[p] as usize)
+        let hint = match points.element[p] {
+            u32::MAX => None,
+            e => Some(e as usize),
         };
-        match locate_point(mesh, locator, points.x[p], hint) {
-            Some((e, xi)) => {
-                if points.element[p] != e as u32 {
-                    stats.relocated += 1;
-                }
-                points.element[p] = e as u32;
-                points.xi[p] = xi;
-            }
-            None => {
-                points.element[p] = u32::MAX;
-                stats.lost += 1;
-            }
-        }
+        let found = locate_point(mesh, locator, points.x[p], hint);
+        finish_relocated(points, p, found, &mut stats);
     }
     stats
 }

@@ -20,8 +20,10 @@ pub struct ElementLocator {
     lo: [f64; 3],
     inv_h: [f64; 3],
     dims: [usize; 3],
-    /// Candidate element lists per background cell.
-    cells: Vec<Vec<u32>>,
+    /// Candidate elements of background cell `c`, ascending:
+    /// `ids[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
 }
 
 impl ElementLocator {
@@ -34,8 +36,8 @@ impl ElementLocator {
             let ext = (hi[d] - lo[d]).max(1e-300);
             inv_h[d] = dims[d] as f64 / ext;
         }
-        let mut cells = vec![Vec::new(); dims[0] * dims[1] * dims[2]];
-        for e in 0..mesh.num_elements() {
+        // Background-cell box covered by each element's bounding box.
+        let cell_box = |e: usize| {
             let corners = mesh.element_corner_coords(e);
             let mut blo = [f64::INFINITY; 3];
             let mut bhi = [f64::NEG_INFINITY; 3];
@@ -51,19 +53,40 @@ impl ElementLocator {
                 cl[d] = (((blo[d] - lo[d]) * inv_h[d]).floor().max(0.0) as usize).min(dims[d] - 1);
                 ch[d] = (((bhi[d] - lo[d]) * inv_h[d]).floor().max(0.0) as usize).min(dims[d] - 1);
             }
+            (cl, ch)
+        };
+        let for_each_cell = |(cl, ch): ([usize; 3], [usize; 3]), f: &mut dyn FnMut(usize)| {
             for ck in cl[2]..=ch[2] {
                 for cj in cl[1]..=ch[1] {
                     for ci in cl[0]..=ch[0] {
-                        cells[ci + dims[0] * (cj + dims[1] * ck)].push(e as u32);
+                        f(ci + dims[0] * (cj + dims[1] * ck));
                     }
                 }
             }
+        };
+        // Counting sort by cell, elements ascending within a cell.
+        let boxes: Vec<_> = (0..mesh.num_elements()).map(cell_box).collect();
+        let mut offsets = vec![0u32; dims[0] * dims[1] * dims[2] + 1];
+        for &b in &boxes {
+            for_each_cell(b, &mut |c| offsets[c + 1] += 1);
+        }
+        for c in 1..offsets.len() {
+            offsets[c] += offsets[c - 1];
+        }
+        let mut next = offsets.clone();
+        let mut ids = vec![0u32; offsets[offsets.len() - 1] as usize];
+        for (e, &b) in boxes.iter().enumerate() {
+            for_each_cell(b, &mut |c| {
+                ids[next[c] as usize] = e as u32;
+                next[c] += 1;
+            });
         }
         Self {
             lo,
             inv_h,
             dims,
-            cells,
+            offsets,
+            ids,
         }
     }
 
@@ -77,15 +100,19 @@ impl ElementLocator {
             }
             c[d] = (f.floor() as usize).min(self.dims[d] - 1);
         }
-        &self.cells[c[0] + self.dims[0] * (c[1] + self.dims[1] * c[2])]
+        let cell = c[0] + self.dims[0] * (c[1] + self.dims[1] * c[2]);
+        &self.ids[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
     }
 }
 
-/// Try to place `x` in element `e`; returns ξ if contained.
-fn try_element(mesh: &StructuredMesh, e: usize, x: [f64; 3]) -> Option<[f64; 3]> {
-    let corners = mesh.element_corner_coords(e);
-    let xi = inverse_map(&corners, x, 1e-12, 30)?;
-    xi_inside(xi, XI_TOL).then_some(xi)
+/// Newton tolerance and iteration cap of every inversion in point
+/// location (the lane-batched first attempt in `advect` included).
+pub(crate) const NEWTON_TOL: f64 = 1e-12;
+pub(crate) const NEWTON_MAX_IT: usize = 30;
+
+/// Newton-invert the trilinear map of element `e` at `x`.
+fn invert_in(mesh: &StructuredMesh, e: usize, x: [f64; 3]) -> Option<[f64; 3]> {
+    inverse_map(&mesh.element_corner_coords(e), x, NEWTON_TOL, NEWTON_MAX_IT)
 }
 
 /// Walk from `hint` towards `x`, stepping to the neighbour indicated by the
@@ -96,10 +123,24 @@ pub fn locate_walk(
     hint: usize,
     max_steps: usize,
 ) -> Option<(usize, [f64; 3])> {
-    let mut e = hint.min(mesh.num_elements() - 1);
-    for _ in 0..max_steps {
-        let corners = mesh.element_corner_coords(e);
-        let xi = inverse_map(&corners, x, 1e-12, 30)?;
+    if max_steps == 0 {
+        return None;
+    }
+    let e = hint.min(mesh.num_elements() - 1);
+    walk_from(mesh, x, e, invert_in(mesh, e, x), max_steps)
+}
+
+/// The walk, given the Newton inversion `newton` on its first element `e`
+/// (`None` = did not converge, which ends the walk).
+fn walk_from(
+    mesh: &StructuredMesh,
+    x: [f64; 3],
+    mut e: usize,
+    mut newton: Option<[f64; 3]>,
+    max_steps: usize,
+) -> Option<(usize, [f64; 3])> {
+    for step in 1..=max_steps {
+        let xi = newton?;
         if xi_inside(xi, XI_TOL) {
             return Some((e, xi));
         }
@@ -126,9 +167,15 @@ pub fn locate_walk(
         }
         *coords[worst] = cur as usize;
         e = mesh.element_index(ei, ej, ek);
+        if step < max_steps {
+            newton = invert_in(mesh, e, x);
+        }
     }
     None
 }
+
+/// Hint-walk length of [`locate_point`].
+const WALK_STEPS: usize = 8;
 
 /// Full location: hint walk first, then the background-grid candidates.
 pub fn locate_point(
@@ -137,17 +184,32 @@ pub fn locate_point(
     x: [f64; 3],
     hint: Option<usize>,
 ) -> Option<(usize, [f64; 3])> {
-    if let Some(h) = hint {
-        if let Some(found) = locate_walk(mesh, x, h, 8) {
-            return Some(found);
-        }
-    }
-    for &e in locator.candidates(x) {
-        if let Some(xi) = try_element(mesh, e as usize, x) {
-            return Some((e as usize, xi));
-        }
-    }
-    None
+    hint.and_then(|h| locate_walk(mesh, x, h, WALK_STEPS))
+        .or_else(|| locate_in_candidates(mesh, locator, x))
+}
+
+/// [`locate_point`] with hint `e` for a caller that already holds the
+/// Newton inversion on `e` (`None` = did not converge): the same search,
+/// minus that first inversion.
+pub(crate) fn locate_point_from(
+    mesh: &StructuredMesh,
+    locator: &ElementLocator,
+    x: [f64; 3],
+    e: usize,
+    newton: Option<[f64; 3]>,
+) -> Option<(usize, [f64; 3])> {
+    walk_from(mesh, x, e, newton, WALK_STEPS).or_else(|| locate_in_candidates(mesh, locator, x))
+}
+
+fn locate_in_candidates(
+    mesh: &StructuredMesh,
+    locator: &ElementLocator,
+    x: [f64; 3],
+) -> Option<(usize, [f64; 3])> {
+    locator.candidates(x).iter().find_map(|&e| {
+        let xi = invert_in(mesh, e as usize, x)?;
+        xi_inside(xi, XI_TOL).then_some((e as usize, xi))
+    })
 }
 
 #[cfg(test)]

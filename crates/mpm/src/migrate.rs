@@ -10,6 +10,7 @@
 use crate::locate::{locate_point, ElementLocator};
 use crate::points::{MaterialPoints, PointState};
 use ptatin_mesh::{ElementPartition, StructuredMesh};
+use ptatin_prof as prof;
 
 /// Points distributed over subdomains, one swarm per subdomain.
 pub struct SubdomainSwarms {
@@ -74,16 +75,21 @@ impl SubdomainSwarms {
         out
     }
 
-    /// One migration round after advection: each subdomain relocates its
-    /// points; points now owned elsewhere go to `L_s`, are offered to all
-    /// neighbours (which re-run point location), and unclaimed points are
-    /// deleted.
+    /// One migration round after advection: points now owned elsewhere go
+    /// to `L_s`, are offered to all neighbours (which re-run point
+    /// location), and unclaimed points are deleted.
+    ///
+    /// Precondition (the one `project_to_corners` relies on too): every
+    /// point's `(element, ξ)` cache is valid on `mesh` — as `advect_rk2`
+    /// and `relocate_all` leave it — or flagged `u32::MAX`. Ownership is
+    /// read off the cached element; only flagged points are located here.
     pub fn exchange(
         &mut self,
         mesh: &StructuredMesh,
         locator: &ElementLocator,
         partition: &ElementPartition,
     ) -> MigrationStats {
+        let _s = prof::scope("mpm.exchange");
         let ns = partition.num_subdomains();
         let mut stats = MigrationStats::default();
         // Phase 1: build send lists.
@@ -92,23 +98,20 @@ impl SubdomainSwarms {
             let sw = &mut self.swarms[s];
             let mut i = 0;
             while i < sw.len() {
-                let hint = if sw.element[i] == u32::MAX {
-                    None
-                } else {
-                    Some(sw.element[i] as usize)
-                };
-                match locate_point(mesh, locator, sw.x[i], hint) {
-                    Some((e, xi)) if partition.subdomain_of_element(e) == s => {
+                if sw.element[i] == u32::MAX {
+                    if let Some((e, xi)) = locate_point(mesh, locator, sw.x[i], None) {
                         sw.element[i] = e as u32;
                         sw.xi[i] = xi;
-                        i += 1;
                     }
-                    _ => {
-                        // Not ours any more (or not locatable from here).
-                        send_lists[s].push(sw.extract(i));
-                        sw.swap_remove(i);
-                        stats.sent += 1;
-                    }
+                }
+                let e = sw.element[i];
+                if e != u32::MAX && partition.subdomain_of_element(e as usize) == s {
+                    i += 1;
+                } else {
+                    // Not ours any more (or not locatable from here).
+                    send_lists[s].push(sw.extract(i));
+                    sw.swap_remove(i);
+                    stats.sent += 1;
                 }
             }
         }

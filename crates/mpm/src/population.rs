@@ -8,6 +8,7 @@ use crate::points::MaterialPoints;
 use ptatin_fem::geometry::map_to_physical;
 use ptatin_mesh::StructuredMesh;
 use ptatin_prng::Rng;
+use ptatin_prof as prof;
 
 /// Population bounds per element.
 #[derive(Clone, Copy, Debug)]
@@ -58,6 +59,7 @@ pub fn control_population<R: Rng>(
     cfg: &PopulationConfig,
     rng: &mut R,
 ) -> PopulationStats {
+    let _s = prof::scope("mpm.population");
     let mut stats = PopulationStats::default();
     // Build per-element point lists.
     let nel = mesh.num_elements();

@@ -10,6 +10,7 @@ use ptatin_fem::geometry::map_to_physical;
 use ptatin_la::par;
 use ptatin_la::simd::{self, F64x4, SimdPath, LANES};
 use ptatin_mesh::StructuredMesh;
+use ptatin_prof as prof;
 
 /// Point count below which the projection scatter runs serially (single
 /// accumulation piece). Public so the thread-invariance suite can pin
@@ -192,6 +193,7 @@ where
     G: Fn(usize) -> f64,
     S: Fn(std::ops::Range<usize>, &mut [f64], &mut [f64]) + Sync,
 {
+    let _s = prof::scope("mpm.project");
     let nc = mesh.num_corners();
     let mut num = vec![0.0f64; nc];
     let mut den = vec![0.0f64; nc];
@@ -252,6 +254,7 @@ pub fn corners_to_quadrature_with_path(
     corner_field: &[f64],
     path: SimdPath,
 ) -> Vec<f64> {
+    let _s = prof::scope("mpm.to_qp");
     assert_eq!(corner_field.len(), mesh.num_corners());
     let nqp = tables.nqp();
     assert!(nqp <= MAX_NQP, "quadrature rule exceeds the lane buffer");

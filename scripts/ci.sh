@@ -50,7 +50,8 @@ done
 # counts must not move, because batched assembly is bitwise-contracted
 # against the scalar reference (DESIGN.md §13). The level rule of the
 # multigrid (no matrix on a default-built smoothed level, DESIGN.md §4)
-# is named for the same reason.
+# and the lane-batched advection's bitwise contract against the scalar
+# loop (DESIGN.md §9) are named for the same reason.
 step "tests (PTATIN_TEST_THREADS=1)"
 PTATIN_TEST_THREADS=1 cargo test --workspace -q
 PTATIN_TEST_THREADS=1 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
@@ -59,6 +60,7 @@ PTATIN_TEST_THREADS=1 cargo test -q --test checkpoint_restart
 PTATIN_TEST_THREADS=1 cargo test -q --test ensemble_sweep
 PTATIN_TEST_THREADS=1 cargo test -q --test golden_runs
 PTATIN_TEST_THREADS=1 cargo test -q --test operator_equivalence
+PTATIN_TEST_THREADS=1 cargo test -q --test mpm_advect_equivalence
 
 step "tests (PTATIN_TEST_THREADS=4)"
 PTATIN_TEST_THREADS=4 cargo test --workspace -q
@@ -68,6 +70,7 @@ PTATIN_TEST_THREADS=4 cargo test -q --test checkpoint_restart
 PTATIN_TEST_THREADS=4 cargo test -q --test ensemble_sweep
 PTATIN_TEST_THREADS=4 cargo test -q --test golden_runs
 PTATIN_TEST_THREADS=4 cargo test -q --test operator_equivalence
+PTATIN_TEST_THREADS=4 cargo test -q --test mpm_advect_equivalence
 
 # The same suite under the pool sanitizer: every split_ranges partition,
 # pool resize, and dispatch is checked against the worker-pool invariants
@@ -83,11 +86,13 @@ PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-la --features pool-sanitizer par::
 
 # Operator-equivalence and thread-invariance suites with the AVX path
 # force-disabled: the portable fallbacks of the batched operator,
-# projection, transfer, and fused smoother must satisfy the same 1e-12 /
-# bitwise contracts as the hardware path (DESIGN.md §9).
+# projection, transfer, fused smoother and advection/location lane kernels
+# must satisfy the same 1e-12 / bitwise contracts as the hardware path
+# (DESIGN.md §9).
 step "equivalence + thread invariance with AVX disabled (PTATIN_NO_AVX=1)"
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test operator_equivalence
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test thread_invariance
+PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test mpm_advect_equivalence
 
 # Fault-injection matrix on the release binary: every injected failure
 # class must be recovered (exit 0) or reported cleanly (crash => 42),

@@ -143,11 +143,14 @@ fn exchange_conserves_points_crossing_exactly_onto_the_midplane() {
     let n = pts.len();
     let mut swarms = SubdomainSwarms::partition(pts, &partition);
     // Move them EXACTLY onto the midplane x = 0.5 (an element face and the
-    // subdomain boundary at once), then exchange.
+    // subdomain boundary at once), refresh the (element, ξ) caches the
+    // way advection would (the exchange reads ownership off them), then
+    // exchange.
     for sw in &mut swarms.swarms {
         for p in 0..sw.len() {
             sw.x[p][0] = 0.5;
         }
+        let _ = relocate_all(&mesh, &locator, sw);
     }
     let stats = swarms.exchange(&mesh, &locator, &partition);
     assert_eq!(stats.deleted, 0, "midplane points must not be deleted");

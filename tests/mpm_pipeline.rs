@@ -6,7 +6,7 @@ use ptatin_core::models::sinker::{SinkerConfig, SinkerModel};
 use ptatin_core::solver::{CoarseKind, GmgConfig, KrylovOperatorChoice};
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_mesh::ElementPartition;
-use ptatin_mpm::advect::{advect_rk2, cull_lost, reclaim_lost};
+use ptatin_mpm::advect::{advect_rk2, cull_lost, reclaim_lost, relocate_all};
 use ptatin_mpm::locate::ElementLocator;
 use ptatin_mpm::migrate::SubdomainSwarms;
 use ptatin_mpm::population::{control_population, element_counts, PopulationConfig};
@@ -94,14 +94,20 @@ fn migration_conserves_interior_points() {
     let stats = swarms.exchange(&mesh, &locator, &partition);
     assert_eq!(stats.sent, 0);
     assert_eq!(swarms.total(), total);
-    // Displace every point by half an element in +x and exchange.
+    // Displace every point by half an element in +x, relocate (the
+    // exchange reads ownership off the (element, ξ) cache) and exchange.
     let shift = 0.5 / mesh.mx as f64;
     for sw in &mut swarms.swarms {
         for p in 0..sw.len() {
             sw.x[p][0] += shift;
         }
+        let _ = relocate_all(&mesh, &locator, sw);
     }
     let stats = swarms.exchange(&mesh, &locator, &partition);
+    assert!(
+        stats.sent > 0,
+        "half the points crossed into the next element"
+    );
     assert_eq!(stats.sent, stats.received + stats.deleted);
     assert_eq!(swarms.total(), total - stats.deleted);
 }
