@@ -21,7 +21,7 @@ use crate::solver::{build_stokes_solver_cached, CoarseKind, GmgConfig, SetupCach
 use crate::timestep::{accumulate_plastic_strain, advected_surface, cfl_dt, velocity_at_corners};
 use ptatin_ckpt::{fnv1a64, Checkpoint, CkptError};
 use ptatin_fem::assemble::{
-    assemble_body_force, assemble_gradient, num_pressure_dofs, num_velocity_dofs, Q2QuadTables,
+    assemble_body_force, num_pressure_dofs, num_velocity_dofs, Q2QuadTables,
 };
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
 use ptatin_fem::energy::{assemble_energy_step, solve_energy_step};
@@ -33,10 +33,8 @@ use ptatin_mpm::advect::{advect_rk2, cull_lost, relocate_all};
 use ptatin_mpm::locate::ElementLocator;
 use ptatin_mpm::points::{seed_regular, MaterialPoints};
 use ptatin_mpm::population::{control_population, PopulationConfig};
-use ptatin_ops::{TensorViscousOp, ViscousOpData};
 use ptatin_prng::{Rng, StdRng};
 use ptatin_rheology::{DruckerPrager, Material, MaterialTable, Plasticity, ViscousLaw};
-use std::sync::Arc;
 
 /// Configuration of the rifting model (scaled units).
 #[derive(Clone, Debug)]
@@ -226,6 +224,11 @@ pub struct RiftModel {
     /// checkpointed and restored bitwise.
     rng: StdRng,
     partition: ElementPartition,
+    /// Solver setup state carried across Newton iterations *and* time
+    /// steps: the ALE remesh moves nodes but never changes the topology,
+    /// so only the cache's geometry tier turns over per step. Not part of
+    /// a checkpoint — a cached build is bitwise a fresh one.
+    setup_cache: SetupCache,
 }
 
 /// A completed nonlinear Stokes solve that has NOT been committed to the
@@ -290,6 +293,7 @@ impl RiftModel {
             last_dt: 0.0,
             rng,
             partition,
+            setup_cache: SetupCache::new(),
         }
     }
 
@@ -346,6 +350,7 @@ impl RiftModel {
             last_dt: ck.dt_last,
             rng: StdRng::from_state(ck.rng_state),
             partition,
+            setup_cache: SetupCache::new(),
         })
     }
 
@@ -362,13 +367,13 @@ impl RiftModel {
             .iter()
             .map(|m| rift_bc(m, cfg.extension_velocity, cfg.shortening_velocity))
             .collect();
+        let b_full = self.setup_cache.gradient_block(&hier, &bcs).clone();
         let mut problem = RiftProblem {
             model: self,
             hier: &hier,
             bcs: &bcs,
-            b_full: assemble_gradient(hier.finest(), &Q2QuadTables::standard()),
+            b_full,
             fields: None,
-            setup_cache: SetupCache::new(),
         };
         let mut u = problem.model.velocity.clone();
         // PANIC-OK: one bc set per hierarchy level and levels >= 1.
@@ -522,8 +527,6 @@ struct RiftProblem<'m> {
     bcs: &'m [DirichletBc],
     b_full: Csr,
     fields: Option<CoefficientFields>,
-    /// Symbolic/structural setup state reused across re-linearizations.
-    setup_cache: SetupCache,
 }
 
 impl StokesNonlinearProblem for RiftProblem<'_> {
@@ -557,12 +560,10 @@ impl StokesNonlinearProblem for RiftProblem<'_> {
             self.model.cfg.nonlinear.use_newton,
         );
         // Unmasked Picard action for residual evaluation.
-        let data = Arc::new(ViscousOpData::new(
-            mesh,
-            fields.eta_qp.clone(),
-            &DirichletBc::new(),
-        ));
-        let a: ArcOp = Arc::new(TensorViscousOp::new(data));
+        let a =
+            self.model
+                .setup_cache
+                .residual_operator(self.hier, self.bcs, fields.eta_qp.clone());
         let gravity = [0.0, -1.0, 0.0];
         let f_u = assemble_body_force(mesh, &tables, &fields.rho_qp, gravity);
         self.fields = Some(fields);
@@ -580,7 +581,7 @@ impl StokesNonlinearProblem for RiftProblem<'_> {
             self.bcs,
             &self.model.cfg.gmg,
             newton_data,
-            &mut self.setup_cache,
+            &mut self.model.setup_cache,
         )
     }
 }

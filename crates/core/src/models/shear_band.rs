@@ -10,7 +10,7 @@ use crate::coefficients::{
 use crate::nonlinear::{solve_nonlinear, NonlinearConfig, NonlinearStats, StokesNonlinearProblem};
 use crate::solver::{build_stokes_solver_cached, CoarseKind, GmgConfig, SetupCache, StokesSolver};
 use ptatin_fem::assemble::{
-    assemble_body_force, assemble_gradient, num_pressure_dofs, num_velocity_dofs, Q2QuadTables,
+    assemble_body_force, num_pressure_dofs, num_velocity_dofs, Q2QuadTables,
 };
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
 use ptatin_la::csr::Csr;
@@ -18,10 +18,8 @@ use ptatin_mesh::hierarchy::MeshHierarchy;
 use ptatin_mesh::StructuredMesh;
 use ptatin_mg::gmg::ArcOp;
 use ptatin_mpm::points::{seed_regular, MaterialPoints};
-use ptatin_ops::{TensorViscousOp, ViscousOpData};
 use ptatin_prng::StdRng;
 use ptatin_rheology::{Material, MaterialTable, Plasticity, Rheology, ViscousLaw};
-use std::sync::Arc;
 
 /// Lithology indices.
 pub const BACKGROUND: u16 = 0;
@@ -184,13 +182,14 @@ impl ShearBandModel {
             .iter()
             .map(|m| shear_band_bc(m, cfg.compression_velocity, cfg.top_free_slip))
             .collect();
+        let mut setup_cache = SetupCache::new();
         let mut problem = ShearBandProblem {
             model: self,
             hier: &hier,
             bcs: &bcs,
-            b_full: assemble_gradient(hier.finest(), &Q2QuadTables::standard()),
+            b_full: setup_cache.gradient_block(&hier, &bcs).clone(),
             fields: None,
-            setup_cache: SetupCache::new(),
+            setup_cache,
         };
         let (nu, np) = problem.dims();
         let mut u = vec![0.0; nu];
@@ -294,12 +293,9 @@ impl StokesNonlinearProblem for ShearBandProblem<'_> {
             self.model.cfg.nonlinear.use_newton,
         );
         // Unmasked Picard action for residual evaluation.
-        let data = Arc::new(ViscousOpData::new(
-            mesh,
-            fields.eta_qp.clone(),
-            &DirichletBc::new(),
-        ));
-        let a: ArcOp = Arc::new(TensorViscousOp::new(data));
+        let a = self
+            .setup_cache
+            .residual_operator(self.hier, self.bcs, fields.eta_qp.clone());
         // Kinematically driven: no gravity forcing.
         let f_u = assemble_body_force(mesh, &tables, &fields.rho_qp, [0.0, 0.0, 0.0]);
         self.fields = Some(fields);

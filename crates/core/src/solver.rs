@@ -7,7 +7,7 @@ use ptatin_fem::assemble::{
     num_pressure_dofs, num_velocity_dofs, PressureMassBlocks, Q2QuadTables,
 };
 use ptatin_fem::bc::DirichletBc;
-use ptatin_fem::pattern::ViscousPattern;
+use ptatin_fem::pattern::{GalerkinQ1Pattern, ViscousPattern};
 use ptatin_la::chebyshev::{Chebyshev, FusedPlan};
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
@@ -17,13 +17,13 @@ use ptatin_la::simd::{runtime_simd_path, F64x4};
 use ptatin_la::transfer::BatchedTransfer;
 use ptatin_la::vec_ops;
 use ptatin_mesh::decomp::nodes_to_dofs;
-use ptatin_mesh::hierarchy::{expand_blocked, prolongation_scalar, MeshHierarchy};
+use ptatin_mesh::hierarchy::{expand_blocked, MeshHierarchy};
 use ptatin_mesh::sfc::{expand_permutation, morton_node_permutation};
 use ptatin_mesh::ElementPartition;
 use ptatin_mg::amg::{build_sa_amg, AmgConfig};
 use ptatin_mg::gmg::{
-    filter_transfer, galerkin_coarse_with_pt, ArcOp, CycleType, GeometricMg, GmgCoarseSolver,
-    GmgLevel,
+    dirichlet_sets_nested, filter_transfer, galerkin_coarse_q1, galerkin_coarse_with_pt, ArcOp,
+    CycleType, GeometricMg, GmgCoarseSolver, GmgLevel,
 };
 use ptatin_mg::nullspace::rigid_body_modes;
 use ptatin_mpm::projection::{corners_to_quadrature_log, restrict_corner_field};
@@ -257,25 +257,42 @@ fn analytic_eta_qp(
     out
 }
 
-/// Value-independent setup state reused across solver rebuilds on one
-/// (hierarchy, boundary-condition) pair — the symbolic half of the
-/// symbolic/numeric assembly split (DESIGN.md §13).
+/// Value-independent setup state reused across solver rebuilds — the
+/// symbolic half of the symbolic/numeric assembly split (DESIGN.md §13).
 ///
-/// A Picard/Newton iteration changes only the coefficient field, so the
-/// viscous sparsity patterns, the geometry-only gradient block, the
-/// filtered transfers (and their transposes, the structural half of RAP)
-/// and the gathered matrix-free element tables all survive re-linearization
-/// untouched. Everything value-dependent — numeric assembly, RAP products,
-/// λmax estimates, the AMG hierarchy (its smoothed prolongator depends on
-/// the operator values, so it is *not* reusable; see DESIGN.md §13) and
-/// coarse factorizations — is recomputed from bitwise-identical inputs,
-/// so a cached rebuild is bitwise identical to a fresh one.
+/// A Picard/Newton iteration changes only the coefficient field, and an
+/// ALE time step only the node coordinates, so the cache is keyed in two
+/// tiers and each entry lives in the tier of what it is a function of:
 ///
-/// The cache self-invalidates when the hierarchy shape or Dirichlet sets
-/// change (remeshing), keyed by per-level element counts and bc sizes.
+/// * **topology** — mesh dimensions and the Dirichlet dof list of every
+///   level: Dirichlet masks, the filtered transfers (with their
+///   transposes, the structural half of RAP, and their lane packs), the
+///   sparsity patterns and the assembly buffers;
+/// * **geometry** — additionally the bits of every node coordinate: the
+///   gradient block `J_pu` and its bc-masked twin, the gathered
+///   matrix-free element tables, and the λmax / fused-plan memos (keyed
+///   on the bits of η on top of that).
+///
+/// A changed topology key empties both tiers, a changed geometry key the
+/// geometry tier only. Everything value-dependent — numeric assembly,
+/// Galerkin products, λmax estimates, the AMG hierarchy (its smoothed
+/// prolongator depends on the operator values, so it is *not* reusable;
+/// see DESIGN.md §13) and coarse factorizations — is recomputed from
+/// bitwise-identical inputs, so a cached rebuild is bitwise identical to
+/// a fresh one.
 #[derive(Default)]
 pub struct SetupCache {
-    fingerprint: Option<Vec<(usize, usize)>>,
+    /// Per level: mesh dimensions, then length and hash of the Dirichlet
+    /// dof list.
+    topo_key: Vec<(usize, usize, usize, usize, u64)>,
+    /// Per level: hash of the node-coordinate bits.
+    geom_key: Vec<u64>,
+    topo: TopologyTier,
+    geom: GeometryTier,
+}
+
+#[derive(Default)]
+struct TopologyTier {
     tables: Option<Q2QuadTables>,
     /// Per-level Dirichlet masks over velocity dofs.
     masks: Option<Vec<Vec<bool>>>,
@@ -289,9 +306,18 @@ pub struct SetupCache {
     patterns: Vec<Option<ViscousPattern>>,
     /// Per-level assembled-value buffers (reused allocations).
     values: Vec<Vec<f64>>,
-    /// Lane scratch of the batched numeric phase, shared across levels.
+    /// Lane scratch of the batched numeric phases, shared across levels.
     lane_scratch: Vec<F64x4>,
-    /// Geometry-only gradient block `J_pu` and its bc-masked twin.
+    /// Pattern of the directly assembled Galerkin coarsest operator.
+    /// Outer `None`: not asked for yet; `Some(None)`: the Dirichlet sets
+    /// of levels 1 and 0 are not nested, so the product is not the Q1
+    /// stiffness matrix and the builder forms it by RAP.
+    galerkin_q1: Option<Option<GalerkinQ1Pattern>>,
+}
+
+#[derive(Default)]
+struct GeometryTier {
+    /// Gradient block `J_pu` of the finest mesh and its bc-masked twin.
     b_full: Option<Csr>,
     b_masked: Option<Csr>,
     /// Gathered element tables of every matrix-free level.
@@ -308,7 +334,7 @@ pub struct SetupCache {
 /// A memoized λmax power-iteration result. The estimate is a deterministic
 /// function of the level operator, which is itself a deterministic function
 /// of (mesh, η, bc, operator kind) — the mesh and bc are covered by the
-/// cache fingerprint, so reuse is gated on bit-identical η plus the
+/// cache's geometry key, so reuse is gated on bit-identical η plus the
 /// operator/estimator knobs. A hit returns exactly what a re-run would
 /// produce, preserving the fresh-equals-cached bitwise contract; a Picard
 /// → Newton rebuild on a frozen viscosity hits, an updated viscosity
@@ -345,32 +371,88 @@ fn eta_bits_equal(bits: &[u64], eta: &[f64]) -> bool {
     bits.len() == eta.len() && bits.iter().zip(eta).all(|(&b, v)| b == v.to_bits())
 }
 
+/// Order-sensitive 64-bit hash of a word sequence (rotate–xor–multiply).
+fn hash_words(words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
 impl SetupCache {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Reset when the mesh hierarchy or Dirichlet sets changed; size the
-    /// per-level slots.
+    /// Empty the tiers whose key changed and size the per-level slots.
     fn validate(&mut self, hier: &MeshHierarchy, bcs: &[DirichletBc]) {
-        let fp: Vec<(usize, usize)> = hier
+        assert_eq!(bcs.len(), hier.num_levels());
+        let topo: Vec<_> = hier
             .meshes
             .iter()
             .zip(bcs)
-            .map(|(m, bc)| (m.num_elements(), bc.dofs.len()))
+            .map(|(m, bc)| {
+                let dofs = hash_words(bc.dofs.iter().map(|&d| d as u64));
+                (m.mx, m.my, m.mz, bc.dofs.len(), dofs)
+            })
             .collect();
-        if self.fingerprint.as_ref() != Some(&fp) {
+        let geom: Vec<u64> = hier
+            .meshes
+            .iter()
+            .map(|m| hash_words(m.coords.iter().flatten().map(|x| x.to_bits())))
+            .collect();
+        if self.topo_key != topo {
             *self = Self::default();
-            self.fingerprint = Some(fp);
+            self.topo_key = topo;
+        } else if self.geom_key != geom {
+            self.geom = GeometryTier::default();
         }
+        self.geom_key = geom;
         let levels = hier.num_levels();
-        self.patterns.resize_with(levels, || None);
-        self.values.resize_with(levels, Vec::new);
-        self.op_base.resize_with(levels, || None);
-        self.transfer_t
-            .resize_with(levels.saturating_sub(1), || None);
-        self.lambda_memo.resize_with(levels, || None);
-        self.plan_memo.resize_with(levels, || None);
+        self.topo.patterns.resize_with(levels, || None);
+        self.topo.values.resize_with(levels, Vec::new);
+        self.topo.transfer_t.resize_with(levels - 1, || None);
+        self.geom.op_base.resize_with(levels, || None);
+        self.geom.lambda_memo.resize_with(levels, || None);
+        self.geom.plan_memo.resize_with(levels, || None);
+    }
+
+    /// Which levels hold a Q2 viscous sparsity pattern, i.e. were
+    /// assembled by a build through this cache (coarse → fine).
+    pub fn viscous_pattern_levels(&self) -> Vec<bool> {
+        self.topo.patterns.iter().map(Option::is_some).collect()
+    }
+
+    /// The unmasked gradient block `J_pu` of the finest mesh — what the
+    /// nonlinear residual applies and every build hands out as
+    /// `StokesSolver::b_full`. Assembled once per geometry.
+    pub fn gradient_block(&mut self, hier: &MeshHierarchy, bcs: &[DirichletBc]) -> &Csr {
+        self.validate(hier, bcs);
+        let tables = self.topo.tables.get_or_insert_with(Q2QuadTables::standard);
+        self.geom.b_full.get_or_insert_with(|| {
+            assemble_gradient_batched(hier.finest(), tables, runtime_simd_path())
+        })
+    }
+
+    /// The *unconstrained* Picard action on the finest mesh for the
+    /// viscosity `eta_qp` (nonlinear residual evaluation): the batched
+    /// kernel over the cached element tables, without the Dirichlet mask.
+    pub fn residual_operator(
+        &mut self,
+        hier: &MeshHierarchy,
+        bcs: &[DirichletBc],
+        eta_qp: Vec<f64>,
+    ) -> ArcOp {
+        self.validate(hier, bcs);
+        let top = hier.num_levels() - 1;
+        let mut data = make_op_data(
+            &mut self.geom.op_base[top],
+            hier.finest(),
+            eta_qp,
+            &bcs[top],
+            None,
+        );
+        data.mask = Vec::new();
+        Arc::new(BatchedViscousOp::new(Arc::new(data)))
     }
 }
 
@@ -508,6 +590,7 @@ pub fn build_stokes_solver_spec_cached(
     assert_eq!(bcs.len(), levels);
     cache.validate(hier, bcs);
     let tables = cache
+        .topo
         .tables
         .get_or_insert_with(Q2QuadTables::standard)
         .clone();
@@ -563,6 +646,7 @@ pub fn build_stokes_solver_spec_cached(
     // takes ownership of its transfer chain).
     let _tr_scope = prof::scope("setup/transfer");
     let masks: Vec<Vec<bool>> = cache
+        .topo
         .masks
         .get_or_insert_with(|| {
             (0..levels)
@@ -571,14 +655,12 @@ pub fn build_stokes_solver_spec_cached(
         })
         .clone();
     let transfers: Vec<Csr> = cache
+        .topo
         .transfers
         .get_or_insert_with(|| {
             let mut ts = Vec::with_capacity(levels - 1);
             for l in 0..levels - 1 {
-                let mut p = expand_blocked(
-                    &prolongation_scalar(&hier.meshes[l], &hier.meshes[l + 1]),
-                    3,
-                );
+                let mut p = expand_blocked(&hier.prolongations[l], 3);
                 filter_transfer(&mut p, &masks[l + 1], &masks[l]);
                 ts.push(p);
             }
@@ -598,9 +680,9 @@ pub fn build_stokes_solver_spec_cached(
     let mut assembled: Vec<Option<Csr>> = vec![None; levels];
     let assemble = |cache: &mut SetupCache, l: usize| {
         assembled_level_cached(
-            &mut cache.patterns[l],
-            &mut cache.values[l],
-            &mut cache.lane_scratch,
+            &mut cache.topo.patterns[l],
+            &mut cache.topo.values[l],
+            &mut cache.topo.lane_scratch,
             &hier.meshes[l],
             &tables,
             &eta_qp[l],
@@ -609,7 +691,7 @@ pub fn build_stokes_solver_spec_cached(
     };
     let galerkin = |cache: &mut SetupCache, l: usize, above: &Csr| {
         let _s = prof::scope("setup/rap");
-        let pt = cache.transfer_t[l].get_or_insert_with(|| transfers[l].transpose());
+        let pt = cache.topo.transfer_t[l].get_or_insert_with(|| transfers[l].transpose());
         galerkin_coarse_with_pt(above, &transfers[l], pt, &masks[l])
     };
     if cfg.galerkin_intermediate {
@@ -626,13 +708,39 @@ pub fn build_stokes_solver_spec_cached(
         assembled[0] = Some(above);
     } else {
         let keeps_matrix = |l: usize| level_kind(cfg, l) == OperatorKind::Assembled;
+        // With level 1 matrix-free the Galerkin coarsest operator is
+        // assembled from the elements of level 1 directly — the product
+        // with the embedded-trilinear transfer is the Q1 stiffness matrix
+        // on their corner grid (DESIGN.md §4) — provided the Dirichlet
+        // sets are nested; otherwise level 1 is assembled as RAP input.
+        let direct = cfg.galerkin_coarsest
+            && !keeps_matrix(1)
+            && cache
+                .topo
+                .galerkin_q1
+                .get_or_insert_with(|| {
+                    dirichlet_sets_nested(&transfers[0], &masks[1], &masks[0])
+                        .then(|| GalerkinQ1Pattern::build(&hier.meshes[1], &masks[0]))
+                })
+                .is_some();
         for l in 1..levels {
-            if keeps_matrix(l) || (l == 1 && cfg.galerkin_coarsest) {
+            if keeps_matrix(l) || (l == 1 && cfg.galerkin_coarsest && !direct) {
                 assembled[l] = Some(assemble(cache, l));
             }
         }
-        assembled[0] = Some(match &assembled[1] {
-            Some(above) if cfg.galerkin_coarsest => galerkin(cache, 0, above),
+        assembled[0] = Some(match (&cache.topo.galerkin_q1, &assembled[1]) {
+            (Some(Some(pat)), _) if direct => {
+                let _s = prof::scope("setup/galerkin");
+                galerkin_coarse_q1(
+                    pat,
+                    &hier.meshes[1],
+                    &tables,
+                    &eta_qp[1],
+                    runtime_simd_path(),
+                    &mut cache.topo.lane_scratch,
+                )
+            }
+            (_, Some(above)) if cfg.galerkin_coarsest => galerkin(cache, 0, above),
             _ => assemble(cache, 0),
         });
         if !keeps_matrix(1) {
@@ -720,7 +828,7 @@ pub fn build_stokes_solver_spec_cached(
                     eta_qp[l].clone(),
                     &bcs[l],
                     None,
-                    &mut cache.op_base[l],
+                    &mut cache.geom.op_base[l],
                 ),
                 None,
             ),
@@ -734,7 +842,7 @@ pub fn build_stokes_solver_spec_cached(
         // reuse preserves the fresh-equals-cached bitwise contract.
         let _s = prof::scope("setup/lambda");
         let galerkin = (cfg.galerkin_intermediate, cfg.galerkin_coarsest);
-        let memo = cache.lambda_memo[l].take().filter(|m| {
+        let memo = cache.geom.lambda_memo[l].take().filter(|m| {
             m.kind == kind
                 && m.est_iters == cfg.cheb_est_iters
                 && m.targets == cfg.cheb_targets
@@ -764,7 +872,7 @@ pub fn build_stokes_solver_spec_cached(
                 cfg.cheb_targets.1,
             ),
         };
-        cache.lambda_memo[l] = Some(memo.unwrap_or_else(|| LambdaMemo {
+        cache.geom.lambda_memo[l] = Some(memo.unwrap_or_else(|| LambdaMemo {
             eta_bits: eta_qp[l].iter().map(|v| v.to_bits()).collect(),
             kind,
             est_iters: cfg.cheb_est_iters,
@@ -776,7 +884,7 @@ pub fn build_stokes_solver_spec_cached(
         level_ops.push(timed.clone());
         gmg_levels.push(match csr {
             Some(a) => {
-                let memo = cache.plan_memo[l]
+                let memo = cache.geom.plan_memo[l]
                     .as_ref()
                     .filter(|p| p.depth == plan_depth && p.galerkin == cfg.galerkin_intermediate);
                 let eta_same = memo.is_some_and(|p| eta_bits_equal(&p.eta_bits, &eta_qp[l]));
@@ -804,6 +912,7 @@ pub fn build_stokes_solver_spec_cached(
     // `GeometricMg::new`; keep it visible in the setup breakdown.
     let _plan_scope = prof::scope("setup/plan");
     let batched_transfers = cache
+        .topo
         .batched_transfers
         .get_or_insert_with(|| Arc::new(transfers.iter().map(BatchedTransfer::from_csr).collect()))
         .clone();
@@ -822,7 +931,7 @@ pub fn build_stokes_solver_spec_cached(
     for (i, lvl) in mg.levels.iter().enumerate() {
         let l = i + 1;
         if assembled_smoothed[l] {
-            cache.plan_memo[l] = Some(PlanMemo {
+            cache.geom.plan_memo[l] = Some(PlanMemo {
                 depth: plan_depth,
                 galerkin: cfg.galerkin_intermediate,
                 eta_bits: eta_qp[l].iter().map(|v| v.to_bits()).collect(),
@@ -850,7 +959,7 @@ pub fn build_stokes_solver_spec_cached(
             eta_qp[top].clone(),
             &bcs[top],
             Some(nd),
-            &mut cache.op_base[top],
+            &mut cache.geom.op_base[top],
         )
     });
 
@@ -861,10 +970,12 @@ pub fn build_stokes_solver_spec_cached(
     let _s = prof::scope("setup/assembly");
     let path = runtime_simd_path();
     let b_full = cache
+        .geom
         .b_full
         .get_or_insert_with(|| assemble_gradient_batched(fine_mesh, &tables, path))
         .clone();
     let b_masked = cache
+        .geom
         .b_masked
         .get_or_insert_with(|| {
             let mut b = b_full.clone();

@@ -22,7 +22,7 @@
 use crate::assemble::{
     element_viscous_matrix_into, num_velocity_dofs, Q2QuadTables, ASSEMBLY_BATCH,
 };
-use crate::basis::{NP1, NQ2};
+use crate::basis::{NP1, NQ1, NQ2};
 use ptatin_la::csr::Csr;
 use ptatin_la::par;
 use ptatin_la::simd::F64x4;
@@ -356,6 +356,176 @@ pub fn gradient_pattern_csr(mesh: &StructuredMesh) -> (Vec<usize>, Vec<u32>) {
         }
     }
     (indptr, indices)
+}
+
+/// 1-D extent of the corner-grid neighbourhood of corner `i` on an axis
+/// with `n` corners: `(first, count)` of `[i-1, i+1]` clipped to the grid.
+#[inline]
+fn corner_span(i: usize, n: usize) -> (usize, usize) {
+    let lo = i.saturating_sub(1);
+    (lo, (i + 1).min(n - 1) - lo + 1)
+}
+
+/// Frozen sparsity pattern of the Galerkin coarse operator `Pᵀ A P` when
+/// `P` is the embedded-trilinear transfer of `ptatin_mesh::hierarchy`:
+/// the product then *is* the Q1 (8-node) viscous stiffness matrix on the
+/// fine mesh's corner grid, which is the coarse mesh's Q2 node grid
+/// (DESIGN.md §4). Topology only — fine mesh dimensions plus the coarse
+/// Dirichlet mask.
+///
+/// The pattern is what the sparse triple product leaves behind, so the
+/// coarse solvers (ILU(0) fill, SA-AMG strength graph) see the structure
+/// they always did: a free row holds the full 27-corner × 3-component
+/// block of its neighbourhood in ascending column order, with explicit
+/// zeros in constrained columns; a constrained row holds its unit
+/// diagonal and nothing else.
+pub struct GalerkinQ1Pattern {
+    n: usize,
+    /// Corner-grid dimensions of the fine mesh.
+    dims: (usize, usize, usize),
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+    /// Coarse Dirichlet mask (true = row reduced to its diagonal).
+    constrained: Vec<bool>,
+    /// Value slots of free rows that sit in a constrained column.
+    zero_slots: Vec<usize>,
+}
+
+impl GalerkinQ1Pattern {
+    /// Symbolic phase for the corner grid of `fine` and the Dirichlet mask
+    /// over the `3 × corners` coarse dofs.
+    pub fn build(fine: &StructuredMesh, coarse_mask: &[bool]) -> Self {
+        let dims = fine.corner_dims();
+        let (cx, cy, cz) = dims;
+        let n = 3 * fine.num_corners();
+        assert_eq!(coarse_mask.len(), n, "mask is not over the corner grid");
+        // Symbolic phase, once per (mesh topology, bc) pair.
+        let mut indptr = Vec::with_capacity(n + 1);
+        let mut indices: Vec<u32> = Vec::new();
+        let mut zero_slots = Vec::new();
+        indptr.push(0usize);
+        for k in 0..cz {
+            let (c0, dz) = corner_span(k, cz);
+            for j in 0..cy {
+                let (b0, dy) = corner_span(j, cy);
+                for i in 0..cx {
+                    let (a0, dx) = corner_span(i, cx);
+                    let node = fine.corner_index(i, j, k);
+                    for r in 0..3 {
+                        let row = 3 * node + r;
+                        if coarse_mask[row] {
+                            indices.push(row as u32);
+                        } else {
+                            for c in c0..c0 + dz {
+                                for b in b0..b0 + dy {
+                                    for a in a0..a0 + dx {
+                                        let col0 = 3 * fine.corner_index(a, b, c);
+                                        for comp in 0..3 {
+                                            if coarse_mask[col0 + comp] {
+                                                zero_slots.push(indices.len());
+                                            }
+                                            indices.push((col0 + comp) as u32);
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        indptr.push(indices.len());
+                    }
+                }
+            }
+        }
+        Self {
+            n,
+            dims,
+            indptr,
+            indices,
+            constrained: coarse_mask.to_vec(),
+            zero_slots,
+        }
+    }
+
+    pub fn nnz(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Scatter a lane group of up to 4 consecutive fine elements
+    /// (`e0 .. e0+nreal`) whose 24×24 Q1 matrices are stored lane-major,
+    /// row-major over `(corner, component)²` with corners x-fastest.
+    /// Accumulation is `+=` in ascending element order and the fixed
+    /// `(corner, component)` loop order below; constrained rows are
+    /// skipped (their diagonal is set by [`Self::finish_constraints`]).
+    /// Along x the two corners of an element sit on adjacent slots, so
+    /// each row receives four 6-wide contiguous strips.
+    pub fn scatter_lane(
+        &self,
+        fine: &StructuredMesh,
+        e0: usize,
+        nreal: usize,
+        ae_lane: &[F64x4],
+        values: &mut [f64],
+    ) {
+        const W: usize = 3 * NQ1;
+        debug_assert_eq!(ae_lane.len(), W * W);
+        debug_assert_eq!(values.len(), self.nnz());
+        let (cx, cy, cz) = self.dims;
+        for l in 0..nreal {
+            let (ei, ej, ek) = fine.element_ijk(e0 + l);
+            for li in 0..NQ1 {
+                let (i, j, k) = (ei + (li & 1), ej + ((li >> 1) & 1), ek + (li >> 2));
+                let (a0, dx) = corner_span(i, cx);
+                let (b0, dy) = corner_span(j, cy);
+                let (c0, _) = corner_span(k, cz);
+                let node = fine.corner_index(i, j, k);
+                // Slot offset of the x-low corner of each (y, z) corner
+                // pair of the element inside this row's neighbour block.
+                let mut strip = [0usize; 4];
+                for (s, off) in strip.iter_mut().enumerate() {
+                    let (b, c) = (ej + (s & 1), ek + (s >> 1));
+                    *off = 3 * (((c - c0) * dy + (b - b0)) * dx + (ei - a0));
+                }
+                for r in 0..3 {
+                    let row = 3 * node + r;
+                    if self.constrained[row] {
+                        continue;
+                    }
+                    let base = self.indptr[row];
+                    let arow = &ae_lane[(3 * li + r) * W..(3 * li + r + 1) * W];
+                    for (s, &off) in strip.iter().enumerate() {
+                        let dst = &mut values[base + off..base + off + 6];
+                        let src = &arow[6 * s..6 * s + 6];
+                        for t in 0..6 {
+                            dst[t] += src[t].0[l];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// After the last scatter: unit diagonal on constrained rows, exact
+    /// zeros in constrained columns of free rows.
+    pub fn finish_constraints(&self, values: &mut [f64]) {
+        for (row, &m) in self.constrained.iter().enumerate() {
+            if m {
+                values[self.indptr[row]] = 1.0;
+            }
+        }
+        for &s in &self.zero_slots {
+            values[s] = 0.0;
+        }
+    }
+
+    /// Freeze a value array into a [`Csr`]; the pattern stays cached.
+    pub fn to_csr(&self, values: Vec<f64>) -> Csr {
+        Csr::from_raw(
+            self.n,
+            self.n,
+            self.indptr.clone(),
+            self.indices.clone(),
+            values,
+        )
+    }
 }
 
 #[cfg(test)]

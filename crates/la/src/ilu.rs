@@ -95,6 +95,9 @@ impl Ilu0 {
         let n = self.n;
         assert_eq!(r.len(), n);
         assert_eq!(z.len(), n);
+        // Both sweeps take the row's column/value slices once, so the
+        // inner loops keep only the bounds check of the gather `z[j]`;
+        // every sum runs in stored (ascending-column) order.
         // Forward: L z = r (unit diagonal).
         for i in 0..n {
             let mut s = r[i];
@@ -103,12 +106,16 @@ impl Ilu0 {
             } else {
                 self.diag_pos[i]
             };
-            for k in self.indptr[i]..end {
-                let j = self.indices[k] as usize;
+            let start = self.indptr[i];
+            for (&j, &v) in self.indices[start..end]
+                .iter()
+                .zip(&self.values[start..end])
+            {
+                let j = j as usize;
                 if j >= i {
                     break;
                 }
-                s -= self.values[k] * z[j];
+                s -= v * z[j];
             }
             z[i] = s;
         }
@@ -119,8 +126,12 @@ impl Ilu0 {
                 continue; // unit pivot
             }
             let mut s = z[i];
-            for k in d + 1..self.indptr[i + 1] {
-                s -= self.values[k] * z[self.indices[k] as usize];
+            let end = self.indptr[i + 1];
+            for (&j, &v) in self.indices[d + 1..end]
+                .iter()
+                .zip(&self.values[d + 1..end])
+            {
+                s -= v * z[j as usize];
             }
             z[i] = s / self.values[d];
         }
@@ -162,6 +173,50 @@ mod tests {
             }
         }
         Csr::from_triplets(n, n, &t)
+    }
+
+    #[test]
+    fn solve_bitwise_equals_the_indexed_loops() {
+        for seed in 0..4 {
+            let a = crate::csr::random_test_matrix(83, seed);
+            let f = Ilu0::factor(&a);
+            assert!(f.diag_pos.contains(&usize::MAX), "a row without diagonal");
+            let n = f.n;
+            let r: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64 - 8.0) / 3.0).collect();
+            let mut z = vec![0.0; n];
+            f.solve(&r, &mut z);
+            let mut w = vec![0.0; n];
+            for i in 0..n {
+                let mut s = r[i];
+                let end = if f.diag_pos[i] == usize::MAX {
+                    f.indptr[i + 1]
+                } else {
+                    f.diag_pos[i]
+                };
+                for k in f.indptr[i]..end {
+                    let j = f.indices[k] as usize;
+                    if j >= i {
+                        break;
+                    }
+                    s -= f.values[k] * w[j];
+                }
+                w[i] = s;
+            }
+            for i in (0..n).rev() {
+                let d = f.diag_pos[i];
+                if d == usize::MAX {
+                    continue;
+                }
+                let mut s = w[i];
+                for k in d + 1..f.indptr[i + 1] {
+                    s -= f.values[k] * w[f.indices[k] as usize];
+                }
+                w[i] = s / f.values[d];
+            }
+            for i in 0..n {
+                assert_eq!(z[i].to_bits(), w[i].to_bits(), "seed {seed}, row {i}");
+            }
+        }
     }
 
     #[test]

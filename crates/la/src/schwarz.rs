@@ -168,12 +168,12 @@ impl AdditiveSchwarz {
             let m = sub.dofs.len();
             rl.resize(m, 0.0);
             zl.resize(m, 0.0);
-            for (l, &g) in sub.dofs.iter().enumerate() {
-                rl[l] = r[g];
+            for (rv, &g) in rl.iter_mut().zip(&sub.dofs) {
+                *rv = r[g];
             }
             sub.factor.solve(rl, zl);
-            for (l, &g) in sub.dofs.iter().enumerate() {
-                z[g] += zl[l];
+            for (&zv, &g) in zl.iter().zip(&sub.dofs) {
+                z[g] += zv;
             }
         }
     }
@@ -249,6 +249,37 @@ mod tests {
             }
         }
         Csr::from_triplets(n, n, &t)
+    }
+
+    #[test]
+    fn apply_bitwise_equals_the_indexed_gather_and_scatter() {
+        let n = 90;
+        let a = crate::csr::random_test_matrix(n, 5);
+        // Three overlapping sets; dofs 80.. belong to none.
+        let sets = vec![
+            (0..40).collect(),
+            (30..70).collect(),
+            (25..80).step_by(2).collect(),
+        ];
+        let pc = AdditiveSchwarz::new(&a, sets, SubdomainSolve::Ilu0);
+        let r: Vec<f64> = (0..n).map(|i| ((i * 7 % 23) as f64 - 11.0) / 5.0).collect();
+        let mut z = vec![f64::NAN; n];
+        pc.apply(&r, &mut z);
+        let mut w = vec![0.0; n];
+        for sub in &pc.subs {
+            let m = sub.dofs.len();
+            let (mut rl, mut zl) = (vec![0.0; m], vec![0.0; m]);
+            for l in 0..m {
+                rl[l] = r[sub.dofs[l]];
+            }
+            sub.factor.solve(&rl, &mut zl);
+            for l in 0..m {
+                w[sub.dofs[l]] += zl[l];
+            }
+        }
+        for i in 0..n {
+            assert_eq!(z[i].to_bits(), w[i].to_bits(), "dof {i}");
+        }
     }
 
     #[test]

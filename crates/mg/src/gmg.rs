@@ -5,13 +5,18 @@
 //! V-cycle, block-Jacobi+LU, inexact Krylov+ASM, or direct LU).
 
 use crate::amg::AmgHierarchy;
+use ptatin_fem::assemble::Q2QuadTables;
+use ptatin_fem::pattern::GalerkinQ1Pattern;
 use ptatin_la::chebyshev::{Chebyshev, FusedPlan};
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, KrylovConfig};
 use ptatin_la::operator::{LinearOperator, Preconditioner};
 use ptatin_la::schwarz::{AdditiveSchwarz, DirectSolver};
+use ptatin_la::simd::{F64x4, SimdPath};
 use ptatin_la::transfer::BatchedTransfer;
 use ptatin_la::vec_ops;
+use ptatin_mesh::StructuredMesh;
+use ptatin_ops::galerkin_q1_numeric_batched_into;
 use ptatin_prof as prof;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -586,6 +591,42 @@ pub fn filter_transfer(p: &mut Csr, fine_mask: &[bool], coarse_mask: &[bool]) {
             }
         }
     }
+}
+
+/// Whether every constrained fine dof interpolates only from constrained
+/// coarse dofs under the transfer `p` (filtered or not: filtering keeps
+/// the structural entries). This is what makes `Pᵀ A P` of the filtered
+/// transfer and the eliminated fine matrix equal to the eliminated
+/// product of the unfiltered ones, and so lets [`galerkin_coarse_q1`]
+/// stand in for [`galerkin_coarse`]. It holds for Dirichlet sets built
+/// face by face on both levels.
+pub fn dirichlet_sets_nested(p: &Csr, fine_mask: &[bool], coarse_mask: &[bool]) -> bool {
+    assert_eq!(fine_mask.len(), p.nrows());
+    assert_eq!(coarse_mask.len(), p.ncols());
+    (0..p.nrows())
+        .filter(|&i| fine_mask[i])
+        .all(|i| p.row_indices(i).iter().all(|&j| coarse_mask[j as usize]))
+}
+
+/// The Galerkin coarse operator of [`galerkin_coarse`] for the
+/// embedded-trilinear transfer of `ptatin_mesh::hierarchy`, assembled
+/// from the elements of the `fine` mesh and its quadrature-point
+/// viscosity `eta` without the fine matrix: the product is the Q1
+/// stiffness matrix on the fine corner grid. Requires
+/// [`dirichlet_sets_nested`]; `pat` carries the coarse Dirichlet mask.
+/// Same sparsity pattern as the product, values equal up to rounding.
+pub fn galerkin_coarse_q1(
+    pat: &GalerkinQ1Pattern,
+    fine: &StructuredMesh,
+    tables: &Q2QuadTables,
+    eta: &[f64],
+    path: SimdPath,
+    lane_scratch: &mut Vec<F64x4>,
+) -> Csr {
+    // The matrix leaves with the coarse solver, so it owns its values.
+    let mut values = vec![0.0; pat.nnz()];
+    galerkin_q1_numeric_batched_into(pat, fine, tables, eta, path, lane_scratch, &mut values);
+    pat.to_csr(values)
 }
 
 /// Galerkin coarse operator `Pᵀ A P` with unit diagonal restored on

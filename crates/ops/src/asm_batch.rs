@@ -22,8 +22,8 @@
 //! not results.
 
 use ptatin_fem::assemble::{PressureMassBlocks, Q2QuadTables};
-use ptatin_fem::basis::{element_frame, q1_basis, q1_grad, NP1, NQ2};
-use ptatin_fem::pattern::{gradient_pattern_csr, ViscousPattern};
+use ptatin_fem::basis::{element_frame, q1_basis, q1_grad, NP1, NQ1, NQ2};
+use ptatin_fem::pattern::{gradient_pattern_csr, GalerkinQ1Pattern, ViscousPattern};
 use ptatin_la::csr::Csr;
 use ptatin_la::par;
 use ptatin_la::simd::{F64x4, SimdPath, LANES};
@@ -39,6 +39,8 @@ const BATCH: usize = 64;
 const AE: usize = (3 * NQ2) * (3 * NQ2);
 /// Dense gradient element-matrix size in lane units.
 const BE: usize = NP1 * 3 * NQ2;
+/// Dense Q1 (8-corner) viscous element-matrix size in lane units.
+const AQ1: usize = (3 * NQ1) * (3 * NQ1);
 
 /// Per-quadrature-point Q1 geometry tables shared by all lane kernels:
 /// trilinear basis values and reference gradients at each point.
@@ -148,23 +150,31 @@ fn lane_map_to_physical(q1b: &[f64; 8], corners: &[[F64x4; 3]; 8]) -> [F64x4; 3]
     x
 }
 
-/// Lane mirror of `element_viscous_matrix_into` for one lane group.
+/// Viscous element matrix of one lane group for an `N`-node basis with
+/// reference gradients `grad[q][i]`, on the trilinear geometry of
+/// `corners`. With the Q2 tables (`N = 27`) it is the lane mirror of
+/// `element_viscous_matrix_into`; with the trilinear corner basis
+/// (`N = 8`, `Q1Tables::grad`) it is the 24×24 Q1 matrix on the same
+/// 27-point rule, Jacobians and per-point viscosity — summed over the
+/// fine elements, the Galerkin product `Pᵀ A P` of the embedded-trilinear
+/// transfer (DESIGN.md §4).
 #[inline(always)]
-fn viscous_lanes_body(
+fn viscous_lanes_body<const N: usize>(
     tables: &Q2QuadTables,
     q1: &Q1Tables,
+    grad: &[[[f64; 3]; N]],
     corners: &[[F64x4; 3]; 8],
     eta: &[F64x4],
     ae: &mut [F64x4],
 ) {
     let nqp = tables.nqp();
-    debug_assert_eq!(ae.len(), AE);
+    debug_assert_eq!(ae.len(), (3 * N) * (3 * N));
     ae.fill(F64x4::ZERO);
-    let mut gphi = [[F64x4::ZERO; 3]; NQ2];
+    let mut gphi = [[F64x4::ZERO; 3]; N];
     for q in 0..nqp {
         let (ijt, wdetj) = lane_geometry(&q1.grad[q], tables.quad.weights[q], corners);
-        for i in 0..NQ2 {
-            let g = tables.grad[q][i];
+        for i in 0..N {
+            let g = grad[q][i];
             for d in 0..3 {
                 gphi[i][d] = ijt[d][0] * F64x4::splat(g[0])
                     + ijt[d][1] * F64x4::splat(g[1])
@@ -177,8 +187,8 @@ fn viscous_lanes_body(
         // entrywise, so accumulating only the block upper triangle and
         // mirroring once after the qp loop reproduces the full double
         // loop bit for bit at roughly half the accumulation work.
-        for i in 0..NQ2 {
-            for j in i..NQ2 {
+        for i in 0..N {
+            for j in i..N {
                 let gdot =
                     gphi[i][0] * gphi[j][0] + gphi[i][1] * gphi[j][1] + gphi[i][2] * gphi[j][2];
                 for r in 0..3 {
@@ -189,15 +199,15 @@ fn viscous_lanes_body(
                         if r == c {
                             v = v + gdot;
                         }
-                        ae[row * (3 * NQ2) + col] = ae[row * (3 * NQ2) + col] + ew * v;
+                        ae[row * (3 * N) + col] = ae[row * (3 * N) + col] + ew * v;
                     }
                 }
             }
         }
     }
-    for row in 0..3 * NQ2 {
-        for col in row + 1..3 * NQ2 {
-            ae[col * (3 * NQ2) + row] = ae[row * (3 * NQ2) + col];
+    for row in 0..3 * N {
+        for col in row + 1..3 * N {
+            ae[col * (3 * N) + row] = ae[row * (3 * N) + col];
         }
     }
 }
@@ -289,14 +299,15 @@ mod avx {
     // mul/add/sub/div lane arithmetic — no contraction happens under the
     // feature, so results are bitwise identical to the portable build.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn viscous_lanes(
+    pub unsafe fn viscous_lanes<const N: usize>(
         tables: &Q2QuadTables,
         q1: &Q1Tables,
+        grad: &[[[f64; 3]; N]],
         corners: &[[F64x4; 3]; 8],
         eta: &[F64x4],
         ae: &mut [F64x4],
     ) {
-        viscous_lanes_body(tables, q1, corners, eta, ae)
+        viscous_lanes_body(tables, q1, grad, corners, eta, ae)
     }
 
     // SAFETY: as in `viscous_lanes` — path implies hardware support.
@@ -330,25 +341,26 @@ mod avx {
 }
 
 #[inline]
-fn run_viscous_lanes(
+fn run_viscous_lanes<const N: usize>(
     path: SimdPath,
     tables: &Q2QuadTables,
     q1: &Q1Tables,
+    grad: &[[[f64; 3]; N]],
     corners: &[[F64x4; 3]; 8],
     eta: &[F64x4],
     ae: &mut [F64x4],
 ) {
     match path {
-        SimdPath::Portable => viscous_lanes_body(tables, q1, corners, eta, ae),
+        SimdPath::Portable => viscous_lanes_body(tables, q1, grad, corners, eta, ae),
         SimdPath::Avx2Fma => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: Avx2Fma is only selected when `avx2_fma_available`
             // reported support (or by tests on such hosts).
             unsafe {
-                avx::viscous_lanes(tables, q1, corners, eta, ae)
+                avx::viscous_lanes(tables, q1, grad, corners, eta, ae)
             }
             #[cfg(not(target_arch = "x86_64"))]
-            viscous_lanes_body(tables, q1, corners, eta, ae)
+            viscous_lanes_body(tables, q1, grad, corners, eta, ae)
         }
     }
 }
@@ -369,6 +381,47 @@ fn gather_frames(mesh: &StructuredMesh, e0: usize, nreal: usize) -> ([F64x4; 3],
     (centroid, half)
 }
 
+/// The shared driver of the batched numeric phases: per-lane element
+/// matrices of `width` lane entries are computed by `kernel` into parallel
+/// scratch, batch by batch, and handed to `scatter` serially in ascending
+/// element order — so the assembled values are the same at every thread
+/// count. `scratch` is grow-once and reused across re-assemblies.
+fn numeric_lane_batches(
+    mesh: &StructuredMesh,
+    tables: &Q2QuadTables,
+    eta: &[f64],
+    scratch: &mut Vec<F64x4>,
+    width: usize,
+    kernel: impl Fn(&Q1Tables, &[[F64x4; 3]; 8], &[F64x4], &mut [F64x4]) + Sync,
+    mut scatter: impl FnMut(usize, usize, &[F64x4]),
+) {
+    let nqp = tables.nqp();
+    let ne = mesh.num_elements();
+    assert_eq!(eta.len(), ne * nqp);
+    let q1 = Q1Tables::new(tables);
+    let max_lanes = BATCH.min(ne.max(1)).div_ceil(LANES);
+    scratch.resize(max_lanes * width, F64x4::ZERO);
+    let mut e0 = 0;
+    while e0 < ne {
+        let bl = BATCH.min(ne - e0);
+        let nlanes = bl.div_ceil(LANES);
+        let batch = &mut scratch[..nlanes * width];
+        par::par_blocks_mut(batch, width, |li, ae| {
+            let le = e0 + LANES * li;
+            let nreal = (bl - LANES * li).min(LANES);
+            let corners = gather_corners(mesh, le, nreal);
+            let mut eta_lane = [F64x4::ZERO; 32];
+            gather_qp_coeff(eta, nqp, le, nreal, &mut eta_lane[..nqp]);
+            kernel(&q1, &corners, &eta_lane[..nqp], ae);
+        });
+        for li in 0..nlanes {
+            let nreal = (bl - LANES * li).min(LANES);
+            scatter(e0 + LANES * li, nreal, &batch[li * width..(li + 1) * width]);
+        }
+        e0 += bl;
+    }
+}
+
 /// Batched numeric phase for the viscous block: lane element matrices are
 /// computed in parallel scratch, then scattered serially in ascending
 /// element order through the frozen pattern — bitwise identical to
@@ -382,35 +435,46 @@ pub fn viscous_numeric_batched_into(
     scratch: &mut Vec<F64x4>,
     values: &mut [f64],
 ) {
-    let nqp = tables.nqp();
-    let ne = mesh.num_elements();
-    assert_eq!(eta.len(), ne * nqp);
     assert_eq!(values.len(), pat.nnz());
     values.fill(0.0);
-    let q1 = Q1Tables::new(tables);
-    let max_lanes = BATCH.min(ne.max(1)).div_ceil(LANES);
-    // Grow-once lane scratch, reused across re-assemblies.
-    scratch.resize(max_lanes * AE, F64x4::ZERO);
-    let mut e0 = 0;
-    while e0 < ne {
-        let bl = BATCH.min(ne - e0);
-        let nlanes = bl.div_ceil(LANES);
-        let batch = &mut scratch[..nlanes * AE];
-        par::par_blocks_mut(batch, AE, |li, ae| {
-            let le = e0 + LANES * li;
-            let nreal = (bl - LANES * li).min(LANES);
-            let corners = gather_corners(mesh, le, nreal);
-            let mut eta_lane = [F64x4::ZERO; 32];
-            gather_qp_coeff(eta, nqp, le, nreal, &mut eta_lane[..nqp]);
-            run_viscous_lanes(path, tables, &q1, &corners, &eta_lane[..nqp], ae);
-        });
-        for li in 0..nlanes {
-            let le = e0 + LANES * li;
-            let nreal = (bl - LANES * li).min(LANES);
-            pat.scatter_lane(mesh, le, nreal, &batch[li * AE..(li + 1) * AE], values);
-        }
-        e0 += bl;
-    }
+    numeric_lane_batches(
+        mesh,
+        tables,
+        eta,
+        scratch,
+        AE,
+        |q1, corners, eta, ae| run_viscous_lanes(path, tables, q1, &tables.grad, corners, eta, ae),
+        |e0, nreal, ae| pat.scatter_lane(mesh, e0, nreal, ae, values),
+    );
+}
+
+/// Numeric phase of the Galerkin coarse operator `Pᵀ A P` of the
+/// embedded-trilinear transfer, assembled directly as the Q1 stiffness
+/// matrix on the corner grid of the *fine* mesh from its elements' `eta`
+/// — no fine matrix, no sparse product. Equal to the product up to
+/// rounding (it sums the same integrals in another order); a pure
+/// function of (mesh, η, mask) at every thread count and on both paths.
+pub fn galerkin_q1_numeric_batched_into(
+    pat: &GalerkinQ1Pattern,
+    fine: &StructuredMesh,
+    tables: &Q2QuadTables,
+    eta: &[f64],
+    path: SimdPath,
+    scratch: &mut Vec<F64x4>,
+    values: &mut [f64],
+) {
+    assert_eq!(values.len(), pat.nnz());
+    values.fill(0.0);
+    numeric_lane_batches(
+        fine,
+        tables,
+        eta,
+        scratch,
+        AQ1,
+        |q1, corners, eta, ae| run_viscous_lanes(path, tables, q1, &q1.grad, corners, eta, ae),
+        |e0, nreal, ae| pat.scatter_lane(fine, e0, nreal, ae, values),
+    );
+    pat.finish_constraints(values);
 }
 
 /// Batched [`ptatin_fem::assemble::assemble_viscous`]: symbolic phase plus
@@ -599,6 +663,52 @@ mod tests {
                     assert_eq!(x.to_bits(), y.to_bits(), "{path:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn batched_galerkin_q1_bitwise_across_paths_and_symmetric() {
+        let tables = Q2QuadTables::standard();
+        // 18 elements (one 2-element tail lane group), no constraints.
+        let m = mesh(3, 2, 3);
+        let n = 3 * m.num_corners();
+        let pat = GalerkinQ1Pattern::build(&m, &vec![false; n]);
+        let eta: Vec<f64> = (0..m.num_elements() * tables.nqp())
+            .map(|i| 10f64.powi((i % 7) as i32 - 3) * (1.0 + 0.01 * (i % 11) as f64))
+            .collect();
+        let assemble = |path| {
+            let mut values = vec![0.0; pat.nnz()];
+            galerkin_q1_numeric_batched_into(
+                &pat,
+                &m,
+                &tables,
+                &eta,
+                path,
+                &mut Vec::new(),
+                &mut values,
+            );
+            pat.to_csr(values)
+        };
+        let a = assemble(SimdPath::Portable);
+        for path in paths() {
+            let b = assemble(path);
+            for (x, y) in a.values.iter().zip(&b.values) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{path:?}");
+            }
+        }
+        // A stiffness matrix: symmetric (here in the bits, element by
+        // element) and annihilating the three rigid translations.
+        let scale = a.values.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+        for i in 0..n {
+            for (&j, &v) in a.row_indices(i).iter().zip(a.row_values(i)) {
+                assert_eq!(v.to_bits(), a.get(j as usize, i).to_bits());
+            }
+        }
+        for c in 0..3 {
+            let t: Vec<f64> = (0..n).map(|i| f64::from(i % 3 == c)).collect();
+            let mut y = vec![0.0; n];
+            a.spmv(&t, &mut y);
+            assert!(y.iter().all(|v| v.abs() <= 1e-12 * scale));
         }
     }
 

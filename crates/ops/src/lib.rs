@@ -34,8 +34,8 @@ pub mod tensor;
 pub mod tensor_c;
 
 pub use asm_batch::{
-    assemble_gradient_batched, assemble_viscous_batched, pressure_mass_blocks_batched,
-    viscous_numeric_batched_into,
+    assemble_gradient_batched, assemble_viscous_batched, galerkin_q1_numeric_batched_into,
+    pressure_mass_blocks_batched, viscous_numeric_batched_into,
 };
 pub use asmb::assembled_viscous_op;
 pub use batch::{avx2_fma_available, detected_simd_path, BatchedViscousOp, SimdPath};

@@ -49,12 +49,14 @@ done
 # i.e. pattern-reuse batched assembly, at both thread counts: iteration
 # counts must not move, because batched assembly is bitwise-contracted
 # against the scalar reference (DESIGN.md §13). The level rule of the
-# multigrid (no matrix on a default-built smoothed level, DESIGN.md §4)
-# and the lane-batched advection's bitwise contract against the scalar
-# loop (DESIGN.md §9) are named for the same reason.
+# multigrid (no matrix on a default-built smoothed level, DESIGN.md §4),
+# the directly assembled Galerkin coarsest operator against its RAP oracle
+# (DESIGN.md §4) and the lane-batched advection's bitwise contract against
+# the scalar loop (DESIGN.md §9) are named for the same reason.
 step "tests (PTATIN_TEST_THREADS=1)"
 PTATIN_TEST_THREADS=1 cargo test --workspace -q
 PTATIN_TEST_THREADS=1 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
+PTATIN_TEST_THREADS=1 cargo test -q --test galerkin_coarse_direct
 PTATIN_TEST_THREADS=1 cargo test -q -p ptatin-ckpt
 PTATIN_TEST_THREADS=1 cargo test -q --test checkpoint_restart
 PTATIN_TEST_THREADS=1 cargo test -q --test ensemble_sweep
@@ -65,6 +67,7 @@ PTATIN_TEST_THREADS=1 cargo test -q --test mpm_advect_equivalence
 step "tests (PTATIN_TEST_THREADS=4)"
 PTATIN_TEST_THREADS=4 cargo test --workspace -q
 PTATIN_TEST_THREADS=4 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
+PTATIN_TEST_THREADS=4 cargo test -q --test galerkin_coarse_direct
 PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-ckpt
 PTATIN_TEST_THREADS=4 cargo test -q --test checkpoint_restart
 PTATIN_TEST_THREADS=4 cargo test -q --test ensemble_sweep
@@ -86,13 +89,14 @@ PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-la --features pool-sanitizer par::
 
 # Operator-equivalence and thread-invariance suites with the AVX path
 # force-disabled: the portable fallbacks of the batched operator,
-# projection, transfer, fused smoother and advection/location lane kernels
-# must satisfy the same 1e-12 / bitwise contracts as the hardware path
-# (DESIGN.md §9).
+# projection, transfer, fused smoother, advection/location and Galerkin
+# Q1 assembly lane kernels must satisfy the same 1e-12 / bitwise contracts
+# as the hardware path (DESIGN.md §9).
 step "equivalence + thread invariance with AVX disabled (PTATIN_NO_AVX=1)"
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test operator_equivalence
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test thread_invariance
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test mpm_advect_equivalence
+PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test galerkin_coarse_direct
 
 # Fault-injection matrix on the release binary: every injected failure
 # class must be recovered (exit 0) or reported cleanly (crash => 42),

@@ -51,6 +51,24 @@ fn default_levels_hold_no_matrix() {
             none,
             "default, {levels} levels"
         );
+        // Nor does a default build form one on the way: the Galerkin
+        // coarsest operator comes from the elements of level 1, so no
+        // level ever gets a Q2 sparsity pattern.
+        let bcs: Vec<DirichletBc> = model.hier.meshes.iter().map(sinker_bc).collect();
+        let mut cache = SetupCache::new();
+        build_stokes_solver_cached(
+            &model.hier,
+            &fields.eta_corner,
+            &bcs,
+            &gmg,
+            None,
+            &mut cache,
+        );
+        assert_eq!(
+            cache.viscous_pattern_levels(),
+            vec![false; levels],
+            "default, {levels} levels"
+        );
         // The scalar Table I kinds are matrix-free on every level too.
         let tensor = GmgConfig {
             fine_kind: OperatorKind::Tensor,
