@@ -11,6 +11,7 @@
 
 use ptatin_bench::{write_csv, Args};
 use ptatin_core::models::rift::{RiftConfig, RiftModel};
+use ptatin_core::{CoarseKind, GmgConfig};
 
 fn main() {
     let args = Args::parse();
@@ -19,14 +20,20 @@ fn main() {
     println!("# Fig. 4 reproduction — rift model {mx}x{my}x{mz} elements, {steps} steps");
     println!("# (paper: 256x32x128 over 1500-2000 steps on 512 cores)");
     // The model defaults carry the paper's solver configuration (V(3,3),
-    // CG+ASM(ILU0) coarse solve capped at 25 its, Newton max 5, tolerances
-    // scaled to this non-dimensionalization).
+    // Newton max 5, tolerances scaled to this non-dimensionalization)
+    // except for the coarse solve, which they factor exactly; the figure
+    // is about the paper's CG+ASM(ILU0) capped at 25 its, so it is pinned.
+    let defaults = RiftConfig::default();
     let cfg = RiftConfig {
         mx,
         my,
         mz,
         levels: 2,
-        ..RiftConfig::default()
+        gmg: GmgConfig {
+            coarse: CoarseKind::RIFT_CG_ASM,
+            ..defaults.gmg.clone()
+        },
+        ..defaults
     };
     let mut model = RiftModel::new(cfg);
     println!(

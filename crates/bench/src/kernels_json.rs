@@ -70,7 +70,9 @@ pub const REQUIRED_KERNELS: [&str; 5] =
 /// V-cycles per `whole_step` composite (≈ Krylov iterations per solve).
 pub const WHOLE_STEP_VCYCLES: usize = 8;
 
-/// CI floor on the `whole_step` batched-vs-scalar speedup.
+/// CI floor on the `whole_step` batched-vs-scalar speedup, applied to runs
+/// whose thread count the validating host has cores for: with more
+/// threads than cores the pair measures oversubscription, not the kernels.
 pub const WHOLE_STEP_MIN_SPEEDUP: f64 = 1.3;
 
 /// One scalar-vs-batched kernel comparison at a fixed thread count.
@@ -263,6 +265,12 @@ fn validate_setup(setup: &Value) -> Result<(), String> {
 /// fields, per-run entry fields with finite positive throughputs, and the
 /// presence of the tensor/tensor_batched pair the speedup field refers to.
 pub fn validate(doc: &Value) -> Result<(), String> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    validate_on(doc, cores)
+}
+
+/// [`validate`] as a host with `cores` logical CPUs would judge it.
+fn validate_on(doc: &Value, cores: usize) -> Result<(), String> {
     let schema = string(doc, "schema")?;
     if schema != KERNEL_BENCH_SCHEMA {
         return Err(format!(
@@ -325,7 +333,7 @@ pub fn validate(doc: &Value) -> Result<(), String> {
                     return Err(format!("kernel '{name}' has bad {key}: {v}"));
                 }
             }
-            if name == "whole_step" {
+            if name == "whole_step" && nt <= cores as f64 {
                 let s = num(e, "speedup")?;
                 if s < WHOLE_STEP_MIN_SPEEDUP {
                     return Err(format!(
@@ -507,9 +515,23 @@ mod tests {
                 })
                 .collect(),
         );
-        assert!(validate(&with_per_kernel(slow))
+        assert!(validate(&with_per_kernel(slow.clone()))
             .unwrap_err()
             .contains("below the"));
+
+        // ... unless the run had more threads than this host has cores.
+        let mut oversubscribed = with_per_kernel(slow);
+        if let Value::Obj(map) = &mut oversubscribed {
+            if let Some(Value::Arr(runs)) = map.get_mut("runs") {
+                if let Value::Obj(run) = &mut runs[0] {
+                    run.insert("nt".into(), Value::Num(4.0));
+                }
+            }
+        }
+        validate_on(&oversubscribed, 2).unwrap();
+        assert!(validate_on(&oversubscribed, 4)
+            .unwrap_err()
+            .contains("nt=4: whole_step speedup"));
 
         // Non-finite timings fail.
         let nan = Value::Arr(

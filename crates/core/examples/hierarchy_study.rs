@@ -78,12 +78,7 @@ fn main() {
     run(
         m,
         3,
-        CoarseKind::InexactCgAsm {
-            subdomains: 4,
-            overlap: 2,
-            rtol: 1e-4,
-            max_it: 25,
-        },
+        CoarseKind::RIFT_CG_ASM,
         false,
         "3 levels, rediscretized mid, CG+ASM",
     );

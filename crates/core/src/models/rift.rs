@@ -91,12 +91,11 @@ impl Default for RiftConfig {
             },
             gmg: GmgConfig {
                 levels: 2,
-                coarse: CoarseKind::InexactCgAsm {
-                    subdomains: 4,
-                    overlap: 2,
-                    rtol: 1e-4,
-                    max_it: 25,
-                },
+                // 13×5×9 coarse nodes: small enough to factor exactly. The
+                // paper's §V CG + ASM/ILU(0) (`CoarseKind::InexactCgAsm`)
+                // is what this becomes on a coarse grid spread over
+                // thousands of ranks.
+                coarse: CoarseKind::Direct,
                 pre_smooth: 3,
                 post_smooth: 3,
                 ..GmgConfig::default()
@@ -654,6 +653,29 @@ mod tests {
         // Temperature stays bounded.
         for &t in &model.temperature {
             assert!((-0.2..=1.2).contains(&t), "temperature out of range: {t}");
+        }
+    }
+
+    /// ROADMAP 2(e), located: `solve_nonlinear` caps the Eisenstat–Walker
+    /// forcing term at `linear_rtol.max(1e-3)`, and the rift's nonlinear
+    /// residual contracts so slowly that choice 2 always asks for more —
+    /// every linear solve of a default step runs at 1e-3 (EXPERIMENTS.md,
+    /// PR 18, has the counts at looser caps). Recorded, not changed.
+    #[test]
+    fn default_step_solves_every_linearization_at_the_forcing_cap() {
+        let mut model = RiftModel::new(RiftConfig::default());
+        let stats = model.solve_stokes().stats;
+        assert_eq!(stats.iterations, model.cfg.nonlinear.max_it);
+        assert_eq!(stats.forcing_terms, vec![1e-3; stats.iterations]);
+        // Choice 2 asks for 0.9·c^1.618 at a nonlinear contraction c:
+        // 0.02 and up here, twenty times the cap and more.
+        for w in stats.residual_history.windows(2) {
+            let contraction = w[1] / w[0];
+            assert!(
+                (0.1..1.0).contains(&contraction),
+                "nonlinear contraction {contraction}: {:?}",
+                stats.residual_history
+            );
         }
     }
 

@@ -9,6 +9,7 @@ use ptatin_fem::assemble::{
 use ptatin_fem::bc::DirichletBc;
 use ptatin_fem::pattern::{GalerkinQ1Pattern, ViscousPattern};
 use ptatin_la::chebyshev::{Chebyshev, FusedPlan};
+use ptatin_la::cholesky::CholeskySymbolic;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
 use ptatin_la::operator::{LinearOperator, Preconditioner, TimedOperator};
@@ -35,7 +36,7 @@ use ptatin_prof as prof;
 use std::sync::Arc;
 
 /// Coarsest-level solver selection for the velocity multigrid.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CoarseKind {
     /// One V(2,2) cycle of smoothed-aggregation AMG with rigid-body modes
     /// (production configuration of §IV-A).
@@ -43,17 +44,34 @@ pub enum CoarseKind {
         /// Subdomain count of the AMG-coarsest block-Jacobi/LU solve.
         coarse_blocks: usize,
     },
-    /// Exact dense LU (small problems, tests).
+    /// Exact solve by sparse envelope Cholesky, factored once per build
+    /// (`ptatin_la::cholesky`; a matrix it rejects falls back to dense LU).
+    /// The choice while the coarse grid is a few thousand unknowns — factor
+    /// work grows as n·bw², DESIGN.md §1 has the crossover.
     Direct,
     /// One application of block-Jacobi with exact LU per subdomain.
     BlockJacobiLu { subdomains: usize },
-    /// Inexact CG + ASM(ILU(0), overlap) — the rifting coarse solver of §V.
+    /// Inexact CG + ASM(ILU(0), overlap) — the rifting coarse solver of
+    /// §V, for coarse grids too large to factor.
     InexactCgAsm {
         subdomains: usize,
         overlap: usize,
         rtol: f64,
         max_it: usize,
     },
+}
+
+impl CoarseKind {
+    /// The coarse solver of the paper's rifting runs (§V): CG capped at 25
+    /// iterations or a 10⁻⁴ reduction, preconditioned by ASM/ILU(0) over
+    /// four subdomains. The overlap is 2 where the paper has 4: the coarse
+    /// grids here are a few elements across.
+    pub const RIFT_CG_ASM: CoarseKind = CoarseKind::InexactCgAsm {
+        subdomains: 4,
+        overlap: 2,
+        rtol: 1e-4,
+        max_it: 25,
+    };
 }
 
 /// Coefficient coarsening strategy for rediscretized coarse operators.
@@ -267,7 +285,8 @@ fn analytic_eta_qp(
 /// * **topology** — mesh dimensions and the Dirichlet dof list of every
 ///   level: Dirichlet masks, the filtered transfers (with their
 ///   transposes, the structural half of RAP, and their lane packs), the
-///   sparsity patterns and the assembly buffers;
+///   sparsity patterns, the assembly buffers and the symbolic phase of the
+///   direct coarse solve;
 /// * **geometry** — additionally the bits of every node coordinate: the
 ///   gradient block `J_pu` and its bc-masked twin, the gathered
 ///   matrix-free element tables, and the λmax / fused-plan memos (keyed
@@ -277,9 +296,9 @@ fn analytic_eta_qp(
 /// geometry tier only. Everything value-dependent — numeric assembly,
 /// Galerkin products, λmax estimates, the AMG hierarchy (its smoothed
 /// prolongator depends on the operator values, so it is *not* reusable;
-/// see DESIGN.md §13) and coarse factorizations — is recomputed from
-/// bitwise-identical inputs, so a cached rebuild is bitwise identical to
-/// a fresh one.
+/// see DESIGN.md §13) and the numeric phase of the coarse factorization —
+/// is recomputed from bitwise-identical inputs, so a cached rebuild is
+/// bitwise identical to a fresh one.
 #[derive(Default)]
 pub struct SetupCache {
     /// Per level: mesh dimensions, then length and hash of the Dirichlet
@@ -313,6 +332,11 @@ struct TopologyTier {
     /// of levels 1 and 0 are not nested, so the product is not the Q1
     /// stiffness matrix and the builder forms it by RAP.
     galerkin_q1: Option<Option<GalerkinQ1Pattern>>,
+    /// Symbolic phase of the direct coarse solve: ordering, envelope and
+    /// scatter map of the coarsest matrix. Checked against the pattern it
+    /// is handed, so a configuration that forms the matrix another way
+    /// re-analyzes.
+    coarse_symbolic: Option<Arc<CholeskySymbolic>>,
 }
 
 #[derive(Default)]
@@ -754,7 +778,17 @@ pub fn build_stokes_solver_spec_cached(
     let mut coarse_setup_seconds = 0.0;
     let _coarse_scope = prof::scope("setup/coarse");
     let coarse = match &cfg.coarse {
-        CoarseKind::Direct => GmgCoarseSolver::Direct(DirectSolver::new(&a0)),
+        CoarseKind::Direct => {
+            let symbolic = {
+                let _s = prof::scope("setup/coarse/symbolic");
+                let kept = cache.topo.coarse_symbolic.take();
+                kept.filter(|s| s.matches(&a0))
+                    .or_else(|| CholeskySymbolic::analyze(&a0).ok().map(Arc::new))
+            };
+            cache.topo.coarse_symbolic = symbolic.clone();
+            let _s = prof::scope("setup/coarse/factor");
+            GmgCoarseSolver::Direct(DirectSolver::with_symbolic(&a0, symbolic))
+        }
         CoarseKind::BlockJacobiLu { subdomains } => {
             let part = ElementPartition::auto(&hier.meshes[0], *subdomains);
             let sets = nodes_to_dofs(&part.owned_nodes(&hier.meshes[0]), 3);

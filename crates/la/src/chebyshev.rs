@@ -166,30 +166,83 @@ impl Chebyshev {
     /// smoother instance.
     pub fn smooth_with(&self, a: &dyn LinearOperator, b: &[f64], x: &mut [f64], iters: usize) {
         let n = b.len();
+        // ALLOC-OK: the three work vectors of a stand-alone application,
+        // in one piece; a multigrid cycle lends its own through
+        // `smooth_with_work` / `smooth_from_zero`.
+        let mut work = vec![0.0; 3 * n];
+        let (r, rest) = work.split_at_mut(n);
+        let (d, ad) = rest.split_at_mut(n);
+        self.sweep(a, b, x, iters, false, [r, d, ad]);
+    }
+
+    /// [`smooth_with`](Self::smooth_with) on caller-owned work vectors
+    /// (residual, direction, operator image — each as long as `b`,
+    /// contents irrelevant).
+    pub fn smooth_with_work(
+        &self,
+        a: &dyn LinearOperator,
+        b: &[f64],
+        x: &mut [f64],
+        iters: usize,
+        work: [&mut [f64]; 3],
+    ) {
+        self.sweep(a, b, x, iters, false, work);
+    }
+
+    /// [`smooth_with_work`](Self::smooth_with_work) for an iterate that is
+    /// zero on entry — the pre-smoothing of a multigrid cycle. The first
+    /// residual is `b` itself, so the operator is applied `iters − 1`
+    /// times instead of `iters`. Equal to `smooth_with` on the zeroed `x`
+    /// in every bit, the sign of zeros aside (`b − A·0` turns a `−0.0` of
+    /// `b` into `+0.0`).
+    pub fn smooth_from_zero(
+        &self,
+        a: &dyn LinearOperator,
+        b: &[f64],
+        x: &mut [f64],
+        iters: usize,
+        work: [&mut [f64]; 3],
+    ) {
+        debug_assert!(x.iter().all(|&v| v == 0.0), "iterate must start at zero");
+        self.sweep(a, b, x, iters, true, work);
+    }
+
+    /// The recurrence behind every unfused smoothing entry point.
+    fn sweep(
+        &self,
+        a: &dyn LinearOperator,
+        b: &[f64],
+        x: &mut [f64],
+        iters: usize,
+        x_is_zero: bool,
+        [r, d, ad]: [&mut [f64]; 3],
+    ) {
+        if iters == 0 {
+            return;
+        }
         let theta = 0.5 * (self.lambda_hi + self.lambda_lo);
         let delta = 0.5 * (self.lambda_hi - self.lambda_lo);
         let sigma = theta / delta;
         let mut rho = 1.0 / sigma;
-        // ALLOC-OK: three O(n) scratch vectors once per smoother
-        // application, amortized over `iters` spmv sweeps.
-        let mut r = vec![0.0; n];
-        a.apply(x, &mut r);
-        v::residual_ip(b, &mut r);
+        if x_is_zero {
+            r.copy_from_slice(b);
+        } else {
+            a.apply(x, r);
+            v::residual_ip(b, r);
+        }
         // d = D⁻¹ r / θ
-        let mut d = vec![0.0; n]; // ALLOC-OK: see `r` above.
-        v::cheb_d_init(&self.inv_diag, &r, theta, &mut d);
-        let mut ad = vec![0.0; n]; // ALLOC-OK: see `r` above.
+        v::cheb_d_init(&self.inv_diag, r, theta, d);
         for k in 0..iters {
-            v::axpy(1.0, &d, x);
+            v::axpy(1.0, d, x);
             if k + 1 == iters {
                 break;
             }
-            a.apply(&d, &mut ad);
-            v::axpy(-1.0, &ad, &mut r);
+            a.apply(d, ad);
+            v::axpy(-1.0, ad, r);
             let rho_new = 1.0 / (2.0 * sigma - rho);
             let c1 = rho_new * rho;
             let c2 = 2.0 * rho_new / delta;
-            v::cheb_update(c1, c2, &self.inv_diag, &r, &mut d);
+            v::cheb_update(c1, c2, &self.inv_diag, r, d);
             rho = rho_new;
         }
     }
@@ -658,6 +711,68 @@ mod tests {
             t.push((i, i, d));
         }
         Csr::from_triplets(n, n, &t)
+    }
+
+    /// The 1D Laplacian stencil applied without a matrix.
+    struct StencilOp(usize);
+    impl LinearOperator for StencilOp {
+        fn nrows(&self) -> usize {
+            self.0
+        }
+        fn ncols(&self) -> usize {
+            self.0
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            for i in 0..self.0 {
+                let left = if i > 0 { x[i - 1] } else { 0.0 };
+                let right = if i + 1 < self.0 { x[i + 1] } else { 0.0 };
+                y[i] = 2.0 * x[i] - left - right;
+            }
+        }
+        fn diagonal(&self) -> Option<Vec<f64>> {
+            Some(vec![2.0; self.0])
+        }
+    }
+
+    #[test]
+    fn smooth_from_zero_equals_smooth_with_on_a_zeroed_iterate() {
+        let n = 257;
+        let csr = random_spd(n, 7);
+        let ops: [&dyn LinearOperator; 2] = [&csr, &StencilOp(n)];
+        // Zeros of both signs in the right-hand side.
+        let b: Vec<f64> = (0..n)
+            .map(|i| match i % 11 {
+                0 => 0.0,
+                5 => -0.0,
+                _ => ((i as f64) * 0.37).sin(),
+            })
+            .collect();
+        for a in ops {
+            let cheb = Chebyshev::new(a, 3, 10);
+            for iters in 0..=4 {
+                let mut x_ref = vec![0.0; n];
+                cheb.smooth_with(a, &b, &mut x_ref, iters);
+                let mut x = vec![0.0; n];
+                let (mut r, mut d, mut ad) =
+                    (vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]);
+                cheb.smooth_from_zero(a, &b, &mut x, iters, [&mut r, &mut d, &mut ad]);
+                for i in 0..n {
+                    let same =
+                        x[i].to_bits() == x_ref[i].to_bits() || (x[i] == 0.0 && x_ref[i] == 0.0);
+                    assert!(same, "iters={iters} dof {i}: {} vs {}", x[i], x_ref[i]);
+                }
+                // A warm iterate through the lent work vectors is the
+                // allocating entry point bit for bit.
+                let mut y_ref = x_ref.clone();
+                cheb.smooth_with(a, &b, &mut y_ref, iters);
+                let mut y = x_ref.clone();
+                cheb.smooth_with_work(a, &b, &mut y, iters, [&mut r, &mut d, &mut ad]);
+                assert!(y
+                    .iter()
+                    .zip(&y_ref)
+                    .all(|(p, q)| p.to_bits() == q.to_bits()));
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! * [`chebyshev`] — the Jacobi-preconditioned Chebyshev smoother with
 //!   power-iteration eigenvalue estimation,
 //! * [`ilu`], [`schwarz`] — ILU(0), block-Jacobi, additive Schwarz and
-//!   dense-direct subdomain/coarse solvers,
+//!   the direct coarse solver,
+//! * [`cholesky`] — sparse envelope Cholesky (symbolic + numeric phase),
+//!   the factorization behind the direct coarse solver,
 //! * [`dense`] — small dense kernels (LU, QR, 3×3 geometry),
 //! * [`par`] — scoped-thread data parallelism replacing MPI ranks,
 //! * [`simd`] — the shared `F64x4` lane type, AVX2+FMA/portable dispatch
@@ -22,6 +24,7 @@
 //! * [`transfer`] — lane-batched GMG prolongation/restriction.
 
 pub mod chebyshev;
+pub mod cholesky;
 pub mod csr;
 pub mod dense;
 pub mod ilu;
@@ -34,6 +37,7 @@ pub mod transfer;
 pub mod vec_ops;
 
 pub use chebyshev::{Chebyshev, FusedPlan};
+pub use cholesky::{CholeskySymbolic, FactorError, SparseCholesky};
 pub use csr::{Csr, CsrBuilder};
 pub use dense::{DenseLu, DenseMatrix};
 pub use ilu::Ilu0;

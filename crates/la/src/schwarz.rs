@@ -1,15 +1,18 @@
-//! Domain-decomposition preconditioners: sparse-direct (dense LU) solves,
-//! block-Jacobi and (overlapping) additive Schwarz.
+//! Domain-decomposition preconditioners: the direct coarse solve (sparse
+//! Cholesky, dense LU as its fallback), block-Jacobi and (overlapping)
+//! additive Schwarz.
 //!
 //! These provide the coarse-grid solvers of the paper: "the coarse level
 //! solver was defined via a block Jacobi preconditioner, with an exact LU
 //! factorization applied on each of the subdomains" (§IV-A) and the
 //! ASM(overlap=4)+ILU(0) coarse solver of the rifting runs (§V).
 
+use crate::cholesky::{CholeskySymbolic, FactorError, SparseCholesky};
 use crate::csr::Csr;
 use crate::dense::DenseLu;
 use crate::ilu::Ilu0;
 use crate::operator::Preconditioner;
+use std::sync::Arc;
 
 /// How each subdomain block is solved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,23 +88,74 @@ impl BlockFactor {
     }
 }
 
-/// Exact solve of the full matrix via dense LU; the coarsest-level solver
-/// of the AMG hierarchy.
+enum DirectFactor {
+    Cholesky(SparseCholesky),
+    Dense(DenseLu),
+}
+
+/// Exact solve of the full matrix: the coarsest-level solver of the
+/// geometric and algebraic hierarchies.
+///
+/// A symmetric positive definite matrix — every viscous coarse operator —
+/// gets a sparse envelope Cholesky factorization ([`crate::cholesky`]).
+/// Anything it rejects (a non-positive pivot: indefinite or singular
+/// input; an asymmetric matrix) is densified and goes down the
+/// [`factor_regularized`] ladder of pivoted LU and diagonal shifts, which
+/// cannot fail.
 pub struct DirectSolver {
-    lu: DenseLu,
+    factor: DirectFactor,
 }
 
 impl DirectSolver {
     pub fn new(a: &Csr) -> Self {
-        Self {
-            lu: factor_regularized(a.to_dense(), 1e-12),
+        Self::with_symbolic(a, None)
+    }
+
+    /// [`new`](Self::new) over a symbolic phase kept from an earlier
+    /// matrix; `a` is analyzed when there is none or its pattern differs.
+    pub fn with_symbolic(a: &Csr, symbolic: Option<Arc<CholeskySymbolic>>) -> Self {
+        let factor = match Self::cholesky(a, symbolic) {
+            Ok(chol) => DirectFactor::Cholesky(chol),
+            Err(_) => DirectFactor::Dense(factor_regularized(a.to_dense(), 1e-12)),
+        };
+        Self { factor }
+    }
+
+    /// The sparse factorization alone: the typed reason where
+    /// [`new`](Self::new) would fall back to dense LU. A matrix with a
+    /// NaN or infinite coefficient is refused here; the fallback would
+    /// hand its NaNs on to every solve.
+    pub fn try_new(a: &Csr) -> Result<Self, FactorError> {
+        let factor = DirectFactor::Cholesky(Self::cholesky(a, None)?);
+        Ok(Self { factor })
+    }
+
+    fn cholesky(
+        a: &Csr,
+        symbolic: Option<Arc<CholeskySymbolic>>,
+    ) -> Result<SparseCholesky, FactorError> {
+        let symbolic = match symbolic.filter(|s| s.matches(a)) {
+            Some(s) => s,
+            None => Arc::new(CholeskySymbolic::analyze(a)?),
+        };
+        SparseCholesky::factor(symbolic, a)
+    }
+
+    /// The sparse factor, unless the matrix took the dense fallback.
+    pub fn cholesky_factor(&self) -> Option<&SparseCholesky> {
+        match &self.factor {
+            DirectFactor::Cholesky(chol) => Some(chol),
+            DirectFactor::Dense(_) => None,
         }
     }
 }
 
 impl Preconditioner for DirectSolver {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.lu.solve(r, z);
+        match &self.factor {
+            DirectFactor::Cholesky(chol) => chol.solve(r, z),
+            DirectFactor::Dense(lu) => lu.solve(r, z),
+        }
     }
 }
 

@@ -371,10 +371,10 @@ fn dot8_table_portable(wq: &[[f64; 8]], f: &[F64x4; 8], out: &mut [F64x4]) {
 // with `F64x4` (portable) and with the AVX register wrapper `avx::V4`:
 // the same plain mul/add/sub/div/sqrt sequence either way, no FMA.
 
-/// The lane arithmetic the advection kernels are written in. Every method
-/// is one correctly-rounded IEEE operation per lane, so two implementations
-/// cannot differ in bits.
-trait Lane:
+/// The lane arithmetic the advection kernels (and the envelope Cholesky of
+/// `crate::cholesky`) are written in. Every method is one correctly-rounded
+/// IEEE operation per lane, so two implementations cannot differ in bits.
+pub(crate) trait Lane:
     Copy
     + std::ops::Add<Output = Self>
     + std::ops::Sub<Output = Self>
@@ -384,6 +384,17 @@ trait Lane:
     fn splat(v: f64) -> Self;
     fn from_array(a: [f64; LANES]) -> Self;
     fn to_array(self) -> [f64; LANES];
+    /// [`from_array`](Self::from_array) of four adjacent values in memory
+    /// (one unaligned vector load under AVX).
+    #[inline(always)]
+    fn load(s: &[f64; LANES]) -> Self {
+        Self::from_array(*s)
+    }
+    /// The inverse of [`load`](Self::load).
+    #[inline(always)]
+    fn store(self, out: &mut [f64; LANES]) {
+        *out = self.to_array();
+    }
     fn sqrt(self) -> Self;
     /// Per-lane `f64::clamp` (NaN stays NaN).
     fn clamp(self, lo: f64, hi: f64) -> Self;
@@ -647,7 +658,7 @@ fn q2_interp3_x4_body<V: Lane>(
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-mod avx {
+pub(crate) mod avx {
     use super::{q2_interp3_x4_body, trilinear_inverse_x4_body, F64x4, Lane};
     use core::arch::x86_64::*;
 
@@ -820,10 +831,11 @@ mod avx {
     }
     /// One AVX register as a [`Lane`]: each method is the single
     /// instruction that performs the portable method's operation per lane.
-    /// Values exist only inside the `avx2,fma` kernels below, which is
-    /// what makes the intrinsic calls sound.
+    /// Values exist only inside `avx2,fma` kernels — the ones below and
+    /// the wrappers of `crate::cholesky` — which is what makes the
+    /// intrinsic calls sound.
     #[derive(Clone, Copy)]
-    struct V4(__m256d);
+    pub(crate) struct V4(__m256d);
 
     macro_rules! v4_binop {
         ($trait:ident, $method:ident, $intrinsic:ident) => {
@@ -859,6 +871,18 @@ mod avx {
             // SAFETY: a `V4` exists only under avx2+fma (see type).
             unsafe { st(&mut out, self.0) };
             out.0
+        }
+        #[inline(always)]
+        fn load(s: &[f64; 4]) -> Self {
+            // SAFETY: only instantiated under avx2+fma (see type); the
+            // reference covers the four values read.
+            V4(unsafe { _mm256_loadu_pd(s.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store(self, out: &mut [f64; 4]) {
+            // SAFETY: a `V4` exists only under avx2+fma (see type); the
+            // reference covers the four values written.
+            unsafe { _mm256_storeu_pd(out.as_mut_ptr(), self.0) }
         }
         #[inline(always)]
         fn sqrt(self) -> Self {

@@ -26,7 +26,7 @@ pub enum SmootherKind {
 /// Coarsest-level solver selection.
 #[derive(Clone, Debug)]
 pub enum CoarseSolverKind {
-    /// Exact dense LU.
+    /// Exact solve (`DirectSolver`: sparse Cholesky, dense LU fallback).
     DirectLu,
     /// Block-Jacobi with exact LU per block (the paper's GAMG coarse solve).
     BlockJacobiLu { blocks: usize },

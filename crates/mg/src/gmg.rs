@@ -2,7 +2,7 @@
 //! the paper): Chebyshev(Jacobi) smoothing on every level, trilinear
 //! prolongation / transposed restriction, coarse operators either
 //! rediscretized or Galerkin, and a pluggable coarsest-level solver (GAMG
-//! V-cycle, block-Jacobi+LU, inexact Krylov+ASM, or direct LU).
+//! V-cycle, block-Jacobi+LU, inexact Krylov+ASM, or a direct factorization).
 
 use crate::amg::AmgHierarchy;
 use ptatin_fem::assemble::Q2QuadTables;
@@ -55,7 +55,7 @@ pub enum GmgCoarseSolver {
         rtol: f64,
         max_it: usize,
     },
-    /// Exact dense LU.
+    /// Exact solve: sparse Cholesky, dense LU for what it rejects.
     Direct(DirectSolver),
     /// One application of block-Jacobi with per-block LU.
     BlockJacobiLu(AdditiveSchwarz),
@@ -295,11 +295,14 @@ impl GmgLevel {
 }
 
 /// Cycle vectors of one smoothed level, sized at construction: the
-/// residual and the prolonged correction on the level, the restricted
-/// residual and the coarse correction on the level below.
+/// residual and the prolonged correction on the level — which, with `ad`,
+/// double as the smoother's work vectors before and after the coarse
+/// correction — and the restricted residual and the coarse correction on
+/// the level below.
 struct LevelWork {
     r: Vec<f64>,
     corr: Vec<f64>,
+    ad: Vec<f64>,
     rc: Vec<f64>,
     xc: Vec<f64>,
 }
@@ -416,6 +419,7 @@ impl GeometricMg {
                 Mutex::new(LevelWork {
                     r: vec![0.0; n],
                     corr: vec![0.0; n],
+                    ad: vec![0.0; n],
                     rc: vec![0.0; nc],
                     xc: vec![0.0; nc],
                 })
@@ -450,7 +454,18 @@ impl GeometricMg {
         self
     }
 
-    fn smooth_level(&self, lvl: &GmgLevel, b: &[f64], x: &mut [f64], iters: usize) {
+    /// Smooth `x` on `lvl`. `x_is_zero` promises a zero iterate, which
+    /// saves the unfused sweeps their first operator application; `work`
+    /// is theirs to overwrite.
+    fn smooth_level(
+        &self,
+        lvl: &GmgLevel,
+        b: &[f64],
+        x: &mut [f64],
+        iters: usize,
+        x_is_zero: bool,
+        work: [&mut [f64]; 3],
+    ) {
         if !self.scalar_pipeline {
             // SFC-permuted fused smoothing: gather into Z-order, sweep the
             // permuted matrix, scatter the iterate back (opt-in; see
@@ -479,7 +494,12 @@ impl GeometricMg {
                 return;
             }
         }
-        lvl.smoother.smooth_with(lvl.op.as_ref(), b, x, iters);
+        let a = lvl.op.as_ref();
+        if x_is_zero {
+            lvl.smoother.smooth_from_zero(a, b, x, iters, work);
+        } else {
+            lvl.smoother.smooth_with_work(a, b, x, iters, work);
+        }
     }
 
     /// Total wall time spent in the coarse solver so far (seconds).
@@ -497,8 +517,9 @@ impl GeometricMg {
     }
 
     /// `k` counts smoothed levels top-down: `k == levels.len()` is the
-    /// finest.
-    fn vcycle(&self, k: usize, b: &[f64], x: &mut [f64]) {
+    /// finest. `x_is_zero`: the iterate comes in zeroed (every visit but a
+    /// W-cycle's warm second one).
+    fn vcycle(&self, k: usize, b: &[f64], x: &mut [f64], x_is_zero: bool) {
         if k == 0 {
             let _ev = prof::scope("MGCoarseSolve");
             // DETERMINISM-OK: coarse-solve wall-clock feeds counters only
@@ -512,16 +533,23 @@ impl GeometricMg {
         }
         let lvl = &self.levels[k - 1];
         let a = lvl.op.as_ref();
-        {
-            let _ev = prof::scope(smooth_event(k));
-            self.smooth_level(lvl, b, x, self.pre_smooth);
-        }
         // The vectors are scratch, overwritten below before they are read,
         // so a lock poisoned by a panicking cycle is still good to use.
         let mut work = self.work[k - 1]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let LevelWork { r, corr, rc, xc } = &mut *work;
+        let LevelWork {
+            r,
+            corr,
+            ad,
+            rc,
+            xc,
+        } = &mut *work;
+        {
+            let _ev = prof::scope(smooth_event(k));
+            let work = [&mut r[..], &mut corr[..], &mut ad[..]];
+            self.smooth_level(lvl, b, x, self.pre_smooth, x_is_zero, work);
+        }
         // Residual: r = b - A x (axpby(1, b, -1, r) is bitwise-identical
         // to the elementwise subtraction and runs on the worker pool).
         a.apply(x, r);
@@ -548,8 +576,8 @@ impl GeometricMg {
             CycleType::W => 2,
         };
         xc.fill(0.0);
-        for _ in 0..visits {
-            self.vcycle(k - 1, rc, xc);
+        for visit in 0..visits {
+            self.vcycle(k - 1, rc, xc, visit == 0);
         }
         // Prolong and correct.
         {
@@ -561,18 +589,16 @@ impl GeometricMg {
             }
         }
         vec_ops::axpy(1.0, corr, x);
-        drop(work);
-        {
-            let _ev = prof::scope(smooth_event(k));
-            self.smooth_level(lvl, b, x, self.post_smooth);
-        }
+        let _ev = prof::scope(smooth_event(k));
+        let work = [&mut r[..], &mut corr[..], &mut ad[..]];
+        self.smooth_level(lvl, b, x, self.post_smooth, false, work);
     }
 }
 
 impl Preconditioner for GeometricMg {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         z.fill(0.0);
-        self.vcycle(self.levels.len(), r, z);
+        self.vcycle(self.levels.len(), r, z, true);
     }
 }
 

@@ -22,7 +22,7 @@ pub mod verify;
 pub use registry::{builtins, Scenario};
 pub use run::{run_scenario, RunSummary};
 pub use spec::{
-    operator_kind_name, parse_operator_kind, parse_scenario, parse_scenario_file,
-    parse_scenario_spec, ScenarioError, ScenarioProto, ScenarioSpec,
+    coarse_kind_name, operator_kind_name, parse_coarse_kind, parse_operator_kind, parse_scenario,
+    parse_scenario_file, parse_scenario_spec, ScenarioError, ScenarioProto, ScenarioSpec,
 };
 pub use verify::{run_gate, GateConfig, GateReport, GateSample};

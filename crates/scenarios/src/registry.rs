@@ -8,6 +8,7 @@ use ptatin_core::models::rift::RiftConfig;
 use ptatin_core::models::shear_band::ShearBandConfig;
 use ptatin_core::models::sinker::SinkerConfig;
 use ptatin_core::models::solcx::SolCxConfig;
+use ptatin_core::GmgConfig;
 
 /// One fully-specified workload.
 #[derive(Clone, Debug)]
@@ -36,6 +37,17 @@ impl Scenario {
             Scenario::SolCx(_) => "solcx",
             Scenario::ShearBand(_) => "shear_band",
             Scenario::FallingBlock(_) => "falling_block",
+        }
+    }
+
+    /// The velocity-multigrid configuration of the scenarios that carry
+    /// one (the sinker and SolCx models fix theirs).
+    pub fn gmg(&self) -> Option<&GmgConfig> {
+        match self {
+            Scenario::Rift(c) => Some(&c.gmg),
+            Scenario::ShearBand(c) => Some(&c.gmg),
+            Scenario::FallingBlock(c) => Some(&c.gmg),
+            Scenario::Sinker(_) | Scenario::SolCx(_) => None,
         }
     }
 

@@ -83,6 +83,31 @@ pub fn operator_kind_name(kind: OperatorKind) -> &'static str {
         .map_or("?", |&(name, _)| name)
 }
 
+/// Coarse-solver names as used by `solver.coarse` spec keys. A spec that
+/// names none runs the scenario's own default.
+const COARSE_KIND_NAMES: [(&str, CoarseKind); 3] = [
+    ("direct", CoarseKind::Direct),
+    ("amg", CoarseKind::Amg { coarse_blocks: 4 }),
+    ("cg_asm", CoarseKind::RIFT_CG_ASM),
+];
+
+/// Parse a coarse-solver name (`direct`, `amg`, `cg_asm`).
+pub fn parse_coarse_kind(v: &str) -> Option<CoarseKind> {
+    COARSE_KIND_NAMES
+        .iter()
+        .find(|(name, _)| *name == v)
+        .map(|(_, kind)| kind.clone())
+}
+
+/// The name [`parse_coarse_kind`] maps to a solver of `kind`'s variant
+/// (whatever its parameters).
+pub fn coarse_kind_name(kind: &CoarseKind) -> &'static str {
+    COARSE_KIND_NAMES
+        .iter()
+        .find(|(_, k)| std::mem::discriminant(k) == std::mem::discriminant(kind))
+        .map_or("?", |&(name, _)| name)
+}
+
 /// Scenario kind selected by the `scenario =` key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kind {
@@ -301,11 +326,17 @@ impl ScenarioProto {
                 self.falling_block.nonlinear.rel_tol = t;
             }
             "coarse" | "solver.coarse" => {
-                let c = match v {
-                    "direct" => CoarseKind::Direct,
-                    "asm" => GmgConfig::default().coarse,
-                    _ => return Err(format!("unknown coarse solver `{v}` (direct|asm)")),
-                };
+                let c = parse_coarse_kind(v).ok_or_else(|| {
+                    if v == "asm" {
+                        // One letter from `amg`, and the name of half of
+                        // `cg_asm`: make the author say which.
+                        "ambiguous coarse solver `asm`: say `amg` (smoothed-aggregation \
+                         AMG) or `cg_asm` (CG with ASM/ILU(0))"
+                            .to_string()
+                    } else {
+                        format!("unknown coarse solver `{v}` (direct|amg|cg_asm)")
+                    }
+                })?;
                 for g in self.gmgs() {
                     g.coarse = c.clone();
                 }
@@ -943,5 +974,24 @@ material.block.theta = 4.0
             Some(OperatorKind::TensorBatched)
         );
         assert_eq!(parse_operator_kind("gpu"), None);
+    }
+
+    #[test]
+    fn coarse_kind_names_round_trip() {
+        for (name, kind) in COARSE_KIND_NAMES {
+            assert_eq!(parse_coarse_kind(name), Some(kind.clone()));
+            assert_eq!(coarse_kind_name(&kind), name);
+        }
+        // Every scenario default has a name the grammar parses back.
+        for gmg in ScenarioProto::default().gmgs() {
+            let coarse = gmg.coarse.clone();
+            assert_eq!(parse_coarse_kind(coarse_kind_name(&coarse)), Some(coarse));
+        }
+        assert_eq!(coarse_kind_name(&GmgConfig::default().coarse), "amg");
+        assert_eq!(parse_coarse_kind("asm"), None);
+        assert_eq!(
+            coarse_kind_name(&CoarseKind::BlockJacobiLu { subdomains: 2 }),
+            "?"
+        );
     }
 }

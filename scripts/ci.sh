@@ -51,12 +51,15 @@ done
 # against the scalar reference (DESIGN.md §13). The level rule of the
 # multigrid (no matrix on a default-built smoothed level, DESIGN.md §4),
 # the directly assembled Galerkin coarsest operator against its RAP oracle
-# (DESIGN.md §4) and the lane-batched advection's bitwise contract against
-# the scalar loop (DESIGN.md §9) are named for the same reason.
+# (DESIGN.md §4), the sparse Cholesky coarse factorization against its
+# dense-LU oracle (DESIGN.md §13) and the lane-batched advection's bitwise
+# contract against the scalar loop (DESIGN.md §9) are named for the same
+# reason.
 step "tests (PTATIN_TEST_THREADS=1)"
 PTATIN_TEST_THREADS=1 cargo test --workspace -q
 PTATIN_TEST_THREADS=1 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
 PTATIN_TEST_THREADS=1 cargo test -q --test galerkin_coarse_direct
+PTATIN_TEST_THREADS=1 cargo test -q --test sparse_cholesky
 PTATIN_TEST_THREADS=1 cargo test -q -p ptatin-ckpt
 PTATIN_TEST_THREADS=1 cargo test -q --test checkpoint_restart
 PTATIN_TEST_THREADS=1 cargo test -q --test ensemble_sweep
@@ -68,6 +71,7 @@ step "tests (PTATIN_TEST_THREADS=4)"
 PTATIN_TEST_THREADS=4 cargo test --workspace -q
 PTATIN_TEST_THREADS=4 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
 PTATIN_TEST_THREADS=4 cargo test -q --test galerkin_coarse_direct
+PTATIN_TEST_THREADS=4 cargo test -q --test sparse_cholesky
 PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-ckpt
 PTATIN_TEST_THREADS=4 cargo test -q --test checkpoint_restart
 PTATIN_TEST_THREADS=4 cargo test -q --test ensemble_sweep
@@ -89,14 +93,15 @@ PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-la --features pool-sanitizer par::
 
 # Operator-equivalence and thread-invariance suites with the AVX path
 # force-disabled: the portable fallbacks of the batched operator,
-# projection, transfer, fused smoother, advection/location and Galerkin
-# Q1 assembly lane kernels must satisfy the same 1e-12 / bitwise contracts
-# as the hardware path (DESIGN.md §9).
+# projection, transfer, fused smoother, advection/location, Galerkin Q1
+# assembly and envelope Cholesky lane kernels must satisfy the same
+# 1e-12 / bitwise contracts as the hardware path (DESIGN.md §9).
 step "equivalence + thread invariance with AVX disabled (PTATIN_NO_AVX=1)"
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test operator_equivalence
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test thread_invariance
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test mpm_advect_equivalence
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test galerkin_coarse_direct
+PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test sparse_cholesky
 
 # Fault-injection matrix on the release binary: every injected failure
 # class must be recovered (exit 0) or reported cleanly (crash => 42),
@@ -129,8 +134,9 @@ if [[ $FAST -eq 0 ]]; then
     # batched assembly, first-setup vs cached re-setup, fused-on-SFC
     # verdict), then validates the record (plus the committed full-size
     # one) against the ptatin-kernel-bench-v2 schema with the in-repo
-    # JSON parser, including the whole_step, assembly (>= 1.8x) and
-    # re-setup (>= 2x) speedup floors.
+    # JSON parser, including the whole_step (at thread counts this host
+    # has cores for), assembly (>= 1.8x) and re-setup (>= 2x) speedup
+    # floors.
     step "kernel benchmark smoke + BENCH_kernels.json schema validation"
     cargo bench -p ptatin-bench --bench table1_operators -- smoke
     cargo run --release -p ptatin-bench --bin validate_bench -- \

@@ -166,6 +166,13 @@ fn run_scenario_cmd(args: &Args) {
         file,
         steps
     );
+    if let Some(gmg) = spec.scenario.gmg() {
+        println!(
+            "  solver.fine_kind = {}, solver.coarse = {}",
+            scenarios::operator_kind_name(gmg.fine_kind),
+            scenarios::coarse_kind_name(&gmg.coarse)
+        );
+    }
     let summary = scenarios::run_scenario(&spec.scenario, steps);
     println!(
         "{}: converged={} iterations={}",

@@ -11,7 +11,7 @@ use ptatin_core::solver::{
 };
 use ptatin_fem::bc::DirichletBc;
 use ptatin_la::krylov::KrylovConfig;
-use ptatin_la::operator::Preconditioner;
+use ptatin_la::operator::{LinearOperator, Preconditioner};
 use ptatin_la::par;
 use ptatin_ops::OperatorKind;
 use std::sync::Mutex;
@@ -208,4 +208,63 @@ fn matrix_free_vcycle_matches_assembled_vcycle() {
         "Krylov iterations moved: matrix-free {i_mf}, assembled {i_as}"
     );
     par::set_num_threads(0);
+}
+
+/// Pre-smoothing starts from a zero iterate on every level, so it skips
+/// the operator application that would compute `A·0` (DESIGN.md §4): the
+/// iterate is the general sweep's on a zeroed `x`, the sign of zeros
+/// aside, and a cycle applies each level operator once less.
+#[test]
+fn presmoothing_from_zero_matches_the_general_sweep_and_saves_an_apply() {
+    let (model, fields) = sinker_setup(8, 3, 1e3);
+    for (pre, post) in [(2, 2), (3, 3), (1, 0)] {
+        let gmg = GmgConfig {
+            pre_smooth: pre,
+            post_smooth: post,
+            ..direct(3)
+        };
+        let solver = model.build_solver(&fields, &gmg);
+        for level in &solver.mg.levels {
+            assert!(level.matrix().is_none(), "matrix-free level");
+            let n = level.op.nrows();
+            let mut b: Vec<f64> = (0..n)
+                .map(|i| ((i * 37 % 101) as f64 - 50.0) / 50.0)
+                .collect();
+            b[3] = -0.0;
+            let mut x_ref = vec![0.0; n];
+            level
+                .smoother
+                .smooth_with(level.op.as_ref(), &b, &mut x_ref, pre);
+            let mut x = vec![0.0; n];
+            let (mut r, mut d, mut ad) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            level.smoother.smooth_from_zero(
+                level.op.as_ref(),
+                &b,
+                &mut x,
+                pre,
+                [&mut r, &mut d, &mut ad],
+            );
+            for i in 0..n {
+                let same = x[i].to_bits() == x_ref[i].to_bits() || (x[i] == 0.0 && x_ref[i] == 0.0);
+                assert!(same, "V({pre},{post}) dof {i}: {} vs {}", x[i], x_ref[i]);
+            }
+        }
+        // One V-cycle: pre − 1 applies in the pre-smoother, one residual,
+        // `post` in the post-smoother — on every smoothed level.
+        solver.timers.reset();
+        let mut r: Vec<f64> = (0..solver.nu)
+            .map(|i| ((i % 13) as f64 - 6.0) / 6.0)
+            .collect();
+        solver.bc.zero_constrained(&mut r);
+        let mut z = vec![0.0; solver.nu];
+        solver.mg.apply(&r, &mut z);
+        for (l, op) in solver.timers.level_ops.iter().enumerate() {
+            assert_eq!(
+                op.calls() as usize,
+                pre + post,
+                "V({pre},{post}) level {}",
+                l + 1
+            );
+        }
+    }
 }

@@ -4,7 +4,11 @@
 //! diagnostics. This pins the whole chain the CLI `ptatin scenario`
 //! subcommand uses: file → `ScenarioProto` → `Scenario` → `run_scenario`.
 
-use ptatin3d::scenarios::{builtins, parse_scenario_file, run_scenario, Scenario};
+use ptatin3d::core::{CoarseKind, GmgConfig};
+use ptatin3d::scenarios::{
+    builtins, coarse_kind_name, parse_coarse_kind, parse_scenario, parse_scenario_file,
+    run_scenario, Scenario,
+};
 use std::path::PathBuf;
 
 fn example(name: &str) -> PathBuf {
@@ -81,4 +85,61 @@ fn every_builtin_scenario_is_registered_and_labeled() {
     ] {
         assert!(names.contains(&want), "missing builtin {want}: {names:?}");
     }
+}
+
+/// The coarse solver a spec text selects for the rift scenario.
+fn rift_coarse(text: &str) -> CoarseKind {
+    match parse_scenario(text).expect("spec parses") {
+        Scenario::Rift(cfg) => cfg.gmg.coarse,
+        other => panic!("wrong scenario kind: {}", other.kind()),
+    }
+}
+
+#[test]
+fn coarse_solver_names_select_what_they_say_and_round_trip() {
+    assert_eq!(rift_coarse("solver.coarse = direct\n"), CoarseKind::Direct);
+    assert_eq!(
+        rift_coarse("solver.coarse = amg\n"),
+        GmgConfig::default().coarse
+    );
+    assert!(matches!(
+        rift_coarse("coarse = amg\n"),
+        CoarseKind::Amg { .. }
+    ));
+    // The rift's §V solver is nameable, and is not the AMG it used to be
+    // mistaken for.
+    assert_eq!(rift_coarse("coarse = cg_asm\n"), CoarseKind::RIFT_CG_ASM);
+    assert!(matches!(
+        CoarseKind::RIFT_CG_ASM,
+        CoarseKind::InexactCgAsm { .. }
+    ));
+    // A spec that names none keeps the scenario default; every name
+    // printed for a parsed spec parses back to the same solver.
+    for text in [
+        "",
+        "coarse = direct\n",
+        "coarse = amg\n",
+        "coarse = cg_asm\n",
+    ] {
+        let coarse = rift_coarse(text);
+        let again = parse_coarse_kind(coarse_kind_name(&coarse)).expect("printed name parses");
+        assert_eq!(again, coarse, "{text:?}");
+        assert_eq!(
+            rift_coarse(&format!("coarse = {}\n", coarse_kind_name(&coarse))),
+            coarse
+        );
+    }
+    assert_eq!(coarse_kind_name(&rift_coarse("")), "direct");
+}
+
+#[test]
+fn ambiguous_and_unknown_coarse_solver_names_are_rejected() {
+    let e = parse_scenario("scenario = rift\nsolver.coarse = asm\n").unwrap_err();
+    assert_eq!(e.line, 2);
+    assert!(e.msg.contains("ambiguous coarse solver `asm`"), "{e}");
+    assert!(e.msg.contains("`amg`") && e.msg.contains("`cg_asm`"), "{e}");
+
+    let e = parse_scenario("coarse = lu\n").unwrap_err();
+    assert_eq!(e.line, 1);
+    assert_eq!(e.msg, "unknown coarse solver `lu` (direct|amg|cg_asm)");
 }
