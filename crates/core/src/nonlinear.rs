@@ -147,16 +147,10 @@ pub fn stokes_residual(
     f_u: &[f64],
     out: &mut [f64],
 ) {
-    let nu = u.len();
-    let (fu, fp) = out.split_at_mut(nu);
-    a_unmasked.apply(u, fu);
-    let mut bt = vec![0.0; nu];
-    b_full.spmv_transpose(p, &mut bt);
-    for i in 0..nu {
-        fu[i] += bt[i] - f_u[i];
-    }
+    let (fu, fp) = out.split_at_mut(u.len());
+    a_unmasked.apply_stokes(b_full, u, p, fu, fp);
+    vec_ops::axpy(-1.0, f_u, fu);
     bc.zero_constrained(fu);
-    b_full.spmv(u, fp);
 }
 
 /// Eisenstat–Walker choice-2 forcing term with safeguards.

@@ -12,7 +12,7 @@ use ptatin_la::chebyshev::{Chebyshev, FusedPlan};
 use ptatin_la::cholesky::CholeskySymbolic;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
-use ptatin_la::operator::{LinearOperator, Preconditioner, TimedOperator};
+use ptatin_la::operator::{with_block_scratch, LinearOperator, Preconditioner, TimedOperator};
 use ptatin_la::schwarz::{grow_overlap, AdditiveSchwarz, DirectSolver, SubdomainSolve};
 use ptatin_la::simd::{runtime_simd_path, F64x4};
 use ptatin_la::transfer::BatchedTransfer;
@@ -1043,26 +1043,6 @@ pub fn build_stokes_solver_spec_cached(
 // Full-space operator and field-split preconditioner.
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// Work vector of the block operator and preconditioner applies below:
-    /// both run once per Krylov iteration, and both structs are built per
-    /// solve from borrowed parts, so the buffer lives with the thread.
-    static BLOCK_SCRATCH: std::cell::RefCell<Vec<f64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Run `f` on `n` entries of this thread's block scratch. The contents
-/// are unspecified on entry; `f` must not apply another block operator.
-fn with_block_scratch<R>(n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    BLOCK_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < n {
-            buf.resize(n, 0.0);
-        }
-        f(&mut buf[..n])
-    })
-}
-
 /// The coupled operator of Eq. (14): `[[J_uu, J_up], [J_pu, 0]]` acting on
 /// interleaved `[u; p]` vectors (velocity first).
 pub struct StokesOperator<'s> {
@@ -1082,14 +1062,9 @@ impl LinearOperator for StokesOperator<'_> {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         let (xu, xp) = x.split_at(self.nu);
         let (yu, yp) = y.split_at_mut(self.nu);
-        // yu = A xu + Bᵀ xp
-        self.a.apply(xu, yu);
-        with_block_scratch(self.nu, |bt| {
-            self.b.spmv_transpose(xp, bt);
-            vec_ops::axpy(1.0, bt, yu);
-        });
-        // yp = B xu
-        self.b.spmv(xu, yp);
+        // yu = A xu + Bᵀ xp, yp = B xu: one element pass when `a` is the
+        // batched kernel, the block composition otherwise.
+        self.a.apply_stokes(self.b, xu, xp, yu, yp);
     }
 }
 
@@ -1266,30 +1241,6 @@ impl StokesSolver {
             stats,
             inner_counter.load(std::sync::atomic::Ordering::Relaxed),
         )
-    }
-
-    /// Evaluate the nonlinear residual
-    /// `F_u = A(u) u + Bᵀ p − f_u` (zeroed on Dirichlet dofs),
-    /// `F_p = B u`,
-    /// with `a_unconstrained` the *unmasked* viscous action of the current
-    /// linearization state.
-    pub fn residual(
-        &self,
-        a_unconstrained: &dyn LinearOperator,
-        u: &[f64],
-        p: &[f64],
-        f_u: &[f64],
-        out: &mut [f64],
-    ) {
-        let (fu, fp) = out.split_at_mut(self.nu);
-        a_unconstrained.apply(u, fu);
-        let mut bt = vec![0.0; self.nu];
-        self.b_full.spmv_transpose(p, &mut bt);
-        for i in 0..self.nu {
-            fu[i] += bt[i] - f_u[i];
-        }
-        self.bc.zero_constrained(fu);
-        self.b_full.spmv(u, fp);
     }
 }
 

@@ -12,6 +12,12 @@ use crate::operator::LinearOperator;
 use crate::par;
 use ptatin_prof as prof;
 
+thread_local! {
+    /// Piece accumulators of [`Csr::spmv_transpose`], reused across calls.
+    static TRANSPOSE_PARTS: std::cell::RefCell<Vec<f64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Sparse matrix in CSR format with sorted column indices per row.
 #[derive(Clone, Debug, Default)]
 pub struct Csr {
@@ -240,17 +246,36 @@ impl Csr {
             self.spmv_transpose_serial_into(x, y);
             return;
         }
-        // Per-piece column accumulators (piece-major).
-        // ALLOC-OK: accumulator shape depends on the runtime piece count, so
-        // it cannot be hoisted to construction; gated behind PAR_MIN_NNZ the
-        // allocation amortizes over >= 2^14 multiply-adds.
-        let mut parts = vec![0.0f64; npieces * self.ncols];
+        // Per-piece column accumulators (piece-major), kept with the calling
+        // thread across calls; every piece zeroes its own block.
+        let ncols = self.ncols;
+        TRANSPOSE_PARTS.with(|cell| {
+            let mut parts = cell.borrow_mut();
+            if parts.len() < npieces * ncols {
+                parts.resize(npieces * ncols, 0.0);
+            }
+            let parts = &mut parts[..npieces * ncols];
+            self.spmv_transpose_pieces(x, y, &ranges, parts);
+        });
+    }
+
+    /// The parallel body of [`Csr::spmv_transpose`]: scatter each row range
+    /// into its block of `parts`, then combine the blocks per column.
+    fn spmv_transpose_pieces(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        ranges: &[(usize, usize)],
+        parts: &mut [f64],
+    ) {
+        let npieces = ranges.len();
         {
             let indptr = &self.indptr;
             let indices = &self.indices;
             let values = &self.values;
             let ncols = self.ncols;
-            par::par_blocks_mut(&mut parts, ncols, |p, acc| {
+            par::par_blocks_mut(parts, ncols, |p, acc| {
+                acc.fill(0.0);
                 let (s, e) = ranges[p];
                 for i in s..e {
                     let xi = x[i];
@@ -820,10 +845,21 @@ mod tests {
         a.spmv_transpose(&x, &mut y4);
         let mut y4b = vec![0.0; ncols];
         a.spmv_transpose(&x, &mut y4b);
+        // A wider matrix in between leaves other values in the reused
+        // piece accumulators: every piece must zero its own block.
+        let wide = Csr::from_triplets(nrows, 2 * ncols, &trips);
+        let mut yw = vec![0.0; 2 * ncols];
+        wide.spmv_transpose(&x, &mut yw);
+        assert_eq!(&yw[..ncols], &y4[..], "same entries, more columns");
+        crate::par::set_num_threads(2);
+        let mut y2 = vec![0.0; ncols];
+        a.spmv_transpose(&x, &mut y2);
         crate::par::set_num_threads(1);
         let mut y1 = vec![0.0; ncols];
         a.spmv_transpose(&x, &mut y1);
         crate::par::set_num_threads(0);
+        assert_eq!(y1, y4, "piece grouping is independent of the thread count");
+        assert_eq!(y2, y4, "piece grouping is independent of the thread count");
         for j in 0..ncols {
             let tol = 1e-12 * (1.0 + yref[j].abs());
             assert!(

@@ -6,6 +6,28 @@
 //! Asmb / MF / Tensor operator applications inside an otherwise identical
 //! solver.
 
+use crate::csr::Csr;
+
+thread_local! {
+    /// Work vector of the block operator and preconditioner applies: both
+    /// run once per Krylov iteration and are built per solve from borrowed
+    /// parts, so the buffer lives with the thread.
+    static BLOCK_SCRATCH: std::cell::RefCell<Vec<f64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on `n` entries of this thread's block scratch. The contents
+/// are unspecified on entry; `f` must not use the block scratch itself.
+pub fn with_block_scratch<R>(n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    BLOCK_SCRATCH.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < n {
+            buf.resize(n, 0.0);
+        }
+        f(&mut buf[..n])
+    })
+}
+
 /// Action of a linear operator `y = A x`.
 pub trait LinearOperator: Sync {
     /// Number of rows of `A`.
@@ -18,6 +40,20 @@ pub trait LinearOperator: Sync {
     /// (needed by Jacobi-preconditioned Chebyshev smoothing).
     fn diagonal(&self) -> Option<Vec<f64>> {
         None
+    }
+    /// Saddle-point action with this operator as the velocity block:
+    /// `y_u = A x_u + Bᵀ x_p`, `y_p = B x_u`. The default composes the
+    /// blocks; an element kernel that can apply its own gradient and
+    /// divergence in the same pass overrides it, and then `b` must be the
+    /// coupling block of the kernel's mesh with exactly the kernel's
+    /// Dirichlet columns zeroed (none for an unmasked kernel).
+    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+        self.apply(xu, yu);
+        with_block_scratch(yu.len(), |bt| {
+            b.spmv_transpose(xp, bt);
+            crate::vec_ops::axpy(1.0, bt, yu);
+        });
+        b.spmv(xu, yp);
     }
 }
 
@@ -43,6 +79,9 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn diagonal(&self) -> Option<Vec<f64>> {
         (**self).diagonal()
     }
+    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+        (**self).apply_stokes(b, xu, xp, yu, yp)
+    }
 }
 
 impl<T: LinearOperator + ?Sized> LinearOperator for Box<T>
@@ -61,6 +100,9 @@ where
     fn diagonal(&self) -> Option<Vec<f64>> {
         (**self).diagonal()
     }
+    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+        (**self).apply_stokes(b, xu, xp, yu, yp)
+    }
 }
 
 impl<T: LinearOperator + ?Sized> LinearOperator for std::sync::Arc<T>
@@ -78,6 +120,9 @@ where
     }
     fn diagonal(&self) -> Option<Vec<f64>> {
         (**self).diagonal()
+    }
+    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+        (**self).apply_stokes(b, xu, xp, yu, yp)
     }
 }
 
@@ -192,6 +237,20 @@ impl<A: LinearOperator> TimedOperator<A> {
         self.nanos.store(0, std::sync::atomic::Ordering::Relaxed);
         self.calls.store(0, std::sync::atomic::Ordering::Relaxed);
     }
+
+    /// Run one application of the inner operator, counted and timed.
+    fn timed(&self, f: impl FnOnce(&A)) {
+        // DETERMINISM-OK: TimedOperator is an instrumentation decorator; the
+        // clock feeds counters only and never influences numeric results.
+        let t0 = std::time::Instant::now();
+        f(&self.inner);
+        self.nanos.fetch_add(
+            t0.elapsed().as_nanos() as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        self.calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
 }
 
 impl<A: LinearOperator> LinearOperator for TimedOperator<A> {
@@ -202,19 +261,13 @@ impl<A: LinearOperator> LinearOperator for TimedOperator<A> {
         self.inner.ncols()
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        // DETERMINISM-OK: TimedOperator is an instrumentation decorator; the
-        // clock feeds counters only and never influences numeric results.
-        let t0 = std::time::Instant::now();
-        self.inner.apply(x, y);
-        self.nanos.fetch_add(
-            t0.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        self.calls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.timed(|a| a.apply(x, y));
     }
     fn diagonal(&self) -> Option<Vec<f64>> {
         self.inner.diagonal()
+    }
+    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+        self.timed(|a| a.apply_stokes(b, xu, xp, yu, yp));
     }
 }
 
@@ -248,6 +301,19 @@ mod tests {
         let mut z = vec![0.0; 3];
         pc.apply(&r, &mut z);
         assert_eq!(z, vec![1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn default_stokes_action_composes_the_blocks() {
+        // A = diag(2, 3), B = [1 -1]: y_u = A x_u + Bᵀ x_p, y_p = B x_u.
+        let a = Diag(vec![2.0, 3.0]);
+        let b = Csr::from_triplets(1, 2, &[(0, 0, 1.0), (0, 1, -1.0)]);
+        let timed = TimedOperator::new(&a);
+        let (mut yu, mut yp) = (vec![0.0; 2], vec![0.0; 1]);
+        timed.apply_stokes(&b, &[1.0, 2.0], &[10.0], &mut yu, &mut yp);
+        assert_eq!(yu, vec![12.0, -4.0]);
+        assert_eq!(yp, vec![-1.0]);
+        assert_eq!(timed.calls(), 1);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! like TensorC's trade of memory for metric flops), so the apply streams
 //! them instead of re-running `inv3` per point.
 //!
+//! The same pass can apply the whole saddle-point operator
+//! ([`LinearOperator::apply_stokes`]): `div u = tr(∇u)` is in registers at
+//! every quadrature point and the pressure enters as `−p·w|J|` on the stress
+//! diagonal, so `Bᵀ x_p` and `B x_u` cost ≈ 5 % more flops instead of two
+//! sweeps over the assembled coupling block.
+//!
 //! Two kernels implement the identical operation sequence: a portable one
 //! built on `f64::mul_add` (correctly-rounded IEEE FMA on every platform)
 //! and an explicit AVX2+FMA path selected at runtime via
@@ -29,7 +35,8 @@
 use crate::data::{MaskScratch, ViscousOpData, NQP};
 use crate::kernels::{for_each_lane_colored, q1_grad_tables, qp_jacobian, ColorScatter};
 use crate::tensor::Tensor1d;
-use ptatin_fem::basis::NQ2;
+use ptatin_fem::basis::{element_frame, p1disc_basis, NP1, NQ1, NQ2};
+use ptatin_la::csr::Csr;
 use ptatin_la::operator::LinearOperator;
 use ptatin_prof as prof;
 use std::sync::Arc;
@@ -126,6 +133,69 @@ pub fn ref_derivative_adjoint_add_b(
     }
 }
 
+/// 2-term dot `fma(i0,m0, i1·m1)`: the fusion order of every Q1
+/// contraction below, shared with the AVX path like [`dot3`].
+#[inline(always)]
+fn dot2(m: &[f64; 2], i0: F64x4, i1: F64x4) -> F64x4 {
+    i0.mul_add(F64x4::splat(m[0]), i1 * F64x4::splat(m[1]))
+}
+
+/// Trilinear field from its 8 corner values (x-fastest) to the 27
+/// quadrature points: three staged 2→3 contractions.
+#[inline]
+fn q1_to_qp_b(t: &Tensor1d, input: &[F64x4; NQ1], out: &mut [F64x4; 27]) {
+    let mut t0 = [F64x4::ZERO; 12];
+    let mut t1 = [F64x4::ZERO; 18];
+    for bc in 0..4 {
+        let (i0, i1) = (input[2 * bc], input[2 * bc + 1]);
+        for q in 0..3 {
+            t0[3 * bc + q] = dot2(&t.n[q], i0, i1);
+        }
+    }
+    for c in 0..2 {
+        for i in 0..3 {
+            let (i0, i1) = (t0[i + 6 * c], t0[i + 3 + 6 * c]);
+            for q in 0..3 {
+                t1[i + 3 * q + 9 * c] = dot2(&t.n[q], i0, i1);
+            }
+        }
+    }
+    for ij in 0..9 {
+        let (i0, i1) = (t1[ij], t1[ij + 9]);
+        for q in 0..3 {
+            out[ij + 9 * q] = dot2(&t.n[q], i0, i1);
+        }
+    }
+}
+
+/// Adjoint of [`q1_to_qp_b`]: quadrature values tested against the 8
+/// trilinear corner functions, three staged 3→2 contractions.
+#[inline]
+fn qp_to_q1_b(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; NQ1]) {
+    let mut s1 = [F64x4::ZERO; 18];
+    let mut s0 = [F64x4::ZERO; 12];
+    for ij in 0..9 {
+        let (i0, i1, i2) = (input[ij], input[ij + 9], input[ij + 18]);
+        for c in 0..2 {
+            s1[ij + 9 * c] = dot3(&t.nt[c], i0, i1, i2);
+        }
+    }
+    for c in 0..2 {
+        for i in 0..3 {
+            let (i0, i1, i2) = (s1[i + 9 * c], s1[i + 3 + 9 * c], s1[i + 6 + 9 * c]);
+            for b in 0..2 {
+                s0[i + 3 * b + 6 * c] = dot3(&t.nt[b], i0, i1, i2);
+            }
+        }
+    }
+    for bc in 0..4 {
+        let (i0, i1, i2) = (s0[3 * bc], s0[3 * bc + 1], s0[3 * bc + 2]);
+        for a in 0..2 {
+            out[a + 2 * bc] = dot3(&t.nt[a], i0, i1, i2);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // SoA batch data
 // ---------------------------------------------------------------------------
@@ -138,10 +208,12 @@ pub struct QpGeoLane {
     pub wdet: F64x4,
 }
 
-/// Node indices of the 4 elements of a lane. Ghost slots replicate the last
-/// real element so gathers stay branch-free; `nreal` bounds the scatter.
+/// Node and element indices of the 4 elements of a lane. Ghost slots
+/// replicate the last real element so gathers stay branch-free; `nreal`
+/// bounds the scatter.
 struct LaneNodes {
     nodes: [[u32; NQ2]; LANES],
+    elems: [u32; LANES],
     nreal: u32,
 }
 
@@ -163,6 +235,11 @@ pub struct BatchedViscousOp {
     /// `[lane][qp]` layout: `geo[lane·27 + q]`.
     geo: Vec<QpGeoLane>,
     eta: Vec<F64x4>,
+    /// The three non-constant P1disc pressure basis functions (`ψ₀ ≡ 1`)
+    /// at the 8 corners of every lane's elements, `psi[lane][d][corner]`,
+    /// ghost slots zero. `ψ_d` is affine in `x` and `x` trilinear in `ξ`,
+    /// so these are the Q1 coefficients of `ψ_d` on the element.
+    psi: Vec<[[F64x4; NQ1]; 3]>,
     newton: Option<BatchNewton>,
     scratch: MaskScratch,
 }
@@ -182,6 +259,7 @@ impl BatchedViscousOp {
         let mut lanes = Vec::with_capacity(nlanes);
         let mut geo = Vec::with_capacity(nlanes * NQP);
         let mut eta = Vec::with_capacity(nlanes * NQP);
+        let mut psi = Vec::with_capacity(nlanes);
         let mut newton = data.newton.as_ref().map(|_| BatchNewton {
             eta_prime: Vec::with_capacity(nlanes * NQP),
             d_sym: Vec::with_capacity(nlanes * NQP),
@@ -192,13 +270,27 @@ impl BatchedViscousOp {
             for chunk in elems.chunks(LANES) {
                 let mut ln = LaneNodes {
                     nodes: [[0u32; NQ2]; LANES],
+                    elems: [0u32; LANES],
                     nreal: chunk.len() as u32,
                 };
                 for l in 0..LANES {
-                    let e = chunk[l.min(chunk.len() - 1)] as usize;
-                    ln.nodes[l].copy_from_slice(data.element_nodes(e));
+                    let e = chunk[l.min(chunk.len() - 1)];
+                    ln.nodes[l].copy_from_slice(data.element_nodes(e as usize));
+                    ln.elems[l] = e;
                 }
                 lanes.push(ln);
+                let mut pl = [[F64x4::ZERO; NQ1]; 3];
+                for (l, &e) in chunk.iter().enumerate() {
+                    let corners = &data.corners[e as usize];
+                    let (centroid, half) = element_frame(corners);
+                    for (c, &xc) in corners.iter().enumerate() {
+                        let ps = p1disc_basis(xc, centroid, half);
+                        for d in 0..3 {
+                            pl[d][c].0[l] = ps[d + 1];
+                        }
+                    }
+                }
+                psi.push(pl);
                 for q in 0..NQP {
                     let mut gl = QpGeoLane {
                         jinv: [[F64x4::ZERO; 3]; 3],
@@ -244,6 +336,7 @@ impl BatchedViscousOp {
             lanes,
             geo,
             eta,
+            psi,
             newton,
             scratch: MaskScratch::new(),
         }
@@ -259,8 +352,17 @@ impl BatchedViscousOp {
         self.lanes.len()
     }
 
-    fn apply_add(&self, x: &[f64], y: &mut [f64]) {
+    /// `y += A x`, and with `pressure = (x_p, y_p)` the whole saddle-point
+    /// action in the same pass: `y += Bᵀ x_p` and `y_p = B x`.
+    fn apply_add(&self, x: &[f64], y: &mut [f64], pressure: Option<(&[f64], &mut [f64])>) {
         let scatter = ColorScatter::new(y);
+        let (xp, yp) = match pressure {
+            Some((xp, yp)) => {
+                yp.fill(0.0);
+                (Some(xp), Some(ColorScatter::new(yp)))
+            }
+            None => (None, None),
+        };
         for_each_lane_colored(&self.color_lane_ranges, LANES, |li| {
             let ln = &self.lanes[li];
             // Scalar gather into SoA lanes (4 × 81 loads).
@@ -273,6 +375,14 @@ impl BatchedViscousOp {
                     ue[2][i].0[l] = x[b + 2];
                 }
             }
+            let mut pe = [F64x4::ZERO; NP1];
+            if let Some(xp) = xp {
+                for (l, &e) in ln.elems.iter().enumerate() {
+                    for m in 0..NP1 {
+                        pe[m].0[l] = xp[NP1 * e as usize + m];
+                    }
+                }
+            }
             let geo = &self.geo[li * NQP..(li + 1) * NQP];
             let eta = &self.eta[li * NQP..(li + 1) * NQP];
             let newton = self.newton.as_ref().map(|bn| {
@@ -281,17 +391,22 @@ impl BatchedViscousOp {
                     &bn.d_sym[li * NQP..(li + 1) * NQP],
                 )
             });
+            let pressure = xp.map(|_| LanePressure {
+                psi: &self.psi[li],
+                pe: &pe,
+            });
             let mut re = [[F64x4::ZERO; 27]; 3];
+            let mut rp = [F64x4::ZERO; NP1];
             match self.path {
-                SimdPath::Portable => {
-                    lane_kernel_portable(&self.t1d, geo, eta, newton, &ue, &mut re)
-                }
+                SimdPath::Portable => lane_kernel_portable(
+                    &self.t1d, geo, eta, newton, pressure, &ue, &mut re, &mut rp,
+                ),
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `SimdPath::Avx2Fma` is only constructed after
                 // `is_x86_feature_detected!("avx2")`/`("fma")` (or by tests
                 // that check `avx2_fma_available()` first).
                 SimdPath::Avx2Fma => unsafe {
-                    avx::lane_kernel(&self.t1d, geo, eta, newton, &ue, &mut re)
+                    avx::lane_kernel(&self.t1d, geo, eta, newton, pressure, &ue, &mut re, &mut rp)
                 },
                 #[cfg(not(target_arch = "x86_64"))]
                 // PANIC-OK: `detected_simd_path` never yields Avx2Fma off
@@ -312,26 +427,61 @@ impl BatchedViscousOp {
                         scatter.add(b + 2, re[2][i].0[l]);
                     }
                 }
+                if let Some(yp) = &yp {
+                    for m in 0..NP1 {
+                        // SAFETY: every element owns its four pressure dofs
+                        // and sits in exactly one lane slot.
+                        unsafe { yp.add(NP1 * ln.elems[l] as usize + m, -rp[m].0[l]) };
+                    }
+                }
             }
         });
     }
 }
 
+/// Pressure input of the fused Stokes pass for one lane: the corner values
+/// of `ψ₁..ψ₃` and the four P1disc coefficients of each element.
+#[derive(Clone, Copy)]
+struct LanePressure<'a> {
+    psi: &'a [[F64x4; NQ1]; 3],
+    pe: &'a [F64x4; NP1],
+}
+
 /// Portable lane kernel: forward contractions → quadrature stress loop →
 /// adjoint contractions, all on [`F64x4`] lanes with `mul_add` fusion.
+/// With `pressure` the quadrature loop also subtracts `p·w|J|` from the
+/// stress diagonal (`Bᵀ x_p`) and keeps `w|J|·div u`, which tested against
+/// `ψ_m` gives `rp` (`−B x_u`; the caller negates). The pressure is a
+/// trilinear field on the element, so both directions go through its 8
+/// corner values by Q1 sum factorization instead of 27 stored `ψ` per point.
+#[allow(clippy::too_many_arguments)]
 fn lane_kernel_portable(
     t1d: &Tensor1d,
     geo: &[QpGeoLane],
     eta: &[F64x4],
     newton: Option<(&[F64x4], &[[F64x4; 6]])>,
+    pressure: Option<LanePressure>,
     ue: &[[F64x4; 27]; 3],
     re: &mut [[F64x4; 27]; 3],
+    rp: &mut [F64x4; NP1],
 ) {
     let mut ederiv = [[[F64x4::ZERO; 27]; 3]; 3];
     for d in 0..3 {
         for c in 0..3 {
             ref_derivative_b(t1d, d, &ue[c], &mut ederiv[d][c]);
         }
+    }
+    let mut pq = [F64x4::ZERO; 27];
+    let mut dw = [F64x4::ZERO; 27];
+    if let Some(LanePressure { psi, pe }) = pressure {
+        let mut pc = [F64x4::ZERO; NQ1];
+        for c in 0..NQ1 {
+            pc[c] = psi[0][c].mul_add(
+                pe[1],
+                psi[1][c].mul_add(pe[2], psi[2][c].mul_add(pe[3], pe[0])),
+            );
+        }
+        q1_to_qp_b(t1d, &pc, &mut pq);
     }
     let mut what = [[[F64x4::ZERO; 27]; 3]; 3];
     for q in 0..NQP {
@@ -346,7 +496,14 @@ fn lane_kernel_portable(
             }
         }
         let nd = newton.map(|(ep, d0)| (ep[q], &d0[q]));
-        let sigma = weighted_stress_b(&gradu, eta[q], nd, g.wdet);
+        let mut sigma = weighted_stress_b(&gradu, eta[q], nd, g.wdet);
+        if pressure.is_some() {
+            let pw = pq[q] * g.wdet;
+            for c in 0..3 {
+                sigma[c][c] = sigma[c][c] - pw;
+            }
+            dw[q] = ((gradu[0][0] + gradu[1][1]) + gradu[2][2]) * g.wdet;
+        }
         for d in 0..3 {
             for c in 0..3 {
                 what[d][c][q] = sigma[c][0].mul_add(
@@ -359,6 +516,16 @@ fn lane_kernel_portable(
     for d in 0..3 {
         for c in 0..3 {
             ref_derivative_adjoint_add_b(t1d, d, &what[d][c], &mut re[c]);
+        }
+    }
+    if let Some(LanePressure { psi, .. }) = pressure {
+        let mut dc = [F64x4::ZERO; NQ1];
+        qp_to_q1_b(t1d, &dw, &mut dc);
+        for c in 0..NQ1 {
+            rp[0] = rp[0] + dc[c];
+            for m in 0..3 {
+                rp[m + 1] = psi[m][c].mul_add(dc[c], rp[m + 1]);
+            }
         }
     }
 }
@@ -421,7 +588,7 @@ mod avx {
     //! `vfmadd*pd`). All helpers carry the same `target_feature` set so
     //! they inline into one AVX-compiled kernel.
 
-    use super::{F64x4, QpGeoLane, NQP};
+    use super::{F64x4, LanePressure, QpGeoLane, NP1, NQ1, NQP};
     use crate::tensor::Tensor1d;
     use core::arch::x86_64::*;
 
@@ -456,6 +623,85 @@ mod avx {
                 _mm256_mul_pd(i2, _mm256_set1_pd(m[2])),
             ),
         )
+    }
+
+    // SAFETY: callable only with AVX2+FMA enabled; pure register math.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dot2(m: &[f64; 2], i0: __m256d, i1: __m256d) -> __m256d {
+        _mm256_fmadd_pd(
+            i0,
+            _mm256_set1_pd(m[0]),
+            _mm256_mul_pd(i1, _mm256_set1_pd(m[1])),
+        )
+    }
+
+    // SAFETY: callable only with AVX2+FMA enabled; all indexing is over
+    // the static 8/12/18/27-entry stage arrays.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn q1_to_qp(t: &Tensor1d, input: &[F64x4; NQ1], out: &mut [F64x4; 27]) {
+        // SAFETY: same preconditions as this fn (AVX2+FMA verified).
+        unsafe {
+            let mut t0 = [F64x4::ZERO; 12];
+            let mut t1 = [F64x4::ZERO; 18];
+            for bc in 0..4 {
+                let (i0, i1) = (ld(&input[2 * bc]), ld(&input[2 * bc + 1]));
+                for q in 0..3 {
+                    st(&mut t0[3 * bc + q], dot2(&t.n[q], i0, i1));
+                }
+            }
+            for c in 0..2 {
+                for i in 0..3 {
+                    let (i0, i1) = (ld(&t0[i + 6 * c]), ld(&t0[i + 3 + 6 * c]));
+                    for q in 0..3 {
+                        st(&mut t1[i + 3 * q + 9 * c], dot2(&t.n[q], i0, i1));
+                    }
+                }
+            }
+            for ij in 0..9 {
+                let (i0, i1) = (ld(&t1[ij]), ld(&t1[ij + 9]));
+                for q in 0..3 {
+                    st(&mut out[ij + 9 * q], dot2(&t.n[q], i0, i1));
+                }
+            }
+        }
+    }
+
+    // SAFETY: callable only with AVX2+FMA enabled; all indexing is over
+    // the static 8/12/18/27-entry stage arrays.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn qp_to_q1(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; NQ1]) {
+        // SAFETY: same preconditions as this fn (AVX2+FMA verified).
+        unsafe {
+            let mut s1 = [F64x4::ZERO; 18];
+            let mut s0 = [F64x4::ZERO; 12];
+            for ij in 0..9 {
+                let (i0, i1, i2) = (ld(&input[ij]), ld(&input[ij + 9]), ld(&input[ij + 18]));
+                for c in 0..2 {
+                    st(&mut s1[ij + 9 * c], dot3(&t.nt[c], i0, i1, i2));
+                }
+            }
+            for c in 0..2 {
+                for i in 0..3 {
+                    let (i0, i1, i2) = (
+                        ld(&s1[i + 9 * c]),
+                        ld(&s1[i + 3 + 9 * c]),
+                        ld(&s1[i + 6 + 9 * c]),
+                    );
+                    for b in 0..2 {
+                        st(&mut s0[i + 3 * b + 6 * c], dot3(&t.nt[b], i0, i1, i2));
+                    }
+                }
+            }
+            for bc in 0..4 {
+                let (i0, i1, i2) = (ld(&s0[3 * bc]), ld(&s0[3 * bc + 1]), ld(&s0[3 * bc + 2]));
+                for a in 0..2 {
+                    st(&mut out[a + 2 * bc], dot3(&t.nt[a], i0, i1, i2));
+                }
+            }
+        }
     }
 
     // SAFETY: callable only with AVX2+FMA enabled; all indexing is over
@@ -567,13 +813,16 @@ mod avx {
     // SAFETY: caller verified AVX2+FMA at runtime (see `SimdPath` and the
     // doc contract above); every helper shares the same feature set.
     #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn lane_kernel(
         t1d: &Tensor1d,
         geo: &[QpGeoLane],
         eta: &[F64x4],
         newton: Option<(&[F64x4], &[[F64x4; 6]])>,
+        pressure: Option<LanePressure>,
         ue: &[[F64x4; 27]; 3],
         re: &mut [[F64x4; 27]; 3],
+        rp: &mut [F64x4; NP1],
     ) {
         // SAFETY: same preconditions as this fn (AVX2+FMA verified).
         unsafe {
@@ -585,6 +834,26 @@ mod avx {
             }
             let half = _mm256_set1_pd(0.5);
             let two = _mm256_set1_pd(2.0);
+            let mut pq = [F64x4::ZERO; 27];
+            let mut dw = [F64x4::ZERO; 27];
+            if let Some(LanePressure { psi, pe }) = pressure {
+                let mut pc = [F64x4::ZERO; NQ1];
+                for c in 0..NQ1 {
+                    st(
+                        &mut pc[c],
+                        _mm256_fmadd_pd(
+                            ld(&psi[0][c]),
+                            ld(&pe[1]),
+                            _mm256_fmadd_pd(
+                                ld(&psi[1][c]),
+                                ld(&pe[2]),
+                                _mm256_fmadd_pd(ld(&psi[2][c]), ld(&pe[3]), ld(&pe[0])),
+                            ),
+                        ),
+                    );
+                }
+                q1_to_qp(t1d, &pc, &mut pq);
+            }
             let mut what = [[[F64x4::ZERO; 27]; 3]; 3];
             for q in 0..NQP {
                 let gq = &geo[q];
@@ -662,6 +931,19 @@ mod avx {
                     sigma[0][1] = _mm256_fmadd_pd(f, s[5], sigma[0][1]);
                     sigma[1][0] = _mm256_fmadd_pd(f, s[5], sigma[1][0]);
                 }
+                if pressure.is_some() {
+                    let pw = _mm256_mul_pd(ld(&pq[q]), wdet);
+                    for cc in 0..3 {
+                        sigma[cc][cc] = _mm256_sub_pd(sigma[cc][cc], pw);
+                    }
+                    st(
+                        &mut dw[q],
+                        _mm256_mul_pd(
+                            _mm256_add_pd(_mm256_add_pd(gradu[0][0], gradu[1][1]), gradu[2][2]),
+                            wdet,
+                        ),
+                    );
+                }
                 for dd in 0..3 {
                     for cc in 0..3 {
                         st(
@@ -684,6 +966,21 @@ mod avx {
                     ref_derivative_adjoint_add(t1d, d, &what[d][c], &mut re[c]);
                 }
             }
+            if let Some(LanePressure { psi, .. }) = pressure {
+                let mut dc = [F64x4::ZERO; NQ1];
+                qp_to_q1(t1d, &dw, &mut dc);
+                let mut racc = [_mm256_setzero_pd(); NP1];
+                for c in 0..NQ1 {
+                    let d = ld(&dc[c]);
+                    racc[0] = _mm256_add_pd(racc[0], d);
+                    for m in 0..3 {
+                        racc[m + 1] = _mm256_fmadd_pd(ld(&psi[m][c]), d, racc[m + 1]);
+                    }
+                }
+                for m in 0..NP1 {
+                    st(&mut rp[m], racc[m]);
+                }
+            }
         }
     }
 }
@@ -702,15 +999,37 @@ impl LinearOperator for BatchedViscousOp {
         prof::log_bytes(model.bytes_perfect * self.data.nel as u64);
         y.fill(0.0);
         if self.data.mask.is_empty() {
-            self.apply_add(x, y);
+            self.apply_add(x, y, None);
         } else {
             self.scratch
-                .with_masked(&self.data, x, |xm| self.apply_add(xm, y));
+                .with_masked(&self.data, x, |xm| self.apply_add(xm, y, None));
             self.data.finish_masked(x, y);
         }
     }
     fn diagonal(&self) -> Option<Vec<f64>> {
         Some(crate::diag::viscous_diagonal(&self.data))
+    }
+    /// One pass over the elements instead of the kernel plus two sweeps
+    /// over `b`: the masked input makes the divergence `b`'s (Dirichlet
+    /// columns zeroed) and `finish_masked` overwrites the constrained rows
+    /// of the gradient, so the result is the block composition's.
+    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+        debug_assert_eq!(
+            (b.nrows(), b.ncols()),
+            (NP1 * self.data.nel, self.data.ndof)
+        );
+        let _ev = prof::scope("MatMult_StokesBatched");
+        let model = crate::counts::stokes_batched_model();
+        prof::log_flops(model.flops * self.data.nel as u64);
+        prof::log_bytes(model.bytes_perfect * self.data.nel as u64);
+        yu.fill(0.0);
+        if self.data.mask.is_empty() {
+            self.apply_add(xu, yu, Some((xp, yp)));
+        } else {
+            self.scratch
+                .with_masked(&self.data, xu, |xm| self.apply_add(xm, yu, Some((xp, yp))));
+            self.data.finish_masked(xu, yu);
+        }
     }
 }
 
@@ -763,6 +1082,46 @@ mod tests {
     }
 
     #[test]
+    fn q1_contractions_interpolate_and_are_adjoint() {
+        let t = Tensor1d::gauss3();
+        let quad = crate::data::standard_tables().quad;
+        // Corner values of one trilinear function per lane.
+        let f = |l: usize, xi: [f64; 3]| {
+            let k = l as f64 + 1.0;
+            0.3 * k - 0.7 * xi[0] + k * xi[1] * xi[2] + 0.2 * xi[0] * xi[1] * xi[2] - xi[2]
+        };
+        let mut corners = [F64x4::ZERO; NQ1];
+        for c in 0..NQ1 {
+            let xi = [0, 1, 2].map(|d| if (c >> d) & 1 == 1 { 1.0 } else { -1.0 });
+            for l in 0..LANES {
+                corners[c].0[l] = f(l, xi);
+            }
+        }
+        let mut at_qp = [F64x4::ZERO; 27];
+        q1_to_qp_b(&t, &corners, &mut at_qp);
+        for q in 0..NQP {
+            for l in 0..LANES {
+                assert!(
+                    (at_qp[q].0[l] - f(l, quad.points[q])).abs() < 1e-14,
+                    "qp {q}"
+                );
+            }
+        }
+        // <I a, b> = <a, Iᵀ b>.
+        let (b, _) = lane_input();
+        let mut back = [F64x4::ZERO; NQ1];
+        qp_to_q1_b(&t, &b, &mut back);
+        for l in 0..LANES {
+            let lhs: f64 = (0..NQP).map(|q| at_qp[q].0[l] * b[q].0[l]).sum();
+            let rhs: f64 = (0..NQ1).map(|c| corners[c].0[l] * back[c].0[l]).sum();
+            assert!(
+                (lhs - rhs).abs() < 1e-12 * (1.0 + lhs.abs()),
+                "{lhs} vs {rhs}"
+            );
+        }
+    }
+
+    #[test]
     fn lane_padding_has_zero_metrics() {
         // 5 elements: colour 0 holds a single element on a 2×2×2-ish mesh?
         // Use a 5×1×1 mesh: colours 0 and 1 hold 3 and 2 elements → both
@@ -774,6 +1133,12 @@ mod tests {
         assert_eq!(op.num_lanes(), 2);
         for (li, ln) in op.lanes.iter().enumerate() {
             for l in ln.nreal as usize..LANES {
+                for corner_psi in &op.psi[li] {
+                    assert!(
+                        corner_psi.iter().all(|v| v.0[l] == 0.0),
+                        "ghost ψ must be zero"
+                    );
+                }
                 for q in 0..NQP {
                     let g = &op.geo[li * NQP + q];
                     assert_eq!(g.wdet.0[l], 0.0, "ghost wdet must be zero");

@@ -141,6 +141,27 @@ pub fn tensor_batched_model() -> OperatorModel {
     }
 }
 
+/// Cost model of the fused saddle-point pass of the batched kernel
+/// (`y_u = J_uu x_u + Bᵀ x_p`, `y_p = B x_u`): the viscous pass plus the
+/// P1disc pressure handled as a trilinear field through its 8 corner
+/// values — corner pressures (8 × 3 multiply-adds), Q1 interpolation to the
+/// quadrature points (57 two-term dots), per point the weighted pressure
+/// off the stress diagonal and the weighted divergence (7 flops), the
+/// adjoint interpolation (38 three-term dots) and the four `ψ_m` tests at
+/// the corners — streaming 24 stored corner `ψ` scalars per element and its
+/// four pressure dofs in and out.
+pub fn stokes_batched_model() -> OperatorModel {
+    let base = tensor_batched_model();
+    let extra_bytes = 8 * 3 * 8 + 2 * 4 * 8u64;
+    let extra_flops = 8 * 6 + 57 * 3 + 27 * 7 + 38 * 5 + 8 * 7u64;
+    OperatorModel {
+        name: "Stokes batched (this impl)",
+        flops: base.flops + extra_flops,
+        bytes_pessimal: base.bytes_pessimal + extra_bytes,
+        bytes_perfect: base.bytes_perfect + extra_bytes,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,5 +215,22 @@ mod tests {
             tb.bytes_perfect > t.bytes_perfect && tb.bytes_perfect < tc.bytes_perfect,
             "stored metrics (10/qp) sit between Tensor (0) and TensorC (16)"
         );
+    }
+
+    #[test]
+    fn fused_stokes_model_adds_the_coupling_terms() {
+        let tb = tensor_batched_model();
+        let st = stokes_batched_model();
+        // ≈ +5 % flops for the pressure/divergence terms.
+        assert_eq!(st.flops - tb.flops, 654);
+        let rel = (st.flops - tb.flops) as f64 / tb.flops as f64;
+        assert!(rel > 0.04 && rel < 0.06, "{rel}");
+        // 24 corner ψ scalars and the pressure dofs in and out: less than 3
+        // stored ψ per quadrature point, and far less than the two sweeps
+        // over `b` it replaces (2 × 324 nonzeros × 12 bytes per element).
+        let extra = st.bytes_perfect - tb.bytes_perfect;
+        assert_eq!(extra, 24 * 8 + 64);
+        assert_eq!(st.bytes_pessimal - tb.bytes_pessimal, extra);
+        assert!(extra < 27 * 3 * 8);
     }
 }

@@ -26,6 +26,11 @@ pub struct Tensor1d {
     /// Transposes (for the adjoint contraction back to nodes).
     pub bt: [[f64; 3]; 3],
     pub dt: [[f64; 3]; 3],
+    /// 1-D *linear* basis at the same points, `n[q][a]`, and its transpose:
+    /// the sum-factorization tables of a trilinear (Q1) field such as the
+    /// P1disc pressure on a trilinear element.
+    pub n: [[f64; 2]; 3],
+    pub nt: [[f64; 3]; 2],
 }
 
 impl Tensor1d {
@@ -34,9 +39,11 @@ impl Tensor1d {
         let pts = [-s, 0.0, s];
         let mut b = [[0.0; 3]; 3];
         let mut d = [[0.0; 3]; 3];
+        let mut n = [[0.0; 2]; 3];
         for (q, &p) in pts.iter().enumerate() {
             b[q] = q2_basis_1d(p);
             d[q] = q2_deriv_1d(p);
+            n[q] = [0.5 * (1.0 - p), 0.5 * (1.0 + p)];
         }
         let mut bt = [[0.0; 3]; 3];
         let mut dt = [[0.0; 3]; 3];
@@ -46,7 +53,20 @@ impl Tensor1d {
                 dt[a][q] = d[q][a];
             }
         }
-        Self { b, d, bt, dt }
+        let mut nt = [[0.0; 3]; 2];
+        for q in 0..3 {
+            for a in 0..2 {
+                nt[a][q] = n[q][a];
+            }
+        }
+        Self {
+            b,
+            d,
+            bt,
+            dt,
+            n,
+            nt,
+        }
     }
 }
 

@@ -13,6 +13,11 @@
 //! ptatin verify   [mode=full|smoke] [fine_kind=KIND]
 //! ```
 //!
+//! Every subcommand takes `threads=N` (worker threads; default
+//! `PTATIN_TEST_THREADS`, else all cores). An argument the subcommand does
+//! not know, or a value that does not parse, prints the usage text and
+//! exits with status 2 — nothing falls back to a default silently.
+//!
 //! Both subcommands solve the model and write ParaView-ready legacy VTK
 //! files (mesh fields + material-point cloud) into `out/`.
 //!
@@ -80,15 +85,102 @@ use ptatin_la::krylov::KrylovConfig;
 use ptatin_la::par;
 use std::path::{Path, PathBuf};
 
+/// Keys (`key=value`) and bare flags every subcommand accepts.
+const GLOBAL_KEYS: &[&str] = &["threads", "--log-json"];
+const GLOBAL_FLAGS: &[&str] = &["--log-view"];
+
+/// The `key=value` keys and bare flags of a subcommand beyond the global
+/// ones, `None` for an unknown subcommand.
+fn accepted(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "sinker" => (&["m", "levels", "delta_eta", "out"], &[]),
+        "rift" => (
+            &[
+                "mx",
+                "my",
+                "mz",
+                "steps",
+                "shortening",
+                "out",
+                "--checkpoint-every",
+                "--checkpoint-dir",
+                "--restart-from",
+                "--fault",
+            ],
+            &["strong-crust"],
+        ),
+        "ensemble" => (
+            &[
+                "sweep",
+                "slice",
+                "slice-wall",
+                "retries",
+                "flop-budget",
+                "events",
+                "ckpt-dir",
+                "bench",
+                "--fault",
+            ],
+            &["keep-ckpt", "no-preempt"],
+        ),
+        "scenario" => (&["file", "steps"], &[]),
+        "verify" => (&["mode", "fine_kind"], &[]),
+        _ => return None,
+    })
+}
+
+fn usage() {
+    eprintln!("usage: ptatin <sinker|rift|ensemble|scenario|verify> [key=value ...] [threads=N] [--log-view] [--log-json=FILE]");
+    eprintln!("  sinker:   m=8 levels=3 delta_eta=1e4 out=vtk_out");
+    eprintln!("  rift:     mx=12 my=4 mz=8 steps=10 shortening=0 [strong-crust] out=vtk_out");
+    eprintln!("            --checkpoint-every=N --checkpoint-dir=DIR");
+    eprintln!("            --restart-from=FILE --fault=<breakdown|stall|crash>@STEP[:job=N]");
+    eprintln!("  ensemble: sweep=FILE slice=2 retries=2 flop-budget=N events=FILE|-");
+    eprintln!("            ckpt-dir=DIR bench=FILE [keep-ckpt] [no-preempt] --fault=LIST");
+    eprintln!("  scenario: file=SPEC steps=N");
+    eprintln!(
+        "  verify:   mode=full|smoke fine_kind={}",
+        scenarios::operator_kind_name(GmgConfig::default().fine_kind)
+    );
+}
+
+/// Report a command-line error with the usage text and exit 2.
+fn bad_usage(msg: &str) -> ! {
+    eprintln!("ptatin: {msg}");
+    usage();
+    std::process::exit(2);
+}
+
 struct Args(Vec<String>);
 
 impl Args {
+    /// Accept `argv` for `cmd` only if every argument is a key or flag the
+    /// subcommand knows; anything else would silently run the defaults.
+    fn parse(cmd: &str, argv: Vec<String>) -> Self {
+        let Some((keys, flags)) = accepted(cmd) else {
+            bad_usage(&format!("unknown subcommand `{cmd}`"));
+        };
+        for a in &argv {
+            let known = match a.split_once('=') {
+                Some((key, _)) => keys.contains(&key) || GLOBAL_KEYS.contains(&key),
+                None => flags.contains(&a.as_str()) || GLOBAL_FLAGS.contains(&a.as_str()),
+            };
+            if !known {
+                bad_usage(&format!("unknown argument `{a}` for `{cmd}`"));
+            }
+        }
+        Self(argv)
+    }
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.0
+        let Some(v) = self
+            .0
             .iter()
-            .find_map(|a| a.strip_prefix(&format!("{key}=")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .find_map(|a| a.strip_prefix(key)?.strip_prefix('='))
+        else {
+            return default;
+        };
+        v.parse()
+            .unwrap_or_else(|_| bad_usage(&format!("cannot parse `{v}` for `{key}`")))
     }
     fn flag(&self, name: &str) -> bool {
         self.0.iter().any(|a| a == name)
@@ -98,14 +190,19 @@ impl Args {
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     // `ptatin --log-view` (flags only) implies the default subcommand.
-    let cmd = if argv.is_empty() {
-        String::from("help")
+    let cmd = if argv.is_empty() || argv[0] == "help" {
+        usage();
+        return;
     } else if argv[0].starts_with("--") {
         String::from("sinker")
     } else {
         argv.remove(0)
     };
-    let args = Args(argv);
+    let args = Args::parse(&cmd, argv);
+    let threads = args.get("threads", 0usize);
+    if threads > 0 {
+        par::set_num_threads(threads);
+    }
     let log_view = args.flag("--log-view");
     let log_json = {
         let p = args.get("--log-json", String::new());
@@ -120,25 +217,7 @@ fn main() {
         "ensemble" => run_ensemble(&args),
         "scenario" => run_scenario_cmd(&args),
         "verify" => run_verify(&args),
-        _ => {
-            eprintln!("usage: ptatin <sinker|rift|ensemble|scenario|verify> [key=value ...] [--log-view] [--log-json=FILE]");
-            eprintln!("  sinker:   m=8 levels=3 delta_eta=1e4 out=vtk_out");
-            eprintln!(
-                "  rift:     mx=12 my=4 mz=8 steps=10 shortening=0 [strong-crust] out=vtk_out"
-            );
-            eprintln!("            --checkpoint-every=N --checkpoint-dir=DIR");
-            eprintln!(
-                "            --restart-from=FILE --fault=<breakdown|stall|crash>@STEP[:job=N]"
-            );
-            eprintln!("  ensemble: sweep=FILE slice=2 retries=2 flop-budget=N events=FILE|-");
-            eprintln!("            ckpt-dir=DIR bench=FILE [keep-ckpt] [no-preempt] --fault=LIST");
-            eprintln!("  scenario: file=SPEC steps=N");
-            eprintln!(
-                "  verify:   mode=full|smoke fine_kind={}",
-                scenarios::operator_kind_name(GmgConfig::default().fine_kind)
-            );
-            std::process::exit(if cmd == "help" { 0 } else { 2 });
-        }
+        _ => unreachable!("`Args::parse` exits on any other subcommand"),
     }
     if log_view {
         ptatin_prof::print_log_view();
@@ -344,7 +423,10 @@ fn run_sinker(args: &Args) {
         .min(3);
     let delta_eta = args.get("delta_eta", 1e4f64);
     let out: PathBuf = PathBuf::from(args.get("out", String::from("vtk_out")));
-    println!("sinker: {m}^3 elements, {levels} levels, Δη = {delta_eta:.0e}");
+    println!(
+        "sinker: {m}^3 elements, {levels} levels, Δη = {delta_eta:.0e}, {} threads",
+        par::num_threads()
+    );
     let model = SinkerModel::new(SinkerConfig {
         m,
         levels,
