@@ -208,8 +208,9 @@ pub fn scan_workspace(root: &Path) -> Result<Report, Error> {
 
 /// Workspace-internal dependencies of one crate manifest: every
 /// `ptatin-X` key under `[dependencies]`/`[dev-dependencies]`, by short
-/// name. A line scan, not a TOML parser — the workspace manifests are
-/// uniform `ptatin-x = { path = "../x" }` entries.
+/// name (the key up to its first `=` or `.`). A line scan, not a TOML
+/// parser — the workspace manifests are uniform `ptatin-x.workspace =
+/// true` or `ptatin-x = { path = "../x" }` entries.
 fn manifest_deps(manifest: &str) -> std::collections::BTreeSet<String> {
     let mut out = std::collections::BTreeSet::new();
     let mut in_deps = false;
@@ -222,7 +223,7 @@ fn manifest_deps(manifest: &str) -> std::collections::BTreeSet<String> {
         if !in_deps {
             continue;
         }
-        if let Some(key) = line.split('=').next() {
+        if let Some(key) = line.split(['=', '.']).next() {
             let key = key.trim();
             if let Some(short) = key.strip_prefix("ptatin-") {
                 out.insert(short.to_string());

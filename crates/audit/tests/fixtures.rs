@@ -242,6 +242,31 @@ fn hot_path_fixture_flags_transitive_helper() {
     );
 }
 
+/// Dotted manifest keys: `ptatin-la.workspace = true` declares the `la`
+/// dependency, so `ops`'s call reaches `la`'s allocating helper (one
+/// edge, one finding) and never the same-named helper of `mesh`, which
+/// `ops` does not depend on.
+#[test]
+fn dotted_dependency_keys_keep_cross_crate_edges() {
+    let rep = scan("dotted-deps");
+    assert_eq!(rep.callgraph.edges, 1);
+    assert_eq!(
+        anchors(&rep),
+        vec![(
+            "hot-path-alloc".to_string(),
+            "crates/la/src/lib.rs".to_string(),
+            5
+        )]
+    );
+    assert!(rep.findings[0].msg.contains("`apply -> helper`"));
+    assert_eq!(
+        audit_bin(&fixture("dotted-deps"), &["--quiet"])
+            .status
+            .code(),
+        Some(1)
+    );
+}
+
 /// Nested dispatch: one closure dispatches directly, one reaches a
 /// dispatch only through an intermediate function (two hops); the clean
 /// dispatch over `leaf` stays silent.

@@ -49,7 +49,8 @@ pub enum CoarseKind {
     /// The choice while the coarse grid is a few thousand unknowns — factor
     /// work grows as n·bw², DESIGN.md §1 has the crossover.
     Direct,
-    /// One application of block-Jacobi with exact LU per subdomain.
+    /// One application of block-Jacobi with an exact solve per subdomain
+    /// (`SubdomainSolve::Lu`: a sparse Cholesky factor per block).
     BlockJacobiLu { subdomains: usize },
     /// Inexact CG + ASM(ILU(0), overlap) — the rifting coarse solver of
     /// §V, for coarse grids too large to factor.
@@ -475,7 +476,7 @@ impl SetupCache {
             &bcs[top],
             None,
         );
-        data.mask = Vec::new();
+        data.constrained = Vec::new();
         Arc::new(BatchedViscousOp::new(Arc::new(data)))
     }
 }

@@ -528,6 +528,8 @@ impl Csr {
     /// constrained dofs, setting the diagonal to 1. Off-diagonal column
     /// contributions should already have been moved to the RHS by the caller.
     pub fn zero_rows_cols_set_identity(&mut self, rows: &[usize]) {
+        // ALLOC-OK: one flag per dof, once per elimination of an assembled
+        // matrix (assembly time, beside an O(nnz) sweep), never per apply.
         let mut is_bc = vec![false; self.nrows.max(self.ncols)];
         for &r in rows {
             is_bc[r] = true;
@@ -665,6 +667,8 @@ impl CsrBuilder {
         Self {
             nrows,
             ncols,
+            // ALLOC-OK: the row buffers are what the builder builds; one
+            // builder per assembled system, never per operator apply.
             rows: vec![Vec::new(); nrows],
         }
     }

@@ -355,6 +355,9 @@ fn gmres_impl(
 ) -> SolveStats {
     let n = b.len();
     let m = cfg.restart.max(1);
+    // ALLOC-OK: GMRES workspace (r, the Givens rotations, g, w, zj and the
+    // Krylov bases), once per solve and amortized over `max_it`
+    // operator/preconditioner applications, as in `cg_impl`.
     let mut r = vec![0.0; n];
     residual(a, b, x, &mut r);
     let r0 = v::norm2(&r);
@@ -370,13 +373,14 @@ fn gmres_impl(
     let mut total_it = 0usize;
 
     let mut vbasis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-    let mut zbasis: Vec<Vec<f64>> = Vec::with_capacity(m); // FGMRES only
-                                                           // Hessenberg (column-major: h[j] has j+2 entries), Givens rotations.
+    // FGMRES only.
+    let mut zbasis: Vec<Vec<f64>> = Vec::with_capacity(m);
+    // Hessenberg (column-major: h[j] has j+2 entries), Givens rotations.
     let mut h: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let (mut cs, mut sn) = (vec![0.0; m], vec![0.0; m]);
-    let mut g = vec![0.0; m + 1];
-    let mut w = vec![0.0; n];
-    let mut zj = vec![0.0; n];
+    let (mut cs, mut sn) = (vec![0.0; m], vec![0.0; m]); // ALLOC-OK: see `r` above.
+    let mut g = vec![0.0; m + 1]; // ALLOC-OK: see `r` above.
+    let mut w = vec![0.0; n]; // ALLOC-OK: see `r` above.
+    let mut zj = vec![0.0; n]; // ALLOC-OK: see `r` above.
 
     'outer: loop {
         residual(a, b, x, &mut r);
@@ -390,7 +394,7 @@ fn gmres_impl(
         h.clear();
         g.fill(0.0);
         g[0] = beta;
-        let mut v0 = r.clone();
+        let mut v0 = r.clone(); // ALLOC-OK: basis vector, see `r` above.
         v::scale(1.0 / beta, &mut v0);
         vbasis.push(v0);
 
@@ -398,11 +402,11 @@ fn gmres_impl(
             // w = A M⁻¹ v_j
             pc_apply(pc, &vbasis[j], &mut zj);
             if flexible {
-                zbasis.push(zj.clone());
+                zbasis.push(zj.clone()); // ALLOC-OK: basis vector, see `r` above.
             }
             a.apply(&zj, &mut w);
             // Modified Gram-Schmidt.
-            let mut hj = vec![0.0; j + 2];
+            let mut hj = vec![0.0; j + 2]; // ALLOC-OK: Hessenberg column, see `r` above.
             for (i, vi) in vbasis.iter().enumerate() {
                 let hij = v::dot(&w, vi);
                 hj[i] = hij;
@@ -411,7 +415,7 @@ fn gmres_impl(
             let hlast = v::norm2(&w);
             hj[j + 1] = hlast;
             if hlast > 1e-300 {
-                let mut vnext = w.clone();
+                let mut vnext = w.clone(); // ALLOC-OK: basis vector, see `r` above.
                 v::scale(1.0 / hlast, &mut vnext);
                 vbasis.push(vnext);
             }
@@ -449,7 +453,7 @@ fn gmres_impl(
             if inner_done || j + 1 == m || total_it >= cfg.max_it {
                 // Solve the small triangular system for y.
                 let k = j + 1;
-                let mut y = vec![0.0; k];
+                let mut y = vec![0.0; k]; // ALLOC-OK: once per restart cycle.
                 for i in (0..k).rev() {
                     let mut s = g[i];
                     for l in i + 1..k {
@@ -463,7 +467,7 @@ fn gmres_impl(
                         v::axpy(*yl, &zbasis[l], x);
                     }
                 } else {
-                    let mut u = vec![0.0; n];
+                    let mut u = vec![0.0; n]; // ALLOC-OK: once per restart cycle.
                     for (l, yl) in y.iter().enumerate() {
                         v::axpy(*yl, &vbasis[l], &mut u);
                     }

@@ -5,11 +5,13 @@
 //! These provide the coarse-grid solvers of the paper: "the coarse level
 //! solver was defined via a block Jacobi preconditioner, with an exact LU
 //! factorization applied on each of the subdomains" (§IV-A) and the
-//! ASM(overlap=4)+ILU(0) coarse solver of the rifting runs (§V).
+//! ASM(overlap=4)+ILU(0) coarse solver of the rifting runs (§V). Every
+//! exact solve — the whole matrix or one subdomain block — is a
+//! [`DirectSolver`].
 
 use crate::cholesky::{CholeskySymbolic, FactorError, SparseCholesky};
 use crate::csr::Csr;
-use crate::dense::DenseLu;
+use crate::dense::{DenseLu, DenseMatrix};
 use crate::ilu::Ilu0;
 use crate::operator::Preconditioner;
 use std::sync::Arc;
@@ -17,22 +19,32 @@ use std::sync::Arc;
 /// How each subdomain block is solved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubdomainSolve {
-    /// Exact dense LU of the subdomain matrix.
+    /// Exact factorization of the subdomain matrix: a [`DirectSolver`]
+    /// whose dense-LU fallback starts from a diagonal shift of 1.
     Lu,
     /// One application of ILU(0).
     Ilu0,
 }
 
 enum BlockFactor {
-    Lu(DenseLu),
+    Exact(DirectSolver),
     Ilu(Ilu0),
 }
+
+/// First shift of the dense fallback ladder for a subdomain block: a block
+/// cut from a singular or indefinite matrix is regularized firmly, since
+/// block-Jacobi only needs a good approximate inverse.
+const BLOCK_FALLBACK_SHIFT: f64 = 1.0;
+
+/// First shift of the dense fallback ladder for the whole coarse matrix,
+/// whose solve should stay as close to exact as the matrix allows.
+const DIRECT_FALLBACK_SHIFT: f64 = 1e-12;
 
 /// Factor `d`, escalating a diagonal shift until the factorization
 /// succeeds. If the caller's `base_shift` is not enough, the last resort
 /// shifts every row to strict diagonal dominance, which guarantees a
 /// nonsingular matrix — so this function cannot fail.
-pub fn factor_regularized(mut d: crate::dense::DenseMatrix, base_shift: f64) -> DenseLu {
+pub fn factor_regularized(mut d: DenseMatrix, base_shift: f64) -> DenseLu {
     if let Some(lu) = DenseLu::factor(&d) {
         return lu;
     }
@@ -75,14 +87,16 @@ pub fn factor_regularized(mut d: crate::dense::DenseMatrix, base_shift: f64) -> 
 impl BlockFactor {
     fn build(sub: &Csr, kind: SubdomainSolve) -> Self {
         match kind {
-            SubdomainSolve::Lu => BlockFactor::Lu(factor_regularized(sub.to_dense(), 1.0)),
+            SubdomainSolve::Lu => {
+                BlockFactor::Exact(DirectSolver::build(sub, None, BLOCK_FALLBACK_SHIFT))
+            }
             SubdomainSolve::Ilu0 => BlockFactor::Ilu(Ilu0::factor(sub)),
         }
     }
 
     fn solve(&self, r: &[f64], z: &mut [f64]) {
         match self {
-            BlockFactor::Lu(lu) => lu.solve(r, z),
+            BlockFactor::Exact(direct) => direct.apply(r, z),
             BlockFactor::Ilu(ilu) => ilu.solve(r, z),
         }
     }
@@ -93,15 +107,16 @@ enum DirectFactor {
     Dense(DenseLu),
 }
 
-/// Exact solve of the full matrix: the coarsest-level solver of the
-/// geometric and algebraic hierarchies.
+/// Exact solve of a matrix: the coarsest-level solver of the geometric and
+/// algebraic hierarchies, and every block of an exact block-Jacobi.
 ///
-/// A symmetric positive definite matrix — every viscous coarse operator —
-/// gets a sparse envelope Cholesky factorization ([`crate::cholesky`]).
-/// Anything it rejects (a non-positive pivot: indefinite or singular
-/// input; an asymmetric matrix) is densified and goes down the
-/// [`factor_regularized`] ladder of pivoted LU and diagonal shifts, which
-/// cannot fail.
+/// A symmetric positive definite matrix — every viscous coarse operator
+/// and each of its principal blocks — gets a sparse envelope Cholesky
+/// factorization ([`crate::cholesky`]). Anything it rejects (a
+/// non-positive pivot: indefinite or singular input; an asymmetric matrix)
+/// is densified and goes down the [`factor_regularized`] ladder of pivoted
+/// LU and diagonal shifts, which cannot fail. The ladder's first shift is
+/// 1e-12 for a whole matrix and 1 for a subdomain block.
 pub struct DirectSolver {
     factor: DirectFactor,
 }
@@ -114,9 +129,14 @@ impl DirectSolver {
     /// [`new`](Self::new) over a symbolic phase kept from an earlier
     /// matrix; `a` is analyzed when there is none or its pattern differs.
     pub fn with_symbolic(a: &Csr, symbolic: Option<Arc<CholeskySymbolic>>) -> Self {
+        Self::build(a, symbolic, DIRECT_FALLBACK_SHIFT)
+    }
+
+    /// The sparse factor, or the dense ladder from `fallback_shift`.
+    fn build(a: &Csr, symbolic: Option<Arc<CholeskySymbolic>>, fallback_shift: f64) -> Self {
         let factor = match Self::cholesky(a, symbolic) {
             Ok(chol) => DirectFactor::Cholesky(chol),
-            Err(_) => DirectFactor::Dense(factor_regularized(a.to_dense(), 1e-12)),
+            Err(_) => DirectFactor::Dense(factor_regularized(a.to_dense(), fallback_shift)),
         };
         Self { factor }
     }

@@ -28,7 +28,8 @@ pub enum SmootherKind {
 pub enum CoarseSolverKind {
     /// Exact solve (`DirectSolver`: sparse Cholesky, dense LU fallback).
     DirectLu,
-    /// Block-Jacobi with exact LU per block (the paper's GAMG coarse solve).
+    /// Block-Jacobi with an exact solve per block (the paper's GAMG coarse
+    /// solve; `SubdomainSolve::Lu`, a sparse Cholesky factor per block).
     BlockJacobiLu { blocks: usize },
     /// Inexact FGMRES terminated at a relative tolerance (SAML-ii).
     InexactGmres {

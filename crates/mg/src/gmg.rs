@@ -57,7 +57,8 @@ pub enum GmgCoarseSolver {
     },
     /// Exact solve: sparse Cholesky, dense LU for what it rejects.
     Direct(DirectSolver),
-    /// One application of block-Jacobi with per-block LU.
+    /// One application of block-Jacobi with an exact solve per block
+    /// (`SubdomainSolve::Lu`).
     BlockJacobiLu(AdditiveSchwarz),
     /// Inexact CG preconditioned with (overlapping) additive Schwarz —
     /// the rifting configuration of §V (CG + ASM(ILU0, overlap 4), capped

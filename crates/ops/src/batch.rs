@@ -998,7 +998,7 @@ impl LinearOperator for BatchedViscousOp {
         prof::log_flops(model.flops * self.data.nel as u64);
         prof::log_bytes(model.bytes_perfect * self.data.nel as u64);
         y.fill(0.0);
-        if self.data.mask.is_empty() {
+        if self.data.constrained.is_empty() {
             self.apply_add(x, y, None);
         } else {
             self.scratch
@@ -1023,7 +1023,7 @@ impl LinearOperator for BatchedViscousOp {
         prof::log_flops(model.flops * self.data.nel as u64);
         prof::log_bytes(model.bytes_perfect * self.data.nel as u64);
         yu.fill(0.0);
-        if self.data.mask.is_empty() {
+        if self.data.constrained.is_empty() {
             self.apply_add(xu, yu, Some((xp, yp)));
         } else {
             self.scratch

@@ -4,7 +4,7 @@
 //! matrix-free, tensor-product matrix-free) act on the same inputs: the
 //! element→node map `E_e` (explicit integers, as §III-D counts), the 8
 //! corner coordinates per element (trilinear geometry), the per-quadrature-
-//! point effective viscosity, the Dirichlet mask, and — for Newton — the
+//! point effective viscosity, the Dirichlet dofs, and — for Newton — the
 //! frozen strain rate `D(u)` and viscosity derivative `η′` (§III-A).
 
 use ptatin_fem::assemble::Q2QuadTables;
@@ -41,8 +41,10 @@ pub struct ViscousOpData {
     pub corners: Vec<[[f64; 3]; 8]>,
     /// Effective viscosity per (element, qp), `nel × 27`.
     pub eta: Vec<f64>,
-    /// Dirichlet mask over velocity dofs (empty = unconstrained).
-    pub mask: Vec<bool>,
+    /// Dirichlet-constrained velocity dofs, sorted and unique (empty =
+    /// unconstrained). A list, not a per-dof mask: masking walks the few
+    /// boundary dofs instead of scanning every dof.
+    pub constrained: Vec<usize>,
     /// Optional Newton coefficient.
     pub newton: Option<NewtonData>,
     /// Element lists by parity colour (8 colours): elements of one colour
@@ -69,18 +71,13 @@ impl ViscousOpData {
             let color = (ei % 2) + 2 * (ej % 2) + 4 * (ek % 2);
             colors[color].push(e as u32);
         }
-        let mask = if bc.is_empty() {
-            Vec::new()
-        } else {
-            bc.mask(ndof)
-        };
         Self {
             nel,
             ndof,
             enodes,
             corners,
             eta,
-            mask,
+            constrained: bc.dofs.clone(),
             newton: None,
             colors,
         }
@@ -88,8 +85,8 @@ impl ViscousOpData {
 
     /// Structural reuse across linearization states: swap in a new
     /// coefficient field while copying the gathered element→node map,
-    /// corner coordinates, mask and colours (plain memcpy) instead of
-    /// re-walking the mesh. Clears any attached Newton data.
+    /// corner coordinates, constrained dofs and colours (plain memcpy)
+    /// instead of re-walking the mesh. Clears any attached Newton data.
     pub fn with_new_eta(&self, eta: Vec<f64>) -> Self {
         assert_eq!(eta.len(), self.nel * NQP, "eta must be nel × 27");
         Self {
@@ -98,7 +95,7 @@ impl ViscousOpData {
             enodes: self.enodes.clone(),
             corners: self.corners.clone(),
             eta,
-            mask: self.mask.clone(),
+            constrained: self.constrained.clone(),
             newton: None,
             colors: self.colors.clone(),
         }
@@ -126,26 +123,16 @@ impl ViscousOpData {
 
     /// Zero Dirichlet-constrained entries of a work vector.
     pub fn mask_vector(&self, x: &mut [f64]) {
-        if self.mask.is_empty() {
-            return;
-        }
-        for (xi, &m) in x.iter_mut().zip(&self.mask) {
-            if m {
-                *xi = 0.0;
-            }
+        for &d in &self.constrained {
+            x[d] = 0.0;
         }
     }
 
     /// Finish a masked operator application: `y[bc] = x[bc]` (identity on
     /// constrained dofs, matching the assembled elimination).
     pub fn finish_masked(&self, x: &[f64], y: &mut [f64]) {
-        if self.mask.is_empty() {
-            return;
-        }
-        for i in 0..y.len() {
-            if self.mask[i] {
-                y[i] = x[i];
-            }
+        for &d in &self.constrained {
+            y[d] = x[d];
         }
     }
 }

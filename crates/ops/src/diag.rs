@@ -44,12 +44,8 @@ pub fn matrix_free_diagonal(
             }
         }
     }
-    if !data.mask.is_empty() {
-        for (d, &m) in diag.iter_mut().zip(&data.mask) {
-            if m {
-                *d = 1.0;
-            }
-        }
+    for &d in &data.constrained {
+        diag[d] = 1.0;
     }
     diag
 }

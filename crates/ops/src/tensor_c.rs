@@ -173,7 +173,7 @@ impl LinearOperator for TensorCViscousOp {
         prof::log_flops(model.flops * self.data.nel as u64);
         prof::log_bytes(model.bytes_perfect * self.data.nel as u64);
         y.fill(0.0);
-        if self.data.mask.is_empty() {
+        if self.data.constrained.is_empty() {
             self.apply_add(x, y);
         } else {
             self.scratch

@@ -54,8 +54,10 @@ done
 # (DESIGN.md §4), the sparse Cholesky coarse factorization against its
 # dense-LU oracle (DESIGN.md §13), the lane-batched advection's bitwise
 # contract against the scalar loop (DESIGN.md §9), the fused saddle-point
-# pass of the Krylov operator against its block composition (DESIGN.md §4)
-# and the CLI's refusal of unknown arguments are named for the same reason.
+# pass of the Krylov operator against its block composition (DESIGN.md §4),
+# the block-Jacobi subdomain Cholesky solves against their dense-LU oracle
+# (DESIGN.md §13) and the CLI's refusal of unknown arguments are named for
+# the same reason.
 step "tests (PTATIN_TEST_THREADS=1)"
 PTATIN_TEST_THREADS=1 cargo test --workspace -q
 PTATIN_TEST_THREADS=1 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
@@ -68,6 +70,7 @@ PTATIN_TEST_THREADS=1 cargo test -q --test golden_runs
 PTATIN_TEST_THREADS=1 cargo test -q --test operator_equivalence
 PTATIN_TEST_THREADS=1 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=1 cargo test -q --test fused_stokes_operator
+PTATIN_TEST_THREADS=1 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=1 cargo test -q --test cli_arguments
 
 step "tests (PTATIN_TEST_THREADS=4)"
@@ -82,6 +85,7 @@ PTATIN_TEST_THREADS=4 cargo test -q --test golden_runs
 PTATIN_TEST_THREADS=4 cargo test -q --test operator_equivalence
 PTATIN_TEST_THREADS=4 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=4 cargo test -q --test fused_stokes_operator
+PTATIN_TEST_THREADS=4 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=4 cargo test -q --test cli_arguments
 
 # The same suite under the pool sanitizer: every split_ranges partition,
@@ -100,8 +104,8 @@ PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-la --features pool-sanitizer par::
 # force-disabled: the portable fallbacks of the batched operator (viscous
 # and fused Stokes pass), projection, transfer, fused smoother,
 # advection/location, Galerkin Q1 assembly and envelope Cholesky lane
-# kernels must satisfy the same 1e-12 / bitwise contracts as the hardware
-# path (DESIGN.md §9).
+# kernels (whole coarse matrix and block-Jacobi blocks) must satisfy the
+# same 1e-12 / bitwise contracts as the hardware path (DESIGN.md §9).
 step "equivalence + thread invariance with AVX disabled (PTATIN_NO_AVX=1)"
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test operator_equivalence
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test thread_invariance
@@ -109,6 +113,7 @@ PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test mpm_advect_equivalenc
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test galerkin_coarse_direct
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test sparse_cholesky
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test fused_stokes_operator
+PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test exact_subdomain_solves
 
 # Fault-injection matrix on the release binary: every injected failure
 # class must be recovered (exit 0) or reported cleanly (crash => 42),

@@ -242,7 +242,7 @@ fn unmasked_fused_residual_matches_the_parents_composition() {
         // The residual operator of `SetupCache::residual_operator`: the
         // batched kernel without the Dirichlet mask.
         let mut data = (*op_data(&mesh, &bc, delta_eta, false, 41)).clone();
-        data.mask = Vec::new();
+        data.constrained = Vec::new();
         let a = BatchedViscousOp::new(Arc::new(data));
         let (nu, np) = (a.nrows(), b_full.nrows());
         let (u, p, f_u) = (random_vec(nu, 1), random_vec(np, 2), random_vec(nu, 3));
