@@ -1,6 +1,5 @@
 //! One-off phase breakdown of the solver setup: fresh vs warm-cache
-//! rebuild, printed as -log_view tables. Diagnostic companion to the
-//! `setup` section of `table1_operators`.
+//! rebuild, printed as -log_view tables.
 
 use ptatin_bench::sinker_setup;
 use ptatin_core::models::sinker::sinker_bc;

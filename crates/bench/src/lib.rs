@@ -16,17 +16,20 @@
 //! | `table4_comparison` | Table IV — GMG-i/ii vs SA-i, SAML-i/ii |
 //! | `fig3_rift_snapshot` | Fig. 3 — rift lithology/strain snapshot |
 //! | `fig4_rift_iterations` | Fig. 4 — Newton/Krylov iterations per step |
+//! | `rift_crust_study` | §V — margin style vs lower-crust strength |
+//! | `ablations` | DESIGN.md trade-offs (smoothing depth, averaging, …) |
+//! | `vanka_comparison` | §I — coupled Vanka multigrid vs field split |
 //!
 //! Binaries accept a `--quick` flag shrinking problem sizes so the full
 //! suite runs in minutes on a laptop; absolute numbers are host-specific,
 //! the *shape* (who wins, by what factor, where crossovers fall) is the
-//! reproduction target.
-
-pub mod ensemble_json;
-pub mod kernels_json;
+//! reproduction target. `benches/` holds plain `fn main()` micro-benchmarks
+//! (`cargo bench -p ptatin-bench`); end-to-end timings and their
+//! regression bounds belong to the repository benchmark (`benchmark/`,
+//! `BENCHMARK.json`).
 
 use ptatin_core::models::sinker::{SinkerConfig, SinkerModel};
-use ptatin_core::{CoarseKind, CoefficientFields, GmgConfig};
+use ptatin_core::{CoefficientFields, GmgConfig};
 use ptatin_la::operator::LinearOperator;
 use ptatin_ops::OperatorKind;
 use std::time::Instant;
@@ -109,17 +112,7 @@ pub fn paper_gmg_config(levels: usize, kind: OperatorKind) -> GmgConfig {
     GmgConfig {
         levels,
         fine_kind: kind,
-        galerkin_intermediate: false,
-        galerkin_coarsest: true,
-        pre_smooth: 2,
-        post_smooth: 2,
-        cheb_est_iters: 10,
-        geometric_averaging: true,
-        cheb_targets: (0.2, 1.1),
-        coefficient_restriction: ptatin_core::CoefficientRestriction::Injection,
-        cycle: ptatin_mg::CycleType::V,
-        coarse: CoarseKind::Amg { coarse_blocks: 4 },
-        sfc_reorder: false,
+        ..GmgConfig::default()
     }
 }
 

@@ -8,7 +8,7 @@ use ptatin_fem::assemble::{
 };
 use ptatin_fem::bc::DirichletBc;
 use ptatin_fem::pattern::{GalerkinQ1Pattern, ViscousPattern};
-use ptatin_la::chebyshev::{Chebyshev, FusedPlan};
+use ptatin_la::chebyshev::Chebyshev;
 use ptatin_la::cholesky::CholeskySymbolic;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
@@ -19,7 +19,6 @@ use ptatin_la::transfer::BatchedTransfer;
 use ptatin_la::vec_ops;
 use ptatin_mesh::decomp::nodes_to_dofs;
 use ptatin_mesh::hierarchy::{expand_blocked, MeshHierarchy};
-use ptatin_mesh::sfc::{expand_permutation, morton_node_permutation};
 use ptatin_mesh::ElementPartition;
 use ptatin_mg::amg::{build_sa_amg, AmgConfig};
 use ptatin_mg::gmg::{
@@ -116,12 +115,6 @@ pub struct GmgConfig {
     /// V- or W-cycle recursion (paper: V).
     pub cycle: CycleType,
     pub coarse: CoarseKind,
-    /// Smooth assembled levels in Morton (Z-order) dof order: the matrix
-    /// is permuted once at setup and vectors round-trip through the
-    /// permuted space per smoothing call. Changes the fused smoother's
-    /// summation order, so results are not bitwise-comparable to the
-    /// natural ordering (iteration counts should be preserved).
-    pub sfc_reorder: bool,
 }
 
 impl Default for GmgConfig {
@@ -139,7 +132,6 @@ impl Default for GmgConfig {
             coefficient_restriction: CoefficientRestriction::Injection,
             cycle: CycleType::V,
             coarse: CoarseKind::Amg { coarse_blocks: 4 },
-            sfc_reorder: false,
         }
     }
 }
@@ -290,8 +282,8 @@ fn analytic_eta_qp(
 ///   direct coarse solve;
 /// * **geometry** — additionally the bits of every node coordinate: the
 ///   gradient block `J_pu` and its bc-masked twin, the gathered
-///   matrix-free element tables, and the λmax / fused-plan memos (keyed
-///   on the bits of η on top of that).
+///   matrix-free element tables, and the λmax memos (keyed on the bits
+///   of η on top of that).
 ///
 /// A changed topology key empties both tiers, a changed geometry key the
 /// geometry tier only. Everything value-dependent — numeric assembly,
@@ -350,10 +342,6 @@ struct GeometryTier {
     /// Memoized λmax estimates per smoothed level, keyed on the exact
     /// inputs that determine them (see [`LambdaMemo`]).
     lambda_memo: Vec<Option<LambdaMemo>>,
-    /// Memoized fused-plan profitability per smoothed level. The verdict
-    /// is a pure function of the sparsity pattern and smoothing depth, so
-    /// a `false` lets the next build skip the plan construction.
-    plan_memo: Vec<Option<PlanMemo>>,
 }
 
 /// A memoized λmax power-iteration result. The estimate is a deterministic
@@ -371,25 +359,6 @@ struct LambdaMemo {
     targets: (f64, f64),
     galerkin: (bool, bool),
     bounds: (f64, f64),
-}
-
-/// Memoized fused-plan state of one level at a given smoothing depth.
-/// The profitability verdict (plan present vs absent) is a pure function
-/// of the sparsity pattern and the depth, so an absent plan lets the next
-/// build skip the tile analysis outright, whatever the viscosity. The
-/// plan *objects* additionally snapshot matrix values and the gathered
-/// inverse diagonal — both pure functions of (mesh, η, bc) — so they are
-/// handed back verbatim only when the level viscosity is bit-identical
-/// (`eta_bits`), which reproduces exactly what a rebuild would construct.
-/// `reordered` is `None` until a build ran with SFC reorder on.
-struct PlanMemo {
-    depth: usize,
-    /// Whether the level matrix was a Galerkin product: at one viscosity
-    /// its pattern and values differ from the rediscretized matrix's.
-    galerkin: bool,
-    eta_bits: Vec<u64>,
-    natural: Option<Arc<FusedPlan>>,
-    reordered: Option<Option<Arc<FusedPlan>>>,
 }
 
 fn eta_bits_equal(bits: &[u64], eta: &[f64]) -> bool {
@@ -438,7 +407,6 @@ impl SetupCache {
         self.topo.transfer_t.resize_with(levels - 1, || None);
         self.geom.op_base.resize_with(levels, || None);
         self.geom.lambda_memo.resize_with(levels, || None);
-        self.geom.plan_memo.resize_with(levels, || None);
     }
 
     /// Which levels hold a Q2 viscous sparsity pattern, i.e. were
@@ -844,13 +812,10 @@ pub fn build_stokes_solver_spec_cached(
     // Smoothed levels, each backed by the operator [`level_kind`] names.
     let mut level_ops: Vec<Arc<TimedOperator<ArcOp>>> = Vec::new();
     let mut gmg_levels: Vec<GmgLevel> = Vec::new();
-    let plan_depth = cfg.pre_smooth.max(cfg.post_smooth).max(1);
-    let mut assembled_smoothed = vec![false; levels];
     for l in 1..levels {
         let kind = level_kind(cfg, l);
         // Keep the `Arc<Csr>` of assembled levels alongside the timing
-        // wrapper: the fused cache-blocked smoother needs matrix rows,
-        // which the `dyn LinearOperator` interface cannot provide.
+        // wrapper, so the level can report its matrix.
         let (op, csr): (ArcOp, Option<Arc<Csr>>) = match assembled[l].take() {
             Some(a) => {
                 let a = Arc::new(a);
@@ -917,35 +882,8 @@ pub fn build_stokes_solver_spec_cached(
         }));
         drop(_s);
         level_ops.push(timed.clone());
-        gmg_levels.push(match csr {
-            Some(a) => {
-                let memo = cache.geom.plan_memo[l]
-                    .as_ref()
-                    .filter(|p| p.depth == plan_depth && p.galerkin == cfg.galerkin_intermediate);
-                let eta_same = memo.is_some_and(|p| eta_bits_equal(&p.eta_bits, &eta_qp[l]));
-                let mut lvl = GmgLevel::with_assembled(timed as ArcOp, a, smoother)
-                    .with_fused_hints(
-                        memo.map(|p| p.natural.is_some()),
-                        memo.and_then(|p| p.reordered.as_ref().map(Option::is_some)),
-                    );
-                if cfg.sfc_reorder {
-                    let (nperm, _) = morton_node_permutation(&hier.meshes[l]);
-                    lvl = lvl.with_sfc_reorder(expand_permutation(&nperm, 3));
-                }
-                if eta_same {
-                    // PANIC-OK: eta_same implies memo.is_some().
-                    let p = memo.expect("memo present when eta matches");
-                    lvl = lvl.with_fused_plans(p.natural.clone(), p.reordered.clone().flatten());
-                }
-                assembled_smoothed[l] = true;
-                lvl
-            }
-            None => GmgLevel::new(timed as ArcOp, smoother),
-        });
+        gmg_levels.push(GmgLevel::new(timed as ArcOp, smoother, csr));
     }
-    // Fused-plan construction (tile analysis + halo gathers) happens in
-    // `GeometricMg::new`; keep it visible in the setup breakdown.
-    let _plan_scope = prof::scope("setup/plan");
     let batched_transfers = cache
         .topo
         .batched_transfers
@@ -960,22 +898,6 @@ pub fn build_stokes_solver_spec_cached(
         cfg.post_smooth,
     )
     .with_cycle(cfg.cycle);
-    // Record the plans (shared handles) and profitability verdicts so the
-    // next rebuild can either skip constructing plans that would only be
-    // thrown away or, on a bit-identical viscosity, reuse them verbatim.
-    for (i, lvl) in mg.levels.iter().enumerate() {
-        let l = i + 1;
-        if assembled_smoothed[l] {
-            cache.geom.plan_memo[l] = Some(PlanMemo {
-                depth: plan_depth,
-                galerkin: cfg.galerkin_intermediate,
-                eta_bits: eta_qp[l].iter().map(|v| v.to_bits()).collect(),
-                natural: lvl.fused_plan_arc(),
-                reordered: lvl.reorder_ref().map(|ro| ro.plan.clone()),
-            });
-        }
-    }
-    drop(_plan_scope);
     // PANIC-OK: MeshHierarchy::build asserts levels >= 2.
     let a_fine = mg.levels.last().expect("at least two levels").op.clone();
 

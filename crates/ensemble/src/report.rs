@@ -5,8 +5,8 @@
 //! submission-to-completion time) and how much of the wall clock went
 //! into the preemption machinery itself (suspend writes + restores).
 //! [`ThroughputStats`] computes those from a [`SweepSummary`];
-//! [`bench_doc`] packages one run per thread count into the JSON schema
-//! checked by `validate_bench` in CI.
+//! [`bench_doc`] packages one run per thread count into the document
+//! `ptatin ensemble bench=FILE` writes.
 
 use crate::scheduler::{JobResult, SweepSummary};
 use ptatin_prof::json::Value;

@@ -4,26 +4,11 @@
 //! λmax is an estimate of the largest eigenvalue of the Jacobi-preconditioned
 //! operator, computed by a few iterations of a Krylov method."
 //!
-//! Two application strategies share one recurrence:
-//!
-//! * [`Chebyshev::smooth`] / [`smooth_with`](Chebyshev::smooth_with) — k
-//!   full-mesh sweeps, one operator application each (works for any
-//!   [`LinearOperator`], including matrix-free ones);
-//! * [`Chebyshev::apply_fused`] — the cache-blocked variant for assembled
-//!   matrices ("3D Blocking for Matrix-free Smoothers", PAPERS.md): the
-//!   mesh is cut into contiguous row tiles, each extended by a
-//!   (k−1)-hop halo, and all k iterations run tile-local before moving
-//!   on, so each tile's matrix rows are streamed from memory once and
-//!   re-used from cache for the remaining iterations instead of being
-//!   re-streamed k times. Redundant halo computation buys independence:
-//!   tiles neither communicate nor order among themselves, which makes
-//!   the fused apply bitwise identical to `smooth_with` at every thread
-//!   count and tile size (asserted by property tests).
+//! [`Chebyshev::smooth`] / [`smooth_with`](Chebyshev::smooth_with) run k
+//! full-mesh sweeps, one operator application each, so the smoother works
+//! for any [`LinearOperator`], including the matrix-free ones.
 
-use crate::csr::Csr;
-use crate::operator::{LinearOperator, Preconditioner};
-use crate::par;
-use crate::simd::{self, SimdPath};
+use crate::operator::LinearOperator;
 use crate::vec_ops as v;
 
 /// Fraction of the estimated λmax used as the lower end of the target
@@ -136,25 +121,6 @@ impl Chebyshev {
         (self.lambda_lo, self.lambda_hi)
     }
 
-    /// The smoother transplanted to a permuted dof space
-    /// (`perm[old] = new`): the diagonal scaling is gathered to the new
-    /// order while the spectral bounds carry over unchanged — a
-    /// permutation is a similarity transform, so `P A Pᵀ` has exactly the
-    /// spectrum the bounds were estimated for.
-    pub fn permuted(&self, perm: &[u32]) -> Chebyshev {
-        assert_eq!(perm.len(), self.inv_diag.len());
-        let mut inv_diag = vec![0.0; self.inv_diag.len()];
-        for (old, &new) in perm.iter().enumerate() {
-            inv_diag[new as usize] = self.inv_diag[old];
-        }
-        Chebyshev {
-            inv_diag,
-            lambda_lo: self.lambda_lo,
-            lambda_hi: self.lambda_hi,
-            iters: self.iters,
-        }
-    }
-
     /// In-place smoothing: improve `x` for `A x = b` with `self.iters`
     /// Chebyshev iterations (one operator application each).
     pub fn smooth(&self, a: &dyn LinearOperator, b: &[f64], x: &mut [f64]) {
@@ -207,7 +173,7 @@ impl Chebyshev {
         self.sweep(a, b, x, iters, true, work);
     }
 
-    /// The recurrence behind every unfused smoothing entry point.
+    /// The recurrence behind every smoothing entry point.
     fn sweep(
         &self,
         a: &dyn LinearOperator,
@@ -245,367 +211,6 @@ impl Chebyshev {
             v::cheb_update(c1, c2, &self.inv_diag, r, d);
             rho = rho_new;
         }
-    }
-
-    /// Build the tile/halo plan that lets [`apply_fused`](Self::apply_fused)
-    /// run up to `max_iters` fused iterations on `a`. `tile_rows == 0`
-    /// picks an automatic tile size from the matrix shape (a pure function
-    /// of the matrix, never of the thread count).
-    pub fn fused_plan(&self, a: &Csr, max_iters: usize, tile_rows: usize) -> FusedPlan {
-        FusedPlan::build(a, max_iters, tile_rows, &self.inv_diag)
-    }
-
-    /// Cache-blocked smoothing: bitwise identical to
-    /// [`smooth_with`](Self::smooth_with)`(a, b, x, iters)` for any plan
-    /// built on `a` with `max_iters ≥ iters` (falls back to `smooth_with`
-    /// when the plan's halo depth is insufficient).
-    ///
-    /// Per tile, the recurrence runs on the halo closure with the operator
-    /// localized to halo columns; rows near the halo boundary compute
-    /// garbage whose validity horizon shrinks by one hop per iteration, but
-    /// only the tile-proper rows — valid through iteration `iters` by the
-    /// (iters−1)-hop halo — are ever committed to `x`. Tiles read the
-    /// inbound iterate from a snapshot and write disjoint row ranges, so
-    /// they are order-independent: parallel over tiles and bitwise
-    /// reproducible at every thread count.
-    pub fn apply_fused(&self, a: &Csr, plan: &FusedPlan, b: &[f64], x: &mut [f64], iters: usize) {
-        if iters == 0 {
-            return;
-        }
-        let n = a.nrows();
-        assert_eq!(plan.n, n, "plan built for a different matrix size");
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-        if iters > plan.max_iters {
-            self.smooth_with(a, b, x, iters);
-            return;
-        }
-        let theta = 0.5 * (self.lambda_hi + self.lambda_lo);
-        let delta = 0.5 * (self.lambda_hi - self.lambda_lo);
-        let sigma = theta / delta;
-        let rho0 = 1.0 / sigma;
-        let consts = ChebConsts {
-            theta,
-            delta,
-            sigma,
-            rho0,
-        };
-        let path = simd::runtime_simd_path();
-        // ALLOC-OK: snapshot of the inbound iterate — tiles must all read
-        // the pre-smoothing x while committing into x itself.
-        let x0 = x.to_vec();
-        let ntiles = plan.tiles.len();
-        let xp = par::SendPtr::new(x.as_mut_ptr());
-        let ranges = par::split_ranges(ntiles, par::num_threads());
-        par::run_on_pool(&ranges, |_, t0, t1| {
-            for tile in &plan.tiles[t0..t1] {
-                // SAFETY: every tile commits only its own disjoint
-                // contiguous row range `g0..g0+(c1-c0)` of `x`; reads go
-                // through the shared `x0` snapshot.
-                let xall = unsafe { std::slice::from_raw_parts_mut(xp.get(), n) };
-                fused_tile(a, tile, b, &x0, xall, iters, consts, path);
-            }
-        });
-    }
-}
-
-/// The recurrence constants of one smoothing application, computed exactly
-/// as in `smooth_with` and shared by every tile.
-#[derive(Clone, Copy)]
-struct ChebConsts {
-    theta: f64,
-    delta: f64,
-    sigma: f64,
-    rho0: f64,
-}
-
-/// Run the full `iters`-deep recurrence on one tile's halo closure and
-/// commit the tile-proper rows into `x`. Every statement mirrors
-/// `smooth_with` operation for operation (same plain mul/add/div on the
-/// same operands in the same order) — the bitwise contract.
-#[allow(clippy::too_many_arguments)]
-fn fused_tile(
-    a: &Csr,
-    tile: &FusedTile,
-    b: &[f64],
-    x0: &[f64],
-    x: &mut [f64],
-    iters: usize,
-    consts: ChebConsts,
-    path: SimdPath,
-) {
-    let ChebConsts {
-        theta,
-        delta,
-        sigma,
-        rho0,
-    } = consts;
-    let m = tile.rows.len();
-    // Per-tile scratch, O(halo) — the fused apply is called once per
-    // smoothing phase, not per row.
-    // ALLOC-OK: O(halo) per-tile scratch, once per fused smoothing
-    // phase (not per row); tiles are few and rows per tile are many.
-    let mut r = vec![0.0; m];
-    let mut d = vec![0.0; m]; // ALLOC-OK: see `r` above.
-    let mut ad = vec![0.0; m]; // ALLOC-OK: see `r` above.
-                               // Exact residual on every halo row from the global matrix and the
-                               // x snapshot: same row dot (ascending columns) + `b - s` as
-                               // `a.apply` followed by the residual flip.
-    for (li, &g) in tile.rows.iter().enumerate() {
-        let g = g as usize;
-        let mut s = 0.0;
-        for k in a.indptr[g]..a.indptr[g + 1] {
-            s += a.values[k] * x0[a.indices[k] as usize];
-        }
-        r[li] = b[g] - s;
-    }
-    simd::cheb_d_init(path, &tile.inv_diag, &r, theta, &mut d);
-    let mut rho = rho0;
-    for k in 0..iters {
-        for li in tile.c0..tile.c1 {
-            // The commit is `axpy(1.0, d, x)` restricted to the
-            // tile-proper rows (1.0·d is exact).
-            x[tile.g0 + (li - tile.c0)] += 1.0 * d[li];
-        }
-        if k + 1 == iters {
-            break;
-        }
-        // Halo-local SpMV. Columns outside the halo were dropped at
-        // plan build: rows within the shrinking validity horizon have
-        // their full stencil inside the halo (identical dot), boundary
-        // rows compute finite garbage that is never committed.
-        for li in 0..m {
-            let mut s = 0.0;
-            for kk in tile.indptr[li] as usize..tile.indptr[li + 1] as usize {
-                s += tile.values[kk] * d[tile.indices[kk] as usize];
-            }
-            ad[li] = s;
-        }
-        simd::axpy(path, -1.0, &ad, &mut r);
-        let rho_new = 1.0 / (2.0 * sigma - rho);
-        let c1 = rho_new * rho;
-        let c2 = 2.0 * rho_new / delta;
-        simd::cheb_update(path, c1, c2, &tile.inv_diag, &r, &mut d);
-        rho = rho_new;
-    }
-}
-
-/// Largest halo redundancy at which [`FusedPlan::profitable`] still
-/// recommends the fused apply. Fused work is `redundancy × nnz` per
-/// iteration (vs `nnz` unfused), so past this point the cache re-use
-/// cannot recover the extra arithmetic.
-pub const MAX_REDUNDANCY: f64 = 1.5;
-
-/// Tile/halo decomposition for [`Chebyshev::apply_fused`] (see there).
-/// A plan is tied to the matrix it was built from and supports any
-/// iteration depth up to `max_iters`.
-///
-/// Fusing is always *correct* (bitwise equal to the unfused sweeps) but
-/// not always *profitable*: on matrices whose adjacency reaches far per
-/// hop (e.g. 3D Q2 blocks, ~375 nnz/row), the (k−1)-hop halos can dwarf
-/// the tile proper and the redundant halo arithmetic loses to k plain
-/// sweeps. [`redundancy`](Self::redundancy) measures this and
-/// [`profitable`](Self::profitable) gates on it; callers should fall back
-/// to [`Chebyshev::smooth_with`] when a plan reports unprofitable.
-pub struct FusedPlan {
-    n: usize,
-    max_iters: usize,
-    base_nnz: usize,
-    tiles: Vec<FusedTile>,
-}
-
-struct FusedTile {
-    /// Sorted global row ids of the halo closure (⊇ the tile proper).
-    rows: Vec<u32>,
-    /// Local index range of the tile-proper (committed) rows.
-    c0: usize,
-    c1: usize,
-    /// Global row id of local row `c0` (the committed range is the
-    /// contiguous `g0 .. g0 + (c1 - c0)`).
-    g0: usize,
-    /// Column-localized CSR over the halo rows; columns outside the halo
-    /// are dropped (their rows are past the validity horizon anyway).
-    indptr: Vec<u32>,
-    indices: Vec<u32>,
-    values: Vec<f64>,
-    /// `Chebyshev::inv_diag` gathered to halo-local order.
-    inv_diag: Vec<f64>,
-}
-
-impl FusedPlan {
-    /// Automatic tile size: aim each tile's matrix slice at a few MB so the
-    /// fused iterations re-use it from the last-level cache. Pure function
-    /// of the matrix (rows + nnz), never of the thread count.
-    pub fn auto_tile_rows(a: &Csr) -> usize {
-        const TARGET_BYTES: usize = 4 << 20;
-        let n = a.nrows().max(1);
-        // 12 bytes per stored entry (u32 index + f64 value) + per-row cost.
-        let bytes_per_row = 12 * a.nnz() / n + 40;
-        (TARGET_BYTES / bytes_per_row.max(1)).clamp(1024.min(n), n)
-    }
-
-    /// Mean row extent (last column − first column) — a cheap bandwidth
-    /// estimate: one matrix-adjacency hop grows a contiguous row range by
-    /// about this many rows per side.
-    fn mean_row_extent(a: &Csr) -> usize {
-        let n = a.nrows();
-        let mut sum = 0usize;
-        for g in 0..n {
-            let (k0, k1) = (a.indptr[g], a.indptr[g + 1]);
-            if k1 > k0 {
-                sum += (a.indices[k1 - 1] - a.indices[k0]) as usize;
-            }
-        }
-        sum.div_ceil(n.max(1))
-    }
-
-    fn build(a: &Csr, max_iters: usize, tile_rows: usize, inv_diag: &[f64]) -> FusedPlan {
-        let n = a.nrows();
-        assert_eq!(a.ncols(), n, "fused smoothing requires a square matrix");
-        assert_eq!(inv_diag.len(), n);
-        let hops = max_iters.saturating_sub(1);
-        let tile_rows = if tile_rows == 0 {
-            // Bandwidth-aware widening of the cache-target size: a
-            // (hops)-deep halo adds about hops·extent rows per side, so a
-            // tile thinner than ~4·hops·extent is mostly halo. Widening
-            // keeps the redundancy near MAX_REDUNDANCY where the matrix
-            // allows it; `profitable()` re-checks the exact number after
-            // the BFS. Still a pure function of (matrix, max_iters).
-            let widen = 4 * hops * Self::mean_row_extent(a);
-            Self::auto_tile_rows(a).max(widen).clamp(1, n.max(1))
-        } else {
-            tile_rows
-        };
-        // Stamp + local-index scratch shared across tiles (no clearing:
-        // a fresh stamp value per tile invalidates old entries).
-        let mut stamp = vec![0u32; n];
-        let mut local = vec![0u32; n];
-        let mut tiles = Vec::new();
-        let mut g0 = 0usize;
-        let mut tile_id = 0u32;
-        while g0 < n {
-            let g1 = (g0 + tile_rows).min(n);
-            tile_id += 1;
-            // (hops)-hop BFS closure over the matrix adjacency.
-            let mut rows: Vec<u32> = (g0 as u32..g1 as u32).collect();
-            for &r0 in &rows {
-                stamp[r0 as usize] = tile_id;
-            }
-            let mut frontier: Vec<u32> = rows.clone();
-            for _ in 0..hops {
-                let mut next = Vec::new();
-                for &fr in &frontier {
-                    let fr = fr as usize;
-                    for k in a.indptr[fr]..a.indptr[fr + 1] {
-                        let c = a.indices[k];
-                        if stamp[c as usize] != tile_id {
-                            stamp[c as usize] = tile_id;
-                            next.push(c);
-                        }
-                    }
-                }
-                rows.extend_from_slice(&next);
-                frontier = next;
-            }
-            rows.sort_unstable();
-            for (li, &g) in rows.iter().enumerate() {
-                local[g as usize] = li as u32;
-            }
-            // The tile proper is contiguous in the sorted halo list.
-            let c0 = rows.partition_point(|&g| (g as usize) < g0);
-            let c1 = c0 + (g1 - g0);
-            debug_assert_eq!(rows[c0] as usize, g0);
-            // Column-localized CSR, dropping out-of-halo columns.
-            let mut indptr = Vec::with_capacity(rows.len() + 1);
-            let mut indices = Vec::new();
-            let mut values = Vec::new();
-            indptr.push(0u32);
-            for &g in &rows {
-                let g = g as usize;
-                for k in a.indptr[g]..a.indptr[g + 1] {
-                    let c = a.indices[k] as usize;
-                    if stamp[c] == tile_id {
-                        indices.push(local[c]);
-                        values.push(a.values[k]);
-                    }
-                }
-                indptr.push(indices.len() as u32);
-            }
-            let inv_loc: Vec<f64> = rows.iter().map(|&g| inv_diag[g as usize]).collect();
-            tiles.push(FusedTile {
-                c0,
-                c1,
-                g0,
-                indptr,
-                indices,
-                values,
-                inv_diag: inv_loc,
-                rows,
-            });
-            g0 = g1;
-        }
-        FusedPlan {
-            n,
-            max_iters,
-            base_nnz: a.nnz(),
-            tiles,
-        }
-    }
-
-    pub fn max_iters(&self) -> usize {
-        self.max_iters
-    }
-
-    pub fn num_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Σ tile nnz (halo closures included, out-of-halo columns dropped)
-    /// over the matrix nnz: the factor by which fused sweeps inflate the
-    /// per-iteration arithmetic and matrix traffic.
-    pub fn redundancy(&self) -> f64 {
-        let mut tile_nnz = 0usize;
-        for t in &self.tiles {
-            tile_nnz += t.values.len();
-        }
-        tile_nnz as f64 / self.base_nnz.max(1) as f64
-    }
-
-    /// Whether the fused apply is expected to beat plain sweeps: at least
-    /// two tiles (a single tile serializes the whole smoothing pass) and a
-    /// halo redundancy within [`MAX_REDUNDANCY`]. Purely a performance
-    /// verdict — correctness holds either way.
-    pub fn profitable(&self) -> bool {
-        self.tiles.len() >= 2 && self.redundancy() <= MAX_REDUNDANCY
-    }
-}
-
-impl Preconditioner for Chebyshev {
-    /// Zero-initial-guess application (stationary preconditioner — safe
-    /// inside non-flexible Krylov methods).
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.fill(0.0);
-        // We need the operator for a full smooth; as a PC the smoother is
-        // constructed bound to an operator via `BoundSmoother` instead.
-        // This impl exists only to satisfy trait objects in tests; a bare
-        // Chebyshev without an operator degenerates to scaled Jacobi.
-        let theta = 0.5 * (self.lambda_hi + self.lambda_lo);
-        for i in 0..r.len() {
-            z[i] = self.inv_diag[i] * r[i] / theta;
-        }
-    }
-}
-
-/// A smoother bound to its operator so it can serve as a [`Preconditioner`].
-pub struct BoundSmoother<'a> {
-    pub a: &'a dyn LinearOperator,
-    pub smoother: Chebyshev,
-}
-
-impl Preconditioner for BoundSmoother<'_> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.fill(0.0);
-        self.smoother.smooth(self.a, r, z);
     }
 }
 
@@ -773,94 +378,6 @@ mod tests {
                     .all(|(p, q)| p.to_bits() == q.to_bits()));
             }
         }
-    }
-
-    #[test]
-    fn fused_equals_sequential_bitwise_for_all_k_and_tiles() {
-        for (n, seed) in [(173usize, 1u64), (512, 2)] {
-            let a = random_spd(n, seed);
-            let cheb = Chebyshev::new(&a, 4, 10);
-            let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.17).sin()).collect();
-            let x_init: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.05).cos()).collect();
-            for k in 1..=4usize {
-                let mut x_ref = x_init.clone();
-                cheb.smooth_with(&a, &b, &mut x_ref, k);
-                // Every tile size, including one larger than the mesh.
-                for tile in [1usize, 3, 8, 64, n, 2 * n] {
-                    let plan = cheb.fused_plan(&a, k, tile);
-                    let mut x = x_init.clone();
-                    cheb.apply_fused(&a, &plan, &b, &mut x, k);
-                    for i in 0..n {
-                        assert_eq!(
-                            x[i].to_bits(),
-                            x_ref[i].to_bits(),
-                            "n={n} k={k} tile={tile} row {i}: {} vs {}",
-                            x[i],
-                            x_ref[i]
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_plan_reused_for_shallower_sweeps_and_falls_back_when_too_deep() {
-        let n = 200;
-        let a = random_spd(n, 5);
-        let cheb = Chebyshev::new(&a, 3, 10);
-        let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.29).sin()).collect();
-        // One plan at depth 3 serves iters = 1, 2, 3 …
-        let plan = cheb.fused_plan(&a, 3, 16);
-        for k in 1..=3usize {
-            let mut x_ref = vec![0.25; n];
-            cheb.smooth_with(&a, &b, &mut x_ref, k);
-            let mut x = vec![0.25; n];
-            cheb.apply_fused(&a, &plan, &b, &mut x, k);
-            assert!(x
-                .iter()
-                .zip(&x_ref)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-        // … and a too-deep request falls back to the unfused sweep (still
-        // exact, by definition).
-        let mut x_ref = vec![0.25; n];
-        cheb.smooth_with(&a, &b, &mut x_ref, 5);
-        let mut x = vec![0.25; n];
-        cheb.apply_fused(&a, &plan, &b, &mut x, 5);
-        assert!(x
-            .iter()
-            .zip(&x_ref)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn profitability_gate_separates_banded_from_scattered_matrices() {
-        // Narrow-band matrix, many tiles: halos are 1–2 rows per side, so
-        // the redundancy stays near 1 and fusing is worthwhile.
-        let n = 20_000;
-        let a = laplace1d(n);
-        let cheb = Chebyshev::new(&a, 2, 5);
-        let plan = cheb.fused_plan(&a, 2, 4096);
-        assert!(plan.num_tiles() >= 2);
-        assert!(plan.redundancy() < 1.01, "banded: {}", plan.redundancy());
-        assert!(plan.profitable());
-
-        // Scattered coupling: one hop reaches most of the matrix, so thin
-        // tiles are nearly all halo and the gate must reject the plan.
-        let a = random_spd(512, 9);
-        let cheb = Chebyshev::new(&a, 3, 5);
-        let plan = cheb.fused_plan(&a, 3, 64);
-        assert!(plan.redundancy() > MAX_REDUNDANCY);
-        assert!(!plan.profitable());
-
-        // A single-tile plan serializes smoothing — never profitable, even
-        // with zero redundancy.
-        let a = laplace1d(256);
-        let cheb = Chebyshev::new(&a, 2, 5);
-        let plan = cheb.fused_plan(&a, 2, 1024);
-        assert_eq!(plan.num_tiles(), 1);
-        assert!(!plan.profitable());
     }
 
     #[test]

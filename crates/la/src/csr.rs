@@ -464,46 +464,6 @@ impl Csr {
         pt.matmul(&ap)
     }
 
-    /// Symmetric permutation `A'[p(i), p(j)] = A[i, j]` for a square
-    /// matrix and a permutation `perm[old] = new`. Row columns come out
-    /// sorted; the result is deterministic in `(self, perm)` alone.
-    pub fn permute_symmetric(&self, perm: &[u32]) -> Csr {
-        assert_eq!(self.nrows, self.ncols, "symmetric permute needs square");
-        assert_eq!(perm.len(), self.nrows);
-        let n = self.nrows;
-        let mut indptr = vec![0usize; n + 1];
-        for old in 0..n {
-            indptr[perm[old] as usize + 1] = self.indptr[old + 1] - self.indptr[old];
-        }
-        for i in 0..n {
-            indptr[i + 1] += indptr[i];
-        }
-        let mut indices = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f64; self.nnz()];
-        let mut row: Vec<(u32, f64)> = Vec::new();
-        for old in 0..n {
-            let new = perm[old] as usize;
-            row.clear();
-            for k in self.indptr[old]..self.indptr[old + 1] {
-                row.push((perm[self.indices[k] as usize], self.values[k]));
-            }
-            // Columns are unique, so the sort is unambiguous.
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let base = indptr[new];
-            for (off, &(c, v)) in row.iter().enumerate() {
-                indices[base + off] = c;
-                values[base + off] = v;
-            }
-        }
-        Csr {
-            nrows: n,
-            ncols: n,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// Zero a set of rows and put `1` on their diagonal (Dirichlet rows).
     pub fn zero_rows_set_identity(&mut self, rows: &[usize]) {
         let mut is_bc = vec![false; self.nrows];

@@ -36,7 +36,7 @@ pub mod simd;
 pub mod transfer;
 pub mod vec_ops;
 
-pub use chebyshev::{Chebyshev, FusedPlan};
+pub use chebyshev::Chebyshev;
 pub use cholesky::{CholeskySymbolic, FactorError, SparseCholesky};
 pub use csr::{Csr, CsrBuilder};
 pub use dense::{DenseLu, DenseMatrix};

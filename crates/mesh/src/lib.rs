@@ -12,7 +12,6 @@
 
 pub mod decomp;
 pub mod hierarchy;
-pub mod sfc;
 
 pub use decomp::ElementPartition;
 pub use hierarchy::MeshHierarchy;

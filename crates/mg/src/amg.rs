@@ -5,7 +5,7 @@
 //! and as the standalone SA-i / SAML-i / SAML-ii preconditioners of
 //! Table IV.
 
-use ptatin_la::chebyshev::{estimate_lambda_max, Chebyshev, FusedPlan};
+use ptatin_la::chebyshev::{estimate_lambda_max, Chebyshev};
 use ptatin_la::csr::Csr;
 use ptatin_la::dense::{thin_qr, DenseMatrix};
 use ptatin_la::krylov::{fgmres, KrylovConfig};
@@ -73,23 +73,15 @@ impl Default for AmgConfig {
 }
 
 enum LevelSmoother {
-    /// Chebyshev, with its cache-blocked sweep plan where the plan's halo
-    /// redundancy makes fusing profitable (built once per level;
-    /// `apply_fused` is bitwise identical to the unfused sweeps either way).
-    Cheb(Chebyshev, Option<FusedPlan>),
-    Fgmres {
-        pc: AdditiveSchwarz,
-        iters: usize,
-    },
+    Cheb(Chebyshev),
+    Fgmres { pc: AdditiveSchwarz, iters: usize },
 }
 
 impl LevelSmoother {
     fn build(a: &Csr, kind: &SmootherKind) -> Self {
         match kind {
             SmootherKind::ChebyshevJacobi { iters } => {
-                let c = Chebyshev::new(a, *iters, 10);
-                let plan = Some(c.fused_plan(a, (*iters).max(1), 0)).filter(|p| p.profitable());
-                LevelSmoother::Cheb(c, plan)
+                LevelSmoother::Cheb(Chebyshev::new(a, *iters, 10))
             }
             SmootherKind::FgmresBlockJacobiIlu0 { iters, blocks } => LevelSmoother::Fgmres {
                 pc: AdditiveSchwarz::block_jacobi(a, *blocks, SubdomainSolve::Ilu0),
@@ -100,8 +92,7 @@ impl LevelSmoother {
 
     fn smooth(&self, a: &Csr, b: &[f64], x: &mut [f64]) {
         match self {
-            LevelSmoother::Cheb(c, Some(plan)) => c.apply_fused(a, plan, b, x, c.iters),
-            LevelSmoother::Cheb(c, None) => c.smooth(a, b, x),
+            LevelSmoother::Cheb(c) => c.smooth(a, b, x),
             LevelSmoother::Fgmres { pc, iters } => {
                 let cfg = KrylovConfig::default()
                     .with_rtol(1e-14)

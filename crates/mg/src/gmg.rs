@@ -2,12 +2,13 @@
 //! the paper): Chebyshev(Jacobi) smoothing on every level, trilinear
 //! prolongation / transposed restriction, coarse operators either
 //! rediscretized or Galerkin, and a pluggable coarsest-level solver (GAMG
-//! V-cycle, block-Jacobi+LU, inexact Krylov+ASM, or a direct factorization).
+//! V-cycle, block-Jacobi + Cholesky, inexact Krylov+ASM, or a direct
+//! factorization).
 
 use crate::amg::AmgHierarchy;
 use ptatin_fem::assemble::Q2QuadTables;
 use ptatin_fem::pattern::GalerkinQ1Pattern;
-use ptatin_la::chebyshev::{Chebyshev, FusedPlan};
+use ptatin_la::chebyshev::Chebyshev;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, KrylovConfig};
 use ptatin_la::operator::{LinearOperator, Preconditioner};
@@ -58,7 +59,7 @@ pub enum GmgCoarseSolver {
     /// Exact solve: sparse Cholesky, dense LU for what it rejects.
     Direct(DirectSolver),
     /// One application of block-Jacobi with an exact solve per block
-    /// (`SubdomainSolve::Lu`).
+    /// (`SubdomainSolve::Lu`: a sparse Cholesky factor per block).
     BlockJacobiLu(AdditiveSchwarz),
     /// Inexact CG preconditioned with (overlapping) additive Schwarz —
     /// the rifting configuration of §V (CG + ASM(ILU0, overlap 4), capped
@@ -134,164 +135,29 @@ pub enum CycleType {
 /// operator.
 pub type ArcOp = std::sync::Arc<dyn LinearOperator + Send + Sync>;
 
-/// A smoothed level's matrix and smoother transplanted to an SFC-permuted
-/// dof space (see `ptatin_mesh::sfc`). Smoothing gathers residual and
-/// iterate into the permuted order, runs the (fused, if profitable)
-/// Chebyshev sweeps against the permuted matrix, and scatters the iterate
-/// back — everything outside the smoother (residuals, transfers, coarse
-/// solves) stays in natural order. Opt-in: permuted sweeps change the
-/// floating-point summation order, so the default bitwise contract only
-/// holds with reordering off.
-pub struct LevelReorder {
-    /// Dof permutation, `perm[old] = new`.
-    pub perm: Vec<u32>,
-    /// The level matrix in permuted space, `P A Pᵀ`.
-    pub a: Arc<Csr>,
-    /// The level smoother with its diagonal gathered to permuted order.
-    smoother: Chebyshev,
-    /// Fused plan on the permuted matrix — kept only when profitable
-    /// there; `None` falls back to the natural-order paths. Shared so a
-    /// setup cache can hand a previously built plan straight back when
-    /// the matrix values are bitwise unchanged.
-    pub plan: Option<Arc<FusedPlan>>,
-}
-
 /// One smoothed level of the geometric hierarchy.
 pub struct GmgLevel {
     pub op: ArcOp,
     pub smoother: Chebyshev,
-    /// Assembled matrix handle when the level has one — enables the
-    /// cache-blocked fused smoother ([`Chebyshev::apply_fused`]; the plan
-    /// is built by [`GeometricMg::new`], which knows the smoothing depths).
-    assembled: Option<Arc<Csr>>,
-    fused: Option<Arc<FusedPlan>>,
-    reorder: Option<LevelReorder>,
-    /// Memoized profitability verdicts (natural, reordered) from an
-    /// earlier build against the same matrix structure. The verdict is a
-    /// pure function of the sparsity pattern and the smoothing depth, so
-    /// a cached `Some(false)` lets [`GeometricMg::new`] skip the plan
-    /// construction outright without changing any observable behavior.
-    fused_hint: Option<bool>,
-    reorder_hint: Option<bool>,
+    /// The level's assembled matrix, when it has one (the reference
+    /// hierarchies of Table IV); `op` applies the same operator.
+    matrix: Option<Arc<Csr>>,
 }
 
 impl GmgLevel {
-    /// Level backed by an arbitrary (possibly matrix-free) operator; the
-    /// smoother runs unfused full-mesh sweeps.
-    pub fn new(op: ArcOp, smoother: Chebyshev) -> Self {
+    /// Level whose residuals and smoothing sweeps apply `op`; `matrix`
+    /// is the assembled form of `op`, if the level has one.
+    pub fn new(op: ArcOp, smoother: Chebyshev, matrix: Option<Arc<Csr>>) -> Self {
         Self {
             op,
             smoother,
-            assembled: None,
-            fused: None,
-            reorder: None,
-            fused_hint: None,
-            reorder_hint: None,
+            matrix,
         }
-    }
-
-    /// Level backed by an assembled matrix — the operator applies through
-    /// the matrix and smoothing is eligible for the fused path.
-    pub fn from_csr(a: Arc<Csr>, smoother: Chebyshev) -> Self {
-        Self {
-            op: a.clone() as ArcOp,
-            smoother,
-            assembled: Some(a),
-            fused: None,
-            reorder: None,
-            fused_hint: None,
-            reorder_hint: None,
-        }
-    }
-
-    /// Level where residual applies go through `op` (e.g. a timing
-    /// wrapper) but an assembled matrix is also at hand for fused
-    /// smoothing. The caller must guarantee `op` and `a` represent the
-    /// same linear operator.
-    pub fn with_assembled(op: ArcOp, a: Arc<Csr>, smoother: Chebyshev) -> Self {
-        Self {
-            op,
-            smoother,
-            assembled: Some(a),
-            fused: None,
-            reorder: None,
-            fused_hint: None,
-            reorder_hint: None,
-        }
-    }
-
-    /// Attach an SFC dof reordering (builder style; requires an assembled
-    /// matrix). The permuted matrix and smoother are built here; the fused
-    /// plan on the permuted matrix is built by [`GeometricMg::new`], which
-    /// knows the smoothing depth, and kept only where profitable.
-    pub fn with_sfc_reorder(mut self, perm: Vec<u32>) -> Self {
-        let a = self
-            .assembled
-            .as_ref()
-            // PANIC-OK: construction-time contract — the solver only
-            // attaches the reorder to levels built `with_assembled`.
-            .expect("SFC reorder requires an assembled level matrix");
-        assert_eq!(perm.len(), a.nrows());
-        let a_perm = Arc::new(a.permute_symmetric(&perm));
-        let smoother = self.smoother.permuted(&perm);
-        self.reorder = Some(LevelReorder {
-            perm,
-            a: a_perm,
-            smoother,
-            plan: None,
-        });
-        self
-    }
-
-    /// Provide memoized fused-plan profitability verdicts (builder
-    /// style). `Some(false)` skips the corresponding plan construction in
-    /// [`GeometricMg::new`] — valid only when the verdict was computed
-    /// against an identical sparsity pattern and smoothing depth; any
-    /// other value leaves behavior unchanged.
-    pub fn with_fused_hints(mut self, natural: Option<bool>, reordered: Option<bool>) -> Self {
-        self.fused_hint = natural;
-        self.reorder_hint = reordered;
-        self
-    }
-
-    /// Install previously built fused plans outright (builder style),
-    /// skipping plan construction in [`GeometricMg::new`]. Sound only when
-    /// the plans were built against bitwise-identical matrix values (a
-    /// plan snapshots tile values and the gathered inverse diagonal);
-    /// callers key on bit-exact viscosity for exactly that reason. A
-    /// reordered plan is dropped if no reordering is attached.
-    pub fn with_fused_plans(
-        mut self,
-        natural: Option<Arc<FusedPlan>>,
-        reordered: Option<Arc<FusedPlan>>,
-    ) -> Self {
-        if natural.is_some() {
-            self.fused = natural;
-        }
-        if let (Some(ro), Some(plan)) = (self.reorder.as_mut(), reordered) {
-            ro.plan = Some(plan);
-        }
-        self
     }
 
     /// The assembled matrix of this level, if it keeps one.
     pub fn matrix(&self) -> Option<&Csr> {
-        self.assembled.as_deref()
-    }
-
-    /// The fused plan of the natural-order matrix, if one was kept.
-    pub fn fused_plan_ref(&self) -> Option<&FusedPlan> {
-        self.fused.as_deref()
-    }
-
-    /// Shared handle to the natural-order fused plan, for memoization.
-    pub fn fused_plan_arc(&self) -> Option<Arc<FusedPlan>> {
-        self.fused.clone()
-    }
-
-    /// The SFC reordering attached to this level, if any.
-    pub fn reorder_ref(&self) -> Option<&LevelReorder> {
-        self.reorder.as_ref()
+        self.matrix.as_deref()
     }
 }
 
@@ -310,11 +176,11 @@ struct LevelWork {
 
 /// A geometric multigrid V(m,n)-cycle usable as a [`Preconditioner`].
 ///
-/// Levels are ordered coarse → fine: `levels[0]` is the coarsest *smoothed*
-/// level... more precisely level `0` is handled by `coarse` and
-/// `levels[k]` (k ≥ 1 in cycle terms) carry smoothers; `prolongations[k]`
-/// maps level `k` to level `k+1` (blocked over the 3 velocity components
-/// and filtered for Dirichlet dofs).
+/// The coarsest level has no smoother: `coarse` solves on it. The smoothed
+/// levels above it are stored coarse → fine in `levels`, so `levels[0]` is
+/// the coarsest smoothed level and `levels.last()` the finest. The
+/// transfers are blocked over the 3 velocity components and filtered for
+/// Dirichlet dofs.
 pub struct GeometricMg {
     /// Operators of the smoothed levels, coarse → fine (the coarsest
     /// solver level is *not* in this list).
@@ -333,9 +199,6 @@ pub struct GeometricMg {
     pub post_smooth: usize,
     /// V- or W-cycle recursion.
     pub cycle: CycleType,
-    /// Force the pre-batching code path (scalar CSR transfers, unfused
-    /// full-mesh smoothing). Benchmark baseline and equivalence-test hook.
-    scalar_pipeline: bool,
     /// Per-level cycle vectors. A cycle locks a level's set while it works
     /// on that level and below, so concurrent applications of one
     /// hierarchy take turns instead of allocating.
@@ -375,7 +238,7 @@ impl GeometricMg {
     /// — it is a pure function of them, so sharing one pack across
     /// rebuilds is bitwise-neutral.
     pub fn new_with_batched_transfers(
-        mut levels: Vec<GmgLevel>,
+        levels: Vec<GmgLevel>,
         prolongations: Vec<Csr>,
         transfers: Arc<Vec<BatchedTransfer>>,
         coarse: GmgCoarseSolver,
@@ -384,34 +247,6 @@ impl GeometricMg {
     ) -> Self {
         assert_eq!(prolongations.len(), levels.len());
         assert_eq!(transfers.len(), prolongations.len());
-        // Plan depth covers the deeper of the two smoothing passes; a
-        // shallower sweep reuses the same plan (validity only shrinks).
-        // Keep a plan only where its halo redundancy makes fusing a win —
-        // unprofitable levels (wide-stencil or tiny matrices) smooth
-        // unfused instead.
-        let depth = pre_smooth.max(post_smooth).max(1);
-        for lvl in &mut levels {
-            if let Some(a) = lvl.assembled.clone() {
-                if lvl.fused.is_none() {
-                    lvl.fused = match lvl.fused_hint {
-                        // Known unprofitable for this structure and depth —
-                        // an unused plan would be discarded; skip the build.
-                        Some(false) => None,
-                        _ => Some(Arc::new(lvl.smoother.fused_plan(&a, depth, 0)))
-                            .filter(|p| p.profitable()),
-                    };
-                }
-            }
-            if let Some(ro) = &mut lvl.reorder {
-                if ro.plan.is_none() {
-                    ro.plan = match lvl.reorder_hint {
-                        Some(false) => None,
-                        _ => Some(Arc::new(ro.smoother.fused_plan(&ro.a, depth, 0)))
-                            .filter(|p| p.profitable()),
-                    };
-                }
-            }
-        }
         let work = levels
             .iter()
             .zip(&prolongations)
@@ -435,7 +270,6 @@ impl GeometricMg {
             pre_smooth,
             post_smooth,
             cycle: CycleType::V,
-            scalar_pipeline: false,
             coarse_nanos: AtomicU64::new(0),
             coarse_calls: AtomicU64::new(0),
         }
@@ -445,62 +279,6 @@ impl GeometricMg {
     pub fn with_cycle(mut self, cycle: CycleType) -> Self {
         self.cycle = cycle;
         self
-    }
-
-    /// Disable the batched transfer / fused smoother paths (builder style).
-    /// Used by benches to time the pre-batching pipeline and by the
-    /// equivalence suite to compare both paths on one hierarchy.
-    pub fn with_scalar_pipeline(mut self) -> Self {
-        self.scalar_pipeline = true;
-        self
-    }
-
-    /// Smooth `x` on `lvl`. `x_is_zero` promises a zero iterate, which
-    /// saves the unfused sweeps their first operator application; `work`
-    /// is theirs to overwrite.
-    fn smooth_level(
-        &self,
-        lvl: &GmgLevel,
-        b: &[f64],
-        x: &mut [f64],
-        iters: usize,
-        x_is_zero: bool,
-        work: [&mut [f64]; 3],
-    ) {
-        if !self.scalar_pipeline {
-            // SFC-permuted fused smoothing: gather into Z-order, sweep the
-            // permuted matrix, scatter the iterate back (opt-in; see
-            // `LevelReorder`).
-            if let Some(ro) = &lvl.reorder {
-                if let Some(plan) = &ro.plan {
-                    let n = b.len();
-                    // ALLOC-OK: opt-in reorder scatter; two O(n)
-                    // buffers per smoothing phase, amortized over the
-                    // smoother's spmv sweeps on the permuted matrix.
-                    let mut bp = vec![0.0; n];
-                    let mut xp = vec![0.0; n]; // ALLOC-OK: see `bp` above.
-                    for (old, &new) in ro.perm.iter().enumerate() {
-                        bp[new as usize] = b[old];
-                        xp[new as usize] = x[old];
-                    }
-                    ro.smoother.apply_fused(&ro.a, plan, &bp, &mut xp, iters);
-                    for (old, &new) in ro.perm.iter().enumerate() {
-                        x[old] = xp[new as usize];
-                    }
-                    return;
-                }
-            }
-            if let (Some(a), Some(plan)) = (&lvl.assembled, &lvl.fused) {
-                lvl.smoother.apply_fused(a, plan, b, x, iters);
-                return;
-            }
-        }
-        let a = lvl.op.as_ref();
-        if x_is_zero {
-            lvl.smoother.smooth_from_zero(a, b, x, iters, work);
-        } else {
-            lvl.smoother.smooth_with_work(a, b, x, iters, work);
-        }
     }
 
     /// Total wall time spent in the coarse solver so far (seconds).
@@ -549,21 +327,23 @@ impl GeometricMg {
         {
             let _ev = prof::scope(smooth_event(k));
             let work = [&mut r[..], &mut corr[..], &mut ad[..]];
-            self.smooth_level(lvl, b, x, self.pre_smooth, x_is_zero, work);
+            // A zero iterate saves the sweeps their first operator apply.
+            if x_is_zero {
+                lvl.smoother
+                    .smooth_from_zero(a, b, x, self.pre_smooth, work);
+            } else {
+                lvl.smoother
+                    .smooth_with_work(a, b, x, self.pre_smooth, work);
+            }
         }
         // Residual: r = b - A x (axpby(1, b, -1, r) is bitwise-identical
         // to the elementwise subtraction and runs on the worker pool).
         a.apply(x, r);
         vec_ops::axpby(1.0, b, -1.0, r);
         // Restrict through Pᵀ.
-        let p = &self.prolongations[k - 1];
         {
             let _ev = prof::scope("MGRestrict");
-            if self.scalar_pipeline {
-                p.spmv_transpose(r, rc);
-            } else {
-                self.transfers[k - 1].restrict(r, rc);
-            }
+            self.transfers[k - 1].restrict(r, rc);
         }
         // μ-cycle: recurse μ times on the *same* coarse problem with a
         // warm start (the textbook W-cycle; refreshing the fine residual
@@ -583,16 +363,13 @@ impl GeometricMg {
         // Prolong and correct.
         {
             let _ev = prof::scope("MGProlong");
-            if self.scalar_pipeline {
-                p.spmv(xc, corr);
-            } else {
-                self.transfers[k - 1].prolong(xc, corr);
-            }
+            self.transfers[k - 1].prolong(xc, corr);
         }
         vec_ops::axpy(1.0, corr, x);
         let _ev = prof::scope(smooth_event(k));
         let work = [&mut r[..], &mut corr[..], &mut ad[..]];
-        self.smooth_level(lvl, b, x, self.post_smooth, false, work);
+        lvl.smoother
+            .smooth_with_work(a, b, x, self.post_smooth, work);
     }
 }
 
@@ -736,7 +513,7 @@ mod tests {
         let mut lvls = Vec::new();
         for a in ops.into_iter().skip(1) {
             let smoother = Chebyshev::new(&a, 2, 10);
-            lvls.push(GmgLevel::from_csr(Arc::new(a), smoother));
+            lvls.push(GmgLevel::new(Arc::new(a), smoother, None));
         }
         let rhs: Vec<f64> = {
             let n = fine_a.nrows();

@@ -138,8 +138,8 @@ fn warm_rebuild_is_bitwise_fresh_across_viscosity_and_config_switches() {
     // One cache through: a first build, a viscosity update (λ memo
     // misses), a frozen viscosity (hits), then the same viscosity under
     // other level rules — the λ memo of level 1 was taken on the batched
-    // kernel and must not be handed to the assembled matrix, nor that
-    // matrix's fused plan to the Galerkin product — and back.
+    // kernel and must not be handed to the assembled matrix, nor the
+    // assembled matrix's to the Galerkin product — and back.
     let mut cache = SetupCache::new();
     let sequence = [
         ("first build", &eta0, &matrix_free),

@@ -4,7 +4,6 @@
 
 use ptatin_fem::assemble::Q2QuadTables;
 use ptatin_fem::{DirichletBc, VelocityBcBuilder};
-use ptatin_la::chebyshev::Chebyshev;
 use ptatin_la::krylov::{cg, KrylovConfig};
 use ptatin_la::operator::LinearOperator;
 use ptatin_la::transfer::BatchedTransfer;
@@ -395,43 +394,6 @@ fn batched_transfer_matches_csr_randomized() {
 }
 
 #[test]
-fn fused_chebyshev_matches_plain_sweeps_on_stokes_block() {
-    // Cache-blocked fused smoothing against k plain sweeps, bitwise, on a
-    // real assembled viscous block (deformed mesh, 9-decade viscosity,
-    // mixed BCs) — auto tile size plus thin tiles whose halos make the
-    // plan unprofitable (gating is a perf decision only; the bits match
-    // either way).
-    let mesh = deformed_mesh();
-    let eta = wild_eta(mesh.num_elements());
-    let bc = bc(&mesh);
-    let tables = Q2QuadTables::standard();
-    let a = ptatin_ops::assembled_viscous_op(&mesh, &tables, &eta, &bc);
-    let n = a.nrows();
-    let cheb = Chebyshev::new(&a, 4, 10);
-    let mut rng = SplitMix64::seed_from_u64(0xc4eb);
-    let b_vec = random_vector(&mut rng, n);
-    let x_init = random_vector(&mut rng, n);
-    for tile in [0usize, 64, 512] {
-        let plan = cheb.fused_plan(&a, 4, tile);
-        for k in [1usize, 2, 4] {
-            let mut x_ref = x_init.clone();
-            cheb.smooth_with(&a, &b_vec, &mut x_ref, k);
-            let mut x = x_init.clone();
-            cheb.apply_fused(&a, &plan, &b_vec, &mut x, k);
-            for i in 0..n {
-                assert_eq!(
-                    x[i].to_bits(),
-                    x_ref[i].to_bits(),
-                    "tile={tile} k={k} dof {i}: fused {} vs plain {}",
-                    x[i],
-                    x_ref[i]
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn element_matrix_consistent_with_operator() {
     // The dense element kernel used by assembly must match the matrix-free
     // action applied to a one-element mesh.
@@ -467,9 +429,8 @@ fn element_matrix_consistent_with_operator() {
 }
 
 // ---------------------------------------------------------------------------
-// Setup-phase overhaul: SIMD-batched assembly, pattern-reuse re-assembly,
-// cached solver rebuilds and SFC reordering (the perf work must be invisible
-// in the bits).
+// Setup-phase overhaul: SIMD-batched assembly, pattern-reuse re-assembly
+// and cached solver rebuilds (the perf work must be invisible in the bits).
 // ---------------------------------------------------------------------------
 
 use ptatin_bench::sinker_setup;
@@ -481,7 +442,6 @@ use ptatin_fem::pattern::ViscousPattern;
 use ptatin_la::operator::Preconditioner;
 use ptatin_la::par;
 use ptatin_la::simd::F64x4;
-use ptatin_mesh::sfc::{expand_permutation, morton_node_permutation};
 use ptatin_ops::viscous_numeric_batched_into;
 use std::sync::Mutex;
 
@@ -589,8 +549,8 @@ fn pattern_assembly_with_bc_matches_public_assembled_op_bitwise() {
 }
 
 /// Deterministic bitwise probe of a built solver: the fine operator action,
-/// one V-cycle application (smoother bounds, fused plans, transfers, coarse
-/// solve) and the coupling-block values.
+/// one V-cycle application (smoother bounds, transfers, coarse solve) and
+/// the coupling-block values.
 fn solver_probe(solver: &StokesSolver) -> Vec<u64> {
     let nu = solver.nu;
     let x: Vec<f64> = (0..nu)
@@ -610,9 +570,9 @@ fn solver_probe(solver: &StokesSolver) -> Vec<u64> {
 #[test]
 fn cached_solver_rebuild_bitwise_matches_fresh_build() {
     // The re-linearization path Picard/Newton take (pattern reuse, value
-    // buffers, transfer transposes, λ and fused-plan memos) must produce
-    // exactly the solver a from-scratch build produces — after a viscosity
-    // update (memo misses), and again on a frozen viscosity (memo hits).
+    // buffers, transfer transposes, λ memos) must produce exactly the
+    // solver a from-scratch build produces — after a viscosity update
+    // (memo misses), and again on a frozen viscosity (memo hits).
     let _g = NT_LOCK.lock().unwrap();
     par::set_num_threads(1);
     let (model, fields) = sinker_setup(4, 2, 1e4);
@@ -678,132 +638,4 @@ fn cached_solver_rebuild_bitwise_matches_fresh_build() {
         s2, fresh1,
         "frozen-η rebuild (memo hits) differs from fresh"
     );
-}
-
-#[test]
-fn morton_permutation_roundtrips_and_preserves_the_operator() {
-    // The SFC permutation is a true permutation, its inverse inverts it,
-    // and P A Pᵀ applied in permuted space agrees with A in natural space.
-    let mesh = deformed_mesh();
-    let (nperm, niperm) = morton_node_permutation(&mesh);
-    assert_eq!(nperm.len(), mesh.num_nodes());
-    let mut seen = vec![false; nperm.len()];
-    for (old, &new) in nperm.iter().enumerate() {
-        assert!(!seen[new as usize], "duplicate image {new}");
-        seen[new as usize] = true;
-        assert_eq!(niperm[new as usize] as usize, old, "iperm fails to invert");
-    }
-    let dperm = expand_permutation(&nperm, 3);
-    let eta = wild_eta(mesh.num_elements());
-    let bc = bc(&mesh);
-    let tables = Q2QuadTables::standard();
-    let a = ptatin_ops::assembled_viscous_op(&mesh, &tables, &eta, &bc);
-    let ap = a.permute_symmetric(&dperm);
-    let n = a.nrows();
-    let mut rng = SplitMix64::seed_from_u64(0x5fc0);
-    let x = random_vector(&mut rng, n);
-    let mut y = vec![0.0; n];
-    a.apply(&x, &mut y);
-    let mut xp = vec![0.0; n];
-    for (old, &new) in dperm.iter().enumerate() {
-        xp[new as usize] = x[old];
-    }
-    let mut yp = vec![0.0; n];
-    ap.apply(&xp, &mut yp);
-    let scale = 1.0 + y.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    for (old, &new) in dperm.iter().enumerate() {
-        assert!(
-            (yp[new as usize] - y[old]).abs() < 1e-12 * scale,
-            "permuted action differs at dof {old}: {} vs {}",
-            yp[new as usize],
-            y[old]
-        );
-    }
-}
-
-#[test]
-fn fused_smoothing_on_morton_matrix_matches_natural_order() {
-    // Fused Chebyshev on the Morton-permuted matrix (forced multi-tile via
-    // an explicit tile size), scattered back to natural order, agrees with
-    // plain sweeps on the natural matrix to rounding: the reorder changes
-    // only the summation order inside each row.
-    let mesh = deformed_mesh();
-    let eta = wild_eta(mesh.num_elements());
-    let bc = bc(&mesh);
-    let tables = Q2QuadTables::standard();
-    let a = ptatin_ops::assembled_viscous_op(&mesh, &tables, &eta, &bc);
-    let n = a.nrows();
-    let (nperm, _) = morton_node_permutation(&mesh);
-    let dperm = expand_permutation(&nperm, 3);
-    let ap = a.permute_symmetric(&dperm);
-    let cheb = Chebyshev::new(&a, 3, 10);
-    let chp = cheb.permuted(&dperm);
-    assert_eq!(cheb.lambda_bounds(), chp.lambda_bounds());
-    let plan = chp.fused_plan(&ap, 3, 64);
-    assert!(plan.num_tiles() > 1, "tile size 64 must split {n} rows");
-    let mut rng = SplitMix64::seed_from_u64(0x0f5c);
-    let b_vec = random_vector(&mut rng, n);
-    let x0 = random_vector(&mut rng, n);
-    let mut x_ref = x0.clone();
-    cheb.smooth_with(&a, &b_vec, &mut x_ref, 3);
-    let mut bp = vec![0.0; n];
-    let mut xp = vec![0.0; n];
-    for (old, &new) in dperm.iter().enumerate() {
-        bp[new as usize] = b_vec[old];
-        xp[new as usize] = x0[old];
-    }
-    chp.apply_fused(&ap, &plan, &bp, &mut xp, 3);
-    let scale = 1.0 + x_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    for (old, &new) in dperm.iter().enumerate() {
-        assert!(
-            (xp[new as usize] - x_ref[old]).abs() < 1e-10 * scale,
-            "permuted fused smoothing differs at dof {old}"
-        );
-    }
-}
-
-#[test]
-fn sfc_reorder_preserves_sinker_krylov_counts() {
-    // The SFC reorder is a pure performance knob: on the golden-sized
-    // sinker the Krylov trajectory must be preserved (identical counts at
-    // this size, where the permuted plan is unprofitable and the reorder
-    // must gracefully stand down; larger runs tolerate ±1 from the changed
-    // summation order).
-    let _g = NT_LOCK.lock().unwrap();
-    par::set_num_threads(1);
-    let (model, fields) = sinker_setup(4, 2, 1e3);
-    let mut counts = Vec::new();
-    let mut sols = Vec::new();
-    for sfc in [false, true] {
-        let gmg = GmgConfig {
-            levels: 2,
-            fine_kind: OperatorKind::Assembled,
-            sfc_reorder: sfc,
-            ..GmgConfig::default()
-        };
-        let solver = model.build_solver(&fields, &gmg);
-        let rhs = model.rhs(&solver, &fields);
-        let mut x = vec![0.0; solver.nu + solver.np];
-        let stats = solver.solve(
-            &rhs,
-            &mut x,
-            &KrylovConfig::default().with_rtol(1e-8).with_max_it(400),
-            ptatin_core::solver::KrylovOperatorChoice::Picard,
-            None,
-        );
-        assert!(stats.converged, "sfc={sfc}: {stats:?}");
-        counts.push(stats.iterations);
-        sols.push(x);
-    }
-    assert!(
-        counts[0].abs_diff(counts[1]) <= 1,
-        "SFC reorder changed the Krylov trajectory: {counts:?}"
-    );
-    let scale = 1.0 + sols[0].iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    for i in 0..sols[0].len() {
-        assert!(
-            (sols[0][i] - sols[1][i]).abs() < 1e-6 * scale,
-            "solutions diverge at dof {i}"
-        );
-    }
 }
