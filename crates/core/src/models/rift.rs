@@ -588,6 +588,8 @@ impl StokesNonlinearProblem for RiftProblem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nonlinear::ETA_MAX;
+    use ptatin_la::vec_ops;
 
     fn tiny_cfg() -> RiftConfig {
         RiftConfig {
@@ -656,27 +658,80 @@ mod tests {
         }
     }
 
-    /// ROADMAP 2(e), located: `solve_nonlinear` caps the Eisenstat–Walker
-    /// forcing term at `linear_rtol.max(1e-3)`, and the rift's nonlinear
-    /// residual contracts so slowly that choice 2 always asks for more —
-    /// every linear solve of a default step runs at 1e-3 (EXPERIMENTS.md,
-    /// PR 18, has the counts at looser caps). Recorded, not changed.
+    /// The forcing term adapts: each linearization of a default step is
+    /// solved to Eisenstat–Walker choice 2 (γ = 0.9, α = 1.618) of the
+    /// recorded residual history, clamped to `[linear_rtol, ETA_MAX]`. The
+    /// choice-2 safeguard cannot fire here: γ·ETA_MAX^α < 0.1.
     #[test]
-    fn default_step_solves_every_linearization_at_the_forcing_cap() {
+    fn default_step_forcing_terms_follow_choice_2() {
         let mut model = RiftModel::new(RiftConfig::default());
         let stats = model.solve_stokes().stats;
-        assert_eq!(stats.iterations, model.cfg.nonlinear.max_it);
-        assert_eq!(stats.forcing_terms, vec![1e-3; stats.iterations]);
-        // Choice 2 asks for 0.9·c^1.618 at a nonlinear contraction c:
-        // 0.02 and up here, twenty times the cap and more.
-        for w in stats.residual_history.windows(2) {
-            let contraction = w[1] / w[0];
+        let floor = model.cfg.nonlinear.linear_rtol;
+        let h = &stats.residual_history;
+        assert!(stats.iterations >= 2, "{h:?}");
+        assert_eq!(stats.forcing_terms.len(), stats.iterations);
+        for (k, &eta) in stats.forcing_terms.iter().enumerate() {
+            let want = if k == 0 {
+                ETA_MAX.min(0.1)
+            } else {
+                (0.9 * (h[k] / h[k - 1]).powf(1.618)).clamp(floor, ETA_MAX)
+            };
+            assert_eq!(eta, want, "forcing term {k}: {:?}", stats.forcing_terms);
+        }
+        assert!(
+            stats.forcing_terms.iter().any(|&eta| eta > 1e-3),
+            "every linearization solved to 1e-3 or tighter: {:?}",
+            stats.forcing_terms
+        );
+    }
+
+    /// Loose forcing terms cost no accuracy the Newton cap has not already
+    /// given up. Two steps of the 6×2×4 rift (cap of three Newton
+    /// iterations) with default EW, against the same steps with every
+    /// linearization solved to 1e-5 (the recovery ladder's EW-off
+    /// setting) and against a reference solved to 1e-5 with twelve Newton
+    /// iterations. Measured at `ETA_MAX` = 0.05: final ‖F‖ EW / tight
+    /// 3.79 / 3.69 and 1.02 / 1.24; relative L2 velocity distance EW to
+    /// tight 2.2e-2, EW to reference 3.1e-2, tight to reference 4.5e-2.
+    /// At the old 1e-3 cap EW to tight was 8.8e-4, but tight to reference
+    /// stays 4.5e-2: the capped Newton solve, not the forcing term, sets
+    /// the error.
+    #[test]
+    fn adaptive_forcing_matches_tight_linear_solves() {
+        let run = |eisenstat_walker: bool, max_it: usize| {
+            let mut cfg = tiny_cfg();
+            cfg.nonlinear.eisenstat_walker = eisenstat_walker;
+            cfg.nonlinear.max_it = max_it;
+            let mut model = RiftModel::new(cfg);
+            let steps: Vec<RiftStepStats> = (0..2).map(|_| model.step()).collect();
+            (steps, model.velocity)
+        };
+        let (ew, u_ew) = run(true, 3);
+        let (tight, u_tight) = run(false, 3);
+        let (_, u_ref) = run(false, 12);
+        for (a, b) in ew.iter().zip(&tight) {
+            assert!(a.outcome.is_acceptable(), "{:?}", a.outcome);
+            assert!(b.outcome.is_acceptable(), "{:?}", b.outcome);
+            let ra = *a.residual_history.last().unwrap();
+            let rb = *b.residual_history.last().unwrap();
             assert!(
-                (0.1..1.0).contains(&contraction),
-                "nonlinear contraction {contraction}: {:?}",
-                stats.residual_history
+                ra <= 2.0 * rb && rb <= 2.0 * ra,
+                "step {}: ‖F‖ {ra:e} with EW, {rb:e} tight",
+                a.step
             );
         }
+        let distance = |x: &[f64], y: &[f64]| {
+            let mut d = x.to_vec();
+            vec_ops::axpy(-1.0, y, &mut d);
+            vec_ops::norm2(&d) / vec_ops::norm2(y)
+        };
+        let ew_tight = distance(&u_ew, &u_tight);
+        let ew_ref = distance(&u_ew, &u_ref);
+        let tight_ref = distance(&u_tight, &u_ref);
+        assert!(
+            ew_tight <= tight_ref && ew_ref <= tight_ref,
+            "velocity distances: EW–tight {ew_tight:e}, EW–ref {ew_ref:e}, tight–ref {tight_ref:e}"
+        );
     }
 
     #[test]

@@ -208,6 +208,7 @@ fn finish_ksp(method: &str, cfg: &KrylovConfig, stats: &SolveStats) {
         prof::record_ksp(prof::KspRecord {
             label: format!("{method}({label})"),
             iterations: stats.iterations,
+            rtol: cfg.rtol,
             converged: stats.converged,
             initial_residual: stats.initial_residual,
             final_residual: stats.final_residual,

@@ -174,7 +174,15 @@ pub fn num_threads() -> usize {
     if e != 0 {
         return e;
     }
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+    default_threads()
+}
+
+/// `std::thread::available_parallelism()` (read once): it re-reads the
+/// cgroup quota on every call, and the CLI's default run asks on every
+/// parallel dispatch.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Number of live worker threads in the persistent pool (excludes the

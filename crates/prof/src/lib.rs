@@ -114,6 +114,9 @@ pub struct KspRecord {
     /// Solver label, e.g. `"GCR(stokes)"` or `"CG(coarse)"`.
     pub label: String,
     pub iterations: usize,
+    /// Requested relative tolerance (the Newton forcing term for the
+    /// outer solve of a nonlinear iteration).
+    pub rtol: f64,
     pub converged: bool,
     pub initial_residual: f64,
     pub final_residual: f64,
@@ -524,6 +527,7 @@ mod tests {
             record_ksp(KspRecord {
                 label: "x".into(),
                 iterations: 1,
+                rtol: 1e-5,
                 converged: true,
                 initial_residual: 1.0,
                 final_residual: 0.1,
@@ -673,6 +677,7 @@ mod tests {
             record_ksp(KspRecord {
                 label: format!("solve{i}"),
                 iterations: i,
+                rtol: 1e-5,
                 converged: true,
                 initial_residual: 1.0,
                 final_residual: 1e-9,

@@ -48,8 +48,8 @@ pub fn log_view_string(snap: &Snapshot) -> String {
         for k in &snap.ksp {
             let _ = writeln!(
                 out,
-                "  {:<28} its={:<4} converged={:<5} r0={:.3e} rN={:.3e}",
-                k.label, k.iterations, k.converged, k.initial_residual, k.final_residual
+                "  {:<28} its={:<4} rtol={:<9.2e} converged={:<5} r0={:.3e} rN={:.3e}",
+                k.label, k.iterations, k.rtol, k.converged, k.initial_residual, k.final_residual
             );
         }
     }
@@ -150,6 +150,7 @@ fn ksp_value(k: &KspRecord) -> Value {
     Value::obj(vec![
         ("label", Value::Str(k.label.clone())),
         ("iterations", Value::Num(k.iterations as f64)),
+        ("rtol", Value::Num(k.rtol)),
         ("converged", Value::Bool(k.converged)),
         ("initial_residual", Value::Num(k.initial_residual)),
         ("final_residual", Value::Num(k.final_residual)),
@@ -207,6 +208,7 @@ mod tests {
             ksp: vec![KspRecord {
                 label: "GCR(stokes)".into(),
                 iterations: 12,
+                rtol: 0.05,
                 converged: true,
                 initial_residual: 1.0,
                 final_residual: 1e-9,
@@ -223,6 +225,7 @@ mod tests {
         assert!(text.contains("Call tree"));
         assert!(text.contains("KSP solves"));
         assert!(text.contains("GCR(stokes)"));
+        assert!(text.contains("its=12   rtol=5.00e-2"), "{text}");
     }
 
     #[test]
@@ -241,6 +244,7 @@ mod tests {
         );
         let ksp = v.get("ksp").unwrap().as_arr().unwrap();
         assert_eq!(ksp[0].get("iterations").unwrap().as_f64().unwrap(), 12.0);
+        assert_eq!(ksp[0].get("rtol").unwrap().as_f64().unwrap(), 0.05);
     }
 
     #[test]
