@@ -45,7 +45,7 @@ pub fn estimate_lambda_max(a: &dyn LinearOperator, inv_diag: &[f64], iters: usiz
     v::scale(1.0 / nx, &mut x);
     for _ in 0..iters.max(1) {
         a.apply(&x, &mut y);
-        v::pointwise_mult(inv_diag, &y.clone(), &mut y);
+        v::pointwise_scale(inv_diag, &mut y);
         let ny = v::norm2(&y);
         if ny == 0.0 {
             return 1.0;

@@ -151,6 +151,22 @@ pub fn pointwise_mult(d: &[f64], x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// In-place pointwise multiply: y ← d .* y.
+pub fn pointwise_scale(d: &[f64], y: &mut [f64]) {
+    assert_eq!(d.len(), y.len());
+    if y.len() < PAR_MIN {
+        for (yi, &di) in y.iter_mut().zip(d) {
+            *yi *= di;
+        }
+    } else {
+        par::par_chunks_mut(y, |off, c| {
+            for (i, yi) in c.iter_mut().enumerate() {
+                *yi *= d[off + i];
+            }
+        });
+    }
+}
+
 /// Euclidean inner product xᵀy.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len());
@@ -258,5 +274,8 @@ mod tests {
         let mut p = vec![0.0; 3];
         pointwise_mult(&x, &y, &mut p);
         assert_eq!(p, vec![4.0, 10.0, 18.0]);
+        let mut q = y.clone();
+        pointwise_scale(&x, &mut q);
+        assert_eq!(q, p);
     }
 }

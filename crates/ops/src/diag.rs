@@ -2,7 +2,8 @@
 //! Jacobi-preconditioned Chebyshev smoother on levels that never assemble
 //! a matrix (the finest level of the paper's production configuration).
 
-use crate::data::{ViscousOpData, NQP};
+use crate::batch::BatchedGeometry;
+use crate::data::{shared_tables, ViscousOpData, NQP};
 use crate::kernels::qp_jacobian;
 use ptatin_fem::assemble::Q2QuadTables;
 use ptatin_fem::basis::NQ2;
@@ -15,14 +16,31 @@ pub fn matrix_free_diagonal(
     tables: &Q2QuadTables,
     q1g: &[[[f64; 3]; 8]],
 ) -> Vec<f64> {
+    diagonal_with(data, tables, |e, q| {
+        qp_jacobian(&data.corners[e], &q1g[q], tables.quad.weights[q])
+    })
+}
+
+/// [`matrix_free_diagonal`] of a batched operator: the same element-ordered
+/// accumulation, bitwise, with the metric terms read from its geometry pack
+/// instead of recomputed.
+pub fn viscous_diagonal(data: &ViscousOpData, geom: &BatchedGeometry) -> Vec<f64> {
+    diagonal_with(data, shared_tables(), |e, q| geom.qp_metric(e, q))
+}
+
+/// The diagonal given `metric(e, q) = (∂ξ/∂x, w·|J|)`.
+fn diagonal_with(
+    data: &ViscousOpData,
+    tables: &Q2QuadTables,
+    metric: impl Fn(usize, usize) -> ([[f64; 3]; 3], f64),
+) -> Vec<f64> {
     let mut diag = vec![0.0f64; data.ndof];
     for e in 0..data.nel {
         let nodes = data.element_nodes(e);
-        let corners = &data.corners[e];
         let eta = data.element_eta(e);
         let mut de = [[0.0f64; 3]; NQ2];
         for q in 0..NQP {
-            let (jinv, wdet) = qp_jacobian(corners, &q1g[q], tables.quad.weights[q]);
+            let (jinv, wdet) = metric(e, q);
             let ew = eta[q] * wdet;
             for i in 0..NQ2 {
                 let gr = tables.grad[q][i];
@@ -48,15 +66,6 @@ pub fn matrix_free_diagonal(
         diag[d] = 1.0;
     }
     diag
-}
-
-/// Convenience wrapper over [`matrix_free_diagonal`] that builds the
-/// standard quadrature/geometry tables itself — for operators (TensorC,
-/// TensorBatched) that precompute metric terms and keep no tables around.
-pub fn viscous_diagonal(data: &ViscousOpData) -> Vec<f64> {
-    let tables = Q2QuadTables::standard();
-    let q1g = crate::kernels::q1_grad_tables(&tables.quad.points);
-    matrix_free_diagonal(data, &tables, &q1g)
 }
 
 #[cfg(test)]

@@ -38,7 +38,9 @@ pub use asm_batch::{
     pressure_mass_blocks_batched, viscous_numeric_batched_into,
 };
 pub use asmb::assembled_viscous_op;
-pub use batch::{avx2_fma_available, detected_simd_path, BatchedViscousOp, SimdPath};
+pub use batch::{
+    avx2_fma_available, detected_simd_path, BatchedGeometry, BatchedViscousOp, SimdPath,
+};
 pub use counts::{
     assembled_model, mf_model, paper_models, stokes_batched_model, tensor_batched_model,
     tensor_c_model, tensor_model, OperatorModel,
