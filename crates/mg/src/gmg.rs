@@ -56,8 +56,10 @@ pub enum GmgCoarseSolver {
         rtol: f64,
         max_it: usize,
     },
-    /// Exact solve: sparse Cholesky, dense LU for what it rejects.
-    Direct(DirectSolver),
+    /// Exact solve: sparse Cholesky, dense LU for what it rejects. Shared,
+    /// so a build inside one nonlinear solve can take over an earlier
+    /// build's factor.
+    Direct(Arc<DirectSolver>),
     /// One application of block-Jacobi with an exact solve per block
     /// (`SubdomainSolve::Lu`: a sparse Cholesky factor per block).
     BlockJacobiLu(AdditiveSchwarz),
@@ -508,7 +510,7 @@ mod tests {
         // Replace coarsest op by Galerkin from the level above (the paper's
         // robust choice) and solve it directly.
         let ac = galerkin_coarse(&ops[1], &ps[0], &masks[0]);
-        let coarse = GmgCoarseSolver::Direct(DirectSolver::new(&ac));
+        let coarse = GmgCoarseSolver::Direct(Arc::new(DirectSolver::new(&ac)));
         let fine_a = ops.last().unwrap().clone();
         let mut lvls = Vec::new();
         for a in ops.into_iter().skip(1) {

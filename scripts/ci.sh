@@ -56,8 +56,9 @@ done
 # contract against the scalar loop (DESIGN.md §9), the fused saddle-point
 # pass of the Krylov operator against its block composition (DESIGN.md §4),
 # the block-Jacobi subdomain Cholesky solves against their dense-LU oracle
-# (DESIGN.md §13) and the CLI's refusal of unknown arguments are named for
-# the same reason.
+# (DESIGN.md §13), the shared geometry pack and the solve-scoped lag of a
+# warm rebuild (DESIGN.md §13) and the CLI's refusal of unknown arguments
+# are named for the same reason.
 step "tests (PTATIN_TEST_THREADS=1)"
 PTATIN_TEST_THREADS=1 cargo test --workspace -q
 PTATIN_TEST_THREADS=1 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
@@ -71,6 +72,7 @@ PTATIN_TEST_THREADS=1 cargo test -q --test operator_equivalence
 PTATIN_TEST_THREADS=1 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=1 cargo test -q --test fused_stokes_operator
 PTATIN_TEST_THREADS=1 cargo test -q --test exact_subdomain_solves
+PTATIN_TEST_THREADS=1 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=1 cargo test -q --test cli_arguments
 
 step "tests (PTATIN_TEST_THREADS=4)"
@@ -86,6 +88,7 @@ PTATIN_TEST_THREADS=4 cargo test -q --test operator_equivalence
 PTATIN_TEST_THREADS=4 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=4 cargo test -q --test fused_stokes_operator
 PTATIN_TEST_THREADS=4 cargo test -q --test exact_subdomain_solves
+PTATIN_TEST_THREADS=4 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=4 cargo test -q --test cli_arguments
 
 # The same suite under the pool sanitizer: every split_ranges partition,

@@ -63,6 +63,12 @@ fn restart_from_any_step_is_bitwise_identical() {
         reference.step();
         snapshots.push(state_bytes(&reference));
     }
+    // The contract covers the lagged path: some build of the reference run
+    // took over a coarse factor from an earlier build of its solve.
+    assert!(
+        reference.setup_cache().lag_counts().coarse > 0,
+        "no lagged build in the reference run"
+    );
 
     // Kill-and-resume at every step k: restore through the byte format,
     // continue to N steps, and demand the identical trajectory.
