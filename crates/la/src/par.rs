@@ -676,6 +676,30 @@ where
         .fold(identity, combine)
 }
 
+/// [`par_reduce`] over the blocks of `data`, each handed to `fold` mutably
+/// as `fold(block_start, block)`: a kernel can update a block and reduce it
+/// in the same sweep, with the grouping (and so the bits) of `par_reduce`.
+pub fn par_reduce_mut<T, R, F, C>(data: &mut [T], identity: R, fold: F, combine: C) -> R
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+    C: Fn(R, R) -> R,
+{
+    let base = SendPtr::new(data.as_mut_ptr());
+    par_reduce(
+        data.len(),
+        identity,
+        |s, e| {
+            // SAFETY: `par_reduce` folds every index block exactly once, on
+            // one piece, and the blocks are disjoint; `data` outlives it.
+            let block = unsafe { std::slice::from_raw_parts_mut(base.get().add(s), e - s) };
+            fold(s, block)
+        },
+        combine,
+    )
+}
+
 /// Serialize unit tests that mutate the process-global thread count or
 /// assert on thread identity / the prof registry.
 #[cfg(test)]
