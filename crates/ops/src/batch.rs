@@ -13,6 +13,14 @@
 //! the kernel needs no remainder branches and ghosts contribute exactly
 //! nothing (their scatter is skipped).
 //!
+//! The contractions are staged in the collocation basis, the form deal.II's
+//! matrix-free evaluation takes when the quadrature has degree + 1 points:
+//! each velocity component is interpolated to the Gauss points once
+//! (`B̃⊗B̃⊗B̃`), and each reference derivative is then a single contraction
+//! with `D_c = D̃ B̃⁻¹` along its own dimension. The adjoint sums the three
+//! `D_cᵀ` contractions and interpolates back once: 12 contractions per
+//! component instead of the Tensor kernel's 18.
+//!
 //! Geometry is precomputed: the inverse Jacobian and `w·|J|` per quadrature
 //! point are stored in `[lane][qp]` order at construction (10 scalars/qp,
 //! like TensorC's trade of memory for metric flops), so the apply streams
@@ -21,7 +29,7 @@
 //! The same pass can apply the whole saddle-point operator
 //! ([`LinearOperator::apply_stokes`]): `div u = tr(∇u)` is in registers at
 //! every quadrature point and the pressure enters as `−p·w|J|` on the stress
-//! diagonal, so `Bᵀ x_p` and `B x_u` cost ≈ 5 % more flops instead of two
+//! diagonal, so `Bᵀ x_p` and `B x_u` cost ≈ 7 % more flops instead of two
 //! sweeps over the assembled coupling block.
 //!
 //! Two kernels implement the identical operation sequence: a portable one
@@ -98,39 +106,26 @@ pub fn contract_dim2_b(m: &[[f64; 3]; 3], input: &[F64x4; 27], out: &mut [F64x4;
     }
 }
 
-/// Batched forward reference derivative (see [`crate::tensor::ref_derivative`]).
+/// Nodal values of one component to the 27 Gauss points, `B̃⊗B̃⊗B̃`:
+/// three staged contractions.
 #[inline]
-pub fn ref_derivative_b(t: &Tensor1d, dim: usize, input: &[F64x4; 27], out: &mut [F64x4; 27]) {
+fn to_gauss_b(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; 27]) {
     let mut tmp1 = [F64x4::ZERO; 27];
     let mut tmp2 = [F64x4::ZERO; 27];
-    let m0 = if dim == 0 { &t.d } else { &t.b };
-    let m1 = if dim == 1 { &t.d } else { &t.b };
-    let m2 = if dim == 2 { &t.d } else { &t.b };
-    contract_dim0_b(m0, input, &mut tmp1);
-    contract_dim1_b(m1, &tmp1, &mut tmp2);
-    contract_dim2_b(m2, &tmp2, out);
+    contract_dim0_b(&t.b, input, &mut tmp1);
+    contract_dim1_b(&t.b, &tmp1, &mut tmp2);
+    contract_dim2_b(&t.b, &tmp2, out);
 }
 
-/// Batched adjoint derivative, accumulating into `out`.
+/// Adjoint of [`to_gauss_b`], `B̃ᵀ⊗B̃ᵀ⊗B̃ᵀ`: Gauss-point values back to the
+/// 27 nodes.
 #[inline]
-pub fn ref_derivative_adjoint_add_b(
-    t: &Tensor1d,
-    dim: usize,
-    input: &[F64x4; 27],
-    out: &mut [F64x4; 27],
-) {
+fn from_gauss_b(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; 27]) {
     let mut tmp1 = [F64x4::ZERO; 27];
     let mut tmp2 = [F64x4::ZERO; 27];
-    let mut tmp3 = [F64x4::ZERO; 27];
-    let m0 = if dim == 0 { &t.dt } else { &t.bt };
-    let m1 = if dim == 1 { &t.dt } else { &t.bt };
-    let m2 = if dim == 2 { &t.dt } else { &t.bt };
-    contract_dim0_b(m0, input, &mut tmp1);
-    contract_dim1_b(m1, &tmp1, &mut tmp2);
-    contract_dim2_b(m2, &tmp2, &mut tmp3);
-    for i in 0..27 {
-        out[i] = out[i] + tmp3[i];
-    }
+    contract_dim0_b(&t.bt, input, &mut tmp1);
+    contract_dim1_b(&t.bt, &tmp1, &mut tmp2);
+    contract_dim2_b(&t.bt, &tmp2, out);
 }
 
 /// 2-term dot `fma(i0,m0, i1·m1)`: the fusion order of every Q1
@@ -522,6 +517,11 @@ struct LanePressure<'a> {
 
 /// Portable lane kernel: forward contractions → quadrature stress loop →
 /// adjoint contractions, all on [`F64x4`] lanes with `mul_add` fusion.
+/// The contractions run in the collocation basis: each velocity component
+/// is interpolated to the Gauss points once and differentiated there by
+/// one `D_c` contraction per direction, and the adjoint sums the three
+/// `D_cᵀ` contractions before one interpolation back (12 instead of 18
+/// contractions per component). `re` is overwritten.
 /// With `pressure` the quadrature loop also subtracts `p·w|J|` from the
 /// stress diagonal (`Bᵀ x_p`) and keeps `w|J|·div u`, which tested against
 /// `ψ_m` gives `rp` (`−B x_u`; the caller negates). The pressure is a
@@ -539,10 +539,12 @@ fn lane_kernel_portable(
     rp: &mut [F64x4; NP1],
 ) {
     let mut ederiv = [[[F64x4::ZERO; 27]; 3]; 3];
-    for d in 0..3 {
-        for c in 0..3 {
-            ref_derivative_b(t1d, d, &ue[c], &mut ederiv[d][c]);
-        }
+    for c in 0..3 {
+        let mut uq = [F64x4::ZERO; 27];
+        to_gauss_b(t1d, &ue[c], &mut uq);
+        contract_dim0_b(&t1d.dc, &uq, &mut ederiv[0][c]);
+        contract_dim1_b(&t1d.dc, &uq, &mut ederiv[1][c]);
+        contract_dim2_b(&t1d.dc, &uq, &mut ederiv[2][c]);
     }
     let mut pq = [F64x4::ZERO; 27];
     let mut dw = [F64x4::ZERO; 27];
@@ -586,10 +588,15 @@ fn lane_kernel_portable(
             }
         }
     }
-    for d in 0..3 {
-        for c in 0..3 {
-            ref_derivative_adjoint_add_b(t1d, d, &what[d][c], &mut re[c]);
+    for c in 0..3 {
+        let mut a = [[F64x4::ZERO; 27]; 3];
+        contract_dim0_b(&t1d.dct, &what[0][c], &mut a[0]);
+        contract_dim1_b(&t1d.dct, &what[1][c], &mut a[1]);
+        contract_dim2_b(&t1d.dct, &what[2][c], &mut a[2]);
+        for i in 0..27 {
+            a[0][i] = (a[0][i] + a[1][i]) + a[2][i];
         }
+        from_gauss_b(t1d, &a[0], &mut re[c]);
     }
     if let Some(LanePressure { psi, .. }) = pressure {
         let mut dc = [F64x4::ZERO; NQ1];
@@ -836,17 +843,14 @@ mod avx {
     // `contract_dim*` helpers under the same feature set.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn ref_derivative(t: &Tensor1d, dim: usize, input: &[F64x4; 27], out: &mut [F64x4; 27]) {
+    unsafe fn to_gauss(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; 27]) {
         // SAFETY: same preconditions as this fn (AVX2+FMA verified).
         unsafe {
             let mut tmp1 = [F64x4::ZERO; 27];
             let mut tmp2 = [F64x4::ZERO; 27];
-            let m0 = if dim == 0 { &t.d } else { &t.b };
-            let m1 = if dim == 1 { &t.d } else { &t.b };
-            let m2 = if dim == 2 { &t.d } else { &t.b };
-            contract_dim0(m0, input, &mut tmp1);
-            contract_dim1(m1, &tmp1, &mut tmp2);
-            contract_dim2(m2, &tmp2, out);
+            contract_dim0(&t.b, input, &mut tmp1);
+            contract_dim1(&t.b, &tmp1, &mut tmp2);
+            contract_dim2(&t.b, &tmp2, out);
         }
     }
 
@@ -854,27 +858,14 @@ mod avx {
     // `contract_dim*` helpers under the same feature set.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn ref_derivative_adjoint_add(
-        t: &Tensor1d,
-        dim: usize,
-        input: &[F64x4; 27],
-        out: &mut [F64x4; 27],
-    ) {
+    unsafe fn from_gauss(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; 27]) {
         // SAFETY: same preconditions as this fn (AVX2+FMA verified).
         unsafe {
             let mut tmp1 = [F64x4::ZERO; 27];
             let mut tmp2 = [F64x4::ZERO; 27];
-            let mut tmp3 = [F64x4::ZERO; 27];
-            let m0 = if dim == 0 { &t.dt } else { &t.bt };
-            let m1 = if dim == 1 { &t.dt } else { &t.bt };
-            let m2 = if dim == 2 { &t.dt } else { &t.bt };
-            contract_dim0(m0, input, &mut tmp1);
-            contract_dim1(m1, &tmp1, &mut tmp2);
-            contract_dim2(m2, &tmp2, &mut tmp3);
-            for i in 0..27 {
-                let sum = _mm256_add_pd(ld(&out[i]), ld(&tmp3[i]));
-                st(&mut out[i], sum);
-            }
+            contract_dim0(&t.bt, input, &mut tmp1);
+            contract_dim1(&t.bt, &tmp1, &mut tmp2);
+            contract_dim2(&t.bt, &tmp2, out);
         }
     }
 
@@ -900,10 +891,12 @@ mod avx {
         // SAFETY: same preconditions as this fn (AVX2+FMA verified).
         unsafe {
             let mut ederiv = [[[F64x4::ZERO; 27]; 3]; 3];
-            for d in 0..3 {
-                for c in 0..3 {
-                    ref_derivative(t1d, d, &ue[c], &mut ederiv[d][c]);
-                }
+            for c in 0..3 {
+                let mut uq = [F64x4::ZERO; 27];
+                to_gauss(t1d, &ue[c], &mut uq);
+                contract_dim0(&t1d.dc, &uq, &mut ederiv[0][c]);
+                contract_dim1(&t1d.dc, &uq, &mut ederiv[1][c]);
+                contract_dim2(&t1d.dc, &uq, &mut ederiv[2][c]);
             }
             let half = _mm256_set1_pd(0.5);
             let two = _mm256_set1_pd(2.0);
@@ -1034,10 +1027,17 @@ mod avx {
                     }
                 }
             }
-            for d in 0..3 {
-                for c in 0..3 {
-                    ref_derivative_adjoint_add(t1d, d, &what[d][c], &mut re[c]);
+            for c in 0..3 {
+                let mut a = [[F64x4::ZERO; 27]; 3];
+                contract_dim0(&t1d.dct, &what[0][c], &mut a[0]);
+                contract_dim1(&t1d.dct, &what[1][c], &mut a[1]);
+                contract_dim2(&t1d.dct, &what[2][c], &mut a[2]);
+                for i in 0..27 {
+                    let sum =
+                        _mm256_add_pd(_mm256_add_pd(ld(&a[0][i]), ld(&a[1][i])), ld(&a[2][i]));
+                    st(&mut a[0][i], sum);
                 }
+                from_gauss(t1d, &a[0], &mut re[c]);
             }
             if let Some(LanePressure { psi, .. }) = pressure {
                 let mut dc = [F64x4::ZERO; NQ1];

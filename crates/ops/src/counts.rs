@@ -121,12 +121,23 @@ pub fn tensor_c_model() -> OperatorModel {
     }
 }
 
-/// Cost model of the cross-element batched tensor kernel ("TensB"): same
-/// 18 staged contractions as Tensor (8748 flops) but geometry precomputed —
-/// the quadrature stage is two metric mappings (27 × 54 each) plus the
-/// stress update (27 × 36) streaming 10 stored scalars per point (Jinv 9 +
-/// w|J| 1) instead of recomputing the Jacobian. Counted per element; SIMD
-/// lanes change throughput, not the flop count.
+/// Flops of one staged 3×3×3 contraction: 27 three-term dots.
+const CONTRACTION_FLOPS: u64 = 27 * 3 * 2;
+
+/// Flops of the batched kernel's contractions per element. Staged in the
+/// collocation basis, each velocity component costs 12 contractions
+/// (`B̃` along each dimension and one `D_c` per direction forward; one
+/// `D_cᵀ` per direction and `B̃ᵀ` along each dimension back) plus the 2×27
+/// adds summing the three adjoint directions: 36 contractions where the
+/// Tensor kernel stages 54.
+const COLLOCATION_STAGED_FLOPS: u64 = 3 * (12 * CONTRACTION_FLOPS + 2 * 27);
+
+/// Cost model of the cross-element batched tensor kernel ("TensB"): the
+/// collocation-basis contractions (5994 flops) with the geometry
+/// precomputed — the quadrature stage is two metric mappings (27 × 54
+/// each) plus the stress update (27 × 36) streaming 10 stored scalars per
+/// point (Jinv 9 + w|J| 1) instead of recomputing the Jacobian. Counted
+/// per element; SIMD lanes change throughput, not the flop count.
 pub fn tensor_batched_model() -> OperatorModel {
     let state_perfect = 2 * 8 * 3 * 8u64;
     let state_pessimal = 2 * 27 * 3 * 8u64;
@@ -135,7 +146,7 @@ pub fn tensor_batched_model() -> OperatorModel {
     let enodes = 27 * 4u64;
     OperatorModel {
         name: "Tensor batched (this impl)",
-        flops: 8748 + 27 * (54 + 36 + 54),
+        flops: COLLOCATION_STAGED_FLOPS + 27 * (54 + 36 + 54),
         bytes_pessimal: state_pessimal + geo + coeff + enodes,
         bytes_perfect: state_perfect + geo + coeff + enodes,
     }
@@ -211,6 +222,9 @@ mod tests {
             tb.flops < t.flops,
             "batched kernel skips the per-qp Jacobian recompute"
         );
+        // Two thirds of the Tensor kernel's 54 staged contractions (8748
+        // flops), plus the adds that sum the adjoint's three directions.
+        assert_eq!(COLLOCATION_STAGED_FLOPS, 8748 * 2 / 3 + 3 * 2 * 27);
         assert!(
             tb.bytes_perfect > t.bytes_perfect && tb.bytes_perfect < tc.bytes_perfect,
             "stored metrics (10/qp) sit between Tensor (0) and TensorC (16)"
@@ -221,10 +235,10 @@ mod tests {
     fn fused_stokes_model_adds_the_coupling_terms() {
         let tb = tensor_batched_model();
         let st = stokes_batched_model();
-        // ≈ +5 % flops for the pressure/divergence terms.
+        // ≈ +6.6 % flops for the pressure/divergence terms.
         assert_eq!(st.flops - tb.flops, 654);
         let rel = (st.flops - tb.flops) as f64 / tb.flops as f64;
-        assert!(rel > 0.04 && rel < 0.06, "{rel}");
+        assert!(rel > 0.06 && rel < 0.07, "{rel}");
         // 24 corner ψ scalars and the pressure dofs in and out: less than 3
         // stored ψ per quadrature point, and far less than the two sweeps
         // over `b` it replaces (2 × 324 nonzeros × 12 bytes per element).

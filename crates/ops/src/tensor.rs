@@ -31,6 +31,14 @@ pub struct Tensor1d {
     /// P1disc pressure on a trilinear element.
     pub n: [[f64; 2]; 3],
     pub nt: [[f64; 3]; 2],
+    /// Collocation derivative `D_c = D̃ B̃⁻¹`, `dc[q][p]`: the derivative at
+    /// Gauss point `q` of the 1-D Lagrange polynomial through the Gauss
+    /// points that is one at point `p`. With values already interpolated to
+    /// the Gauss points (`B̃⊗B̃⊗B̃`), each reference derivative is one
+    /// contraction with `D_c` along its own dimension.
+    pub dc: [[f64; 3]; 3],
+    /// Transpose of `dc` (the adjoint contraction).
+    pub dct: [[f64; 3]; 3],
 }
 
 impl Tensor1d {
@@ -59,6 +67,18 @@ impl Tensor1d {
                 nt[a][q] = n[q][a];
             }
         }
+        // l_p'(x) = Σ_{m≠p} Π_{k≠p,m} (x − x_k) / Π_{k≠p} (x_p − x_k); at
+        // the middle point the two terms of l_1' cancel exactly.
+        let mut dc = [[0.0; 3]; 3];
+        let mut dct = [[0.0; 3]; 3];
+        for (q, &x) in pts.iter().enumerate() {
+            for p in 0..3 {
+                let (m0, m1) = ((p + 1) % 3, (p + 2) % 3);
+                let denom = (pts[p] - pts[m0]) * (pts[p] - pts[m1]);
+                dc[q][p] = ((x - pts[m1]) + (x - pts[m0])) / denom;
+                dct[p][q] = dc[q][p];
+            }
+        }
         Self {
             b,
             d,
@@ -66,6 +86,8 @@ impl Tensor1d {
             dt,
             n,
             nt,
+            dc,
+            dct,
         }
     }
 }
@@ -290,6 +312,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn collocation_derivative_times_basis_is_the_derivative() {
+        let t = Tensor1d::gauss3();
+        for q in 0..3 {
+            for a in 0..3 {
+                let dcb: f64 = (0..3).map(|p| t.dc[q][p] * t.b[p][a]).sum();
+                assert!((dcb - t.d[q][a]).abs() < 1e-15, "({q}, {a})");
+                assert_eq!(t.dct[a][q], t.dc[q][a]);
+            }
+        }
+        assert_eq!(t.dc[1][1], 0.0);
     }
 
     #[test]
