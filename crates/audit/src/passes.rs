@@ -64,6 +64,7 @@ const DISPATCH_NAMES: &[&str] = &[
     "par_chunks_mut",
     "par_blocks_mut",
     "par_reduce",
+    "par_reduce_mut",
     "run_on_pool",
 ];
 

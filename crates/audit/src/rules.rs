@@ -296,7 +296,8 @@ pub fn analyze_lexed(relpath: &str, lexed: &Lexed) -> FileReport {
     // Pass 2: determinism lint (numeric crates, non-test code).
     if class.numeric && class.library {
         let par_regions = par_dispatch_loop_regions(toks);
-        let reduce_regions = call_arg_regions(toks, "par_reduce");
+        let mut reduce_regions = call_arg_regions(toks, "par_reduce");
+        reduce_regions.extend(call_arg_regions(toks, "par_reduce_mut"));
         for (i, t) in toks.iter().enumerate() {
             if test_mask[i] {
                 continue;
@@ -743,7 +744,8 @@ fn enclosing_fn_names(toks: &[Tok]) -> Vec<Option<String>> {
 }
 
 /// Token indices inside the argument parentheses of any call to `callee`.
-/// Used to bless `.sum()` folds handed to the fixed-order `par_reduce`.
+/// Used to bless `.sum()` folds handed to the fixed-order `par_reduce` and
+/// `par_reduce_mut`.
 fn call_arg_regions(toks: &[Tok], callee: &str) -> BTreeSet<usize> {
     let mut out = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
@@ -949,6 +951,9 @@ mod tests {
         let blessed =
             "fn f() -> f64 { par_reduce(n, 0.0, |s, e| x[s..e].iter().sum::<f64>(), |a, b| a + b) }";
         assert!(findings("crates/la/src/x.rs", blessed).is_empty());
+        let blessed_mut =
+            "fn f() -> f64 { par_reduce_mut(y, 0.0, |s, b| b.iter().sum::<f64>(), |a, b| a + b) }";
+        assert!(findings("crates/la/src/x.rs", blessed_mut).is_empty());
         let bare = "fn f(v: &[f64]) -> f64 { v.iter().sum() }";
         let f = findings("crates/la/src/x.rs", bare);
         assert_eq!(f.len(), 1);
