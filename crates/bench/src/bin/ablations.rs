@@ -17,8 +17,7 @@
 //! Run: `cargo run --release -p ptatin-bench --bin ablations [--quick]`
 
 use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup, write_csv, Args};
-use ptatin_core::models::sinker::sinker_bc;
-use ptatin_core::solver::{build_stokes_solver, CoarseKind, GmgConfig, KrylovOperatorChoice};
+use ptatin_core::solver::{CoarseKind, GmgConfig, KrylovOperatorChoice};
 use ptatin_fem::assemble::Q2QuadTables;
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_mpm::projection::{corners_to_quadrature, corners_to_quadrature_log};
@@ -170,9 +169,7 @@ fn main() {
             coarse: CoarseKind::Direct,
             ..paper_gmg_config(levels.min(2), OperatorKind::Tensor)
         };
-        let hier = &model.hier;
-        let solver = build_stokes_solver(hier, &fields.eta_corner, &model.bcs, &gmg, None);
-        let _ = sinker_bc(hier.finest());
+        let solver = model.build_solver(&fields, &gmg);
         let rhs = model.rhs(&solver, &fields);
         let mut x1 = vec![0.0; solver.nu + solver.np];
         let t0 = std::time::Instant::now();

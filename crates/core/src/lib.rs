@@ -19,6 +19,6 @@ pub use nonlinear::{classify_outcome, NonlinearConfig, NonlinearOutcome, Nonline
 pub use ptatin_mg::CycleType;
 pub use recovery::{run_rift, RecoveryConfig, RunConfig, RunOutcome, RunReport};
 pub use solver::{
-    build_stokes_solver, BlockLowerTriangularPc, CoarseKind, CoefficientRestriction, GmgConfig,
-    KrylovOperatorChoice, StokesOperator, StokesSolver,
+    BlockLowerTriangularPc, CoarseKind, CoefficientRestriction, GmgConfig, KrylovOperatorChoice,
+    StokesOperator, StokesSolver,
 };

@@ -5,18 +5,14 @@
 //! genuine buoyancy forcing — the nonlinear counterpart of the linear
 //! sinker benchmark.
 
-use crate::coefficients::{update_coefficients, CoefficientFields, StateFields};
-use crate::nonlinear::{solve_nonlinear, NonlinearConfig, NonlinearStats, StokesNonlinearProblem};
-use crate::solver::{build_stokes_solver_cached, CoarseKind, GmgConfig, SetupCache, StokesSolver};
-use ptatin_fem::assemble::{
-    assemble_body_force, num_pressure_dofs, num_velocity_dofs, Q2QuadTables,
-};
+use crate::coefficients::{update_coefficients, StateFields};
+use crate::nonlinear::{MaterialPointProblem, NonlinearConfig, NonlinearStats};
+use crate::solver::{CoarseKind, GmgConfig, SetupCache};
+use ptatin_fem::assemble::{num_pressure_dofs, num_velocity_dofs, Q2QuadTables};
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
-use ptatin_la::csr::Csr;
-use ptatin_mesh::hierarchy::MeshHierarchy;
 use ptatin_mesh::StructuredMesh;
-use ptatin_mg::gmg::ArcOp;
 use ptatin_mpm::points::{seed_regular, MaterialPoints};
+use ptatin_mpm::projection::interpolate_velocity;
 use ptatin_prng::StdRng;
 use ptatin_rheology::{Material, MaterialTable, ViscousLaw};
 
@@ -168,31 +164,12 @@ impl FallingBlockModel {
 
     /// Run the nonlinear Stokes solve and compute sink diagnostics.
     pub fn solve(&self) -> FallingBlockReport {
-        let cfg = self.cfg.clone();
-        let hier = MeshHierarchy::new(self.mesh.clone(), cfg.levels);
-        let bcs: Vec<DirichletBc> = hier
-            .meshes
-            .iter()
-            .map(|m| falling_block_bc(m, cfg.top_free_slip))
-            .collect();
-        let mut setup_cache = SetupCache::new();
-        let mut problem = FallingBlockProblem {
-            model: self,
-            hier: &hier,
-            bcs: &bcs,
-            b_full: setup_cache.gradient_block(&hier, &bcs).clone(),
-            fields: None,
-            f_u: None,
-            setup_cache,
-        };
-        let (nu, np) = problem.dims();
-        let mut u = vec![0.0; nu];
-        // PANIC-OK: one bc set per hierarchy level and levels >= 1.
-        bcs.last().unwrap().apply_to_vector(&mut u);
-        let mut p = vec![0.0; np];
-        problem.setup_cache.begin_nonlinear_solve();
-        let stats = solve_nonlinear(&mut problem, &mut u, &mut p, &cfg.nonlinear);
-        problem.setup_cache.end_nonlinear_solve();
+        let mut cache = SetupCache::new();
+        let mut u = vec![0.0; num_velocity_dofs(&self.mesh)];
+        let mut p = vec![0.0; num_pressure_dofs(&self.mesh)];
+        let stats = self
+            .stokes_problem(&mut cache)
+            .solve(&mut u, &mut p, &self.cfg.nonlinear);
         // Final-state viscosity contrast.
         let tables = Q2QuadTables::standard();
         let fields = update_coefficients(
@@ -226,13 +203,7 @@ impl FallingBlockModel {
                 continue;
             }
             let e = self.points.element[i] as usize;
-            let nodes = self.mesh.element_nodes(e);
-            let basis = ptatin_fem::basis::q2_basis(self.points.xi[i]);
-            let mut w = 0.0;
-            for (k, &n) in nodes.iter().enumerate() {
-                w += basis[k] * u[3 * n + 2];
-            }
-            sum_w += w;
+            sum_w += interpolate_velocity(&self.mesh, &u, e, self.points.xi[i])[2];
             count += 1;
         }
         let block_sink_velocity = if count > 0 { sum_w / count as f64 } else { 0.0 };
@@ -244,78 +215,22 @@ impl FallingBlockModel {
             pressure: p,
         }
     }
-}
 
-/// Adapter implementing the nonlinear-driver trait over the model state.
-struct FallingBlockProblem<'m> {
-    model: &'m FallingBlockModel,
-    hier: &'m MeshHierarchy,
-    bcs: &'m [DirichletBc],
-    b_full: Csr,
-    fields: Option<CoefficientFields>,
-    /// Body force of this solve, assembled at the first `update_state`:
-    /// `ρ` depends on temperature and lithology only, neither of which a
-    /// nonlinear solve changes.
-    f_u: Option<Vec<f64>>,
-    /// Symbolic/structural setup state reused across re-linearizations.
-    setup_cache: SetupCache,
-}
-
-impl StokesNonlinearProblem for FallingBlockProblem<'_> {
-    fn dims(&self) -> (usize, usize) {
-        let mesh = self.hier.finest();
-        (num_velocity_dofs(mesh), num_pressure_dofs(mesh))
-    }
-
-    fn bc(&self) -> &DirichletBc {
-        // PANIC-OK: one bc set per hierarchy level and levels >= 1.
-        self.bcs.last().unwrap()
-    }
-
-    fn b_full(&self) -> &Csr {
-        &self.b_full
-    }
-
-    fn update_state(&mut self, u: &[f64], p: &[f64]) -> (ArcOp, Vec<f64>) {
-        let tables = Q2QuadTables::standard();
-        let mesh = self.hier.finest();
-        let fields = update_coefficients(
-            mesh,
-            &tables,
-            &self.model.points,
-            &self.model.materials,
-            &StateFields {
-                velocity: Some(u),
-                pressure: Some(p),
-                temperature: None,
-            },
-            self.model.cfg.nonlinear.use_newton,
-        );
-        let a = self
-            .setup_cache
-            .residual_operator(self.hier, self.bcs, fields.eta_qp.clone());
-        let f_u = self
-            .f_u
-            .get_or_insert_with(|| {
-                assemble_body_force(mesh, &tables, &fields.rho_qp, self.model.gravity)
-            })
-            .clone();
-        self.fields = Some(fields);
-        (a, f_u)
-    }
-
-    fn build_solver(&mut self, newton: bool) -> StokesSolver {
-        // PANIC-OK: the nonlinear driver calls update_state before every
-        // build_solver; `fields` is cached there.
-        let fields = self.fields.as_ref().expect("update_state called first");
-        let newton_data = if newton { fields.newton.clone() } else { None };
-        build_stokes_solver_cached(
-            self.hier,
-            &fields.eta_corner,
-            self.bcs,
-            &self.model.cfg.gmg,
-            newton_data,
-            &mut self.setup_cache,
+    /// The nonlinear Stokes problem of this model, building through `cache`.
+    pub(crate) fn stokes_problem<'a>(
+        &'a self,
+        cache: &'a mut SetupCache,
+    ) -> MaterialPointProblem<'a> {
+        MaterialPointProblem::new(
+            &self.mesh,
+            self.cfg.levels,
+            |m| falling_block_bc(m, self.cfg.top_free_slip),
+            &self.points,
+            &self.materials,
+            None,
+            self.gravity,
+            &self.cfg.gmg,
+            cache,
         )
     }
 }

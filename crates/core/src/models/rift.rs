@@ -13,22 +13,14 @@
 //! the solver exercises the same code paths and nonlinear structure as the
 //! dimensional runs.
 
-use crate::coefficients::{update_coefficients, CoefficientFields, StateFields};
-use crate::nonlinear::{
-    solve_nonlinear, NonlinearConfig, NonlinearOutcome, NonlinearStats, StokesNonlinearProblem,
-};
-use crate::solver::{build_stokes_solver_cached, CoarseKind, GmgConfig, SetupCache, StokesSolver};
+use crate::nonlinear::{MaterialPointProblem, NonlinearConfig, NonlinearOutcome, NonlinearStats};
+use crate::solver::{CoarseKind, GmgConfig, SetupCache};
 use crate::timestep::{accumulate_plastic_strain, advected_surface, cfl_dt, velocity_at_corners};
 use ptatin_ckpt::{fnv1a64, Checkpoint, CkptError};
-use ptatin_fem::assemble::{
-    assemble_body_force, num_pressure_dofs, num_velocity_dofs, Q2QuadTables,
-};
+use ptatin_fem::assemble::{num_pressure_dofs, num_velocity_dofs};
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
 use ptatin_fem::energy::{assemble_energy_step, solve_energy_step};
-use ptatin_la::csr::Csr;
-use ptatin_mesh::hierarchy::MeshHierarchy;
 use ptatin_mesh::{ElementPartition, StructuredMesh};
-use ptatin_mg::gmg::ArcOp;
 use ptatin_mpm::advect::{advect_rk2, cull_lost, relocate_all};
 use ptatin_mpm::locate::ElementLocator;
 use ptatin_mpm::points::{seed_regular, MaterialPoints};
@@ -226,7 +218,7 @@ pub struct RiftModel {
     /// Solver setup state carried across Newton iterations *and* time
     /// steps: the ALE remesh moves nodes but never changes the topology,
     /// so only the cache's geometry tier turns over per step. Each
-    /// nonlinear solve is one lag scope (`SetupCache::begin_nonlinear_solve`):
+    /// nonlinear solve is one lag scope (`MaterialPointProblem::solve`):
     /// its builds are a pure function of that solve's viscosity history,
     /// and a scope never spans a step, so the cache is not part of a
     /// checkpoint and a restarted run is bitwise the uninterrupted one.
@@ -362,35 +354,32 @@ impl RiftModel {
     /// escalated configuration (see `crate::recovery`).
     pub fn solve_stokes(&mut self) -> StokesCandidate {
         let t0 = std::time::Instant::now();
-        let cfg = self.cfg.clone();
-        let hier = MeshHierarchy::new(self.mesh.clone(), cfg.levels);
-        let bcs: Vec<DirichletBc> = hier
-            .meshes
-            .iter()
-            .map(|m| rift_bc(m, cfg.extension_velocity, cfg.shortening_velocity))
-            .collect();
-        let b_full = self.setup_cache.gradient_block(&hier, &bcs).clone();
-        let mut problem = RiftProblem {
-            model: self,
-            hier: &hier,
-            bcs: &bcs,
-            b_full,
-            fields: None,
-            f_u: None,
-        };
-        let mut u = problem.model.velocity.clone();
-        // PANIC-OK: one bc set per hierarchy level and levels >= 1.
-        bcs.last().unwrap().apply_to_vector(&mut u);
-        let mut p = problem.model.pressure.clone();
-        problem.model.setup_cache.begin_nonlinear_solve();
-        let stats: NonlinearStats = solve_nonlinear(&mut problem, &mut u, &mut p, &cfg.nonlinear);
-        problem.model.setup_cache.end_nonlinear_solve();
+        let nonlinear = self.cfg.nonlinear.clone();
+        let mut u = self.velocity.clone();
+        let mut p = self.pressure.clone();
+        let stats = self.stokes_problem().solve(&mut u, &mut p, &nonlinear);
         StokesCandidate {
             stats,
             velocity: u,
             pressure: p,
             solve_seconds: t0.elapsed().as_secs_f64(),
         }
+    }
+
+    /// The nonlinear Stokes problem on the current mesh, points and
+    /// temperature, building through the run's setup cache.
+    pub(crate) fn stokes_problem(&mut self) -> MaterialPointProblem<'_> {
+        MaterialPointProblem::new(
+            &self.mesh,
+            self.cfg.levels,
+            |m| rift_bc(m, self.cfg.extension_velocity, self.cfg.shortening_velocity),
+            &self.points,
+            &self.materials,
+            Some(&self.temperature),
+            GRAVITY,
+            &self.cfg.gmg,
+            &mut self.setup_cache,
+        )
     }
 
     /// Commit an accepted Stokes candidate and advance the rest of the
@@ -534,85 +523,13 @@ fn rift_config_hash(cfg: &RiftConfig) -> u64 {
 /// Scaled gravity of the rift's body force.
 const GRAVITY: [f64; 3] = [0.0, -1.0, 0.0];
 
-/// Adapter implementing the nonlinear-driver trait over the rift state.
-struct RiftProblem<'m> {
-    model: &'m mut RiftModel,
-    hier: &'m MeshHierarchy,
-    bcs: &'m [DirichletBc],
-    b_full: Csr,
-    fields: Option<CoefficientFields>,
-    /// Body force of this solve, assembled at the first `update_state`:
-    /// `ρ` depends on temperature and lithology only, neither of which a
-    /// nonlinear solve changes.
-    f_u: Option<Vec<f64>>,
-}
-
-impl StokesNonlinearProblem for RiftProblem<'_> {
-    fn dims(&self) -> (usize, usize) {
-        let mesh = self.hier.finest();
-        (num_velocity_dofs(mesh), num_pressure_dofs(mesh))
-    }
-
-    fn bc(&self) -> &DirichletBc {
-        // PANIC-OK: one bc set per hierarchy level and levels >= 1.
-        self.bcs.last().unwrap()
-    }
-
-    fn b_full(&self) -> &Csr {
-        &self.b_full
-    }
-
-    fn update_state(&mut self, u: &[f64], p: &[f64]) -> (ArcOp, Vec<f64>) {
-        let tables = Q2QuadTables::standard();
-        let mesh = self.hier.finest();
-        let fields = update_coefficients(
-            mesh,
-            &tables,
-            &self.model.points,
-            &self.model.materials,
-            &StateFields {
-                velocity: Some(u),
-                pressure: Some(p),
-                temperature: Some(&self.model.temperature),
-            },
-            self.model.cfg.nonlinear.use_newton,
-        );
-        // Unmasked Picard action for residual evaluation.
-        let a =
-            self.model
-                .setup_cache
-                .residual_operator(self.hier, self.bcs, fields.eta_qp.clone());
-        let f_u = self
-            .f_u
-            .get_or_insert_with(|| assemble_body_force(mesh, &tables, &fields.rho_qp, GRAVITY))
-            .clone();
-        self.fields = Some(fields);
-        (a, f_u)
-    }
-
-    fn build_solver(&mut self, newton: bool) -> StokesSolver {
-        // PANIC-OK: the nonlinear driver calls update_state before every
-        // build_solver; `fields` is cached there.
-        let fields = self.fields.as_ref().expect("update_state called first");
-        let newton_data = if newton { fields.newton.clone() } else { None };
-        build_stokes_solver_cached(
-            self.hier,
-            &fields.eta_corner,
-            self.bcs,
-            &self.model.cfg.gmg,
-            newton_data,
-            &mut self.model.setup_cache,
-        )
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub mod tests {
     use super::*;
     use crate::nonlinear::ETA_MAX;
     use ptatin_la::vec_ops;
 
-    fn tiny_cfg() -> RiftConfig {
+    pub(crate) fn tiny_cfg() -> RiftConfig {
         RiftConfig {
             mx: 6,
             my: 2,
@@ -770,48 +687,5 @@ mod tests {
             ptatin_mpm::locate::locate_point(&model.mesh, &locator, [3.0, 0.5, 1.5], None)
                 .is_some()
         );
-    }
-
-    #[test]
-    fn cached_body_force_is_a_fresh_assembly_at_the_accepted_iterate() {
-        let mut model = RiftModel::new(tiny_cfg());
-        let cfg = model.cfg.clone();
-        let hier = MeshHierarchy::new(model.mesh.clone(), cfg.levels);
-        let bcs: Vec<DirichletBc> = hier
-            .meshes
-            .iter()
-            .map(|m| rift_bc(m, cfg.extension_velocity, cfg.shortening_velocity))
-            .collect();
-        let b_full = model.setup_cache.gradient_block(&hier, &bcs).clone();
-        let mut problem = RiftProblem {
-            model: &mut model,
-            hier: &hier,
-            bcs: &bcs,
-            b_full,
-            fields: None,
-            f_u: None,
-        };
-        let mut u = problem.model.velocity.clone();
-        bcs.last().unwrap().apply_to_vector(&mut u);
-        let mut p = problem.model.pressure.clone();
-        let stats = solve_nonlinear(&mut problem, &mut u, &mut p, &cfg.nonlinear);
-        assert!(stats.iterations >= 2, "the solve moved the iterate");
-        let (_, cached) = problem.update_state(&u, &p);
-        let tables = Q2QuadTables::standard();
-        let fields = update_coefficients(
-            hier.finest(),
-            &tables,
-            &model.points,
-            &model.materials,
-            &StateFields {
-                velocity: Some(&u),
-                pressure: Some(&p),
-                temperature: Some(&model.temperature),
-            },
-            cfg.nonlinear.use_newton,
-        );
-        let fresh = assemble_body_force(hier.finest(), &tables, &fields.rho_qp, GRAVITY);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&cached), bits(&fresh));
     }
 }

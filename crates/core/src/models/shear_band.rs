@@ -4,19 +4,12 @@
 //! standard brittle-localization benchmark for pressure-(in)sensitive
 //! plasticity (von Mises or Drucker–Prager, selectable via the material).
 
-use crate::coefficients::{
-    eps_ii, strain_rate_at, update_coefficients, CoefficientFields, StateFields,
-};
-use crate::nonlinear::{solve_nonlinear, NonlinearConfig, NonlinearStats, StokesNonlinearProblem};
-use crate::solver::{build_stokes_solver_cached, CoarseKind, GmgConfig, SetupCache, StokesSolver};
-use ptatin_fem::assemble::{
-    assemble_body_force, num_pressure_dofs, num_velocity_dofs, Q2QuadTables,
-};
+use crate::coefficients::{eps_ii, strain_rate_at};
+use crate::nonlinear::{MaterialPointProblem, NonlinearConfig, NonlinearStats};
+use crate::solver::{CoarseKind, GmgConfig, SetupCache};
+use ptatin_fem::assemble::{num_pressure_dofs, num_velocity_dofs};
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
-use ptatin_la::csr::Csr;
-use ptatin_mesh::hierarchy::MeshHierarchy;
 use ptatin_mesh::StructuredMesh;
-use ptatin_mg::gmg::ArcOp;
 use ptatin_mpm::points::{seed_regular, MaterialPoints};
 use ptatin_prng::StdRng;
 use ptatin_rheology::{Material, MaterialTable, Plasticity, Rheology, ViscousLaw};
@@ -175,31 +168,23 @@ impl ShearBandModel {
 
     /// Run the nonlinear Stokes solve and compute localization diagnostics.
     pub fn solve(&self) -> ShearBandReport {
-        let cfg = self.cfg.clone();
-        let hier = MeshHierarchy::new(self.mesh.clone(), cfg.levels);
-        let bcs: Vec<DirichletBc> = hier
-            .meshes
-            .iter()
-            .map(|m| shear_band_bc(m, cfg.compression_velocity, cfg.top_free_slip))
-            .collect();
-        let mut setup_cache = SetupCache::new();
-        let mut problem = ShearBandProblem {
-            model: self,
-            hier: &hier,
-            bcs: &bcs,
-            b_full: setup_cache.gradient_block(&hier, &bcs).clone(),
-            fields: None,
-            f_u: None,
-            setup_cache,
-        };
-        let (nu, np) = problem.dims();
-        let mut u = vec![0.0; nu];
-        // PANIC-OK: one bc set per hierarchy level and levels >= 1.
-        bcs.last().unwrap().apply_to_vector(&mut u);
-        let mut p = vec![0.0; np];
-        problem.setup_cache.begin_nonlinear_solve();
-        let stats = solve_nonlinear(&mut problem, &mut u, &mut p, &cfg.nonlinear);
-        problem.setup_cache.end_nonlinear_solve();
+        let cfg = &self.cfg;
+        let mut cache = SetupCache::new();
+        let mut problem = MaterialPointProblem::new(
+            &self.mesh,
+            cfg.levels,
+            |m| shear_band_bc(m, cfg.compression_velocity, cfg.top_free_slip),
+            &self.points,
+            &self.materials,
+            None,
+            // Kinematically driven: no gravity forcing.
+            [0.0, 0.0, 0.0],
+            &cfg.gmg,
+            &mut cache,
+        );
+        let mut u = vec![0.0; num_velocity_dofs(&self.mesh)];
+        let mut p = vec![0.0; num_pressure_dofs(&self.mesh)];
+        let stats = problem.solve(&mut u, &mut p, &cfg.nonlinear);
         let (yielded_fraction, localization) = self.diagnostics(&u, &p);
         ShearBandReport {
             stats,
@@ -251,82 +236,6 @@ impl ShearBandModel {
             0.0
         };
         (yielded_fraction, localization)
-    }
-}
-
-/// Adapter implementing the nonlinear-driver trait over the model state.
-struct ShearBandProblem<'m> {
-    model: &'m ShearBandModel,
-    hier: &'m MeshHierarchy,
-    bcs: &'m [DirichletBc],
-    b_full: Csr,
-    fields: Option<CoefficientFields>,
-    /// Body force of this solve, assembled at the first `update_state`:
-    /// `ρ` depends on temperature and lithology only, neither of which a
-    /// nonlinear solve changes.
-    f_u: Option<Vec<f64>>,
-    /// Symbolic/structural setup state reused across re-linearizations.
-    setup_cache: SetupCache,
-}
-
-impl StokesNonlinearProblem for ShearBandProblem<'_> {
-    fn dims(&self) -> (usize, usize) {
-        let mesh = self.hier.finest();
-        (num_velocity_dofs(mesh), num_pressure_dofs(mesh))
-    }
-
-    fn bc(&self) -> &DirichletBc {
-        // PANIC-OK: one bc set per hierarchy level and levels >= 1.
-        self.bcs.last().unwrap()
-    }
-
-    fn b_full(&self) -> &Csr {
-        &self.b_full
-    }
-
-    fn update_state(&mut self, u: &[f64], p: &[f64]) -> (ArcOp, Vec<f64>) {
-        let tables = Q2QuadTables::standard();
-        let mesh = self.hier.finest();
-        let fields = update_coefficients(
-            mesh,
-            &tables,
-            &self.model.points,
-            &self.model.materials,
-            &StateFields {
-                velocity: Some(u),
-                pressure: Some(p),
-                temperature: None,
-            },
-            self.model.cfg.nonlinear.use_newton,
-        );
-        // Unmasked Picard action for residual evaluation.
-        let a = self
-            .setup_cache
-            .residual_operator(self.hier, self.bcs, fields.eta_qp.clone());
-        // Kinematically driven: no gravity forcing.
-        let f_u = self
-            .f_u
-            .get_or_insert_with(|| {
-                assemble_body_force(mesh, &tables, &fields.rho_qp, [0.0, 0.0, 0.0])
-            })
-            .clone();
-        self.fields = Some(fields);
-        (a, f_u)
-    }
-
-    fn build_solver(&mut self, newton: bool) -> StokesSolver {
-        // PANIC-OK: the nonlinear driver calls update_state before every
-        // build_solver; `fields` is cached there.
-        let fields = self.fields.as_ref().expect("update_state called first");
-        let newton_data = if newton { fields.newton.clone() } else { None };
-        build_stokes_solver_cached(
-            self.hier,
-            &fields.eta_corner,
-            self.bcs,
-            &self.model.cfg.gmg,
-            newton_data,
-            &mut self.setup_cache,
-        )
     }
 }
 

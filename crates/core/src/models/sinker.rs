@@ -4,7 +4,7 @@
 //! walls, free surface on top, flow driven purely by the density contrast.
 
 use crate::coefficients::{update_coefficients, CoefficientFields, StateFields};
-use crate::solver::{build_stokes_solver, GmgConfig, StokesSolver};
+use crate::solver::{build_stokes_solver_cached, GmgConfig, SetupCache, StokesSolver};
 use ptatin_fem::assemble::{assemble_body_force, Q2QuadTables};
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
 use ptatin_mesh::hierarchy::MeshHierarchy;
@@ -138,7 +138,14 @@ impl SinkerModel {
 
     /// Build the Stokes solver for the current coefficient state.
     pub fn build_solver(&self, fields: &CoefficientFields, gmg: &GmgConfig) -> StokesSolver {
-        build_stokes_solver(&self.hier, &fields.eta_corner, &self.bcs, gmg, None)
+        build_stokes_solver_cached(
+            &self.hier,
+            &fields.eta_corner,
+            &self.bcs,
+            gmg,
+            None,
+            &mut SetupCache::new(),
+        )
     }
 
     /// Full-space right-hand side `[f_u; 0]` (homogeneous Dirichlet data:

@@ -29,8 +29,8 @@
 //! projection would smear the jump and visibly degrade the rates.
 
 use crate::solver::{
-    build_stokes_solver_spec, CoarseKind, GmgConfig, KrylovOperatorChoice, StokesSolver,
-    ViscositySpec,
+    analytic_eta_qp, build_stokes_solver_spec_cached, CoarseKind, GmgConfig, KrylovOperatorChoice,
+    SetupCache, StokesSolver, ViscositySpec,
 };
 use ptatin_fem::assemble::{assemble_forcing, num_pressure_dofs, num_velocity_dofs, Q2QuadTables};
 use ptatin_fem::basis::{element_frame, p1disc_basis, NP1};
@@ -250,12 +250,13 @@ impl SolCxModel {
             ..GmgConfig::default()
         };
         let eta = |x: [f64; 3]| self.exact.eta(x);
-        build_stokes_solver_spec(
+        build_stokes_solver_spec_cached(
             &self.hier,
             ViscositySpec::Analytic(&eta),
             &self.bcs,
             &gmg,
             None,
+            &mut SetupCache::new(),
         )
     }
 
@@ -263,7 +264,6 @@ impl SolCxModel {
     pub fn solve(&self) -> SolCxReport {
         let tables = Q2QuadTables::standard();
         let fine = self.hier.finest();
-        let nqp = tables.nqp();
         let solver = self.build_solver();
         let nu = num_velocity_dofs(fine);
         let np = num_pressure_dofs(fine);
@@ -276,17 +276,7 @@ impl SolCxModel {
         let mut u0 = vec![0.0; nu];
         bc.apply_to_vector(&mut u0);
         let p0 = vec![0.0; np];
-        let eta_qp: Vec<f64> = {
-            let mut out = vec![0.0; fine.num_elements() * nqp];
-            for e in 0..fine.num_elements() {
-                let corners = fine.element_corner_coords(e);
-                for q in 0..nqp {
-                    let x = map_to_physical(&corners, tables.quad.points[q]);
-                    out[e * nqp + q] = self.exact.eta(x);
-                }
-            }
-            out
-        };
+        let eta_qp = analytic_eta_qp(fine, &tables, &|x| self.exact.eta(x));
         let a_unmasked = ptatin_ops::build_viscous_operator(
             self.cfg.fine_kind,
             fine,

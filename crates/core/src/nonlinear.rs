@@ -4,13 +4,21 @@
 //! operator; the preconditioner is always built from the Picard
 //! linearization.
 
-use crate::solver::{KrylovOperatorChoice, StokesSolver};
+use crate::coefficients::{update_coefficients, CoefficientFields, StateFields};
+use crate::solver::{
+    build_stokes_solver_cached, GmgConfig, KrylovOperatorChoice, SetupCache, StokesSolver,
+};
+use ptatin_fem::assemble::{assemble_body_force, Q2QuadTables};
 use ptatin_fem::bc::DirichletBc;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{BreakdownKind, KrylovConfig, SolveOutcome};
 use ptatin_la::operator::LinearOperator;
 use ptatin_la::vec_ops;
+use ptatin_mesh::hierarchy::MeshHierarchy;
+use ptatin_mesh::StructuredMesh;
 use ptatin_mg::gmg::ArcOp;
+use ptatin_mpm::points::MaterialPoints;
+use ptatin_rheology::MaterialTable;
 
 /// Nonlinear solver configuration.
 #[derive(Clone, Debug)]
@@ -180,7 +188,9 @@ fn forcing_term(prev_eta: f64, rnorm: f64, rnorm_prev: f64, floor: f64, first: b
 }
 
 /// Run the nonlinear iteration in place on `(u, p)`. `u` must already
-/// satisfy the Dirichlet data.
+/// satisfy the Dirichlet data. The models call it through
+/// [`MaterialPointProblem::solve`], which imposes that data and opens the
+/// setup cache's lag scope around it.
 pub fn solve_nonlinear<P: StokesNonlinearProblem>(
     prob: &mut P,
     u: &mut Vec<f64>,
@@ -294,6 +304,146 @@ pub fn solve_nonlinear<P: StokesNonlinearProblem>(
     stats
 }
 
+/// The nonlinear Stokes problem of a material-point model (§II): the
+/// coefficients of every linearization are projected from the points'
+/// rheology at the current iterate, on a hierarchy built over the model's
+/// mesh. The models differ only in the data they lend it.
+pub struct MaterialPointProblem<'m> {
+    points: &'m MaterialPoints,
+    materials: &'m MaterialTable,
+    /// Corner temperature of the rheology (`None`: each material's
+    /// reference temperature).
+    temperature: Option<&'m [f64]>,
+    gravity: [f64; 3],
+    gmg: &'m GmgConfig,
+    /// Symbolic/structural setup state reused across re-linearizations.
+    cache: &'m mut SetupCache,
+    hier: MeshHierarchy,
+    /// Velocity Dirichlet sets per level (coarse → fine).
+    bcs: Vec<DirichletBc>,
+    b_full: Csr,
+    /// `use_newton` of the configuration the running solve was given: the
+    /// recovery ladder turns it off on escalation.
+    use_newton: bool,
+    fields: Option<CoefficientFields>,
+    /// Body force, assembled at the first `update_state`: `ρ` depends on
+    /// temperature and lithology only, and the problem borrows both
+    /// unchanged.
+    f_u: Option<Vec<f64>>,
+}
+
+impl<'m> MaterialPointProblem<'m> {
+    /// Build a `levels`-level hierarchy over `mesh`, the Dirichlet set `bc`
+    /// gives each of its meshes, and the gradient block.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        mesh: &StructuredMesh,
+        levels: usize,
+        bc: impl Fn(&StructuredMesh) -> DirichletBc,
+        points: &'m MaterialPoints,
+        materials: &'m MaterialTable,
+        temperature: Option<&'m [f64]>,
+        gravity: [f64; 3],
+        gmg: &'m GmgConfig,
+        cache: &'m mut SetupCache,
+    ) -> Self {
+        let hier = MeshHierarchy::new(mesh.clone(), levels);
+        let bcs: Vec<DirichletBc> = hier.meshes.iter().map(bc).collect();
+        let b_full = cache.gradient_block(&hier, &bcs).clone();
+        Self {
+            points,
+            materials,
+            temperature,
+            gravity,
+            gmg,
+            cache,
+            hier,
+            bcs,
+            b_full,
+            use_newton: false,
+            fields: None,
+            f_u: None,
+        }
+    }
+
+    /// Run one nonlinear solve in place from `(u, p)`: impose the fine
+    /// Dirichlet data on `u`, then iterate inside one lag scope of the
+    /// setup cache ([`SetupCache::begin_nonlinear_solve`]), so the builds
+    /// of this solve may take over each other's coarse factor and
+    /// Chebyshev bounds and no build of another solve sees them.
+    pub fn solve(
+        &mut self,
+        u: &mut Vec<f64>,
+        p: &mut Vec<f64>,
+        cfg: &NonlinearConfig,
+    ) -> NonlinearStats {
+        self.bc().apply_to_vector(u);
+        self.use_newton = cfg.use_newton;
+        self.cache.begin_nonlinear_solve();
+        let stats = solve_nonlinear(self, u, p, cfg);
+        self.cache.end_nonlinear_solve();
+        stats
+    }
+}
+
+impl StokesNonlinearProblem for MaterialPointProblem<'_> {
+    fn dims(&self) -> (usize, usize) {
+        // `J_pu` is np × nu.
+        (self.b_full.ncols(), self.b_full.nrows())
+    }
+
+    fn bc(&self) -> &DirichletBc {
+        // PANIC-OK: one bc set per hierarchy level and levels >= 1.
+        self.bcs.last().unwrap()
+    }
+
+    fn b_full(&self) -> &Csr {
+        &self.b_full
+    }
+
+    fn update_state(&mut self, u: &[f64], p: &[f64]) -> (ArcOp, Vec<f64>) {
+        let tables = Q2QuadTables::standard();
+        let mesh = self.hier.finest();
+        let fields = update_coefficients(
+            mesh,
+            &tables,
+            self.points,
+            self.materials,
+            &StateFields {
+                velocity: Some(u),
+                pressure: Some(p),
+                temperature: self.temperature,
+            },
+            self.use_newton,
+        );
+        // Unmasked Picard action for residual evaluation.
+        let a = self
+            .cache
+            .residual_operator(&self.hier, &self.bcs, fields.eta_qp.clone());
+        let f_u = self
+            .f_u
+            .get_or_insert_with(|| assemble_body_force(mesh, &tables, &fields.rho_qp, self.gravity))
+            .clone();
+        self.fields = Some(fields);
+        (a, f_u)
+    }
+
+    fn build_solver(&mut self, newton: bool) -> StokesSolver {
+        // PANIC-OK: the nonlinear driver calls update_state before every
+        // build_solver; `fields` is cached there.
+        let fields = self.fields.as_ref().expect("update_state called first");
+        let newton_data = if newton { fields.newton.clone() } else { None };
+        build_stokes_solver_cached(
+            &self.hier,
+            &fields.eta_corner,
+            &self.bcs,
+            self.gmg,
+            newton_data,
+            self.cache,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,6 +548,63 @@ mod tests {
         // is consumed).
         assert!(!faults::stall_armed());
         faults::reset();
+    }
+
+    /// The body force a solve assembles once is bitwise a fresh assembly at
+    /// the accepted iterate: for the rift (temperature, gravity along −y)
+    /// and for the falling block (no temperature, gravity along −z).
+    #[test]
+    fn cached_body_force_is_a_fresh_assembly_at_the_accepted_iterate() {
+        use crate::models::falling_block::{FallingBlockConfig, FallingBlockModel};
+        use crate::models::rift::{tests::tiny_cfg, RiftModel};
+
+        let mut rift = RiftModel::new(tiny_cfg());
+        let rift_temperature = rift.temperature.clone();
+        let mut block_cfg = FallingBlockConfig {
+            m: 4,
+            ..FallingBlockConfig::default()
+        };
+        block_cfg.nonlinear.max_it = 3;
+        let block = FallingBlockModel::new(block_cfg);
+        let mut block_cache = SetupCache::new();
+        let cases = [
+            (
+                rift.stokes_problem(),
+                tiny_cfg().nonlinear,
+                Some(rift_temperature),
+                [0.0, -1.0, 0.0],
+            ),
+            (
+                block.stokes_problem(&mut block_cache),
+                block.cfg.nonlinear.clone(),
+                None,
+                [0.0, 0.0, -10.0],
+            ),
+        ];
+        for (mut problem, cfg, temperature, gravity) in cases {
+            let (nu, np) = problem.dims();
+            let (mut u, mut p) = (vec![0.0; nu], vec![0.0; np]);
+            let stats = problem.solve(&mut u, &mut p, &cfg);
+            assert!(stats.iterations >= 2, "the solve moved the iterate");
+            let (_, cached) = problem.update_state(&u, &p);
+            let tables = Q2QuadTables::standard();
+            let fields = update_coefficients(
+                problem.hier.finest(),
+                &tables,
+                problem.points,
+                problem.materials,
+                &StateFields {
+                    velocity: Some(&u),
+                    pressure: Some(&p),
+                    temperature: temperature.as_deref(),
+                },
+                cfg.use_newton,
+            );
+            let fresh =
+                assemble_body_force(problem.hier.finest(), &tables, &fields.rho_qp, gravity);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cached), bits(&fresh));
+        }
     }
 
     #[test]

@@ -252,7 +252,7 @@ pub enum ViscositySpec<'a> {
 }
 
 /// Evaluate an analytic viscosity at every quadrature point of a mesh.
-fn analytic_eta_qp(
+pub(crate) fn analytic_eta_qp(
     mesh: &ptatin_mesh::StructuredMesh,
     tables: &Q2QuadTables,
     eta: &dyn Fn([f64; 3]) -> f64,
@@ -615,25 +615,10 @@ fn make_op_data(
 ///   (output of the material-point projection); coarser levels inherit it
 ///   by injection,
 /// * `bcs` — velocity Dirichlet sets per level (coarse → fine),
-/// * `newton` — optional Newton coefficient for the Krylov action.
-pub fn build_stokes_solver(
-    hier: &MeshHierarchy,
-    eta_corner_fine: &[f64],
-    bcs: &[DirichletBc],
-    cfg: &GmgConfig,
-    newton: Option<ptatin_ops::NewtonData>,
-) -> StokesSolver {
-    build_stokes_solver_spec(
-        hier,
-        ViscositySpec::Corner(eta_corner_fine),
-        bcs,
-        cfg,
-        newton,
-    )
-}
-
-/// [`build_stokes_solver`] with a [`SetupCache`] carried across
-/// re-linearizations of the same hierarchy.
+/// * `newton` — optional Newton coefficient for the Krylov action,
+/// * `cache` — setup state carried across re-linearizations of the same
+///   hierarchy. An empty one gives the fresh build: a cached build is
+///   bitwise a fresh one (see [`SetupCache`]).
 pub fn build_stokes_solver_cached(
     hier: &MeshHierarchy,
     eta_corner_fine: &[f64],
@@ -652,22 +637,9 @@ pub fn build_stokes_solver_cached(
     )
 }
 
-/// [`build_stokes_solver`] generalized over the viscosity representation
-/// (corner field vs analytic per-quadrature-point evaluation).
-pub fn build_stokes_solver_spec(
-    hier: &MeshHierarchy,
-    viscosity: ViscositySpec,
-    bcs: &[DirichletBc],
-    cfg: &GmgConfig,
-    newton: Option<ptatin_ops::NewtonData>,
-) -> StokesSolver {
-    // A fresh (empty) cache makes this identical to the cached path — the
-    // fresh-equals-reuse contract holds by construction.
-    build_stokes_solver_spec_cached(hier, viscosity, bcs, cfg, newton, &mut SetupCache::new())
-}
-
-/// [`build_stokes_solver_spec`] with pattern/structure reuse across
-/// rebuilds: the symbolic phase runs once per (hierarchy, bc) pair, and
+/// [`build_stokes_solver_cached`] generalized over the viscosity
+/// representation (corner field vs analytic per-quadrature-point
+/// evaluation). The symbolic phase runs once per (hierarchy, bc) pair, and
 /// subsequent builds only re-run the value-dependent numeric work.
 pub fn build_stokes_solver_spec_cached(
     hier: &MeshHierarchy,
@@ -1184,35 +1156,20 @@ impl StokesSolver {
         choice: KrylovOperatorChoice,
         monitor: Monitor,
     ) -> SolveStats {
-        let a: &dyn LinearOperator = match choice {
-            KrylovOperatorChoice::Picard => &self.a_fine,
-            KrylovOperatorChoice::NewtonKrylovPicardPc => self
-                .a_newton
-                .as_ref()
-                .map(|a| a as &dyn LinearOperator)
-                .unwrap_or(&self.a_fine),
+        let a = match (choice, &self.a_newton) {
+            (KrylovOperatorChoice::NewtonKrylovPicardPc, Some(a_newton)) => a_newton,
+            _ => &self.a_fine,
         };
-        let op = StokesOperator {
+        solve_stokes_with_pc(
             a,
-            b: &self.b_masked,
-            nu: self.nu,
-            np: self.np,
-        };
-        let pc = BlockLowerTriangularPc {
-            mg: &self.mg,
-            b: &self.b_masked,
-            schur: &self.schur,
-            nu: self.nu,
-            np: self.np,
-        };
-        let _ev = prof::scope("StokesSolve");
-        // Label the outer solve so the profiler records its KSP history
-        // (inner coarse-level solves stay unlabelled and unrecorded).
-        let cfg = match cfg.label {
-            Some(_) => cfg.clone(),
-            None => cfg.clone().with_label("Stokes"),
-        };
-        gcr_monitored(&op, &pc, rhs, x, &cfg, monitor)
+            &self.b_masked,
+            &self.schur,
+            &self.mg,
+            rhs,
+            x,
+            cfg,
+            monitor,
+        )
     }
 
     /// Schur-complement reduction (§III-B, §IV-A): accurate inner solves
@@ -1308,11 +1265,6 @@ impl StokesSolver {
     }
 }
 
-/// Split a full-space vector into velocity and pressure views.
-pub fn split_up(x: &[f64], nu: usize) -> (&[f64], &[f64]) {
-    x.split_at(nu)
-}
-
 /// Solve a coupled Stokes system with an arbitrary velocity-block
 /// preconditioner (the swap point for the Table IV comparisons: GMG-i/ii,
 /// SA-i, SAML-i/ii all drive this same full-space GCR iteration).
@@ -1343,6 +1295,8 @@ pub fn solve_stokes_with_pc<M: Preconditioner + ?Sized>(
         np,
     };
     let _ev = prof::scope("StokesSolve");
+    // Label the outer solve so the profiler records its KSP history
+    // (inner coarse-level solves stay unlabelled and unrecorded).
     let cfg = match cfg.label {
         Some(_) => cfg.clone(),
         None => cfg.clone().with_label("Stokes"),

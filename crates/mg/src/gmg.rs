@@ -42,9 +42,6 @@ fn smooth_event(k: usize) -> &'static str {
 
 /// Coarsest-level solver of the geometric hierarchy.
 pub enum GmgCoarseSolver {
-    /// One V-cycle of smoothed-aggregation AMG (the paper's production
-    /// configuration, §IV-A).
-    Amg(AmgHierarchy),
     /// AMG-preconditioned CG capped at a loose tolerance / few iterations.
     /// At the paper's scale the coarsest geometric level is still large and
     /// a single GAMG V-cycle is adequate; at this reproduction's shrunken
@@ -72,16 +69,11 @@ pub enum GmgCoarseSolver {
         rtol: f64,
         max_it: usize,
     },
-    /// Inexact FGMRES with any preconditioner-owning closure is modelled by
-    /// the AMG/ASM variants above; `SmootherOnly` falls back to Chebyshev
-    /// smoothing of the coarsest level (diagnostics).
-    SmootherOnly(Chebyshev, Box<dyn LinearOperator + Send + Sync>),
 }
 
 impl GmgCoarseSolver {
     fn solve(&self, b: &[f64], x: &mut [f64]) {
         match self {
-            GmgCoarseSolver::Amg(h) => h.apply(b, x),
             GmgCoarseSolver::AmgPcg {
                 a,
                 hierarchy,
@@ -113,10 +105,6 @@ impl GmgCoarseSolver {
                     x.fill(0.0);
                     let _ = fgmres(a, pc, b, x, &cfg.with_restart(*max_it));
                 }
-            }
-            GmgCoarseSolver::SmootherOnly(cheb, a) => {
-                x.fill(0.0);
-                cheb.smooth(a.as_ref(), b, x);
             }
         }
     }

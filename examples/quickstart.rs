@@ -69,7 +69,7 @@ fn main() {
     );
 
     // 5. Inspect the flow: the spheres sink, the ambient fluid returns.
-    let (u, p) = ptatin3d::core::solver::split_up(&x, solver.nu);
+    let (u, p) = x.split_at(solver.nu);
     let mut w_min = f64::INFINITY;
     let mut w_max = f64::NEG_INFINITY;
     for n in 0..solver.nu / 3 {

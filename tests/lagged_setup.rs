@@ -12,8 +12,8 @@
 
 use ptatin_core::models::rift::rift_bc;
 use ptatin_core::solver::{
-    build_stokes_solver, build_stokes_solver_cached, within_drift, CoarseKind, GmgConfig,
-    LagCounts, SetupCache, StokesSolver, LAG_DRIFT,
+    build_stokes_solver_cached, within_drift, CoarseKind, GmgConfig, LagCounts, SetupCache,
+    StokesSolver, LAG_DRIFT,
 };
 use ptatin_fem::assemble::{assemble_gradient, Q2QuadTables};
 use ptatin_fem::DirichletBc;
@@ -275,7 +275,7 @@ fn a_nonlinear_solve_lags_within_the_bound_and_the_next_starts_empty() {
             lambda: 1
         }
     );
-    let fresh = build_stokes_solver(&hier, &far, &bcs, &cfg, None);
+    let fresh = build_stokes_solver_cached(&hier, &far, &bcs, &cfg, None, &mut SetupCache::new());
     assert_eq!(vcycle_bits(&next), vcycle_bits(&fresh));
     assert_eq!(bounds(&next), bounds(&fresh));
     cache.end_nonlinear_solve();
@@ -309,6 +309,6 @@ fn outside_a_nonlinear_solve_the_coarse_factor_is_never_lagged() {
             lambda: 1
         }
     );
-    let fresh = build_stokes_solver(&hier, &near, &bcs, &cfg, None);
+    let fresh = build_stokes_solver_cached(&hier, &near, &bcs, &cfg, None, &mut SetupCache::new());
     assert_eq!(vcycle_bits(&c), vcycle_bits(&fresh));
 }

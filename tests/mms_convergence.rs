@@ -3,7 +3,9 @@
 //! velocity / pressure pair, the discrete velocity error must shrink at
 //! the element's asymptotic rate (O(h³) in L²) under refinement.
 
-use ptatin_core::solver::{build_stokes_solver, CoarseKind, GmgConfig, KrylovOperatorChoice};
+use ptatin_core::solver::{
+    build_stokes_solver_cached, CoarseKind, GmgConfig, KrylovOperatorChoice, SetupCache,
+};
 use ptatin_fem::assemble::{num_pressure_dofs, num_velocity_dofs, Q2QuadTables};
 use ptatin_fem::basis::{element_frame, p1disc_basis, NP1};
 use ptatin_fem::bc::DirichletBc;
@@ -77,7 +79,8 @@ fn mms_errors(m: usize, kind: OperatorKind) -> (f64, f64) {
         coarse: CoarseKind::Direct,
         ..GmgConfig::default()
     };
-    let solver = build_stokes_solver(&hier, &eta_corner, &bcs, &gmg, None);
+    let solver =
+        build_stokes_solver_cached(&hier, &eta_corner, &bcs, &gmg, None, &mut SetupCache::new());
     // RHS: consistent load vector ∫ f̂·φ plus Dirichlet lifting. We solve
     // via the residual formulation: x0 holds the BC values, solve
     // J δ = −F(x0), x = x0 + δ.
@@ -274,7 +277,8 @@ fn pressure_is_captured_up_to_its_order() {
         coarse: CoarseKind::Direct,
         ..GmgConfig::default()
     };
-    let solver = build_stokes_solver(&hier, &eta_corner, &bcs, &gmg, None);
+    let solver =
+        build_stokes_solver_cached(&hier, &eta_corner, &bcs, &gmg, None, &mut SetupCache::new());
     // Exact-velocity interpolant: check its discrete divergence is small
     // (the exact field is div-free; Q2 interpolation + quadrature errors
     // only).

@@ -70,12 +70,13 @@ fn newton_with_zero_eta_prime_matches_picard() {
         eta_prime: vec![0.0; mesh.num_elements() * nqp],
         d_sym: vec![[0.0; 6]; mesh.num_elements() * nqp],
     };
-    let solver = ptatin_core::build_stokes_solver(
+    let solver = ptatin_core::solver::build_stokes_solver_cached(
         &model.hier,
         &fields.eta_corner,
         &model.bcs,
         &gmg,
         Some(newton),
+        &mut ptatin_core::solver::SetupCache::new(),
     );
     let rhs = model.rhs(&solver, &fields);
     let cfg = KrylovConfig::default().with_rtol(1e-8).with_max_it(600);
