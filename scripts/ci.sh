@@ -57,8 +57,10 @@ done
 # pass of the Krylov operator against its block composition (DESIGN.md §4),
 # the block-Jacobi subdomain Cholesky solves against their dense-LU oracle
 # (DESIGN.md §13), the shared geometry pack and the solve-scoped lag of a
-# warm rebuild (DESIGN.md §13) and the CLI's refusal of unknown arguments
-# are named for the same reason.
+# warm rebuild (DESIGN.md §13), the CLI's refusal of unknown arguments and
+# the scenario registry (the only end-to-end run of the shear-band and
+# falling-block models through the shared nonlinear problem) are named for
+# the same reason.
 step "tests (PTATIN_TEST_THREADS=1)"
 PTATIN_TEST_THREADS=1 cargo test --workspace -q
 PTATIN_TEST_THREADS=1 cargo test -q --test matrix_free_levels default_levels_hold_no_matrix
@@ -74,6 +76,7 @@ PTATIN_TEST_THREADS=1 cargo test -q --test fused_stokes_operator
 PTATIN_TEST_THREADS=1 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=1 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=1 cargo test -q --test cli_arguments
+PTATIN_TEST_THREADS=1 cargo test -q --test scenario_registry
 
 step "tests (PTATIN_TEST_THREADS=4)"
 PTATIN_TEST_THREADS=4 cargo test --workspace -q
@@ -90,6 +93,7 @@ PTATIN_TEST_THREADS=4 cargo test -q --test fused_stokes_operator
 PTATIN_TEST_THREADS=4 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=4 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=4 cargo test -q --test cli_arguments
+PTATIN_TEST_THREADS=4 cargo test -q --test scenario_registry
 
 # The same suite under the pool sanitizer: every split_ranges partition,
 # pool resize, and dispatch is checked against the worker-pool invariants
