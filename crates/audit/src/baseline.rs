@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_checksum() {
-        let f = vec![finding(Rule::HotPathAlloc, "crates/la/src/x.rs", "helper")];
+        let f = vec![finding(Rule::HotAlloc, "crates/la/src/x.rs", "helper")];
         let entries = from_findings(&f);
         let text = render(&entries);
         let parsed = parse(&text).expect("parses");
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn hand_edit_breaks_checksum() {
-        let f = vec![finding(Rule::HotPathAlloc, "crates/la/src/x.rs", "helper")];
+        let f = vec![finding(Rule::HotAlloc, "crates/la/src/x.rs", "helper")];
         let text = render(&from_findings(&f));
         let tampered = text.replace("helper", "other_fn");
         let err = parse(&tampered).unwrap_err();
@@ -185,12 +185,12 @@ mod tests {
     #[test]
     fn apply_splits_unsuppressed_and_stale() {
         let fs = vec![
-            finding(Rule::HotPathAlloc, "a.rs", "f"),
+            finding(Rule::HotAlloc, "a.rs", "f"),
             finding(Rule::ProfScope, "b.rs", "apply"),
         ];
         let entries = vec![
             Entry {
-                rule: "hot-path-alloc".into(),
+                rule: "hot-alloc".into(),
                 file: "a.rs".into(),
                 context: "f".into(),
             },

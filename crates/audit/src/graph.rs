@@ -11,8 +11,8 @@
 //! limits; the runtime sanitizers remain the backstop for what the
 //! static pass cannot see.
 
-use crate::parse::{CallSite, FnDef};
-use crate::rules::FileClass;
+use crate::parse::CallSite;
+use crate::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A node: one function definition somewhere in the workspace.
@@ -124,16 +124,6 @@ const STD_METHODS: &[&str] = &[
     "enumerate",
 ];
 
-/// Per-file inputs to graph construction.
-pub struct FileView<'a> {
-    pub rel: &'a str,
-    pub class: &'a FileClass,
-    pub fns: &'a [FnDef],
-    pub calls: &'a [CallSite],
-    /// Names of structs defined in this file (for `Type::fn` pinning).
-    pub struct_names: &'a [String],
-}
-
 /// Crate dependency sets (crate short name → short names of its
 /// `ptatin-*` dependencies, dev-dependencies included). A crate with an
 /// entry only links calls to itself and its dependencies — a candidate
@@ -142,16 +132,16 @@ pub struct FileView<'a> {
 /// fixtures without manifests) are unrestricted.
 pub type CrateDeps = BTreeMap<String, BTreeSet<String>>;
 
-pub fn build(files: &[FileView<'_>], deps: &CrateDeps) -> CallGraph {
+pub fn build(files: &[SourceFile], deps: &CrateDeps) -> CallGraph {
     let mut g = CallGraph::default();
 
     // Nodes.
     for (fi, f) in files.iter().enumerate() {
-        for (k, d) in f.fns.iter().enumerate() {
+        for (k, d) in f.parsed.fns.iter().enumerate() {
             let idx = g.nodes.len();
             g.node_of.insert((fi, k), idx);
             g.nodes.push(Node {
-                file: f.rel.to_string(),
+                file: f.rel.clone(),
                 fn_idx: k,
                 name: d.name.clone(),
                 line: d.line,
@@ -165,7 +155,7 @@ pub fn build(files: &[FileView<'_>], deps: &CrateDeps) -> CallGraph {
                     .rel
                     .rsplit('/')
                     .next()
-                    .unwrap_or(f.rel)
+                    .unwrap_or(&f.rel)
                     .trim_end_matches(".rs")
                     .to_string(),
             });
@@ -181,17 +171,20 @@ pub fn build(files: &[FileView<'_>], deps: &CrateDeps) -> CallGraph {
     // Struct name → defining file index (for `Type::fn` pinning).
     let mut struct_file: BTreeMap<&str, usize> = BTreeMap::new();
     for (fi, f) in files.iter().enumerate() {
-        for s in f.struct_names {
-            struct_file.entry(s.as_str()).or_insert(fi);
+        for s in &f.parsed.structs {
+            struct_file.entry(s.name.as_str()).or_insert(fi);
         }
     }
     // File index by rel path.
-    let file_idx: BTreeMap<&str, usize> =
-        files.iter().enumerate().map(|(i, f)| (f.rel, i)).collect();
+    let file_idx: BTreeMap<&str, usize> = files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.rel.as_str(), i))
+        .collect();
 
     // Edges.
     for (fi, f) in files.iter().enumerate() {
-        for (ci, c) in f.calls.iter().enumerate() {
+        for (ci, c) in f.parsed.calls.iter().enumerate() {
             let Some(local_fn) = c.in_fn else { continue };
             let from = g.node_of[&(fi, local_fn)];
             let Some(cands) = by_name.get(c.callee.as_str()) else {
@@ -213,7 +206,7 @@ pub fn build(files: &[FileView<'_>], deps: &CrateDeps) -> CallGraph {
                 }
             };
             let cands: Vec<usize> = cands.iter().copied().filter(|n| dep_ok(n)).collect();
-            let targets = resolve(&g.nodes, &cands, c, fi, f, &struct_file, &file_idx);
+            let targets = resolve(&g.nodes, &cands, c, f, &struct_file, &file_idx);
             if targets.is_empty() {
                 g.stats.calls_unresolved += 1;
                 continue;
@@ -239,13 +232,11 @@ pub fn build(files: &[FileView<'_>], deps: &CrateDeps) -> CallGraph {
 }
 
 /// The resolution ladder for one call site.
-#[allow(clippy::too_many_arguments)]
 fn resolve(
     nodes: &[Node],
     cands: &[usize],
     c: &CallSite,
-    file: usize,
-    fview: &FileView<'_>,
+    fview: &SourceFile,
     struct_file: &BTreeMap<&str, usize>,
     file_idx: &BTreeMap<&str, usize>,
 ) -> Vec<usize> {
@@ -263,7 +254,7 @@ fn resolve(
     if let Some(q) = &c.qual {
         let caller_impl = c
             .in_fn
-            .and_then(|k| fview.fns.get(k))
+            .and_then(|k| fview.parsed.fns.get(k))
             .and_then(|d| d.impl_type.clone());
         let q = if q == "Self" {
             match &caller_impl {
@@ -352,7 +343,7 @@ fn resolve(
     if !same_file.is_empty() {
         let caller_module = c
             .in_fn
-            .and_then(|k| fview.fns.get(k))
+            .and_then(|k| fview.parsed.fns.get(k))
             .and_then(|d| d.module.clone());
         let same_module: Vec<usize> = same_file
             .iter()
@@ -376,7 +367,6 @@ fn resolve(
             return same_crate;
         }
     }
-    let _ = file;
     // Workspace-wide, except for ubiquitous method names, which are
     // overwhelmingly std calls.
     if c.method && COMMON_METHODS.contains(&c.callee.as_str()) {
@@ -389,6 +379,17 @@ impl CallGraph {
     /// Node index for `(file_index, fn_idx)`.
     pub fn node(&self, file: usize, fn_idx: usize) -> Option<usize> {
         self.node_of.get(&(file, fn_idx)).copied()
+    }
+
+    /// Reverse adjacency: `preds()[n]` = nodes that call node `n`.
+    pub(crate) fn preds(&self) -> Vec<Vec<usize>> {
+        let mut preds = vec![Vec::new(); self.nodes.len()];
+        for (from, succ) in self.succ.iter().enumerate() {
+            for &to in succ {
+                preds[to].push(from);
+            }
+        }
+        preds
     }
 
     /// Forward reachability from `starts` (inclusive). Returns the set
@@ -432,43 +433,14 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::lex;
-    use crate::parse::parse;
-    use crate::rules::classify;
 
-    struct Owned {
-        rel: String,
-        class: FileClass,
-        parsed: crate::parse::Parsed,
-        structs: Vec<String>,
-    }
-
-    fn mk(files: &[(&str, &str)]) -> (Vec<Owned>, CallGraph) {
-        let owned: Vec<Owned> = files
+    fn mk(files: &[(&str, &str)]) -> (Vec<SourceFile>, CallGraph) {
+        let sources: Vec<SourceFile> = files
             .iter()
-            .map(|(rel, src)| {
-                let parsed = parse(&lex(src));
-                let structs = parsed.structs.iter().map(|s| s.name.clone()).collect();
-                Owned {
-                    rel: rel.to_string(),
-                    class: classify(rel),
-                    parsed,
-                    structs,
-                }
-            })
+            .map(|(rel, src)| SourceFile::new(rel, src))
             .collect();
-        let views: Vec<FileView<'_>> = owned
-            .iter()
-            .map(|o| FileView {
-                rel: &o.rel,
-                class: &o.class,
-                fns: &o.parsed.fns,
-                calls: &o.parsed.calls,
-                struct_names: &o.structs,
-            })
-            .collect();
-        let g = build(&views, &CrateDeps::new());
-        (owned, g)
+        let g = build(&sources, &CrateDeps::new());
+        (sources, g)
     }
 
     fn idx(g: &CallGraph, name: &str) -> usize {

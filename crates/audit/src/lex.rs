@@ -4,10 +4,10 @@
 //! and punctuation survive as a flat token stream with line numbers.
 //!
 //! Not a parser: no AST, no macro expansion, no name resolution. The
-//! rules in [`crate::rules`] work on token patterns plus light
-//! structural tracking (brace depth, enclosing `fn`, `#[cfg(test)]`
-//! regions), which is exactly the PETSc-style "grep with a lexer"
-//! tradition this tool reproduces.
+//! rules match token patterns plus the light structure [`crate::parse`]
+//! recovers (enclosing `fn`, `#[cfg(test)]` regions, call sites), which
+//! is exactly the PETSc-style "grep with a lexer" tradition this tool
+//! reproduces.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,16 +1,26 @@
 //! `ptatin-audit`: the workspace invariant checker (DESIGN.md §10).
 //!
-//! PRs 2 and 4 concentrated this repo's risk into two hand-rolled
-//! unsafe layers — the condvar-parked worker pool (`ptatin-la::par`)
-//! and the SoA/AVX2 batched kernel (`ptatin-ops::batch`) — whose
-//! correctness arguments (disjoint ranges, lane alignment, fixed
-//! float-fusion order, no allocation per apply) previously lived in
-//! comments and reviewer folklore. PETSc encodes the same class of
-//! contract as `--with-debugging` asserts and nightly lint harnesses;
-//! this crate is the Rust equivalent: an in-repo static-analysis pass
-//! (token scanner, no `syn`, no dependencies) that turns each invariant
-//! into a machine-checkable rule with an explicit allowlist grammar,
-//! plus an `unsafe` inventory emitted to `output/audit.json`.
+//! This repo's risk sits in two hand-rolled unsafe layers — the
+//! condvar-parked worker pool (`ptatin-la::par`) and the SoA/AVX2
+//! batched kernel (`ptatin-ops::batch`) — whose correctness arguments
+//! (disjoint ranges, lane alignment, fixed float-fusion order, no
+//! allocation per apply) previously lived only in comments. PETSc
+//! encodes the same class of contract as `--with-debugging` asserts and
+//! nightly lint harnesses; this crate is the Rust equivalent: an in-repo
+//! static-analysis pass (no `syn`, no dependencies) that turns each
+//! invariant into a machine-checkable rule with an explicit allowlist
+//! grammar, plus an `unsafe` inventory emitted to `output/audit.json`.
+//!
+//! One pipeline, the same for a workspace scan and a single file
+//! ([`rules::analyze`]):
+//!
+//! | module     | stage |
+//! |------------|-------|
+//! | [`lex`]    | tokens, comments and attribute lines of each file |
+//! | [`parse`]  | fns, structs, calls, test regions and fn ownership per token |
+//! | [`graph`]  | the workspace call graph over the parsed fns |
+//! | [`passes`] | the ten rules of [`rules`] over all of the above |
+//! | [`baseline`], [`json`] | the suppression ledger and the inventory document |
 //!
 //! The runtime half of the story is the `pool-sanitizer` cargo feature
 //! in `ptatin-la`, which executes the pool's safety argument as
@@ -26,8 +36,8 @@ pub mod parse;
 pub mod passes;
 pub mod rules;
 
-pub use passes::{PassStats, SourceFile};
-pub use rules::{analyze, classify, FileReport, Finding, Rule, UnsafeSite};
+pub use passes::PassStats;
+pub use rules::{analyze, classify, FileClass, Finding, Rule, UnsafeSite};
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -62,22 +72,13 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Call-graph statistics carried into the `audit-v2` inventory.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CallGraphStats {
-    pub functions: usize,
-    pub edges: usize,
-    pub calls_resolved: usize,
-    pub calls_unresolved: usize,
-}
-
 /// Aggregated result of scanning a workspace.
 #[derive(Debug, Default)]
 pub struct Report {
     pub findings: Vec<Finding>,
     pub unsafe_sites: Vec<UnsafeSite>,
     pub files_scanned: usize,
-    pub callgraph: CallGraphStats,
+    pub callgraph: graph::GraphStats,
     pub passes: PassStats,
 }
 
@@ -131,79 +132,49 @@ pub fn scan_workspace(root: &Path) -> Result<Report, Error> {
         }
     }
     files.sort();
-
-    // Lex and parse once per file; everything downstream shares this.
     let mut sources: Vec<SourceFile> = Vec::new();
     for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
         let src = std::fs::read_to_string(&path).map_err(|e| Error::Io(path.clone(), e))?;
-        let lexed = lex::lex(&src);
+        sources.push(SourceFile::new(&rel, &src));
+    }
+    Ok(audit(&sources, &deps))
+}
+
+/// One scanned source file: lexed and parsed once, read by every rule.
+pub struct SourceFile {
+    /// Repo-relative path with `/` separators.
+    pub rel: String,
+    pub class: FileClass,
+    pub lexed: lex::Lexed,
+    pub parsed: parse::Parsed,
+}
+
+impl SourceFile {
+    pub(crate) fn new(rel: &str, src: &str) -> Self {
+        let lexed = lex::lex(src);
         let parsed = parse::parse(&lexed);
-        sources.push(SourceFile {
-            class: rules::classify(&rel),
+        let rel = rel.replace('\\', "/");
+        SourceFile {
+            class: classify(&rel),
             rel,
             lexed,
             parsed,
-        });
+        }
     }
+}
 
-    let mut rep = Report {
+/// The audit: build the call graph over `sources` and run every rule.
+pub(crate) fn audit(sources: &[SourceFile], deps: &graph::CrateDeps) -> Report {
+    let g = graph::build(sources, deps);
+    let out = passes::run(sources, &g);
+    Report {
+        findings: out.findings,
+        unsafe_sites: out.unsafe_sites,
         files_scanned: sources.len(),
-        ..Report::default()
-    };
-
-    // v1 token rules per file (stale-annotation deferred to the end).
-    let mut used: Vec<std::collections::BTreeSet<u32>> = Vec::with_capacity(sources.len());
-    for f in &sources {
-        let fr = rules::analyze_lexed(&f.rel, &f.lexed);
-        rep.findings.extend(fr.findings);
-        rep.unsafe_sites.extend(fr.unsafe_sites);
-        used.push(fr.used_annotations);
+        callgraph: g.stats,
+        passes: out.stats,
     }
-
-    // Workspace call graph + the five v2 passes.
-    let struct_names: Vec<Vec<String>> = sources
-        .iter()
-        .map(|f| f.parsed.structs.iter().map(|s| s.name.clone()).collect())
-        .collect();
-    let views: Vec<graph::FileView<'_>> = sources
-        .iter()
-        .zip(&struct_names)
-        .map(|(f, sn)| graph::FileView {
-            rel: &f.rel,
-            class: &f.class,
-            fns: &f.parsed.fns,
-            calls: &f.parsed.calls,
-            struct_names: sn,
-        })
-        .collect();
-    let g = graph::build(&views, &deps);
-    rep.callgraph = CallGraphStats {
-        functions: g.stats.functions,
-        edges: g.stats.edges,
-        calls_resolved: g.stats.calls_resolved,
-        calls_unresolved: g.stats.calls_unresolved,
-    };
-    let pass_out = passes::run(&sources, &g);
-    rep.passes = pass_out.stats;
-    rep.findings.extend(pass_out.findings);
-
-    // Stale-annotation check over the union of v1 and v2 consumption.
-    for (i, f) in sources.iter().enumerate() {
-        used[i].extend(&pass_out.used_annotations[i]);
-        rep.findings
-            .extend(rules::stale_annotation_findings(&f.rel, &f.lexed, &used[i]));
-    }
-
-    rep.findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    rep.unsafe_sites
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(rep)
 }
 
 /// Workspace-internal dependencies of one crate manifest: every

@@ -1,7 +1,8 @@
 //! A lightweight item-and-call parser over [`crate::lex::Lexed`]: just
-//! enough syntactic structure for the v2 semantic passes — function
+//! enough syntactic structure for the audit rules — function
 //! definitions with their attributes and body spans, `impl` context,
-//! struct fields, and call expressions with argument spans.
+//! struct fields, call expressions with argument spans, and per token
+//! the `#[cfg(test)]` regions and owning fn.
 //!
 //! Still not a compiler front end: no macro expansion, no type
 //! inference, no trait resolution. Names are resolved later by
@@ -77,6 +78,19 @@ pub struct Parsed {
     pub fns: Vec<FnDef>,
     pub structs: Vec<StructDef>,
     pub calls: Vec<CallSite>,
+    /// Per token: inside a `#[cfg(test)] mod` region.
+    pub in_test: Vec<bool>,
+    /// Per token: index into [`Parsed::fns`] of the innermost fn whose
+    /// body holds it. Closures belong to their enclosing named fn; a
+    /// nested `fn` owns its own body.
+    pub owner: Vec<Option<usize>>,
+}
+
+impl Parsed {
+    /// Name of the fn owning token `tok`, or `""` outside any fn.
+    pub(crate) fn owner_name(&self, tok: usize) -> &str {
+        self.owner[tok].map_or("", |k| self.fns[k].name.as_str())
+    }
 }
 
 /// Keywords that look like `ident (` but are not calls.
@@ -122,8 +136,10 @@ fn is_keyword(s: &str) -> bool {
 
 pub fn parse(lexed: &Lexed) -> Parsed {
     let toks = &lexed.toks;
-    let mut out = Parsed::default();
-    let test_mask = test_region_mask(toks);
+    let mut out = Parsed {
+        in_test: test_region_mask(toks),
+        ..Parsed::default()
+    };
     let impl_ctx = impl_context(toks);
     let mod_ctx = mod_context(toks);
 
@@ -151,7 +167,7 @@ pub fn parse(lexed: &Lexed) -> Parsed {
                             line: t.line,
                             body: (open, close),
                             target_feature: attr_target_feature,
-                            in_test: test_mask[i],
+                            in_test: out.in_test[i],
                             impl_type: impl_ctx[i].clone(),
                             module: mod_ctx[i].clone(),
                         });
@@ -263,18 +279,16 @@ pub fn parse(lexed: &Lexed) -> Parsed {
         });
     }
 
-    // Attribute each call to the innermost enclosing fn body.
+    // Token ownership: longest bodies first, so inner fns overwrite.
+    out.owner = vec![None; toks.len()];
+    let mut order: Vec<usize> = (0..out.fns.len()).collect();
+    order.sort_by_key(|&k| std::cmp::Reverse(out.fns[k].body.1 - out.fns[k].body.0));
+    for k in order {
+        let (open, close) = out.fns[k].body;
+        out.owner[open..=close].fill(Some(k));
+    }
     for c in &mut out.calls {
-        let mut best: Option<(usize, usize)> = None; // (span_len, fn_idx)
-        for (fi, f) in out.fns.iter().enumerate() {
-            if c.tok > f.body.0 && c.tok < f.body.1 {
-                let len = f.body.1 - f.body.0;
-                if best.is_none_or(|(bl, _)| len < bl) {
-                    best = Some((len, fi));
-                }
-            }
-        }
-        c.in_fn = best.map(|(_, fi)| fi);
+        c.in_fn = out.owner[c.tok];
     }
 
     out
@@ -330,7 +344,7 @@ fn fn_body_span(toks: &[Tok], mut j: usize) -> Option<(usize, usize)> {
     None
 }
 
-fn balanced_close_brace(toks: &[Tok], open: usize) -> Option<usize> {
+pub(crate) fn balanced_close_brace(toks: &[Tok], open: usize) -> Option<usize> {
     let mut depth = 0i32;
     let mut j = open;
     while j < toks.len() {
@@ -428,9 +442,10 @@ fn parse_struct_fields(toks: &[Tok], open: usize) -> Vec<StructField> {
     fields
 }
 
-/// Token-index mask of `#[cfg(test)] mod …` regions — same contract as
-/// the v1 rules' mask, shared here for the parser.
-pub fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
+/// Token-index mask of `#[cfg(test)] mod …` regions (and any module
+/// under a `cfg` attribute mentioning `test`, e.g.
+/// `#[cfg(all(test, feature = "x"))]`).
+fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {

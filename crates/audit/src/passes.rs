@@ -1,50 +1,32 @@
-//! The v2 semantic passes over the workspace call graph (DESIGN.md §14).
+//! The audit pipeline: every rule of the table in [`crate::rules`], run
+//! over the lexed and parsed files and one workspace call graph.
 //!
-//! Five passes, each enforcing one of the repo's cross-function
-//! contracts that the v1 token rules cannot see:
-//!
-//! | pass              | contract                                        | annotation |
-//! |-------------------|-------------------------------------------------|------------|
-//! | `hot-path-alloc`  | no allocation reachable from a hot entry        | `// ALLOC-OK:` |
-//! | `hot-path-panic`  | no panic reachable from a hot entry             | `// PANIC-OK:` |
-//! | `nested-dispatch` | no dispatch reachable from a dispatch closure   | `// DISPATCH-OK:` |
-//! | `simd-parity`     | every AVX kernel has a bitwise-tested twin      | `// SIMD-OK:` |
-//! | `ckpt-coverage`   | every `Checkpoint` field is (de)serialized      | `// CKPT-OK:` |
-//! | `prof-scope`      | hot entry points are covered by `prof::scope`   | `// PROF-OK:` |
-//!
-//! Annotations share the v1 attachment grammar ([`rules::attached_annotation`]):
-//! same line or the contiguous comment block above, non-empty reason
-//! required, consumed annotations feed the workspace-level
-//! stale-annotation pass.
+//! Per-token rules (`unsafe-audit`/`unsafe-confined`, `determinism`,
+//! `panic-surface`) walk each file's tokens with the parser's test
+//! regions and fn ownership; the call-graph rules (`hot-alloc`,
+//! `nested-dispatch`, `simd-parity`, `ckpt-coverage`, `prof-scope`)
+//! follow [`CallGraph`] edges. Every suppression goes through
+//! [`rules::attached_annotation`] and is recorded, so `stale-annotation`
+//! runs last over what the others consumed.
 
 use crate::graph::CallGraph;
-use crate::lex::{Kind, Lexed};
-use crate::parse::Parsed;
-use crate::rules::{self, FileClass, Finding, Rule};
+use crate::lex::Kind;
+use crate::rules::{self, Finding, Rule, UnsafeSite};
+use crate::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One scanned source file with everything the passes need.
-pub struct SourceFile {
-    pub rel: String,
-    pub class: FileClass,
-    pub lexed: Lexed,
-    pub parsed: Parsed,
-}
-
-/// Result of running all five passes.
+/// Result of running every rule.
 #[derive(Debug, Default)]
 pub struct PassOutput {
     pub findings: Vec<Finding>,
-    /// Per-file lines whose annotations suppressed a pass finding —
-    /// merged with the v1 sets before the stale-annotation check.
-    pub used_annotations: Vec<BTreeSet<u32>>,
+    pub unsafe_sites: Vec<UnsafeSite>,
     pub stats: PassStats,
 }
 
 /// Pass-level statistics for the `audit-v2` inventory document.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PassStats {
-    /// Hot entry points seeding the transitive hot-path analysis.
+    /// Hot entry points seeding the `hot-alloc` reachability.
     pub hot_entries: usize,
     /// Pool-dispatch call sites outside the pool implementation.
     pub dispatch_sites: usize,
@@ -53,20 +35,6 @@ pub struct PassStats {
     /// Bitwise equivalence tests found for the parity check.
     pub bitwise_tests: usize,
 }
-
-/// Dispatch entry points of `ptatin-la::par`. A call to any of these
-/// (by name — they are unambiguous in this workspace, and `dispatch`
-/// additionally requires the `par::` qualifier) hands work to the
-/// worker pool.
-const DISPATCH_NAMES: &[&str] = &[
-    "par_ranges",
-    "par_ranges_aligned",
-    "par_chunks_mut",
-    "par_blocks_mut",
-    "par_reduce",
-    "par_reduce_mut",
-    "run_on_pool",
-];
 
 /// The pool implementation itself: dispatch calls inside it are the
 /// mechanism, not a nesting violation, and reachability must not
@@ -100,14 +68,13 @@ fn is_prof_entry(name: &str) -> bool {
 struct Ctx<'a> {
     files: &'a [SourceFile],
     g: &'a CallGraph,
-    /// Per-file: token index → innermost owning fn (index into
-    /// `parsed.fns`), so nested fns do not inherit their parent's sites.
-    owner: Vec<Vec<Option<usize>>>,
     file_idx: BTreeMap<&'a str, usize>,
+    /// Per file: lines whose annotations suppressed a finding.
+    used: Vec<BTreeSet<u32>>,
     out: PassOutput,
 }
 
-impl<'a> Ctx<'a> {
+impl Ctx<'_> {
     /// File index of a graph node.
     fn file_of(&self, node: usize) -> usize {
         self.file_idx[self.g.nodes[node].file.as_str()]
@@ -116,11 +83,11 @@ impl<'a> Ctx<'a> {
     /// Suppress via annotation `tag` attached at `line` of `file`,
     /// recording consumption; returns true when suppressed.
     fn annotated(&mut self, file: usize, line: u32, tag: &str) -> bool {
-        if let Some(ann) = rules::attached_annotation(&self.files[file].lexed, line, tag) {
-            self.out.used_annotations[file].insert(ann);
-            return true;
-        }
-        false
+        let Some((ann, _)) = rules::attached_annotation(&self.files[file].lexed, line, tag) else {
+            return false;
+        };
+        self.used[file].insert(ann);
+        true
     }
 
     fn finding(&mut self, rule: Rule, file: usize, line: u32, context: &str, msg: String) {
@@ -132,191 +99,259 @@ impl<'a> Ctx<'a> {
             context: context.to_string(),
         });
     }
+
+    /// A finding unless annotation `tag` suppresses it.
+    fn flag(&mut self, rule: Rule, file: usize, line: u32, tag: &str, context: &str, msg: String) {
+        if !self.annotated(file, line, tag) {
+            self.finding(rule, file, line, context, msg);
+        }
+    }
 }
 
-/// Run all five passes.
+/// Run every rule; findings come back sorted by `(file, line, rule)`.
 pub fn run(files: &[SourceFile], g: &CallGraph) -> PassOutput {
     let mut ctx = Ctx {
         files,
         g,
-        owner: files.iter().map(token_owners).collect(),
         file_idx: files
             .iter()
             .enumerate()
             .map(|(i, f)| (f.rel.as_str(), i))
             .collect(),
-        out: PassOutput {
-            findings: Vec::new(),
-            used_annotations: vec![BTreeSet::new(); files.len()],
-            stats: PassStats::default(),
-        },
+        used: vec![BTreeSet::new(); files.len()],
+        out: PassOutput::default(),
     };
-    hot_path(&mut ctx);
+    for fi in 0..files.len() {
+        unsafe_audit(&mut ctx, fi);
+        determinism(&mut ctx, fi);
+        panic_surface(&mut ctx, fi);
+    }
+    hot_alloc(&mut ctx);
     nested_dispatch(&mut ctx);
     simd_parity(&mut ctx);
     ckpt_coverage(&mut ctx);
     prof_scope(&mut ctx);
+    stale_annotation(&mut ctx);
     let mut out = ctx.out;
     out.findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule, &a.msg).cmp(&(&b.file, b.line, b.rule, &b.msg)));
-    out.findings.dedup_by(|a, b| {
-        (a.rule, &a.file, a.line, &a.context) == (b.rule, &b.file, b.line, &b.context)
-    });
+        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    out.unsafe_sites
+        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
 }
 
-/// Innermost owning fn for every token of a file (closures belong to
-/// their enclosing named fn; a nested `fn` owns its own body).
-fn token_owners(f: &SourceFile) -> Vec<Option<usize>> {
-    let mut owner = vec![None; f.lexed.toks.len()];
-    // Longest spans first, so inner (shorter) fns overwrite.
-    let mut order: Vec<usize> = (0..f.parsed.fns.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(f.parsed.fns[i].body.1 - f.parsed.fns[i].body.0));
-    for fi in order {
-        let (open, close) = f.parsed.fns[fi].body;
-        for slot in owner.iter_mut().take(close + 1).skip(open) {
-            *slot = Some(fi);
-        }
-    }
-    owner
-}
-
-/// Allocation sites owned by `fn_idx` in `file`: the same token patterns
-/// as the v1 `hot-alloc` rule.
-fn alloc_sites(f: &SourceFile, owner: &[Option<usize>], fn_idx: usize) -> Vec<(u32, String)> {
+/// `unsafe-audit` and `unsafe-confined`, test code included: an
+/// undocumented unsafe block in a test is still an unsafe block. Every
+/// site enters the inventory.
+fn unsafe_audit(ctx: &mut Ctx<'_>, fi: usize) {
+    let f = &ctx.files[fi];
+    let confined = f
+        .class
+        .crate_name
+        .as_deref()
+        .is_some_and(|c| rules::UNSAFE_CRATES.contains(&c));
     let toks = &f.lexed.toks;
-    let mut out = Vec::new();
-    let (open, close) = f.parsed.fns[fn_idx].body;
-    for i in open..=close.min(toks.len().saturating_sub(1)) {
-        if owner[i] != Some(fn_idx) {
+    for (i, t) in toks.iter().enumerate() {
+        if !(t.kind == Kind::Ident && t.s == "unsafe") {
             continue;
         }
-        let t = &toks[i];
-        let what: Option<String> = if t.kind == Kind::Ident
-            && matches!(t.s.as_str(), "Vec" | "Box")
-            && toks.get(i + 1).is_some_and(|n| n.s == "::")
-            && toks.get(i + 2).is_some_and(|n| n.s == "new")
-        {
-            Some(format!("{}::new", t.s))
-        } else if t.kind == Kind::Ident
-            && t.s == "vec"
-            && toks.get(i + 1).is_some_and(|n| n.s == "!")
-        {
-            Some("vec!".to_string())
+        let kind = match toks.get(i + 1).map(|n| n.s.as_str()) {
+            Some("fn") => "fn",
+            Some("impl") => "impl",
+            Some("trait") => "trait",
+            _ => "block",
+        };
+        let justification = rules::attached_annotation(&f.lexed, t.line, rules::TAG_SAFETY)
+            .map(|(_, why)| why)
+            .unwrap_or_default();
+        let owner = f.parsed.owner_name(i);
+        if justification.is_empty() {
+            ctx.finding(
+                Rule::UnsafeAudit,
+                fi,
+                t.line,
+                owner,
+                format!("`unsafe {kind}` without an attached `// SAFETY:` comment"),
+            );
+        }
+        if !confined {
+            ctx.finding(
+                Rule::UnsafeConfined,
+                fi,
+                t.line,
+                owner,
+                format!(
+                    "`unsafe` is confined to crates {:?}; use a safe abstraction from \
+                     `ptatin-la`/`ptatin-ops` instead",
+                    rules::UNSAFE_CRATES
+                ),
+            );
+        }
+        ctx.out.unsafe_sites.push(UnsafeSite {
+            file: f.rel.clone(),
+            line: t.line,
+            kind,
+            justification,
+        });
+    }
+}
+
+/// `determinism` in numeric library code: unordered containers, clocks,
+/// bare `.sum()`/`.product()` (blessed inside a reduction's arguments),
+/// and `+=` inside a loop in a non-reducing dispatch closure.
+fn determinism(ctx: &mut Ctx<'_>, fi: usize) {
+    let f = &ctx.files[fi];
+    if !(f.class.numeric && f.class.library) {
+        return;
+    }
+    let toks = &f.lexed.toks;
+    let mut in_reduce = vec![false; toks.len()];
+    let mut in_par_loop = vec![false; toks.len()];
+    for c in &f.parsed.calls {
+        let (open, close) = c.args;
+        match rules::dispatch_call(c) {
+            Some(true) => in_reduce[open..close].fill(true),
+            Some(false) => {
+                // Loop bodies inside the closure: `+=` there accumulates
+                // across the loop, and the loop runs once per piece.
+                let mut k = open;
+                while k < close {
+                    if !(toks[k].kind == Kind::Ident
+                        && matches!(toks[k].s.as_str(), "for" | "while" | "loop"))
+                    {
+                        k += 1;
+                        continue;
+                    }
+                    let body = (k + 1..close).find(|&m| toks[m].s == "{").unwrap_or(close);
+                    let end = crate::parse::balanced_close_brace(toks, body)
+                        .map_or(close, |e| e.min(close));
+                    in_par_loop[body..=end].fill(true);
+                    k = end + 1;
+                }
+            }
+            None => {}
+        }
+    }
+    for (i, t) in toks.iter().enumerate() {
+        if f.parsed.in_test[i] {
+            continue;
+        }
+        let next = |k: usize| toks.get(i + k).map_or("", |n| n.s.as_str());
+        let msg = if t.kind == Kind::Ident && matches!(t.s.as_str(), "HashMap" | "HashSet") {
+            format!(
+                "`{}` iteration order is unspecified; use `BTreeMap`/`BTreeSet` or sorted \
+                 vectors in numeric crates",
+                t.s
+            )
+        } else if t.kind == Kind::Ident && matches!(t.s.as_str(), "Instant" | "SystemTime") {
+            format!(
+                "`{}` makes kernel behaviour time-dependent; timing belongs in `ptatin-prof`",
+                t.s
+            )
         } else if t.s == "."
-            && toks.get(i + 1).is_some_and(|n| {
-                n.kind == Kind::Ident && matches!(n.s.as_str(), "to_vec" | "clone")
-            })
-            && toks.get(i + 2).is_some_and(|n| n.s == "(")
+            && toks.get(i + 1).is_some_and(|n| n.kind == Kind::Ident)
+            && matches!(next(1), "sum" | "product")
+            && matches!(next(2), "(" | "::")
+            && !in_reduce[i]
         {
-            Some(format!(".{}()", toks[i + 1].s))
+            format!(
+                "bare `.{}()` hides the accumulation order; use a fixed-order loop or \
+                 `par_reduce`",
+                next(1)
+            )
+        } else if t.s == "+=" && in_par_loop[i] {
+            "`+=` accumulation inside a loop in a parallel dispatch closure; cross-piece \
+             reductions belong in `par_reduce`"
+                .to_string()
         } else {
-            None
+            continue;
         };
-        if let Some(w) = what {
-            out.push((t.line, w));
-        }
+        let owner = f.parsed.owner_name(i);
+        ctx.flag(
+            Rule::Determinism,
+            fi,
+            t.line,
+            rules::TAG_DETERMINISM,
+            owner,
+            msg,
+        );
     }
-    out
 }
 
-/// Panic sites owned by `fn_idx`: the same token patterns as the v1
-/// `panic-surface` rule.
-fn panic_sites(f: &SourceFile, owner: &[Option<usize>], fn_idx: usize) -> Vec<(u32, String)> {
-    let toks = &f.lexed.toks;
-    let mut out = Vec::new();
-    let (open, close) = f.parsed.fns[fn_idx].body;
-    for i in open..=close.min(toks.len().saturating_sub(1)) {
-        if owner[i] != Some(fn_idx) || toks[i].kind != Kind::Ident {
+/// `panic-surface`: every panic site in library code.
+fn panic_surface(ctx: &mut Ctx<'_>, fi: usize) {
+    let f = &ctx.files[fi];
+    if !f.class.library {
+        return;
+    }
+    for (i, t) in f.lexed.toks.iter().enumerate() {
+        if f.parsed.in_test[i] {
             continue;
         }
-        let t = &toks[i];
-        let what: Option<String> = if matches!(t.s.as_str(), "unwrap" | "expect")
-            && i > 0
-            && toks[i - 1].s == "."
-            && toks.get(i + 1).is_some_and(|n| n.s == "(")
-        {
-            Some(format!(".{}()", t.s))
-        } else if matches!(
-            t.s.as_str(),
-            "panic" | "unreachable" | "todo" | "unimplemented"
-        ) && toks.get(i + 1).is_some_and(|n| n.s == "!")
-            && (i == 0 || toks[i - 1].s != "::")
-        {
-            Some(format!("{}!", t.s))
-        } else {
-            None
-        };
-        if let Some(w) = what {
-            out.push((t.line, w));
+        if let Some(what) = rules::panic_at(&f.lexed.toks, i) {
+            ctx.flag(
+                Rule::PanicSurface,
+                fi,
+                t.line,
+                rules::TAG_PANIC,
+                f.parsed.owner_name(i),
+                format!(
+                    "`{what}` in library code; return a typed error or justify with `// PANIC-OK:`"
+                ),
+            );
         }
     }
-    out
 }
 
-/// Pass 1+2: transitive hot-path allocation and panic surface.
-///
-/// Entries are the v1 hot functions ([`rules::is_hot_fn`]) in numeric
-/// library code; every *non-hot-named* function reachable from one (the
-/// hot-named ones are the v1 rules' territory) must neither allocate
-/// nor panic without a per-site `ALLOC-OK`/`PANIC-OK` justification.
-fn hot_path(ctx: &mut Ctx<'_>) {
-    let entries: Vec<usize> = (0..ctx.g.nodes.len())
+/// `hot-alloc`: no allocation in a hot entry ([`rules::is_hot_fn`] in
+/// numeric library code) or in any library fn it reaches. A reached
+/// hot-named fn outside the numeric crates is not an entry and its own
+/// body is not checked (the fns it calls are). Messages carry the call
+/// path from the entry.
+fn hot_alloc(ctx: &mut Ctx<'_>) {
+    let (files, g) = (ctx.files, ctx.g);
+    let entries: Vec<usize> = (0..g.nodes.len())
         .filter(|&n| {
-            let node = &ctx.g.nodes[n];
-            let f = &ctx.files[ctx.file_idx[node.file.as_str()]];
-            rules::is_hot_fn(&node.name) && !node.in_test && f.class.library && f.class.numeric
+            let node = &g.nodes[n];
+            let class = &files[ctx.file_of(n)].class;
+            rules::is_hot_fn(&node.name) && !node.in_test && class.library && class.numeric
         })
         .collect();
     ctx.out.stats.hot_entries = entries.len();
-    let (reached, parent) = ctx.g.reachable(&entries);
-    let entry_set: BTreeSet<usize> = entries.iter().copied().collect();
+    let (reached, parent) = g.reachable(&entries);
+    let entry_set: BTreeSet<usize> = entries.into_iter().collect();
     for &n in &reached {
-        let node = &ctx.g.nodes[n];
-        if entry_set.contains(&n) || rules::is_hot_fn(&node.name) || node.in_test {
-            continue;
-        }
+        let node = &g.nodes[n];
         let fi = ctx.file_of(n);
-        if !ctx.files[fi].class.library {
+        let f = &files[fi];
+        let transitive = !entry_set.contains(&n);
+        if transitive && (rules::is_hot_fn(&node.name) || node.in_test || !f.class.library) {
             continue;
         }
-        let path = ctx.g.path_names(&parent, n);
-        let fn_idx = node.fn_idx;
-        let name = node.name.clone();
-        for (line, what) in alloc_sites(&ctx.files[fi], &ctx.owner[fi], fn_idx) {
-            if ctx.annotated(fi, line, rules::TAG_ALLOC) {
+        let path = g.path_names(&parent, n);
+        let (open, close) = f.parsed.fns[node.fn_idx].body;
+        for i in open..=close {
+            if f.parsed.owner[i] != Some(node.fn_idx) {
                 continue;
             }
-            ctx.finding(
-                Rule::HotPathAlloc,
-                fi,
-                line,
-                &name,
-                format!("`{what}` allocates in `{name}`, reachable from hot entry via `{path}`"),
-            );
-        }
-        for (line, what) in panic_sites(&ctx.files[fi], &ctx.owner[fi], fn_idx) {
-            if ctx.annotated(fi, line, rules::TAG_PANIC) {
-                continue;
+            if let Some(what) = rules::alloc_at(&f.lexed.toks, i) {
+                ctx.flag(
+                    Rule::HotAlloc,
+                    fi,
+                    f.lexed.toks[i].line,
+                    rules::TAG_ALLOC,
+                    &node.name,
+                    format!(
+                        "`{what}` allocates on hot path `{path}`; hoist it to setup or a \
+                         cached scratch"
+                    ),
+                );
             }
-            ctx.finding(
-                Rule::HotPathPanic,
-                fi,
-                line,
-                &name,
-                format!("`{what}` can panic in `{name}`, reachable from hot entry via `{path}`"),
-            );
         }
     }
 }
 
-/// Is this call site a dispatch to the worker pool?
-fn is_dispatch_call(c: &crate::parse::CallSite) -> bool {
-    (DISPATCH_NAMES.contains(&c.callee.as_str()) && !c.method)
-        || (c.callee == "dispatch" && c.qual.as_deref() == Some("par"))
-}
-
-/// Pass 3: static nested-dispatch detection.
+/// `nested-dispatch`: static nested-dispatch detection.
 ///
 /// For every dispatch call outside the pool implementation, any call
 /// inside its argument list (the piece closure) that is itself a
@@ -324,40 +359,34 @@ fn is_dispatch_call(c: &crate::parse::CallSite) -> bool {
 /// `pool-sanitizer` serializes nested dispatch; this pass catches it
 /// before it ships.
 fn nested_dispatch(ctx: &mut Ctx<'_>) {
+    let (files, g) = (ctx.files, ctx.g);
     // Which nodes reach a dispatch call? Seed: nodes containing one
     // (outside par.rs and outside cfg(test)); propagate over reversed
     // edges, never through the pool implementation.
-    let n = ctx.g.nodes.len();
+    let n = g.nodes.len();
     let mut reaches = vec![false; n];
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (from, succ) in ctx.g.succ.iter().enumerate() {
-        for &to in succ {
-            preds[to].push(from);
-        }
-    }
+    let preds = g.preds();
     let mut queue: Vec<usize> = Vec::new();
-    for (fi, f) in ctx.files.iter().enumerate() {
+    for (fi, f) in files.iter().enumerate() {
         if f.rel == POOL_IMPL {
             continue;
         }
         for c in &f.parsed.calls {
-            if !is_dispatch_call(c) {
+            if rules::dispatch_call(c).is_none() {
                 continue;
             }
             ctx.out.stats.dispatch_sites += 1;
-            if let Some(local) = c.in_fn {
-                if let Some(node) = ctx.g.node(fi, local) {
-                    if !reaches[node] {
-                        reaches[node] = true;
-                        queue.push(node);
-                    }
+            if let Some(node) = c.in_fn.and_then(|local| g.node(fi, local)) {
+                if !reaches[node] {
+                    reaches[node] = true;
+                    queue.push(node);
                 }
             }
         }
     }
     while let Some(m) = queue.pop() {
         for &p in &preds[m] {
-            if !reaches[p] && ctx.g.nodes[p].file != POOL_IMPL {
+            if !reaches[p] && g.nodes[p].file != POOL_IMPL {
                 reaches[p] = true;
                 queue.push(p);
             }
@@ -366,68 +395,58 @@ fn nested_dispatch(ctx: &mut Ctx<'_>) {
 
     // Edges grouped by (from-node, call-index) for closure-body lookup.
     let mut edge_map: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    for e in &ctx.g.edges {
+    for e in &g.edges {
         edge_map.entry((e.from, e.call_idx)).or_default().push(e.to);
     }
 
-    for fi in 0..ctx.files.len() {
-        let f = &ctx.files[fi];
+    // A call nested in several dispatch closures is reported once.
+    let mut reported: BTreeSet<(usize, u32)> = BTreeSet::new();
+    for (fi, f) in files.iter().enumerate() {
         if f.rel == POOL_IMPL || !f.class.library {
             continue;
         }
         for (outer_idx, outer) in f.parsed.calls.iter().enumerate() {
-            if !is_dispatch_call(outer) {
+            if rules::dispatch_call(outer).is_none() {
                 continue;
             }
-            let Some(local_fn) = outer.in_fn else {
+            let Some(local_fn) = outer.in_fn.filter(|&k| !f.parsed.fns[k].in_test) else {
                 continue;
             };
-            if f.parsed.fns[local_fn].in_test {
-                continue;
-            }
-            let Some(from) = ctx.g.node(fi, local_fn) else {
+            let Some(from) = g.node(fi, local_fn) else {
                 continue;
             };
-            let mut hits: Vec<(u32, String, String)> = Vec::new(); // (line, callee, why)
             for (inner_idx, inner) in f.parsed.calls.iter().enumerate() {
                 if inner_idx == outer_idx || inner.tok <= outer.args.0 || inner.tok >= outer.args.1
                 {
                     continue;
                 }
-                if is_dispatch_call(inner) {
-                    hits.push((
-                        inner.line,
-                        inner.callee.clone(),
-                        format!("`{}` dispatches directly", inner.callee),
-                    ));
+                let why = if rules::dispatch_call(inner).is_some() {
+                    format!("`{}` dispatches directly", inner.callee)
+                } else if let Some(&to) = edge_map
+                    .get(&(from, inner_idx))
+                    .and_then(|v| v.iter().find(|&&to| reaches[to]))
+                {
+                    format!(
+                        "`{}` reaches a dispatch via `{}`",
+                        inner.callee,
+                        dispatch_path(g, &reaches, to)
+                    )
+                } else {
+                    continue;
+                };
+                if !reported.insert((fi, inner.line)) {
                     continue;
                 }
-                for &to in edge_map.get(&(from, inner_idx)).map_or(&[][..], |v| v) {
-                    if reaches[to] {
-                        let why = dispatch_path(ctx.g, &reaches, to);
-                        hits.push((
-                            inner.line,
-                            inner.callee.clone(),
-                            format!("`{}` reaches a dispatch via `{why}`", inner.callee),
-                        ));
-                        break;
-                    }
-                }
-            }
-            let outer_name = outer.callee.clone();
-            for (line, _callee, why) in hits {
-                if ctx.annotated(fi, line, rules::TAG_DISPATCH) {
-                    continue;
-                }
-                let name = ctx.g.nodes[from].name.clone();
-                ctx.finding(
+                ctx.flag(
                     Rule::NestedDispatch,
                     fi,
-                    line,
-                    &name,
+                    inner.line,
+                    rules::TAG_DISPATCH,
+                    &g.nodes[from].name,
                     format!(
-                        "closure passed to `{outer_name}` nests a pool dispatch: {why} \
-                         (the sanitizer would serialize this at runtime)"
+                        "closure passed to `{}` nests a pool dispatch: {why} \
+                         (the sanitizer would serialize this at runtime)",
+                        outer.callee
                     ),
                 );
             }
@@ -451,7 +470,7 @@ fn dispatch_path(g: &CallGraph, reaches: &[bool], start: usize) -> String {
     names.join(" -> ")
 }
 
-/// Pass 4: SIMD path parity.
+/// `simd-parity`: SIMD path parity.
 ///
 /// Every root `#[target_feature]` kernel (one with a caller outside the
 /// `target_feature` family, or none at all — internal lane helpers are
@@ -461,12 +480,7 @@ fn dispatch_path(g: &CallGraph, reaches: &[bool], start: usize) -> String {
 /// reach both through the call graph.
 fn simd_parity(ctx: &mut Ctx<'_>) {
     let g = ctx.g;
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); g.nodes.len()];
-    for (from, succ) in g.succ.iter().enumerate() {
-        for &to in succ {
-            preds[to].push(from);
-        }
-    }
+    let preds = g.preds();
     // Reachable set of every bitwise test.
     let bitwise_tests: Vec<usize> = (0..g.nodes.len())
         .filter(|&n| {
@@ -547,19 +561,21 @@ fn simd_parity(ctx: &mut Ctx<'_>) {
     }
 }
 
-/// Pass 5: checkpoint-coverage drift.
+/// `ckpt-coverage`: checkpoint drift.
 ///
 /// Every field of `Checkpoint` (recursing into workspace-defined struct
 /// fields) must be named in both the serializer (`to_bytes`) and the
 /// deserializer (`from_bytes`), including anything they reach within
 /// the `ckpt` crate. A new field that skips serialization breaks
-/// bitwise restart and ensemble preemption.
+/// bitwise restart and ensemble preemption. A `Checkpoint` that lacks
+/// either method is itself a finding, so renaming the serializer cannot
+/// switch the check off.
 fn ckpt_coverage(ctx: &mut Ctx<'_>) {
-    let g = ctx.g;
+    let (files, g) = (ctx.files, ctx.g);
     // Workspace struct index: name → (file, struct index). First
     // definition wins (struct names are unique in this workspace).
     let mut struct_at: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for (fi, f) in ctx.files.iter().enumerate() {
+    for (fi, f) in files.iter().enumerate() {
         for (si, s) in f.parsed.structs.iter().enumerate() {
             struct_at.entry(s.name.as_str()).or_insert((fi, si));
         }
@@ -567,7 +583,7 @@ fn ckpt_coverage(ctx: &mut Ctx<'_>) {
     let Some(&(root_fi, root_si)) = struct_at.get("Checkpoint") else {
         return;
     };
-    if ctx.files[root_fi].class.crate_name.as_deref() != Some("ckpt") {
+    if files[root_fi].class.crate_name.as_deref() != Some("ckpt") {
         return;
     }
 
@@ -587,10 +603,9 @@ fn ckpt_coverage(ctx: &mut Ctx<'_>) {
             if node.crate_name.as_deref() != Some("ckpt") {
                 continue;
             }
-            let fi = ctx.file_idx[node.file.as_str()];
-            let f = &ctx.files[fi];
+            let f = &files[ctx.file_of(n)];
             let (open, close) = f.parsed.fns[node.fn_idx].body;
-            for t in &f.lexed.toks[open..=close.min(f.lexed.toks.len() - 1)] {
+            for t in &f.lexed.toks[open..=close] {
                 if t.kind == Kind::Ident {
                     idents.insert(t.s.clone());
                 }
@@ -598,10 +613,17 @@ fn ckpt_coverage(ctx: &mut Ctx<'_>) {
         }
         Some(idents)
     };
-    let Some(write_vocab) = vocab("to_bytes") else {
-        return;
-    };
-    let Some(read_vocab) = vocab("from_bytes") else {
+    let (Some(write_vocab), Some(read_vocab)) = (vocab("to_bytes"), vocab("from_bytes")) else {
+        ctx.flag(
+            Rule::CkptCoverage,
+            root_fi,
+            files[root_fi].parsed.structs[root_si].line,
+            rules::TAG_CKPT,
+            "Checkpoint",
+            "`Checkpoint` lacks `to_bytes` or `from_bytes`, so its field coverage cannot be \
+             checked (bitwise-restart contract)"
+                .to_string(),
+        );
         return;
     };
 
@@ -609,27 +631,23 @@ fn ckpt_coverage(ctx: &mut Ctx<'_>) {
     let mut stack = vec![(root_fi, root_si, "Checkpoint".to_string())];
     let mut visited = BTreeSet::from(["Checkpoint".to_string()]);
     while let Some((fi, si, prefix)) = stack.pop() {
-        // Clone the fields up front: `ctx` is borrowed mutably below.
-        let fields = ctx.files[fi].parsed.structs[si].fields.clone();
-        for field in fields {
+        for field in &files[fi].parsed.structs[si].fields {
             let anchor = format!("{prefix}.{}", field.name);
             // Fields of embedded structs live in *their* defining file;
             // drift findings anchor there.
             let missing_w = !write_vocab.contains(&field.name);
             let missing_r = !read_vocab.contains(&field.name);
             if missing_w || missing_r {
-                if ctx.annotated(fi, field.line, rules::TAG_CKPT) {
-                    continue;
-                }
                 let which = match (missing_w, missing_r) {
                     (true, true) => "to_bytes or from_bytes",
                     (true, false) => "to_bytes",
                     _ => "from_bytes",
                 };
-                ctx.finding(
+                ctx.flag(
                     Rule::CkptCoverage,
                     fi,
                     field.line,
+                    rules::TAG_CKPT,
                     &anchor,
                     format!(
                         "checkpoint field `{anchor}` is never named in `{which}` — \
@@ -649,7 +667,7 @@ fn ckpt_coverage(ctx: &mut Ctx<'_>) {
     }
 }
 
-/// Pass 6: prof-scope coverage.
+/// `prof-scope` coverage.
 ///
 /// Hot entry points (`apply*`, `spmv*`, `assemble*`) in numeric library
 /// code must be covered by a `prof::scope`/`prof::scope_dyn` — either
@@ -700,18 +718,41 @@ fn prof_scope(ctx: &mut Ctx<'_>) {
         }
         let line = node.line;
         let name = node.name.clone();
-        if ctx.annotated(fi, line, rules::TAG_PROF) {
-            continue;
-        }
-        ctx.finding(
+        ctx.flag(
             Rule::ProfScope,
             fi,
             line,
+            rules::TAG_PROF,
             &name,
             format!(
                 "hot entry `{name}` has no `prof::scope` in its call graph or above it — \
                  its cost is invisible to bench/ensemble attribution"
             ),
         );
+    }
+}
+
+/// `stale-annotation`, last: an annotation line that suppressed no
+/// finding means the code below it got cleaned up (or the annotation is
+/// on the wrong line) — delete it.
+fn stale_annotation(ctx: &mut Ctx<'_>) {
+    let files = ctx.files;
+    for (fi, f) in files.iter().enumerate() {
+        for (&line, text) in &f.lexed.comment_on {
+            if !rules::is_annotation_comment(text) {
+                continue;
+            }
+            for tag in rules::ALL_TAGS {
+                if text.contains(tag) && !ctx.used[fi].contains(&line) {
+                    ctx.finding(
+                        Rule::StaleAnnotation,
+                        fi,
+                        line,
+                        tag.trim_end_matches(':'),
+                        format!("`// {tag}` annotation suppresses nothing; remove it"),
+                    );
+                }
+            }
+        }
     }
 }

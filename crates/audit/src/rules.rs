@@ -1,23 +1,30 @@
-//! The audit rules: token-pattern lints over [`crate::lex::Lexed`] with
-//! an explicit, per-rule allowlist-annotation grammar (DESIGN.md §10).
+//! The audit's vocabulary: rule ids, file classes, the token patterns
+//! the rules match, and the allowlist-annotation grammar (DESIGN.md §10).
+//! [`crate::passes`] runs every rule over the lexed and parsed files;
+//! [`analyze`] runs the same audit over one in-memory file.
 //!
-//! | rule              | scope                         | annotation        |
-//! |-------------------|-------------------------------|-------------------|
-//! | `unsafe-audit`    | whole workspace               | `// SAFETY: <why>`|
-//! | `unsafe-confined` | everywhere outside `la`/`ops` | none (hard error) |
-//! | `determinism`     | numeric crates, non-test      | `// DETERMINISM-OK: <why>` |
-//! | `hot-alloc`       | hot fns in numeric crates     | `// ALLOC-OK: <why>` |
-//! | `panic-surface`   | library code, non-test        | `// PANIC-OK: <why>` |
-//! | `stale-annotation`| wherever annotations appear   | (delete the annotation) |
+//! | rule               | scope                                   | contract                                        | annotation |
+//! |--------------------|-----------------------------------------|-------------------------------------------------|------------|
+//! | `unsafe-audit`     | whole workspace, tests included         | every `unsafe` carries a justification          | `// SAFETY: <why>` |
+//! | `unsafe-confined`  | everywhere outside `la`/`ops`           | no `unsafe` at all                              | none (hard error) |
+//! | `determinism`      | numeric library code                    | no hash maps, clocks, bare `.sum()`, or `+=` in a loop of a dispatch closure | `// DETERMINISM-OK: <why>` |
+//! | `hot-alloc`        | hot entries of numeric library code and every library fn they reach | no allocation              | `// ALLOC-OK: <why>` |
+//! | `panic-surface`    | library code                            | no `.unwrap()`, `.expect()` or panic macros     | `// PANIC-OK: <why>` |
+//! | `nested-dispatch`  | library code outside the pool           | no dispatch reachable from a dispatch closure   | `// DISPATCH-OK: <why>` |
+//! | `simd-parity`      | `#[target_feature]` kernels             | a portable twin, and a bitwise test reaching both | `// SIMD-OK: <why>` |
+//! | `ckpt-coverage`    | `Checkpoint` of the `ckpt` crate        | every field named by `to_bytes` and `from_bytes` | `// CKPT-OK: <why>` |
+//! | `prof-scope`       | hot entries of numeric library code     | a `prof::scope` in or above their call graph    | `// PROF-OK: <why>` |
+//! | `stale-annotation` | wherever annotations appear             | every annotation suppresses a finding           | (delete the annotation) |
 //!
-//! An annotation attaches to the finding site when it sits on the same
-//! line (trailing comment) or on the immediately preceding comment
-//! line. Every annotation must carry a non-empty justification after
-//! the colon, and an annotation that suppresses nothing is itself a
-//! finding — allowlists cannot silently rot.
+//! Library code excludes `#[cfg(test)]` modules. An annotation attaches
+//! to the finding site when it sits on the same line (trailing comment)
+//! or in the comment/attribute block immediately above. Every annotation
+//! must carry a justification after the colon, and an annotation that
+//! suppresses nothing is itself a finding — allowlists cannot silently
+//! rot.
 
 use crate::lex::{Kind, Lexed, Tok};
-use std::collections::BTreeSet;
+use crate::parse::CallSite;
 use std::fmt;
 
 /// Crates whose kernels carry the paper's determinism contract
@@ -35,9 +42,6 @@ pub enum Rule {
     HotAlloc,
     PanicSurface,
     StaleAnnotation,
-    // v2 call-graph passes (crate::passes).
-    HotPathAlloc,
-    HotPathPanic,
     NestedDispatch,
     SimdParity,
     CkptCoverage,
@@ -53,8 +57,6 @@ impl Rule {
             Rule::HotAlloc => "hot-alloc",
             Rule::PanicSurface => "panic-surface",
             Rule::StaleAnnotation => "stale-annotation",
-            Rule::HotPathAlloc => "hot-path-alloc",
-            Rule::HotPathPanic => "hot-path-panic",
             Rule::NestedDispatch => "nested-dispatch",
             Rule::SimdParity => "simd-parity",
             Rule::CkptCoverage => "ckpt-coverage",
@@ -70,8 +72,6 @@ impl Rule {
         Rule::HotAlloc,
         Rule::PanicSurface,
         Rule::StaleAnnotation,
-        Rule::HotPathAlloc,
-        Rule::HotPathPanic,
         Rule::NestedDispatch,
         Rule::SimdParity,
         Rule::CkptCoverage,
@@ -119,18 +119,6 @@ pub struct UnsafeSite {
     pub justification: String,
 }
 
-/// Analysis result for one file.
-#[derive(Debug, Default)]
-pub struct FileReport {
-    pub findings: Vec<Finding>,
-    pub unsafe_sites: Vec<UnsafeSite>,
-    /// Lines whose allowlist annotations suppressed at least one
-    /// finding. The stale-annotation pass runs at workspace level
-    /// (see [`stale_annotation_findings`]) after the v2 call-graph
-    /// passes have recorded their own consumed annotations here.
-    pub used_annotations: BTreeSet<u32>,
-}
-
 /// How a path participates in each rule, derived purely from the
 /// repo-relative path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,11 +155,10 @@ pub fn classify(relpath: &str) -> FileClass {
 }
 
 /// Annotation tags, checked in comments attached to finding sites.
+pub(crate) const TAG_SAFETY: &str = "SAFETY:";
 pub const TAG_DETERMINISM: &str = "DETERMINISM-OK:";
 pub const TAG_ALLOC: &str = "ALLOC-OK:";
 pub const TAG_PANIC: &str = "PANIC-OK:";
-const TAG_SAFETY: &str = "SAFETY:";
-/// v2 pass tags (crate::passes).
 pub const TAG_DISPATCH: &str = "DISPATCH-OK:";
 pub const TAG_SIMD: &str = "SIMD-OK:";
 pub const TAG_CKPT: &str = "CKPT-OK:";
@@ -188,12 +175,12 @@ pub const ALL_TAGS: &[&str] = &[
     TAG_PROF,
 ];
 
-/// Function names treated as hot paths by the `hot-alloc` rule: the
-/// operator `apply` family, explicit kernels, and the per-linearization
-/// assembly paths (`assemble*`, `reassemble*` and the `*_into` element
-/// kernels run once per Picard/Newton step — their scratch must be
-/// caller-owned and reused). Matches the repo's naming convention for
-/// per-iteration code (DESIGN.md §10, §13).
+/// Hot entry points of the `hot-alloc` rule: the operator `apply`
+/// family, explicit kernels, and the per-linearization assembly paths
+/// (`assemble*`, `reassemble*` and the `*_into` element kernels run once
+/// per Picard/Newton step — their scratch must be caller-owned and
+/// reused). Matches the repo's naming convention for per-iteration code
+/// (DESIGN.md §10, §13).
 pub fn is_hot_fn(name: &str) -> bool {
     name == "apply"
         || name.starts_with("apply_")
@@ -207,342 +194,116 @@ pub fn is_hot_fn(name: &str) -> bool {
         || name.ends_with("numeric_batched_into")
 }
 
-/// Parallel combinators whose piece closures must not accumulate with
-/// `+=` in a loop (cross-piece accumulation belongs in `par_reduce`,
-/// whose left-to-right combine is the blessed fixed-order path).
-const PAR_DISPATCHERS: &[&str] = &[
-    "par_ranges",
-    "par_ranges_aligned",
-    "par_chunks_mut",
-    "par_blocks_mut",
-    "run_on_pool",
+/// Dispatch entry points of `ptatin-la::par`, each with whether it is a
+/// fixed-order reduction (whose left-to-right combine is the blessed
+/// place for cross-piece accumulation).
+const DISPATCHERS: &[(&str, bool)] = &[
+    ("par_ranges", false),
+    ("par_ranges_aligned", false),
+    ("par_chunks_mut", false),
+    ("par_blocks_mut", false),
+    ("run_on_pool", false),
+    ("par_reduce", true),
+    ("par_reduce_mut", true),
 ];
 
-/// Lex `src` and run the v1 token rules plus the workspace-free part of
-/// the stale-annotation pass. Unit-test convenience; the workspace scan
-/// lexes once and uses [`analyze_lexed`] + [`stale_annotation_findings`]
-/// so the v2 call-graph passes can consume annotations first.
-pub fn analyze(relpath: &str, src: &str) -> FileReport {
-    let lexed = crate::lex::lex(src);
-    let mut rep = analyze_lexed(relpath, &lexed);
-    rep.findings.extend(stale_annotation_findings(
-        relpath,
-        &lexed,
-        &rep.used_annotations,
-    ));
-    rep.findings.sort_by_key(|f| (f.line, f.rule));
-    rep
+/// `Some(is_reduction)` when `c` hands work to the worker pool: a bare
+/// or path call to one of [`DISPATCHERS`] (unambiguous names in this
+/// workspace), or `par::dispatch`.
+pub(crate) fn dispatch_call(c: &CallSite) -> Option<bool> {
+    if c.callee == "dispatch" && c.qual.as_deref() == Some("par") {
+        return Some(false);
+    }
+    if c.method {
+        return None;
+    }
+    DISPATCHERS
+        .iter()
+        .find(|(name, _)| *name == c.callee)
+        .map(|&(_, reduce)| reduce)
 }
 
-/// The v1 token rules over an already-lexed file. The stale-annotation
-/// pass is *not* run here — callers merge `used_annotations` across all
-/// passes first.
-pub fn analyze_lexed(relpath: &str, lexed: &Lexed) -> FileReport {
-    let class = classify(relpath);
-    let mut rep = FileReport::default();
-    let toks = &lexed.toks;
-
-    let test_mask = test_region_mask(toks);
-    let fn_names = enclosing_fn_names(toks);
-    let mut used_annotations: BTreeSet<u32> = BTreeSet::new();
-
-    // Pass 1: unsafe audit + confinement (test code included: an
-    // undocumented unsafe block in a test is still an unsafe block).
-    for (i, t) in toks.iter().enumerate() {
-        if !(t.kind == Kind::Ident && t.s == "unsafe") {
-            continue;
-        }
-        let kind = match toks.get(i + 1) {
-            Some(n) if n.s == "fn" => "fn",
-            Some(n) if n.s == "impl" => "impl",
-            Some(n) if n.s == "trait" => "trait",
-            _ => "block",
-        };
-        let justification = safety_comment(lexed, t.line).unwrap_or_default();
-        let ctx = fn_names[i].clone().unwrap_or_default();
-        if justification.is_empty() {
-            rep.findings.push(Finding {
-                rule: Rule::UnsafeAudit,
-                file: relpath.to_string(),
-                line: t.line,
-                msg: format!("`unsafe {kind}` without an attached `// SAFETY:` comment"),
-                context: ctx.clone(),
-            });
-        }
-        if !class
-            .crate_name
-            .as_deref()
-            .is_some_and(|c| UNSAFE_CRATES.contains(&c))
-        {
-            rep.findings.push(Finding {
-                rule: Rule::UnsafeConfined,
-                file: relpath.to_string(),
-                line: t.line,
-                msg: format!(
-                    "`unsafe` is confined to crates {UNSAFE_CRATES:?}; use a safe abstraction \
-                     from `ptatin-la`/`ptatin-ops` instead"
-                ),
-                context: ctx,
-            });
-        }
-        rep.unsafe_sites.push(UnsafeSite {
-            file: relpath.to_string(),
-            line: t.line,
-            kind,
-            justification,
-        });
+/// The allocation starting at token `i`, if any: `Vec::new`,
+/// `Box::new`, `vec!`, `.to_vec()` or `.clone()`.
+pub(crate) fn alloc_at(toks: &[Tok], i: usize) -> Option<String> {
+    let t = &toks[i];
+    let next = |k: usize| toks.get(i + k).map_or("", |n| n.s.as_str());
+    if t.kind == Kind::Ident
+        && matches!(t.s.as_str(), "Vec" | "Box")
+        && next(1) == "::"
+        && next(2) == "new"
+    {
+        Some(format!("{}::new", t.s))
+    } else if t.kind == Kind::Ident && t.s == "vec" && next(1) == "!" {
+        Some("vec!".to_string())
+    } else if t.s == "."
+        && toks.get(i + 1).is_some_and(|n| n.kind == Kind::Ident)
+        && matches!(next(1), "to_vec" | "clone")
+        && next(2) == "("
+    {
+        Some(format!(".{}()", next(1)))
+    } else {
+        None
     }
-
-    // Pass 2: determinism lint (numeric crates, non-test code).
-    if class.numeric && class.library {
-        let par_regions = par_dispatch_loop_regions(toks);
-        let mut reduce_regions = call_arg_regions(toks, "par_reduce");
-        reduce_regions.extend(call_arg_regions(toks, "par_reduce_mut"));
-        for (i, t) in toks.iter().enumerate() {
-            if test_mask[i] {
-                continue;
-            }
-            let hit: Option<String> = if t.kind == Kind::Ident
-                && matches!(t.s.as_str(), "HashMap" | "HashSet")
-            {
-                Some(format!(
-                    "`{}` iteration order is unspecified; use `BTreeMap`/`BTreeSet` or sorted \
-                     vectors in numeric crates",
-                    t.s
-                ))
-            } else if t.kind == Kind::Ident && matches!(t.s.as_str(), "Instant" | "SystemTime") {
-                Some(format!(
-                    "`{}` makes kernel behaviour time-dependent; timing belongs in `ptatin-prof`",
-                    t.s
-                ))
-            } else if t.s == "."
-                && toks.get(i + 1).is_some_and(|n| {
-                    n.kind == Kind::Ident && matches!(n.s.as_str(), "sum" | "product")
-                })
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|n| n.s == "(" || n.s == "::")
-                // Blessed: a piece-local fold handed to `par_reduce` runs
-                // left-to-right within its range and combines in fixed order.
-                && !reduce_regions.contains(&i)
-            {
-                Some(format!(
-                    "bare `.{}()` hides the accumulation order; use a fixed-order loop or \
-                     `par_reduce`",
-                    toks[i + 1].s
-                ))
-            } else if t.s == "+=" && par_regions.contains(&i) {
-                Some(
-                    "`+=` accumulation inside a loop in a parallel dispatch closure; cross-piece \
-                     reductions belong in `par_reduce`"
-                        .to_string(),
-                )
-            } else {
-                None
-            };
-            if let Some(msg) = hit {
-                flag_unless_annotated(
-                    &mut rep.findings,
-                    &mut used_annotations,
-                    lexed,
-                    relpath,
-                    t.line,
-                    Rule::Determinism,
-                    TAG_DETERMINISM,
-                    &msg,
-                    fn_names[i].as_deref().unwrap_or(""),
-                );
-            }
-        }
-    }
-
-    // Pass 3: hot-path allocation lint (numeric crates, non-test code,
-    // inside apply/kernel functions).
-    if class.numeric && class.library {
-        for (i, t) in toks.iter().enumerate() {
-            if test_mask[i] {
-                continue;
-            }
-            let Some(fn_name) = fn_names[i].as_deref() else {
-                continue;
-            };
-            if !is_hot_fn(fn_name) {
-                continue;
-            }
-            let hit: Option<&str> = if t.kind == Kind::Ident
-                && matches!(t.s.as_str(), "Vec" | "Box")
-                && toks.get(i + 1).is_some_and(|n| n.s == "::")
-                && toks.get(i + 2).is_some_and(|n| n.s == "new")
-            {
-                Some(if t.s == "Vec" { "Vec::new" } else { "Box::new" })
-            } else if t.kind == Kind::Ident
-                && t.s == "vec"
-                && toks.get(i + 1).is_some_and(|n| n.s == "!")
-            {
-                Some("vec!")
-            } else if t.s == "."
-                && toks.get(i + 1).is_some_and(|n| {
-                    n.kind == Kind::Ident && matches!(n.s.as_str(), "to_vec" | "clone")
-                })
-                && toks.get(i + 2).is_some_and(|n| n.s == "(")
-            {
-                if toks[i + 1].s == "to_vec" {
-                    Some(".to_vec()")
-                } else {
-                    Some(".clone()")
-                }
-            } else {
-                None
-            };
-            if let Some(what) = hit {
-                let msg = format!(
-                    "`{what}` allocates inside hot function `{fn_name}`; hoist to setup or a \
-                     cached scratch (the PR-4 MaskScratch pattern)"
-                );
-                flag_unless_annotated(
-                    &mut rep.findings,
-                    &mut used_annotations,
-                    lexed,
-                    relpath,
-                    t.line,
-                    Rule::HotAlloc,
-                    TAG_ALLOC,
-                    &msg,
-                    fn_name,
-                );
-            }
-        }
-    }
-
-    // Pass 4: panic-surface lint (library code, non-test).
-    if class.library {
-        for (i, t) in toks.iter().enumerate() {
-            if test_mask[i] || t.kind != Kind::Ident {
-                continue;
-            }
-            let hit: Option<String> = if matches!(t.s.as_str(), "unwrap" | "expect")
-                && i > 0
-                && toks[i - 1].s == "."
-                && toks.get(i + 1).is_some_and(|n| n.s == "(")
-            {
-                Some(format!("`.{}()` in library code", t.s))
-            } else if matches!(
-                t.s.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            ) && toks.get(i + 1).is_some_and(|n| n.s == "!")
-                // `core::panic::…` paths and `std::panic` qualifiers are
-                // not macro invocations.
-                && (i == 0 || toks[i - 1].s != "::")
-            {
-                Some(format!("`{}!` in library code", t.s))
-            } else {
-                None
-            };
-            if let Some(what) = hit {
-                let msg = format!("{what}; return a typed error or justify with `// PANIC-OK:`");
-                flag_unless_annotated(
-                    &mut rep.findings,
-                    &mut used_annotations,
-                    lexed,
-                    relpath,
-                    t.line,
-                    Rule::PanicSurface,
-                    TAG_PANIC,
-                    &msg,
-                    fn_names[i].as_deref().unwrap_or(""),
-                );
-            }
-        }
-    }
-
-    rep.findings.sort_by_key(|f| (f.line, f.rule));
-    rep.used_annotations = used_annotations;
-    rep
 }
 
-/// The stale-annotation pass: an annotation line that suppressed no
-/// finding candidate means the code below it got cleaned up (or the
-/// annotation is on the wrong line) — delete it. Runs last, after the
-/// v1 rules *and* the v2 call-graph passes have recorded every line
-/// whose annotation earned its keep.
-pub fn stale_annotation_findings(
-    relpath: &str,
-    lexed: &Lexed,
-    used_annotations: &BTreeSet<u32>,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (&line, text) in &lexed.comment_on {
-        if !is_annotation_comment(text) {
-            continue;
-        }
-        for tag in ALL_TAGS {
-            if text.contains(tag) && !used_annotations.contains(&line) {
-                out.push(Finding {
-                    rule: Rule::StaleAnnotation,
-                    file: relpath.to_string(),
-                    line,
-                    msg: format!("`// {tag}` annotation suppresses nothing; remove it"),
-                    context: tag.trim_end_matches(':').to_string(),
-                });
-            }
-        }
+/// The panic at token `i`, if any: `.unwrap()`, `.expect(…)`, or a
+/// `panic!`/`unreachable!`/`todo!`/`unimplemented!` invocation
+/// (`std::panic::…` paths are not invocations).
+pub(crate) fn panic_at(toks: &[Tok], i: usize) -> Option<String> {
+    let t = &toks[i];
+    if t.kind != Kind::Ident {
+        return None;
     }
-    out
+    let prev = i.checked_sub(1).map_or("", |p| toks[p].s.as_str());
+    let next = toks.get(i + 1).map_or("", |n| n.s.as_str());
+    if matches!(t.s.as_str(), "unwrap" | "expect") && prev == "." && next == "(" {
+        Some(format!(".{}()", t.s))
+    } else if matches!(
+        t.s.as_str(),
+        "panic" | "unreachable" | "todo" | "unimplemented"
+    ) && next == "!"
+        && prev != "::"
+    {
+        Some(format!("{}!", t.s))
+    } else {
+        None
+    }
 }
 
-/// Push a finding unless an annotation with `tag` attaches to `line`
-/// (same line, or the contiguous comment block immediately above).
-/// Consumed annotations are recorded so the stale-annotation pass can
-/// flag the leftovers.
-#[allow(clippy::too_many_arguments)]
-fn flag_unless_annotated(
-    findings: &mut Vec<Finding>,
-    used: &mut BTreeSet<u32>,
-    lexed: &Lexed,
-    relpath: &str,
-    line: u32,
-    rule: Rule,
-    tag: &str,
-    msg: &str,
-    context: &str,
-) {
-    if let Some(ann_line) = attached_annotation(lexed, line, tag) {
-        used.insert(ann_line);
-        return;
-    }
-    findings.push(Finding {
-        rule,
-        file: relpath.to_string(),
-        line,
-        msg: msg.to_string(),
-        context: context.to_string(),
-    });
+/// Run the whole audit over one in-memory file: the same pipeline as
+/// [`crate::scan_workspace`], with a call graph of this file alone.
+pub fn analyze(relpath: &str, src: &str) -> crate::Report {
+    crate::audit(
+        &[crate::SourceFile::new(relpath, src)],
+        &crate::graph::CrateDeps::new(),
+    )
 }
 
-/// Find an annotation containing `tag` followed by a non-empty
-/// justification, attached to code line `line`: trailing on the same
-/// line, or in the comment/attribute block immediately above.
-pub fn attached_annotation(lexed: &Lexed, line: u32, tag: &str) -> Option<u32> {
-    let has = |l: u32| {
-        lexed
+/// The annotation with `tag` attached to code line `line` — trailing on
+/// the same line, or in the comment/attribute block immediately above —
+/// as `(annotation line, justification)`. A justification shorter than
+/// three characters does not count.
+pub fn attached_annotation(lexed: &Lexed, line: u32, tag: &str) -> Option<(u32, String)> {
+    let reason = |l: u32| -> Option<String> {
+        let c = lexed
             .comment_on
             .get(&l)
-            .is_some_and(|c| tag_with_reason(c, tag))
+            .filter(|c| is_annotation_comment(c))?;
+        let why = c[c.find(tag)? + tag.len()..]
+            .trim()
+            .trim_end_matches("*/")
+            .trim();
+        (why.len() >= 3).then(|| why.to_string())
     };
-    if has(line) {
-        return Some(line);
-    }
-    let mut l = line.saturating_sub(1);
-    while l > 0 {
-        if has(l) {
-            return Some(l);
+    for l in (1..=line).rev() {
+        if let Some(why) = reason(l) {
+            return Some((l, why));
         }
         let pure_comment = lexed.comment_lines.contains(&l) && !lexed.code_lines.contains(&l);
-        let attr = lexed.attr_lines.contains(&l);
-        if !(pure_comment || attr) {
+        if l < line && !(pure_comment || lexed.attr_lines.contains(&l)) {
             return None;
         }
-        l -= 1;
     }
     None
 }
@@ -550,303 +311,9 @@ pub fn attached_annotation(lexed: &Lexed, line: u32, tag: &str) -> Option<u32> {
 /// Is this comment an *annotation* carrier? Doc comments (`///`,
 /// `//!`) are documentation — a lint table in a doc comment must not
 /// read as an allowlist entry (nor as a stale one).
-fn is_annotation_comment(comment: &str) -> bool {
+pub(crate) fn is_annotation_comment(comment: &str) -> bool {
     let c = comment.trim_start();
     !(c.starts_with("///") || c.starts_with("//!"))
-}
-
-/// `tag` present and followed by a justification of at least three
-/// non-whitespace characters (an empty "why" does not count).
-fn tag_with_reason(comment: &str, tag: &str) -> bool {
-    is_annotation_comment(comment)
-        && comment
-            .find(tag)
-            .map(|p| comment[p + tag.len()..].trim())
-            .is_some_and(|why| why.len() >= 3)
-}
-
-/// Find the `// SAFETY:` comment attached to an unsafe site at `line`:
-/// trailing on the line itself or in the contiguous comment/attribute
-/// block above. Returns the justification text (first line only).
-fn safety_comment(lexed: &Lexed, line: u32) -> Option<String> {
-    let extract = |l: u32| -> Option<String> {
-        let c = lexed.comment_on.get(&l)?;
-        if !is_annotation_comment(c) {
-            return None;
-        }
-        let p = c.find(TAG_SAFETY)?;
-        let why = c[p + TAG_SAFETY.len()..]
-            .trim()
-            .trim_end_matches("*/")
-            .trim();
-        if why.len() >= 3 {
-            Some(why.to_string())
-        } else {
-            None
-        }
-    };
-    if let Some(j) = extract(line) {
-        return Some(j);
-    }
-    let mut l = line.saturating_sub(1);
-    while l > 0 {
-        if let Some(j) = extract(l) {
-            return Some(j);
-        }
-        let pure_comment = lexed.comment_lines.contains(&l) && !lexed.code_lines.contains(&l);
-        let attr = lexed.attr_lines.contains(&l);
-        if !(pure_comment || attr) {
-            return None;
-        }
-        l -= 1;
-    }
-    None
-}
-
-/// Token-index mask of `#[cfg(test)] mod …` regions (and any other
-/// module under a `cfg` attribute mentioning `test`, e.g.
-/// `#[cfg(all(test, feature = "x"))]`).
-fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].s != "#" || toks.get(i + 1).map(|t| t.s.as_str()) != Some("[") {
-            i += 1;
-            continue;
-        }
-        // Scan the attribute's balanced brackets.
-        let attr_start = i + 1;
-        let mut depth = 0i32;
-        let mut j = attr_start;
-        let mut saw_cfg = false;
-        let mut saw_test = false;
-        while j < toks.len() {
-            match toks[j].s.as_str() {
-                "[" | "(" => depth += 1,
-                "]" | ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                "cfg" => saw_cfg = true,
-                "test" => saw_test = true,
-                _ => {}
-            }
-            j += 1;
-        }
-        let attr_end = j;
-        if !(saw_cfg && saw_test) {
-            i = attr_end + 1;
-            continue;
-        }
-        // Skip any further attributes, then require `mod name {`.
-        let mut k = attr_end + 1;
-        while k < toks.len() && toks[k].s == "#" {
-            let mut d = 0i32;
-            k += 1;
-            while k < toks.len() {
-                match toks[k].s.as_str() {
-                    "[" | "(" => d += 1,
-                    "]" | ")" => {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            k += 1;
-        }
-        let is_mod = k < toks.len()
-            && (toks[k].s == "mod"
-                || (toks[k].s == "pub" && toks.get(k + 1).is_some_and(|t| t.s == "mod")));
-        if !is_mod {
-            i = attr_end + 1;
-            continue;
-        }
-        // Find the region's opening brace and mask to its close.
-        while k < toks.len() && toks[k].s != "{" && toks[k].s != ";" {
-            k += 1;
-        }
-        if k >= toks.len() || toks[k].s == ";" {
-            i = attr_end + 1;
-            continue;
-        }
-        let mut brace = 0i32;
-        let open = k;
-        while k < toks.len() {
-            if toks[k].s == "{" {
-                brace += 1;
-            } else if toks[k].s == "}" {
-                brace -= 1;
-                if brace == 0 {
-                    break;
-                }
-            }
-            k += 1;
-        }
-        for m in mask.iter_mut().take(k.min(toks.len() - 1) + 1).skip(open) {
-            *m = true;
-        }
-        i = k + 1;
-    }
-    mask
-}
-
-/// For every token, the name of the innermost enclosing `fn` (if any).
-/// Closures do not shadow the enclosing function's name.
-fn enclosing_fn_names(toks: &[Tok]) -> Vec<Option<String>> {
-    let mut out: Vec<Option<String>> = vec![None; toks.len()];
-    // Stack of (fn_name, brace_depth_at_body_open).
-    let mut stack: Vec<(String, i32)> = Vec::new();
-    // A declared fn waiting for its body brace (or `;` for trait fns).
-    let mut pending: Option<String> = None;
-    // Paren/bracket depth inside a pending signature, so the `;` in
-    // `fn f(x: [u8; 3]);` does not clear `pending` prematurely.
-    let mut sig_depth = 0i32;
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate() {
-        match t.s.as_str() {
-            "fn" => {
-                if let Some(n) = toks.get(i + 1) {
-                    if n.kind == Kind::Ident {
-                        pending = Some(n.s.clone());
-                        sig_depth = 0;
-                    }
-                }
-            }
-            "(" | "[" if pending.is_some() => sig_depth += 1,
-            ")" | "]" if pending.is_some() => sig_depth -= 1,
-            // Bodyless declaration (trait method / extern fn).
-            ";" if pending.is_some() && sig_depth == 0 => pending = None,
-            "{" => {
-                depth += 1;
-                if let Some(name) = pending.take() {
-                    stack.push((name, depth));
-                }
-            }
-            "}" => {
-                if let Some(&(_, d)) = stack.last() {
-                    if d == depth {
-                        stack.pop();
-                    }
-                }
-                depth -= 1;
-            }
-            _ => {}
-        }
-        out[i] = stack.last().map(|(n, _)| n.clone());
-    }
-    out
-}
-
-/// Token indices inside the argument parentheses of any call to `callee`.
-/// Used to bless `.sum()` folds handed to the fixed-order `par_reduce` and
-/// `par_reduce_mut`.
-fn call_arg_regions(toks: &[Tok], callee: &str) -> BTreeSet<usize> {
-    let mut out = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !(t.kind == Kind::Ident && t.s == callee) {
-            continue;
-        }
-        if toks.get(i + 1).map(|t| t.s.as_str()) != Some("(") {
-            continue;
-        }
-        if i > 0 && toks[i - 1].s == "fn" {
-            continue;
-        }
-        let mut paren = 0i32;
-        let mut j = i + 1;
-        while j < toks.len() {
-            match toks[j].s.as_str() {
-                "(" => paren += 1,
-                ")" => {
-                    paren -= 1;
-                    if paren == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            out.insert(j);
-            j += 1;
-        }
-    }
-    out
-}
-
-/// Token indices of `+=`-relevant regions: inside a `for`/`while`/`loop`
-/// body that is itself inside the argument parentheses of a
-/// non-reducing parallel dispatcher call ([`PAR_DISPATCHERS`]).
-fn par_dispatch_loop_regions(toks: &[Tok]) -> BTreeSet<usize> {
-    let mut out = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !(t.kind == Kind::Ident && PAR_DISPATCHERS.contains(&t.s.as_str())) {
-            continue;
-        }
-        // Skip `::`-qualified path segments and `fn par_ranges` defs:
-        // we want the *call*, which is followed by `(`.
-        let mut j = i + 1;
-        // Allow turbofish-free generic path end: `par::par_ranges(`.
-        if toks.get(j).map(|t| t.s.as_str()) != Some("(") {
-            continue;
-        }
-        if i > 0 && toks[i - 1].s == "fn" {
-            continue;
-        }
-        // Balanced scan of the call's argument list.
-        let mut paren = 0i32;
-        let call_open = j;
-        while j < toks.len() {
-            match toks[j].s.as_str() {
-                "(" => paren += 1,
-                ")" => {
-                    paren -= 1;
-                    if paren == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let call_close = j;
-        // Within the argument list, mark loop bodies.
-        let mut k = call_open;
-        while k < call_close {
-            if toks[k].kind == Kind::Ident && matches!(toks[k].s.as_str(), "for" | "while" | "loop")
-            {
-                // Find the loop body's `{` and mark to its matching `}`.
-                let mut m = k + 1;
-                while m < call_close && toks[m].s != "{" {
-                    m += 1;
-                }
-                let mut brace = 0i32;
-                let body_open = m;
-                while m < call_close {
-                    if toks[m].s == "{" {
-                        brace += 1;
-                    } else if toks[m].s == "}" {
-                        brace -= 1;
-                        if brace == 0 {
-                            break;
-                        }
-                    }
-                    m += 1;
-                }
-                for idx in body_open..=m.min(call_close) {
-                    out.insert(idx);
-                }
-                k = m + 1;
-            } else {
-                k += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -855,6 +322,14 @@ mod tests {
 
     fn findings(path: &str, src: &str) -> Vec<Finding> {
         analyze(path, src).findings
+    }
+
+    /// `(rule, line)` of every finding, in report order.
+    fn anchors(path: &str, src: &str) -> Vec<(Rule, u32)> {
+        findings(path, src)
+            .iter()
+            .map(|f| (f.rule, f.line))
+            .collect()
     }
 
     #[test]
@@ -962,12 +437,21 @@ mod tests {
 
     #[test]
     fn hot_alloc_flagged_in_apply_only() {
+        // `apply` is also a prof-scope entry, and this one is untimed.
         let hot = "impl Op { fn apply(&self, x: &[f64], y: &mut [f64]) { let t = x.to_vec(); } }";
-        let f = findings("crates/ops/src/x.rs", hot);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::HotAlloc);
+        assert_eq!(
+            anchors("crates/ops/src/x.rs", hot),
+            vec![(Rule::HotAlloc, 1), (Rule::ProfScope, 1)]
+        );
         let cold = "fn setup(x: &[f64]) { let t = x.to_vec(); }";
         assert!(findings("crates/ops/src/x.rs", cold).is_empty());
+        // A helper the hot entry calls is on the hot path too.
+        let reached =
+            "fn apply(x: &[f64]) { helper(x); }\nfn helper(x: &[f64]) { let t = x.to_vec(); }";
+        let f = findings("crates/ops/src/x.rs", reached);
+        let got: Vec<(Rule, u32)> = f.iter().map(|x| (x.rule, x.line)).collect();
+        assert_eq!(got, vec![(Rule::ProfScope, 1), (Rule::HotAlloc, 2)]);
+        assert!(f[1].msg.contains("`apply -> helper`"), "{}", f[1].msg);
     }
 
     #[test]
@@ -982,9 +466,15 @@ mod tests {
             "viscous_numeric_batched_into",
         ] {
             let src = format!("fn {name}() {{ let t = vec![0.0; 8]; }}");
-            let f = findings("crates/fem/src/x.rs", &src);
-            assert_eq!(f.len(), 1, "{name} not treated as hot");
-            assert_eq!(f[0].rule, Rule::HotAlloc);
+            let mut want = vec![(Rule::HotAlloc, 1)];
+            if name.starts_with("assemble") || name.starts_with("reassemble") {
+                want.push((Rule::ProfScope, 1)); // an untimed prof-scope entry
+            }
+            assert_eq!(
+                anchors("crates/fem/src/x.rs", &src),
+                want,
+                "{name} not treated as hot"
+            );
         }
         // Symbolic-phase constructors stay cold: they run once per mesh.
         for name in ["build", "element_corner_coords", "assembly_order"] {
@@ -1066,7 +556,11 @@ mod tests {
     #[test]
     fn enclosing_fn_tracking_handles_nested_items() {
         let src = "fn outer() { fn apply(x: &[f64]) { let v = x.to_vec(); } }";
-        let f = findings("crates/ops/src/x.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(
+            anchors("crates/ops/src/x.rs", src),
+            vec![(Rule::HotAlloc, 1), (Rule::ProfScope, 1)]
+        );
+        // The allocation belongs to `apply`, not to `outer`.
+        assert_eq!(findings("crates/ops/src/x.rs", src)[0].context, "apply");
     }
 }

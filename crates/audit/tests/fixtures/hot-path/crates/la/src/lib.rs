@@ -1,6 +1,6 @@
-//! Fixture: allocation and panic reachable only *transitively* from a
-//! hot entry — the helper is not hot-named, so only the v2 call-graph
-//! pass can see it. One annotated site must stay silent.
+//! Fixture: allocation reachable only *transitively* from a hot entry —
+//! the helper is not hot-named, so only the call graph shows it (the panic
+//! is a panic-surface finding). One annotated site must stay silent.
 
 pub fn apply(x: &[f64], y: &mut [f64]) {
     let _s = prof::scope("fixture.apply");

@@ -20,14 +20,16 @@ if [[ $FAST -eq 0 ]]; then
     cargo build --release --workspace --bins --benches
 fi
 
-# Workspace invariants: zero unsuppressed audit findings — the v1 token
-# rules plus the v2 call-graph passes (transitive hot-path alloc/panic,
-# nested dispatch, SIMD path parity, checkpoint coverage, prof-scope
-# coverage; DESIGN.md §10, §14) — a fresh schema-valid inventory in
-# output/audit.json, and a checksummed baseline. The audit is static, so
-# PTATIN_TEST_THREADS must not change its verdict: the gate runs at both
-# CI thread counts and enforces the 10 s wall-clock budget at each.
-step "ptatin-audit --check (v2 call-graph passes, nt=1 and 4)"
+# Workspace invariants: zero unsuppressed findings from the audit's ten
+# rules, one pipeline over the parsed files and the workspace call graph
+# (unsafe-audit, unsafe-confined, determinism, hot-alloc with its
+# reachable helpers, panic-surface, nested-dispatch, simd-parity,
+# ckpt-coverage, prof-scope, stale-annotation; DESIGN.md §10, §14) — a
+# fresh schema-valid inventory in output/audit.json, and a checksummed
+# baseline. The audit is static, so PTATIN_TEST_THREADS must not change
+# its verdict: the gate runs at both CI thread counts and enforces the
+# 10 s wall-clock budget at each.
+step "ptatin-audit --check (ten rules over the call graph, nt=1 and 4)"
 cargo build -q -p ptatin-audit
 printf '%-24s %9s  %s\n' "lint" "wall (s)" "status"
 for nt in 1 4; do
