@@ -6,21 +6,21 @@
 //!    for the sinker, V(3,3) for the rift).
 //! 2. **Galerkin vs rediscretized coarsest operator** (§III-C: "Galerkin
 //!    coarsening is more robust but is expensive to compute").
-//! 3. **Viscosity averaging**: geometric (log-space, our default) vs
-//!    arithmetic interpolation of the material-point projection.
-//! 4. **Chebyshev target interval**: the paper's `[0.2λ, 1.1λ]` against
-//!    wider and narrower alternatives.
-//! 5. **SCR vs full-space iteration** across viscosity contrasts (§III-B,
+//! 3. **SCR vs full-space iteration** across viscosity contrasts (§III-B,
 //!    §IV-A: SCR is more robust to extreme contrasts, but each outer
 //!    iteration needs an accurate inner solve).
+//! 4. **V vs W cycle** with an exact coarse solve, isolating the cycle
+//!    shape.
+//!
+//! The viscosity-averaging, coefficient-restriction and Chebyshev-interval
+//! studies measured the defaults as best or tied and their knobs were
+//! retired; EXPERIMENTS.md "Ablations" keeps the verdicts.
 //!
 //! Run: `cargo run --release -p ptatin-bench --bin ablations [--quick]`
 
 use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup, write_csv, Args};
 use ptatin_core::solver::{CoarseKind, GmgConfig, KrylovOperatorChoice};
-use ptatin_fem::assemble::Q2QuadTables;
 use ptatin_la::krylov::KrylovConfig;
-use ptatin_mpm::projection::{corners_to_quadrature, corners_to_quadrature_log};
 use ptatin_ops::OperatorKind;
 
 fn main() {
@@ -70,89 +70,7 @@ fn main() {
     }
 
     // ---------------------------------------------------------------
-    println!("\n## 3. Viscosity averaging at quadrature points");
-    println!("{:>11} {:>5} {:>13}", "averaging", "its", "eta range");
-    for (name, geometric) in [("geometric", true), ("arithmetic", false)] {
-        let (model, fields) = sinker_setup(m, levels, 1e4);
-        let tables = Q2QuadTables::standard();
-        let eta_qp = if geometric {
-            corners_to_quadrature_log(model.hier.finest(), &tables, &fields.eta_corner)
-        } else {
-            corners_to_quadrature(model.hier.finest(), &tables, &fields.eta_corner)
-        };
-        let lo = eta_qp.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = eta_qp.iter().cloned().fold(0.0f64, f64::max);
-        let mut gmg = paper_gmg_config(levels, OperatorKind::Tensor);
-        gmg.geometric_averaging = geometric;
-        let solver = model.build_solver(&fields, &gmg);
-        let rhs = model.rhs(&solver, &fields);
-        let mut x = vec![0.0; solver.nu + solver.np];
-        let stats = solver.solve(&rhs, &mut x, &kcfg, KrylovOperatorChoice::Picard, None);
-        println!("{name:>11} {:>5} [{lo:.2e}, {hi:.2e}]", stats.iterations);
-        rows.push(format!(
-            "averaging,{name},{},{lo:.3e}:{hi:.3e}",
-            stats.iterations
-        ));
-    }
-
-    // ---------------------------------------------------------------
-    println!("\n## 4. Coefficient restriction to rediscretized coarse levels");
-    println!("{:>22} {:>5} {:>10}", "restriction", "its", "solve s");
-    use ptatin_core::CoefficientRestriction;
-    for (name, restr, geo) in [
-        ("injection", CoefficientRestriction::Injection, true),
-        (
-            "full-weight geometric",
-            CoefficientRestriction::FullWeighting,
-            true,
-        ),
-        (
-            "full-weight arithmetic",
-            CoefficientRestriction::FullWeighting,
-            false,
-        ),
-    ] {
-        let (model, fields) = sinker_setup(m, levels, 1e4);
-        let mut gmg = paper_gmg_config(levels, OperatorKind::Tensor);
-        gmg.coefficient_restriction = restr;
-        gmg.geometric_averaging = geo;
-        let solver = model.build_solver(&fields, &gmg);
-        let rhs = model.rhs(&solver, &fields);
-        let mut x = vec![0.0; solver.nu + solver.np];
-        let t0 = std::time::Instant::now();
-        let stats = solver.solve(&rhs, &mut x, &kcfg, KrylovOperatorChoice::Picard, None);
-        let secs = t0.elapsed().as_secs_f64();
-        println!("{name:>22} {:>5} {:>10.3}", stats.iterations, secs);
-        rows.push(format!("restriction,{name},{},{secs:.4}", stats.iterations));
-    }
-
-    // ---------------------------------------------------------------
-    println!("\n## 5. Chebyshev target interval (fractions of λmax)");
-    println!("{:>14} {:>5} {:>10}", "interval", "its", "solve s");
-    for (name, lo, hi) in [
-        ("[0.2, 1.1]", 0.2, 1.1), // paper
-        ("[0.05, 1.05]", 0.05, 1.05),
-        ("[0.5, 1.1]", 0.5, 1.1),
-        ("[0.2, 1.6]", 0.2, 1.6),
-    ] {
-        let (model, fields) = sinker_setup(m, levels, 1e4);
-        let mut gmg = paper_gmg_config(levels, OperatorKind::Tensor);
-        gmg.cheb_targets = (lo, hi);
-        let solver = model.build_solver(&fields, &gmg);
-        let rhs = model.rhs(&solver, &fields);
-        let mut x = vec![0.0; solver.nu + solver.np];
-        let t0 = std::time::Instant::now();
-        let stats = solver.solve(&rhs, &mut x, &kcfg, KrylovOperatorChoice::Picard, None);
-        let secs = t0.elapsed().as_secs_f64();
-        println!("{name:>14} {:>5} {:>10.3}", stats.iterations, secs);
-        rows.push(format!(
-            "cheb_interval,{name},{},{secs:.4}",
-            stats.iterations
-        ));
-    }
-
-    // ---------------------------------------------------------------
-    println!("\n## 6. Full-space vs Schur-complement reduction across Δη");
+    println!("\n## 3. Full-space vs Schur-complement reduction across Δη");
     println!(
         "{:>9} {:>10} {:>12} {:>10} {:>12}",
         "Δη", "full its", "full s", "SCR outer", "SCR s (inner)"
@@ -197,7 +115,7 @@ fn main() {
     println!("but each costs an accurate inner J_uu solve, so it is slower overall.");
 
     // ---------------------------------------------------------------
-    println!("\n## 7. Cycle type (V vs W; exact coarse solve isolates the cycle shape)");
+    println!("\n## 4. Cycle type (V vs W; exact coarse solve isolates the cycle shape)");
     println!("{:>7} {:>5} {:>10}", "cycle", "its", "solve s");
     for (name, cyc) in [
         ("V", ptatin_mg::CycleType::V),

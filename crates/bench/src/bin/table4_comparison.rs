@@ -146,7 +146,6 @@ fn main() {
             "SA-i",
             AmgConfig {
                 block_size: 3,
-                strength_threshold: 0.01,
                 max_coarse_size: 600,
                 coarse_solver: CoarseSolverKind::BlockJacobiLu { blocks: 4 },
                 ..AmgConfig::default()
@@ -156,7 +155,6 @@ fn main() {
             "SAML-i",
             AmgConfig {
                 block_size: 3,
-                strength_threshold: 0.01,
                 max_coarse_size: 100,
                 coarse_solver: CoarseSolverKind::BlockJacobiLu { blocks: 4 },
                 ..AmgConfig::default()
@@ -166,7 +164,6 @@ fn main() {
             "SAML-ii",
             AmgConfig {
                 block_size: 3,
-                strength_threshold: 0.01,
                 max_coarse_size: 100,
                 smoother: SmootherKind::FgmresBlockJacobiIlu0 {
                     iters: 2,

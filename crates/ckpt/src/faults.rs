@@ -8,7 +8,7 @@
 //! deterministically instead of hoped-for.
 //!
 //! A [`FaultPlan`] is a one-shot `(kind, step[, job])` triple, set
-//! programmatically ([`set_plan`] / [`set_plans`]), from the
+//! programmatically ([`set_plans`]), from the
 //! `PTATIN_FAULT` environment variable ([`install_from_env`]) or from the
 //! `--fault=` CLI flag. The timestep driver calls [`begin_step`] at the
 //! top of every step; when a plan matches, the corresponding layer hook is
@@ -112,23 +112,9 @@ static STALL_ARMED: AtomicBool = AtomicBool::new(false);
 /// Current ensemble job id; `u64::MAX` = no job announced.
 static CURRENT_JOB: AtomicU64 = AtomicU64::new(u64::MAX);
 
-/// Install (or clear) a single process-wide fault plan.
-pub fn set_plan(plan: Option<FaultPlan>) {
-    set_plans(plan.into_iter().collect());
-}
-
 /// Install the full set of scheduled plans, replacing any previous set.
 pub fn set_plans(plans: Vec<FaultPlan>) {
     *PLANS.lock().unwrap_or_else(|e| e.into_inner()) = plans;
-}
-
-/// The first currently scheduled (unfired) plan, if any.
-pub fn plan() -> Option<FaultPlan> {
-    PLANS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .first()
-        .copied()
 }
 
 /// All currently scheduled (unfired) plans.
@@ -160,12 +146,6 @@ pub fn plans_from_env() -> Option<Vec<FaultPlan>> {
         .as_deref()
         .and_then(FaultPlan::parse_list)
         .filter(|v| !v.is_empty())
-}
-
-/// The first plan from `PTATIN_FAULT`, if set and well-formed (kept for
-/// callers that predate plan lists).
-pub fn plan_from_env() -> Option<FaultPlan> {
-    plans_from_env().and_then(|v| v.first().copied())
 }
 
 /// Install the plan list from `PTATIN_FAULT`, if set and well-formed.
@@ -284,11 +264,11 @@ mod tests {
     fn begin_step_fires_once_at_the_scheduled_step() {
         let _g = GLOBAL_LOCK.lock().unwrap();
         reset();
-        set_plan(Some(FaultPlan {
+        set_plans(vec![FaultPlan {
             kind: FaultKind::NonlinearStall,
             step: 2,
             job: None,
-        }));
+        }]);
         assert_eq!(begin_step(0), None);
         assert_eq!(begin_step(1), None);
         assert!(!stall_armed());
@@ -353,11 +333,11 @@ mod tests {
     fn breakdown_plan_arms_the_krylov_hook() {
         let _g = GLOBAL_LOCK.lock().unwrap();
         reset();
-        set_plan(Some(FaultPlan {
+        set_plans(vec![FaultPlan {
             kind: FaultKind::KrylovBreakdown,
             step: 1,
             job: None,
-        }));
+        }]);
         assert_eq!(begin_step(1), Some(FaultKind::KrylovBreakdown));
         assert!(ptatin_la::krylov::fault::armed());
         reset();

@@ -375,8 +375,12 @@ impl Preconditioner for CoupledVankaMg {
     }
 }
 
-/// Per-level quadrature viscosity from a fine corner field, by injection —
-/// convenience mirroring the field-split builder's coefficient pipeline.
+/// Per-level quadrature viscosity from a fine corner field: full weighting
+/// in log space down the hierarchy ([`restrict_corner_field`]), then
+/// log-space interpolation to quadrature points. The field-split builder
+/// injects the corner field instead.
+///
+/// [`restrict_corner_field`]: ptatin_mpm::projection::restrict_corner_field
 pub fn eta_qp_per_level(hier: &MeshHierarchy, eta_corner_fine: &[f64]) -> Vec<Vec<f64>> {
     let tables = Q2QuadTables::standard();
     let levels = hier.num_levels();
@@ -387,7 +391,6 @@ pub fn eta_qp_per_level(hier: &MeshHierarchy, eta_corner_fine: &[f64]) -> Vec<Ve
             &hier.meshes[l + 1],
             &hier.meshes[l],
             &eta_corner[l + 1],
-            true,
         );
     }
     (0..levels)

@@ -17,8 +17,8 @@ pub mod timestep;
 pub use coefficients::{update_coefficients, CoefficientFields, StateFields};
 pub use nonlinear::{classify_outcome, NonlinearConfig, NonlinearOutcome, NonlinearStats};
 pub use ptatin_mg::CycleType;
-pub use recovery::{run_rift, RecoveryConfig, RunConfig, RunOutcome, RunReport};
+pub use recovery::{run_rift, RunConfig, RunOutcome, RunReport};
 pub use solver::{
-    BlockLowerTriangularPc, CoarseKind, CoefficientRestriction, GmgConfig, KrylovOperatorChoice,
-    StokesOperator, StokesSolver,
+    BlockLowerTriangularPc, CoarseKind, GmgConfig, KrylovOperatorChoice, StokesOperator,
+    StokesSolver,
 };

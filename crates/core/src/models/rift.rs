@@ -526,7 +526,7 @@ const GRAVITY: [f64; 3] = [0.0, -1.0, 0.0];
 #[cfg(test)]
 pub mod tests {
     use super::*;
-    use crate::nonlinear::ETA_MAX;
+    use crate::nonlinear::{ETA_MAX, LINEAR_RTOL};
     use ptatin_la::vec_ops;
 
     pub(crate) fn tiny_cfg() -> RiftConfig {
@@ -598,13 +598,13 @@ pub mod tests {
 
     /// The forcing term adapts: each linearization of a default step is
     /// solved to Eisenstat–Walker choice 2 (γ = 0.9, α = 1.618) of the
-    /// recorded residual history, clamped to `[linear_rtol, ETA_MAX]`. The
+    /// recorded residual history, clamped to `[LINEAR_RTOL, ETA_MAX]`. The
     /// choice-2 safeguard cannot fire here: γ·ETA_MAX^α < 0.1.
     #[test]
     fn default_step_forcing_terms_follow_choice_2() {
         let mut model = RiftModel::new(RiftConfig::default());
         let stats = model.solve_stokes().stats;
-        let floor = model.cfg.nonlinear.linear_rtol;
+        let floor = LINEAR_RTOL;
         let h = &stats.residual_history;
         assert!(stats.iterations >= 2, "{h:?}");
         assert_eq!(stats.forcing_terms.len(), stats.iterations);

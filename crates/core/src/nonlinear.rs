@@ -31,17 +31,19 @@ pub struct NonlinearConfig {
     pub rel_tol: f64,
     /// Newton action in the Krylov operator (Picard PC regardless).
     pub use_newton: bool,
-    /// Backtracking line-search steps (0 disables).
-    pub max_backtracks: usize,
     /// Adapt linear tolerances with Eisenstat–Walker forcing terms.
     pub eisenstat_walker: bool,
-    /// Linear relative tolerance: the floor under the Eisenstat–Walker
-    /// forcing term (no linearization is solved tighter), and the fixed
-    /// tolerance of every linear solve when EW is off.
-    pub linear_rtol: f64,
     pub linear_max_it: usize,
-    pub linear_restart: usize,
 }
+
+/// Linear relative tolerance: the floor under the Eisenstat–Walker forcing
+/// term (no linearization is solved tighter), and the fixed tolerance of
+/// every linear solve when EW is off.
+pub const LINEAR_RTOL: f64 = 1e-5;
+/// GCR restart length of every linear solve.
+pub const LINEAR_RESTART: usize = 50;
+/// Backtracking line-search halvings after the full step.
+pub const MAX_BACKTRACKS: usize = 4;
 
 impl Default for NonlinearConfig {
     fn default() -> Self {
@@ -50,11 +52,8 @@ impl Default for NonlinearConfig {
             abs_tol: 1e-2,
             rel_tol: 1e-4,
             use_newton: true,
-            max_backtracks: 4,
             eisenstat_walker: true,
-            linear_rtol: 1e-5,
             linear_max_it: 500,
-            linear_restart: 50,
         }
     }
 }
@@ -224,9 +223,9 @@ pub fn solve_nonlinear<P: StokesNonlinearProblem>(
         }
         let solver = prob.build_solver(cfg.use_newton);
         let rtol = if cfg.eisenstat_walker {
-            forcing_term(eta_prev, rnorm, rnorm_prev, cfg.linear_rtol, it == 0)
+            forcing_term(eta_prev, rnorm, rnorm_prev, LINEAR_RTOL, it == 0)
         } else {
-            cfg.linear_rtol
+            LINEAR_RTOL
         };
         stats.forcing_terms.push(rtol);
         eta_prev = rtol;
@@ -237,7 +236,7 @@ pub fn solve_nonlinear<P: StokesNonlinearProblem>(
         let kcfg = KrylovConfig::default()
             .with_rtol(rtol)
             .with_max_it(cfg.linear_max_it)
-            .with_restart(cfg.linear_restart);
+            .with_restart(LINEAR_RESTART);
         let choice = if cfg.use_newton {
             KrylovOperatorChoice::NewtonKrylovPicardPc
         } else {
@@ -259,7 +258,7 @@ pub fn solve_nonlinear<P: StokesNonlinearProblem>(
         let mut alpha = 1.0;
         let mut best: Option<(Vec<f64>, Vec<f64>, Vec<f64>, f64)> = None;
         let mut best_was_last_eval = false;
-        for bt in 0..=cfg.max_backtracks {
+        for bt in 0..=MAX_BACKTRACKS {
             let mut ut = u.clone();
             let mut pt = p.clone();
             vec_ops::axpy(alpha, &delta[..nu], &mut ut);
@@ -275,7 +274,7 @@ pub fn solve_nonlinear<P: StokesNonlinearProblem>(
             } else {
                 best_was_last_eval = false;
             }
-            if sufficient || bt == cfg.max_backtracks {
+            if sufficient || bt == MAX_BACKTRACKS {
                 break;
             }
             alpha *= 0.5;
@@ -527,11 +526,11 @@ mod tests {
     fn injected_stall_short_circuits_the_solve() {
         use ptatin_ckpt::faults::{self, FaultKind, FaultPlan};
         faults::reset();
-        faults::set_plan(Some(FaultPlan {
+        faults::set_plans(vec![FaultPlan {
             kind: FaultKind::NonlinearStall,
             step: 0,
             job: None,
-        }));
+        }]);
         assert_eq!(faults::begin_step(0), Some(FaultKind::NonlinearStall));
         let mut u = vec![0.0; 3];
         let mut p = vec![0.0; 1];
@@ -617,7 +616,7 @@ mod tests {
         let fast = forcing_term(0.01, 0.05, 1.0, 1e-5, false);
         let slow = forcing_term(0.01, 0.1, 1.0, 1e-5, false);
         assert!(fast < slow && slow < ETA_MAX, "{fast} {slow}");
-        // Always inside [linear_rtol, ETA_MAX], whatever the history.
+        // Always inside [floor, ETA_MAX], whatever the history.
         for floor in [1e-8, 1e-5, 1e-3] {
             for prev_eta in [1e-6, 1e-3, 0.05, 0.5, 0.9] {
                 for ratio in [0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0] {

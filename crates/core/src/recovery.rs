@@ -12,7 +12,7 @@
 //!    then add smoothing and back off the dt cap. The candidate iterate of
 //!    a failed attempt is *discarded*; retries start from the same
 //!    committed state.
-//! 2. **Clean abort** — after `max_attempts` failures the driver writes a
+//! 2. **Clean abort** — after [`MAX_ATTEMPTS`] failures the driver writes a
 //!    final checkpoint and reports [`RunOutcome::Aborted`] with the last
 //!    failure class. No panic, no corrupted state.
 //! 3. **Periodic checkpoints** — every `checkpoint_every` committed steps
@@ -30,24 +30,11 @@ use ptatin_ckpt::CkptError;
 use ptatin_prof as prof;
 use std::path::{Path, PathBuf};
 
-/// Recovery-ladder policy.
-#[derive(Clone, Debug)]
-pub struct RecoveryConfig {
-    /// Solve attempts per step (1 = no retries).
-    pub max_attempts: usize,
-    /// Factor applied to `dt_max` per escalation level (halving by
-    /// default), so a recovered step also takes a gentler advection step.
-    pub dt_backoff: f64,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            dt_backoff: 0.5,
-        }
-    }
-}
+/// Solve attempts per step: the configured solver and two escalations.
+pub const MAX_ATTEMPTS: usize = 3;
+/// Factor applied to `dt_max` per escalation level, so a recovered step
+/// also takes a gentler advection step.
+pub const DT_BACKOFF: f64 = 0.5;
 
 /// The escalation ladder: attempt 0 runs the configured solver; attempt 1
 /// drops the Newton operator back to Picard (the Newton direction is the
@@ -55,12 +42,12 @@ impl Default for RecoveryConfig {
 /// iteration budget; attempt 2+ additionally strengthens the smoother and
 /// abandons Eisenstat–Walker for a fixed tight tolerance. Every escalated
 /// attempt also backs off the dt cap.
-pub fn escalate(base: &RiftConfig, rec: &RecoveryConfig, attempt: usize) -> RiftConfig {
+pub fn escalate(base: &RiftConfig, attempt: usize) -> RiftConfig {
     let mut cfg = base.clone();
     if attempt == 0 {
         return cfg;
     }
-    cfg.dt_max = base.dt_max * rec.dt_backoff.powi(attempt as i32);
+    cfg.dt_max = base.dt_max * DT_BACKOFF.powi(attempt as i32);
     cfg.nonlinear.use_newton = false;
     cfg.nonlinear.linear_max_it = base.nonlinear.linear_max_it * 2;
     if attempt >= 2 {
@@ -82,7 +69,6 @@ pub struct RunConfig {
     /// Directory for periodic/final checkpoints (required when
     /// `checkpoint_every` is set or a final checkpoint should be written).
     pub checkpoint_dir: Option<PathBuf>,
-    pub recovery: RecoveryConfig,
 }
 
 /// Where in the step loop a cooperative yield check fires (see
@@ -201,8 +187,8 @@ pub fn run_rift_with(
         let mut committed: Option<RiftStepStats> = None;
         let mut last_outcome = NonlinearOutcome::MaxIterations;
         let mut preempted = false;
-        for attempt in 0..run.recovery.max_attempts.max(1) {
-            model.cfg = escalate(&base, &run.recovery, attempt);
+        for attempt in 0..MAX_ATTEMPTS {
+            model.cfg = escalate(&base, attempt);
             let cand = model.solve_stokes();
             last_outcome = cand.stats.outcome;
             if last_outcome.is_acceptable() {
@@ -281,15 +267,14 @@ mod tests {
     #[test]
     fn escalation_ladder_shape() {
         let base = base_cfg();
-        let rec = RecoveryConfig::default();
-        let a0 = escalate(&base, &rec, 0);
+        let a0 = escalate(&base, 0);
         assert_eq!(format!("{a0:?}"), format!("{base:?}"), "attempt 0 = base");
-        let a1 = escalate(&base, &rec, 1);
+        let a1 = escalate(&base, 1);
         assert!(!a1.nonlinear.use_newton, "attempt 1 drops Newton");
         assert_eq!(a1.nonlinear.linear_max_it, 200);
         assert!((a1.dt_max - base.dt_max * 0.5).abs() < 1e-15);
         assert_eq!(a1.gmg.pre_smooth, base.gmg.pre_smooth);
-        let a2 = escalate(&base, &rec, 2);
+        let a2 = escalate(&base, 2);
         assert_eq!(a2.gmg.pre_smooth, base.gmg.pre_smooth + 2);
         assert_eq!(a2.gmg.post_smooth, base.gmg.post_smooth + 2);
         assert!(!a2.nonlinear.eisenstat_walker);

@@ -8,7 +8,7 @@ use ptatin_fem::assemble::{
 };
 use ptatin_fem::bc::DirichletBc;
 use ptatin_fem::pattern::{GalerkinQ1Pattern, ViscousPattern};
-use ptatin_la::chebyshev::Chebyshev;
+use ptatin_la::chebyshev::{inverse_diagonal, Chebyshev};
 use ptatin_la::cholesky::CholeskySymbolic;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
@@ -26,7 +26,7 @@ use ptatin_mg::gmg::{
     CycleType, GeometricMg, GmgCoarseSolver, GmgLevel,
 };
 use ptatin_mg::nullspace::rigid_body_modes;
-use ptatin_mpm::projection::{corners_to_quadrature_log, restrict_corner_field};
+use ptatin_mpm::projection::{coarsen_corner_field, corners_to_quadrature_log};
 use ptatin_ops::{
     assemble_gradient_batched, detected_simd_path, pressure_mass_blocks_batched,
     viscous_numeric_batched_into, BatchedGeometry, BatchedViscousOp, MfViscousOp, OperatorKind,
@@ -49,9 +49,6 @@ pub enum CoarseKind {
     /// The choice while the coarse grid is a few thousand unknowns — factor
     /// work grows as n·bw², DESIGN.md §1 has the crossover.
     Direct,
-    /// One application of block-Jacobi with an exact solve per subdomain
-    /// (`SubdomainSolve::Lu`: a sparse Cholesky factor per block).
-    BlockJacobiLu { subdomains: usize },
     /// Inexact CG + ASM(ILU(0), overlap) — the rifting coarse solver of
     /// §V, for coarse grids too large to factor.
     InexactCgAsm {
@@ -75,15 +72,6 @@ impl CoarseKind {
     };
 }
 
-/// Coefficient coarsening strategy for rediscretized coarse operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoefficientRestriction {
-    /// Point sampling at coincident corners (the nodally-nested default).
-    Injection,
-    /// Full-weighting average ([½,1,½]³ stencil), geometric for viscosity.
-    FullWeighting,
-}
-
 /// Velocity-block multigrid configuration (the knobs varied in §IV).
 #[derive(Clone, Debug)]
 pub struct GmgConfig {
@@ -103,16 +91,6 @@ pub struct GmgConfig {
     /// V(m,n) smoothing depths.
     pub pre_smooth: usize,
     pub post_smooth: usize,
-    /// Power iterations for the Chebyshev λmax estimate.
-    pub cheb_est_iters: usize,
-    /// Interpolate viscosity to quadrature points geometrically (in log
-    /// space, the default) or arithmetically — the averaging ablation.
-    pub geometric_averaging: bool,
-    /// Chebyshev target interval as fractions of the estimated λmax
-    /// (paper: `[0.2, 1.1]`).
-    pub cheb_targets: (f64, f64),
-    /// How viscosity follows the hierarchy to rediscretized coarse levels.
-    pub coefficient_restriction: CoefficientRestriction,
     /// V- or W-cycle recursion (paper: V).
     pub cycle: CycleType,
     pub coarse: CoarseKind,
@@ -127,15 +105,14 @@ impl Default for GmgConfig {
             galerkin_coarsest: true,
             pre_smooth: 2,
             post_smooth: 2,
-            cheb_est_iters: 10,
-            geometric_averaging: true,
-            cheb_targets: (0.2, 1.1),
-            coefficient_restriction: CoefficientRestriction::Injection,
             cycle: CycleType::V,
             coarse: CoarseKind::Amg { coarse_blocks: 4 },
         }
     }
 }
+
+/// Power iterations for the Chebyshev λmax estimate of every smoothed level.
+pub const CHEB_EST_ITERS: usize = 10;
 
 /// The operator that backs smoothed level `l` (1 = coarsest smoothed,
 /// `cfg.levels - 1` = finest). A level rediscretized from its mesh is
@@ -667,39 +644,16 @@ pub fn build_stokes_solver_spec_cached(
     let _coeff_scope = prof::scope("setup/coeff");
     let eta_qp: Vec<Vec<f64>> = match viscosity {
         ViscositySpec::Corner(eta_corner_fine) => {
-            // Fine → coarse restriction of the corner field, then
-            // interpolation to quadrature points.
+            // Fine → coarse injection of the corner field, then
+            // interpolation to quadrature points in log space.
             let mut eta_corner: Vec<Vec<f64>> = vec![Vec::new(); levels];
             eta_corner[levels - 1] = eta_corner_fine.to_vec();
             for l in (0..levels - 1).rev() {
-                eta_corner[l] = match cfg.coefficient_restriction {
-                    CoefficientRestriction::Injection => {
-                        ptatin_mpm::projection::coarsen_corner_field(
-                            &hier.meshes[l + 1],
-                            &hier.meshes[l],
-                            &eta_corner[l + 1],
-                        )
-                    }
-                    CoefficientRestriction::FullWeighting => restrict_corner_field(
-                        &hier.meshes[l + 1],
-                        &hier.meshes[l],
-                        &eta_corner[l + 1],
-                        cfg.geometric_averaging,
-                    ),
-                };
+                eta_corner[l] =
+                    coarsen_corner_field(&hier.meshes[l + 1], &hier.meshes[l], &eta_corner[l + 1]);
             }
             (0..levels)
-                .map(|l| {
-                    if cfg.geometric_averaging {
-                        corners_to_quadrature_log(&hier.meshes[l], &tables, &eta_corner[l])
-                    } else {
-                        ptatin_mpm::projection::corners_to_quadrature(
-                            &hier.meshes[l],
-                            &tables,
-                            &eta_corner[l],
-                        )
-                    }
-                })
+                .map(|l| corners_to_quadrature_log(&hier.meshes[l], &tables, &eta_corner[l]))
                 .collect()
         }
         ViscositySpec::Analytic(eta) => (0..levels)
@@ -875,11 +829,6 @@ pub fn build_stokes_solver_spec_cached(
                 }
                 GmgCoarseSolver::Direct(solver)
             }
-            CoarseKind::BlockJacobiLu { subdomains } => {
-                let part = ElementPartition::auto(&hier.meshes[0], *subdomains);
-                let sets = nodes_to_dofs(&part.owned_nodes(&hier.meshes[0]), 3);
-                GmgCoarseSolver::BlockJacobiLu(AdditiveSchwarz::new(&a0, sets, SubdomainSolve::Lu))
-            }
             CoarseKind::InexactCgAsm {
                 subdomains,
                 overlap,
@@ -961,27 +910,10 @@ pub fn build_stokes_solver_spec_cached(
             Some(m) => {
                 let _lag = prof::scope("setup/lambda/lagged");
                 cache.counts.lambda += 1;
-                // Mirror `with_target_fractions` exactly: same diagonal
-                // map, lagged bounds in place of the power iteration.
-                let diag = timed
-                    .diagonal()
-                    // PANIC-OK: same construction-time contract as the
-                    // estimating constructor below.
-                    .expect("Chebyshev smoother requires an operator diagonal");
-                let inv_diag = diag
-                    .iter()
-                    .map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 })
-                    .collect();
                 let (lo, hi) = m.value[l - 1];
-                Chebyshev::with_bounds(inv_diag, lo, hi, cfg.pre_smooth)
+                Chebyshev::with_bounds(inverse_diagonal(timed.as_ref()), lo, hi, cfg.pre_smooth)
             }
-            None => Chebyshev::with_target_fractions(
-                timed.as_ref(),
-                cfg.pre_smooth,
-                cfg.cheb_est_iters,
-                cfg.cheb_targets.0,
-                cfg.cheb_targets.1,
-            ),
+            None => Chebyshev::new(timed.as_ref(), cfg.pre_smooth, CHEB_EST_ITERS),
         };
         bounds.push(smoother.lambda_bounds());
         drop(_s);

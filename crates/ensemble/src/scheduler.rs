@@ -27,9 +27,7 @@ use ptatin_ckpt::faults;
 use ptatin_ckpt::{fnv1a64, CkptError, JobDir};
 use ptatin_core::models::rift::{RiftConfig, RiftModel};
 use ptatin_core::models::sinker::{SinkerConfig, SinkerModel};
-use ptatin_core::recovery::{
-    run_rift_with, RecoveryConfig, RunConfig, RunControl, RunOutcome, YieldPoint,
-};
+use ptatin_core::recovery::{run_rift_with, RunConfig, RunControl, RunOutcome, YieldPoint};
 use ptatin_core::solver::KrylovOperatorChoice;
 use ptatin_core::{CoarseKind, GmgConfig, NonlinearOutcome};
 use ptatin_la::krylov::KrylovConfig;
@@ -58,8 +56,6 @@ pub struct EnsembleConfig {
     /// Keep each job's checkpoint directory after it finishes (default:
     /// completed/failed jobs are cleaned up).
     pub keep_checkpoints: bool,
-    /// Recovery-ladder policy passed to the step driver.
-    pub recovery: RecoveryConfig,
 }
 
 impl Default for EnsembleConfig {
@@ -71,7 +67,6 @@ impl Default for EnsembleConfig {
             max_retries: 2,
             flop_budget: None,
             keep_checkpoints: false,
-            recovery: RecoveryConfig::default(),
         }
     }
 }
@@ -349,7 +344,6 @@ fn run_slice_rift(
         steps: st.spec.steps,
         checkpoint_every: None,
         checkpoint_dir: None,
-        recovery: cfg.recovery.clone(),
     };
     let mut budget_hit = false;
     let mut hook = |step: usize, point: YieldPoint| -> bool {

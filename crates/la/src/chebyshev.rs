@@ -60,6 +60,18 @@ pub fn estimate_lambda_max(a: &dyn LinearOperator, inv_diag: &[f64], iters: usiz
     lambda
 }
 
+/// The Jacobi map `D⁻¹` of `a`, with a zero diagonal entry mapped to 1.
+pub fn inverse_diagonal(a: &dyn LinearOperator) -> Vec<f64> {
+    a.diagonal()
+        // PANIC-OK: construction-time contract — every smoothable
+        // operator in this workspace provides a diagonal; a missing one
+        // is a programming error, not a data-dependent failure.
+        .expect("Chebyshev smoother requires an operator diagonal")
+        .iter()
+        .map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 })
+        .collect()
+}
+
 /// Chebyshev(k) smoother with a fixed Jacobi preconditioner.
 #[derive(Clone, Debug)]
 pub struct Chebyshev {
@@ -75,36 +87,9 @@ impl Chebyshev {
     /// `est_iters` power iterations and targeting
     /// `[TARGET_LO·λmax, TARGET_HI·λmax]`.
     pub fn new(a: &dyn LinearOperator, iters: usize, est_iters: usize) -> Self {
-        Self::with_target_fractions(a, iters, est_iters, TARGET_LO, TARGET_HI)
-    }
-
-    /// [`new`](Self::new) with explicit target-interval fractions of the
-    /// estimated λmax (ablation studies; the paper's values are
-    /// `[TARGET_LO, TARGET_HI]`).
-    pub fn with_target_fractions(
-        a: &dyn LinearOperator,
-        iters: usize,
-        est_iters: usize,
-        lo_frac: f64,
-        hi_frac: f64,
-    ) -> Self {
-        let diag = a
-            .diagonal()
-            // PANIC-OK: construction-time contract — every smoothable
-            // operator in this workspace provides a diagonal; a missing one
-            // is a programming error, not a data-dependent failure.
-            .expect("Chebyshev smoother requires an operator diagonal");
-        let inv_diag: Vec<f64> = diag
-            .iter()
-            .map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 })
-            .collect();
+        let inv_diag = inverse_diagonal(a);
         let lmax = estimate_lambda_max(a, &inv_diag, est_iters);
-        Self {
-            inv_diag,
-            lambda_lo: lo_frac * lmax,
-            lambda_hi: hi_frac * lmax,
-            iters,
-        }
+        Self::with_bounds(inv_diag, TARGET_LO * lmax, TARGET_HI * lmax, iters)
     }
 
     /// Build with explicit spectral bounds (tests, reuse of estimates).

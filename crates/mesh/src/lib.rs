@@ -31,6 +31,16 @@ pub struct StructuredMesh {
     pub coords: Vec<[f64; 3]>,
 }
 
+/// Can an axis of `m` elements be halved `levels - 1` times and keep at
+/// least one element? The rule behind [`StructuredMesh::supports_levels`],
+/// for callers that hold a grid size but no mesh yet.
+pub fn axis_supports_levels(m: usize, levels: usize) -> bool {
+    u32::try_from(levels.saturating_sub(1))
+        .ok()
+        .and_then(|shift| 1usize.checked_shl(shift))
+        .is_some_and(|f| m % f == 0 && m / f >= 1)
+}
+
 impl StructuredMesh {
     /// Axis-aligned box `[x0,x1]×[y0,y1]×[z0,z1]` with uniform spacing.
     ///
@@ -282,13 +292,9 @@ impl StructuredMesh {
 
     /// Can this mesh be coarsened `levels - 1` more times?
     pub fn supports_levels(&self, levels: usize) -> bool {
-        let f = 1usize << (levels.saturating_sub(1));
-        self.mx % f == 0
-            && self.my % f == 0
-            && self.mz % f == 0
-            && self.mx / f >= 1
-            && self.my / f >= 1
-            && self.mz / f >= 1
+        [self.mx, self.my, self.mz]
+            .into_iter()
+            .all(|m| axis_supports_levels(m, levels))
     }
 
     // -- ALE free-surface remeshing -------------------------------------------

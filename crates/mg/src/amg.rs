@@ -39,16 +39,17 @@ pub enum CoarseSolverKind {
     },
 }
 
+/// Strength-of-connection threshold θ (paper: 0.01).
+pub const STRENGTH_THRESHOLD: f64 = 0.01;
+/// Maximum number of levels of a hierarchy.
+pub const MAX_LEVELS: usize = 10;
+
 /// Smoothed-aggregation configuration.
 #[derive(Clone, Debug)]
 pub struct AmgConfig {
-    /// Strength-of-connection threshold θ (paper: 0.01).
-    pub strength_threshold: f64,
     /// Stop coarsening when a level has at most this many rows
     /// (ML config in the paper: 100).
     pub max_coarse_size: usize,
-    /// Maximum number of levels.
-    pub max_levels: usize,
     /// Dof block size (3 for the velocity block, 1 for scalar problems).
     pub block_size: usize,
     /// Smooth the tentative prolongator (`true` = smoothed aggregation,
@@ -61,9 +62,7 @@ pub struct AmgConfig {
 impl Default for AmgConfig {
     fn default() -> Self {
         Self {
-            strength_threshold: 0.01,
             max_coarse_size: 100,
-            max_levels: 10,
             block_size: 3,
             smooth_prolongator: true,
             smoother: SmootherKind::ChebyshevJacobi { iters: 2 },
@@ -363,7 +362,7 @@ pub fn build_sa_amg(a: Csr, b: &DenseMatrix, cfg: &AmgConfig) -> AmgHierarchy {
     let mut a_cur = a;
     let mut b_cur = b.clone();
     let mut p_from_coarser: Option<Csr> = None;
-    for _level in 0..cfg.max_levels {
+    for _level in 0..MAX_LEVELS {
         let too_small = a_cur.nrows() <= cfg.max_coarse_size;
         if too_small {
             break;
@@ -372,7 +371,7 @@ pub fn build_sa_amg(a: Csr, b: &DenseMatrix, cfg: &AmgConfig) -> AmgHierarchy {
         // k nullspace coefficients per aggregate.
         let bs_cur = if levels.is_empty() { cfg.block_size } else { k };
         let min_agg_nodes = k.div_ceil(bs_cur);
-        let strong = strength_graph(&a_cur, bs_cur, cfg.strength_threshold);
+        let strong = strength_graph(&a_cur, bs_cur, STRENGTH_THRESHOLD);
         let (agg, nagg) = aggregate(&strong, strong.len(), min_agg_nodes);
         // No meaningful coarsening → stop.
         if nagg * k >= a_cur.nrows() {

@@ -57,9 +57,6 @@ pub enum GmgCoarseSolver {
     /// so a build inside one nonlinear solve can take over an earlier
     /// build's factor.
     Direct(Arc<DirectSolver>),
-    /// One application of block-Jacobi with an exact solve per block
-    /// (`SubdomainSolve::Lu`: a sparse Cholesky factor per block).
-    BlockJacobiLu(AdditiveSchwarz),
     /// Inexact CG preconditioned with (overlapping) additive Schwarz —
     /// the rifting configuration of §V (CG + ASM(ILU0, overlap 4), capped
     /// at 25 iterations or a 10⁻⁴ residual reduction).
@@ -87,7 +84,6 @@ impl GmgCoarseSolver {
                 let _ = cg(a, hierarchy, b, x, &cfg);
             }
             GmgCoarseSolver::Direct(lu) => lu.apply(b, x),
-            GmgCoarseSolver::BlockJacobiLu(pc) => pc.apply(b, x),
             GmgCoarseSolver::InexactCgAsm {
                 a,
                 pc,

@@ -334,21 +334,18 @@ pub fn corners_to_quadrature_log(
     out
 }
 
-/// Restrict a corner field to a coarsened mesh by full weighting: each
-/// coarse corner averages its coincident fine corner and the neighbours
-/// within one fine cell (`[½,1,½]³` stencil, normalized). `log_space`
-/// averages geometrically — the right mean for viscosity, whose features
-/// (thin weak zones, inclusions) would otherwise alias away when they are
-/// only marginally resolved on the coarse grid.
-///
-/// This mirrors the paper's coefficient pipeline for rediscretized coarse
-/// operators: material-point properties are *locally averaged* onto every
-/// level, never point-sampled.
+/// Restrict a strictly positive corner field to a coarsened mesh by full
+/// weighting in log space: each coarse corner is the geometric mean of its
+/// coincident fine corner and the neighbours within one fine cell
+/// (`[½,1,½]³` stencil, normalized) — the right mean for viscosity, whose
+/// thin weak zones and inclusions would otherwise alias away when they are
+/// only marginally resolved on the coarse grid. The coupled Vanka baseline
+/// restricts this way; the field-split builder injects
+/// ([`coarsen_corner_field`]).
 pub fn restrict_corner_field(
     fine: &StructuredMesh,
     coarse: &StructuredMesh,
     fine_field: &[f64],
-    log_space: bool,
 ) -> Vec<f64> {
     assert_eq!(fine.mx, 2 * coarse.mx);
     assert_eq!(fine.my, 2 * coarse.my);
@@ -364,8 +361,7 @@ pub fn restrict_corner_field(
         if i >= fcx || j >= fcy || k >= fcz {
             return None;
         }
-        let v = fine_field[fine.corner_index(i, j, k)];
-        Some(if log_space { v.max(1e-300).ln() } else { v })
+        Some(fine_field[fine.corner_index(i, j, k)].max(1e-300).ln())
     };
     let mut out = Vec::with_capacity(coarse.num_corners());
     for k in 0..ccz {
@@ -385,8 +381,7 @@ pub fn restrict_corner_field(
                         }
                     }
                 }
-                let mean = num / den;
-                out.push(if log_space { mean.exp() } else { mean });
+                out.push((num / den).exp());
             }
         }
     }

@@ -8,7 +8,7 @@ use ptatin_core::models::rift::RiftModel;
 use ptatin_core::models::shear_band::ShearBandModel;
 use ptatin_core::models::sinker::SinkerModel;
 use ptatin_core::models::solcx::SolCxModel;
-use ptatin_core::recovery::{run_rift_with, RecoveryConfig, RunConfig, RunControl, RunOutcome};
+use ptatin_core::recovery::{run_rift_with, RunConfig, RunControl, RunOutcome};
 use ptatin_core::solver::KrylovOperatorChoice;
 use ptatin_core::{CoarseKind, GmgConfig};
 use ptatin_la::krylov::KrylovConfig;
@@ -53,7 +53,6 @@ pub fn run_scenario(scenario: &Scenario, steps: usize) -> RunSummary {
                 steps,
                 checkpoint_every: None,
                 checkpoint_dir: None,
-                recovery: RecoveryConfig::default(),
             };
             match run_rift_with(&mut model, &run, RunControl { yield_now: None }) {
                 Ok(report) => {

@@ -28,6 +28,7 @@
 
 use crate::registry::Scenario;
 use ptatin_core::models::falling_block::FallingBlockConfig;
+use ptatin_core::models::hierarchy_error;
 use ptatin_core::models::rift::RiftConfig;
 use ptatin_core::models::shear_band::ShearBandConfig;
 use ptatin_core::models::sinker::SinkerConfig;
@@ -102,10 +103,11 @@ pub fn parse_coarse_kind(v: &str) -> Option<CoarseKind> {
 /// The name [`parse_coarse_kind`] maps to a solver of `kind`'s variant
 /// (whatever its parameters).
 pub fn coarse_kind_name(kind: &CoarseKind) -> &'static str {
-    COARSE_KIND_NAMES
-        .iter()
-        .find(|(_, k)| std::mem::discriminant(k) == std::mem::discriminant(kind))
-        .map_or("?", |&(name, _)| name)
+    match kind {
+        CoarseKind::Direct => "direct",
+        CoarseKind::Amg { .. } => "amg",
+        CoarseKind::InexactCgAsm { .. } => "cg_asm",
+    }
 }
 
 /// Scenario kind selected by the `scenario =` key.
@@ -466,9 +468,12 @@ impl ScenarioProto {
                 }
             }
         }
-        match self.kind {
-            Kind::Rift => Ok(Scenario::Rift(self.rift)),
-            Kind::Sinker => Ok(Scenario::Sinker(self.sinker)),
+        let (axes, levels) = match self.kind {
+            Kind::Rift => {
+                let c = &self.rift;
+                ([("mx", c.mx), ("my", c.my), ("mz", c.mz)], c.levels)
+            }
+            Kind::Sinker => ([("m", self.sinker.m); 3], self.sinker.levels),
             Kind::SolCx => {
                 let c = &self.solcx;
                 if c.mx % 2 != 0 {
@@ -480,21 +485,27 @@ impl ScenarioProto {
                         ),
                     ));
                 }
-                let coarsen = 1 << (c.levels.saturating_sub(1));
-                for (name, m) in [("mx", c.mx), ("my", c.my), ("mz", c.mz)] {
-                    if m % coarsen != 0 {
-                        return Err((
-                            self.line_of(name),
-                            format!(
-                                "{name} = {m} is not divisible by 2^(levels-1) = {coarsen}: \
-                                 the mesh cannot coarsen {} times",
-                                c.levels - 1
-                            ),
-                        ));
-                    }
-                }
-                Ok(Scenario::SolCx(self.solcx))
+                ([("mx", c.mx), ("my", c.my), ("mz", c.mz)], c.levels)
             }
+            Kind::ShearBand => {
+                let c = &self.shear_band;
+                ([("mx", c.mx), ("my", c.my), ("mz", c.mz)], c.levels)
+            }
+            Kind::FallingBlock => ([("m", self.falling_block.m); 3], self.falling_block.levels),
+        };
+        if let Some((key, msg)) = hierarchy_error(axes, levels) {
+            // A default extent that cannot coarsen is at odds with the
+            // `levels` line.
+            let line = match self.line_of(key) {
+                0 => self.line_of("levels"),
+                l => l,
+            };
+            return Err((line, msg));
+        }
+        match self.kind {
+            Kind::Rift => Ok(Scenario::Rift(self.rift)),
+            Kind::Sinker => Ok(Scenario::Sinker(self.sinker)),
+            Kind::SolCx => Ok(Scenario::SolCx(self.solcx)),
             Kind::ShearBand => {
                 let mut c = self.shear_band;
                 c.top_free_slip = top_free_slip;
@@ -885,6 +896,24 @@ material.block.theta = 4.0
         let e = parse_err("scenario = solcx\nlevels = 3\nmx = 8\nmy = 4\nmz = 6\n");
         assert_eq!(e.line, 5);
         assert!(e.msg.contains("mz = 6 is not divisible"), "{e}");
+
+        // Every kind: a mesh that cannot coarsen, or no smoothed level, is
+        // refused at the key that sets it instead of panicking in the run.
+        let e = parse_err("scenario = sinker\nm = 6\nlevels = 3\n");
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("m = 6 is not divisible"), "{e}");
+
+        let e = parse_err("scenario = rift\nmy = 3\n");
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("my = 3 is not divisible"), "{e}");
+
+        let e = parse_err("scenario = shear_band\nlevels = 1\n");
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("levels = 1 must be at least 2"), "{e}");
+
+        let e = parse_err("scenario = falling_block\nm = 0\n");
+        assert_eq!(e.line, 2);
+        assert_eq!(e.msg, "m = 0 must be positive");
     }
 
     #[test]
@@ -989,9 +1018,5 @@ material.block.theta = 4.0
         }
         assert_eq!(coarse_kind_name(&GmgConfig::default().coarse), "amg");
         assert_eq!(parse_coarse_kind("asm"), None);
-        assert_eq!(
-            coarse_kind_name(&CoarseKind::BlockJacobiLu { subdomains: 2 }),
-            "?"
-        );
     }
 }

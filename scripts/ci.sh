@@ -138,6 +138,9 @@ if [[ $FAST -eq 0 ]]; then
         PTATIN_TEST_THREADS=2 $RIFT --fault=$fault
     done
 
+    step "  fault list breakdown@1;stall@2 (recover and complete)"
+    PTATIN_TEST_THREADS=2 $RIFT --fault='breakdown@1;stall@2'
+
     step "  fault crash@2 (exit 42, checkpoints survive)"
     rc=0
     PTATIN_TEST_THREADS=2 $RIFT --checkpoint-every=1 --fault=crash@2 || rc=$?
@@ -207,6 +210,14 @@ if [[ $FAST -eq 0 ]]; then
     step "registry-driven shear-band scenario (CLI end to end)"
     PTATIN_TEST_THREADS=2 target/release/ptatin scenario \
         file=examples/scenarios/shear_band.scn
+
+    # A spec whose mesh cannot coarsen to its levels is refused with a
+    # line-anchored error (exit 2), never a panic (exit 101).
+    step "scenario with a mesh that cannot coarsen (exit 2)"
+    printf '%s\n' "scenario = sinker" "m = 6" "levels = 3" > "$CKDIR/bad_levels.scn"
+    rc=0
+    target/release/ptatin scenario file="$CKDIR/bad_levels.scn" || rc=$?
+    [[ $rc -eq 2 ]] || { echo "expected exit 2, got $rc"; exit 1; }
 fi
 
 step "rustfmt"

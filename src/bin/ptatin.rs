@@ -5,7 +5,7 @@
 //! ptatin rift     [mx=12] [my=4] [mz=8] [steps=10] [shortening=0]
 //!                 [strong-crust] [out=vtk_out]
 //!                 [--checkpoint-every=N] [--checkpoint-dir=DIR]
-//!                 [--restart-from=FILE] [--fault=KIND@STEP]
+//!                 [--restart-from=FILE] [--fault=LIST]
 //! ptatin ensemble sweep=FILE [slice=2] [retries=2] [flop-budget=N]
 //!                 [events=FILE|-] [ckpt-dir=DIR] [bench=FILE]
 //!                 [keep-ckpt] [no-preempt] [--fault=LIST]
@@ -15,8 +15,9 @@
 //!
 //! Every subcommand takes `threads=N` (worker threads; default
 //! `PTATIN_TEST_THREADS`, else all cores). An argument the subcommand does
-//! not know, or a value that does not parse, prints the usage text and
-//! exits with status 2 — nothing falls back to a default silently.
+//! not know, a value that does not parse, or a mesh size the multigrid
+//! cannot coarsen to `levels` levels, prints the usage text and exits with
+//! status 2 — nothing falls back to a default silently.
 //!
 //! Both subcommands solve the model and write ParaView-ready legacy VTK
 //! files (mesh fields + material-point cloud) into `out/`.
@@ -29,10 +30,11 @@
 //!   configuration flags must match the original run (enforced by the
 //!   stored config hash) and the resumed trajectory is bitwise identical
 //!   to the uninterrupted one at a fixed `PTATIN_TEST_THREADS`.
-//! * `--fault=breakdown@K|stall@K|crash@K` (or `PTATIN_FAULT=...`)
-//!   deterministically injects a failure at step K. Breakdowns and stalls
-//!   are recovered by the retry ladder; a crash exits with status 42
-//!   leaving only the periodic checkpoints behind.
+//! * `--fault=breakdown@K|stall@K|crash@K` (or `PTATIN_FAULT=...`, a
+//!   `;`-separated list of either) deterministically injects a failure at
+//!   step K. Breakdowns and stalls are recovered by the retry ladder; a
+//!   crash exits with status 42 leaving only the periodic checkpoints
+//!   behind.
 //!
 //! Exit status: 0 on completion, 42 on a simulated crash, 3 when recovery
 //! was exhausted and the run aborted (after writing a final checkpoint).
@@ -72,6 +74,7 @@
 
 use ptatin3d::ckpt::faults::{self, FaultPlan};
 use ptatin3d::ckpt::Checkpoint;
+use ptatin3d::core::models::hierarchy_error;
 use ptatin3d::core::models::rift::{RiftConfig, RiftModel};
 use ptatin3d::core::models::sinker::{SinkerConfig, SinkerModel};
 use ptatin3d::core::output::{
@@ -134,7 +137,7 @@ fn usage() {
     eprintln!("  sinker:   m=8 levels=3 delta_eta=1e4 out=vtk_out");
     eprintln!("  rift:     mx=12 my=4 mz=8 steps=10 shortening=0 [strong-crust] out=vtk_out");
     eprintln!("            --checkpoint-every=N --checkpoint-dir=DIR");
-    eprintln!("            --restart-from=FILE --fault=<breakdown|stall|crash>@STEP[:job=N]");
+    eprintln!("            --restart-from=FILE --fault=<breakdown|stall|crash>@STEP[;...]");
     eprintln!("  ensemble: sweep=FILE slice=2 retries=2 flop-budget=N events=FILE|-");
     eprintln!("            ckpt-dir=DIR bench=FILE [keep-ckpt] [no-preempt] --fault=LIST");
     eprintln!("  scenario: file=SPEC steps=N");
@@ -149,6 +152,38 @@ fn bad_usage(msg: &str) -> ! {
     eprintln!("ptatin: {msg}");
     usage();
     std::process::exit(2);
+}
+
+/// Refuse a mesh that cannot carry a `levels`-deep multigrid
+/// (`ptatin_core::models::hierarchy_error`) before any model is built.
+fn check_hierarchy(axes: [(&str, usize); 3], levels: usize) {
+    if let Some((_, msg)) = hierarchy_error(axes, levels) {
+        bad_usage(&msg);
+    }
+}
+
+/// Install the fault plans: the `--fault` list wins over `PTATIN_FAULT`;
+/// both accept `;`-separated lists with `:job=N` targeting.
+fn install_faults(args: &Args) {
+    let fault_arg = args.get("--fault", String::new());
+    if fault_arg.is_empty() {
+        faults::install_from_env();
+    } else {
+        match FaultPlan::parse_list(&fault_arg) {
+            Some(plans) => faults::set_plans(plans),
+            None => bad_usage(&format!(
+                "bad --fault spec {fault_arg:?}: want <breakdown|stall|crash>@STEP[:job=N][;...]"
+            )),
+        }
+    }
+}
+
+fn print_armed_faults() {
+    let armed = faults::plans();
+    if !armed.is_empty() {
+        let list: Vec<String> = armed.iter().map(|p| p.to_string()).collect();
+        println!("fault injection armed: {}", list.join("; "));
+    }
 }
 
 struct Args(Vec<String>);
@@ -311,22 +346,7 @@ fn run_ensemble(args: &Args) {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    // Fault plans: CLI flag wins over PTATIN_FAULT; both accept
-    // `;`-separated lists with `:job=N` targeting.
-    let fault_arg = args.get("--fault", String::new());
-    if fault_arg.is_empty() {
-        faults::install_from_env();
-    } else {
-        match FaultPlan::parse_list(&fault_arg) {
-            Some(plans) => faults::set_plans(plans),
-            None => {
-                eprintln!(
-                    "bad --fault spec {fault_arg:?}: want <breakdown|stall|crash>@STEP[:job=N][;...]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    install_faults(args);
     let no_preempt = args.flag("no-preempt");
     let slice_wall = args.get("slice-wall", 0.0f64);
     let flop_budget = args.get("flop-budget", 0u64);
@@ -341,7 +361,6 @@ fn run_ensemble(args: &Args) {
         max_retries: args.get("retries", 2usize),
         flop_budget: (flop_budget > 0).then_some(flop_budget),
         keep_checkpoints: args.flag("keep-ckpt"),
-        ..EnsembleConfig::default()
     };
     // Flop budgets and per-job attribution need the profiler counters.
     if cfg.flop_budget.is_some() {
@@ -356,11 +375,7 @@ fn run_ensemble(args: &Args) {
             std::process::exit(2);
         }),
     };
-    let armed = faults::plans();
-    if !armed.is_empty() {
-        let list: Vec<String> = armed.iter().map(|p| p.to_string()).collect();
-        println!("fault injection armed: {}", list.join("; "));
-    }
+    print_armed_faults();
     println!(
         "ensemble: {} jobs from {}, slice={} retries={}{}",
         jobs.len(),
@@ -418,9 +433,8 @@ fn run_ensemble(args: &Args) {
 
 fn run_sinker(args: &Args) {
     let m = args.get("m", 8usize);
-    let levels = args
-        .get("levels", if m % 4 == 0 { 3usize } else { 2 })
-        .min(3);
+    let levels = args.get("levels", if m % 4 == 0 { 3usize } else { 2 });
+    check_hierarchy([("m", m); 3], levels);
     let delta_eta = args.get("delta_eta", 1e4f64);
     let out: PathBuf = PathBuf::from(args.get("out", String::from("vtk_out")));
     println!(
@@ -487,6 +501,7 @@ fn run_rift(args: &Args) {
         weak_lower_crust: !args.flag("strong-crust"),
         ..RiftConfig::default()
     };
+    check_hierarchy([("mx", cfg.mx), ("my", cfg.my), ("mz", cfg.mz)], cfg.levels);
     let steps = args.get("steps", 10usize);
     let out: PathBuf = PathBuf::from(args.get("out", String::from("vtk_out")));
     let checkpoint_every = args.get("--checkpoint-every", 0usize);
@@ -498,19 +513,7 @@ fn run_rift(args: &Args) {
             PathBuf::from(d)
         }
     };
-    // Fault plan: CLI flag wins over the PTATIN_FAULT environment variable.
-    let fault_arg = args.get("--fault", String::new());
-    if fault_arg.is_empty() {
-        faults::install_from_env();
-    } else {
-        match FaultPlan::parse(&fault_arg) {
-            Some(p) => faults::set_plan(Some(p)),
-            None => {
-                eprintln!("bad --fault spec {fault_arg:?}: want <breakdown|stall|crash>@STEP");
-                std::process::exit(2);
-            }
-        }
-    }
+    install_faults(args);
     println!(
         "rift: {}x{}x{} elements, {} steps, shortening {}, {} lower crust",
         cfg.mx,
@@ -543,14 +546,11 @@ fn run_rift(args: &Args) {
         );
         model
     };
-    if let Some(plan) = faults::plan() {
-        println!("fault injection armed: {plan}");
-    }
+    print_armed_faults();
     let run = RunConfig {
         steps,
         checkpoint_every: (checkpoint_every > 0).then_some(checkpoint_every),
         checkpoint_dir: Some(checkpoint_dir),
-        ..RunConfig::default()
     };
     let report = drive_rift(&mut model, &run).unwrap_or_else(|e| {
         eprintln!("checkpoint i/o failed: {e}");

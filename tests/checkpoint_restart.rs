@@ -129,16 +129,15 @@ fn crash_and_resume_through_the_driver_matches_uninterrupted_run() {
     let dir = std::env::temp_dir().join("ptatin_crash_resume_test");
     std::fs::remove_dir_all(&dir).ok();
     faults::reset();
-    faults::set_plan(Some(FaultPlan {
+    faults::set_plans(vec![FaultPlan {
         kind: FaultKind::Crash,
         step: CRASH_AT as u64,
         job: None,
-    }));
+    }]);
     let run = RunConfig {
         steps: N,
         checkpoint_every: Some(1),
         checkpoint_dir: Some(dir.clone()),
-        ..RunConfig::default()
     };
     let mut crashed = RiftModel::new(tiny_cfg());
     let report = run_rift(&mut crashed, &run).expect("checkpoint io");

@@ -1,7 +1,7 @@
 //! The `ptatin` driver refuses input it does not understand: an unknown
-//! `key=`/`--flag` or a value that does not parse prints the usage text and
-//! exits 2 instead of silently running the defaults, and `threads=N` sets
-//! the worker count.
+//! `key=`/`--flag`, a value that does not parse or a mesh the multigrid
+//! cannot coarsen prints the usage text and exits 2 instead of silently
+//! running the defaults, and `threads=N` sets the worker count.
 
 use std::process::{Command, Output};
 
@@ -53,6 +53,44 @@ fn unparseable_values_exit_2_with_usage() {
         "cannot parse `-1` for `threads`",
     );
     assert_rejected(&["rift", "steps=1.5"], "cannot parse `1.5` for `steps`");
+    // Mesh sizes the multigrid cannot coarsen: refused, never clamped.
+    assert_rejected(&["sinker", "m=6", "levels=3"], "m = 6 is not divisible");
+    assert_rejected(&["sinker", "m=4", "levels=4"], "m = 4 is not divisible");
+    assert_rejected(
+        &["sinker", "m=2", "levels=1"],
+        "levels = 1 must be at least 2",
+    );
+    assert_rejected(&["sinker", "m=0"], "m = 0 must be positive");
+    assert_rejected(&["rift", "mx=5"], "mx = 5 is not divisible");
+    assert_rejected(&["rift", "--fault=breakdown@1;bogus@2"], "bad --fault spec");
+}
+
+#[test]
+fn rift_fault_flag_takes_a_list() {
+    let out_dir = std::env::temp_dir().join(format!("ptatin_cli_fault_{}", std::process::id()));
+    let out_arg = format!("out={}", out_dir.display());
+    let args = [
+        "rift",
+        "mx=4",
+        "my=2",
+        "mz=2",
+        "steps=2",
+        "--fault=breakdown@0;stall@1",
+        &out_arg,
+    ];
+    let out = ptatin(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+    assert!(
+        stdout.contains("fault injection armed: breakdown@0; stall@1"),
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout.matches("[recovered, attempt 2]").count(),
+        2,
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 #[test]

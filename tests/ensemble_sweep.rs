@@ -196,11 +196,11 @@ fn sixty_four_job_sweep_with_faults_is_bitwise_clean() {
             "job {id}: sliced/preempted/retried result differs from solo run"
         );
     }
-    faults::set_plan(Some(FaultPlan {
+    faults::set_plans(vec![FaultPlan {
         kind: FaultKind::NonlinearStall,
         step: 0,
         job: None,
-    }));
+    }]);
     let stalled_ref = solo_hash(job_cfg(11), 2);
     faults::reset();
     assert_eq!(

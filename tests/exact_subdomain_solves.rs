@@ -1,6 +1,6 @@
 //! Exact subdomain solves (DESIGN.md §4, §13): every block of an exact
-//! block-Jacobi — the GMG `BlockJacobiLu` coarse solve, the SA-AMG's
-//! coarsest solve, the `InexactGmres` blocks — is a `DirectSolver`, i.e. a
+//! block-Jacobi — the SA-AMG's coarsest solve, the `InexactGmres` blocks —
+//! is a `DirectSolver`, i.e. a
 //! sparse envelope Cholesky, and only a block that factorization rejects is
 //! densified onto the `factor_regularized` ladder from a shift of 1.
 //!

@@ -150,7 +150,6 @@ fn higher_contrast_costs_more_iterations() {
 fn all_coarse_solvers_converge() {
     for coarse in [
         CoarseKind::Direct,
-        CoarseKind::BlockJacobiLu { subdomains: 4 },
         CoarseKind::Amg { coarse_blocks: 2 },
         CoarseKind::InexactCgAsm {
             subdomains: 4,
