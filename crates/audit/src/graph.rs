@@ -248,10 +248,12 @@ fn resolve(
     // `Type::fn(...)`: pin through impl blocks when the qualifier names
     // a type with a matching `impl` anywhere, else through the type's
     // defining file. `Self::fn(...)` substitutes the caller's own impl
-    // type. A qualifier that matches nothing in the workspace (OnceLock,
-    // Mutex, f64, …) is an external type: the call resolves to nothing
-    // rather than falling through to every same-named workspace fn.
+    // type, and a `use … as` alias the segment it renames. A qualifier
+    // that matches nothing in the workspace (OnceLock, Mutex, f64, …) is
+    // an external type: the call resolves to nothing rather than falling
+    // through to every same-named workspace fn.
     if let Some(q) = &c.qual {
+        let q = fview.parsed.use_aliases.get(q).unwrap_or(q);
         let caller_impl = c
             .in_fn
             .and_then(|k| fview.parsed.fns.get(k))
@@ -544,6 +546,28 @@ mod tests {
             .unwrap();
         assert_eq!(g.succ[wrapper], vec![avx]);
         assert_eq!(g.succ[vec_ops], vec![wrapper]);
+    }
+
+    #[test]
+    fn use_aliases_resolve_to_the_renamed_module() {
+        let (_o, g) = mk(&[
+            (
+                "crates/la/src/krylov.rs",
+                "use crate::vec_ops as v;\nuse crate::{simd as s, par};\nuse std::io::Write as _;\n\
+                 fn gcr() { v::axpy(); s::dot(); }",
+            ),
+            ("crates/la/src/vec_ops.rs", "pub fn axpy() {}"),
+            ("crates/la/src/simd.rs", "pub fn dot() {}"),
+        ]);
+        let gcr = idx(&g, "gcr");
+        let callees: Vec<&str> = g.succ[gcr]
+            .iter()
+            .map(|&n| g.nodes[n].file.as_str())
+            .collect();
+        assert_eq!(
+            callees,
+            vec!["crates/la/src/vec_ops.rs", "crates/la/src/simd.rs"]
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! soundness limits are documented in DESIGN.md §14.
 
 use crate::lex::{Kind, Lexed, Tok};
+use std::collections::BTreeMap;
 
 /// One `fn` item (free function, method, or nested fn).
 #[derive(Debug, Clone)]
@@ -84,6 +85,9 @@ pub struct Parsed {
     /// body holds it. Closures belong to their enclosing named fn; a
     /// nested `fn` owns its own body.
     pub owner: Vec<Option<usize>>,
+    /// `use … as` renames of this file: alias → the path segment it
+    /// names (`use crate::vec_ops as v;` gives `v` → `vec_ops`).
+    pub use_aliases: BTreeMap<String, String>,
 }
 
 impl Parsed {
@@ -219,7 +223,26 @@ pub fn parse(lexed: &Lexed) -> Parsed {
         i += 1;
     }
 
-    // Pass 3: call expressions.
+    // Pass 3: `use` renames, `Target as alias` inside `use … ;` (also in
+    // `{…}` groups); `as _` imports name nothing.
+    let mut in_use = false;
+    for (i, t) in toks.iter().enumerate() {
+        match t.s.as_str() {
+            "use" => in_use = true,
+            ";" => in_use = false,
+            "as" if in_use && i > 0 => {
+                let (target, alias) = (&toks[i - 1], toks.get(i + 1));
+                if let Some(alias) = alias.filter(|a| a.kind == Kind::Ident && a.s != "_") {
+                    if target.kind == Kind::Ident {
+                        out.use_aliases.insert(alias.s.clone(), target.s.clone());
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    // Pass 4: call expressions.
     for (i, t) in toks.iter().enumerate() {
         if t.kind != Kind::Ident || is_keyword(&t.s) {
             continue;

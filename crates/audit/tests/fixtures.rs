@@ -125,6 +125,26 @@ fn hot_alloc_fixture_flags_both_allocations() {
     );
 }
 
+/// GCR and Chebyshev call `vec_ops` through `use crate::vec_ops as v`:
+/// the alias must resolve, or an allocation behind `v::` is invisible.
+#[test]
+fn use_alias_fixture_sees_the_allocation_behind_the_alias() {
+    let rep = scan("use-alias");
+    assert_eq!(
+        anchors(&rep),
+        vec![(
+            "hot-alloc".to_string(),
+            "crates/la/src/vec_ops.rs".to_string(),
+            4
+        )]
+    );
+    assert!(rep.findings[0].msg.contains("apply_cycle -> axpy"));
+    assert_eq!(
+        audit_bin(&fixture("use-alias"), &["--quiet"]).status.code(),
+        Some(1)
+    );
+}
+
 #[test]
 fn panic_surface_fixture_flags_all_three_sources() {
     let rep = scan("panic-surface");

@@ -10,7 +10,7 @@ use crate::solver::{
 };
 use ptatin_fem::assemble::{assemble_body_force, Q2QuadTables};
 use ptatin_fem::bc::DirichletBc;
-use ptatin_la::csr::Csr;
+use ptatin_la::coupling::{CouplingBlock, SharedBlock};
 use ptatin_la::krylov::{BreakdownKind, KrylovConfig, SolveOutcome};
 use ptatin_la::operator::LinearOperator;
 use ptatin_la::vec_ops;
@@ -136,7 +136,7 @@ pub trait StokesNonlinearProblem {
     /// Fine-level Dirichlet constraints.
     fn bc(&self) -> &DirichletBc;
     /// Unmasked `J_pu` for residual evaluation.
-    fn b_full(&self) -> &Csr;
+    fn b_full(&self) -> &dyn CouplingBlock;
     /// Re-evaluate the coefficient state at `(u, p)` and return the
     /// *unconstrained* Picard viscous action plus the body force.
     fn update_state(&mut self, u: &[f64], p: &[f64]) -> (ArcOp, Vec<f64>);
@@ -149,7 +149,7 @@ pub trait StokesNonlinearProblem {
 /// Nonlinear residual: `F_u = A(u)u + Bᵀp − f` (masked), `F_p = B u`.
 pub fn stokes_residual(
     a_unmasked: &dyn LinearOperator,
-    b_full: &Csr,
+    b_full: &dyn CouplingBlock,
     bc: &DirichletBc,
     u: &[f64],
     p: &[f64],
@@ -320,7 +320,7 @@ pub struct MaterialPointProblem<'m> {
     hier: MeshHierarchy,
     /// Velocity Dirichlet sets per level (coarse → fine).
     bcs: Vec<DirichletBc>,
-    b_full: Csr,
+    b_full: SharedBlock,
     /// `use_newton` of the configuration the running solve was given: the
     /// recovery ladder turns it off on escalation.
     use_newton: bool,
@@ -348,7 +348,7 @@ impl<'m> MaterialPointProblem<'m> {
     ) -> Self {
         let hier = MeshHierarchy::new(mesh.clone(), levels);
         let bcs: Vec<DirichletBc> = hier.meshes.iter().map(bc).collect();
-        let b_full = cache.gradient_block(&hier, &bcs).clone();
+        let b_full = cache.gradient_block(&hier, &bcs);
         Self {
             points,
             materials,
@@ -396,7 +396,7 @@ impl StokesNonlinearProblem for MaterialPointProblem<'_> {
         self.bcs.last().unwrap()
     }
 
-    fn b_full(&self) -> &Csr {
+    fn b_full(&self) -> &dyn CouplingBlock {
         &self.b_full
     }
 
@@ -511,7 +511,7 @@ mod tests {
         fn bc(&self) -> &DirichletBc {
             unreachable!()
         }
-        fn b_full(&self) -> &Csr {
+        fn b_full(&self) -> &dyn CouplingBlock {
             unreachable!()
         }
         fn update_state(&mut self, _: &[f64], _: &[f64]) -> (ArcOp, Vec<f64>) {

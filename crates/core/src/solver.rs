@@ -10,6 +10,7 @@ use ptatin_fem::bc::DirichletBc;
 use ptatin_fem::pattern::{GalerkinQ1Pattern, ViscousPattern};
 use ptatin_la::chebyshev::{inverse_diagonal, Chebyshev};
 use ptatin_la::cholesky::CholeskySymbolic;
+use ptatin_la::coupling::{CouplingBlock, SharedBlock};
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
 use ptatin_la::operator::{with_block_scratch, LinearOperator, Preconditioner, TimedOperator};
@@ -165,10 +166,13 @@ pub struct StokesSolver {
     pub a_fine: ArcOp,
     /// Optional Newton-linearized J_uu action (Picard stays in `mg`).
     pub a_newton: Option<ArcOp>,
-    /// J_pu with Dirichlet velocity columns zeroed.
-    pub b_masked: Csr,
-    /// J_pu untouched (residual evaluation).
-    pub b_full: Csr,
+    /// J_pu with Dirichlet velocity columns zeroed. A handle: the batched
+    /// path applies the block inside its element pass, so only a reader of
+    /// the matrix (a reference `fine_kind`, [`StokesSolver::solve_scr`], a
+    /// diagnostic) assembles it, once, for every holder of the handle.
+    pub b_masked: SharedBlock,
+    /// J_pu untouched (residual evaluation), deferred like `b_masked`.
+    pub b_full: SharedBlock,
     /// Element-block inverse of the (1/η)-weighted pressure mass matrix.
     pub schur: PressureMassBlocks,
     /// Instrumentation handles.
@@ -259,7 +263,9 @@ pub(crate) fn analytic_eta_qp(
 ///   sparsity patterns, the assembly buffers and the symbolic phase of the
 ///   direct coarse solve;
 /// * **geometry** — additionally the bits of every node coordinate: the
-///   gradient block `J_pu` and its bc-masked twin, the gathered
+///   handles of the gradient block `J_pu` and its bc-masked twin (each
+///   assembled only when first read, and shared with every solver the
+///   tier hands it to, never copied), the gathered
 ///   matrix-free element tables, the batched kernel's geometry packs
 ///   (shared by the level, Newton and residual operators of a level), and
 ///   the λmax memos (keyed on the bits of η on top of that).
@@ -329,12 +335,32 @@ struct TopologyTier {
 
 #[derive(Default)]
 struct GeometryTier {
-    /// Gradient block `J_pu` of the finest mesh and its bc-masked twin.
-    b_full: Option<Csr>,
-    b_masked: Option<Csr>,
+    /// Gradient block `J_pu` of the finest mesh and its bc-masked twin,
+    /// as handles that assemble when first read.
+    b_full: Option<SharedBlock>,
+    b_masked: Option<SharedBlock>,
     /// Gathered element tables and geometry packs of every matrix-free
     /// level.
     op_base: Vec<OpBase>,
+}
+
+impl GeometryTier {
+    /// The handle of `J_pu` on `mesh` (the finest), created on first use.
+    fn gradient_block(&mut self, mesh: &ptatin_mesh::StructuredMesh) -> SharedBlock {
+        self.b_full
+            .get_or_insert_with(|| {
+                let mesh = mesh.clone();
+                let path = runtime_simd_path();
+                SharedBlock::new(
+                    num_pressure_dofs(&mesh),
+                    num_velocity_dofs(&mesh),
+                    move || {
+                        assemble_gradient_batched(&mesh, ptatin_ops::data::shared_tables(), path)
+                    },
+                )
+            })
+            .clone()
+    }
 }
 
 /// Drift bound of the solve-scoped lag: inside one nonlinear solve a build
@@ -479,14 +505,18 @@ impl SetupCache {
     }
 
     /// The unmasked gradient block `J_pu` of the finest mesh — what the
-    /// nonlinear residual applies and every build hands out as
-    /// `StokesSolver::b_full`. Assembled once per geometry.
-    pub fn gradient_block(&mut self, hier: &MeshHierarchy, bcs: &[DirichletBc]) -> &Csr {
+    /// nonlinear residual is handed and every build hands out as
+    /// `StokesSolver::b_full`. One handle per geometry, assembled when
+    /// first read.
+    pub fn gradient_block(&mut self, hier: &MeshHierarchy, bcs: &[DirichletBc]) -> SharedBlock {
         self.validate(hier, bcs);
-        let tables = self.topo.tables.get_or_insert_with(Q2QuadTables::standard);
-        self.geom.b_full.get_or_insert_with(|| {
-            assemble_gradient_batched(hier.finest(), tables, runtime_simd_path())
-        })
+        self.geom.gradient_block(hier.finest())
+    }
+
+    /// The gradient block handle the geometry tier holds, if a build or
+    /// [`gradient_block`](Self::gradient_block) created one.
+    pub fn cached_gradient_block(&self) -> Option<&SharedBlock> {
+        self.geom.b_full.as_ref()
     }
 
     /// The *unconstrained* Picard action on the finest mesh for the
@@ -966,25 +996,18 @@ pub fn build_stokes_solver_spec_cached(
     });
 
     // Coupling blocks and Schur preconditioner on the fine level. The
-    // gradient block is geometry-only, so both it and its bc-masked twin
-    // are cached verbatim across rebuilds; the (1/η)-weighted pressure
-    // mass blocks are value-dependent and recomputed (batched).
-    let _s = prof::scope("setup/assembly");
-    let path = runtime_simd_path();
-    let b_full = cache
-        .geom
-        .b_full
-        .get_or_insert_with(|| assemble_gradient_batched(fine_mesh, &tables, path))
-        .clone();
+    // gradient block is geometry-only, so the handles of it and its
+    // bc-masked twin are cached across rebuilds and assembled only if
+    // read; the (1/η)-weighted pressure mass blocks are value-dependent
+    // and recomputed (batched).
+    let b_full = cache.geom.gradient_block(fine_mesh);
     let b_masked = cache
         .geom
         .b_masked
-        .get_or_insert_with(|| {
-            let mut b = b_full.clone();
-            b.zero_cols(&bcs[levels - 1].dofs);
-            b
-        })
+        .get_or_insert_with(|| b_full.with_zeroed_cols(bcs[top].dofs.clone()))
         .clone();
+    let _s = prof::scope("setup/assembly");
+    let path = runtime_simd_path();
     let inv_eta: Vec<f64> = eta_qp[levels - 1].iter().map(|&e| 1.0 / e).collect();
     let schur = pressure_mass_blocks_batched(fine_mesh, &tables, &inv_eta, path);
     drop(_s);
@@ -1015,7 +1038,7 @@ pub fn build_stokes_solver_spec_cached(
 /// interleaved `[u; p]` vectors (velocity first).
 pub struct StokesOperator<'s> {
     pub a: &'s dyn LinearOperator,
-    pub b: &'s Csr,
+    pub b: &'s dyn CouplingBlock,
     pub nu: usize,
     pub np: usize,
 }
@@ -1040,10 +1063,15 @@ impl LinearOperator for StokesOperator<'_> {
 /// `z_u = Â⁻¹ r_u` (one V-cycle of the velocity preconditioner `M`),
 /// `z_p = Ŝ⁻¹ (r_p − J_pu z_u)` with `Ŝ = −M_p(1/η)` applied exactly per
 /// element block. Generic over the velocity preconditioner so GMG and the
-/// purely algebraic variants of Table IV are interchangeable.
+/// purely algebraic variants of Table IV are interchangeable. `J_pu z_u`
+/// is the divergence `a` computes ([`LinearOperator::apply_divergence`]):
+/// a pass of the batched kernel, a product with the assembled `b` for any
+/// other operator.
 pub struct BlockLowerTriangularPc<'s, M: Preconditioner + ?Sized = GeometricMg> {
     pub mg: &'s M,
-    pub b: &'s Csr,
+    /// The Krylov operator's velocity block, on the mesh of `b`.
+    pub a: &'s dyn LinearOperator,
+    pub b: &'s dyn CouplingBlock,
     pub schur: &'s PressureMassBlocks,
     pub nu: usize,
     pub np: usize,
@@ -1056,7 +1084,7 @@ impl<M: Preconditioner + ?Sized> Preconditioner for BlockLowerTriangularPc<'_, M
         self.mg.apply(ru, zu);
         with_block_scratch(self.np, |t| {
             // t = r_p − B z_u
-            self.b.spmv(zu, t);
+            self.a.apply_divergence(self.b, zu, t);
             vec_ops::axpby(1.0, rp, -1.0, t);
             // z_p = Ŝ⁻¹ t = −M⁻¹ t.
             self.schur.apply_inverse(t, zp);
@@ -1203,7 +1231,7 @@ impl StokesSolver {
 #[allow(clippy::too_many_arguments)]
 pub fn solve_stokes_with_pc<M: Preconditioner + ?Sized>(
     a: &dyn LinearOperator,
-    b_masked: &Csr,
+    b_masked: &dyn CouplingBlock,
     schur: &PressureMassBlocks,
     velocity_pc: &M,
     rhs: &[f64],
@@ -1221,6 +1249,7 @@ pub fn solve_stokes_with_pc<M: Preconditioner + ?Sized>(
     };
     let pc = BlockLowerTriangularPc {
         mg: velocity_pc,
+        a,
         b: b_masked,
         schur,
         nu,

@@ -10,6 +10,7 @@
 //!   (PETSc `MatAIJ`, `MatPtAP`),
 //! * [`operator`] — the `Mat`/`PC` shell abstraction that lets assembled
 //!   and matrix-free operators be used interchangeably,
+//! * [`coupling`] — the Stokes coupling block, assembled only when read,
 //! * [`krylov`] — CG, GMRES(m), FGMRES(m), GCR(m) (PETSc `KSP`),
 //! * [`chebyshev`] — the Jacobi-preconditioned Chebyshev smoother with
 //!   power-iteration eigenvalue estimation,
@@ -25,6 +26,7 @@
 
 pub mod chebyshev;
 pub mod cholesky;
+pub mod coupling;
 pub mod csr;
 pub mod dense;
 pub mod ilu;
@@ -38,6 +40,7 @@ pub mod vec_ops;
 
 pub use chebyshev::Chebyshev;
 pub use cholesky::{CholeskySymbolic, FactorError, SparseCholesky};
+pub use coupling::{CouplingBlock, SharedBlock};
 pub use csr::{Csr, CsrBuilder};
 pub use dense::{DenseLu, DenseMatrix};
 pub use ilu::Ilu0;

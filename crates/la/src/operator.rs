@@ -6,7 +6,7 @@
 //! Asmb / MF / Tensor operator applications inside an otherwise identical
 //! solver.
 
-use crate::csr::Csr;
+use crate::coupling::CouplingBlock;
 
 thread_local! {
     /// Work vector of the block operator and preconditioner applies: both
@@ -46,14 +46,31 @@ pub trait LinearOperator: Sync {
     /// blocks; an element kernel that can apply its own gradient and
     /// divergence in the same pass overrides it, and then `b` must be the
     /// coupling block of the kernel's mesh with exactly the kernel's
-    /// Dirichlet columns zeroed (none for an unmasked kernel).
-    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+    /// Dirichlet columns zeroed (none for an unmasked kernel). Such an
+    /// override reads only `b`'s shape, so a deferred block stays
+    /// unassembled.
+    fn apply_stokes(
+        &self,
+        b: &dyn CouplingBlock,
+        xu: &[f64],
+        xp: &[f64],
+        yu: &mut [f64],
+        yp: &mut [f64],
+    ) {
+        let b = b.csr();
         self.apply(xu, yu);
         with_block_scratch(yu.len(), |bt| {
             b.spmv_transpose(xp, bt);
             crate::vec_ops::axpy(1.0, bt, yu);
         });
         b.spmv(xu, yp);
+    }
+    /// Divergence `y_p = B x_u` through this operator's mesh, under the
+    /// same contract on `b` as [`apply_stokes`](Self::apply_stokes): the
+    /// default multiplies by the assembled block, and an element kernel
+    /// that overrides it writes the `y_p` its `apply_stokes` writes.
+    fn apply_divergence(&self, b: &dyn CouplingBlock, xu: &[f64], yp: &mut [f64]) {
+        b.csr().spmv(xu, yp);
     }
 }
 
@@ -79,8 +96,18 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn diagonal(&self) -> Option<Vec<f64>> {
         (**self).diagonal()
     }
-    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+    fn apply_stokes(
+        &self,
+        b: &dyn CouplingBlock,
+        xu: &[f64],
+        xp: &[f64],
+        yu: &mut [f64],
+        yp: &mut [f64],
+    ) {
         (**self).apply_stokes(b, xu, xp, yu, yp)
+    }
+    fn apply_divergence(&self, b: &dyn CouplingBlock, xu: &[f64], yp: &mut [f64]) {
+        (**self).apply_divergence(b, xu, yp)
     }
 }
 
@@ -100,8 +127,18 @@ where
     fn diagonal(&self) -> Option<Vec<f64>> {
         (**self).diagonal()
     }
-    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+    fn apply_stokes(
+        &self,
+        b: &dyn CouplingBlock,
+        xu: &[f64],
+        xp: &[f64],
+        yu: &mut [f64],
+        yp: &mut [f64],
+    ) {
         (**self).apply_stokes(b, xu, xp, yu, yp)
+    }
+    fn apply_divergence(&self, b: &dyn CouplingBlock, xu: &[f64], yp: &mut [f64]) {
+        (**self).apply_divergence(b, xu, yp)
     }
 }
 
@@ -121,8 +158,18 @@ where
     fn diagonal(&self) -> Option<Vec<f64>> {
         (**self).diagonal()
     }
-    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+    fn apply_stokes(
+        &self,
+        b: &dyn CouplingBlock,
+        xu: &[f64],
+        xp: &[f64],
+        yu: &mut [f64],
+        yp: &mut [f64],
+    ) {
         (**self).apply_stokes(b, xu, xp, yu, yp)
+    }
+    fn apply_divergence(&self, b: &dyn CouplingBlock, xu: &[f64], yp: &mut [f64]) {
+        (**self).apply_divergence(b, xu, yp)
     }
 }
 
@@ -266,14 +313,28 @@ impl<A: LinearOperator> LinearOperator for TimedOperator<A> {
     fn diagonal(&self) -> Option<Vec<f64>> {
         self.inner.diagonal()
     }
-    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+    fn apply_stokes(
+        &self,
+        b: &dyn CouplingBlock,
+        xu: &[f64],
+        xp: &[f64],
+        yu: &mut [f64],
+        yp: &mut [f64],
+    ) {
         self.timed(|a| a.apply_stokes(b, xu, xp, yu, yp));
+    }
+    /// Forwarded untimed, like [`diagonal`](LinearOperator::diagonal): the
+    /// counters time and count applications of `A` only, and the
+    /// divergence is no product with `A`.
+    fn apply_divergence(&self, b: &dyn CouplingBlock, xu: &[f64], yp: &mut [f64]) {
+        self.inner.apply_divergence(b, xu, yp)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Csr;
 
     struct Diag(Vec<f64>);
     impl LinearOperator for Diag {
@@ -312,6 +373,10 @@ mod tests {
         let (mut yu, mut yp) = (vec![0.0; 2], vec![0.0; 1]);
         timed.apply_stokes(&b, &[1.0, 2.0], &[10.0], &mut yu, &mut yp);
         assert_eq!(yu, vec![12.0, -4.0]);
+        assert_eq!(yp, vec![-1.0]);
+        assert_eq!(timed.calls(), 1);
+        // The divergence alone is `B x_u`, and not counted as an apply.
+        timed.apply_divergence(&b, &[1.0, 2.0], &mut yp);
         assert_eq!(yp, vec![-1.0]);
         assert_eq!(timed.calls(), 1);
     }

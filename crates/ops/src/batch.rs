@@ -30,7 +30,11 @@
 //! ([`LinearOperator::apply_stokes`]): `div u = tr(∇u)` is in registers at
 //! every quadrature point and the pressure enters as `−p·w|J|` on the stress
 //! diagonal, so `Bᵀ x_p` and `B x_u` cost ≈ 7 % more flops instead of two
-//! sweeps over the assembled coupling block.
+//! sweeps over the assembled coupling block. The divergence alone
+//! ([`LinearOperator::apply_divergence`], the block preconditioner's
+//! `B z_u`) is the forward half of that pass: 18 of the 36 contractions,
+//! the trace of the gradient at every quadrature point and the `ψ` tests,
+//! writing bitwise the `y_p` of the fused pass.
 //!
 //! Two kernels implement the identical operation sequence: a portable one
 //! built on `f64::mul_add` (correctly-rounded IEEE FMA on every platform)
@@ -44,7 +48,7 @@ use crate::data::{MaskScratch, ViscousOpData, NQP};
 use crate::kernels::{for_each_lane_colored, q1_grad_tables, qp_jacobian, ColorScatter};
 use crate::tensor::Tensor1d;
 use ptatin_fem::basis::{element_frame, p1disc_basis, NP1, NQ1, NQ2};
-use ptatin_la::csr::Csr;
+use ptatin_la::coupling::CouplingBlock;
 use ptatin_la::operator::LinearOperator;
 use ptatin_prof as prof;
 use std::sync::Arc;
@@ -164,8 +168,10 @@ fn q1_to_qp_b(t: &Tensor1d, input: &[F64x4; NQ1], out: &mut [F64x4; 27]) {
 }
 
 /// Adjoint of [`q1_to_qp_b`]: quadrature values tested against the 8
-/// trilinear corner functions, three staged 3→2 contractions.
-#[inline]
+/// trilinear corner functions, three staged 3→2 contractions. Forced
+/// inline: with the divergence pass as its second caller the inliner
+/// would outline it from the fused kernel.
+#[inline(always)]
 fn qp_to_q1_b(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; NQ1]) {
     let mut s1 = [F64x4::ZERO; 18];
     let mut s0 = [F64x4::ZERO; 12];
@@ -239,6 +245,9 @@ pub struct BatchedGeometry {
     /// `lane·LANES + slot` of every element, so element-ordered loops (the
     /// diagonal) read the pack without changing their accumulation order.
     slot: Vec<u32>,
+    /// Velocity dofs of the mesh: every node index in `lanes` is below
+    /// `ndof / 3`, which the divergence pass's hardware gather relies on.
+    ndof: usize,
 }
 
 impl BatchedGeometry {
@@ -309,6 +318,7 @@ impl BatchedGeometry {
             geo,
             psi,
             slot,
+            ndof: data.ndof,
         }
     }
 
@@ -391,7 +401,11 @@ impl BatchedViscousOp {
         geom: Arc<BatchedGeometry>,
         path: SimdPath,
     ) -> Self {
-        assert_eq!(geom.slot.len(), data.nel, "geometry pack of another mesh");
+        assert_eq!(
+            (geom.slot.len(), geom.ndof),
+            (data.nel, data.ndof),
+            "geometry pack of another mesh"
+        );
         let (eta, newton) = geom.pack_coefficient(&data);
         Self {
             data,
@@ -505,6 +519,67 @@ impl BatchedViscousOp {
             }
         });
     }
+
+    /// `y_p = B x`: the divergence-only pass, bitwise the `y_p` of
+    /// [`apply_add`](Self::apply_add) with a pressure.
+    fn divergence(&self, x: &[f64], yp: &mut [f64]) {
+        // The AVX path gathers with i32 offsets `3·n + c`, all below
+        // `geom.ndof` (= `data.ndof`, checked at construction), and every
+        // element scatters to its own four entries of `yp`.
+        assert!(x.len() == self.geom.ndof && x.len() <= i32::MAX as usize);
+        assert_eq!(yp.len(), NP1 * self.data.nel);
+        yp.fill(0.0);
+        let yp = ColorScatter::new(yp);
+        let gp = &*self.geom;
+        for_each_lane_colored(&gp.color_lane_ranges, LANES, |li| {
+            let ln = &gp.lanes[li];
+            let geo = &gp.geo[li * NQP..(li + 1) * NQP];
+            let psi = &gp.psi[li];
+            let mut ue = [[F64x4::ZERO; 27]; 3];
+            let mut rp = [F64x4::ZERO; NP1];
+            match self.path {
+                SimdPath::Portable => {
+                    gather_b(&ln.nodes, x, &mut ue);
+                    lane_divergence_portable(&self.t1d, geo, psi, &ue, &mut rp);
+                }
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as in `apply_add`, `Avx2Fma` implies the runtime
+                // AVX2+FMA check passed; the lane's node indices are below
+                // `geom.ndof / 3` and `x.len() == geom.ndof ≤ i32::MAX`
+                // (asserted above), so every offset `3·n + c` is in bounds
+                // and representable.
+                SimdPath::Avx2Fma => unsafe {
+                    avx::gather(&ln.nodes, x, &mut ue);
+                    avx::lane_divergence(&self.t1d, geo, psi, &ue, &mut rp);
+                },
+                #[cfg(not(target_arch = "x86_64"))]
+                // PANIC-OK: `detected_simd_path` never yields Avx2Fma off
+                // x86_64, and `with_path` is the only other constructor.
+                SimdPath::Avx2Fma => unreachable!("AVX path constructed on non-x86_64 host"),
+            }
+            for l in 0..ln.nreal as usize {
+                for m in 0..NP1 {
+                    // SAFETY: every element owns its four pressure dofs and
+                    // sits in exactly one lane slot.
+                    unsafe { yp.add(NP1 * ln.elems[l] as usize + m, -rp[m].0[l]) };
+                }
+            }
+        });
+    }
+}
+
+/// Scalar gather of a lane's velocity dofs into SoA lanes (4 × 81 loads),
+/// the gather of [`BatchedViscousOp::apply_add`].
+#[inline]
+fn gather_b(nodes: &[[u32; NQ2]; LANES], x: &[f64], ue: &mut [[F64x4; 27]; 3]) {
+    for (l, nodes) in nodes.iter().enumerate() {
+        for (i, &n) in nodes.iter().enumerate() {
+            let b = 3 * n as usize;
+            ue[0][i].0[l] = x[b];
+            ue[1][i].0[l] = x[b + 1];
+            ue[2][i].0[l] = x[b + 2];
+        }
+    }
 }
 
 /// Pressure input of the fused Stokes pass for one lane: the corner values
@@ -610,6 +685,56 @@ fn lane_kernel_portable(
     }
 }
 
+/// Portable divergence-only lane kernel: the forward contractions, the
+/// quadrature loop and the pressure test of [`lane_kernel_portable`] with
+/// only the trace of the gradient formed at each point, every product in
+/// the fused kernel's order, so `rp` (zero on entry) receives the fused
+/// kernel's `rp` bit for bit. The stages are repeated rather than shared,
+/// and `B̃⊗B̃⊗B̃` is staged by hand instead of through [`to_gauss_b`]: a
+/// second caller of a stage helper let the inliner outline it from the
+/// fused kernel, which then ran ≈ 6 % slower, and the AVX twin cannot
+/// force it back (`#[inline(always)]` is rejected on `#[target_feature]`
+/// fns). As written, the fused kernels compile to the same machine code
+/// as before this pass existed.
+fn lane_divergence_portable(
+    t1d: &Tensor1d,
+    geo: &[QpGeoLane],
+    psi: &[[F64x4; NQ1]; 3],
+    ue: &[[F64x4; 27]; 3],
+    rp: &mut [F64x4; NP1],
+) {
+    let mut ederiv = [[[F64x4::ZERO; 27]; 3]; 3];
+    for c in 0..3 {
+        let (mut t1, mut t2, mut uq) = ([F64x4::ZERO; 27], [F64x4::ZERO; 27], [F64x4::ZERO; 27]);
+        contract_dim0_b(&t1d.b, &ue[c], &mut t1);
+        contract_dim1_b(&t1d.b, &t1, &mut t2);
+        contract_dim2_b(&t1d.b, &t2, &mut uq);
+        contract_dim0_b(&t1d.dc, &uq, &mut ederiv[0][c]);
+        contract_dim1_b(&t1d.dc, &uq, &mut ederiv[1][c]);
+        contract_dim2_b(&t1d.dc, &uq, &mut ederiv[2][c]);
+    }
+    let mut dw = [F64x4::ZERO; 27];
+    for q in 0..NQP {
+        let g = &geo[q];
+        let mut tr = [F64x4::ZERO; 3];
+        for c in 0..3 {
+            tr[c] = ederiv[0][c][q].mul_add(
+                g.jinv[0][c],
+                ederiv[1][c][q].mul_add(g.jinv[1][c], ederiv[2][c][q] * g.jinv[2][c]),
+            );
+        }
+        dw[q] = ((tr[0] + tr[1]) + tr[2]) * g.wdet;
+    }
+    let mut dc = [F64x4::ZERO; NQ1];
+    qp_to_q1_b(t1d, &dw, &mut dc);
+    for c in 0..NQ1 {
+        rp[0] = rp[0] + dc[c];
+        for m in 0..3 {
+            rp[m + 1] = psi[m][c].mul_add(dc[c], rp[m + 1]);
+        }
+    }
+}
+
 /// Batched [`crate::kernels::weighted_stress`]. The Newton rank-one term is
 /// computed unconditionally (per-lane `η′` may mix zero and non-zero); with
 /// `η′ = 0` it adds exactly zero.
@@ -668,7 +793,7 @@ mod avx {
     //! `vfmadd*pd`). All helpers carry the same `target_feature` set so
     //! they inline into one AVX-compiled kernel.
 
-    use super::{F64x4, LanePressure, QpGeoLane, NP1, NQ1, NQP};
+    use super::{F64x4, LanePressure, QpGeoLane, LANES, NP1, NQ1, NQ2, NQP};
     use crate::tensor::Tensor1d;
     use core::arch::x86_64::*;
 
@@ -1056,6 +1181,106 @@ mod avx {
             }
         }
     }
+
+    /// The lane's velocity dofs in SoA lanes, one hardware gather per node
+    /// and component: the values [`super::gather_b`] loads.
+    ///
+    /// # Safety
+    /// AVX2 verified at runtime, and `3·n + 2 < x.len() ≤ i32::MAX` for
+    /// every node index `n` of the lane.
+    // SAFETY: the caller upholds the doc contract above (feature check and
+    // in-bounds, i32-representable dof offsets).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gather(nodes: &[[u32; NQ2]; LANES], x: &[f64], ue: &mut [[F64x4; 27]; 3]) {
+        // SAFETY: same preconditions as this fn.
+        unsafe {
+            for i in 0..NQ2 {
+                let idx = _mm_mullo_epi32(
+                    _mm_set_epi32(
+                        nodes[3][i] as i32,
+                        nodes[2][i] as i32,
+                        nodes[1][i] as i32,
+                        nodes[0][i] as i32,
+                    ),
+                    _mm_set1_epi32(3),
+                );
+                for c in 0..3 {
+                    st(
+                        &mut ue[c][i],
+                        _mm256_i32gather_pd::<8>(x.as_ptr().add(c), idx),
+                    );
+                }
+            }
+        }
+    }
+
+    /// AVX2+FMA divergence-only lane kernel, operation-for-operation
+    /// identical to [`super::lane_divergence_portable`].
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 and FMA support at runtime.
+    // SAFETY: caller verified AVX2+FMA at runtime (see `SimdPath` and the
+    // doc contract above); every helper shares the same feature set.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn lane_divergence(
+        t1d: &Tensor1d,
+        geo: &[QpGeoLane],
+        psi: &[[F64x4; NQ1]; 3],
+        ue: &[[F64x4; 27]; 3],
+        rp: &mut [F64x4; NP1],
+    ) {
+        // SAFETY: same preconditions as this fn (AVX2+FMA verified).
+        unsafe {
+            let mut ederiv = [[[F64x4::ZERO; 27]; 3]; 3];
+            for c in 0..3 {
+                let (mut t1, mut t2, mut uq) =
+                    ([F64x4::ZERO; 27], [F64x4::ZERO; 27], [F64x4::ZERO; 27]);
+                contract_dim0(&t1d.b, &ue[c], &mut t1);
+                contract_dim1(&t1d.b, &t1, &mut t2);
+                contract_dim2(&t1d.b, &t2, &mut uq);
+                contract_dim0(&t1d.dc, &uq, &mut ederiv[0][c]);
+                contract_dim1(&t1d.dc, &uq, &mut ederiv[1][c]);
+                contract_dim2(&t1d.dc, &uq, &mut ederiv[2][c]);
+            }
+            let mut dw = [F64x4::ZERO; 27];
+            for q in 0..NQP {
+                let gq = &geo[q];
+                let mut tr = [_mm256_setzero_pd(); 3];
+                for c in 0..3 {
+                    tr[c] = _mm256_fmadd_pd(
+                        ld(&ederiv[0][c][q]),
+                        ld(&gq.jinv[0][c]),
+                        _mm256_fmadd_pd(
+                            ld(&ederiv[1][c][q]),
+                            ld(&gq.jinv[1][c]),
+                            _mm256_mul_pd(ld(&ederiv[2][c][q]), ld(&gq.jinv[2][c])),
+                        ),
+                    );
+                }
+                st(
+                    &mut dw[q],
+                    _mm256_mul_pd(
+                        _mm256_add_pd(_mm256_add_pd(tr[0], tr[1]), tr[2]),
+                        ld(&gq.wdet),
+                    ),
+                );
+            }
+            let mut dc = [F64x4::ZERO; NQ1];
+            qp_to_q1(t1d, &dw, &mut dc);
+            let mut racc = [_mm256_setzero_pd(); NP1];
+            for c in 0..NQ1 {
+                let d = ld(&dc[c]);
+                racc[0] = _mm256_add_pd(racc[0], d);
+                for m in 0..3 {
+                    racc[m + 1] = _mm256_fmadd_pd(ld(&psi[m][c]), d, racc[m + 1]);
+                }
+            }
+            for m in 0..NP1 {
+                st(&mut rp[m], racc[m]);
+            }
+        }
+    }
 }
 
 impl LinearOperator for BatchedViscousOp {
@@ -1086,7 +1311,14 @@ impl LinearOperator for BatchedViscousOp {
     /// over `b`: the masked input makes the divergence `b`'s (Dirichlet
     /// columns zeroed) and `finish_masked` overwrites the constrained rows
     /// of the gradient, so the result is the block composition's.
-    fn apply_stokes(&self, b: &Csr, xu: &[f64], xp: &[f64], yu: &mut [f64], yp: &mut [f64]) {
+    fn apply_stokes(
+        &self,
+        b: &dyn CouplingBlock,
+        xu: &[f64],
+        xp: &[f64],
+        yu: &mut [f64],
+        yp: &mut [f64],
+    ) {
         debug_assert_eq!(
             (b.nrows(), b.ncols()),
             (NP1 * self.data.nel, self.data.ndof)
@@ -1102,6 +1334,25 @@ impl LinearOperator for BatchedViscousOp {
             self.scratch
                 .with_masked(&self.data, xu, |xm| self.apply_add(xm, yu, Some((xp, yp))));
             self.data.finish_masked(xu, yu);
+        }
+    }
+    /// The forward half of the fused pass over the same masked input, so
+    /// `y_p` is bitwise the one [`apply_stokes`](Self::apply_stokes)
+    /// writes; `b` is read for its shape only.
+    fn apply_divergence(&self, b: &dyn CouplingBlock, xu: &[f64], yp: &mut [f64]) {
+        debug_assert_eq!(
+            (b.nrows(), b.ncols()),
+            (NP1 * self.data.nel, self.data.ndof)
+        );
+        let _ev = prof::scope("MatMult_DivergenceBatched");
+        let model = crate::counts::divergence_batched_model();
+        prof::log_flops(model.flops * self.data.nel as u64);
+        prof::log_bytes(model.bytes_perfect * self.data.nel as u64);
+        if self.data.constrained.is_empty() {
+            self.divergence(xu, yp);
+        } else {
+            self.scratch
+                .with_masked(&self.data, xu, |xm| self.divergence(xm, yp));
         }
     }
 }

@@ -173,6 +173,28 @@ pub fn stokes_batched_model() -> OperatorModel {
     }
 }
 
+/// Cost model of the batched kernel's divergence-only pass (`y_p = B x_u`,
+/// the block preconditioner's `B z_u`): the forward half of the
+/// collocation contractions (18 of 36), per quadrature point the three
+/// diagonal gradient entries (3-term dots) and the weighted trace, then
+/// the adjoint Q1 interpolation (38 three-term dots) and the four `ψ_m`
+/// tests at the corners. It streams the velocity in, the stored metrics
+/// (all nine `∂ξ/∂x` entries feed the trace) and node indices, the 24
+/// corner `ψ` scalars and the four pressure dofs out — no coefficient.
+pub fn divergence_batched_model() -> OperatorModel {
+    let state_perfect = 8 * 3 * 8u64;
+    let state_pessimal = 27 * 3 * 8u64;
+    let geo = 27 * 10 * 8u64;
+    let enodes = 27 * 4u64;
+    let pressure = 8 * 3 * 8 + 4 * 8u64;
+    OperatorModel {
+        name: "Divergence batched (this impl)",
+        flops: 3 * 6 * CONTRACTION_FLOPS + 27 * (3 * 5 + 3) + 38 * 5 + 8 * 7,
+        bytes_pessimal: state_pessimal + geo + enodes + pressure,
+        bytes_perfect: state_perfect + geo + enodes + pressure,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +250,21 @@ mod tests {
         assert!(
             tb.bytes_perfect > t.bytes_perfect && tb.bytes_perfect < tc.bytes_perfect,
             "stored metrics (10/qp) sit between Tensor (0) and TensorC (16)"
+        );
+        // The divergence pass is the forward half of the fused pass: half
+        // its contractions, its divergence terms, no stress or adjoint.
+        let dv = divergence_batched_model();
+        let st = stokes_batched_model();
+        assert_eq!(
+            dv.flops,
+            COLLOCATION_STAGED_FLOPS / 2 - 3 * 27 + 27 * 18 + 246
+        );
+        assert!(2 * dv.flops < st.flops);
+        assert!(dv.bytes_perfect < st.bytes_perfect && dv.bytes_pessimal < st.bytes_pessimal);
+        assert_eq!(
+            st.bytes_perfect - dv.bytes_perfect,
+            8 * 3 * 8 + 27 * 8 + 4 * 8,
+            "the fused pass also writes y_u, reads η and the pressure"
         );
     }
 

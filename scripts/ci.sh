@@ -57,6 +57,8 @@ done
 # dense-LU oracle (DESIGN.md §13), the lane-batched advection's bitwise
 # contract against the scalar loop (DESIGN.md §9), the fused saddle-point
 # pass of the Krylov operator against its block composition (DESIGN.md §4),
+# the divergence-only pass of the block preconditioner against the fused
+# pass and the assembled block, and the on-demand gradient block (§4, §13),
 # the block-Jacobi subdomain Cholesky solves against their dense-LU oracle
 # (DESIGN.md §13), the shared geometry pack and the solve-scoped lag of a
 # warm rebuild (DESIGN.md §13), the CLI's refusal of unknown arguments and
@@ -75,6 +77,7 @@ PTATIN_TEST_THREADS=1 cargo test -q --test golden_runs
 PTATIN_TEST_THREADS=1 cargo test -q --test operator_equivalence
 PTATIN_TEST_THREADS=1 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=1 cargo test -q --test fused_stokes_operator
+PTATIN_TEST_THREADS=1 cargo test -q --test divergence_pass
 PTATIN_TEST_THREADS=1 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=1 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=1 cargo test -q --test cli_arguments
@@ -92,6 +95,7 @@ PTATIN_TEST_THREADS=4 cargo test -q --test golden_runs
 PTATIN_TEST_THREADS=4 cargo test -q --test operator_equivalence
 PTATIN_TEST_THREADS=4 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=4 cargo test -q --test fused_stokes_operator
+PTATIN_TEST_THREADS=4 cargo test -q --test divergence_pass
 PTATIN_TEST_THREADS=4 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=4 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=4 cargo test -q --test cli_arguments
@@ -111,7 +115,7 @@ PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-la --features pool-sanitizer par::
 
 # Operator-equivalence and thread-invariance suites with the AVX path
 # force-disabled: the portable fallbacks of the batched operator (viscous
-# and fused Stokes pass), projection, transfer, advection/location, Galerkin Q1 assembly and envelope Cholesky lane
+# pass, fused Stokes pass and divergence pass), projection, transfer, advection/location, Galerkin Q1 assembly and envelope Cholesky lane
 # kernels (whole coarse matrix and block-Jacobi blocks) must satisfy the
 # same 1e-12 / bitwise contracts as the hardware path (DESIGN.md §9).
 step "equivalence + thread invariance with AVX disabled (PTATIN_NO_AVX=1)"
@@ -121,6 +125,7 @@ PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test mpm_advect_equivalenc
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test galerkin_coarse_direct
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test sparse_cholesky
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test fused_stokes_operator
+PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test divergence_pass
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test exact_subdomain_solves
 
 # Fault-injection matrix on the release binary: every injected failure
@@ -204,6 +209,26 @@ if [[ $FAST -eq 0 ]]; then
     # `benchmark/run.sh --runs 10` on a quiet host (EXPERIMENTS.md).
     step "benchmark smoke (four workloads, output checks only)"
     benchmark/run.sh --smoke
+
+    # The production solve assembles no coupling block and runs no SpMV
+    # with it (DESIGN.md §4, §13): the 8³ sinker's profile has no
+    # `ops.assemble_gradient_batched` event, no `MatMult` under the outer
+    # `PCApply` (its `B z_u` is `MatMult_DivergenceBatched`), and every
+    # `MatMult` call is the coarse CG's.
+    step "sinker profile: no gradient-block assembly, no B SpMV in PCApply"
+    J="$CKDIR/sinker8.json"
+    target/release/ptatin sinker m=8 --log-json="$J" out="$CKDIR/sinker8" > /dev/null
+    ! grep -q '"ops.assemble_gradient_batched"' "$J" \
+        || { echo "the sinker solve assembled the gradient block"; exit 1; }
+    ! grep -q '"child":"MatMult","incl_s":[^,]*,"parent":"PCApply"' "$J" \
+        || { echo "PCApply runs a MatMult of its own"; exit 1; }
+    grep -q '"child":"MatMult_DivergenceBatched","incl_s":[^,]*,"parent":"PCApply"' "$J" \
+        || { echo "PCApply does not run the divergence pass"; exit 1; }
+    calls_of() { grep -o "\"calls\":[0-9]*,$1" "$J" | head -1 | sed -E 's/"calls":([0-9]+).*/\1/'; }
+    mm=$(calls_of '"excl_s":[^,]*,"flops":[0-9]*,"incl_s":[^,]*,"name":"MatMult"}')
+    cg=$(calls_of '"child":"MatMult","incl_s":[^,]*,"parent":"KSPSolve_CG"')
+    [[ -n "$mm" && "$mm" == "$cg" ]] \
+        || { echo "MatMult calls $mm, of which the coarse CG's ${cg:-none}"; exit 1; }
 
     # One registry-driven scenario end to end through the CLI: the
     # checked-in shear-band spec must parse, run and converge (exit 0).
