@@ -10,9 +10,10 @@ use crate::solver::{
 };
 use ptatin_fem::assemble::{assemble_body_force, Q2QuadTables};
 use ptatin_fem::bc::DirichletBc;
-use ptatin_la::coupling::{CouplingBlock, SharedBlock};
+use ptatin_la::coupling::CouplingBlock;
 use ptatin_la::krylov::{BreakdownKind, KrylovConfig, SolveOutcome};
 use ptatin_la::operator::LinearOperator;
+use ptatin_la::shared::SharedCsr;
 use ptatin_la::vec_ops;
 use ptatin_mesh::hierarchy::MeshHierarchy;
 use ptatin_mesh::StructuredMesh;
@@ -320,7 +321,7 @@ pub struct MaterialPointProblem<'m> {
     hier: MeshHierarchy,
     /// Velocity Dirichlet sets per level (coarse → fine).
     bcs: Vec<DirichletBc>,
-    b_full: SharedBlock,
+    b_full: SharedCsr,
     /// `use_newton` of the configuration the running solve was given: the
     /// recovery ladder turns it off on escalation.
     use_newton: bool,

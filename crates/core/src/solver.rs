@@ -10,21 +10,22 @@ use ptatin_fem::bc::DirichletBc;
 use ptatin_fem::pattern::{GalerkinQ1Pattern, ViscousPattern};
 use ptatin_la::chebyshev::{inverse_diagonal, Chebyshev};
 use ptatin_la::cholesky::CholeskySymbolic;
-use ptatin_la::coupling::{CouplingBlock, SharedBlock};
+use ptatin_la::coupling::CouplingBlock;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
 use ptatin_la::operator::{with_block_scratch, LinearOperator, Preconditioner, TimedOperator};
 use ptatin_la::schwarz::{grow_overlap, AdditiveSchwarz, DirectSolver, SubdomainSolve};
+use ptatin_la::shared::SharedCsr;
 use ptatin_la::simd::{runtime_simd_path, F64x4};
-use ptatin_la::transfer::BatchedTransfer;
+use ptatin_la::transfer::NestedTransfer;
 use ptatin_la::vec_ops;
 use ptatin_mesh::decomp::nodes_to_dofs;
-use ptatin_mesh::hierarchy::{expand_blocked, MeshHierarchy};
+use ptatin_mesh::hierarchy::MeshHierarchy;
 use ptatin_mesh::ElementPartition;
 use ptatin_mg::amg::{build_sa_amg, AmgConfig};
 use ptatin_mg::gmg::{
-    dirichlet_sets_nested, filter_transfer, galerkin_coarse_q1, galerkin_coarse_with_pt, ArcOp,
-    CycleType, GeometricMg, GmgCoarseSolver, GmgLevel,
+    galerkin_coarse_q1, galerkin_coarse_with_pt, prolongation_handles, ArcOp, CycleType,
+    GeometricMg, GmgCoarseSolver, GmgLevel,
 };
 use ptatin_mg::nullspace::rigid_body_modes;
 use ptatin_mpm::projection::{coarsen_corner_field, corners_to_quadrature_log};
@@ -170,9 +171,9 @@ pub struct StokesSolver {
     /// path applies the block inside its element pass, so only a reader of
     /// the matrix (a reference `fine_kind`, [`StokesSolver::solve_scr`], a
     /// diagnostic) assembles it, once, for every holder of the handle.
-    pub b_masked: SharedBlock,
+    pub b_masked: SharedCsr,
     /// J_pu untouched (residual evaluation), deferred like `b_masked`.
-    pub b_full: SharedBlock,
+    pub b_full: SharedCsr,
     /// Element-block inverse of the (1/η)-weighted pressure mass matrix.
     pub schur: PressureMassBlocks,
     /// Instrumentation handles.
@@ -258,10 +259,11 @@ pub(crate) fn analytic_eta_qp(
 /// tiers and each entry lives in the tier of what it is a function of:
 ///
 /// * **topology** — mesh dimensions and the Dirichlet dof list of every
-///   level: Dirichlet masks, the filtered transfers (with their
-///   transposes, the structural half of RAP, and their lane packs), the
-///   sparsity patterns, the assembly buffers and the symbolic phase of the
-///   direct coarse solve;
+///   level: the grid transfers (line stencils that carry the Dirichlet
+///   masks), the handles of their assembled blocked forms (each assembled
+///   only when first read, by a Galerkin product, and then with its
+///   transpose, the structural half of RAP), the sparsity patterns, the
+///   assembly buffers and the symbolic phase of the direct coarse solve;
 /// * **geometry** — additionally the bits of every node coordinate: the
 ///   handles of the gradient block `J_pu` and its bc-masked twin (each
 ///   assembled only when first read, and shared with every solver the
@@ -307,14 +309,12 @@ pub struct SetupCache {
 #[derive(Default)]
 struct TopologyTier {
     tables: Option<Q2QuadTables>,
-    /// Per-level Dirichlet masks over velocity dofs.
-    masks: Option<Vec<Vec<bool>>>,
-    /// Filtered blocked transfers (coarse → fine edges).
-    transfers: Option<Vec<Csr>>,
-    /// Cached transposes of the transfers (the reusable half of RAP).
+    /// Grid transfers (coarse → fine edges), with the Dirichlet masks of
+    /// every level over its velocity dofs, and the on-demand handles of
+    /// their filtered blocked prolongations.
+    transfers: Option<(Arc<[NestedTransfer]>, Vec<SharedCsr>)>,
+    /// Cached transposes of the prolongations (the reusable half of RAP).
     transfer_t: Vec<Option<Csr>>,
-    /// Lane-packed SIMD pack of the transfers (pure function of them).
-    batched_transfers: Option<Arc<Vec<BatchedTransfer>>>,
     /// Per-level viscous sparsity patterns (levels that get assembled).
     patterns: Vec<Option<ViscousPattern>>,
     /// Per-level assembled-value buffers (reused allocations).
@@ -337,8 +337,8 @@ struct TopologyTier {
 struct GeometryTier {
     /// Gradient block `J_pu` of the finest mesh and its bc-masked twin,
     /// as handles that assemble when first read.
-    b_full: Option<SharedBlock>,
-    b_masked: Option<SharedBlock>,
+    b_full: Option<SharedCsr>,
+    b_masked: Option<SharedCsr>,
     /// Gathered element tables and geometry packs of every matrix-free
     /// level.
     op_base: Vec<OpBase>,
@@ -346,12 +346,12 @@ struct GeometryTier {
 
 impl GeometryTier {
     /// The handle of `J_pu` on `mesh` (the finest), created on first use.
-    fn gradient_block(&mut self, mesh: &ptatin_mesh::StructuredMesh) -> SharedBlock {
+    fn gradient_block(&mut self, mesh: &ptatin_mesh::StructuredMesh) -> SharedCsr {
         self.b_full
             .get_or_insert_with(|| {
                 let mesh = mesh.clone();
                 let path = runtime_simd_path();
-                SharedBlock::new(
+                SharedCsr::new(
                     num_pressure_dofs(&mesh),
                     num_velocity_dofs(&mesh),
                     move || {
@@ -508,15 +508,21 @@ impl SetupCache {
     /// nonlinear residual is handed and every build hands out as
     /// `StokesSolver::b_full`. One handle per geometry, assembled when
     /// first read.
-    pub fn gradient_block(&mut self, hier: &MeshHierarchy, bcs: &[DirichletBc]) -> SharedBlock {
+    pub fn gradient_block(&mut self, hier: &MeshHierarchy, bcs: &[DirichletBc]) -> SharedCsr {
         self.validate(hier, bcs);
         self.geom.gradient_block(hier.finest())
     }
 
     /// The gradient block handle the geometry tier holds, if a build or
     /// [`gradient_block`](Self::gradient_block) created one.
-    pub fn cached_gradient_block(&self) -> Option<&SharedBlock> {
+    pub fn cached_gradient_block(&self) -> Option<&SharedCsr> {
         self.geom.b_full.as_ref()
+    }
+
+    /// The handles of the filtered blocked prolongations the topology tier
+    /// holds (coarse → fine edges), if a build created them.
+    pub fn cached_prolongations(&self) -> Option<&[SharedCsr]> {
+        self.topo.transfers.as_ref().map(|(_, p)| &p[..])
     }
 
     /// The *unconstrained* Picard action on the finest mesh for the
@@ -692,32 +698,29 @@ pub fn build_stokes_solver_spec_cached(
     };
     drop(_coeff_scope);
 
-    // Masks and filtered blocked transfers: value-independent, built once
-    // per hierarchy and cloned out of the cache on rebuilds (the multigrid
-    // takes ownership of its transfer chain).
+    // Grid transfers and the handles of their assembled forms:
+    // value-independent, built once per topology and shared with every
+    // rebuild. `transfers[l]` carries the Dirichlet mask of level `l` as its
+    // coarse mask.
     let _tr_scope = prof::scope("setup/transfer");
-    let masks: Vec<Vec<bool>> = cache
-        .topo
-        .masks
-        .get_or_insert_with(|| {
-            (0..levels)
-                .map(|l| bcs[l].mask(num_velocity_dofs(&hier.meshes[l])))
-                .collect()
-        })
-        .clone();
-    let transfers: Vec<Csr> = cache
+    let (transfers, prolongations) = cache
         .topo
         .transfers
         .get_or_insert_with(|| {
-            let mut ts = Vec::with_capacity(levels - 1);
-            for l in 0..levels - 1 {
-                let mut p = expand_blocked(&hier.prolongations[l], 3);
-                filter_transfer(&mut p, &masks[l + 1], &masks[l]);
-                ts.push(p);
-            }
-            ts
+            let masks: Vec<Vec<bool>> = (0..levels)
+                .map(|l| bcs[l].mask(num_velocity_dofs(&hier.meshes[l])))
+                .collect();
+            let transfers: Arc<[NestedTransfer]> = (0..levels - 1)
+                .map(|l| {
+                    let fine = hier.meshes[l + 1].node_dims();
+                    NestedTransfer::new(fine, masks[l + 1].clone(), masks[l].clone())
+                })
+                .collect();
+            let prolongations = prolongation_handles(&hier.prolongations, &transfers);
+            (transfers, prolongations)
         })
         .clone();
+    let mask = |l: usize| transfers[l].coarse_mask();
     drop(_tr_scope);
 
     // Lagged state this build may take over (see [`SetupCache`]). A
@@ -751,8 +754,9 @@ pub fn build_stokes_solver_spec_cached(
     // product, or for the coarse solve; a matrix that was only a Galerkin
     // input is dropped as soon as the product is formed, before the
     // matrix-free level operators are built. Assembly goes through the
-    // per-level cached patterns; Galerkin products reuse the cached
-    // transfer transposes. A lagged coarse factor needs no coarsest matrix.
+    // per-level cached patterns; Galerkin products read the prolongation
+    // handles and reuse their cached transposes. A lagged coarse factor
+    // needs no coarsest matrix.
     let top = levels - 1;
     let mut assembled: Vec<Option<Csr>> = vec![None; levels];
     let assemble = |cache: &mut SetupCache, l: usize| {
@@ -768,8 +772,9 @@ pub fn build_stokes_solver_spec_cached(
     };
     let galerkin = |cache: &mut SetupCache, l: usize, above: &Csr| {
         let _s = prof::scope("setup/rap");
-        let pt = cache.topo.transfer_t[l].get_or_insert_with(|| transfers[l].transpose());
-        galerkin_coarse_with_pt(above, &transfers[l], pt, &masks[l])
+        let p = &prolongations[l];
+        let pt = cache.topo.transfer_t[l].get_or_insert_with(|| p.transpose());
+        galerkin_coarse_with_pt(above, p, pt, mask(l))
     };
     if cfg.galerkin_intermediate {
         assert_eq!(
@@ -797,8 +802,9 @@ pub fn build_stokes_solver_spec_cached(
                 .topo
                 .galerkin_q1
                 .get_or_insert_with(|| {
-                    dirichlet_sets_nested(&transfers[0], &masks[1], &masks[0])
-                        .then(|| GalerkinQ1Pattern::build(&hier.meshes[1], &masks[0]))
+                    transfers[0]
+                        .dirichlet_sets_nested()
+                        .then(|| GalerkinQ1Pattern::build(&hier.meshes[1], mask(0)))
                 })
                 .is_some();
         for l in 1..levels {
@@ -884,7 +890,7 @@ pub fn build_stokes_solver_spec_cached(
                 // *values*, so no part of it survives a coefficient update
                 // (the measured negative result of DESIGN.md §13).
                 let _s = prof::scope("setup/amg");
-                let nullspace = rigid_body_modes(&hier.meshes[0].coords, &masks[0]);
+                let nullspace = rigid_body_modes(&hier.meshes[0].coords, mask(0));
                 let amg_cfg = AmgConfig {
                     block_size: 3,
                     max_coarse_size: 600,
@@ -959,15 +965,10 @@ pub fn build_stokes_solver_spec_cached(
         }),
         (None, None) => None,
     };
-    let batched_transfers = cache
-        .topo
-        .batched_transfers
-        .get_or_insert_with(|| Arc::new(transfers.iter().map(BatchedTransfer::from_csr).collect()))
-        .clone();
-    let mg = GeometricMg::new_with_batched_transfers(
+    let mg = GeometricMg::new(
         gmg_levels,
         transfers,
-        batched_transfers,
+        prolongations,
         coarse,
         cfg.pre_smooth,
         cfg.post_smooth,

@@ -10,7 +10,8 @@
 //!   (PETSc `MatAIJ`, `MatPtAP`),
 //! * [`operator`] — the `Mat`/`PC` shell abstraction that lets assembled
 //!   and matrix-free operators be used interchangeably,
-//! * [`coupling`] — the Stokes coupling block, assembled only when read,
+//! * [`coupling`] — the Stokes coupling block as the solver passes it,
+//! * [`shared`] — sparse matrices assembled only when first read,
 //! * [`krylov`] — CG, GMRES(m), FGMRES(m), GCR(m) (PETSc `KSP`),
 //! * [`chebyshev`] — the Jacobi-preconditioned Chebyshev smoother with
 //!   power-iteration eigenvalue estimation,
@@ -22,7 +23,9 @@
 //! * [`par`] — scoped-thread data parallelism replacing MPI ranks,
 //! * [`simd`] — the shared `F64x4` lane type, AVX2+FMA/portable dispatch
 //!   and the batched slice kernels of the per-step pipeline (§III-E),
-//! * [`transfer`] — lane-batched GMG prolongation/restriction.
+//! * [`transfer`] — the GMG prolongation/restriction as line stencils
+//!   over nested node grids (and the lane-batched CSR form that the
+//!   benchmark's probes time).
 
 pub mod chebyshev;
 pub mod cholesky;
@@ -34,13 +37,14 @@ pub mod krylov;
 pub mod operator;
 pub mod par;
 pub mod schwarz;
+pub mod shared;
 pub mod simd;
 pub mod transfer;
 pub mod vec_ops;
 
 pub use chebyshev::Chebyshev;
 pub use cholesky::{CholeskySymbolic, FactorError, SparseCholesky};
-pub use coupling::{CouplingBlock, SharedBlock};
+pub use coupling::CouplingBlock;
 pub use csr::{Csr, CsrBuilder};
 pub use dense::{DenseLu, DenseMatrix};
 pub use ilu::Ilu0;
@@ -49,5 +53,6 @@ pub use krylov::{
 };
 pub use operator::{IdentityPc, JacobiPc, LinearOperator, Preconditioner, TimedOperator};
 pub use schwarz::{AdditiveSchwarz, DirectSolver, SubdomainSolve};
+pub use shared::SharedCsr;
 pub use simd::{avx2_fma_available, detected_simd_path, F64x4, SimdPath, LANES};
-pub use transfer::BatchedTransfer;
+pub use transfer::{BatchedTransfer, NestedTransfer};

@@ -8,14 +8,17 @@
 
 use crate::StructuredMesh;
 use ptatin_la::csr::Csr;
+use ptatin_la::shared::SharedCsr;
 
 /// A multigrid hierarchy of meshes, coarsest first.
 pub struct MeshHierarchy {
     /// Meshes ordered coarse → fine; `meshes.last()` is the original mesh.
     pub meshes: Vec<StructuredMesh>,
     /// `prolongations[l]` maps scalar nodal fields from level `l` to level
-    /// `l+1`. Expand with [`expand_blocked`] for vector fields.
-    pub prolongations: Vec<Csr>,
+    /// `l+1`, assembled when first read (the V-cycle runs the transfer as
+    /// a stencil, so only reference paths read it). Expand with
+    /// [`expand_blocked`] for vector fields.
+    pub prolongations: Vec<SharedCsr>,
 }
 
 impl MeshHierarchy {
@@ -40,10 +43,15 @@ impl MeshHierarchy {
             meshes.push(c);
         }
         meshes.reverse(); // coarse → fine
-        let mut prolongations = Vec::with_capacity(levels - 1);
-        for l in 0..levels - 1 {
-            prolongations.push(prolongation_scalar(&meshes[l], &meshes[l + 1]));
-        }
+        let prolongations = meshes
+            .windows(2)
+            .map(|pair| {
+                let (nc, fine) = (pair[0].num_nodes(), pair[1].node_dims());
+                SharedCsr::new(pair[1].num_nodes(), nc, move || {
+                    node_grid_prolongation(fine)
+                })
+            })
+            .collect();
         Self {
             meshes,
             prolongations,
@@ -79,9 +87,15 @@ pub fn prolongation_scalar(coarse: &StructuredMesh, fine: &StructuredMesh) -> Cs
     assert_eq!(fine.mx, 2 * coarse.mx);
     assert_eq!(fine.my, 2 * coarse.my);
     assert_eq!(fine.mz, 2 * coarse.mz);
-    let (fnx, fny, fnz) = fine.node_dims();
-    let nf = fine.num_nodes();
-    let nc = coarse.num_nodes();
+    node_grid_prolongation(fine.node_dims())
+}
+
+/// [`prolongation_scalar`] onto the fine node grid of dimensions
+/// `(fnx, fny, fnz)` from the grid it coarsens to.
+fn node_grid_prolongation((fnx, fny, fnz): (usize, usize, usize)) -> Csr {
+    let (cnx, cny, cnz) = (fnx.div_ceil(2), fny.div_ceil(2), fnz.div_ceil(2));
+    let nf = fnx * fny * fnz;
+    let nc = cnx * cny * cnz;
 
     // 1-D stencil for a fine index: list of (coarse index, weight).
     let stencil_1d = |i: usize| -> [(usize, f64); 2] {
@@ -107,7 +121,7 @@ pub fn prolongation_scalar(coarse: &StructuredMesh, fine: &StructuredMesh) -> Cs
                 for c in 0..npts(k) {
                     for b in 0..npts(j) {
                         for a in 0..npts(i) {
-                            let col = coarse.node_index(si[a].0, sj[b].0, sk[c].0);
+                            let col = si[a].0 + cnx * (sj[b].0 + cny * sk[c].0);
                             let w = si[a].1 * sj[b].1 * sk[c].1;
                             entries.push((col as u32, w));
                         }

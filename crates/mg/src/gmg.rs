@@ -13,9 +13,11 @@ use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, KrylovConfig};
 use ptatin_la::operator::{LinearOperator, Preconditioner};
 use ptatin_la::schwarz::{AdditiveSchwarz, DirectSolver};
+use ptatin_la::shared::SharedCsr;
 use ptatin_la::simd::{F64x4, SimdPath};
-use ptatin_la::transfer::BatchedTransfer;
+use ptatin_la::transfer::NestedTransfer;
 use ptatin_la::vec_ops;
+use ptatin_mesh::hierarchy::expand_blocked;
 use ptatin_mesh::StructuredMesh;
 use ptatin_ops::galerkin_q1_numeric_batched_into;
 use ptatin_prof as prof;
@@ -148,13 +150,12 @@ impl GmgLevel {
 }
 
 /// Cycle vectors of one smoothed level, sized at construction: the
-/// residual and the prolonged correction on the level — which, with `ad`,
-/// double as the smoother's work vectors before and after the coarse
-/// correction — and the restricted residual and the coarse correction on
-/// the level below.
+/// residual and two more vectors on the level — the three of them the
+/// smoother's work vectors before and after the coarse correction — and
+/// the restricted residual and the coarse correction on the level below.
 struct LevelWork {
     r: Vec<f64>,
-    corr: Vec<f64>,
+    d: Vec<f64>,
     ad: Vec<f64>,
     rc: Vec<f64>,
     xc: Vec<f64>,
@@ -166,19 +167,19 @@ struct LevelWork {
 /// levels above it are stored coarse → fine in `levels`, so `levels[0]` is
 /// the coarsest smoothed level and `levels.last()` the finest. The
 /// transfers are blocked over the 3 velocity components and filtered for
-/// Dirichlet dofs.
+/// Dirichlet dofs; the cycle runs them as line stencils.
 pub struct GeometricMg {
     /// Operators of the smoothed levels, coarse → fine (the coarsest
     /// solver level is *not* in this list).
     pub levels: Vec<GmgLevel>,
-    /// `prolongations[0]` maps the coarsest (solver) level to
-    /// `levels[0]`; `prolongations[k]` maps `levels[k-1]` to `levels[k]`.
-    pub prolongations: Vec<Csr>,
-    /// Lane-packed SIMD forms of `prolongations` (same indices/weights,
-    /// repacked for 4-wide row batches; see `ptatin-la::transfer`).
-    /// `Arc`-shared so a setup cache can hand the identical pack to every
-    /// rebuild — the pack is a pure function of the prolongations.
-    transfers: Arc<Vec<BatchedTransfer>>,
+    /// The assembled forms of the transfers, built only when read (by a
+    /// Galerkin product, a probe or a test; the cycle never reads them):
+    /// `prolongations[0]` maps the coarsest (solver) level to `levels[0]`,
+    /// `prolongations[k]` maps `levels[k-1]` to `levels[k]`.
+    pub prolongations: Vec<SharedCsr>,
+    /// The transfers the cycle applies, indexed like `prolongations`.
+    /// `Arc`-shared, so a setup cache hands the same ones to every rebuild.
+    transfers: Arc<[NestedTransfer]>,
     pub coarse: GmgCoarseSolver,
     /// Pre-/post-smoothing iteration counts (V(m,n)).
     pub pre_smooth: usize,
@@ -195,52 +196,27 @@ pub struct GeometricMg {
 }
 
 impl GeometricMg {
+    /// The cycle over `levels` with the grid `transfers` and their
+    /// assembled forms `prolongations` (see [`prolongation_handles`]).
     pub fn new(
         levels: Vec<GmgLevel>,
-        prolongations: Vec<Csr>,
+        transfers: Arc<[NestedTransfer]>,
+        prolongations: Vec<SharedCsr>,
         coarse: GmgCoarseSolver,
         pre_smooth: usize,
         post_smooth: usize,
     ) -> Self {
-        let batched = Arc::new(
-            prolongations
-                .iter()
-                .map(BatchedTransfer::from_csr)
-                .collect(),
-        );
-        Self::new_with_batched_transfers(
-            levels,
-            prolongations,
-            batched,
-            coarse,
-            pre_smooth,
-            post_smooth,
-        )
-    }
-
-    /// [`new`](Self::new) with the lane-packed transfers supplied by the
-    /// caller (e.g. cloned out of a setup cache). The pack must be the
-    /// one `BatchedTransfer::from_csr` would produce from `prolongations`
-    /// — it is a pure function of them, so sharing one pack across
-    /// rebuilds is bitwise-neutral.
-    pub fn new_with_batched_transfers(
-        levels: Vec<GmgLevel>,
-        prolongations: Vec<Csr>,
-        transfers: Arc<Vec<BatchedTransfer>>,
-        coarse: GmgCoarseSolver,
-        pre_smooth: usize,
-        post_smooth: usize,
-    ) -> Self {
+        assert_eq!(transfers.len(), levels.len());
         assert_eq!(prolongations.len(), levels.len());
-        assert_eq!(transfers.len(), prolongations.len());
         let work = levels
             .iter()
-            .zip(&prolongations)
-            .map(|(lvl, p)| {
-                let (n, nc) = (lvl.op.nrows(), p.ncols());
+            .zip(transfers.iter())
+            .map(|(lvl, t)| {
+                let (n, nc) = (lvl.op.nrows(), t.ncols());
+                assert_eq!(t.nrows(), n, "transfer rows against the level's dofs");
                 Mutex::new(LevelWork {
                     r: vec![0.0; n],
-                    corr: vec![0.0; n],
+                    d: vec![0.0; n],
                     ad: vec![0.0; n],
                     rc: vec![0.0; nc],
                     xc: vec![0.0; nc],
@@ -303,16 +279,10 @@ impl GeometricMg {
         let mut work = self.work[k - 1]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let LevelWork {
-            r,
-            corr,
-            ad,
-            rc,
-            xc,
-        } = &mut *work;
+        let LevelWork { r, d, ad, rc, xc } = &mut *work;
         {
             let _ev = prof::scope(smooth_event(k));
-            let work = [&mut r[..], &mut corr[..], &mut ad[..]];
+            let work = [&mut r[..], &mut d[..], &mut ad[..]];
             // A zero iterate saves the sweeps their first operator apply.
             if x_is_zero {
                 lvl.smoother
@@ -346,14 +316,13 @@ impl GeometricMg {
         for visit in 0..visits {
             self.vcycle(k - 1, rc, xc, visit == 0);
         }
-        // Prolong and correct.
+        // Prolong and correct in one sweep.
         {
             let _ev = prof::scope("MGProlong");
-            self.transfers[k - 1].prolong(xc, corr);
+            self.transfers[k - 1].prolong_add(xc, x);
         }
-        vec_ops::axpy(1.0, corr, x);
         let _ev = prof::scope(smooth_event(k));
-        let work = [&mut r[..], &mut corr[..], &mut ad[..]];
+        let work = [&mut r[..], &mut d[..], &mut ad[..]];
         lvl.smoother
             .smooth_with_work(a, b, x, self.post_smooth, work);
     }
@@ -364,6 +333,32 @@ impl Preconditioner for GeometricMg {
         z.fill(0.0);
         self.vcycle(self.levels.len(), r, z, true);
     }
+}
+
+/// The assembled forms of `transfers` as on-demand handles: on first
+/// read, `scalar[l]` (the hierarchy's node-grid prolongation onto the
+/// fine grid of `transfers[l]`) expanded over the 3 velocity components
+/// and filtered by the transfer's Dirichlet masks, under the
+/// `mg.assemble_prolongation` scope.
+pub fn prolongation_handles(
+    scalar: &[SharedCsr],
+    transfers: &Arc<[NestedTransfer]>,
+) -> Vec<SharedCsr> {
+    assert_eq!(scalar.len(), transfers.len());
+    scalar
+        .iter()
+        .enumerate()
+        .map(|(l, s)| {
+            let (s, ts) = (s.clone(), transfers.clone());
+            SharedCsr::new(ts[l].nrows(), ts[l].ncols(), move || {
+                let _s = prof::scope("mg.assemble_prolongation");
+                let t = &ts[l];
+                let mut p = expand_blocked(&s, 3);
+                filter_transfer(&mut p, t.fine_mask(), t.coarse_mask());
+                p
+            })
+        })
+        .collect()
 }
 
 /// Zero the rows of a grid-transfer operator at constrained fine dofs and
@@ -389,7 +384,9 @@ pub fn filter_transfer(p: &mut Csr, fine_mask: &[bool], coarse_mask: &[bool]) {
 /// transfer and the eliminated fine matrix equal to the eliminated
 /// product of the unfiltered ones, and so lets [`galerkin_coarse_q1`]
 /// stand in for [`galerkin_coarse`]. It holds for Dirichlet sets built
-/// face by face on both levels.
+/// face by face on both levels. The builder asks
+/// [`NestedTransfer::dirichlet_sets_nested`], which answers the same from
+/// the stencil.
 pub fn dirichlet_sets_nested(p: &Csr, fine_mask: &[bool], coarse_mask: &[bool]) -> bool {
     assert_eq!(fine_mask.len(), p.nrows());
     assert_eq!(coarse_mask.len(), p.ncols());
@@ -452,7 +449,7 @@ mod tests {
     use ptatin_fem::assemble::{assemble_viscous, Q2QuadTables};
     use ptatin_fem::bc::DirichletBc;
     use ptatin_la::krylov::gcr;
-    use ptatin_mesh::hierarchy::{expand_blocked, prolongation_scalar, MeshHierarchy};
+    use ptatin_mesh::hierarchy::{prolongation_scalar, MeshHierarchy};
     use ptatin_mesh::StructuredMesh;
 
     /// Build a 2- or 3-level GMG for the constrained viscous operator on a
@@ -482,15 +479,13 @@ mod tests {
             ops.push(a);
         }
         // Transfers.
-        let mut ps = Vec::new();
-        for l in 0..levels - 1 {
-            let mut p = expand_blocked(
-                &prolongation_scalar(&hier.meshes[l], &hier.meshes[l + 1]),
-                3,
-            );
-            filter_transfer(&mut p, &masks[l + 1], &masks[l]);
-            ps.push(p);
-        }
+        let transfers: Arc<[NestedTransfer]> = (0..levels - 1)
+            .map(|l| {
+                let fine = hier.meshes[l + 1].node_dims();
+                NestedTransfer::new(fine, masks[l + 1].clone(), masks[l].clone())
+            })
+            .collect();
+        let ps = prolongation_handles(&hier.prolongations, &transfers);
         // Replace coarsest op by Galerkin from the level above (the paper's
         // robust choice) and solve it directly.
         let ac = galerkin_coarse(&ops[1], &ps[0], &masks[0]);
@@ -506,7 +501,8 @@ mod tests {
             let mask = masks.last().unwrap();
             (0..n).map(|i| if mask[i] { 0.0 } else { 1.0 }).collect()
         };
-        (fine_a, GeometricMg::new(lvls, ps, coarse, pre, post), rhs)
+        let mg = GeometricMg::new(lvls, transfers, ps, coarse, pre, post);
+        (fine_a, mg, rhs)
     }
 
     #[test]

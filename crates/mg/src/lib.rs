@@ -16,6 +16,7 @@ pub mod nullspace;
 
 pub use amg::{build_sa_amg, AmgConfig, AmgHierarchy, CoarseSolverKind, SmootherKind};
 pub use gmg::{
-    filter_transfer, galerkin_coarse, ArcOp, CycleType, GeometricMg, GmgCoarseSolver, GmgLevel,
+    filter_transfer, galerkin_coarse, prolongation_handles, ArcOp, CycleType, GeometricMg,
+    GmgCoarseSolver, GmgLevel,
 };
 pub use nullspace::{constant_mode, rigid_body_modes};

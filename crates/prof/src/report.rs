@@ -7,20 +7,21 @@ use crate::{KspRecord, Snapshot};
 use std::fmt::Write as _;
 
 /// Render a PETSc `-log_view`-style report: one row per event with
-/// calls, inclusive/exclusive time, flops, and flop rate, followed by a
-/// call tree and per-solve KSP summaries.
+/// calls, inclusive/exclusive time, flops, flop rate and the rate of its
+/// logged memory traffic, followed by a call tree and per-solve KSP
+/// summaries.
 pub fn log_view_string(snap: &Snapshot) -> String {
     let mut out = String::new();
     let total: f64 = snap.events.iter().map(|e| e.excl_seconds).sum();
     out.push_str(
-        "\n---------------------------------- pTatin3D-rs profiling: -log_view ----------------------------------\n",
+        "\n---------------------------------------- pTatin3D-rs profiling: -log_view ----------------------------------------\n",
     );
     let _ = writeln!(
         out,
-        "{:<24} {:>8} {:>12} {:>12} {:>5} {:>14} {:>10}",
-        "Event", "Calls", "Time(s)", "Excl(s)", "%T", "Flops", "MFlops/s"
+        "{:<24} {:>8} {:>12} {:>12} {:>5} {:>14} {:>10} {:>10}",
+        "Event", "Calls", "Time(s)", "Excl(s)", "%T", "Flops", "MFlops/s", "MB/s"
     );
-    out.push_str(&"-".repeat(103));
+    out.push_str(&"-".repeat(114));
     out.push('\n');
     for e in &snap.events {
         let pct = if total > 0.0 {
@@ -28,15 +29,24 @@ pub fn log_view_string(snap: &Snapshot) -> String {
         } else {
             0.0
         };
-        let mflops = if e.incl_seconds > 0.0 {
-            e.flops as f64 / e.incl_seconds / 1e6
-        } else {
-            0.0
+        let rate = |n: u64| {
+            if e.incl_seconds > 0.0 {
+                n as f64 / e.incl_seconds / 1e6
+            } else {
+                0.0
+            }
         };
         let _ = writeln!(
             out,
-            "{:<24} {:>8} {:>12.4e} {:>12.4e} {:>5.1} {:>14} {:>10.1}",
-            e.name, e.calls, e.incl_seconds, e.excl_seconds, pct, e.flops, mflops
+            "{:<24} {:>8} {:>12.4e} {:>12.4e} {:>5.1} {:>14} {:>10.1} {:>10.1}",
+            e.name,
+            e.calls,
+            e.incl_seconds,
+            e.excl_seconds,
+            pct,
+            e.flops,
+            rate(e.flops),
+            rate(e.bytes)
         );
     }
     if !snap.edges.is_empty() {
@@ -53,7 +63,7 @@ pub fn log_view_string(snap: &Snapshot) -> String {
             );
         }
     }
-    out.push_str(&"-".repeat(103));
+    out.push_str(&"-".repeat(114));
     out.push('\n');
     out
 }
@@ -221,7 +231,7 @@ mod tests {
     fn log_view_contains_all_sections() {
         let text = log_view_string(&sample());
         assert!(text.contains("MatMult_MF"));
-        assert!(text.contains("MFlops/s"));
+        assert!(text.contains("MFlops/s") && text.contains("MB/s"));
         assert!(text.contains("Call tree"));
         assert!(text.contains("KSP solves"));
         assert!(text.contains("GCR(stokes)"));

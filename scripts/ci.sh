@@ -59,6 +59,8 @@ done
 # pass of the Krylov operator against its block composition (DESIGN.md §4),
 # the divergence-only pass of the block preconditioner against the fused
 # pass and the assembled block, and the on-demand gradient block (§4, §13),
+# the line-stencil grid transfers against the filtered CSR transfers and
+# the on-demand prolongations (§9, §13),
 # the block-Jacobi subdomain Cholesky solves against their dense-LU oracle
 # (DESIGN.md §13), the shared geometry pack and the solve-scoped lag of a
 # warm rebuild (DESIGN.md §13), the CLI's refusal of unknown arguments and
@@ -78,6 +80,7 @@ PTATIN_TEST_THREADS=1 cargo test -q --test operator_equivalence
 PTATIN_TEST_THREADS=1 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=1 cargo test -q --test fused_stokes_operator
 PTATIN_TEST_THREADS=1 cargo test -q --test divergence_pass
+PTATIN_TEST_THREADS=1 cargo test -q --test nested_transfer
 PTATIN_TEST_THREADS=1 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=1 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=1 cargo test -q --test cli_arguments
@@ -96,6 +99,7 @@ PTATIN_TEST_THREADS=4 cargo test -q --test operator_equivalence
 PTATIN_TEST_THREADS=4 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=4 cargo test -q --test fused_stokes_operator
 PTATIN_TEST_THREADS=4 cargo test -q --test divergence_pass
+PTATIN_TEST_THREADS=4 cargo test -q --test nested_transfer
 PTATIN_TEST_THREADS=4 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=4 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=4 cargo test -q --test cli_arguments
@@ -115,7 +119,8 @@ PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-la --features pool-sanitizer par::
 
 # Operator-equivalence and thread-invariance suites with the AVX path
 # force-disabled: the portable fallbacks of the batched operator (viscous
-# pass, fused Stokes pass and divergence pass), projection, transfer, advection/location, Galerkin Q1 assembly and envelope Cholesky lane
+# pass, fused Stokes pass and divergence pass), projection, transfer (the
+# line stencils against the lane-packed CSR), advection/location, Galerkin Q1 assembly and envelope Cholesky lane
 # kernels (whole coarse matrix and block-Jacobi blocks) must satisfy the
 # same 1e-12 / bitwise contracts as the hardware path (DESIGN.md §9).
 step "equivalence + thread invariance with AVX disabled (PTATIN_NO_AVX=1)"
@@ -126,6 +131,7 @@ PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test galerkin_coarse_direc
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test sparse_cholesky
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test fused_stokes_operator
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test divergence_pass
+PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test nested_transfer
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test exact_subdomain_solves
 
 # Fault-injection matrix on the release binary: every injected failure
@@ -229,6 +235,21 @@ if [[ $FAST -eq 0 ]]; then
     cg=$(calls_of '"child":"MatMult","incl_s":[^,]*,"parent":"KSPSolve_CG"')
     [[ -n "$mm" && "$mm" == "$cg" ]] \
         || { echo "MatMult calls $mm, of which the coarse CG's ${cg:-none}"; exit 1; }
+
+    # The V-cycle runs its grid transfers as line stencils and no
+    # production solve forms a transfer matrix (DESIGN.md §9, §13): the 8³
+    # sinker's and a rift step's profiles show `MGProlong` and `MGRestrict`
+    # and no `mg.assemble_prolongation`, the scope a reader of an assembled
+    # prolongation opens.
+    step "sinker and rift profiles: stencil transfers, no prolongation assembled"
+    R="$CKDIR/rift1.json"
+    target/release/ptatin rift steps=1 --log-json="$R" out="$CKDIR/rift1" > /dev/null
+    for prof in "$J" "$R"; do
+        grep -q '"name":"MGProlong"' "$prof" && grep -q '"name":"MGRestrict"' "$prof" \
+            || { echo "$prof: no MGProlong/MGRestrict events"; exit 1; }
+        ! grep -q '"name":"mg.assemble_prolongation"' "$prof" \
+            || { echo "$prof: the solve assembled a prolongation"; exit 1; }
+    done
 
     # One registry-driven scenario end to end through the CLI: the
     # checked-in shear-band spec must parse, run and converge (exit 0).

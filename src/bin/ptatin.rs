@@ -14,7 +14,8 @@
 //! ```
 //!
 //! Every subcommand takes `threads=N` (worker threads; default
-//! `PTATIN_TEST_THREADS`, else all cores). An argument the subcommand does
+//! `PTATIN_TEST_THREADS`, else one: two threads lose to one on the sinker
+//! and the rift, DESIGN.md §7). An argument the subcommand does
 //! not know, a value that does not parse, or a mesh size the multigrid
 //! cannot coarsen to `levels` levels, prints the usage text and exits with
 //! status 2 — nothing falls back to a default silently.
@@ -237,6 +238,8 @@ fn main() {
     let threads = args.get("threads", 0usize);
     if threads > 0 {
         par::set_num_threads(threads);
+    } else if std::env::var_os("PTATIN_TEST_THREADS").is_none() {
+        par::set_num_threads(1);
     }
     let log_view = args.flag("--log-view");
     let log_json = {

@@ -14,11 +14,12 @@ use ptatin_core::solver::{
 };
 use ptatin_fem::assemble::{assemble_gradient, Q2QuadTables};
 use ptatin_fem::DirichletBc;
-use ptatin_la::coupling::{CouplingBlock, SharedBlock};
+use ptatin_la::coupling::CouplingBlock;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_la::operator::{LinearOperator, TimedOperator};
 use ptatin_la::par;
+use ptatin_la::shared::SharedCsr;
 use ptatin_mesh::StructuredMesh;
 use ptatin_ops::{avx2_fma_available, BatchedViscousOp, SimdPath, ViscousOpData, NQP};
 use ptatin_prng::{Rng, StdRng};
@@ -154,7 +155,7 @@ fn wrappers_forward_the_divergence_untimed_and_read_only_the_shape() {
     let want = divergence(&op, &b, &xu);
     // A deferred block whose matrix must never be read.
     let (np, nu) = (b.nrows(), b.ncols());
-    let deferred = SharedBlock::new(np, nu, || panic!("the batched pass assembled B"));
+    let deferred = SharedCsr::new(np, nu, || panic!("the batched pass assembled B"));
     let timed = Arc::new(TimedOperator::new(
         Arc::new(op) as Arc<dyn LinearOperator + Send + Sync>
     ));
@@ -228,7 +229,7 @@ fn a_reference_fine_kind_assembles_the_block_once_and_shares_it() {
     };
     let mut cache = SetupCache::new();
     let mut its = Vec::new();
-    let mut blocks: Vec<SharedBlock> = Vec::new();
+    let mut blocks: Vec<SharedCsr> = Vec::new();
     for _ in 0..2 {
         let solver = build_stokes_solver_cached(
             &model.hier,
