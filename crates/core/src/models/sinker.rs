@@ -4,7 +4,7 @@
 //! walls, free surface on top, flow driven purely by the density contrast.
 
 use crate::coefficients::{update_coefficients, CoefficientFields, StateFields};
-use crate::solver::{build_stokes_solver_cached, GmgConfig, SetupCache, StokesSolver};
+use crate::solver::{build_stokes_solver_cached, CoarseKind, GmgConfig, SetupCache, StokesSolver};
 use ptatin_fem::assemble::{assemble_body_force, Q2QuadTables};
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
 use ptatin_mesh::hierarchy::MeshHierarchy;
@@ -30,6 +30,9 @@ pub struct SinkerConfig {
     pub seed: u64,
     /// Material points per element dimension (`n³` per element).
     pub points_per_dim: usize,
+    /// The solver a scenario file or sweep runs the model with (its
+    /// `levels` follow the `levels` key).
+    pub gmg: GmgConfig,
 }
 
 impl Default for SinkerConfig {
@@ -42,6 +45,11 @@ impl Default for SinkerConfig {
             delta_eta: 1e4,
             seed: 20140101,
             points_per_dim: 3,
+            gmg: GmgConfig {
+                levels: 2,
+                coarse: CoarseKind::Direct,
+                ..GmgConfig::default()
+            },
         }
     }
 }

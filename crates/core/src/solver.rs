@@ -942,16 +942,25 @@ pub fn build_stokes_solver_spec_cached(
         // diagonal is always fresh). At tolerance 0 the lagged bounds are
         // exactly what a re-run would produce.
         let _s = prof::scope("setup/lambda");
+        let _lag = lagged_lambda
+            .as_ref()
+            .map(|_| prof::scope("setup/lambda/lagged"));
+        let inv_diag = {
+            let _d = prof::scope("setup/diagonal");
+            inverse_diagonal(timed.as_ref())
+        };
         let smoother = match &lagged_lambda {
             Some(m) => {
-                let _lag = prof::scope("setup/lambda/lagged");
                 cache.counts.lambda += 1;
                 let (lo, hi) = m.value[l - 1];
-                Chebyshev::with_bounds(inverse_diagonal(timed.as_ref()), lo, hi, cfg.pre_smooth)
+                Chebyshev::with_bounds(inv_diag, lo, hi, cfg.pre_smooth)
             }
-            None => Chebyshev::new(timed.as_ref(), cfg.pre_smooth, CHEB_EST_ITERS),
+            None => {
+                Chebyshev::with_diagonal(timed.as_ref(), inv_diag, cfg.pre_smooth, CHEB_EST_ITERS)
+            }
         };
         bounds.push(smoother.lambda_bounds());
+        drop(_lag);
         drop(_s);
         level_ops.push(timed.clone());
         gmg_levels.push(GmgLevel::new(timed as ArcOp, smoother, csr));

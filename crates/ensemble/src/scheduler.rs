@@ -29,7 +29,7 @@ use ptatin_core::models::rift::{RiftConfig, RiftModel};
 use ptatin_core::models::sinker::{SinkerConfig, SinkerModel};
 use ptatin_core::recovery::{run_rift_with, RunConfig, RunControl, RunOutcome, YieldPoint};
 use ptatin_core::solver::KrylovOperatorChoice;
-use ptatin_core::{CoarseKind, GmgConfig, NonlinearOutcome};
+use ptatin_core::NonlinearOutcome;
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_prof as prof;
 use ptatin_prof::json::Value;
@@ -523,12 +523,7 @@ fn run_slice_sinker(
 
     let model = SinkerModel::new(scfg.clone());
     let fields = model.coefficients();
-    let gmg = GmgConfig {
-        levels: scfg.levels,
-        coarse: CoarseKind::Direct,
-        ..GmgConfig::default()
-    };
-    let solver = model.build_solver(&fields, &gmg);
+    let solver = model.build_solver(&fields, &scfg.gmg);
     let rhs = model.rhs(&solver, &fields);
     let mut x = vec![0.0; solver.nu + solver.np];
     let stats = solver.solve(

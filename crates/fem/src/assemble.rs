@@ -10,10 +10,13 @@
 //! `num_elements × 27`, element-major, exactly the representation the
 //! material-point projection of §II-C produces.
 
-use crate::basis::{element_frame, p1disc_basis, q2_basis, q2_grad, NP1, NQ2};
-use crate::geometry::{map_to_physical, physical_grad, qp_geometry, QpGeometry};
+use crate::basis::{element_frame, p1disc_basis, q1_grad, q2_basis, q2_grad, NP1, NQ2};
+use crate::geometry::{
+    jacobian_from_grad, map_to_physical, physical_grad, qp_geometry, QpGeometry,
+};
 use crate::quadrature::Quadrature;
 use ptatin_la::csr::{Csr, CsrBuilder};
+use ptatin_la::dense::det3;
 use ptatin_la::par;
 use ptatin_mesh::StructuredMesh;
 use ptatin_prof as prof;
@@ -363,19 +366,40 @@ pub fn assemble_body_force(
     let _s = prof::scope("fem.assemble_body_force");
     let nqp = tables.nqp();
     assert_eq!(rho.len(), mesh.num_elements() * nqp);
-    // ALLOC-OK: load-vector output, once per forcing evaluation.
+    // ALLOC-OK: load-vector output and a per-call gradient table, once
+    // per forcing evaluation.
     let mut f = vec![0.0; num_velocity_dofs(mesh)];
+    let q1g: Vec<_> = tables.quad.points.iter().map(|&p| q1_grad(p)).collect();
     for e in 0..mesh.num_elements() {
         let corners = mesh.element_corner_coords(e);
         let nodes = mesh.element_nodes(e);
+        // The element's 81 entries of `f`, accumulated locally by
+        // component: the 27 nodes are distinct, so every entry receives
+        // the additions of a direct `f[3·n + d] += (w·g_d)·φ_i` in the same
+        // order.
+        let mut fe = [[0.0; NQ2]; 3];
+        for (i, &nid) in nodes.iter().enumerate() {
+            for d in 0..3 {
+                fe[d][i] = f[3 * nid + d];
+            }
+        }
         for q in 0..nqp {
-            let geo = qp_geometry(&corners, tables.quad.points[q], tables.quad.weights[q]);
-            let w = rho[e * nqp + q] * geo.wdetj;
-            for (i, &nid) in nodes.iter().enumerate() {
-                let phi = tables.basis[q][i];
-                for d in 0..3 {
-                    f[3 * nid + d] += w * gravity[d] * phi;
+            let det = det3(&jacobian_from_grad(&corners, &q1g[q]));
+            assert!(
+                det > 0.0,
+                "element is inverted or degenerate (det J = {det})"
+            );
+            let w = rho[e * nqp + q] * (tables.quad.weights[q] * det);
+            for d in 0..3 {
+                let wg = w * gravity[d];
+                for (fi, &phi) in fe[d].iter_mut().zip(&tables.basis[q]) {
+                    *fi += wg * phi;
                 }
+            }
+        }
+        for (i, &nid) in nodes.iter().enumerate() {
+            for d in 0..3 {
+                f[3 * nid + d] = fe[d][i];
             }
         }
     }

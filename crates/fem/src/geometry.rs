@@ -22,7 +22,13 @@ pub fn map_to_physical(corners: &[[f64; 3]; 8], xi: [f64; 3]) -> [f64; 3] {
 
 /// The coordinate Jacobian `J[i][j] = ∂x_i/∂ξ_j` at a reference point.
 pub fn jacobian(corners: &[[f64; 3]; 8], xi: [f64; 3]) -> [[f64; 3]; 3] {
-    let g = q1_grad(xi);
+    jacobian_from_grad(corners, &q1_grad(xi))
+}
+
+/// [`jacobian`] from the Q1 gradients `g = q1_grad(ξ)`, for loops that
+/// tabulate them once per quadrature point.
+#[inline]
+pub fn jacobian_from_grad(corners: &[[f64; 3]; 8], g: &[[f64; 3]; 8]) -> [[f64; 3]; 3] {
     let mut j = [[0.0; 3]; 3];
     for (c, corner) in corners.iter().enumerate() {
         for i in 0..3 {

@@ -87,7 +87,17 @@ impl Chebyshev {
     /// `est_iters` power iterations and targeting
     /// `[TARGET_LO·λmax, TARGET_HI·λmax]`.
     pub fn new(a: &dyn LinearOperator, iters: usize, est_iters: usize) -> Self {
-        let inv_diag = inverse_diagonal(a);
+        Self::with_diagonal(a, inverse_diagonal(a), iters, est_iters)
+    }
+
+    /// [`new`](Self::new) given `a`'s [`inverse_diagonal`] (a caller that
+    /// times the diagonal apart from the power iteration).
+    pub fn with_diagonal(
+        a: &dyn LinearOperator,
+        inv_diag: Vec<f64>,
+        iters: usize,
+        est_iters: usize,
+    ) -> Self {
         let lmax = estimate_lambda_max(a, &inv_diag, est_iters);
         Self::with_bounds(inv_diag, TARGET_LO * lmax, TARGET_HI * lmax, iters)
     }

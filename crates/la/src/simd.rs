@@ -371,10 +371,11 @@ fn dot8_table_portable(wq: &[[f64; 8]], f: &[F64x4; 8], out: &mut [F64x4]) {
 // with `F64x4` (portable) and with the AVX register wrapper `avx::V4`:
 // the same plain mul/add/sub/div/sqrt sequence either way, no FMA.
 
-/// The lane arithmetic the advection kernels (and the envelope Cholesky of
-/// `crate::cholesky`) are written in. Every method is one correctly-rounded
-/// IEEE operation per lane, so two implementations cannot differ in bits.
-pub(crate) trait Lane:
+/// The lane arithmetic the advection kernels, the envelope Cholesky of
+/// `crate::cholesky` and the [`LaneKernel`]s of other crates are written
+/// in. Every method is one correctly-rounded IEEE operation per lane, so
+/// two implementations cannot differ in bits.
+pub trait Lane:
     Copy
     + std::ops::Add<Output = Self>
     + std::ops::Sub<Output = Self>
@@ -654,12 +655,49 @@ fn q2_interp3_x4_body<V: Lane>(
 }
 
 // ---------------------------------------------------------------------------
+// Lane kernels of other crates
+// ---------------------------------------------------------------------------
+
+/// A kernel written once over [`Lane`], for crates that keep no AVX code
+/// of their own: [`run_lanes`] instantiates it with [`F64x4`] on the
+/// portable path and with the AVX register type inside an `avx2,fma`
+/// wrapper on the other, so both paths run the same operation sequence
+/// and, with no fused operations in the body, give the same bits. `run`
+/// should be `#[inline(always)]` (and so should the helpers it calls on
+/// lane values): an outlined body loses the wrapper's target features and
+/// every AVX lane operation becomes a call.
+pub trait LaneKernel {
+    type Output;
+    fn run<V: Lane>(self) -> Self::Output;
+}
+
+/// Run `kernel` on `path`'s lane type.
+pub fn run_lanes<K: LaneKernel>(path: SimdPath, kernel: K) -> K::Output {
+    match path {
+        SimdPath::Portable => run_lanes_portable(kernel),
+        SimdPath::Avx2Fma => {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `axpy` — path implies hardware support.
+            unsafe {
+                avx::run_lanes(kernel)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            run_lanes_portable(kernel)
+        }
+    }
+}
+
+fn run_lanes_portable<K: LaneKernel>(kernel: K) -> K::Output {
+    kernel.run::<F64x4>()
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 bodies
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx {
-    use super::{q2_interp3_x4_body, trilinear_inverse_x4_body, F64x4, Lane};
+    use super::{q2_interp3_x4_body, trilinear_inverse_x4_body, F64x4, Lane, LaneKernel};
     use core::arch::x86_64::*;
 
     // SAFETY: F64x4 is #[repr(align(32))], so the load is aligned;
@@ -921,6 +959,13 @@ pub(crate) mod avx {
     pub unsafe fn q2_interp3_x4(xi: &[[f64; 3]; 4], nodal: [&[f64; 81]; 4]) -> [[f64; 3]; 4] {
         q2_interp3_x4_body::<V4>(xi, nodal)
     }
+
+    // SAFETY: caller must have verified avx2+fma support; `V4` values
+    // exist only inside this call.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn run_lanes<K: LaneKernel>(kernel: K) -> K::Output {
+        kernel.run::<V4>()
+    }
 }
 
 #[cfg(test)]
@@ -1062,6 +1107,50 @@ mod tests {
             let k = 3 * (2 + 9);
             let got = q2_interp3_x4(paths[0], &xi, nodal)[3];
             assert_eq!(got, [nodal[3][k], nodal[3][k + 1], nodal[3][k + 2]]);
+        }
+    }
+
+    /// `(Σ_k a_k·b_k) / 3` per lane over a table: mul, add and div only.
+    struct DotDiv<'a>(&'a [[f64; 4]], &'a [[f64; 4]]);
+
+    impl LaneKernel for DotDiv<'_> {
+        type Output = [f64; 4];
+        #[inline(always)]
+        fn run<V: Lane>(self) -> [f64; 4] {
+            let mut acc = V::splat(0.0);
+            for (a, b) in self.0.iter().zip(self.1) {
+                acc = acc + V::load(a) * V::from_array(*b);
+            }
+            (acc / V::splat(3.0)).to_array()
+        }
+    }
+
+    #[test]
+    fn lane_kernels_run_bitwise_on_both_paths() {
+        let v = vals(64, 17);
+        let a: Vec<[f64; 4]> = v[..32]
+            .chunks(4)
+            .map(|c| [c[0], c[1], c[2], c[3]])
+            .collect();
+        let b: Vec<[f64; 4]> = v[32..]
+            .chunks(4)
+            .map(|c| [c[0], c[1], c[2], c[3]])
+            .collect();
+        let want: [f64; 4] = std::array::from_fn(|l| {
+            let mut acc = 0.0;
+            for k in 0..a.len() {
+                acc += a[k][l] * b[k][l];
+            }
+            acc / 3.0
+        });
+        let paths: &[SimdPath] = if avx2_fma_available() {
+            &[SimdPath::Portable, SimdPath::Avx2Fma]
+        } else {
+            &[SimdPath::Portable]
+        };
+        for &p in paths {
+            let got = run_lanes(p, DotDiv(&a, &b));
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{p:?}");
         }
     }
 

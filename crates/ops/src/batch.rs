@@ -45,7 +45,7 @@
 //! portable path for newly constructed operators.
 
 use crate::data::{MaskScratch, ViscousOpData, NQP};
-use crate::kernels::{for_each_lane_colored, q1_grad_tables, qp_jacobian, ColorScatter};
+use crate::kernels::{for_each_lane_colored, q1_grad_tables, ColorScatter};
 use crate::tensor::Tensor1d;
 use ptatin_fem::basis::{element_frame, p1disc_basis, NP1, NQ1, NQ2};
 use ptatin_la::coupling::CouplingBlock;
@@ -58,6 +58,7 @@ use std::sync::Arc;
 // Chebyshev) adopted the same batching recipe; re-exported here so the
 // `ptatin_ops::{F64x4, SimdPath, ...}` paths of PR 4 keep working.
 pub use ptatin_la::simd::{avx2_fma_available, detected_simd_path, F64x4, SimdPath, LANES};
+use ptatin_la::simd::{run_lanes, Lane, LaneKernel};
 
 // ---------------------------------------------------------------------------
 // Batched contractions (portable path)
@@ -248,18 +249,112 @@ pub struct BatchedGeometry {
     /// Velocity dofs of the mesh: every node index in `lanes` is below
     /// `ndof / 3`, which the divergence pass's hardware gather relies on.
     ndof: usize,
+    path: SimdPath,
+}
+
+/// The metric terms of every lane, `[lane][qp]`: per lane the Jacobian
+/// of the trilinear map, `det3` and the inverse of four elements at once,
+/// each lane slot in the operation order of [`crate::kernels::qp_jacobian`] and
+/// `ptatin_la::dense::inv3` (plain mul/add/sub/div, nothing fused), so
+/// every real slot holds the scalar bits. Ghost slots replicate a real
+/// element and are then overwritten with `+0.0`.
+struct LaneMetrics<'a> {
+    corners: &'a [[[f64; 3]; NQ1]],
+    lanes: &'a [LaneNodes],
+    q1g: &'a [[[f64; 3]; NQ1]],
+    weights: &'a [f64],
+}
+
+impl LaneKernel for LaneMetrics<'_> {
+    type Output = Vec<QpGeoLane>;
+
+    #[inline(always)]
+    fn run<V: Lane>(self) -> Vec<QpGeoLane> {
+        let zero = V::splat(0.0);
+        let one = V::splat(1.0);
+        let mut geo = Vec::with_capacity(self.lanes.len() * NQP);
+        for ln in self.lanes {
+            let c = ln.elems.map(|e| &self.corners[e as usize]);
+            let mut x = [[zero; 3]; NQ1];
+            for k in 0..NQ1 {
+                for i in 0..3 {
+                    x[k][i] = V::from_array([c[0][k][i], c[1][k][i], c[2][k][i], c[3][k][i]]);
+                }
+            }
+            for q in 0..NQP {
+                // Σ_k corner_k ⊗ ∇N_k from 0.0, ascending k.
+                let mut j = [[zero; 3]; 3];
+                for k in 0..NQ1 {
+                    let g = self.q1g[q][k];
+                    let g = [V::splat(g[0]), V::splat(g[1]), V::splat(g[2])];
+                    for i in 0..3 {
+                        j[i][0] = j[i][0] + x[k][i] * g[0];
+                        j[i][1] = j[i][1] + x[k][i] * g[1];
+                        j[i][2] = j[i][2] + x[k][i] * g[2];
+                    }
+                }
+                let det = j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
+                    - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
+                    + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]);
+                let id = one / det;
+                let inv = [
+                    [
+                        (j[1][1] * j[2][2] - j[1][2] * j[2][1]) * id,
+                        (j[0][2] * j[2][1] - j[0][1] * j[2][2]) * id,
+                        (j[0][1] * j[1][2] - j[0][2] * j[1][1]) * id,
+                    ],
+                    [
+                        (j[1][2] * j[2][0] - j[1][0] * j[2][2]) * id,
+                        (j[0][0] * j[2][2] - j[0][2] * j[2][0]) * id,
+                        (j[0][2] * j[1][0] - j[0][0] * j[1][2]) * id,
+                    ],
+                    [
+                        (j[1][0] * j[2][1] - j[1][1] * j[2][0]) * id,
+                        (j[0][1] * j[2][0] - j[0][0] * j[2][1]) * id,
+                        (j[0][0] * j[1][1] - j[0][1] * j[1][0]) * id,
+                    ],
+                ];
+                let mut gl = QpGeoLane {
+                    jinv: [[F64x4::ZERO; 3]; 3],
+                    wdet: F64x4::ZERO,
+                };
+                for d in 0..3 {
+                    for l in 0..3 {
+                        inv[d][l].store(&mut gl.jinv[d][l].0);
+                    }
+                }
+                (V::splat(self.weights[q]) * det).store(&mut gl.wdet.0);
+                for s in ln.nreal as usize..LANES {
+                    for row in &mut gl.jinv {
+                        for v in row {
+                            v.0[s] = 0.0;
+                        }
+                    }
+                    gl.wdet.0[s] = 0.0;
+                }
+                geo.push(gl);
+            }
+        }
+        geo
+    }
 }
 
 impl BatchedGeometry {
-    /// Pack the geometry of `data`'s mesh (its coefficient is not read).
+    /// Pack the geometry of `data`'s mesh (its coefficient is not read)
+    /// with the runtime-detected SIMD path.
     pub fn new(data: &ViscousOpData) -> Self {
+        Self::with_path(data, detected_simd_path())
+    }
+
+    /// Pack on an explicit path. Both paths give the same bits; the
+    /// diagonal ([`crate::diag::viscous_diagonal`]) runs on the pack's.
+    pub fn with_path(data: &ViscousOpData, path: SimdPath) -> Self {
         let _ev = prof::scope("ops.batched_geometry");
         let tables = crate::data::shared_tables();
         let q1g = q1_grad_tables(&tables.quad.points);
         // DETERMINISM-OK: integer lane count, order-independent.
         let nlanes: usize = data.colors.iter().map(|c| c.len().div_ceil(LANES)).sum();
         let mut lanes = Vec::with_capacity(nlanes);
-        let mut geo = Vec::with_capacity(nlanes * NQP);
         let mut psi = Vec::with_capacity(nlanes);
         let mut slot = vec![0u32; data.nel];
         let mut color_lane_ranges = [(0usize, 0usize); 8];
@@ -292,26 +387,18 @@ impl BatchedGeometry {
                     }
                 }
                 psi.push(pl);
-                for q in 0..NQP {
-                    let mut gl = QpGeoLane {
-                        jinv: [[F64x4::ZERO; 3]; 3],
-                        wdet: F64x4::ZERO,
-                    };
-                    for (l, &e) in chunk.iter().enumerate() {
-                        let (jinv, wdet) =
-                            qp_jacobian(&data.corners[e as usize], &q1g[q], tables.quad.weights[q]);
-                        for d in 0..3 {
-                            for x in 0..3 {
-                                gl.jinv[d][x].0[l] = jinv[d][x];
-                            }
-                        }
-                        gl.wdet.0[l] = wdet;
-                    }
-                    geo.push(gl);
-                }
             }
             color_lane_ranges[color] = (start, lanes.len());
         }
+        let geo = run_lanes(
+            path,
+            LaneMetrics {
+                corners: &data.corners,
+                lanes: &lanes,
+                q1g: &q1g,
+                weights: &tables.quad.weights,
+            },
+        );
         Self {
             color_lane_ranges,
             lanes,
@@ -319,17 +406,32 @@ impl BatchedGeometry {
             psi,
             slot,
             ndof: data.ndof,
+            path,
         }
     }
 
-    /// `(∂ξ/∂x, w·|J|)` of element `e` at quadrature point `q`: the values
-    /// `kernels::qp_jacobian` returns, read from the pack.
+    /// The SIMD path the pack was built on.
+    pub fn path(&self) -> SimdPath {
+        self.path
+    }
+
+    /// The real elements of every lane with the metric terms of its 27
+    /// quadrature points, in pack order: slot `l` of each [`QpGeoLane`]
+    /// belongs to element `elements[l]`, and the slots past
+    /// `elements.len()` are ghosts.
+    pub fn metric_lanes(&self) -> impl Iterator<Item = (&[u32], &[QpGeoLane])> {
+        self.lanes
+            .iter()
+            .zip(self.geo.chunks_exact(NQP))
+            .map(|(ln, g)| (&ln.elems[..ln.nreal as usize], g))
+    }
+
+    /// The metric terms of element `e`'s lane, `[qp]`, and `e`'s slot in it.
     #[inline]
-    pub(crate) fn qp_metric(&self, e: usize, q: usize) -> ([[f64; 3]; 3], f64) {
+    pub(crate) fn element_metrics(&self, e: usize) -> (&[QpGeoLane], usize) {
         let s = self.slot[e] as usize;
-        let (lane, l) = (s / LANES, s % LANES);
-        let g = &self.geo[lane * NQP + q];
-        (g.jinv.map(|row| row.map(|v| v.0[l])), g.wdet.0[l])
+        let lane = s / LANES;
+        (&self.geo[lane * NQP..(lane + 1) * NQP], s % LANES)
     }
 
     /// Per-lane coefficient pack of `data`: `η` and, with Newton data, `η′`
@@ -389,7 +491,7 @@ impl BatchedViscousOp {
 
     /// Build with an explicit path (tests compare the two bitwise).
     pub fn with_path(data: Arc<ViscousOpData>, path: SimdPath) -> Self {
-        let geom = Arc::new(BatchedGeometry::new(&data));
+        let geom = Arc::new(BatchedGeometry::with_path(&data, path));
         Self::with_geometry(data, geom, path)
     }
 

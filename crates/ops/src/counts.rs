@@ -195,6 +195,24 @@ pub fn divergence_batched_model() -> OperatorModel {
     }
 }
 
+/// Cost model of the batched operator's diagonal (the Jacobi scaling of
+/// the Chebyshev smoother, rebuilt with every solver build): per
+/// quadrature point `η·w|J|`, then for each of the 27 basis functions the
+/// physical gradient (three 3-term dots, 15 flops), its squared norm (5)
+/// and the three diagonal entries `ew·(|∇φ|² + (∂φ/∂x_c)²)` accumulated
+/// (4 each), and finally the 81 adds into the diagonal. It streams what
+/// an apply streams: the stored metrics, `η`, the node indices and one
+/// read-modify-write of each dof.
+pub fn diagonal_model() -> OperatorModel {
+    let base = tensor_batched_model();
+    OperatorModel {
+        name: "Diagonal batched (this impl)",
+        flops: 27 * (1 + 27 * (15 + 5 + 3 * 4)) + 81,
+        bytes_pessimal: base.bytes_pessimal,
+        bytes_perfect: base.bytes_perfect,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +283,20 @@ mod tests {
             st.bytes_perfect - dv.bytes_perfect,
             8 * 3 * 8 + 27 * 8 + 4 * 8,
             "the fused pass also writes y_u, reads η and the pressure"
+        );
+        // The diagonal works per (point, basis function) where the apply
+        // works per point and per contraction: between two and three
+        // applies' flops over the same streams.
+        let dg = diagonal_model();
+        assert_eq!(dg.flops, 27 + 27 * 27 * 32 + 81);
+        assert!(
+            dg.flops > 2 * tb.flops && dg.flops < 3 * tb.flops,
+            "{}",
+            dg.flops
+        );
+        assert_eq!(
+            (dg.bytes_perfect, dg.bytes_pessimal),
+            (tb.bytes_perfect, tb.bytes_pessimal)
         );
     }
 

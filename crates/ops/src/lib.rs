@@ -42,8 +42,8 @@ pub use batch::{
     avx2_fma_available, detected_simd_path, BatchedGeometry, BatchedViscousOp, SimdPath,
 };
 pub use counts::{
-    assembled_model, divergence_batched_model, mf_model, paper_models, stokes_batched_model,
-    tensor_batched_model, tensor_c_model, tensor_model, OperatorModel,
+    assembled_model, diagonal_model, divergence_batched_model, mf_model, paper_models,
+    stokes_batched_model, tensor_batched_model, tensor_c_model, tensor_model, OperatorModel,
 };
 pub use data::{MaskScratch, NewtonData, ViscousOpData, NQP};
 pub use diag::{matrix_free_diagonal, viscous_diagonal};

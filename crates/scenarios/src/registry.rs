@@ -45,9 +45,10 @@ impl Scenario {
     pub fn gmg(&self) -> Option<&GmgConfig> {
         match self {
             Scenario::Rift(c) => Some(&c.gmg),
+            Scenario::Sinker(c) => Some(&c.gmg),
             Scenario::ShearBand(c) => Some(&c.gmg),
             Scenario::FallingBlock(c) => Some(&c.gmg),
-            Scenario::Sinker(_) | Scenario::SolCx(_) => None,
+            Scenario::SolCx(_) => None,
         }
     }
 

@@ -10,7 +10,6 @@ use ptatin_core::models::sinker::SinkerModel;
 use ptatin_core::models::solcx::SolCxModel;
 use ptatin_core::recovery::{run_rift_with, RunConfig, RunControl, RunOutcome};
 use ptatin_core::solver::KrylovOperatorChoice;
-use ptatin_core::{CoarseKind, GmgConfig};
 use ptatin_la::krylov::KrylovConfig;
 
 /// Uniform result of one scenario run: convergence, iteration effort and
@@ -83,12 +82,7 @@ pub fn run_scenario(scenario: &Scenario, steps: usize) -> RunSummary {
         Scenario::Sinker(cfg) => {
             let model = SinkerModel::new(cfg.clone());
             let fields = model.coefficients();
-            let gmg = GmgConfig {
-                levels: cfg.levels,
-                coarse: CoarseKind::Direct,
-                ..GmgConfig::default()
-            };
-            let solver = model.build_solver(&fields, &gmg);
+            let solver = model.build_solver(&fields, &cfg.gmg);
             let rhs = model.rhs(&solver, &fields);
             let mut x = vec![0.0; solver.nu + solver.np];
             let stats = solver.solve(

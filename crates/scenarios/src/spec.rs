@@ -210,11 +210,12 @@ impl ScenarioProto {
             .map_or(0, |(l, _)| *l)
     }
 
-    /// Every GMG config carried by the prototype (rift, shear band,
-    /// falling block share solver knobs).
-    fn gmgs(&mut self) -> [&mut GmgConfig; 3] {
+    /// Every GMG config carried by the prototype (rift, sinker, shear
+    /// band, falling block share solver knobs).
+    fn gmgs(&mut self) -> [&mut GmgConfig; 4] {
         [
             &mut self.rift.gmg,
+            &mut self.sinker.gmg,
             &mut self.shear_band.gmg,
             &mut self.falling_block.gmg,
         ]

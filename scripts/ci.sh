@@ -61,6 +61,8 @@ done
 # pass and the assembled block, and the on-demand gradient block (§4, §13),
 # the line-stencil grid transfers against the filtered CSR transfers and
 # the on-demand prolongations (§9, §13),
+# the lane loops of a solver build (smoother diagonal, geometry-pack
+# metrics, body force) against their scalar references (§9, §13),
 # the block-Jacobi subdomain Cholesky solves against their dense-LU oracle
 # (DESIGN.md §13), the shared geometry pack and the solve-scoped lag of a
 # warm rebuild (DESIGN.md §13), the CLI's refusal of unknown arguments and
@@ -81,6 +83,7 @@ PTATIN_TEST_THREADS=1 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=1 cargo test -q --test fused_stokes_operator
 PTATIN_TEST_THREADS=1 cargo test -q --test divergence_pass
 PTATIN_TEST_THREADS=1 cargo test -q --test nested_transfer
+PTATIN_TEST_THREADS=1 cargo test -q --test build_loops
 PTATIN_TEST_THREADS=1 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=1 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=1 cargo test -q --test cli_arguments
@@ -100,6 +103,7 @@ PTATIN_TEST_THREADS=4 cargo test -q --test mpm_advect_equivalence
 PTATIN_TEST_THREADS=4 cargo test -q --test fused_stokes_operator
 PTATIN_TEST_THREADS=4 cargo test -q --test divergence_pass
 PTATIN_TEST_THREADS=4 cargo test -q --test nested_transfer
+PTATIN_TEST_THREADS=4 cargo test -q --test build_loops
 PTATIN_TEST_THREADS=4 cargo test -q --test exact_subdomain_solves
 PTATIN_TEST_THREADS=4 cargo test -q --test lagged_setup
 PTATIN_TEST_THREADS=4 cargo test -q --test cli_arguments
@@ -121,8 +125,9 @@ PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-la --features pool-sanitizer par::
 # force-disabled: the portable fallbacks of the batched operator (viscous
 # pass, fused Stokes pass and divergence pass), projection, transfer (the
 # line stencils against the lane-packed CSR), advection/location, Galerkin Q1 assembly and envelope Cholesky lane
-# kernels (whole coarse matrix and block-Jacobi blocks) must satisfy the
-# same 1e-12 / bitwise contracts as the hardware path (DESIGN.md §9).
+# kernels (whole coarse matrix and block-Jacobi blocks) and the lane loops
+# of a solver build (diagonal, pack metrics) must satisfy the same
+# 1e-12 / bitwise contracts as the hardware path (DESIGN.md §9).
 step "equivalence + thread invariance with AVX disabled (PTATIN_NO_AVX=1)"
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test operator_equivalence
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test thread_invariance
@@ -132,6 +137,7 @@ PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test sparse_cholesky
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test fused_stokes_operator
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test divergence_pass
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test nested_transfer
+PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test build_loops
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test exact_subdomain_solves
 
 # Fault-injection matrix on the release binary: every injected failure
@@ -250,6 +256,12 @@ if [[ $FAST -eq 0 ]]; then
         ! grep -q '"name":"mg.assemble_prolongation"' "$prof" \
             || { echo "$prof: the solve assembled a prolongation"; exit 1; }
     done
+
+    # Every smoother build times its diagonal as a layer of its own
+    # (DESIGN.md §13): the rift step's profile shows `setup/diagonal` under
+    # `setup/lambda`.
+    grep -q '"child":"setup/diagonal","incl_s":[^,]*,"parent":"setup/lambda"' "$R" \
+        || { echo "$R: no setup/diagonal under setup/lambda"; exit 1; }
 
     # One registry-driven scenario end to end through the CLI: the
     # checked-in shear-band spec must parse, run and converge (exit 0).

@@ -40,6 +40,13 @@
 //! Exit status: 0 on completion, 42 on a simulated crash, 3 when recovery
 //! was exhausted and the run aborted (after writing a final checkpoint).
 //!
+//! Output that cannot be written is reported, not panicked on: `out/` and
+//! the parent of a `--log-json` file are created before anything is
+//! solved, and a directory that cannot be created (or a file that cannot
+//! be written at the end of the run) prints `cannot write <path>: <OS
+//! error>` and exits with status 2, as a bad `--restart-from` and a
+//! checkpoint I/O failure do.
+//!
 //! Ensemble sweeps (`ptatin ensemble`): expand a sweep file (base
 //! `key = value` lines plus `sweep key = v1, v2` / `sweep key = a..b`
 //! axes) into jobs and time-slice them fairly over the shared pool with
@@ -246,6 +253,9 @@ fn main() {
         let p = args.get("--log-json", String::new());
         (!p.is_empty()).then(|| PathBuf::from(p))
     };
+    if let Some(path) = &log_json {
+        create_parent(path);
+    }
     if log_view || log_json.is_some() {
         ptatin_prof::enable();
     }
@@ -261,8 +271,26 @@ fn main() {
         ptatin_prof::print_log_view();
     }
     if let Some(path) = log_json {
-        ptatin_prof::write_json(&path).expect("write profiler json");
+        ptatin_prof::write_json(&path).unwrap_or_else(|e| cannot_write(&path, e));
         println!("wrote profiler report to {}", path.display());
+    }
+}
+
+/// Report an output that cannot be written and exit with status 2.
+fn cannot_write(path: &Path, e: std::io::Error) -> ! {
+    eprintln!("cannot write {}: {e}", path.display());
+    std::process::exit(2);
+}
+
+/// Create the output directory `dir` before a run writes into it.
+fn create_dir(dir: &Path) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, e));
+}
+
+/// Create the directory `file` will be written into.
+fn create_parent(file: &Path) {
+    if let Some(dir) = file.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(file, e));
     }
 }
 
@@ -440,6 +468,7 @@ fn run_sinker(args: &Args) {
     check_hierarchy([("m", m); 3], levels);
     let delta_eta = args.get("delta_eta", 1e4f64);
     let out: PathBuf = PathBuf::from(args.get("out", String::from("vtk_out")));
+    create_dir(&out);
     println!(
         "sinker: {m}^3 elements, {levels} levels, Δη = {delta_eta:.0e}, {} threads",
         par::num_threads()
@@ -477,8 +506,9 @@ fn run_sinker(args: &Args) {
     let vel = corner_vector_field(mesh, &x[..solver.nu]);
     let eta_cell = cell_average(mesh.num_elements(), 27, &fields.eta_qp);
     let rho_cell = cell_average(mesh.num_elements(), 27, &fields.rho_qp);
+    let mesh_vtk = out.join("sinker_mesh.vtk");
     write_vtk_mesh(
-        &out.join("sinker_mesh.vtk"),
+        &mesh_vtk,
         mesh,
         &[
             Field::PointVector("velocity", &vel),
@@ -486,8 +516,9 @@ fn run_sinker(args: &Args) {
             Field::CellScalar("rho", &rho_cell),
         ],
     )
-    .expect("write mesh vtk");
-    write_vtk_points(&out.join("sinker_points.vtk"), &model.points).expect("write points vtk");
+    .unwrap_or_else(|e| cannot_write(&mesh_vtk, e));
+    let points_vtk = out.join("sinker_points.vtk");
+    write_vtk_points(&points_vtk, &model.points).unwrap_or_else(|e| cannot_write(&points_vtk, e));
     println!(
         "wrote {}/sinker_mesh.vtk and sinker_points.vtk",
         out.display()
@@ -517,6 +548,7 @@ fn run_rift(args: &Args) {
         }
     };
     install_faults(args);
+    create_dir(&out);
     println!(
         "rift: {}x{}x{} elements, {} steps, shortening {}, {} lower crust",
         cfg.mx,
@@ -598,15 +630,17 @@ fn run_rift(args: &Args) {
         }
     }
     let vel = corner_vector_field(&model.mesh, &model.velocity);
+    let mesh_vtk = out.join("rift_mesh.vtk");
     write_vtk_mesh(
-        &out.join("rift_mesh.vtk"),
+        &mesh_vtk,
         &model.mesh,
         &[
             Field::PointVector("velocity", &vel),
             Field::PointScalar("temperature", &model.temperature),
         ],
     )
-    .expect("write mesh vtk");
-    write_vtk_points(&out.join("rift_points.vtk"), &model.points).expect("write points vtk");
+    .unwrap_or_else(|e| cannot_write(&mesh_vtk, e));
+    let points_vtk = out.join("rift_points.vtk");
+    write_vtk_points(&points_vtk, &model.points).unwrap_or_else(|e| cannot_write(&points_vtk, e));
     println!("wrote {}/rift_mesh.vtk and rift_points.vtk", out.display());
 }

@@ -123,3 +123,54 @@ fn help_and_no_arguments_print_usage_and_exit_0() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage: ptatin"));
     }
 }
+
+/// An output the driver cannot write is reported with exit status 2, not
+/// a panic: `out/` and the `--log-json` parent are created before the
+/// solve, and a VTK file that cannot be created at the end of the run is
+/// reported the same way. A regular file in the parent position makes the
+/// directory impossible to create even for root.
+#[test]
+fn unwritable_outputs_exit_2_without_a_panic() {
+    let root = std::env::temp_dir().join(format!("ptatin_cli_out_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("temp dir");
+    let blocker = root.join("blocker");
+    std::fs::write(&blocker, b"a regular file").expect("blocker file");
+    let under_blocker = blocker.join("vtk");
+    let out_blocked = format!("out={}", under_blocker.display());
+    let out_ok = format!("out={}", root.join("ok").display());
+    let json_blocked = format!("--log-json={}", blocker.join("prof.json").display());
+    let refused = |args: &[&str], path: &std::path::Path, solved: bool| {
+        let out = ptatin(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("cannot write {}: ", path.display())),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stdout.contains("solve:"), solved, "{args:?}: {stdout}");
+    };
+    refused(
+        &["sinker", "m=2", "levels=2", &out_blocked],
+        &under_blocker,
+        false,
+    );
+    refused(
+        &["rift", "mx=6", "my=2", "mz=4", "steps=1", &out_blocked],
+        &under_blocker,
+        false,
+    );
+    refused(
+        &["sinker", "m=2", "levels=2", &out_ok, &json_blocked],
+        &blocker.join("prof.json"),
+        false,
+    );
+    // The directory exists but the mesh file cannot be created in it: the
+    // solve runs and the end-of-run write is reported.
+    let taken = root.join("ok").join("sinker_mesh.vtk");
+    std::fs::create_dir_all(&taken).expect("directory in the file's place");
+    refused(&["sinker", "m=2", "levels=2", &out_ok], &taken, true);
+    let _ = std::fs::remove_dir_all(&root);
+}

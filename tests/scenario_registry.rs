@@ -5,6 +5,8 @@
 //! subcommand uses: file → `ScenarioProto` → `Scenario` → `run_scenario`.
 
 use ptatin3d::core::{CoarseKind, GmgConfig};
+use ptatin3d::ops::OperatorKind;
+use ptatin3d::prof;
 use ptatin3d::scenarios::{
     builtins, coarse_kind_name, parse_coarse_kind, parse_scenario, parse_scenario_file,
     run_scenario, Scenario,
@@ -142,4 +144,55 @@ fn ambiguous_and_unknown_coarse_solver_names_are_rejected() {
     let e = parse_scenario("coarse = lu\n").unwrap_err();
     assert_eq!(e.line, 1);
     assert_eq!(e.msg, "unknown coarse solver `lu` (direct|amg|cg_asm)");
+}
+
+/// A sinker spec that names no solver runs on the sinker's default
+/// solver (the spec's levels, a direct coarse solve): the summary holds
+/// the bits the fixed `GmgConfig` of earlier builds gave.
+#[test]
+fn sinker_spec_without_solver_keys_keeps_its_summary_bits() {
+    let spec = parse_scenario("scenario = sinker\nm = 4\nlevels = 2\n").expect("spec parses");
+    let gmg = spec.gmg().expect("the sinker carries a solver");
+    assert_eq!((gmg.levels, &gmg.coarse), (2, &CoarseKind::Direct));
+    let s = run_scenario(&spec, 1);
+    assert!(s.converged);
+    assert_eq!(s.iterations, 37);
+    let bits: Vec<(&str, u64)> = s
+        .metrics
+        .iter()
+        .map(|(n, v)| (n.as_str(), v.to_bits()))
+        .collect();
+    assert_eq!(
+        bits,
+        [
+            ("final_residual", 0x3ebbcc84fbe098f3),
+            ("w_min", 0xc0382cd20030f5b7),
+            ("w_max", 0x4040abc122719f4b),
+        ]
+    );
+}
+
+/// `solver.coarse` and `solver.fine_kind` reach the sinker's solver build
+/// instead of parsing and being ignored.
+#[test]
+fn sinker_spec_honours_its_solver_keys() {
+    let text = "scenario = sinker\nm = 4\nlevels = 2\nsolver.coarse = amg\n";
+    let spec = parse_scenario(text).expect("spec parses");
+    assert!(matches!(
+        spec.gmg().map(|g| &g.coarse),
+        Some(CoarseKind::Amg { .. })
+    ));
+    let amg_builds = || prof::snapshot().event("setup/amg").map_or(0, |e| e.calls);
+    prof::enable();
+    let before = amg_builds();
+    let s = run_scenario(&spec, 1);
+    assert!(s.converged);
+    assert!(
+        amg_builds() > before,
+        "no AMG build under `solver.coarse = amg`"
+    );
+
+    let spec = parse_scenario("scenario = sinker\nm = 4\nlevels = 2\nsolver.fine_kind = tensor\n")
+        .expect("spec parses");
+    assert_eq!(spec.gmg().map(|g| g.fine_kind), Some(OperatorKind::Tensor));
 }
