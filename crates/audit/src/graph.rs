@@ -28,6 +28,8 @@ pub struct Node {
     /// File-path class of the defining file.
     pub library: bool,
     pub target_feature: bool,
+    pub inline_always: bool,
+    pub lane_generic: bool,
     pub impl_type: Option<String>,
     /// Innermost named inline module, else `None` (file-level).
     pub module: Option<String>,
@@ -149,6 +151,8 @@ pub fn build(files: &[SourceFile], deps: &CrateDeps) -> CallGraph {
                 in_test: d.in_test || !f.class.library && f.rel.contains("tests/"),
                 library: f.class.library,
                 target_feature: d.target_feature,
+                inline_always: d.inline_always,
+                lane_generic: d.lane_generic,
                 impl_type: d.impl_type.clone(),
                 module: d.module.clone(),
                 file_stem: f

@@ -24,6 +24,11 @@ pub struct FnDef {
     pub body: (usize, usize),
     /// Carries `#[target_feature(...)]`.
     pub target_feature: bool,
+    /// Carries `#[inline(always)]`.
+    pub inline_always: bool,
+    /// Generic over the SIMD `Lane` trait: a `Lane` bound (`V: Lane`,
+    /// `+ Lane`, `impl Lane`) between the name and the body.
+    pub lane_generic: bool,
     /// Inside a `#[cfg(test)]` region (the file-path test class is
     /// tracked separately by [`crate::rules::classify`]).
     pub in_test: bool,
@@ -150,7 +155,7 @@ pub fn parse(lexed: &Lexed) -> Parsed {
     // Pass 1: fn definitions. Attributes accumulate onto the next item;
     // only tokens that can legally sit between an attribute and `fn`
     // (visibility, `unsafe`, `const`, `extern "C"`) keep them alive.
-    let mut attr_target_feature = false;
+    let (mut attr_target_feature, mut attr_inline_always) = (false, false);
     let mut i = 0usize;
     while i < toks.len() {
         let t = &toks[i];
@@ -159,6 +164,9 @@ pub fn parse(lexed: &Lexed) -> Parsed {
             if text.iter().any(|s| s == "target_feature") {
                 attr_target_feature = true;
             }
+            if text == ["inline", "always"] {
+                attr_inline_always = true;
+            }
             i = end + 1;
             continue;
         }
@@ -166,11 +174,17 @@ pub fn parse(lexed: &Lexed) -> Parsed {
             if let Some(n) = toks.get(i + 1) {
                 if n.kind == Kind::Ident {
                     if let Some((open, close)) = fn_body_span(toks, i + 2) {
+                        let lane_generic = (i + 3..open).any(|k| {
+                            toks[k].s == "Lane"
+                                && matches!(toks[k - 1].s.as_str(), ":" | "+" | "impl")
+                        });
                         out.fns.push(FnDef {
                             name: n.s.clone(),
                             line: t.line,
                             body: (open, close),
                             target_feature: attr_target_feature,
+                            inline_always: attr_inline_always,
+                            lane_generic,
                             in_test: out.in_test[i],
                             impl_type: impl_ctx[i].clone(),
                             module: mod_ctx[i].clone(),
@@ -178,7 +192,7 @@ pub fn parse(lexed: &Lexed) -> Parsed {
                     }
                 }
             }
-            attr_target_feature = false;
+            (attr_target_feature, attr_inline_always) = (false, false);
             i += 1;
             continue;
         }
@@ -189,7 +203,7 @@ pub fn parse(lexed: &Lexed) -> Parsed {
             || t.s == "extern"
             || t.kind == Kind::Str;
         if !keeps_attr {
-            attr_target_feature = false;
+            (attr_target_feature, attr_inline_always) = (false, false);
         }
         i += 1;
     }
@@ -615,6 +629,27 @@ mod tests {
         let p = parsed(src);
         assert!(p.fns[0].target_feature);
         assert!(!p.fns[1].target_feature);
+    }
+
+    #[test]
+    fn inline_always_and_lane_bounds_are_recorded() {
+        let src = "#[inline(always)]\nfn a<V: Lane>(x: V) -> V { x }\n#[inline]\nfn b<V: Copy + Lane, const N: usize>() {}\nfn c(k: LaneKernel) {}\nfn d(x: impl Lane) {}\n#[inline(always)]\nstruct S;\nfn e() {}";
+        let p = parsed(src);
+        let flags: Vec<(bool, bool)> = p
+            .fns
+            .iter()
+            .map(|f| (f.inline_always, f.lane_generic))
+            .collect();
+        assert_eq!(
+            flags,
+            vec![
+                (true, true),
+                (false, true),
+                (false, false),
+                (false, true),
+                (false, false)
+            ]
+        );
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub struct PassStats {
     pub hot_entries: usize,
     /// Pool-dispatch call sites outside the pool implementation.
     pub dispatch_sites: usize,
-    /// `#[target_feature]` kernels (root kernels needing a twin).
+    /// `#[target_feature]` fns of library code.
     pub simd_kernels: usize,
-    /// Bitwise equivalence tests found for the parity check.
+    /// Bitwise equivalence tests (test fns named `*bitwise*`/`*bits*`).
     pub bitwise_tests: usize,
 }
 
@@ -470,91 +470,65 @@ fn dispatch_path(g: &CallGraph, reaches: &[bool], start: usize) -> String {
     names.join(" -> ")
 }
 
-/// `simd-parity`: SIMD path parity.
+/// `simd-parity`: one lane body per SIMD kernel.
 ///
-/// Every root `#[target_feature]` kernel (one with a caller outside the
-/// `target_feature` family, or none at all — internal lane helpers are
-/// exempt) must have a portable twin under the repo naming convention
-/// (`X` → `X_portable` / `X_body`, `X_avx` → `X_portable`), and some
-/// bitwise equivalence test (name containing `bitwise` or `bits`) must
-/// reach both through the call graph.
+/// Kernels are written once over `la::simd::Lane` and run on both paths
+/// through `la::simd`'s `run_lanes`, so `crates/la/src/simd.rs` is the
+/// only file that may hold a `#[target_feature]` kernel: a root one (with
+/// a caller outside the `target_feature` family, or none — the helpers of
+/// a kept hand-written twin inherit their root's verdict) anywhere else is
+/// a finding. And a library fn generic over `Lane` — a `LaneKernel::run`
+/// included — must be `#[inline(always)]`: outlined, it loses the
+/// wrapper's target features and every lane operation becomes a call.
 fn simd_parity(ctx: &mut Ctx<'_>) {
     let g = ctx.g;
     let preds = g.preds();
-    // Reachable set of every bitwise test.
-    let bitwise_tests: Vec<usize> = (0..g.nodes.len())
+    ctx.out.stats.bitwise_tests = (0..g.nodes.len())
         .filter(|&n| {
             let node = &g.nodes[n];
             node.in_test && (node.name.contains("bitwise") || node.name.contains("bits"))
         })
-        .collect();
-    let test_reach: Vec<BTreeSet<usize>> =
-        bitwise_tests.iter().map(|&t| g.reachable(&[t]).0).collect();
-    ctx.out.stats.bitwise_tests = bitwise_tests.len();
+        .count();
     ctx.out.stats.simd_kernels = (0..g.nodes.len())
         .filter(|&n| g.nodes[n].target_feature && !g.nodes[n].in_test)
         .count();
 
     for n in 0..g.nodes.len() {
         let node = &g.nodes[n];
-        if !node.target_feature || node.in_test {
-            continue;
-        }
         let fi = ctx.file_of(n);
-        if !ctx.files[fi].class.library {
+        if node.in_test || !ctx.files[fi].class.library {
             continue;
         }
-        // Root kernel: called from outside the target_feature family
-        // (or not called at all). Lane helpers only ever invoked from
-        // other `#[target_feature]` fns inherit their caller's parity
-        // obligation instead.
-        let is_root = preds[n].is_empty()
-            || preds[n]
-                .iter()
-                .any(|&p| !g.nodes[p].target_feature && !g.nodes[p].in_test);
-        if !is_root {
-            continue;
-        }
-        let line = node.line;
         let name = node.name.clone();
-        let base = name.strip_suffix("_avx").unwrap_or(&name).to_string();
-        let twin_names = [
-            format!("{base}_portable"),
-            format!("{base}_body"),
-            format!("{base}_b"),
-        ];
-        let twin = (0..g.nodes.len()).find(|&m| {
-            !g.nodes[m].target_feature && twin_names.iter().any(|t| *t == g.nodes[m].name)
-        });
-        if ctx.annotated(fi, line, rules::TAG_SIMD) {
-            continue;
+        if node.target_feature && !ctx.files[fi].rel.ends_with("crates/la/src/simd.rs") {
+            let is_root = preds[n].is_empty()
+                || preds[n]
+                    .iter()
+                    .any(|&p| !g.nodes[p].target_feature && !g.nodes[p].in_test);
+            if is_root {
+                ctx.flag(
+                    Rule::SimdParity,
+                    fi,
+                    node.line,
+                    rules::TAG_SIMD,
+                    &name,
+                    format!(
+                        "`#[target_feature]` kernel `{name}` outside `la::simd`: write it \
+                         once over `Lane` and run it through `run_lanes`"
+                    ),
+                );
+            }
         }
-        let Some(twin) = twin else {
-            ctx.finding(
+        if node.lane_generic && !node.inline_always {
+            ctx.flag(
                 Rule::SimdParity,
                 fi,
-                line,
+                node.line,
+                rules::TAG_SIMD,
                 &name,
                 format!(
-                    "`#[target_feature]` kernel `{name}` has no portable twin \
-                     (`{base}_portable`, `{base}_body`, or `{base}_b`)"
-                ),
-            );
-            continue;
-        };
-        let covered = test_reach
-            .iter()
-            .any(|r| r.contains(&n) && r.contains(&twin));
-        if !covered {
-            let twin_name = g.nodes[twin].name.clone();
-            ctx.finding(
-                Rule::SimdParity,
-                fi,
-                line,
-                &name,
-                format!(
-                    "kernel `{name}` and twin `{twin_name}` are not both reached by any \
-                     bitwise equivalence test (`*bitwise*`/`*bits*`)"
+                    "`{name}` is generic over `Lane` but not `#[inline(always)]`: \
+                     outlined, its lane operations lose the AVX wrapper's features"
                 ),
             );
         }

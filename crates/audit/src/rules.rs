@@ -11,7 +11,7 @@
 //! | `hot-alloc`        | hot entries of numeric library code and every library fn they reach | no allocation              | `// ALLOC-OK: <why>` |
 //! | `panic-surface`    | library code                            | no `.unwrap()`, `.expect()` or panic macros     | `// PANIC-OK: <why>` |
 //! | `nested-dispatch`  | library code outside the pool           | no dispatch reachable from a dispatch closure   | `// DISPATCH-OK: <why>` |
-//! | `simd-parity`      | `#[target_feature]` kernels             | a portable twin, and a bitwise test reaching both | `// SIMD-OK: <why>` |
+//! | `simd-parity`      | SIMD kernels of library code            | `#[target_feature]` only in `la/src/simd.rs`; every fn generic over `Lane` `#[inline(always)]` | `// SIMD-OK: <why>` |
 //! | `ckpt-coverage`    | `Checkpoint` of the `ckpt` crate        | every field named by `to_bytes` and `from_bytes` | `// CKPT-OK: <why>` |
 //! | `prof-scope`       | hot entries of numeric library code     | a `prof::scope` in or above their call graph    | `// PROF-OK: <why>` |
 //! | `stale-annotation` | wherever annotations appear             | every annotation suppresses a finding           | (delete the annotation) |

@@ -1,6 +1,7 @@
-//! Fixture: SIMD path-parity — a kernel with no portable twin, a
-//! twinned kernel no bitwise test reaches, and a fully covered pair
-//! that must stay silent.
+//! Fixture: one lane body per SIMD kernel — a hand-written intrinsic
+//! kernel outside `la::simd`, a lane helper and a `LaneKernel::run` that
+//! are not forced inline, and the silent cases: an annotated kept twin
+//! with its helper, forced-inline lane code, and test code.
 
 // SAFETY: fixture kernel; callers check avx2 at runtime.
 #[target_feature(enable = "avx2")]
@@ -8,42 +9,50 @@ pub unsafe fn norm_avx(x: &[f64]) -> f64 {
     x[0]
 }
 
+#[inline]
+fn dot3<V: Lane>(a: V, b: V) -> V {
+    a
+}
+
+pub struct Scale<'a>(&'a mut [f64]);
+
+impl LaneKernel for Scale<'_> {
+    fn run<V: Lane>(self) {
+        let _ = dot3(V::splat(self.0[0]), V::splat(1.0));
+    }
+}
+
+#[inline(always)]
+fn twice<V: Lane>(a: V) -> V {
+    a
+}
+
+pub struct Twice;
+
+impl LaneKernel for Twice {
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        let _ = twice(V::splat(2.0));
+    }
+}
+
 // SAFETY: fixture kernel; callers check avx2 at runtime.
+// SIMD-OK: kept twin, measured faster than its one-body port.
 #[target_feature(enable = "avx2")]
-pub unsafe fn dot_avx(x: &[f64], y: &[f64]) -> f64 {
-    x[0] * y[0]
+pub unsafe fn kept_avx(x: &[f64]) -> f64 {
+    // SAFETY: same feature set as this fn.
+    unsafe { kept_helper(x) }
 }
 
-pub fn dot_portable(x: &[f64], y: &[f64]) -> f64 {
-    x[0] * y[0]
-}
-
-// SAFETY: fixture kernel; callers check avx2 at runtime.
+// SAFETY: called only from `kept_avx`, under its features.
 #[target_feature(enable = "avx2")]
-pub unsafe fn scale_avx(x: &mut [f64], s: f64) {
-    x[0] *= s;
-}
-
-pub fn scale_portable(x: &mut [f64], s: f64) {
-    x[0] *= s;
-}
-
-pub fn scale(x: &mut [f64], s: f64) {
-    // SAFETY: fixture dispatcher; stands in for a runtime avx2 check.
-    unsafe { scale_avx(x, s) }
+unsafe fn kept_helper(x: &[f64]) -> f64 {
+    x[0]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn scale_bitwise_matches() {
-        let mut a = [2.0];
-        let mut b = [2.0];
-        scale_portable(&mut a, 3.0);
-        // SAFETY: test only runs where avx2 is available.
-        unsafe { scale_avx(&mut b, 3.0) };
-        assert_eq!(a[0].to_bits(), b[0].to_bits());
+    fn lane_sum<V: Lane>(a: V) -> V {
+        a
     }
 }

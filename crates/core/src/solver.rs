@@ -1142,6 +1142,22 @@ impl StokesSolver {
         )
     }
 
+    /// `‖rhs − J x‖ / ‖rhs‖` for the Picard operator [`solve`](Self::solve)
+    /// iterates on: the true relative residual of `x`, recomputed from it
+    /// rather than read off the Krylov recurrence.
+    pub fn relative_residual(&self, rhs: &[f64], x: &[f64]) -> f64 {
+        let op = StokesOperator {
+            a: &*self.a_fine,
+            b: &self.b_masked,
+            nu: self.nu,
+            np: self.np,
+        };
+        let mut r = vec![0.0; rhs.len()];
+        op.apply(x, &mut r);
+        vec_ops::residual_ip(rhs, &mut r);
+        vec_ops::norm2(&r) / vec_ops::norm2(rhs)
+    }
+
     /// Schur-complement reduction (§III-B, §IV-A): accurate inner solves
     /// with `J_uu` expose a normal, definite pressure problem at the cost
     /// of one inner solve per outer iteration. More robust to extreme

@@ -27,7 +27,7 @@
 //! unknowns, wrong for large ones (DESIGN.md §1 states the crossover).
 
 use crate::csr::Csr;
-use crate::simd::{runtime_simd_path, F64x4, Lane, SimdPath, LANES};
+use crate::simd::{run_lanes, runtime_simd_path, Lane, LaneKernel, SimdPath, LANES};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Why a matrix could not be factored.
@@ -430,8 +430,24 @@ fn sub_scaled<V: Lane>(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// triangle of `P A Pᵀ`, on exit `L` (diagonal included); `inv_diag[p]`
 /// receives `1 / L[p][p]`. Returns the row and value of the first
 /// non-positive (or NaN) pivot.
+struct FactorRows<'a> {
+    first: &'a [u32],
+    row_ptr: &'a [usize],
+    vals: &'a mut [f64],
+    inv_diag: &'a mut [f64],
+}
+
+impl LaneKernel for FactorRows<'_> {
+    type Output = Result<(), (usize, f64)>;
+
+    #[inline(always)]
+    fn run<V: Lane>(self) -> Result<(), (usize, f64)> {
+        factor_rows::<V>(self.first, self.row_ptr, self.vals, self.inv_diag)
+    }
+}
+
 #[inline(always)]
-fn factor_rows_body<V: Lane>(
+fn factor_rows<V: Lane>(
     first: &[u32],
     row_ptr: &[usize],
     vals: &mut [f64],
@@ -464,9 +480,38 @@ fn factor_rows_body<V: Lane>(
 /// Solve `L Lᵀ x = b` in the permuted ordering: `w` receives
 /// `L⁻¹ P b`, then is consumed by the backward sweep, which writes every
 /// unknown to its original index in `z` the moment it is final.
+struct SolveRows<'a> {
+    sym: &'a CholeskySymbolic,
+    vals: &'a [f64],
+    inv_diag: &'a [f64],
+    b: &'a [f64],
+    w: &'a mut [f64],
+    z: &'a mut [f64],
+}
+
+impl LaneKernel for SolveRows<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        let sym = self.sym;
+        let (perm, first, row_ptr) = (&sym.perm, &sym.first, &sym.row_ptr);
+        solve_rows::<V>(
+            perm,
+            first,
+            row_ptr,
+            self.vals,
+            self.inv_diag,
+            self.b,
+            self.w,
+            self.z,
+        );
+    }
+}
+
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn solve_rows_body<V: Lane>(
+fn solve_rows<V: Lane>(
     perm: &[u32],
     first: &[u32],
     row_ptr: &[usize],
@@ -488,39 +533,6 @@ fn solve_rows_body<V: Lane>(
         z[perm[i] as usize] = x;
         let row = &vals[row_ptr[i]..row_ptr[i] + (i - fi)];
         sub_scaled::<V>(x, row, &mut w[fi..i]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx {
-    use crate::simd::avx::V4;
-
-    // SAFETY: caller must have verified avx2+fma support (the
-    // `SimdPath::Avx2Fma` dispatch contract).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn factor_rows(
-        first: &[u32],
-        row_ptr: &[usize],
-        vals: &mut [f64],
-        inv_diag: &mut [f64],
-    ) -> Result<(), (usize, f64)> {
-        super::factor_rows_body::<V4>(first, row_ptr, vals, inv_diag)
-    }
-
-    // SAFETY: caller must have verified avx2+fma support.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn solve_rows(
-        perm: &[u32],
-        first: &[u32],
-        row_ptr: &[usize],
-        vals: &[f64],
-        inv_diag: &[f64],
-        b: &[f64],
-        w: &mut [f64],
-        z: &mut [f64],
-    ) {
-        super::solve_rows_body::<V4>(perm, first, row_ptr, vals, inv_diag, b, w, z)
     }
 }
 
@@ -604,22 +616,15 @@ impl SparseCholesky {
             }
         }
         let mut inv_diag = vec![0.0; n];
-        let done = match path {
-            SimdPath::Portable => {
-                factor_rows_body::<F64x4>(&sym.first, &sym.row_ptr, &mut vals, &mut inv_diag)
-            }
-            SimdPath::Avx2Fma => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: Avx2Fma is only selected when
-                // `avx2_fma_available` reported support (or by tests on
-                // such hosts).
-                unsafe {
-                    avx::factor_rows(&sym.first, &sym.row_ptr, &mut vals, &mut inv_diag)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                factor_rows_body::<F64x4>(&sym.first, &sym.row_ptr, &mut vals, &mut inv_diag)
-            }
-        };
+        let done = run_lanes(
+            path,
+            FactorRows {
+                first: &sym.first,
+                row_ptr: &sym.row_ptr,
+                vals: &mut vals,
+                inv_diag: &mut inv_diag,
+            },
+        );
         if let Err((p, pivot)) = done {
             return Err(FactorError::NonPositivePivot {
                 row: sym.perm[p] as usize,
@@ -656,23 +661,17 @@ impl SparseCholesky {
         // Scratch only, overwritten before it is read: a lock poisoned by
         // a panicking solve is still good to use.
         let mut work = self.work.lock().unwrap_or_else(PoisonError::into_inner);
-        let w = work.as_mut_slice();
-        let (perm, first, row_ptr) = (&sym.perm, &sym.first, &sym.row_ptr);
-        match self.path {
-            SimdPath::Portable => {
-                solve_rows_body::<F64x4>(perm, first, row_ptr, &self.vals, &self.inv_diag, b, w, x)
-            }
-            SimdPath::Avx2Fma => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as in `factor_with_path` — the path implies
-                // hardware support.
-                unsafe {
-                    avx::solve_rows(perm, first, row_ptr, &self.vals, &self.inv_diag, b, w, x)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                solve_rows_body::<F64x4>(perm, first, row_ptr, &self.vals, &self.inv_diag, b, w, x)
-            }
-        }
+        run_lanes(
+            self.path,
+            SolveRows {
+                sym,
+                vals: &self.vals,
+                inv_diag: &self.inv_diag,
+                b,
+                w: work.as_mut_slice(),
+                z: x,
+            },
+        );
     }
 }
 
@@ -680,7 +679,7 @@ impl SparseCholesky {
 mod tests {
     use super::*;
     use crate::dense::DenseLu;
-    use crate::simd::avx2_fma_available;
+    use crate::simd::{avx2_fma_available, F64x4};
     use ptatin_prng::{Rng, StdRng};
 
     /// 5-point Laplacian on an `nx × ny` grid plus `shift` on the diagonal.

@@ -8,24 +8,28 @@
 //! dispatch decision and one bitwise contract (`ptatin-ops` re-exports
 //! these names, so its public API is unchanged).
 //!
-//! The contract (DESIGN.md §9): every kernel exists twice, a portable
-//! scalar-per-lane implementation and an explicit AVX2(+FMA) one, both
-//! executing the *same* operation sequence per lane. Kernels built from
-//! plain mul/add/sub/div are bitwise identical to their scalar references
-//! by construction (each IEEE operation is performed on the same operands
-//! in the same order); kernels that fuse use `f64::mul_add` portably and
-//! `_mm256_fmadd_pd` under AVX — identical fusion order, identical bits.
-//! (The advection kernels get their two implementations from one body
-//! generic over the lane type instead of from two written-out copies.)
-//! Workspace crates outside la/ops forbid `unsafe`, so the AVX bodies live
-//! here and callers pick a path via [`SimdPath`].
+//! The contract (DESIGN.md §9): every kernel is written once, over the
+//! [`Lane`] trait, as a [`LaneKernel`], and [`run_lanes`] runs that one
+//! body on the path a caller picked via [`SimdPath`] — with [`F64x4`]
+//! (scalar per lane) on the portable path, and with the AVX register type
+//! inside this module's `#[target_feature(enable = "avx2,fma")]` wrapper
+//! on the other (the two advection kernels keep wrappers of their own
+//! that take their arguments directly, EXPERIMENTS.md). Each `Lane`
+//! method is one correctly-rounded IEEE operation per lane (`mul_add` is
+//! `f64::mul_add` portably and `_mm256_fmadd_pd` under AVX), so both paths
+//! give the same bits, and a body built from plain mul/add/sub/div is
+//! bitwise its scalar reference when it performs the reference's
+//! operations in the reference's order.
+//! `core::arch` appears in this module and in the one kept hand-written
+//! twin, the fused Stokes kernel of `ptatin_ops::batch`; the crates
+//! outside la/ops forbid `unsafe`.
 
 /// Lanes per SIMD batch (one AVX 256-bit register of f64).
 pub const LANES: usize = 4;
 
-/// Four f64 values, one per slot of a batch. 32-byte aligned so the AVX
-/// path can use aligned loads/stores directly on the same arrays the
-/// portable path indexes.
+/// Four f64 values, one per slot of a batch: the memory form of a lane
+/// ([`Lane::load`]/[`Lane::store`] on its `.0`). 32-byte aligned, so a
+/// lane's four values never straddle a cache line.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[repr(C, align(32))]
 pub struct F64x4(pub [f64; 4]);
@@ -37,71 +41,23 @@ impl F64x4 {
     pub fn splat(v: f64) -> Self {
         F64x4([v; 4])
     }
-
-    /// Elementwise fused multiply-add `self·a + b` (single rounding per
-    /// lane — the portable mirror of `_mm256_fmadd_pd`).
-    #[inline(always)]
-    pub fn mul_add(self, a: F64x4, b: F64x4) -> F64x4 {
-        F64x4([
-            self.0[0].mul_add(a.0[0], b.0[0]),
-            self.0[1].mul_add(a.0[1], b.0[1]),
-            self.0[2].mul_add(a.0[2], b.0[2]),
-            self.0[3].mul_add(a.0[3], b.0[3]),
-        ])
-    }
 }
 
-impl std::ops::Add for F64x4 {
-    type Output = F64x4;
-    #[inline(always)]
-    fn add(self, o: F64x4) -> F64x4 {
-        F64x4([
-            self.0[0] + o.0[0],
-            self.0[1] + o.0[1],
-            self.0[2] + o.0[2],
-            self.0[3] + o.0[3],
-        ])
-    }
+macro_rules! f64x4_binop {
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl std::ops::$trait for F64x4 {
+            type Output = F64x4;
+            #[inline(always)]
+            fn $method(self, o: F64x4) -> F64x4 {
+                F64x4(std::array::from_fn(|l| self.0[l] $op o.0[l]))
+            }
+        }
+    };
 }
-
-impl std::ops::Sub for F64x4 {
-    type Output = F64x4;
-    #[inline(always)]
-    fn sub(self, o: F64x4) -> F64x4 {
-        F64x4([
-            self.0[0] - o.0[0],
-            self.0[1] - o.0[1],
-            self.0[2] - o.0[2],
-            self.0[3] - o.0[3],
-        ])
-    }
-}
-
-impl std::ops::Mul for F64x4 {
-    type Output = F64x4;
-    #[inline(always)]
-    fn mul(self, o: F64x4) -> F64x4 {
-        F64x4([
-            self.0[0] * o.0[0],
-            self.0[1] * o.0[1],
-            self.0[2] * o.0[2],
-            self.0[3] * o.0[3],
-        ])
-    }
-}
-
-impl std::ops::Div for F64x4 {
-    type Output = F64x4;
-    #[inline(always)]
-    fn div(self, o: F64x4) -> F64x4 {
-        F64x4([
-            self.0[0] / o.0[0],
-            self.0[1] / o.0[1],
-            self.0[2] / o.0[2],
-            self.0[3] / o.0[3],
-        ])
-    }
-}
+f64x4_binop!(Add, add, +);
+f64x4_binop!(Sub, sub, -);
+f64x4_binop!(Mul, mul, *);
+f64x4_binop!(Div, div, /);
 
 /// Which kernel implementation a batched component dispatches to. Chosen
 /// once at construction; both paths produce bitwise-identical results.
@@ -154,227 +110,14 @@ pub fn runtime_simd_path() -> SimdPath {
 }
 
 // ---------------------------------------------------------------------------
-// Chebyshev / BLAS-1 slice kernels
-// ---------------------------------------------------------------------------
-//
-// All four are elementwise with plain mul/add/sub/div only (no fusion), so
-// portable, AVX and the scalar loops they replaced are bitwise identical —
-// swapping them into `Chebyshev::smooth_with` changes no result anywhere.
-
-/// `y[i] += alpha * x[i]` (the smoother's correction/residual axpy).
-pub fn axpy(path: SimdPath, alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    match path {
-        SimdPath::Portable => axpy_portable(alpha, x, y),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx2Fma is only selected when `avx2_fma_available`
-            // reported support (or by tests on such hosts).
-            unsafe {
-                avx::axpy(alpha, x, y)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            axpy_portable(alpha, x, y)
-        }
-    }
-}
-
-fn axpy_portable(alpha: f64, x: &[f64], y: &mut [f64]) {
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `r[i] = b[i] - r[i]` — the residual flip after `r = A x`.
-pub fn residual_ip(path: SimdPath, b: &[f64], r: &mut [f64]) {
-    debug_assert_eq!(b.len(), r.len());
-    match path {
-        SimdPath::Portable => residual_ip_portable(b, r),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `axpy` — path implies hardware support.
-            unsafe {
-                avx::residual_ip(b, r)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            residual_ip_portable(b, r)
-        }
-    }
-}
-
-fn residual_ip_portable(b: &[f64], r: &mut [f64]) {
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-}
-
-/// `d[i] = inv_diag[i] * r[i] / theta` — the Chebyshev direction seed.
-pub fn cheb_d_init(path: SimdPath, inv_diag: &[f64], r: &[f64], theta: f64, d: &mut [f64]) {
-    debug_assert_eq!(inv_diag.len(), d.len());
-    debug_assert_eq!(r.len(), d.len());
-    match path {
-        SimdPath::Portable => cheb_d_init_portable(inv_diag, r, theta, d),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `axpy` — path implies hardware support.
-            unsafe {
-                avx::cheb_d_init(inv_diag, r, theta, d)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            cheb_d_init_portable(inv_diag, r, theta, d)
-        }
-    }
-}
-
-fn cheb_d_init_portable(inv_diag: &[f64], r: &[f64], theta: f64, d: &mut [f64]) {
-    for i in 0..d.len() {
-        d[i] = inv_diag[i] * r[i] / theta;
-    }
-}
-
-/// `d[i] = c1 * d[i] + c2 * inv_diag[i] * r[i]` — the Chebyshev direction
-/// recurrence (left-associated exactly as written).
-pub fn cheb_update(path: SimdPath, c1: f64, c2: f64, inv_diag: &[f64], r: &[f64], d: &mut [f64]) {
-    debug_assert_eq!(inv_diag.len(), d.len());
-    debug_assert_eq!(r.len(), d.len());
-    match path {
-        SimdPath::Portable => cheb_update_portable(c1, c2, inv_diag, r, d),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `axpy` — path implies hardware support.
-            unsafe {
-                avx::cheb_update(c1, c2, inv_diag, r, d)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            cheb_update_portable(c1, c2, inv_diag, r, d)
-        }
-    }
-}
-
-fn cheb_update_portable(c1: f64, c2: f64, inv_diag: &[f64], r: &[f64], d: &mut [f64]) {
-    for i in 0..d.len() {
-        d[i] = c1 * d[i] + c2 * inv_diag[i] * r[i];
-    }
-}
-
-// ---------------------------------------------------------------------------
-// P2G / G2P lane kernels
+// The lane type
 // ---------------------------------------------------------------------------
 
-/// Trilinear (Q1 hat) weights of 4 points at once. Mirrors
-/// `ptatin_fem::basis::q1_basis` operation for operation —
-/// `l = 0.5*(1 ± ξ)` then `out[n] = (lx*ly)*lz` in the same n-order — so
-/// each lane is bitwise identical to the scalar basis evaluation (tested
-/// from `ptatin-mpm`, which owns both call sites).
-pub fn q1_hat_weights_x4(path: SimdPath, xi0: F64x4, xi1: F64x4, xi2: F64x4, out: &mut [F64x4; 8]) {
-    match path {
-        SimdPath::Portable => q1_hat_weights_x4_portable(xi0, xi1, xi2, out),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `axpy` — path implies hardware support.
-            unsafe {
-                avx::q1_hat_weights_x4(xi0, xi1, xi2, out)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            q1_hat_weights_x4_portable(xi0, xi1, xi2, out)
-        }
-    }
-}
-
-/// [`q1_hat_weights_x4`] over a whole chunk of lanes in one call — `xi`
-/// holds 3 coordinate vectors per lane (`[ξ₀, ξ₁, ξ₂]` lane-major), `out`
-/// receives 8 weight vectors per lane. One dispatch amortizes the
-/// non-inlinable `target_feature` call over the chunk; each lane's values
-/// are identical to a [`q1_hat_weights_x4`] call, hence bitwise identical
-/// to the scalar basis evaluation on both paths.
-pub fn q1_hat_weights_many(path: SimdPath, xi: &[F64x4], out: &mut [F64x4]) {
-    let nlanes = xi.len() / 3;
-    debug_assert_eq!(xi.len(), 3 * nlanes);
-    debug_assert_eq!(out.len(), 8 * nlanes);
-    match path {
-        SimdPath::Portable => q1_hat_weights_many_portable(xi, out),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `axpy` — path implies hardware support.
-            unsafe {
-                avx::q1_hat_weights_many(xi, out)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            q1_hat_weights_many_portable(xi, out)
-        }
-    }
-}
-
-fn q1_hat_weights_many_portable(xi: &[F64x4], out: &mut [F64x4]) {
-    for (l, w) in out.chunks_exact_mut(8).enumerate() {
-        // PANIC-OK: chunks_exact_mut(8) yields exactly 8 elements.
-        let w8: &mut [F64x4; 8] = w.try_into().expect("chunk of 8");
-        q1_hat_weights_x4_portable(xi[3 * l], xi[3 * l + 1], xi[3 * l + 2], w8);
-    }
-}
-
-fn q1_hat_weights_x4_portable(xi0: F64x4, xi1: F64x4, xi2: F64x4, out: &mut [F64x4; 8]) {
-    let half = F64x4::splat(0.5);
-    let one = F64x4::splat(1.0);
-    let lx = [half * (one - xi0), half * (one + xi0)];
-    let ly = [half * (one - xi1), half * (one + xi1)];
-    let lz = [half * (one - xi2), half * (one + xi2)];
-    let mut n = 0;
-    for c in 0..2 {
-        for b in 0..2 {
-            for a in 0..2 {
-                out[n] = lx[a] * ly[b] * lz[c];
-                n += 1;
-            }
-        }
-    }
-}
-
-/// Interpolate a gathered 8-corner lane to `out.len()` quadrature points:
-/// `out[q] = Σ_k wq[q][k] · f[k]`, accumulated with plain mul/add in
-/// ascending `k` — the exact operation sequence of the scalar G2P loop, so
-/// each lane is bitwise identical to the scalar interpolation.
-pub fn dot8_table(path: SimdPath, wq: &[[f64; 8]], f: &[F64x4; 8], out: &mut [F64x4]) {
-    debug_assert!(out.len() >= wq.len());
-    match path {
-        SimdPath::Portable => dot8_table_portable(wq, f, out),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `axpy` — path implies hardware support.
-            unsafe {
-                avx::dot8_table(wq, f, out)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            dot8_table_portable(wq, f, out)
-        }
-    }
-}
-
-fn dot8_table_portable(wq: &[[f64; 8]], f: &[F64x4; 8], out: &mut [F64x4]) {
-    for (q, w) in wq.iter().enumerate() {
-        let mut acc = F64x4::ZERO;
-        for k in 0..8 {
-            acc = acc + F64x4::splat(w[k]) * f[k];
-        }
-        out[q] = acc;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Material-point advection lane kernels
-// ---------------------------------------------------------------------------
-//
-// Four independent points per call, array-of-structs in and out: the
-// kernels transpose into lanes themselves, so a caller hands over plain
-// per-point arrays (one `&` per lane — lanes in the same element share the
-// reference). Each kernel is one body, generic over [`Lane`], instantiated
-// with `F64x4` (portable) and with the AVX register wrapper `avx::V4`:
-// the same plain mul/add/sub/div/sqrt sequence either way, no FMA.
-
-/// The lane arithmetic the advection kernels, the envelope Cholesky of
-/// `crate::cholesky` and the [`LaneKernel`]s of other crates are written
-/// in. Every method is one correctly-rounded IEEE operation per lane, so
-/// two implementations cannot differ in bits.
+/// The lane arithmetic every SIMD kernel of the workspace is written in,
+/// once, and run through [`run_lanes`]. Every method is one
+/// correctly-rounded IEEE operation per lane — [`mul_add`](Self::mul_add)
+/// a fused one, rounded once — so the two implementations cannot differ
+/// in bits.
 pub trait Lane:
     Copy
     + std::ops::Add<Output = Self>
@@ -396,6 +139,23 @@ pub trait Lane:
     fn store(self, out: &mut [f64; LANES]) {
         *out = self.to_array();
     }
+    /// `[s[idx[0]], …, s[idx[3]]]` (one hardware gather under AVX).
+    ///
+    /// # Safety
+    /// Every `idx[l]` is below `s.len()`, and `s.len() ≤ i32::MAX`.
+    // SAFETY: the contract above is what the AVX gather needs; this
+    // default reads through checked indexing.
+    #[inline(always)]
+    unsafe fn gather(s: &[f64], idx: [u32; LANES]) -> Self {
+        Self::from_array([
+            s[idx[0] as usize],
+            s[idx[1] as usize],
+            s[idx[2] as usize],
+            s[idx[3] as usize],
+        ])
+    }
+    /// `self · a + b` per lane, rounded once (`f64::mul_add`).
+    fn mul_add(self, a: Self, b: Self) -> Self;
     fn sqrt(self) -> Self;
     /// Per-lane `f64::clamp` (NaN stays NaN).
     fn clamp(self, lo: f64, hi: f64) -> Self;
@@ -415,6 +175,15 @@ impl Lane for F64x4 {
         self.0
     }
     #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        F64x4([
+            self.0[0].mul_add(a.0[0], b.0[0]),
+            self.0[1].mul_add(a.0[1], b.0[1]),
+            self.0[2].mul_add(a.0[2], b.0[2]),
+            self.0[3].mul_add(a.0[3], b.0[3]),
+        ])
+    }
+    #[inline(always)]
     fn sqrt(self) -> Self {
         F64x4(self.0.map(f64::sqrt))
     }
@@ -423,6 +192,296 @@ impl Lane for F64x4 {
         F64x4(self.0.map(|v| v.clamp(lo, hi)))
     }
 }
+
+// ---------------------------------------------------------------------------
+// Running a lane kernel
+// ---------------------------------------------------------------------------
+
+/// A kernel written once over [`Lane`]: [`run_lanes`] instantiates it
+/// with [`F64x4`] on the portable path and with the AVX register type
+/// inside its `avx2,fma` wrapper on the other, so both paths run the
+/// same operation sequence and, every [`Lane`] method being one
+/// correctly-rounded operation per lane (fused ones included), give the
+/// same bits. `run` must be `#[inline(always)]`, and so must every helper
+/// it calls on lane values: an outlined body loses the wrapper's target
+/// features and every AVX lane operation becomes a call. `run` should hand
+/// the kernel's fields to its body as arguments: a reference passed as an
+/// argument tells the optimizer that stores through the `&mut` ones leave
+/// the others unchanged, one read from the kernel struct does not, and
+/// the loads repeated after every store cost ≈ 10–20 % per call on the
+/// small kernels (EXPERIMENTS.md, "One lane body per SIMD kernel").
+pub trait LaneKernel {
+    type Output;
+    fn run<V: Lane>(self) -> Self::Output;
+}
+
+/// Run `kernel` on `path`'s lane type.
+pub fn run_lanes<K: LaneKernel>(path: SimdPath, kernel: K) -> K::Output {
+    match path {
+        SimdPath::Portable => kernel.run::<F64x4>(),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Avx2Fma` is only chosen when `avx2_fma_available`
+        // reported hardware support (or by tests that check it first).
+        SimdPath::Avx2Fma => unsafe { avx::run_lanes(kernel) },
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdPath::Avx2Fma => kernel.run::<F64x4>(),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Chebyshev / BLAS-1 slice kernels
+// ---------------------------------------------------------------------------
+//
+// All four are elementwise with plain mul/add/sub/div only (no fusion), so
+// both paths and the scalar loops they replaced are bitwise identical —
+// swapping them into `Chebyshev::smooth_with` changes no result anywhere.
+
+/// The per-element map of an elementwise slice kernel:
+/// `out[i] = map(out[i], a[i], b[i])`.
+trait ElementMap {
+    fn map<V: Lane>(&self, out: V, a: V, b: V) -> V;
+}
+
+/// Runs an [`ElementMap`] over `out`, four values at a time; the last
+/// `len % 4` go through the same lane operations zero-padded, so every
+/// value gets the same IEEE operations as in a full chunk.
+struct Elementwise<'a, M> {
+    map: M,
+    out: &'a mut [f64],
+    a: &'a [f64],
+    b: &'a [f64],
+}
+
+impl<M: ElementMap> LaneKernel for Elementwise<'_, M> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        elementwise::<V, M>(&self.map, self.out, self.a, self.b);
+    }
+}
+
+#[inline(always)]
+fn elementwise<V: Lane, M: ElementMap>(map: &M, out: &mut [f64], a: &[f64], b: &[f64]) {
+    let n = out.len();
+    let (out, out_tail) = out.as_chunks_mut::<LANES>();
+    let (a, a_tail) = a[..n].as_chunks::<LANES>();
+    let (b, b_tail) = b[..n].as_chunks::<LANES>();
+    for ((o, a), b) in out.iter_mut().zip(a).zip(b) {
+        map.map(V::load(o), V::load(a), V::load(b)).store(o);
+    }
+    if out_tail.is_empty() {
+        return;
+    }
+    let r = map
+        .map::<V>(padded(out_tail), padded(a_tail), padded(b_tail))
+        .to_array();
+    out_tail.copy_from_slice(&r[..out_tail.len()]);
+}
+
+/// Up to four values as a lane, zero-padded.
+#[inline(always)]
+fn padded<V: Lane>(s: &[f64]) -> V {
+    let mut p = [0.0; LANES];
+    p[..s.len()].copy_from_slice(s);
+    V::from_array(p)
+}
+
+/// `y[i] += alpha * x[i]` (the smoother's correction/residual axpy).
+pub fn axpy(path: SimdPath, alpha: f64, x: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(x.len(), y.len());
+    struct Axpy(f64);
+    impl ElementMap for Axpy {
+        #[inline(always)]
+        fn map<V: Lane>(&self, y: V, x: V, _: V) -> V {
+            y + V::splat(self.0) * x
+        }
+    }
+    run_lanes(
+        path,
+        Elementwise {
+            map: Axpy(alpha),
+            out: y,
+            a: x,
+            b: x,
+        },
+    );
+}
+
+/// `r[i] = b[i] - r[i]` — the residual flip after `r = A x`.
+pub fn residual_ip(path: SimdPath, b: &[f64], r: &mut [f64]) {
+    debug_assert_eq!(b.len(), r.len());
+    struct Flip;
+    impl ElementMap for Flip {
+        #[inline(always)]
+        fn map<V: Lane>(&self, r: V, b: V, _: V) -> V {
+            b - r
+        }
+    }
+    run_lanes(
+        path,
+        Elementwise {
+            map: Flip,
+            out: r,
+            a: b,
+            b,
+        },
+    );
+}
+
+/// `d[i] = inv_diag[i] * r[i] / theta` — the Chebyshev direction seed.
+pub fn cheb_d_init(path: SimdPath, inv_diag: &[f64], r: &[f64], theta: f64, d: &mut [f64]) {
+    debug_assert_eq!(inv_diag.len(), d.len());
+    debug_assert_eq!(r.len(), d.len());
+    struct Seed(f64);
+    impl ElementMap for Seed {
+        #[inline(always)]
+        fn map<V: Lane>(&self, _: V, inv: V, r: V) -> V {
+            inv * r / V::splat(self.0)
+        }
+    }
+    run_lanes(
+        path,
+        Elementwise {
+            map: Seed(theta),
+            out: d,
+            a: inv_diag,
+            b: r,
+        },
+    );
+}
+
+/// `d[i] = c1 * d[i] + c2 * inv_diag[i] * r[i]` — the Chebyshev direction
+/// recurrence (left-associated exactly as written).
+pub fn cheb_update(path: SimdPath, c1: f64, c2: f64, inv_diag: &[f64], r: &[f64], d: &mut [f64]) {
+    debug_assert_eq!(inv_diag.len(), d.len());
+    debug_assert_eq!(r.len(), d.len());
+    struct Recur(f64, f64);
+    impl ElementMap for Recur {
+        #[inline(always)]
+        fn map<V: Lane>(&self, d: V, inv: V, r: V) -> V {
+            V::splat(self.0) * d + V::splat(self.1) * inv * r
+        }
+    }
+    run_lanes(
+        path,
+        Elementwise {
+            map: Recur(c1, c2),
+            out: d,
+            a: inv_diag,
+            b: r,
+        },
+    );
+}
+
+// ---------------------------------------------------------------------------
+// P2G / G2P lane kernels
+// ---------------------------------------------------------------------------
+
+/// Trilinear (Q1 hat) weights of 4 points at once. Mirrors
+/// `ptatin_fem::basis::q1_basis` operation for operation —
+/// `l = 0.5*(1 ± ξ)` then `out[n] = (lx*ly)*lz` in the same n-order — so
+/// each lane is bitwise identical to the scalar basis evaluation (tested
+/// from `ptatin-mpm`, which owns both call sites).
+pub fn q1_hat_weights_x4(path: SimdPath, xi0: F64x4, xi1: F64x4, xi2: F64x4, out: &mut [F64x4; 8]) {
+    q1_hat_weights_many(path, &[xi0, xi1, xi2], out);
+}
+
+/// [`q1_hat_weights_x4`] over a whole chunk of lanes in one call — `xi`
+/// holds 3 coordinate vectors per lane (`[ξ₀, ξ₁, ξ₂]` lane-major), `out`
+/// receives 8 weight vectors per lane. One dispatch amortizes the
+/// non-inlinable `target_feature` call over the chunk; each lane's values
+/// are identical to a [`q1_hat_weights_x4`] call, hence bitwise identical
+/// to the scalar basis evaluation on both paths.
+pub fn q1_hat_weights_many(path: SimdPath, xi: &[F64x4], out: &mut [F64x4]) {
+    debug_assert_eq!(xi.len() % 3, 0);
+    debug_assert_eq!(out.len(), 8 * (xi.len() / 3));
+    run_lanes(path, HatWeights { xi, out });
+}
+
+struct HatWeights<'a> {
+    xi: &'a [F64x4],
+    out: &'a mut [F64x4],
+}
+
+impl LaneKernel for HatWeights<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        hat_weights::<V>(self.xi, self.out);
+    }
+}
+
+#[inline(always)]
+fn hat_weights<V: Lane>(xi: &[F64x4], out: &mut [F64x4]) {
+    let half = V::splat(0.5);
+    let one = V::splat(1.0);
+    for (xi, w) in xi.chunks_exact(3).zip(out.chunks_exact_mut(8)) {
+        let x = [V::load(&xi[0].0), V::load(&xi[1].0), V::load(&xi[2].0)];
+        let lx = [half * (one - x[0]), half * (one + x[0])];
+        let ly = [half * (one - x[1]), half * (one + x[1])];
+        let lz = [half * (one - x[2]), half * (one + x[2])];
+        let mut n = 0;
+        for c in 0..2 {
+            for b in 0..2 {
+                for a in 0..2 {
+                    (lx[a] * ly[b] * lz[c]).store(&mut w[n].0);
+                    n += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Interpolate a gathered 8-corner lane to `out.len()` quadrature points:
+/// `out[q] = Σ_k wq[q][k] · f[k]`, accumulated with plain mul/add in
+/// ascending `k` — the exact operation sequence of the scalar G2P loop, so
+/// each lane is bitwise identical to the scalar interpolation.
+pub fn dot8_table(path: SimdPath, wq: &[[f64; 8]], f: &[F64x4; 8], out: &mut [F64x4]) {
+    debug_assert!(out.len() >= wq.len());
+    run_lanes(path, Dot8 { wq, f, out });
+}
+
+struct Dot8<'a> {
+    wq: &'a [[f64; 8]],
+    f: &'a [F64x4; 8],
+    out: &'a mut [F64x4],
+}
+
+impl LaneKernel for Dot8<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        dot8::<V>(self.wq, self.f, self.out);
+    }
+}
+
+#[inline(always)]
+fn dot8<V: Lane>(wq: &[[f64; 8]], f: &[F64x4; 8], out: &mut [F64x4]) {
+    let mut fv = [V::splat(0.0); 8];
+    for k in 0..8 {
+        fv[k] = V::load(&f[k].0);
+    }
+    for (w, out) in wq.iter().zip(out.iter_mut()) {
+        let mut acc = V::splat(0.0);
+        for k in 0..8 {
+            acc = acc + V::splat(w[k]) * fv[k];
+        }
+        acc.store(&mut out.0);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Material-point advection lane kernels
+// ---------------------------------------------------------------------------
+//
+// Four independent points per call, array-of-structs in and out: the
+// kernels transpose into lanes themselves, so a caller hands over plain
+// per-point arrays (one `&` per lane — lanes in the same element share the
+// reference). Plain mul/add/sub/div/sqrt only, nothing fused, like the
+// scalar routines they mirror.
 
 /// Four per-point 3-vectors as three coordinate lane vectors. (Written
 /// out, like every loop in the bodies below: a closure passed to
@@ -470,21 +529,16 @@ pub fn trilinear_inverse_x4(
     xi: &mut [[f64; 3]; LANES],
 ) -> [bool; LANES] {
     match path {
-        SimdPath::Portable => trilinear_inverse_x4_body::<F64x4>(corners, x, tol, max_it, xi),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `axpy` — path implies hardware support.
-            unsafe {
-                avx::trilinear_inverse_x4(corners, x, tol, max_it, xi)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            trilinear_inverse_x4_body::<F64x4>(corners, x, tol, max_it, xi)
-        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Avx2Fma` is only chosen when `avx2_fma_available`
+        // reported hardware support (or by tests that check it first).
+        SimdPath::Avx2Fma => unsafe { avx::trilinear_inverse_x4(corners, x, tol, max_it, xi) },
+        _ => trilinear_inverse::<F64x4>(corners, x, tol, max_it, xi),
     }
 }
 
 #[inline(always)]
-fn trilinear_inverse_x4_body<V: Lane>(
+fn trilinear_inverse<V: Lane>(
     corners: [&[[f64; 3]; 8]; LANES],
     x: &[[f64; 3]; LANES],
     tol: f64,
@@ -607,24 +661,15 @@ pub fn q2_interp3_x4(
     nodal: [&[f64; 81]; LANES],
 ) -> [[f64; 3]; LANES] {
     match path {
-        SimdPath::Portable => q2_interp3_x4_body::<F64x4>(xi, nodal),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `axpy` — path implies hardware support.
-            unsafe {
-                avx::q2_interp3_x4(xi, nodal)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            q2_interp3_x4_body::<F64x4>(xi, nodal)
-        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `trilinear_inverse_x4`.
+        SimdPath::Avx2Fma => unsafe { avx::q2_interp3_x4(xi, nodal) },
+        _ => q2_interp3::<F64x4>(xi, nodal),
     }
 }
 
 #[inline(always)]
-fn q2_interp3_x4_body<V: Lane>(
-    xi: &[[f64; 3]; LANES],
-    nodal: [&[f64; 81]; LANES],
-) -> [[f64; 3]; LANES] {
+fn q2_interp3<V: Lane>(xi: &[[f64; 3]; LANES], nodal: [&[f64; 81]; LANES]) -> [[f64; 3]; LANES] {
     let half = V::splat(0.5);
     let one = V::splat(1.0);
     let basis_1d = |t: V| [half * t * (t - one), one - t * t, half * t * (t + one)];
@@ -655,225 +700,24 @@ fn q2_interp3_x4_body<V: Lane>(
 }
 
 // ---------------------------------------------------------------------------
-// Lane kernels of other crates
-// ---------------------------------------------------------------------------
-
-/// A kernel written once over [`Lane`], for crates that keep no AVX code
-/// of their own: [`run_lanes`] instantiates it with [`F64x4`] on the
-/// portable path and with the AVX register type inside an `avx2,fma`
-/// wrapper on the other, so both paths run the same operation sequence
-/// and, with no fused operations in the body, give the same bits. `run`
-/// should be `#[inline(always)]` (and so should the helpers it calls on
-/// lane values): an outlined body loses the wrapper's target features and
-/// every AVX lane operation becomes a call.
-pub trait LaneKernel {
-    type Output;
-    fn run<V: Lane>(self) -> Self::Output;
-}
-
-/// Run `kernel` on `path`'s lane type.
-pub fn run_lanes<K: LaneKernel>(path: SimdPath, kernel: K) -> K::Output {
-    match path {
-        SimdPath::Portable => run_lanes_portable(kernel),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `axpy` — path implies hardware support.
-            unsafe {
-                avx::run_lanes(kernel)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            run_lanes_portable(kernel)
-        }
-    }
-}
-
-fn run_lanes_portable<K: LaneKernel>(kernel: K) -> K::Output {
-    kernel.run::<F64x4>()
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 bodies
+// The AVX2 lane type
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod avx {
-    use super::{q2_interp3_x4_body, trilinear_inverse_x4_body, F64x4, Lane, LaneKernel};
+mod avx {
+    use super::{Lane, LaneKernel, LANES};
     use core::arch::x86_64::*;
 
-    // SAFETY: F64x4 is #[repr(align(32))], so the load is aligned;
-    // caller must have AVX available (all callers are avx2+fma fns).
-    #[inline(always)]
-    unsafe fn ld(v: &F64x4) -> __m256d {
-        _mm256_load_pd(v.0.as_ptr())
-    }
-
-    // SAFETY: F64x4 is #[repr(align(32))], so the store is aligned;
-    // caller must have AVX available (all callers are avx2+fma fns).
-    #[inline(always)]
-    unsafe fn st(out: &mut F64x4, v: __m256d) {
-        _mm256_store_pd(out.0.as_mut_ptr(), v)
-    }
-
-    // SAFETY: caller must have verified avx2+fma support (the
-    // `SimdPath::Avx2Fma` dispatch contract); slices may be any length.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = y.len();
-        let a = _mm256_set1_pd(alpha);
-        let mut i = 0;
-        while i + 4 <= n {
-            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-            let yv = _mm256_loadu_pd(y.as_ptr().add(i));
-            // Plain mul+add (not FMA): bitwise identical to the scalar
-            // `y += alpha * x` the portable loop performs.
-            let r = _mm256_add_pd(yv, _mm256_mul_pd(a, xv));
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), r);
-            i += 4;
-        }
-        while i < n {
-            y[i] += alpha * x[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: caller must have verified avx2+fma support.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn residual_ip(b: &[f64], r: &mut [f64]) {
-        let n = r.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let bv = _mm256_loadu_pd(b.as_ptr().add(i));
-            let rv = _mm256_loadu_pd(r.as_ptr().add(i));
-            _mm256_storeu_pd(r.as_mut_ptr().add(i), _mm256_sub_pd(bv, rv));
-            i += 4;
-        }
-        while i < n {
-            r[i] = b[i] - r[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: caller must have verified avx2+fma support.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cheb_d_init(inv_diag: &[f64], r: &[f64], theta: f64, d: &mut [f64]) {
-        let n = d.len();
-        let th = _mm256_set1_pd(theta);
-        let mut i = 0;
-        while i + 4 <= n {
-            let iv = _mm256_loadu_pd(inv_diag.as_ptr().add(i));
-            let rv = _mm256_loadu_pd(r.as_ptr().add(i));
-            // (inv·r)/θ in the scalar association; _mm256_div_pd is
-            // correctly rounded, so lanes match the scalar divides.
-            let dv = _mm256_div_pd(_mm256_mul_pd(iv, rv), th);
-            _mm256_storeu_pd(d.as_mut_ptr().add(i), dv);
-            i += 4;
-        }
-        while i < n {
-            d[i] = inv_diag[i] * r[i] / theta;
-            i += 1;
-        }
-    }
-
-    // SAFETY: caller must have verified avx2+fma support.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cheb_update(c1: f64, c2: f64, inv_diag: &[f64], r: &[f64], d: &mut [f64]) {
-        let n = d.len();
-        let c1v = _mm256_set1_pd(c1);
-        let c2v = _mm256_set1_pd(c2);
-        let mut i = 0;
-        while i + 4 <= n {
-            let iv = _mm256_loadu_pd(inv_diag.as_ptr().add(i));
-            let rv = _mm256_loadu_pd(r.as_ptr().add(i));
-            let dv = _mm256_loadu_pd(d.as_ptr().add(i));
-            // c1·d + (c2·inv)·r, left-associated like the scalar loop.
-            let t = _mm256_mul_pd(_mm256_mul_pd(c2v, iv), rv);
-            let out = _mm256_add_pd(_mm256_mul_pd(c1v, dv), t);
-            _mm256_storeu_pd(d.as_mut_ptr().add(i), out);
-            i += 4;
-        }
-        while i < n {
-            d[i] = c1 * d[i] + c2 * inv_diag[i] * r[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: caller must have verified avx2+fma support.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn q1_hat_weights_x4(xi0: F64x4, xi1: F64x4, xi2: F64x4, out: &mut [F64x4; 8]) {
-        let half = _mm256_set1_pd(0.5);
-        let one = _mm256_set1_pd(1.0);
-        let x0 = ld(&xi0);
-        let x1 = ld(&xi1);
-        let x2 = ld(&xi2);
-        let lx = [
-            _mm256_mul_pd(half, _mm256_sub_pd(one, x0)),
-            _mm256_mul_pd(half, _mm256_add_pd(one, x0)),
-        ];
-        let ly = [
-            _mm256_mul_pd(half, _mm256_sub_pd(one, x1)),
-            _mm256_mul_pd(half, _mm256_add_pd(one, x1)),
-        ];
-        let lz = [
-            _mm256_mul_pd(half, _mm256_sub_pd(one, x2)),
-            _mm256_mul_pd(half, _mm256_add_pd(one, x2)),
-        ];
-        let mut n = 0;
-        for c in 0..2 {
-            for b in 0..2 {
-                for a in 0..2 {
-                    st(
-                        &mut out[n],
-                        _mm256_mul_pd(_mm256_mul_pd(lx[a], ly[b]), lz[c]),
-                    );
-                    n += 1;
-                }
-            }
-        }
-    }
-
-    // SAFETY: caller must have verified avx2+fma support and sized
-    // `xi` as 3 lanes and `out` as 8 lanes per point-group.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn q1_hat_weights_many(xi: &[F64x4], out: &mut [F64x4]) {
-        for (l, w) in out.chunks_exact_mut(8).enumerate() {
-            // PANIC-OK: chunks_exact_mut(8) yields exactly 8 elements.
-            let w8: &mut [F64x4; 8] = w.try_into().expect("chunk of 8");
-            // SAFETY: caller already established avx2+fma support; the
-            // per-lane kernel inlines into this loop (same feature set).
-            unsafe { q1_hat_weights_x4(xi[3 * l], xi[3 * l + 1], xi[3 * l + 2], w8) };
-        }
-    }
-
-    // SAFETY: caller must have verified avx2+fma support and sized
-    // `out` to at least `wq.len()` lanes.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot8_table(wq: &[[f64; 8]], f: &[F64x4; 8], out: &mut [F64x4]) {
-        let fv = [
-            ld(&f[0]),
-            ld(&f[1]),
-            ld(&f[2]),
-            ld(&f[3]),
-            ld(&f[4]),
-            ld(&f[5]),
-            ld(&f[6]),
-            ld(&f[7]),
-        ];
-        for (q, w) in wq.iter().enumerate() {
-            let mut acc = _mm256_setzero_pd();
-            for k in 0..8 {
-                // Plain mul+add ascending k — the scalar G2P sequence.
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(w[k]), fv[k]));
-            }
-            st(&mut out[q], acc);
-        }
-    }
-    /// One AVX register as a [`Lane`]: each method is the single
+    /// One AVX register as a [`Lane`]: each arithmetic method is the single
     /// instruction that performs the portable method's operation per lane.
-    /// Values exist only inside `avx2,fma` kernels — the ones below and
-    /// the wrappers of `crate::cholesky` — which is what makes the
-    /// intrinsic calls sound.
+    /// Values exist only inside [`run_lanes`], which is what makes the
+    /// intrinsic calls sound. Loads, stores and conversions are plain
+    /// memory operations on `__m256d`, not intrinsics: an intrinsic stays a
+    /// call in a helper until the helper is inlined into the wrapper, and
+    /// while it does the optimizer cannot tell which memory it touches.
     #[derive(Clone, Copy)]
-    pub(crate) struct V4(__m256d);
+    #[repr(transparent)]
+    pub(super) struct V4(__m256d);
 
     macro_rules! v4_binop {
         ($trait:ident, $method:ident, $intrinsic:ident) => {
@@ -895,32 +739,43 @@ pub(crate) mod avx {
     impl Lane for V4 {
         #[inline(always)]
         fn splat(v: f64) -> Self {
-            // SAFETY: only instantiated under avx2+fma (see type).
-            V4(unsafe { _mm256_set1_pd(v) })
+            Self::from_array([v; LANES])
         }
         #[inline(always)]
-        fn from_array(a: [f64; 4]) -> Self {
-            // SAFETY: only instantiated under avx2+fma (see type).
-            V4(unsafe { _mm256_set_pd(a[3], a[2], a[1], a[0]) })
+        fn from_array(a: [f64; LANES]) -> Self {
+            // SAFETY: `__m256d` is four `f64`s; every bit pattern is valid.
+            V4(unsafe { core::mem::transmute::<[f64; LANES], __m256d>(a) })
         }
         #[inline(always)]
-        fn to_array(self) -> [f64; 4] {
-            let mut out = F64x4::ZERO;
-            // SAFETY: a `V4` exists only under avx2+fma (see type).
-            unsafe { st(&mut out, self.0) };
-            out.0
+        fn to_array(self) -> [f64; LANES] {
+            // SAFETY: as in `from_array`.
+            unsafe { core::mem::transmute::<__m256d, [f64; LANES]>(self.0) }
         }
         #[inline(always)]
-        fn load(s: &[f64; 4]) -> Self {
-            // SAFETY: only instantiated under avx2+fma (see type); the
-            // reference covers the four values read.
-            V4(unsafe { _mm256_loadu_pd(s.as_ptr()) })
+        fn load(s: &[f64; LANES]) -> Self {
+            // SAFETY: the reference covers the 32 bytes read.
+            V4(unsafe { s.as_ptr().cast::<__m256d>().read_unaligned() })
         }
         #[inline(always)]
-        fn store(self, out: &mut [f64; 4]) {
+        fn store(self, out: &mut [f64; LANES]) {
+            // SAFETY: the reference covers the 32 bytes written.
+            unsafe { out.as_mut_ptr().cast::<__m256d>().write_unaligned(self.0) }
+        }
+        // SAFETY: the caller keeps the trait's index contract.
+        #[inline(always)]
+        unsafe fn gather(s: &[f64], idx: [u32; LANES]) -> Self {
             // SAFETY: a `V4` exists only under avx2+fma (see type); the
-            // reference covers the four values written.
-            unsafe { _mm256_storeu_pd(out.as_mut_ptr(), self.0) }
+            // caller keeps every index below `s.len() ≤ i32::MAX`, so the
+            // indices are non-negative as i32 and every read in bounds.
+            V4(unsafe {
+                let i = _mm_loadu_si128(idx.as_ptr().cast());
+                _mm256_i32gather_pd::<8>(s.as_ptr(), i)
+            })
+        }
+        #[inline(always)]
+        fn mul_add(self, a: Self, b: Self) -> Self {
+            // SAFETY: a `V4` exists only under avx2+fma (see type).
+            V4(unsafe { _mm256_fmadd_pd(self.0, a.0, b.0) })
         }
         #[inline(always)]
         fn sqrt(self) -> Self {
@@ -942,29 +797,38 @@ pub(crate) mod avx {
         }
     }
 
-    // SAFETY: caller must have verified avx2+fma support.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn trilinear_inverse_x4(
-        corners: [&[[f64; 3]; 8]; 4],
-        x: &[[f64; 3]; 4],
-        tol: f64,
-        max_it: usize,
-        xi: &mut [[f64; 3]; 4],
-    ) -> [bool; 4] {
-        trilinear_inverse_x4_body::<V4>(corners, x, tol, max_it, xi)
-    }
-
-    // SAFETY: caller must have verified avx2+fma support.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn q2_interp3_x4(xi: &[[f64; 3]; 4], nodal: [&[f64; 81]; 4]) -> [[f64; 3]; 4] {
-        q2_interp3_x4_body::<V4>(xi, nodal)
-    }
-
+    /// The `#[target_feature]` wrapper every lane kernel runs through on
+    /// the AVX path.
     // SAFETY: caller must have verified avx2+fma support; `V4` values
     // exist only inside this call.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn run_lanes<K: LaneKernel>(kernel: K) -> K::Output {
+    pub(super) unsafe fn run_lanes<K: LaneKernel>(kernel: K) -> K::Output {
         kernel.run::<V4>()
+    }
+
+    // The advection kernels keep wrappers of their own, taking their
+    // arguments directly: through `run_lanes` they ran 7–19 % slower per
+    // call (EXPERIMENTS.md, "One lane body per SIMD kernel").
+
+    // SAFETY: caller must have verified avx2+fma support.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn trilinear_inverse_x4(
+        corners: [&[[f64; 3]; 8]; LANES],
+        x: &[[f64; 3]; LANES],
+        tol: f64,
+        max_it: usize,
+        xi: &mut [[f64; 3]; LANES],
+    ) -> [bool; LANES] {
+        super::trilinear_inverse::<V4>(corners, x, tol, max_it, xi)
+    }
+
+    // SAFETY: caller must have verified avx2+fma support.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn q2_interp3_x4(
+        xi: &[[f64; 3]; LANES],
+        nodal: [&[f64; 81]; LANES],
+    ) -> [[f64; 3]; LANES] {
+        super::q2_interp3::<V4>(xi, nodal)
     }
 }
 
@@ -1151,6 +1015,71 @@ mod tests {
         for &p in paths {
             let got = run_lanes(p, DotDiv(&a, &b));
             assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{p:?}");
+        }
+    }
+
+    /// `a · b + c` per lane through [`Lane::mul_add`].
+    struct MulAdd<'a>(&'a [[f64; 4]; 3]);
+
+    impl LaneKernel for MulAdd<'_> {
+        type Output = [f64; 4];
+        #[inline(always)]
+        fn run<V: Lane>(self) -> [f64; 4] {
+            let [a, b, c] = self.0;
+            V::load(a).mul_add(V::load(b), V::load(c)).to_array()
+        }
+    }
+
+    #[test]
+    fn mul_add_rounds_once_bitwise_on_both_paths() {
+        let sub = f64::from_bits(1); // smallest subnormal
+        let inf = f64::INFINITY;
+        // (a, b, c) per lane, four lanes per case.
+        let cases: [[[f64; 4]; 3]; 4] = [
+            // Signed zeros: the sum's sign follows IEEE rounding rules.
+            [
+                [0.0, -0.0, 0.0, -0.0],
+                [1.0, 1.0, -1.0, -1.0],
+                [-0.0, -0.0, 0.0, 0.0],
+            ],
+            // Infinities, an invalid −∞ + ∞ (lane 2) and a NaN operand.
+            [
+                [inf, -inf, 2.0, f64::NAN],
+                [3.0, 0.5, -inf, 1.0],
+                [1.0, -1.0, inf, 1.0],
+            ],
+            // Subnormal products, operands and sums.
+            [
+                [sub, 3.0 * sub, 1e-160, f64::MIN_POSITIVE],
+                [0.5, 7.0, 1e-160, 0.25],
+                [sub, -sub, 0.0, -f64::MIN_POSITIVE / 8.0],
+            ],
+            // a·b exactly 1 − 2⁻¹⁰⁶: rounding it before the add loses the
+            // low half, the fused result keeps it.
+            [
+                [1.0 + f64::EPSILON, 1.0 / 3.0, 0.1, 1e16],
+                [1.0 - f64::EPSILON, 3.0, 10.0, 1.0 + f64::EPSILON],
+                [-1.0, -1.0, -1.0, -1e16],
+            ],
+        ];
+        let paths: &[SimdPath] = if avx2_fma_available() {
+            &[SimdPath::Portable, SimdPath::Avx2Fma]
+        } else {
+            &[SimdPath::Portable]
+        };
+        for case in &cases {
+            let want: [u64; 4] =
+                std::array::from_fn(|l| case[0][l].mul_add(case[1][l], case[2][l]).to_bits());
+            for &p in paths {
+                let got = run_lanes(p, MulAdd(case)).map(f64::to_bits);
+                assert_eq!(got, want, "{p:?} {case:?}");
+            }
+        }
+        // The fused lanes differ from a rounded product plus the addend.
+        let fused = &cases[3];
+        for l in 0..LANES {
+            let (a, b, c) = (fused[0][l], fused[1][l], fused[2][l]);
+            assert_ne!(a.mul_add(b, c).to_bits(), (a * b + c).to_bits(), "lane {l}");
         }
     }
 

@@ -38,7 +38,7 @@
 
 use crate::csr::Csr;
 use crate::par;
-use crate::simd::{self, F64x4, SimdPath, LANES};
+use crate::simd::{self, run_lanes, Lane, LaneKernel, SimdPath, LANES};
 use ptatin_prof as prof;
 
 /// Rows below which the apply runs serially (elementwise outputs, so the
@@ -86,75 +86,16 @@ impl LaneMap {
     fn apply_range(&self, path: SimdPath, x: &[f64], y: &mut [f64], row0: usize, row1: usize) {
         debug_assert_eq!(x.len(), self.ncols);
         debug_assert!(row0 % LANES == 0);
-        match path {
-            SimdPath::Portable => self.apply_range_portable(x, y, row0, row1),
-            SimdPath::Avx2Fma => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: Avx2Fma is only selected when `avx2_fma_available`
-                // reported hardware support.
-                unsafe {
-                    self.apply_range_avx(x, y, row0, row1)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                self.apply_range_portable(x, y, row0, row1)
-            }
-        }
-    }
-
-    fn apply_range_portable(&self, x: &[f64], y: &mut [f64], row0: usize, row1: usize) {
-        let width = self.width;
-        for lane in row0 / LANES..row1.div_ceil(LANES) {
-            let mut acc = F64x4::ZERO;
-            let base = lane * width * LANES;
-            for s in 0..width {
-                let at = base + s * LANES;
-                let wv = F64x4([self.w[at], self.w[at + 1], self.w[at + 2], self.w[at + 3]]);
-                let xv = F64x4([
-                    x[self.idx[at] as usize],
-                    x[self.idx[at + 1] as usize],
-                    x[self.idx[at + 2] as usize],
-                    x[self.idx[at + 3] as usize],
-                ]);
-                acc = acc + wv * xv;
-            }
-            let r0 = lane * LANES;
-            for (j, &v) in acc.0.iter().enumerate().take(row1 - r0) {
-                y[r0 + j] = v;
-            }
-        }
-    }
-
-    // SAFETY: caller must have verified avx2+fma support; `idx` entries
-    // are in-bounds for `x` by construction (padded lanes repeat entry 0
-    // with zero weight), and `get_unchecked` stays within `w`/`idx`
-    // because both are sized `lanes * width * LANES` at build time.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn apply_range_avx(&self, x: &[f64], y: &mut [f64], row0: usize, row1: usize) {
-        use core::arch::x86_64::*;
-        let width = self.width;
-        for lane in row0 / LANES..row1.div_ceil(LANES) {
-            let mut acc = _mm256_setzero_pd();
-            let base = lane * width * LANES;
-            for s in 0..width {
-                let at = base + s * LANES;
-                let wv = _mm256_loadu_pd(self.w.as_ptr().add(at));
-                let xv = _mm256_set_pd(
-                    x[*self.idx.get_unchecked(at + 3) as usize],
-                    x[*self.idx.get_unchecked(at + 2) as usize],
-                    x[*self.idx.get_unchecked(at + 1) as usize],
-                    x[*self.idx.get_unchecked(at) as usize],
-                );
-                // Plain mul+add, matching the portable lane loop bitwise.
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, xv));
-            }
-            let mut buf = [0.0f64; LANES];
-            _mm256_storeu_pd(buf.as_mut_ptr(), acc);
-            let r0 = lane * LANES;
-            for (j, &v) in buf.iter().enumerate().take(row1 - r0) {
-                y[r0 + j] = v;
-            }
-        }
+        run_lanes(
+            path,
+            LaneRows {
+                map: self,
+                x,
+                y,
+                row0,
+                row1,
+            },
+        );
     }
 
     /// Full apply: parallel over 4-aligned row ranges (each output row is
@@ -174,6 +115,58 @@ impl LaneMap {
             let yall = unsafe { std::slice::from_raw_parts_mut(yp.get(), self.nrows) };
             self.apply_range(path, x, yall, s, e);
         });
+    }
+}
+
+/// The rows `row0..row1` of a [`LaneMap`] apply, one lane of four rows at
+/// a time.
+struct LaneRows<'a> {
+    map: &'a LaneMap,
+    x: &'a [f64],
+    y: &'a mut [f64],
+    row0: usize,
+    row1: usize,
+}
+
+impl LaneKernel for LaneRows<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        let m = self.map;
+        lane_rows::<V>(m.width, &m.idx, &m.w, self.x, self.y, self.row0, self.row1);
+    }
+}
+
+#[inline(always)]
+fn lane_rows<V: Lane>(
+    width: usize,
+    idx: &[u32],
+    w: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+    row0: usize,
+    row1: usize,
+) {
+    let slots = width * LANES;
+    for lane in row0 / LANES..row1.div_ceil(LANES) {
+        let base = lane * slots;
+        let (w, _) = w[base..base + slots].as_chunks::<LANES>();
+        let (idx, _) = idx[base..base + slots].as_chunks::<LANES>();
+        let mut acc = V::splat(0.0);
+        for (w, i) in w.iter().zip(idx) {
+            let xv = [
+                x[i[0] as usize],
+                x[i[1] as usize],
+                x[i[2] as usize],
+                x[i[3] as usize],
+            ];
+            acc = acc + V::load(w) * V::from_array(xv);
+        }
+        let r0 = lane * LANES;
+        for (j, v) in acc.to_array().into_iter().enumerate().take(row1 - r0) {
+            y[r0 + j] = v;
+        }
     }
 }
 

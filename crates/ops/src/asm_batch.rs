@@ -14,19 +14,17 @@
 //! scalar assembly at every thread count. Tail lane slots are ghost-padded
 //! by replicating the last real element (computed, never scattered).
 //!
-//! The AVX2 path reuses the portable bodies: they are `#[inline(always)]`
-//! and built from 4-wide lane ops, so instantiating them inside a
-//! `#[target_feature(enable = "avx2,fma")]` wrapper compiles the same
-//! operation sequence down to 256-bit vector instructions. Rust does not
-//! contract mul+add into FMA, so enabling the feature changes scheduling,
-//! not results.
+//! Each lane kernel is written once over `ptatin_la::simd::Lane` and run
+//! through `run_lanes`, which instantiates it with the portable lane type
+//! or with the AVX register type under its `avx2,fma` wrapper: the
+//! same plain operation sequence on both paths.
 
 use ptatin_fem::assemble::{PressureMassBlocks, Q2QuadTables};
 use ptatin_fem::basis::{element_frame, q1_basis, q1_grad, NP1, NQ1, NQ2};
 use ptatin_fem::pattern::{gradient_pattern_csr, GalerkinQ1Pattern, ViscousPattern};
 use ptatin_la::csr::Csr;
 use ptatin_la::par;
-use ptatin_la::simd::{F64x4, SimdPath, LANES};
+use ptatin_la::simd::{run_lanes, F64x4, Lane, LaneKernel, SimdPath, LANES};
 use ptatin_mesh::StructuredMesh;
 use ptatin_prof as prof;
 
@@ -83,20 +81,28 @@ fn gather_qp_coeff(coeff: &[f64], nqp: usize, e0: usize, nreal: usize, out: &mut
     }
 }
 
+/// The corner coordinates of a lane group as lane values.
+#[inline(always)]
+fn load_corners<V: Lane>(corners: &[[F64x4; 3]; 8]) -> [[V; 3]; 8] {
+    let mut out = [[V::splat(0.0); 3]; 8];
+    for c in 0..8 {
+        for d in 0..3 {
+            out[c][d] = V::load(&corners[c][d].0);
+        }
+    }
+    out
+}
+
 /// Lane mirror of `qp_geometry` (jacobian → `inv3` → transpose): returns
 /// `(J⁻ᵀ, w·det J)` with the exact operation sequence of the scalar path.
 /// Panics like the scalar path when any lane's element is inverted.
 #[inline(always)]
-fn lane_geometry(
-    q1g: &[[f64; 3]; 8],
-    w: f64,
-    corners: &[[F64x4; 3]; 8],
-) -> ([[F64x4; 3]; 3], F64x4) {
-    let mut j = [[F64x4::ZERO; 3]; 3];
+fn lane_geometry<V: Lane>(q1g: &[[f64; 3]; 8], w: f64, corners: &[[V; 3]; 8]) -> ([[V; 3]; 3], V) {
+    let mut j = [[V::splat(0.0); 3]; 3];
     for (c, corner) in corners.iter().enumerate() {
         for i in 0..3 {
             for d in 0..3 {
-                j[i][d] = j[i][d] + corner[i] * F64x4::splat(q1g[c][d]);
+                j[i][d] = j[i][d] + corner[i] * V::splat(q1g[c][d]);
             }
         }
     }
@@ -104,14 +110,10 @@ fn lane_geometry(
     let det = j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
         - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
         + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]);
-    for l in 0..LANES {
-        assert!(
-            det.0[l] > 0.0,
-            "element is inverted or degenerate (det J = {})",
-            det.0[l]
-        );
+    for d in det.to_array() {
+        assert!(d > 0.0, "element is inverted or degenerate (det J = {d})");
     }
-    let id = F64x4::splat(1.0) / det;
+    let id = V::splat(1.0) / det;
     let inv = [
         [
             (j[1][1] * j[2][2] - j[1][2] * j[2][1]) * id,
@@ -129,25 +131,39 @@ fn lane_geometry(
             (j[0][0] * j[1][1] - j[0][1] * j[1][0]) * id,
         ],
     ];
-    let mut ijt = [[F64x4::ZERO; 3]; 3];
+    let mut ijt = [[V::splat(0.0); 3]; 3];
     for a in 0..3 {
         for b in 0..3 {
             ijt[a][b] = inv[b][a];
         }
     }
-    (ijt, F64x4::splat(w) * det)
+    (ijt, V::splat(w) * det)
 }
 
 /// Lane mirror of `map_to_physical` through the trilinear geometry.
 #[inline(always)]
-fn lane_map_to_physical(q1b: &[f64; 8], corners: &[[F64x4; 3]; 8]) -> [F64x4; 3] {
-    let mut x = [F64x4::ZERO; 3];
+fn lane_map_to_physical<V: Lane>(q1b: &[f64; 8], corners: &[[V; 3]; 8]) -> [V; 3] {
+    let mut x = [V::splat(0.0); 3];
     for (c, corner) in corners.iter().enumerate() {
         for d in 0..3 {
-            x[d] = x[d] + F64x4::splat(q1b[c]) * corner[d];
+            x[d] = x[d] + V::splat(q1b[c]) * corner[d];
         }
     }
     x
+}
+
+/// The P1disc pressure basis at a quadrature point `x` of a lane group:
+/// `[1, (x − c)/h …]` in the element frames (centroid `c`, half-extents
+/// `h`) that [`gather_frames`] evaluates in scalar per real element — the
+/// exact scalar code path.
+#[inline(always)]
+fn lane_psi<V: Lane>(x: [V; 3], c: &[F64x4; 3], h: &[F64x4; 3]) -> [V; NP1] {
+    [
+        V::splat(1.0),
+        (x[0] - V::load(&c[0].0)) / V::load(&h[0].0),
+        (x[1] - V::load(&c[1].0)) / V::load(&h[1].0),
+        (x[2] - V::load(&c[2].0)) / V::load(&h[2].0),
+    ]
 }
 
 /// Viscous element matrix of one lane group for an `N`-node basis with
@@ -158,97 +174,116 @@ fn lane_map_to_physical(q1b: &[f64; 8], corners: &[[F64x4; 3]; 8]) -> [F64x4; 3]
 /// 27-point rule, Jacobians and per-point viscosity — summed over the
 /// fine elements, the Galerkin product `Pᵀ A P` of the embedded-trilinear
 /// transfer (DESIGN.md §4).
-#[inline(always)]
-fn viscous_lanes_body<const N: usize>(
-    tables: &Q2QuadTables,
-    q1: &Q1Tables,
-    grad: &[[[f64; 3]; N]],
-    corners: &[[F64x4; 3]; 8],
-    eta: &[F64x4],
-    ae: &mut [F64x4],
-) {
-    let nqp = tables.nqp();
-    debug_assert_eq!(ae.len(), (3 * N) * (3 * N));
-    ae.fill(F64x4::ZERO);
-    let mut gphi = [[F64x4::ZERO; 3]; N];
-    for q in 0..nqp {
-        let (ijt, wdetj) = lane_geometry(&q1.grad[q], tables.quad.weights[q], corners);
-        for i in 0..N {
-            let g = grad[q][i];
-            for d in 0..3 {
-                gphi[i][d] = ijt[d][0] * F64x4::splat(g[0])
-                    + ijt[d][1] * F64x4::splat(g[1])
-                    + ijt[d][2] * F64x4::splat(g[2]);
+struct ViscousLanes<'a, const N: usize> {
+    tables: &'a Q2QuadTables,
+    q1: &'a Q1Tables,
+    grad: &'a [[[f64; 3]; N]],
+    corners: &'a [[F64x4; 3]; 8],
+    eta: &'a [F64x4],
+    ae: &'a mut [F64x4],
+}
+
+impl<const N: usize> LaneKernel for ViscousLanes<'_, N> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        let Self {
+            tables,
+            q1,
+            grad,
+            corners,
+            eta,
+            ae,
+        } = self;
+        debug_assert_eq!(ae.len(), (3 * N) * (3 * N));
+        let corners = load_corners::<V>(corners);
+        ae.fill(F64x4::ZERO);
+        let mut gphi = [[V::splat(0.0); 3]; N];
+        for q in 0..tables.nqp() {
+            let (ijt, wdetj) = lane_geometry(&q1.grad[q], tables.quad.weights[q], &corners);
+            for i in 0..N {
+                let g = grad[q][i];
+                for d in 0..3 {
+                    gphi[i][d] = ijt[d][0] * V::splat(g[0])
+                        + ijt[d][1] * V::splat(g[1])
+                        + ijt[d][2] * V::splat(g[2]);
+                }
             }
-        }
-        let ew = eta[q] * wdetj;
-        // The per-qp update is bitwise symmetric under (i,r) ↔ (j,c):
-        // `gdot` commutes term for term and the dyadic product commutes
-        // entrywise, so accumulating only the block upper triangle and
-        // mirroring once after the qp loop reproduces the full double
-        // loop bit for bit at roughly half the accumulation work.
-        for i in 0..N {
-            for j in i..N {
-                let gdot =
-                    gphi[i][0] * gphi[j][0] + gphi[i][1] * gphi[j][1] + gphi[i][2] * gphi[j][2];
-                for r in 0..3 {
-                    let row = 3 * i + r;
-                    for c in 0..3 {
-                        let col = 3 * j + c;
-                        let mut v = gphi[i][c] * gphi[j][r];
-                        if r == c {
-                            v = v + gdot;
+            let ew = V::load(&eta[q].0) * wdetj;
+            // The per-qp update is bitwise symmetric under (i,r) ↔ (j,c):
+            // `gdot` commutes term for term and the dyadic product commutes
+            // entrywise, so accumulating only the block upper triangle and
+            // mirroring once after the qp loop reproduces the full double
+            // loop bit for bit at roughly half the accumulation work.
+            for i in 0..N {
+                for j in i..N {
+                    let gdot =
+                        gphi[i][0] * gphi[j][0] + gphi[i][1] * gphi[j][1] + gphi[i][2] * gphi[j][2];
+                    for r in 0..3 {
+                        let row = 3 * i + r;
+                        for c in 0..3 {
+                            let k = row * (3 * N) + 3 * j + c;
+                            let mut v = gphi[i][c] * gphi[j][r];
+                            if r == c {
+                                v = v + gdot;
+                            }
+                            (V::load(&ae[k].0) + ew * v).store(&mut ae[k].0);
                         }
-                        ae[row * (3 * N) + col] = ae[row * (3 * N) + col] + ew * v;
                     }
                 }
             }
         }
-    }
-    for row in 0..3 * N {
-        for col in row + 1..3 * N {
-            ae[col * (3 * N) + row] = ae[row * (3 * N) + col];
+        for row in 0..3 * N {
+            for col in row + 1..3 * N {
+                ae[col * (3 * N) + row] = ae[row * (3 * N) + col];
+            }
         }
     }
 }
 
-/// Lane mirror of `element_gradient_matrix_into` for one lane group. The
-/// element frame (centroid/half-extents) is evaluated in scalar per real
-/// element by the caller — the exact scalar code path — and passed in as
-/// lanes.
-#[inline(always)]
-fn gradient_lanes_body(
-    tables: &Q2QuadTables,
-    q1: &Q1Tables,
-    corners: &[[F64x4; 3]; 8],
-    centroid: &[F64x4; 3],
-    half: &[F64x4; 3],
-    be: &mut [F64x4],
-) {
-    let nqp = tables.nqp();
-    debug_assert_eq!(be.len(), BE);
-    be.fill(F64x4::ZERO);
-    for q in 0..nqp {
-        let (ijt, wdetj) = lane_geometry(&q1.grad[q], tables.quad.weights[q], corners);
-        let x = lane_map_to_physical(&q1.basis[q], corners);
-        let psi = [
-            F64x4::splat(1.0),
-            (x[0] - centroid[0]) / half[0],
-            (x[1] - centroid[1]) / half[1],
-            (x[2] - centroid[2]) / half[2],
-        ];
-        for j in 0..NQ2 {
-            let gr = tables.grad[q][j];
-            let mut g = [F64x4::ZERO; 3];
-            for d in 0..3 {
-                g[d] = ijt[d][0] * F64x4::splat(gr[0])
-                    + ijt[d][1] * F64x4::splat(gr[1])
-                    + ijt[d][2] * F64x4::splat(gr[2]);
-            }
-            for c in 0..3 {
-                for (m, pm) in psi.iter().enumerate() {
-                    let k = m * (3 * NQ2) + 3 * j + c;
-                    be[k] = be[k] - *pm * g[c] * wdetj;
+/// Lane mirror of `element_gradient_matrix_into` for one lane group.
+struct GradientLanes<'a> {
+    tables: &'a Q2QuadTables,
+    q1: &'a Q1Tables,
+    corners: &'a [[F64x4; 3]; 8],
+    centroid: &'a [F64x4; 3],
+    half: &'a [F64x4; 3],
+    be: &'a mut [F64x4; BE],
+}
+
+impl LaneKernel for GradientLanes<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        let Self {
+            tables,
+            q1,
+            corners,
+            centroid,
+            half,
+            be,
+        } = self;
+        let corners = load_corners::<V>(corners);
+        be.fill(F64x4::ZERO);
+        for q in 0..tables.nqp() {
+            let (ijt, wdetj) = lane_geometry(&q1.grad[q], tables.quad.weights[q], &corners);
+            let x = lane_map_to_physical(&q1.basis[q], &corners);
+            let psi = lane_psi(x, centroid, half);
+            for j in 0..NQ2 {
+                let gr = tables.grad[q][j];
+                let mut g = [V::splat(0.0); 3];
+                for d in 0..3 {
+                    g[d] = ijt[d][0] * V::splat(gr[0])
+                        + ijt[d][1] * V::splat(gr[1])
+                        + ijt[d][2] * V::splat(gr[2]);
+                }
+                for c in 0..3 {
+                    for (m, &pm) in psi.iter().enumerate() {
+                        let k = m * (3 * NQ2) + 3 * j + c;
+                        (V::load(&be[k].0) - pm * g[c] * wdetj).store(&mut be[k].0);
+                    }
                 }
             }
         }
@@ -256,7 +291,52 @@ fn gradient_lanes_body(
 }
 
 /// Lane mirror of `element_pressure_mass` for one lane group.
-#[inline(always)]
+struct PressureMassLanes<'a> {
+    tables: &'a Q2QuadTables,
+    q1: &'a Q1Tables,
+    corners: &'a [[F64x4; 3]; 8],
+    centroid: &'a [F64x4; 3],
+    half: &'a [F64x4; 3],
+    weight: &'a [F64x4],
+    m: &'a mut [F64x4; NP1 * NP1],
+}
+
+impl LaneKernel for PressureMassLanes<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        let Self {
+            tables,
+            q1,
+            corners,
+            centroid,
+            half,
+            weight,
+            m,
+        } = self;
+        let corners = load_corners::<V>(corners);
+        let mut acc = [V::splat(0.0); NP1 * NP1];
+        for q in 0..tables.nqp() {
+            let (_ijt, wdetj) = lane_geometry(&q1.grad[q], tables.quad.weights[q], &corners);
+            let x = lane_map_to_physical(&q1.basis[q], &corners);
+            let psi = lane_psi(x, centroid, half);
+            let w = V::load(&weight[q].0) * wdetj;
+            for a in 0..NP1 {
+                for b in 0..NP1 {
+                    acc[a * NP1 + b] = acc[a * NP1 + b] + w * psi[a] * psi[b];
+                }
+            }
+        }
+        for (out, v) in m.iter_mut().zip(acc) {
+            v.store(&mut out.0);
+        }
+    }
+}
+
+/// [`PressureMassLanes`] on the portable path (the entry point of the
+/// bitwise test below).
+#[cfg(test)]
 fn pressure_mass_lanes_body(
     tables: &Q2QuadTables,
     q1: &Q1Tables,
@@ -266,67 +346,28 @@ fn pressure_mass_lanes_body(
     weight: &[F64x4],
     m: &mut [F64x4; NP1 * NP1],
 ) {
-    let nqp = tables.nqp();
-    *m = [F64x4::ZERO; NP1 * NP1];
-    for q in 0..nqp {
-        let (_ijt, wdetj) = lane_geometry(&q1.grad[q], tables.quad.weights[q], corners);
-        let x = lane_map_to_physical(&q1.basis[q], corners);
-        let psi = [
-            F64x4::splat(1.0),
-            (x[0] - centroid[0]) / half[0],
-            (x[1] - centroid[1]) / half[1],
-            (x[2] - centroid[2]) / half[2],
-        ];
-        let w = weight[q] * wdetj;
-        for a in 0..NP1 {
-            for b in 0..NP1 {
-                m[a * NP1 + b] = m[a * NP1 + b] + w * psi[a] * psi[b];
-            }
-        }
-    }
+    run_lanes(
+        SimdPath::Portable,
+        PressureMassLanes {
+            tables,
+            q1,
+            corners,
+            centroid,
+            half,
+            weight,
+            m,
+        },
+    );
 }
 
-// ---------------------------------------------------------------------------
-// AVX2 instantiations of the shared bodies
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(test, target_arch = "x86_64"))]
 mod avx {
     use super::*;
 
+    /// [`PressureMassLanes`] on the AVX path (the entry point of the
+    /// bitwise test below).
     // SAFETY: caller must have verified avx2+fma support (the
-    // `SimdPath::Avx2Fma` dispatch contract). The body is plain
-    // mul/add/sub/div lane arithmetic — no contraction happens under the
-    // feature, so results are bitwise identical to the portable build.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn viscous_lanes<const N: usize>(
-        tables: &Q2QuadTables,
-        q1: &Q1Tables,
-        grad: &[[[f64; 3]; N]],
-        corners: &[[F64x4; 3]; 8],
-        eta: &[F64x4],
-        ae: &mut [F64x4],
-    ) {
-        viscous_lanes_body(tables, q1, grad, corners, eta, ae)
-    }
-
-    // SAFETY: as in `viscous_lanes` — path implies hardware support.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gradient_lanes(
-        tables: &Q2QuadTables,
-        q1: &Q1Tables,
-        corners: &[[F64x4; 3]; 8],
-        centroid: &[F64x4; 3],
-        half: &[F64x4; 3],
-        be: &mut [F64x4],
-    ) {
-        gradient_lanes_body(tables, q1, corners, centroid, half, be)
-    }
-
-    // SAFETY: as in `viscous_lanes` — path implies hardware support.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
+    // `SimdPath::Avx2Fma` dispatch contract).
     pub unsafe fn pressure_mass_lanes(
         tables: &Q2QuadTables,
         q1: &Q1Tables,
@@ -336,32 +377,18 @@ mod avx {
         weight: &[F64x4],
         m: &mut [F64x4; NP1 * NP1],
     ) {
-        pressure_mass_lanes_body(tables, q1, corners, centroid, half, weight, m)
-    }
-}
-
-#[inline]
-fn run_viscous_lanes<const N: usize>(
-    path: SimdPath,
-    tables: &Q2QuadTables,
-    q1: &Q1Tables,
-    grad: &[[[f64; 3]; N]],
-    corners: &[[F64x4; 3]; 8],
-    eta: &[F64x4],
-    ae: &mut [F64x4],
-) {
-    match path {
-        SimdPath::Portable => viscous_lanes_body(tables, q1, grad, corners, eta, ae),
-        SimdPath::Avx2Fma => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx2Fma is only selected when `avx2_fma_available`
-            // reported support (or by tests on such hosts).
-            unsafe {
-                avx::viscous_lanes(tables, q1, grad, corners, eta, ae)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            viscous_lanes_body(tables, q1, grad, corners, eta, ae)
-        }
+        run_lanes(
+            SimdPath::Avx2Fma,
+            PressureMassLanes {
+                tables,
+                q1,
+                corners,
+                centroid,
+                half,
+                weight,
+                m,
+            },
+        );
     }
 }
 
@@ -443,7 +470,20 @@ pub fn viscous_numeric_batched_into(
         eta,
         scratch,
         AE,
-        |q1, corners, eta, ae| run_viscous_lanes(path, tables, q1, &tables.grad, corners, eta, ae),
+        |q1, corners, eta, ae| {
+            let grad = &tables.grad;
+            run_lanes(
+                path,
+                ViscousLanes {
+                    tables,
+                    q1,
+                    grad,
+                    corners,
+                    eta,
+                    ae,
+                },
+            )
+        },
         |e0, nreal, ae| pat.scatter_lane(mesh, e0, nreal, ae, values),
     );
 }
@@ -471,7 +511,20 @@ pub fn galerkin_q1_numeric_batched_into(
         eta,
         scratch,
         AQ1,
-        |q1, corners, eta, ae| run_viscous_lanes(path, tables, q1, &q1.grad, corners, eta, ae),
+        |q1, corners, eta, ae| {
+            let grad = &q1.grad;
+            run_lanes(
+                path,
+                ViscousLanes {
+                    tables,
+                    q1,
+                    grad,
+                    corners,
+                    eta,
+                    ae,
+                },
+            )
+        },
         |e0, nreal, ae| pat.scatter_lane(fine, e0, nreal, ae, values),
     );
     pat.finish_constraints(values);
@@ -520,21 +573,17 @@ pub fn assemble_gradient_batched(
         let corners = gather_corners(mesh, le, nreal);
         let (centroid, half) = gather_frames(mesh, le, nreal);
         let mut be = [F64x4::ZERO; BE];
-        match path {
-            SimdPath::Portable => {
-                gradient_lanes_body(tables, &q1, &corners, &centroid, &half, &mut be)
-            }
-            SimdPath::Avx2Fma => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: Avx2Fma is only selected when
-                // `avx2_fma_available` reported support.
-                unsafe {
-                    avx::gradient_lanes(tables, &q1, &corners, &centroid, &half, &mut be)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                gradient_lanes_body(tables, &q1, &corners, &centroid, &half, &mut be)
-            }
-        }
+        run_lanes(
+            path,
+            GradientLanes {
+                tables,
+                q1: &q1,
+                corners: &corners,
+                centroid: &centroid,
+                half: &half,
+                be: &mut be,
+            },
+        );
         for l in 0..nreal {
             let row = &mut chunk[l * BE..(l + 1) * BE];
             for k in 0..BE {
@@ -569,43 +618,18 @@ pub fn pressure_mass_blocks_batched(
         let mut w_lane = [F64x4::ZERO; 32];
         gather_qp_coeff(weight, nqp, le, nreal, &mut w_lane[..nqp]);
         let mut m = [F64x4::ZERO; NP1 * NP1];
-        match path {
-            SimdPath::Portable => pressure_mass_lanes_body(
+        run_lanes(
+            path,
+            PressureMassLanes {
                 tables,
-                &q1,
-                &corners,
-                &centroid,
-                &half,
-                &w_lane[..nqp],
-                &mut m,
-            ),
-            SimdPath::Avx2Fma => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: Avx2Fma is only selected when
-                // `avx2_fma_available` reported support.
-                unsafe {
-                    avx::pressure_mass_lanes(
-                        tables,
-                        &q1,
-                        &corners,
-                        &centroid,
-                        &half,
-                        &w_lane[..nqp],
-                        &mut m,
-                    )
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                pressure_mass_lanes_body(
-                    tables,
-                    &q1,
-                    &corners,
-                    &centroid,
-                    &half,
-                    &w_lane[..nqp],
-                    &mut m,
-                )
-            }
-        }
+                q1: &q1,
+                corners: &corners,
+                centroid: &centroid,
+                half: &half,
+                weight: &w_lane[..nqp],
+                m: &mut m,
+            },
+        );
         for (l, blk) in chunk.iter_mut().enumerate() {
             for a in 0..NP1 {
                 for b in 0..NP1 {

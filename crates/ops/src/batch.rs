@@ -36,12 +36,14 @@
 //! the trace of the gradient at every quadrature point and the `ψ` tests,
 //! writing bitwise the `y_p` of the fused pass.
 //!
-//! Two kernels implement the identical operation sequence: a portable one
-//! built on `f64::mul_add` (correctly-rounded IEEE FMA on every platform)
-//! and an explicit AVX2+FMA path selected at runtime via
-//! `is_x86_feature_detected!`. Because both use the same fusion order
-//! (`fma(m0,i0, fma(m1,i1, m2·i2))` for every 3-term dot), their results
-//! are bitwise identical — asserted by tests. `PTATIN_NO_AVX=1` forces the
+//! The stages, the divergence pass and the portable fused kernel are
+//! written once over `ptatin_la::simd::Lane` with `mul_add` fusion
+//! (`fma(i0,m0, fma(i1,m1, i2·m2))` for every 3-term dot); the divergence
+//! pass runs on both paths through `run_lanes`. The fused kernel keeps a
+//! hand-written AVX2+FMA twin in `mod avx` with the same fusion order,
+//! because the one-body port ran 3–25 % slower per call under the AVX
+//! wrapper (EXPERIMENTS.md, "One lane body per SIMD kernel"). Both paths
+//! give the same bits — asserted by tests. `PTATIN_NO_AVX=1` forces the
 //! portable path for newly constructed operators.
 
 use crate::data::{MaskScratch, ViscousOpData, NQP};
@@ -61,139 +63,147 @@ pub use ptatin_la::simd::{avx2_fma_available, detected_simd_path, F64x4, SimdPat
 use ptatin_la::simd::{run_lanes, Lane, LaneKernel};
 
 // ---------------------------------------------------------------------------
-// Batched contractions (portable path)
+// Batched contractions
 // ---------------------------------------------------------------------------
+//
+// Every stage reads and writes its 27- (or 8-, 12-, 18-) entry arrays in
+// memory as `F64x4` and computes on lane values: one load per input, one
+// store per output, so the stage arrays of a kernel stay in the stack
+// frame and only the values of one 3-term dot sit in registers.
 
-/// 3-term dot with the canonical fusion order `fma(i0,m0, fma(i1,m1, i2·m2))`.
-/// Both kernels use exactly this grouping for every contraction and metric
-/// product — the bitwise-agreement contract between the two paths.
+/// One stored lane as a lane value.
 #[inline(always)]
-fn dot3(m: &[f64; 3], i0: F64x4, i1: F64x4, i2: F64x4) -> F64x4 {
+fn ld<V: Lane>(v: &F64x4) -> V {
+    V::load(&v.0)
+}
+
+/// 3-term dot with the canonical fusion order `fma(i0,m0, fma(i1,m1, i2·m2))`,
+/// the grouping of every contraction and metric product of the kernels.
+#[inline(always)]
+fn dot3<V: Lane>(m: &[f64; 3], i0: V, i1: V, i2: V) -> V {
     i0.mul_add(
-        F64x4::splat(m[0]),
-        i1.mul_add(F64x4::splat(m[1]), i2 * F64x4::splat(m[2])),
+        V::splat(m[0]),
+        i1.mul_add(V::splat(m[1]), i2 * V::splat(m[2])),
     )
 }
 
 /// Batched [`crate::tensor::contract_dim0`]: 4 elements per call.
-#[inline]
-pub fn contract_dim0_b(m: &[[f64; 3]; 3], input: &[F64x4; 27], out: &mut [F64x4; 27]) {
+#[inline(always)]
+pub fn contract_dim0_b<V: Lane>(m: &[[f64; 3]; 3], input: &[F64x4; 27], out: &mut [F64x4; 27]) {
     for o in (0..27).step_by(3) {
-        let (i0, i1, i2) = (input[o], input[o + 1], input[o + 2]);
-        out[o] = dot3(&m[0], i0, i1, i2);
-        out[o + 1] = dot3(&m[1], i0, i1, i2);
-        out[o + 2] = dot3(&m[2], i0, i1, i2);
+        let (i0, i1, i2) = (ld::<V>(&input[o]), ld(&input[o + 1]), ld(&input[o + 2]));
+        dot3(&m[0], i0, i1, i2).store(&mut out[o].0);
+        dot3(&m[1], i0, i1, i2).store(&mut out[o + 1].0);
+        dot3(&m[2], i0, i1, i2).store(&mut out[o + 2].0);
     }
 }
 
 /// Batched [`crate::tensor::contract_dim1`].
-#[inline]
-pub fn contract_dim1_b(m: &[[f64; 3]; 3], input: &[F64x4; 27], out: &mut [F64x4; 27]) {
+#[inline(always)]
+pub fn contract_dim1_b<V: Lane>(m: &[[f64; 3]; 3], input: &[F64x4; 27], out: &mut [F64x4; 27]) {
     for k in 0..3 {
         let base = 9 * k;
         for i in 0..3 {
-            let (i0, i1, i2) = (input[base + i], input[base + i + 3], input[base + i + 6]);
-            out[base + i] = dot3(&m[0], i0, i1, i2);
-            out[base + i + 3] = dot3(&m[1], i0, i1, i2);
-            out[base + i + 6] = dot3(&m[2], i0, i1, i2);
+            let (i0, i1, i2) = (
+                ld::<V>(&input[base + i]),
+                ld(&input[base + i + 3]),
+                ld(&input[base + i + 6]),
+            );
+            dot3(&m[0], i0, i1, i2).store(&mut out[base + i].0);
+            dot3(&m[1], i0, i1, i2).store(&mut out[base + i + 3].0);
+            dot3(&m[2], i0, i1, i2).store(&mut out[base + i + 6].0);
         }
     }
 }
 
 /// Batched [`crate::tensor::contract_dim2`].
-#[inline]
-pub fn contract_dim2_b(m: &[[f64; 3]; 3], input: &[F64x4; 27], out: &mut [F64x4; 27]) {
+#[inline(always)]
+pub fn contract_dim2_b<V: Lane>(m: &[[f64; 3]; 3], input: &[F64x4; 27], out: &mut [F64x4; 27]) {
     for ij in 0..9 {
-        let (i0, i1, i2) = (input[ij], input[ij + 9], input[ij + 18]);
-        out[ij] = dot3(&m[0], i0, i1, i2);
-        out[ij + 9] = dot3(&m[1], i0, i1, i2);
-        out[ij + 18] = dot3(&m[2], i0, i1, i2);
+        let (i0, i1, i2) = (ld::<V>(&input[ij]), ld(&input[ij + 9]), ld(&input[ij + 18]));
+        dot3(&m[0], i0, i1, i2).store(&mut out[ij].0);
+        dot3(&m[1], i0, i1, i2).store(&mut out[ij + 9].0);
+        dot3(&m[2], i0, i1, i2).store(&mut out[ij + 18].0);
     }
 }
 
-/// Nodal values of one component to the 27 Gauss points, `B̃⊗B̃⊗B̃`:
-/// three staged contractions.
-#[inline]
-fn to_gauss_b(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; 27]) {
+/// `m ⊗ m ⊗ m` applied to one component: three staged contractions.
+#[inline(always)]
+fn contract3_b<V: Lane>(m: &[[f64; 3]; 3], input: &[F64x4; 27], out: &mut [F64x4; 27]) {
     let mut tmp1 = [F64x4::ZERO; 27];
     let mut tmp2 = [F64x4::ZERO; 27];
-    contract_dim0_b(&t.b, input, &mut tmp1);
-    contract_dim1_b(&t.b, &tmp1, &mut tmp2);
-    contract_dim2_b(&t.b, &tmp2, out);
-}
-
-/// Adjoint of [`to_gauss_b`], `B̃ᵀ⊗B̃ᵀ⊗B̃ᵀ`: Gauss-point values back to the
-/// 27 nodes.
-#[inline]
-fn from_gauss_b(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; 27]) {
-    let mut tmp1 = [F64x4::ZERO; 27];
-    let mut tmp2 = [F64x4::ZERO; 27];
-    contract_dim0_b(&t.bt, input, &mut tmp1);
-    contract_dim1_b(&t.bt, &tmp1, &mut tmp2);
-    contract_dim2_b(&t.bt, &tmp2, out);
+    contract_dim0_b::<V>(m, input, &mut tmp1);
+    contract_dim1_b::<V>(m, &tmp1, &mut tmp2);
+    contract_dim2_b::<V>(m, &tmp2, out);
 }
 
 /// 2-term dot `fma(i0,m0, i1·m1)`: the fusion order of every Q1
-/// contraction below, shared with the AVX path like [`dot3`].
+/// contraction below.
 #[inline(always)]
-fn dot2(m: &[f64; 2], i0: F64x4, i1: F64x4) -> F64x4 {
-    i0.mul_add(F64x4::splat(m[0]), i1 * F64x4::splat(m[1]))
+fn dot2<V: Lane>(m: &[f64; 2], i0: V, i1: V) -> V {
+    i0.mul_add(V::splat(m[0]), i1 * V::splat(m[1]))
 }
 
 /// Trilinear field from its 8 corner values (x-fastest) to the 27
 /// quadrature points: three staged 2→3 contractions.
-#[inline]
-fn q1_to_qp_b(t: &Tensor1d, input: &[F64x4; NQ1], out: &mut [F64x4; 27]) {
+#[inline(always)]
+fn q1_to_qp_b<V: Lane>(t: &Tensor1d, input: &[F64x4; NQ1], out: &mut [F64x4; 27]) {
     let mut t0 = [F64x4::ZERO; 12];
     let mut t1 = [F64x4::ZERO; 18];
     for bc in 0..4 {
-        let (i0, i1) = (input[2 * bc], input[2 * bc + 1]);
+        let (i0, i1) = (ld::<V>(&input[2 * bc]), ld(&input[2 * bc + 1]));
         for q in 0..3 {
-            t0[3 * bc + q] = dot2(&t.n[q], i0, i1);
+            dot2(&t.n[q], i0, i1).store(&mut t0[3 * bc + q].0);
         }
     }
     for c in 0..2 {
         for i in 0..3 {
-            let (i0, i1) = (t0[i + 6 * c], t0[i + 3 + 6 * c]);
+            let (i0, i1) = (ld::<V>(&t0[i + 6 * c]), ld(&t0[i + 3 + 6 * c]));
             for q in 0..3 {
-                t1[i + 3 * q + 9 * c] = dot2(&t.n[q], i0, i1);
+                dot2(&t.n[q], i0, i1).store(&mut t1[i + 3 * q + 9 * c].0);
             }
         }
     }
     for ij in 0..9 {
-        let (i0, i1) = (t1[ij], t1[ij + 9]);
+        let (i0, i1) = (ld::<V>(&t1[ij]), ld(&t1[ij + 9]));
         for q in 0..3 {
-            out[ij + 9 * q] = dot2(&t.n[q], i0, i1);
+            dot2(&t.n[q], i0, i1).store(&mut out[ij + 9 * q].0);
         }
     }
 }
 
 /// Adjoint of [`q1_to_qp_b`]: quadrature values tested against the 8
-/// trilinear corner functions, three staged 3→2 contractions. Forced
-/// inline: with the divergence pass as its second caller the inliner
-/// would outline it from the fused kernel.
+/// trilinear corner functions, three staged 3→2 contractions.
 #[inline(always)]
-fn qp_to_q1_b(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; NQ1]) {
+fn qp_to_q1_b<V: Lane>(t: &Tensor1d, input: &[F64x4; 27], out: &mut [F64x4; NQ1]) {
     let mut s1 = [F64x4::ZERO; 18];
     let mut s0 = [F64x4::ZERO; 12];
     for ij in 0..9 {
-        let (i0, i1, i2) = (input[ij], input[ij + 9], input[ij + 18]);
+        let (i0, i1, i2) = (ld::<V>(&input[ij]), ld(&input[ij + 9]), ld(&input[ij + 18]));
         for c in 0..2 {
-            s1[ij + 9 * c] = dot3(&t.nt[c], i0, i1, i2);
+            dot3(&t.nt[c], i0, i1, i2).store(&mut s1[ij + 9 * c].0);
         }
     }
     for c in 0..2 {
         for i in 0..3 {
-            let (i0, i1, i2) = (s1[i + 9 * c], s1[i + 3 + 9 * c], s1[i + 6 + 9 * c]);
+            let (i0, i1, i2) = (
+                ld::<V>(&s1[i + 9 * c]),
+                ld(&s1[i + 3 + 9 * c]),
+                ld(&s1[i + 6 + 9 * c]),
+            );
             for b in 0..2 {
-                s0[i + 3 * b + 6 * c] = dot3(&t.nt[b], i0, i1, i2);
+                dot3(&t.nt[b], i0, i1, i2).store(&mut s0[i + 3 * b + 6 * c].0);
             }
         }
     }
     for bc in 0..4 {
-        let (i0, i1, i2) = (s0[3 * bc], s0[3 * bc + 1], s0[3 * bc + 2]);
+        let (i0, i1, i2) = (
+            ld::<V>(&s0[3 * bc]),
+            ld(&s0[3 * bc + 1]),
+            ld(&s0[3 * bc + 2]),
+        );
         for a in 0..2 {
-            out[a + 2 * bc] = dot3(&t.nt[a], i0, i1, i2);
+            dot3(&t.nt[a], i0, i1, i2).store(&mut out[a + 2 * bc].0);
         }
     }
 }
@@ -581,21 +591,22 @@ impl BatchedViscousOp {
             });
             let mut re = [[F64x4::ZERO; 27]; 3];
             let mut rp = [F64x4::ZERO; NP1];
+            let t1d = &self.t1d;
             match self.path {
-                SimdPath::Portable => lane_kernel_portable(
-                    &self.t1d, geo, eta, newton, pressure, &ue, &mut re, &mut rp,
-                ),
+                SimdPath::Portable => {
+                    stokes_lane::<F64x4>(t1d, geo, eta, newton, pressure, &ue, &mut re, &mut rp)
+                }
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `SimdPath::Avx2Fma` is only constructed after
                 // `is_x86_feature_detected!("avx2")`/`("fma")` (or by tests
                 // that check `avx2_fma_available()` first).
                 SimdPath::Avx2Fma => unsafe {
-                    avx::lane_kernel(&self.t1d, geo, eta, newton, pressure, &ue, &mut re, &mut rp)
+                    avx::lane_kernel(t1d, geo, eta, newton, pressure, &ue, &mut re, &mut rp)
                 },
                 #[cfg(not(target_arch = "x86_64"))]
-                // PANIC-OK: `detected_simd_path` never yields Avx2Fma off
-                // x86_64, and `with_path` is the only other constructor.
-                SimdPath::Avx2Fma => unreachable!("AVX path constructed on non-x86_64 host"),
+                SimdPath::Avx2Fma => {
+                    stokes_lane::<F64x4>(t1d, geo, eta, newton, pressure, &ue, &mut re, &mut rp)
+                }
             }
             // Scatter real slots only (ghost padding contributes nothing
             // and must not touch the duplicated element's dofs).
@@ -625,7 +636,7 @@ impl BatchedViscousOp {
     /// `y_p = B x`: the divergence-only pass, bitwise the `y_p` of
     /// [`apply_add`](Self::apply_add) with a pressure.
     fn divergence(&self, x: &[f64], yp: &mut [f64]) {
-        // The AVX path gathers with i32 offsets `3·n + c`, all below
+        // The lane kernel gathers with i32 offsets `3·n + c`, all below
         // `geom.ndof` (= `data.ndof`, checked at construction), and every
         // element scatters to its own four entries of `yp`.
         assert!(x.len() == self.geom.ndof && x.len() <= i32::MAX as usize);
@@ -637,28 +648,18 @@ impl BatchedViscousOp {
             let ln = &gp.lanes[li];
             let geo = &gp.geo[li * NQP..(li + 1) * NQP];
             let psi = &gp.psi[li];
-            let mut ue = [[F64x4::ZERO; 27]; 3];
             let mut rp = [F64x4::ZERO; NP1];
-            match self.path {
-                SimdPath::Portable => {
-                    gather_b(&ln.nodes, x, &mut ue);
-                    lane_divergence_portable(&self.t1d, geo, psi, &ue, &mut rp);
-                }
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as in `apply_add`, `Avx2Fma` implies the runtime
-                // AVX2+FMA check passed; the lane's node indices are below
-                // `geom.ndof / 3` and `x.len() == geom.ndof ≤ i32::MAX`
-                // (asserted above), so every offset `3·n + c` is in bounds
-                // and representable.
-                SimdPath::Avx2Fma => unsafe {
-                    avx::gather(&ln.nodes, x, &mut ue);
-                    avx::lane_divergence(&self.t1d, geo, psi, &ue, &mut rp);
+            run_lanes(
+                self.path,
+                DivergenceLane {
+                    t1d: &self.t1d,
+                    geo,
+                    psi,
+                    nodes: &ln.nodes,
+                    x,
+                    rp: &mut rp,
                 },
-                #[cfg(not(target_arch = "x86_64"))]
-                // PANIC-OK: `detected_simd_path` never yields Avx2Fma off
-                // x86_64, and `with_path` is the only other constructor.
-                SimdPath::Avx2Fma => unreachable!("AVX path constructed on non-x86_64 host"),
-            }
+            );
             for l in 0..ln.nreal as usize {
                 for m in 0..NP1 {
                     // SAFETY: every element owns its four pressure dofs and
@@ -670,20 +671,6 @@ impl BatchedViscousOp {
     }
 }
 
-/// Scalar gather of a lane's velocity dofs into SoA lanes (4 × 81 loads),
-/// the gather of [`BatchedViscousOp::apply_add`].
-#[inline]
-fn gather_b(nodes: &[[u32; NQ2]; LANES], x: &[f64], ue: &mut [[F64x4; 27]; 3]) {
-    for (l, nodes) in nodes.iter().enumerate() {
-        for (i, &n) in nodes.iter().enumerate() {
-            let b = 3 * n as usize;
-            ue[0][i].0[l] = x[b];
-            ue[1][i].0[l] = x[b + 1];
-            ue[2][i].0[l] = x[b + 2];
-        }
-    }
-}
-
 /// Pressure input of the fused Stokes pass for one lane: the corner values
 /// of `ψ₁..ψ₃` and the four P1disc coefficients of each element.
 #[derive(Clone, Copy)]
@@ -692,20 +679,70 @@ struct LanePressure<'a> {
     pe: &'a [F64x4; NP1],
 }
 
-/// Portable lane kernel: forward contractions → quadrature stress loop →
-/// adjoint contractions, all on [`F64x4`] lanes with `mul_add` fusion.
-/// The contractions run in the collocation basis: each velocity component
-/// is interpolated to the Gauss points once and differentiated there by
-/// one `D_c` contraction per direction, and the adjoint sums the three
-/// `D_cᵀ` contractions before one interpolation back (12 instead of 18
-/// contractions per component). `re` is overwritten.
+/// The forward stage of both lane kernels: each velocity component to the
+/// Gauss points once (`B̃⊗B̃⊗B̃`), then its three reference derivatives
+/// there, one `D_c` contraction per direction: `ederiv[d][c]` = ∂u_c/∂ξ_d.
+#[inline(always)]
+fn reference_gradient<V: Lane>(
+    t1d: &Tensor1d,
+    ue: &[[F64x4; 27]; 3],
+    ederiv: &mut [[[F64x4; 27]; 3]; 3],
+) {
+    for c in 0..3 {
+        let mut uq = [F64x4::ZERO; 27];
+        contract3_b::<V>(&t1d.b, &ue[c], &mut uq);
+        contract_dim0_b::<V>(&t1d.dc, &uq, &mut ederiv[0][c]);
+        contract_dim1_b::<V>(&t1d.dc, &uq, &mut ederiv[1][c]);
+        contract_dim2_b::<V>(&t1d.dc, &uq, &mut ederiv[2][c]);
+    }
+}
+
+/// The pressure test of both lane kernels: `w|J|·div u` at the quadrature
+/// points (`dw`) tested against `ψ_m` through the 8 corner values,
+/// `rp = −B x_u` of the lane (the caller negates).
+#[inline(always)]
+fn test_pressure<V: Lane>(
+    t1d: &Tensor1d,
+    dw: &[F64x4; 27],
+    psi: &[[F64x4; NQ1]; 3],
+    rp: &mut [F64x4; NP1],
+) {
+    let mut dc = [F64x4::ZERO; NQ1];
+    qp_to_q1_b::<V>(t1d, dw, &mut dc);
+    let mut acc = [V::splat(0.0); NP1];
+    for c in 0..NQ1 {
+        let d = ld::<V>(&dc[c]);
+        acc[0] = acc[0] + d;
+        for m in 0..3 {
+            acc[m + 1] = ld::<V>(&psi[m][c]).mul_add(d, acc[m + 1]);
+        }
+    }
+    for m in 0..NP1 {
+        acc[m].store(&mut rp[m].0);
+    }
+}
+
+/// The fused lane kernel: forward contractions → quadrature stress loop →
+/// adjoint contractions. The contractions run in the collocation basis:
+/// each velocity component is interpolated to the Gauss points once and
+/// differentiated there by one `D_c` contraction per direction, and the
+/// adjoint sums the three `D_cᵀ` contractions before one interpolation
+/// back (12 instead of 18 contractions per component). `re` and `rp` are
+/// overwritten.
 /// With `pressure` the quadrature loop also subtracts `p·w|J|` from the
 /// stress diagonal (`Bᵀ x_p`) and keeps `w|J|·div u`, which tested against
 /// `ψ_m` gives `rp` (`−B x_u`; the caller negates). The pressure is a
 /// trilinear field on the element, so both directions go through its 8
 /// corner values by Q1 sum factorization instead of 27 stored `ψ` per point.
+///
+/// Written once over [`Lane`] like the divergence pass, but run on the
+/// portable path only: the AVX path keeps the hand-written twin in
+/// [`avx::lane_kernel`]: under the AVX wrapper this body took 1.03–1.25×
+/// the twin's time per call (EXPERIMENTS.md, "One lane body per SIMD
+/// kernel").
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn lane_kernel_portable(
+fn stokes_lane<V: Lane>(
     t1d: &Tensor1d,
     geo: &[QpGeoLane],
     eta: &[F64x4],
@@ -716,139 +753,160 @@ fn lane_kernel_portable(
     rp: &mut [F64x4; NP1],
 ) {
     let mut ederiv = [[[F64x4::ZERO; 27]; 3]; 3];
-    for c in 0..3 {
-        let mut uq = [F64x4::ZERO; 27];
-        to_gauss_b(t1d, &ue[c], &mut uq);
-        contract_dim0_b(&t1d.dc, &uq, &mut ederiv[0][c]);
-        contract_dim1_b(&t1d.dc, &uq, &mut ederiv[1][c]);
-        contract_dim2_b(&t1d.dc, &uq, &mut ederiv[2][c]);
-    }
+    reference_gradient::<V>(t1d, ue, &mut ederiv);
     let mut pq = [F64x4::ZERO; 27];
     let mut dw = [F64x4::ZERO; 27];
     if let Some(LanePressure { psi, pe }) = pressure {
         let mut pc = [F64x4::ZERO; NQ1];
         for c in 0..NQ1 {
-            pc[c] = psi[0][c].mul_add(
-                pe[1],
-                psi[1][c].mul_add(pe[2], psi[2][c].mul_add(pe[3], pe[0])),
-            );
+            ld::<V>(&psi[0][c])
+                .mul_add(
+                    ld(&pe[1]),
+                    ld::<V>(&psi[1][c]).mul_add(
+                        ld(&pe[2]),
+                        ld::<V>(&psi[2][c]).mul_add(ld(&pe[3]), ld(&pe[0])),
+                    ),
+                )
+                .store(&mut pc[c].0);
         }
-        q1_to_qp_b(t1d, &pc, &mut pq);
+        q1_to_qp_b::<V>(t1d, &pc, &mut pq);
     }
     let mut what = [[[F64x4::ZERO; 27]; 3]; 3];
     for q in 0..NQP {
         let g = &geo[q];
-        let mut gradu = [[F64x4::ZERO; 3]; 3];
-        for c in 0..3 {
+        let mut j = [[V::splat(0.0); 3]; 3];
+        for d in 0..3 {
             for l in 0..3 {
-                gradu[c][l] = ederiv[0][c][q].mul_add(
-                    g.jinv[0][l],
-                    ederiv[1][c][q].mul_add(g.jinv[1][l], ederiv[2][c][q] * g.jinv[2][l]),
-                );
+                j[d][l] = ld(&g.jinv[d][l]);
             }
         }
-        let nd = newton.map(|(ep, d0)| (ep[q], &d0[q]));
-        let mut sigma = weighted_stress_b(&gradu, eta[q], nd, g.wdet);
+        let wdet = ld::<V>(&g.wdet);
+        let mut gradu = [[V::splat(0.0); 3]; 3];
+        for c in 0..3 {
+            let (e0, e1, e2) = (
+                ld::<V>(&ederiv[0][c][q]),
+                ld::<V>(&ederiv[1][c][q]),
+                ld::<V>(&ederiv[2][c][q]),
+            );
+            for l in 0..3 {
+                gradu[c][l] = e0.mul_add(j[0][l], e1.mul_add(j[1][l], e2 * j[2][l]));
+            }
+        }
+        let nd = newton.map(|(ep, d0)| (ld::<V>(&ep[q]), &d0[q]));
+        let mut sigma = weighted_stress_b(&gradu, ld(&eta[q]), nd, wdet);
         if pressure.is_some() {
-            let pw = pq[q] * g.wdet;
+            let pw = ld::<V>(&pq[q]) * wdet;
             for c in 0..3 {
                 sigma[c][c] = sigma[c][c] - pw;
             }
-            dw[q] = ((gradu[0][0] + gradu[1][1]) + gradu[2][2]) * g.wdet;
+            (((gradu[0][0] + gradu[1][1]) + gradu[2][2]) * wdet).store(&mut dw[q].0);
         }
         for d in 0..3 {
             for c in 0..3 {
-                what[d][c][q] = sigma[c][0].mul_add(
-                    g.jinv[d][0],
-                    sigma[c][1].mul_add(g.jinv[d][1], sigma[c][2] * g.jinv[d][2]),
-                );
+                sigma[c][0]
+                    .mul_add(j[d][0], sigma[c][1].mul_add(j[d][1], sigma[c][2] * j[d][2]))
+                    .store(&mut what[d][c][q].0);
             }
         }
     }
     for c in 0..3 {
         let mut a = [[F64x4::ZERO; 27]; 3];
-        contract_dim0_b(&t1d.dct, &what[0][c], &mut a[0]);
-        contract_dim1_b(&t1d.dct, &what[1][c], &mut a[1]);
-        contract_dim2_b(&t1d.dct, &what[2][c], &mut a[2]);
+        contract_dim0_b::<V>(&t1d.dct, &what[0][c], &mut a[0]);
+        contract_dim1_b::<V>(&t1d.dct, &what[1][c], &mut a[1]);
+        contract_dim2_b::<V>(&t1d.dct, &what[2][c], &mut a[2]);
         for i in 0..27 {
-            a[0][i] = (a[0][i] + a[1][i]) + a[2][i];
+            ((ld::<V>(&a[0][i]) + ld(&a[1][i])) + ld(&a[2][i])).store(&mut a[0][i].0);
         }
-        from_gauss_b(t1d, &a[0], &mut re[c]);
+        contract3_b::<V>(&t1d.bt, &a[0], &mut re[c]);
     }
     if let Some(LanePressure { psi, .. }) = pressure {
-        let mut dc = [F64x4::ZERO; NQ1];
-        qp_to_q1_b(t1d, &dw, &mut dc);
-        for c in 0..NQ1 {
-            rp[0] = rp[0] + dc[c];
-            for m in 0..3 {
-                rp[m + 1] = psi[m][c].mul_add(dc[c], rp[m + 1]);
-            }
-        }
+        test_pressure::<V>(t1d, &dw, psi, rp);
     }
 }
 
-/// Portable divergence-only lane kernel: the forward contractions, the
-/// quadrature loop and the pressure test of [`lane_kernel_portable`] with
-/// only the trace of the gradient formed at each point, every product in
-/// the fused kernel's order, so `rp` (zero on entry) receives the fused
-/// kernel's `rp` bit for bit. The stages are repeated rather than shared,
-/// and `B̃⊗B̃⊗B̃` is staged by hand instead of through [`to_gauss_b`]: a
-/// second caller of a stage helper let the inliner outline it from the
-/// fused kernel, which then ran ≈ 6 % slower, and the AVX twin cannot
-/// force it back (`#[inline(always)]` is rejected on `#[target_feature]`
-/// fns). As written, the fused kernels compile to the same machine code
-/// as before this pass existed.
-fn lane_divergence_portable(
+/// The divergence-only lane kernel: the lane's velocity dofs gathered from
+/// `x` (one hardware gather per node and component under AVX), then the
+/// forward stage, the quadrature loop and the pressure test of
+/// [`StokesLane`] with only the trace of the gradient formed at each
+/// point, every product in the fused kernel's order, so `rp` receives the
+/// fused kernel's `rp` bit for bit.
+struct DivergenceLane<'a> {
+    t1d: &'a Tensor1d,
+    geo: &'a [QpGeoLane],
+    psi: &'a [[F64x4; NQ1]; 3],
+    nodes: &'a [[u32; NQ2]; LANES],
+    x: &'a [f64],
+    rp: &'a mut [F64x4; NP1],
+}
+
+impl LaneKernel for DivergenceLane<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Lane>(self) {
+        divergence_lane::<V>(self.t1d, self.geo, self.psi, self.nodes, self.x, self.rp);
+    }
+}
+
+/// The body of [`DivergenceLane`], its fields as parameters (see
+/// `ptatin_la::simd::LaneKernel`).
+#[inline(always)]
+fn divergence_lane<V: Lane>(
     t1d: &Tensor1d,
     geo: &[QpGeoLane],
     psi: &[[F64x4; NQ1]; 3],
-    ue: &[[F64x4; 27]; 3],
+    nodes: &[[u32; NQ2]; LANES],
+    x: &[f64],
     rp: &mut [F64x4; NP1],
 ) {
-    let mut ederiv = [[[F64x4::ZERO; 27]; 3]; 3];
-    for c in 0..3 {
-        let (mut t1, mut t2, mut uq) = ([F64x4::ZERO; 27], [F64x4::ZERO; 27], [F64x4::ZERO; 27]);
-        contract_dim0_b(&t1d.b, &ue[c], &mut t1);
-        contract_dim1_b(&t1d.b, &t1, &mut t2);
-        contract_dim2_b(&t1d.b, &t2, &mut uq);
-        contract_dim0_b(&t1d.dc, &uq, &mut ederiv[0][c]);
-        contract_dim1_b(&t1d.dc, &uq, &mut ederiv[1][c]);
-        contract_dim2_b(&t1d.dc, &uq, &mut ederiv[2][c]);
+    let mut ue = [[F64x4::ZERO; 27]; 3];
+    for i in 0..NQ2 {
+        let idx = [
+            3 * nodes[0][i],
+            3 * nodes[1][i],
+            3 * nodes[2][i],
+            3 * nodes[3][i],
+        ];
+        for c in 0..3 {
+            // SAFETY: `BatchedViscousOp::divergence` asserts
+            // `x.len() == geom.ndof ≤ i32::MAX`, and every node index
+            // of a lane is below `geom.ndof / 3`, so `3·n + c <
+            // x.len()`: each index is below `x[c..].len()`.
+            unsafe { V::gather(&x[c..], idx) }.store(&mut ue[c][i].0);
+        }
     }
+    let mut ederiv = [[[F64x4::ZERO; 27]; 3]; 3];
+    reference_gradient::<V>(t1d, &ue, &mut ederiv);
     let mut dw = [F64x4::ZERO; 27];
     for q in 0..NQP {
         let g = &geo[q];
-        let mut tr = [F64x4::ZERO; 3];
+        let mut tr = [V::splat(0.0); 3];
         for c in 0..3 {
-            tr[c] = ederiv[0][c][q].mul_add(
-                g.jinv[0][c],
-                ederiv[1][c][q].mul_add(g.jinv[1][c], ederiv[2][c][q] * g.jinv[2][c]),
+            tr[c] = ld::<V>(&ederiv[0][c][q]).mul_add(
+                ld(&g.jinv[0][c]),
+                ld::<V>(&ederiv[1][c][q]).mul_add(
+                    ld(&g.jinv[1][c]),
+                    ld::<V>(&ederiv[2][c][q]) * ld(&g.jinv[2][c]),
+                ),
             );
         }
-        dw[q] = ((tr[0] + tr[1]) + tr[2]) * g.wdet;
+        (((tr[0] + tr[1]) + tr[2]) * ld(&g.wdet)).store(&mut dw[q].0);
     }
-    let mut dc = [F64x4::ZERO; NQ1];
-    qp_to_q1_b(t1d, &dw, &mut dc);
-    for c in 0..NQ1 {
-        rp[0] = rp[0] + dc[c];
-        for m in 0..3 {
-            rp[m + 1] = psi[m][c].mul_add(dc[c], rp[m + 1]);
-        }
-    }
+    test_pressure::<V>(t1d, &dw, psi, rp);
 }
 
 /// Batched [`crate::kernels::weighted_stress`]. The Newton rank-one term is
 /// computed unconditionally (per-lane `η′` may mix zero and non-zero); with
 /// `η′ = 0` it adds exactly zero.
 #[inline(always)]
-fn weighted_stress_b(
-    gradu: &[[F64x4; 3]; 3],
-    eta: F64x4,
-    newton: Option<(F64x4, &[F64x4; 6])>,
-    wdet: F64x4,
-) -> [[F64x4; 3]; 3] {
-    let half = F64x4::splat(0.5);
-    let two = F64x4::splat(2.0);
+fn weighted_stress_b<V: Lane>(
+    gradu: &[[V; 3]; 3],
+    eta: V,
+    newton: Option<(V, &[F64x4; 6])>,
+    wdet: V,
+) -> [[V; 3]; 3] {
+    let half = V::splat(0.5);
+    let two = V::splat(2.0);
     let d01 = half * (gradu[0][1] + gradu[1][0]);
     let d02 = half * (gradu[0][2] + gradu[2][0]);
     let d12 = half * (gradu[1][2] + gradu[2][1]);
@@ -858,13 +916,21 @@ fn weighted_stress_b(
         [d02, d12, gradu[2][2]],
     ];
     let c = (two * eta) * wdet;
-    let mut sigma = [[F64x4::ZERO; 3]; 3];
+    let mut sigma = [[V::splat(0.0); 3]; 3];
     for r in 0..3 {
         for cc in 0..3 {
             sigma[r][cc] = c * d[r][cc];
         }
     }
     if let Some((ep, d0)) = newton {
+        let d0 = [
+            ld::<V>(&d0[0]),
+            ld(&d0[1]),
+            ld(&d0[2]),
+            ld(&d0[3]),
+            ld(&d0[4]),
+            ld(&d0[5]),
+        ];
         // D₀ : D with symmetric storage [xx,yy,zz,yz,xz,xy].
         let dd = d0[0].mul_add(d[0][0], d0[1].mul_add(d[1][1], d0[2] * d[2][2]))
             + two * d0[3].mul_add(d[1][2], d0[4].mul_add(d[0][2], d0[5] * d[0][1]));
@@ -888,14 +954,14 @@ fn weighted_stress_b(
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    //! Intrinsic mirror of the portable kernel. Every 3-term dot uses the
+    //! Intrinsic twin of the fused kernel [`super::stokes_lane`]. Every 3-term dot uses the
     //! same fusion order as [`super::dot3`] — `fmadd(i0,m0, fmadd(i1,m1,
     //! mul(i2,m2)))` — so the two paths are bitwise identical (glibc's
     //! `fma()` behind `f64::mul_add` is correctly rounded, as is
     //! `vfmadd*pd`). All helpers carry the same `target_feature` set so
     //! they inline into one AVX-compiled kernel.
 
-    use super::{F64x4, LanePressure, QpGeoLane, LANES, NP1, NQ1, NQ2, NQP};
+    use super::{F64x4, LanePressure, QpGeoLane, NP1, NQ1, NQP};
     use crate::tensor::Tensor1d;
     use core::arch::x86_64::*;
 
@@ -1097,12 +1163,14 @@ mod avx {
     }
 
     /// AVX2+FMA lane kernel, operation-for-operation identical to
-    /// [`super::lane_kernel_portable`].
+    /// [`super::stokes_lane`].
     ///
     /// # Safety
     /// Caller must have verified AVX2 and FMA support at runtime.
     // SAFETY: caller verified AVX2+FMA at runtime (see `SimdPath` and the
     // doc contract above); every helper shares the same feature set.
+    // SIMD-OK: kept hand-written twin of `stokes_lane`: the one-body port
+    // ran 3–25 % slower per call under the AVX wrapper (EXPERIMENTS.md).
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn lane_kernel(
@@ -1283,106 +1351,6 @@ mod avx {
             }
         }
     }
-
-    /// The lane's velocity dofs in SoA lanes, one hardware gather per node
-    /// and component: the values [`super::gather_b`] loads.
-    ///
-    /// # Safety
-    /// AVX2 verified at runtime, and `3·n + 2 < x.len() ≤ i32::MAX` for
-    /// every node index `n` of the lane.
-    // SAFETY: the caller upholds the doc contract above (feature check and
-    // in-bounds, i32-representable dof offsets).
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gather(nodes: &[[u32; NQ2]; LANES], x: &[f64], ue: &mut [[F64x4; 27]; 3]) {
-        // SAFETY: same preconditions as this fn.
-        unsafe {
-            for i in 0..NQ2 {
-                let idx = _mm_mullo_epi32(
-                    _mm_set_epi32(
-                        nodes[3][i] as i32,
-                        nodes[2][i] as i32,
-                        nodes[1][i] as i32,
-                        nodes[0][i] as i32,
-                    ),
-                    _mm_set1_epi32(3),
-                );
-                for c in 0..3 {
-                    st(
-                        &mut ue[c][i],
-                        _mm256_i32gather_pd::<8>(x.as_ptr().add(c), idx),
-                    );
-                }
-            }
-        }
-    }
-
-    /// AVX2+FMA divergence-only lane kernel, operation-for-operation
-    /// identical to [`super::lane_divergence_portable`].
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA support at runtime.
-    // SAFETY: caller verified AVX2+FMA at runtime (see `SimdPath` and the
-    // doc contract above); every helper shares the same feature set.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn lane_divergence(
-        t1d: &Tensor1d,
-        geo: &[QpGeoLane],
-        psi: &[[F64x4; NQ1]; 3],
-        ue: &[[F64x4; 27]; 3],
-        rp: &mut [F64x4; NP1],
-    ) {
-        // SAFETY: same preconditions as this fn (AVX2+FMA verified).
-        unsafe {
-            let mut ederiv = [[[F64x4::ZERO; 27]; 3]; 3];
-            for c in 0..3 {
-                let (mut t1, mut t2, mut uq) =
-                    ([F64x4::ZERO; 27], [F64x4::ZERO; 27], [F64x4::ZERO; 27]);
-                contract_dim0(&t1d.b, &ue[c], &mut t1);
-                contract_dim1(&t1d.b, &t1, &mut t2);
-                contract_dim2(&t1d.b, &t2, &mut uq);
-                contract_dim0(&t1d.dc, &uq, &mut ederiv[0][c]);
-                contract_dim1(&t1d.dc, &uq, &mut ederiv[1][c]);
-                contract_dim2(&t1d.dc, &uq, &mut ederiv[2][c]);
-            }
-            let mut dw = [F64x4::ZERO; 27];
-            for q in 0..NQP {
-                let gq = &geo[q];
-                let mut tr = [_mm256_setzero_pd(); 3];
-                for c in 0..3 {
-                    tr[c] = _mm256_fmadd_pd(
-                        ld(&ederiv[0][c][q]),
-                        ld(&gq.jinv[0][c]),
-                        _mm256_fmadd_pd(
-                            ld(&ederiv[1][c][q]),
-                            ld(&gq.jinv[1][c]),
-                            _mm256_mul_pd(ld(&ederiv[2][c][q]), ld(&gq.jinv[2][c])),
-                        ),
-                    );
-                }
-                st(
-                    &mut dw[q],
-                    _mm256_mul_pd(
-                        _mm256_add_pd(_mm256_add_pd(tr[0], tr[1]), tr[2]),
-                        ld(&gq.wdet),
-                    ),
-                );
-            }
-            let mut dc = [F64x4::ZERO; NQ1];
-            qp_to_q1(t1d, &dw, &mut dc);
-            let mut racc = [_mm256_setzero_pd(); NP1];
-            for c in 0..NQ1 {
-                let d = ld(&dc[c]);
-                racc[0] = _mm256_add_pd(racc[0], d);
-                for m in 0..3 {
-                    racc[m + 1] = _mm256_fmadd_pd(ld(&psi[m][c]), d, racc[m + 1]);
-                }
-            }
-            for m in 0..NP1 {
-                st(&mut rp[m], racc[m]);
-            }
-        }
-    }
 }
 
 impl LinearOperator for BatchedViscousOp {
@@ -1486,11 +1454,11 @@ mod tests {
         for (dim, f_b, f_s) in [
             (
                 0usize,
-                contract_dim0_b as fn(_, _, &mut _),
+                contract_dim0_b::<F64x4> as fn(_, _, &mut _),
                 contract_dim0 as fn(_, _, &mut _),
             ),
-            (1, contract_dim1_b, contract_dim1),
-            (2, contract_dim2_b, contract_dim2),
+            (1, contract_dim1_b::<F64x4>, contract_dim1),
+            (2, contract_dim2_b::<F64x4>, contract_dim2),
         ] {
             let mut out_b = [F64x4::ZERO; 27];
             f_b(&t.d, &lanes, &mut out_b);
@@ -1524,7 +1492,7 @@ mod tests {
             }
         }
         let mut at_qp = [F64x4::ZERO; 27];
-        q1_to_qp_b(&t, &corners, &mut at_qp);
+        q1_to_qp_b::<F64x4>(&t, &corners, &mut at_qp);
         for q in 0..NQP {
             for l in 0..LANES {
                 assert!(
@@ -1536,7 +1504,7 @@ mod tests {
         // <I a, b> = <a, Iᵀ b>.
         let (b, _) = lane_input();
         let mut back = [F64x4::ZERO; NQ1];
-        qp_to_q1_b(&t, &b, &mut back);
+        qp_to_q1_b::<F64x4>(&t, &b, &mut back);
         for l in 0..LANES {
             let lhs: f64 = (0..NQP).map(|q| at_qp[q].0[l] * b[q].0[l]).sum();
             let rhs: f64 = (0..NQ1).map(|c| corners[c].0[l] * back[c].0[l]).sum();

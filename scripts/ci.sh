@@ -263,6 +263,17 @@ if [[ $FAST -eq 0 ]]; then
     grep -q '"child":"setup/diagonal","incl_s":[^,]*,"parent":"setup/lambda"' "$R" \
         || { echo "$R: no setup/diagonal under setup/lambda"; exit 1; }
 
+    # An unconverged sinker solve is an error, not a result: at Δη = 10⁶
+    # the 8³ sinker exhausts its 600 iterations, prints the true relative
+    # residual ‖b − Ax‖/‖b‖ of what it has and exits 3.
+    step "unconverged sinker solve (exit 3, true residual printed)"
+    rc=0
+    OUT=$(target/release/ptatin sinker m=8 delta_eta=1e6 threads=1 \
+        out="$CKDIR/sinker_unconverged") || rc=$?
+    [[ $rc -eq 3 ]] || { echo "expected exit 3, got $rc"; exit 1; }
+    grep -q 'converged: false, ‖b − Ax‖/‖b‖ = [0-9.]*e[-+0-9]*' <<< "$OUT" \
+        || { echo "no true residual in: $OUT"; exit 1; }
+
     # One registry-driven scenario end to end through the CLI: the
     # checked-in shear-band spec must parse, run and converge (exit 0).
     step "registry-driven shear-band scenario (CLI end to end)"

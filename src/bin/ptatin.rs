@@ -22,6 +22,9 @@
 //!
 //! Both subcommands solve the model and write ParaView-ready legacy VTK
 //! files (mesh fields + material-point cloud) into `out/`.
+//! `sinker` prints its iteration count with the true relative residual
+//! `‖b − Ax‖/‖b‖` of the solution and exits with status 3 when the solve
+//! did not converge (its VTK files are still written), 0 otherwise.
 //!
 //! Checkpoint/restart and fault injection (rift):
 //!
@@ -496,11 +499,12 @@ fn run_sinker(args: &Args) {
         KrylovOperatorChoice::Picard,
         None,
     );
+    let elapsed = t0.elapsed().as_secs_f64();
     println!(
-        "solve: {} iterations in {:.2}s (converged: {})",
+        "solve: {} iterations in {elapsed:.2}s (converged: {}, ‖b − Ax‖/‖b‖ = {:.3e})",
         stats.iterations,
-        t0.elapsed().as_secs_f64(),
-        stats.converged
+        stats.converged,
+        solver.relative_residual(&rhs, &x)
     );
     let mesh = model.hier.finest();
     let vel = corner_vector_field(mesh, &x[..solver.nu]);
@@ -523,6 +527,9 @@ fn run_sinker(args: &Args) {
         "wrote {}/sinker_mesh.vtk and sinker_points.vtk",
         out.display()
     );
+    if !stats.converged {
+        std::process::exit(3);
+    }
 }
 
 fn run_rift(args: &Args) {
