@@ -11,7 +11,6 @@
 
 use ptatin_bench::{write_csv, Args};
 use ptatin_core::models::rift::{RiftConfig, RiftModel};
-use ptatin_core::{CoarseKind, GmgConfig};
 
 fn main() {
     let args = Args::parse();
@@ -21,19 +20,14 @@ fn main() {
     println!("# (paper: 256x32x128 over 1500-2000 steps on 512 cores)");
     // The model defaults carry the paper's solver configuration (V(3,3),
     // Newton max 5, tolerances scaled to this non-dimensionalization)
-    // except for the coarse solve, which they factor exactly; the figure
-    // is about the paper's CG+ASM(ILU0) capped at 25 its, so it is pinned.
-    let defaults = RiftConfig::default();
+    // except for the coarse solve, which they factor exactly where the
+    // paper runs CG+ASM(ILU0) capped at 25 its.
     let cfg = RiftConfig {
         mx,
         my,
         mz,
         levels: 2,
-        gmg: GmgConfig {
-            coarse: CoarseKind::RIFT_CG_ASM,
-            ..defaults.gmg.clone()
-        },
-        ..defaults
+        ..RiftConfig::default()
     };
     let mut model = RiftModel::new(cfg);
     println!(

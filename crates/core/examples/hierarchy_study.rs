@@ -75,11 +75,4 @@ fn main() {
         true,
         "3 levels, all-Galerkin, direct",
     );
-    run(
-        m,
-        3,
-        CoarseKind::RIFT_CG_ASM,
-        false,
-        "3 levels, rediscretized mid, CG+ASM",
-    );
 }

@@ -7,7 +7,7 @@
 
 use crate::coefficients::{update_coefficients, StateFields};
 use crate::nonlinear::{MaterialPointProblem, NonlinearConfig, NonlinearStats};
-use crate::solver::{CoarseKind, GmgConfig, SetupCache};
+use crate::solver::{GmgConfig, SetupCache};
 use ptatin_fem::assemble::{num_pressure_dofs, num_velocity_dofs, Q2QuadTables};
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
 use ptatin_mesh::StructuredMesh;
@@ -92,7 +92,6 @@ impl Default for FallingBlockConfig {
             },
             gmg: GmgConfig {
                 levels: 2,
-                coarse: CoarseKind::Direct,
                 ..GmgConfig::default()
             },
         }

@@ -14,7 +14,7 @@
 //! dimensional runs.
 
 use crate::nonlinear::{MaterialPointProblem, NonlinearConfig, NonlinearOutcome, NonlinearStats};
-use crate::solver::{CoarseKind, GmgConfig, SetupCache};
+use crate::solver::{GmgConfig, SetupCache};
 use crate::timestep::{accumulate_plastic_strain, advected_surface, cfl_dt, velocity_at_corners};
 use ptatin_ckpt::{fnv1a64, Checkpoint, CkptError};
 use ptatin_fem::assemble::{num_pressure_dofs, num_velocity_dofs};
@@ -82,12 +82,10 @@ impl Default for RiftConfig {
                 ..NonlinearConfig::default()
             },
             gmg: GmgConfig {
+                // 13×5×9 coarse nodes, factored exactly: the paper's §V
+                // CG + ASM/ILU(0) is what that solve becomes on a coarse
+                // grid spread over thousands of ranks.
                 levels: 2,
-                // 13×5×9 coarse nodes: small enough to factor exactly. The
-                // paper's §V CG + ASM/ILU(0) (`CoarseKind::InexactCgAsm`)
-                // is what this becomes on a coarse grid spread over
-                // thousands of ranks.
-                coarse: CoarseKind::Direct,
                 pre_smooth: 3,
                 post_smooth: 3,
                 ..GmgConfig::default()
@@ -543,7 +541,6 @@ pub mod tests {
             },
             gmg: GmgConfig {
                 levels: 2,
-                coarse: CoarseKind::Direct,
                 ..GmgConfig::default()
             },
             ..RiftConfig::default()

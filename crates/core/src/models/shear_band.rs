@@ -6,7 +6,7 @@
 
 use crate::coefficients::{eps_ii, strain_rate_at};
 use crate::nonlinear::{MaterialPointProblem, NonlinearConfig, NonlinearStats};
-use crate::solver::{CoarseKind, GmgConfig, SetupCache};
+use crate::solver::{GmgConfig, SetupCache};
 use ptatin_fem::assemble::{num_pressure_dofs, num_velocity_dofs};
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
 use ptatin_mesh::StructuredMesh;
@@ -96,7 +96,6 @@ impl Default for ShearBandConfig {
             },
             gmg: GmgConfig {
                 levels: 2,
-                coarse: CoarseKind::Direct,
                 ..GmgConfig::default()
             },
         }

@@ -4,7 +4,7 @@
 //! walls, free surface on top, flow driven purely by the density contrast.
 
 use crate::coefficients::{update_coefficients, CoefficientFields, StateFields};
-use crate::solver::{build_stokes_solver_cached, CoarseKind, GmgConfig, SetupCache, StokesSolver};
+use crate::solver::{build_stokes_solver_cached, GmgConfig, SetupCache, StokesSolver};
 use ptatin_fem::assemble::{assemble_body_force, Q2QuadTables};
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
 use ptatin_mesh::hierarchy::MeshHierarchy;
@@ -47,7 +47,6 @@ impl Default for SinkerConfig {
             points_per_dim: 3,
             gmg: GmgConfig {
                 levels: 2,
-                coarse: CoarseKind::Direct,
                 ..GmgConfig::default()
             },
         }
@@ -204,12 +203,7 @@ mod tests {
             ..SinkerConfig::default()
         });
         let fields = model.coefficients();
-        let gmg = GmgConfig {
-            levels: 2,
-            coarse: crate::solver::CoarseKind::Direct,
-            ..GmgConfig::default()
-        };
-        let solver = model.build_solver(&fields, &gmg);
+        let solver = model.build_solver(&fields, &model.cfg.gmg);
         let rhs = model.rhs(&solver, &fields);
         let mut x = vec![0.0; solver.nu + solver.np];
         let stats = solver.solve(

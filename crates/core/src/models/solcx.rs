@@ -29,8 +29,8 @@
 //! projection would smear the jump and visibly degrade the rates.
 
 use crate::solver::{
-    analytic_eta_qp, build_stokes_solver_spec_cached, CoarseKind, GmgConfig, KrylovOperatorChoice,
-    SetupCache, StokesSolver, ViscositySpec,
+    analytic_eta_qp, build_stokes_solver_spec_cached, GmgConfig, KrylovOperatorChoice, SetupCache,
+    StokesSolver, ViscositySpec,
 };
 use ptatin_fem::assemble::{assemble_forcing, num_pressure_dofs, num_velocity_dofs, Q2QuadTables};
 use ptatin_fem::basis::{element_frame, p1disc_basis, NP1};
@@ -246,7 +246,6 @@ impl SolCxModel {
         let gmg = GmgConfig {
             levels: self.cfg.levels,
             fine_kind: self.cfg.fine_kind,
-            coarse: CoarseKind::Direct,
             ..GmgConfig::default()
         };
         let eta = |x: [f64; 3]| self.exact.eta(x);

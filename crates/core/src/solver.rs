@@ -14,14 +14,12 @@ use ptatin_la::coupling::CouplingBlock;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
 use ptatin_la::operator::{with_block_scratch, LinearOperator, Preconditioner, TimedOperator};
-use ptatin_la::schwarz::{grow_overlap, AdditiveSchwarz, DirectSolver, SubdomainSolve};
+use ptatin_la::schwarz::DirectSolver;
 use ptatin_la::shared::SharedCsr;
 use ptatin_la::simd::{runtime_simd_path, F64x4};
 use ptatin_la::transfer::NestedTransfer;
 use ptatin_la::vec_ops;
-use ptatin_mesh::decomp::nodes_to_dofs;
 use ptatin_mesh::hierarchy::MeshHierarchy;
-use ptatin_mesh::ElementPartition;
 use ptatin_mg::amg::{build_sa_amg, AmgConfig};
 use ptatin_mg::gmg::{
     galerkin_coarse_q1, galerkin_coarse_with_pt, prolongation_handles, ArcOp, CycleType,
@@ -40,38 +38,19 @@ use std::sync::Arc;
 /// Coarsest-level solver selection for the velocity multigrid.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CoarseKind {
-    /// One V(2,2) cycle of smoothed-aggregation AMG with rigid-body modes
-    /// (production configuration of §IV-A).
+    /// Capped CG preconditioned by one V(2,2) cycle of smoothed-aggregation
+    /// AMG with rigid-body modes: the GAMG coarse solve of §IV-A, kept for
+    /// Table IV and the benchmark's `sinker12`.
     Amg {
         /// Subdomain count of the AMG-coarsest block-Jacobi/LU solve.
         coarse_blocks: usize,
     },
     /// Exact solve by sparse envelope Cholesky, factored once per build
     /// (`ptatin_la::cholesky`; a matrix it rejects falls back to dense LU).
-    /// The choice while the coarse grid is a few thousand unknowns — factor
-    /// work grows as n·bw², DESIGN.md §1 has the crossover.
+    /// The product's coarse solve: every coarse grid here is a few thousand
+    /// unknowns, and factor work grows as n·bw², DESIGN.md §1 has the
+    /// crossover.
     Direct,
-    /// Inexact CG + ASM(ILU(0), overlap) — the rifting coarse solver of
-    /// §V, for coarse grids too large to factor.
-    InexactCgAsm {
-        subdomains: usize,
-        overlap: usize,
-        rtol: f64,
-        max_it: usize,
-    },
-}
-
-impl CoarseKind {
-    /// The coarse solver of the paper's rifting runs (§V): CG capped at 25
-    /// iterations or a 10⁻⁴ reduction, preconditioned by ASM/ILU(0) over
-    /// four subdomains. The overlap is 2 where the paper has 4: the coarse
-    /// grids here are a few elements across.
-    pub const RIFT_CG_ASM: CoarseKind = CoarseKind::InexactCgAsm {
-        subdomains: 4,
-        overlap: 2,
-        rtol: 1e-4,
-        max_it: 25,
-    };
 }
 
 /// Velocity-block multigrid configuration (the knobs varied in §IV).
@@ -108,7 +87,7 @@ impl Default for GmgConfig {
             pre_smooth: 2,
             post_smooth: 2,
             cycle: CycleType::V,
-            coarse: CoarseKind::Amg { coarse_blocks: 4 },
+            coarse: CoarseKind::Direct,
         }
     }
 }
@@ -864,25 +843,6 @@ pub fn build_stokes_solver_spec_cached(
                     });
                 }
                 GmgCoarseSolver::Direct(solver)
-            }
-            CoarseKind::InexactCgAsm {
-                subdomains,
-                overlap,
-                rtol,
-                max_it,
-            } => {
-                let part = ElementPartition::auto(&hier.meshes[0], *subdomains);
-                let sets: Vec<Vec<usize>> = nodes_to_dofs(&part.owned_nodes(&hier.meshes[0]), 3)
-                    .into_iter()
-                    .map(|s| grow_overlap(&a0, &s, *overlap))
-                    .collect();
-                let pc = AdditiveSchwarz::new(&a0, sets, SubdomainSolve::Ilu0);
-                GmgCoarseSolver::InexactCgAsm {
-                    a: a0,
-                    pc,
-                    rtol: *rtol,
-                    max_it: *max_it,
-                }
             }
             CoarseKind::Amg { coarse_blocks } => {
                 // The SA-AMG hierarchy is rebuilt every time: its strength

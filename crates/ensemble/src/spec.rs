@@ -326,24 +326,23 @@ sweep seed = 7, 8
 
     #[test]
     fn registry_scenarios_and_rheology_keys_are_sweepable() {
-        use ptatin_ops::OperatorKind;
         use ptatin_rheology::ViscousLaw;
-        // A sweep axis may range over the rheology menu and the solver
-        // operator kind of a registry scenario.
+        // A sweep axis may range over the rheology menu and the geometry
+        // of a registry scenario.
         let text = "\
 scenario = falling_block
 m = 4
 levels = 2
 material.ambient.law = power_law
 sweep material.ambient.stress_exponent = 2, 3
-sweep solver.fine_kind = tensor, tensor_batched
+sweep block_half_width = 0.15, 0.25
 ";
         let jobs = SweepSpec::parse(text).unwrap().expand().unwrap();
         assert_eq!(jobs.len(), 4);
         match &jobs[3].scenario {
             Scenario::FallingBlock(c) => {
                 assert_eq!(c.m, 4);
-                assert_eq!(c.gmg.fine_kind, OperatorKind::TensorBatched);
+                assert_eq!(c.block_half_width, 0.25);
                 match c.ambient.viscous {
                     ViscousLaw::PowerLaw {
                         stress_exponent, ..
@@ -355,7 +354,7 @@ sweep solver.fine_kind = tensor, tensor_batched
         }
         assert_eq!(
             jobs[1].name,
-            "material.ambient.stress_exponent=2 solver.fine_kind=tensor_batched"
+            "material.ambient.stress_exponent=2 block_half_width=0.25"
         );
 
         // Scenario-registry validation fires through the sweep grammar

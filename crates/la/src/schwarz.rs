@@ -4,10 +4,9 @@
 //!
 //! These provide the coarse-grid solvers of the paper: "the coarse level
 //! solver was defined via a block Jacobi preconditioner, with an exact LU
-//! factorization applied on each of the subdomains" (§IV-A) and the
-//! ASM(overlap=4)+ILU(0) coarse solver of the rifting runs (§V). Every
-//! exact solve — the whole matrix or one subdomain block — is a
-//! [`DirectSolver`].
+//! factorization applied on each of the subdomains" (§IV-A), the AMG
+//! hierarchy's coarsest solve here. Every exact solve — the whole matrix
+//! or one subdomain block — is a [`DirectSolver`].
 
 use crate::cholesky::{CholeskySymbolic, FactorError, SparseCholesky};
 use crate::csr::Csr;
@@ -272,39 +271,6 @@ impl Preconditioner for AdditiveSchwarz {
     }
 }
 
-/// Grow a dof set by `overlap` layers of matrix-graph adjacency — the
-/// algebraic equivalent of PETSc's ASM overlap.
-pub fn grow_overlap(a: &Csr, base: &[usize], overlap: usize) -> Vec<usize> {
-    let mut in_set = vec![false; a.nrows()];
-    let mut current: Vec<usize> = base.to_vec();
-    for &d in base {
-        in_set[d] = true;
-    }
-    for _ in 0..overlap {
-        let mut next = Vec::new();
-        for &i in &current {
-            for &j in a.row_indices(i) {
-                let j = j as usize;
-                if !in_set[j] {
-                    in_set[j] = true;
-                    next.push(j);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        current = next;
-    }
-    let mut out: Vec<usize> = in_set
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &b)| b.then_some(i))
-        .collect();
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,13 +379,10 @@ mod tests {
         let pc0 = AdditiveSchwarz::new(&a, sets0, SubdomainSolve::Lu);
         let mut x0 = vec![0.0; n];
         let s0 = gmres(&a, &pc0, &b, &mut x0, &cfg);
-        // Overlap 4.
+        // Overlap 4: four layers of the path graph on either side.
         let sets4: Vec<Vec<usize>> = ranges
             .iter()
-            .map(|&(s, e)| {
-                let base: Vec<usize> = (s..e).collect();
-                grow_overlap(&a, &base, 4)
-            })
+            .map(|&(s, e)| (s.saturating_sub(4)..(e + 4).min(n)).collect())
             .collect();
         let pc4 = AdditiveSchwarz::new(&a, sets4, SubdomainSolve::Lu);
         let mut x4 = vec![0.0; n];
@@ -434,15 +397,6 @@ mod tests {
             s4.iterations,
             s0.iterations
         );
-    }
-
-    #[test]
-    fn grow_overlap_adds_adjacent_layers() {
-        let a = laplace1d(10);
-        let grown = grow_overlap(&a, &[4, 5], 1);
-        assert_eq!(grown, vec![3, 4, 5, 6]);
-        let grown2 = grow_overlap(&a, &[4, 5], 2);
-        assert_eq!(grown2, vec![2, 3, 4, 5, 6, 7]);
     }
 
     #[test]

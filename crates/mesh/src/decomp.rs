@@ -1,7 +1,7 @@
 //! Subdomain decomposition of the structured mesh — the analogue of the
 //! paper's DMDA spatial decomposition into `m̂ × n̂ × p̂`-element subdomains
-//! (§II-D). Subdomains drive block-Jacobi/ASM preconditioner blocks, the
-//! "cores" axis of the scaling tables, and material-point migration.
+//! (§II-D). Subdomains drive the "cores" axis of the scaling tables and
+//! material-point migration.
 
 use crate::StructuredMesh;
 
@@ -17,7 +17,6 @@ pub struct ElementPartition {
     zsplit: Vec<usize>,
     mx: usize,
     my: usize,
-    mz: usize,
 }
 
 fn splits(m: usize, p: usize) -> Vec<usize> {
@@ -46,7 +45,6 @@ impl ElementPartition {
             zsplit: splits(mesh.mz, pz),
             mx: mesh.mx,
             my: mesh.my,
-            mz: mesh.mz,
         }
     }
 
@@ -190,51 +188,6 @@ impl ElementPartition {
         }
         out
     }
-
-    /// Partition the Q2 *node* grid into per-subdomain owned-node sets:
-    /// a node is owned by the lowest-index subdomain whose element box
-    /// contains it. Every node appears in exactly one set; sets are sorted.
-    /// These sets (expanded to dofs) define block-Jacobi/ASM blocks.
-    pub fn owned_nodes(&self, mesh: &StructuredMesh) -> Vec<Vec<usize>> {
-        let (nx, ny, nz) = mesh.node_dims();
-        let mut sets = vec![Vec::new(); self.num_subdomains()];
-        for k in 0..nz {
-            // Node k belongs to element layer k/2 (clamped to last element).
-            let ek = (k / 2).min(self.mz - 1);
-            let sk = Self::locate(&self.zsplit, ek);
-            for j in 0..ny {
-                let ej = (j / 2).min(self.my - 1);
-                let sj = Self::locate(&self.ysplit, ej);
-                for i in 0..nx {
-                    let ei = (i / 2).min(self.mx - 1);
-                    let si = Self::locate(&self.xsplit, ei);
-                    sets[self.subdomain_index(si, sj, sk)].push(mesh.node_index(i, j, k));
-                }
-            }
-        }
-        for s in &mut sets {
-            s.sort_unstable();
-        }
-        sets
-    }
-}
-
-/// Expand per-node index sets to per-dof sets with `ndof` interleaved
-/// components (dof = node*ndof + c).
-pub fn nodes_to_dofs(node_sets: &[Vec<usize>], ndof: usize) -> Vec<Vec<usize>> {
-    node_sets
-        .iter()
-        .map(|set| {
-            let mut dofs = Vec::with_capacity(set.len() * ndof);
-            for &n in set {
-                for c in 0..ndof {
-                    dofs.push(n * ndof + c);
-                }
-            }
-            dofs.sort_unstable();
-            dofs
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -285,29 +238,5 @@ mod tests {
         let p = ElementPartition::new(&m, 2, 2, 2);
         // Corner subdomain has 7 neighbours in a 2x2x2 decomposition.
         assert_eq!(p.neighbors(0).len(), 7);
-    }
-
-    #[test]
-    fn owned_nodes_partition_node_grid() {
-        let m = mesh();
-        let p = ElementPartition::new(&m, 2, 1, 2);
-        let sets = p.owned_nodes(&m);
-        let total: usize = sets.iter().map(|s| s.len()).sum();
-        assert_eq!(total, m.num_nodes());
-        let mut seen = vec![false; m.num_nodes()];
-        for set in &sets {
-            for &n in set {
-                assert!(!seen[n]);
-                seen[n] = true;
-            }
-        }
-    }
-
-    #[test]
-    fn nodes_to_dofs_expands() {
-        let sets = vec![vec![0usize, 2], vec![1]];
-        let d = nodes_to_dofs(&sets, 3);
-        assert_eq!(d[0], vec![0, 1, 2, 6, 7, 8]);
-        assert_eq!(d[1], vec![3, 4, 5]);
     }
 }

@@ -1,18 +1,17 @@
 //! Geometric multigrid over the nodally-nested mesh hierarchy (§III-C of
 //! the paper): Chebyshev(Jacobi) smoothing on every level, trilinear
 //! prolongation / transposed restriction, coarse operators either
-//! rediscretized or Galerkin, and a pluggable coarsest-level solver (GAMG
-//! V-cycle, block-Jacobi + Cholesky, inexact Krylov+ASM, or a direct
-//! factorization).
+//! rediscretized or Galerkin, and a coarsest-level solver (a direct
+//! factorization, or AMG-preconditioned CG).
 
 use crate::amg::AmgHierarchy;
 use ptatin_fem::assemble::Q2QuadTables;
 use ptatin_fem::pattern::GalerkinQ1Pattern;
 use ptatin_la::chebyshev::Chebyshev;
 use ptatin_la::csr::Csr;
-use ptatin_la::krylov::{cg, fgmres, KrylovConfig};
+use ptatin_la::krylov::{cg, KrylovConfig};
 use ptatin_la::operator::{LinearOperator, Preconditioner};
-use ptatin_la::schwarz::{AdditiveSchwarz, DirectSolver};
+use ptatin_la::schwarz::DirectSolver;
 use ptatin_la::shared::SharedCsr;
 use ptatin_la::simd::{F64x4, SimdPath};
 use ptatin_la::transfer::NestedTransfer;
@@ -42,7 +41,9 @@ fn smooth_event(k: usize) -> &'static str {
     MG_SMOOTH_NAMES[k.min(MG_SMOOTH_NAMES.len() - 1)]
 }
 
-/// Coarsest-level solver of the geometric hierarchy.
+/// Coarsest-level solver of the geometric hierarchy. A hierarchy holds
+/// one, so the inline AMG variant's size costs nothing.
+#[allow(clippy::large_enum_variant)]
 pub enum GmgCoarseSolver {
     /// AMG-preconditioned CG capped at a loose tolerance / few iterations.
     /// At the paper's scale the coarsest geometric level is still large and
@@ -59,15 +60,6 @@ pub enum GmgCoarseSolver {
     /// so a build inside one nonlinear solve can take over an earlier
     /// build's factor.
     Direct(Arc<DirectSolver>),
-    /// Inexact CG preconditioned with (overlapping) additive Schwarz —
-    /// the rifting configuration of §V (CG + ASM(ILU0, overlap 4), capped
-    /// at 25 iterations or a 10⁻⁴ residual reduction).
-    InexactCgAsm {
-        a: Csr,
-        pc: AdditiveSchwarz,
-        rtol: f64,
-        max_it: usize,
-    },
 }
 
 impl GmgCoarseSolver {
@@ -86,24 +78,6 @@ impl GmgCoarseSolver {
                 let _ = cg(a, hierarchy, b, x, &cfg);
             }
             GmgCoarseSolver::Direct(lu) => lu.apply(b, x),
-            GmgCoarseSolver::InexactCgAsm {
-                a,
-                pc,
-                rtol,
-                max_it,
-            } => {
-                x.fill(0.0);
-                let cfg = KrylovConfig::default()
-                    .with_rtol(*rtol)
-                    .with_max_it(*max_it);
-                let stats = cg(a, pc, b, x, &cfg);
-                if !stats.converged && stats.iterations == 0 {
-                    // CG broke down (e.g. semi-definite residual): retry
-                    // with FGMRES for robustness.
-                    x.fill(0.0);
-                    let _ = fgmres(a, pc, b, x, &cfg.with_restart(*max_it));
-                }
-            }
         }
     }
 }

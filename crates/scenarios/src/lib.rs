@@ -5,8 +5,8 @@
 //! fully determines a [`Scenario`]: the model kind, domain, boundary
 //! conditions, the rheology menu assignment of each material role, and
 //! solver defaults. The same key set backs the ensemble sweep grammar,
-//! so any scenario knob — including the viscous law and the fine-level
-//! operator kind — can be a sweep axis.
+//! so any scenario knob — including the viscous law of each material
+//! role — can be a sweep axis.
 //!
 //! The crate also hosts the SolCx analytic verification gate
 //! ([`verify`]): solve the sharp-viscosity-jump problem at a ladder of
@@ -22,7 +22,7 @@ pub mod verify;
 pub use registry::{builtins, Scenario};
 pub use run::{run_scenario, RunSummary};
 pub use spec::{
-    coarse_kind_name, operator_kind_name, parse_coarse_kind, parse_operator_kind, parse_scenario,
-    parse_scenario_file, parse_scenario_spec, ScenarioError, ScenarioProto, ScenarioSpec,
+    operator_kind_name, parse_operator_kind, parse_scenario, parse_scenario_file,
+    parse_scenario_spec, ScenarioError, ScenarioProto, ScenarioSpec,
 };
 pub use verify::{run_gate, GateConfig, GateReport, GateSample};

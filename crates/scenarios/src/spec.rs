@@ -13,13 +13,13 @@
 //! material.background.eta = 100
 //! material.background.plasticity = drucker_prager
 //! material.background.cohesion = 20
-//! solver.fine_kind = assembled
 //! ```
 //!
 //! The same key set is shared with the ensemble sweep grammar
 //! (`ptatin-ensemble` delegates its per-key application to
 //! [`ScenarioProto`]), so every scenario knob — including the rheology
-//! menu and the solver operator kind — is sweepable via `ptatin ensemble`.
+//! menu — is sweepable via `ptatin ensemble`. The solver is the model's
+//! own: no key chooses the fine operator or the coarse solve.
 //!
 //! Errors are line-anchored ([`ScenarioError`]); cross-key conflicts
 //! (e.g. `bc.top = exact` on a scenario with no analytic boundary data)
@@ -33,7 +33,7 @@ use ptatin_core::models::rift::RiftConfig;
 use ptatin_core::models::shear_band::ShearBandConfig;
 use ptatin_core::models::sinker::SinkerConfig;
 use ptatin_core::models::solcx::SolCxConfig;
-use ptatin_core::{CoarseKind, GmgConfig};
+use ptatin_core::GmgConfig;
 use ptatin_ops::OperatorKind;
 use ptatin_rheology::{DruckerPrager, Material, Plasticity, ViscousLaw};
 use std::fmt;
@@ -58,8 +58,8 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Operator-kind names as used by `solver.fine_kind` spec keys and the
-/// CLI. A spec that names none runs `GmgConfig::default().fine_kind`.
+/// Operator-kind names as used by `ptatin verify fine_kind=`. A run that
+/// names none uses `GmgConfig::default().fine_kind`.
 const OPERATOR_KIND_NAMES: [(&str, OperatorKind); 5] = [
     ("assembled", OperatorKind::Assembled),
     ("matrix_free", OperatorKind::MatrixFree),
@@ -82,32 +82,6 @@ pub fn operator_kind_name(kind: OperatorKind) -> &'static str {
         .iter()
         .find(|(_, k)| *k == kind)
         .map_or("?", |&(name, _)| name)
-}
-
-/// Coarse-solver names as used by `solver.coarse` spec keys. A spec that
-/// names none runs the scenario's own default.
-const COARSE_KIND_NAMES: [(&str, CoarseKind); 3] = [
-    ("direct", CoarseKind::Direct),
-    ("amg", CoarseKind::Amg { coarse_blocks: 4 }),
-    ("cg_asm", CoarseKind::RIFT_CG_ASM),
-];
-
-/// Parse a coarse-solver name (`direct`, `amg`, `cg_asm`).
-pub fn parse_coarse_kind(v: &str) -> Option<CoarseKind> {
-    COARSE_KIND_NAMES
-        .iter()
-        .find(|(name, _)| *name == v)
-        .map(|(_, kind)| kind.clone())
-}
-
-/// The name [`parse_coarse_kind`] maps to a solver of `kind`'s variant
-/// (whatever its parameters).
-pub fn coarse_kind_name(kind: &CoarseKind) -> &'static str {
-    match kind {
-        CoarseKind::Direct => "direct",
-        CoarseKind::Amg { .. } => "amg",
-        CoarseKind::InexactCgAsm { .. } => "cg_asm",
-    }
 }
 
 /// Scenario kind selected by the `scenario =` key.
@@ -328,34 +302,10 @@ impl ScenarioProto {
                 self.shear_band.nonlinear.rel_tol = t;
                 self.falling_block.nonlinear.rel_tol = t;
             }
-            "coarse" | "solver.coarse" => {
-                let c = parse_coarse_kind(v).ok_or_else(|| {
-                    if v == "asm" {
-                        // One letter from `amg`, and the name of half of
-                        // `cg_asm`: make the author say which.
-                        "ambiguous coarse solver `asm`: say `amg` (smoothed-aggregation \
-                         AMG) or `cg_asm` (CG with ASM/ILU(0))"
-                            .to_string()
-                    } else {
-                        format!("unknown coarse solver `{v}` (direct|amg|cg_asm)")
-                    }
-                })?;
-                for g in self.gmgs() {
-                    g.coarse = c.clone();
-                }
-            }
-            "fine_kind" | "solver.fine_kind" => {
-                let k = parse_operator_kind(v).ok_or_else(|| {
-                    format!(
-                        "unknown operator kind `{v}` \
-                         (assembled|matrix_free|tensor|tensor_c|tensor_batched)"
-                    )
-                })?;
-                self.solcx.fine_kind = k;
-                for g in self.gmgs() {
-                    g.fine_kind = k;
-                }
-            }
+            // Every model factors its coarse grid exactly; the bare key
+            // is still read by sweep files that name that solve.
+            "coarse" if v == "direct" => {}
+            "coarse" => return Err(format!("unknown coarse solve `{v}` (direct)")),
             "rtol" | "solver.rtol" => self.solcx.rtol = parse_positive(key, v)?,
             // Sinker-specific.
             "n_spheres" => self.sinker.n_spheres = parse_as(key, v)?,
@@ -779,14 +729,12 @@ material.background.eta = 50
 material.background.plasticity = von_mises
 material.background.yield_stress = 30
 material.inclusion.eta = 0.5
-solver.fine_kind = tensor_batched
 ";
         match parse_scenario(text).unwrap() {
             Scenario::ShearBand(c) => {
                 assert_eq!((c.mx, c.my, c.mz, c.levels), (8, 2, 4, 2));
                 assert!((c.compression_velocity - 0.5).abs() < 1e-15);
                 assert!(c.top_free_slip);
-                assert_eq!(c.gmg.fine_kind, OperatorKind::TensorBatched);
                 match c.background.viscous {
                     ViscousLaw::Constant { eta } => assert_eq!(eta, 50.0),
                     ref other => panic!("{other:?}"),
@@ -852,6 +800,23 @@ material.block.theta = 4.0
         assert_eq!(e.line, 2);
         assert_eq!(e.msg, "unknown key `bogus_key`");
         assert_eq!(e.to_string(), "scenario line 2: unknown key `bogus_key`");
+
+        // The solver-choice keys are retired: the spec runs the model's own
+        // solver, and a file that still names one is refused at its line.
+        for (text, key) in [
+            ("solver.coarse = direct", "solver.coarse"),
+            ("fine_kind = tensor", "fine_kind"),
+            ("solver.fine_kind = tensor_batched", "solver.fine_kind"),
+        ] {
+            let e = parse_err(&format!("scenario = sinker\nm = 4\n{text}\n"));
+            assert_eq!(e.line, 3, "{text}");
+            assert_eq!(e.msg, format!("unknown key `{key}`"));
+        }
+        // The bare `coarse` key names only the one coarse solve.
+        let e = parse_err("scenario = rift\ncoarse = amg\n");
+        assert_eq!(e.line, 2);
+        assert_eq!(e.msg, "unknown coarse solve `amg` (direct)");
+        assert!(parse_scenario("coarse = direct\n").is_ok());
 
         let e = parse_err("material.background.frobnicate = 1\n");
         assert_eq!(e.line, 1);
@@ -1004,20 +969,5 @@ material.block.theta = 4.0
             Some(OperatorKind::TensorBatched)
         );
         assert_eq!(parse_operator_kind("gpu"), None);
-    }
-
-    #[test]
-    fn coarse_kind_names_round_trip() {
-        for (name, kind) in COARSE_KIND_NAMES {
-            assert_eq!(parse_coarse_kind(name), Some(kind.clone()));
-            assert_eq!(coarse_kind_name(&kind), name);
-        }
-        // Every scenario default has a name the grammar parses back.
-        for gmg in ScenarioProto::default().gmgs() {
-            let coarse = gmg.coarse.clone();
-            assert_eq!(parse_coarse_kind(coarse_kind_name(&coarse)), Some(coarse));
-        }
-        assert_eq!(coarse_kind_name(&GmgConfig::default().coarse), "amg");
-        assert_eq!(parse_coarse_kind("asm"), None);
     }
 }

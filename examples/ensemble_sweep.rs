@@ -20,7 +20,6 @@ levels = 2
 steps = 2
 max_it = 1
 linear_max_it = 60
-coarse = direct
 sweep extension_velocity = 0.4, 0.5
 sweep seed = 0..4
 ";

@@ -8,16 +8,22 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ptatin3d::core::models::sinker::{SinkerConfig, SinkerModel};
-use ptatin3d::core::{CoarseKind, GmgConfig, KrylovOperatorChoice};
+use ptatin3d::core::{GmgConfig, KrylovOperatorChoice};
 use ptatin_la::krylov::KrylovConfig;
 
 fn main() {
-    // 1. Describe the model: 8³ Q2 elements, viscosity contrast 10⁴.
+    // 1. Describe the model: 8³ Q2 elements, viscosity contrast 10⁴,
+    //    three multigrid levels (the model's solver, deepened by one).
+    let defaults = SinkerConfig::default();
     let model = SinkerModel::new(SinkerConfig {
         m: 8,
         levels: 3,
         delta_eta: 1e4,
-        ..SinkerConfig::default()
+        gmg: GmgConfig {
+            levels: 3,
+            ..defaults.gmg
+        },
+        ..defaults
     });
     println!(
         "mesh: {}³ Q2 elements = {} velocity + {} pressure dofs, {} material points",
@@ -33,19 +39,13 @@ fn main() {
 
     // 3. Build the solver: the default SIMD-batched tensor-product kernel
     //    on both smoothed levels (no matrix above the coarse one), Galerkin
-    //    coarsest operator, Chebyshev(2)/Jacobi smoothing, smoothed
-    //    aggregation AMG as the coarse-grid solver.
-    let gmg = GmgConfig {
-        levels: 3,
-        coarse: CoarseKind::Amg { coarse_blocks: 4 },
-        ..GmgConfig::default()
-    };
-    let solver = model.build_solver(&fields, &gmg);
+    //    coarsest operator, Chebyshev(2)/Jacobi smoothing, sparse Cholesky
+    //    as the coarse-grid solver.
+    let solver = model.build_solver(&fields, &model.cfg.gmg);
     println!(
-        "solver: {}-level GMG, setup {:.2}s (coarse AMG {:.2}s)",
+        "solver: {}-level GMG, setup {:.2}s",
         solver.mg.num_levels(),
-        solver.timers.setup_seconds,
-        solver.timers.coarse_setup_seconds
+        solver.timers.setup_seconds
     );
 
     // 4. Solve the coupled system with GCR and the block-lower-triangular

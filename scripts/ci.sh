@@ -178,7 +178,7 @@ if [[ $FAST -eq 0 ]]; then
     SWEEP="$CKDIR/smoke_sweep.txt"
     printf '%s\n' \
         "scenario = rift" "mx = 4" "my = 2" "mz = 2" "levels = 2" \
-        "steps = 2" "max_it = 1" "linear_max_it = 60" "coarse = direct" \
+        "steps = 2" "max_it = 1" "linear_max_it = 60" \
         "sweep seed = 0..16" > "$SWEEP"
     for nt in 1 4; do
         step "  ensemble sweep at PTATIN_TEST_THREADS=$nt"
@@ -225,9 +225,10 @@ if [[ $FAST -eq 0 ]]; then
     # The production solve assembles no coupling block and runs no SpMV
     # with it (DESIGN.md §4, §13): the 8³ sinker's profile has no
     # `ops.assemble_gradient_batched` event, no `MatMult` under the outer
-    # `PCApply` (its `B z_u` is `MatMult_DivergenceBatched`), and every
-    # `MatMult` call is the coarse CG's.
-    step "sinker profile: no gradient-block assembly, no B SpMV in PCApply"
+    # `PCApply` (its `B z_u` is `MatMult_DivergenceBatched`). Its coarse
+    # solve is the sparse Cholesky factor built under `StokesSetup`: no
+    # AMG, no coarse CG, and so no `MatMult` at all.
+    step "sinker profile: no gradient-block assembly, no SpMV, direct coarse solve"
     J="$CKDIR/sinker8.json"
     target/release/ptatin sinker m=8 --log-json="$J" out="$CKDIR/sinker8" > /dev/null
     ! grep -q '"ops.assemble_gradient_batched"' "$J" \
@@ -236,11 +237,13 @@ if [[ $FAST -eq 0 ]]; then
         || { echo "PCApply runs a MatMult of its own"; exit 1; }
     grep -q '"child":"MatMult_DivergenceBatched","incl_s":[^,]*,"parent":"PCApply"' "$J" \
         || { echo "PCApply does not run the divergence pass"; exit 1; }
-    calls_of() { grep -o "\"calls\":[0-9]*,$1" "$J" | head -1 | sed -E 's/"calls":([0-9]+).*/\1/'; }
-    mm=$(calls_of '"excl_s":[^,]*,"flops":[0-9]*,"incl_s":[^,]*,"name":"MatMult"}')
-    cg=$(calls_of '"child":"MatMult","incl_s":[^,]*,"parent":"KSPSolve_CG"')
-    [[ -n "$mm" && "$mm" == "$cg" ]] \
-        || { echo "MatMult calls $mm, of which the coarse CG's ${cg:-none}"; exit 1; }
+    for ev in MatMult KSPSolve_CG PCSetUp_AMG PCApply_AMG; do
+        ! grep -q "\"name\":\"$ev\"}" "$J" \
+            || { echo "the sinker profile has a $ev event"; exit 1; }
+    done
+    grep -q '"child":"setup/coarse","incl_s":[^,]*,"parent":"StokesSetup"' "$J" \
+        && grep -q '"child":"setup/coarse/factor","incl_s":[^,]*,"parent":"setup/coarse"' "$J" \
+        || { echo "no setup/coarse/factor under StokesSetup"; exit 1; }
 
     # The V-cycle runs its grid transfers as line stencils and no
     # production solve forms a transfer matrix (DESIGN.md §9, §13): the 8³

@@ -92,7 +92,7 @@ use ptatin3d::core::output::{
     cell_average, corner_vector_field, write_vtk_mesh, write_vtk_points, Field,
 };
 use ptatin3d::core::recovery::{run_rift as drive_rift, RunConfig, RunOutcome};
-use ptatin3d::core::{CoarseKind, GmgConfig, KrylovOperatorChoice};
+use ptatin3d::core::{GmgConfig, KrylovOperatorChoice};
 use ptatin3d::ensemble::{self, EnsembleConfig, EventSink};
 use ptatin3d::scenarios;
 use ptatin_la::krylov::KrylovConfig;
@@ -314,13 +314,6 @@ fn run_scenario_cmd(args: &Args) {
         file,
         steps
     );
-    if let Some(gmg) = spec.scenario.gmg() {
-        println!(
-            "  solver.fine_kind = {}, solver.coarse = {}",
-            scenarios::operator_kind_name(gmg.fine_kind),
-            scenarios::coarse_kind_name(&gmg.coarse)
-        );
-    }
     let summary = scenarios::run_scenario(&spec.scenario, steps);
     println!(
         "{}: converged={} iterations={}",
@@ -476,19 +469,19 @@ fn run_sinker(args: &Args) {
         "sinker: {m}^3 elements, {levels} levels, Δη = {delta_eta:.0e}, {} threads",
         par::num_threads()
     );
+    let defaults = SinkerConfig::default();
     let model = SinkerModel::new(SinkerConfig {
         m,
         levels,
         delta_eta,
-        ..SinkerConfig::default()
+        gmg: GmgConfig {
+            levels,
+            ..defaults.gmg
+        },
+        ..defaults
     });
     let fields = model.coefficients();
-    let gmg = GmgConfig {
-        levels,
-        coarse: CoarseKind::Amg { coarse_blocks: 4 },
-        ..GmgConfig::default()
-    };
-    let solver = model.build_solver(&fields, &gmg);
+    let solver = model.build_solver(&fields, &model.cfg.gmg);
     let rhs = model.rhs(&solver, &fields);
     let mut x = vec![0.0; solver.nu + solver.np];
     let t0 = std::time::Instant::now();

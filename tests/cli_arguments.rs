@@ -174,3 +174,22 @@ fn unwritable_outputs_exit_2_without_a_panic() {
     refused(&["sinker", "m=2", "levels=2", &out_ok], &taken, true);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A scenario file that still names a retired solver-choice key is refused
+/// at its line with exit status 2, before any run starts.
+#[test]
+fn scenario_file_naming_a_solver_key_exits_2() {
+    let spec = std::env::temp_dir().join(format!("ptatin_cli_spec_{}.scn", std::process::id()));
+    std::fs::write(&spec, "scenario = sinker\nm = 4\nsolver.coarse = amg\n").expect("spec file");
+    let file = format!("file={}", spec.display());
+    let out = ptatin(&["scenario", &file]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("scenario line 3: unknown key `solver.coarse`"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "the spec must not start a run");
+    let _ = std::fs::remove_file(&spec);
+}

@@ -13,7 +13,7 @@ use ptatin3d::ckpt::faults::{self, FaultKind, FaultPlan};
 use ptatin3d::ckpt::fnv1a64;
 use ptatin3d::core::models::rift::{RiftConfig, RiftModel};
 use ptatin3d::core::recovery::{run_rift, RunConfig};
-use ptatin3d::core::{CoarseKind, GmgConfig, NonlinearConfig};
+use ptatin3d::core::{GmgConfig, NonlinearConfig};
 use ptatin3d::ensemble::{
     run_sweep, EnsembleConfig, EventSink, JobOutcome, SweepSpec, SweepSummary,
 };
@@ -30,14 +30,14 @@ static NT_LOCK: Mutex<()> = Mutex::new(());
 fn sweep_text(n: usize, steps: usize) -> String {
     format!(
         "scenario = rift\nmx = 4\nmy = 2\nmz = 2\nlevels = 2\nsteps = {steps}\n\
-         max_it = 1\nlinear_max_it = 60\ncoarse = direct\nsweep seed = 0..{n}\n"
+         max_it = 1\nlinear_max_it = 60\nsweep seed = 0..{n}\n"
     )
 }
 
 /// The RiftConfig the sweep text above expands to for a given seed. The
 /// sweep prototype starts from `RiftConfig::default()` and overrides
 /// exactly the listed keys, so the reference must do the same (in
-/// particular the default rift GMG block, with only `coarse` replaced).
+/// particular the default rift GMG block, with only `levels` set).
 fn job_cfg(seed: u64) -> RiftConfig {
     let base = RiftConfig::default();
     let nonlinear = NonlinearConfig {
@@ -47,7 +47,6 @@ fn job_cfg(seed: u64) -> RiftConfig {
     };
     let gmg = GmgConfig {
         levels: 2,
-        coarse: CoarseKind::Direct,
         ..base.gmg.clone()
     };
     RiftConfig {

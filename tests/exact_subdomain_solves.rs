@@ -10,7 +10,7 @@
 
 use ptatin_core::models::rift::rift_bc;
 use ptatin_core::models::sinker::{SinkerConfig, SinkerModel};
-use ptatin_core::solver::GmgConfig;
+use ptatin_core::solver::{CoarseKind, GmgConfig};
 use ptatin_fem::assemble::{num_velocity_dofs, Q2QuadTables};
 use ptatin_fem::bc::DirichletBc;
 use ptatin_fem::pattern::GalerkinQ1Pattern;
@@ -32,9 +32,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Serializes the tests that pin the process-global thread count.
 static NT_LOCK: Mutex<()> = Mutex::new(());
 
-/// The coarse solve of `ptatin sinker m=12` (Δη = 1e4, three levels,
-/// `CoarseKind::Amg { coarse_blocks: 4 }`): the Galerkin coarse matrix and
-/// the SA-AMG built on it, with the CG tolerance and iteration cap.
+/// The coarse solve of the benchmark's `sinker12` (Δη = 1e4, three
+/// levels, `CoarseKind::Amg { coarse_blocks: 4 }`, here without its
+/// jittered material points): the Galerkin coarse matrix and the SA-AMG
+/// built on it, with the CG tolerance and iteration cap.
 struct SinkerCoarse {
     a: Csr,
     hierarchy: AmgHierarchy,
@@ -51,7 +52,11 @@ fn sinker_coarse() -> &'static SinkerCoarse {
             ..SinkerConfig::default()
         });
         let fields = model.coefficients();
-        let solver = model.build_solver(&fields, &GmgConfig::default());
+        let gmg = GmgConfig {
+            coarse: CoarseKind::Amg { coarse_blocks: 4 },
+            ..GmgConfig::default()
+        };
+        let solver = model.build_solver(&fields, &gmg);
         match solver.mg.coarse {
             GmgCoarseSolver::AmgPcg {
                 a,
@@ -64,7 +69,7 @@ fn sinker_coarse() -> &'static SinkerCoarse {
                 rtol,
                 max_it,
             },
-            _ => panic!("the default coarse solve is AMG-PCG"),
+            _ => panic!("built with CoarseKind::Amg"),
         }
     })
 }

@@ -220,25 +220,21 @@ fn direct_is_bitwise_across_thread_counts_and_simd_paths() {
     }
 }
 
-/// Rift's solver configuration at a loose inner tolerance: the coarse
-/// solver keeps the coarsest matrix where a test can read it.
-fn cg_asm(levels: usize) -> GmgConfig {
+/// The default solver with the capped AMG-CG coarse solve, which keeps
+/// the coarsest matrix where a test can read it (the direct solve keeps
+/// only its factor).
+fn amg(levels: usize) -> GmgConfig {
     GmgConfig {
         levels,
-        coarse: CoarseKind::InexactCgAsm {
-            subdomains: 4,
-            overlap: 1,
-            rtol: 1e-4,
-            max_it: 25,
-        },
+        coarse: CoarseKind::Amg { coarse_blocks: 4 },
         ..GmgConfig::default()
     }
 }
 
 fn coarse_matrix(solver: &StokesSolver) -> &Csr {
     match &solver.mg.coarse {
-        GmgCoarseSolver::InexactCgAsm { a, .. } => a,
-        _ => panic!("built with CoarseKind::InexactCgAsm"),
+        GmgCoarseSolver::AmgPcg { a, .. } => a,
+        _ => panic!("built with CoarseKind::Amg"),
     }
 }
 
@@ -251,7 +247,7 @@ fn builder_takes_the_direct_route_when_the_sets_are_nested() {
         let eta_corner = rough_eta(hier.finest().num_corners(), 19);
         let mut cache = SetupCache::new();
         let solver =
-            build_stokes_solver_cached(&hier, &eta_corner, &bcs, &cg_asm(levels), None, &mut cache);
+            build_stokes_solver_cached(&hier, &eta_corner, &bcs, &amg(levels), None, &mut cache);
         assert!(
             cache.viscous_pattern_levels().iter().all(|&held| !held),
             "{levels} levels: a Q2 matrix was assembled"
@@ -283,7 +279,7 @@ fn non_nested_sets_take_the_rap_route_bitwise() {
 
     let eta_corner = rough_eta(hier.finest().num_corners(), 23);
     let mut cache = SetupCache::new();
-    let solver = build_stokes_solver_cached(&hier, &eta_corner, &bcs, &cg_asm(2), None, &mut cache);
+    let solver = build_stokes_solver_cached(&hier, &eta_corner, &bcs, &amg(2), None, &mut cache);
     assert_eq!(cache.viscous_pattern_levels(), [false, true]);
     let eta = corners_to_quadrature_log(&hier.meshes[1], &tables, &eta_corner);
     let a = assembled_viscous_op(&hier.meshes[1], &tables, &eta, &bcs[1]);
@@ -319,7 +315,7 @@ fn build_bits(solver: &StokesSolver) -> Vec<u64> {
 fn one_cache_across_remesh_and_bc_change_is_bitwise_fresh() {
     let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     par::set_num_threads(1);
-    let gmg = cg_asm(2);
+    let gmg = amg(2);
     let flat = MeshHierarchy::new(rift_box(), 2);
     let bent = MeshHierarchy::new(remeshed(rift_box(), 29), 2);
     let bcs = rift_bcs(&flat);

@@ -4,13 +4,8 @@
 //! diagnostics. This pins the whole chain the CLI `ptatin scenario`
 //! subcommand uses: file → `ScenarioProto` → `Scenario` → `run_scenario`.
 
-use ptatin3d::core::{CoarseKind, GmgConfig};
-use ptatin3d::ops::OperatorKind;
-use ptatin3d::prof;
-use ptatin3d::scenarios::{
-    builtins, coarse_kind_name, parse_coarse_kind, parse_scenario, parse_scenario_file,
-    run_scenario, Scenario,
-};
+use ptatin3d::core::CoarseKind;
+use ptatin3d::scenarios::{builtins, parse_scenario, parse_scenario_file, run_scenario, Scenario};
 use std::path::PathBuf;
 
 fn example(name: &str) -> PathBuf {
@@ -89,63 +84,6 @@ fn every_builtin_scenario_is_registered_and_labeled() {
     }
 }
 
-/// The coarse solver a spec text selects for the rift scenario.
-fn rift_coarse(text: &str) -> CoarseKind {
-    match parse_scenario(text).expect("spec parses") {
-        Scenario::Rift(cfg) => cfg.gmg.coarse,
-        other => panic!("wrong scenario kind: {}", other.kind()),
-    }
-}
-
-#[test]
-fn coarse_solver_names_select_what_they_say_and_round_trip() {
-    assert_eq!(rift_coarse("solver.coarse = direct\n"), CoarseKind::Direct);
-    assert_eq!(
-        rift_coarse("solver.coarse = amg\n"),
-        GmgConfig::default().coarse
-    );
-    assert!(matches!(
-        rift_coarse("coarse = amg\n"),
-        CoarseKind::Amg { .. }
-    ));
-    // The rift's §V solver is nameable, and is not the AMG it used to be
-    // mistaken for.
-    assert_eq!(rift_coarse("coarse = cg_asm\n"), CoarseKind::RIFT_CG_ASM);
-    assert!(matches!(
-        CoarseKind::RIFT_CG_ASM,
-        CoarseKind::InexactCgAsm { .. }
-    ));
-    // A spec that names none keeps the scenario default; every name
-    // printed for a parsed spec parses back to the same solver.
-    for text in [
-        "",
-        "coarse = direct\n",
-        "coarse = amg\n",
-        "coarse = cg_asm\n",
-    ] {
-        let coarse = rift_coarse(text);
-        let again = parse_coarse_kind(coarse_kind_name(&coarse)).expect("printed name parses");
-        assert_eq!(again, coarse, "{text:?}");
-        assert_eq!(
-            rift_coarse(&format!("coarse = {}\n", coarse_kind_name(&coarse))),
-            coarse
-        );
-    }
-    assert_eq!(coarse_kind_name(&rift_coarse("")), "direct");
-}
-
-#[test]
-fn ambiguous_and_unknown_coarse_solver_names_are_rejected() {
-    let e = parse_scenario("scenario = rift\nsolver.coarse = asm\n").unwrap_err();
-    assert_eq!(e.line, 2);
-    assert!(e.msg.contains("ambiguous coarse solver `asm`"), "{e}");
-    assert!(e.msg.contains("`amg`") && e.msg.contains("`cg_asm`"), "{e}");
-
-    let e = parse_scenario("coarse = lu\n").unwrap_err();
-    assert_eq!(e.line, 1);
-    assert_eq!(e.msg, "unknown coarse solver `lu` (direct|amg|cg_asm)");
-}
-
 /// A sinker spec that names no solver runs on the sinker's default
 /// solver (the spec's levels, a direct coarse solve): the summary holds
 /// the bits the fixed `GmgConfig` of earlier builds gave.
@@ -170,29 +108,4 @@ fn sinker_spec_without_solver_keys_keeps_its_summary_bits() {
             ("w_max", 0x4040abc122719f4b),
         ]
     );
-}
-
-/// `solver.coarse` and `solver.fine_kind` reach the sinker's solver build
-/// instead of parsing and being ignored.
-#[test]
-fn sinker_spec_honours_its_solver_keys() {
-    let text = "scenario = sinker\nm = 4\nlevels = 2\nsolver.coarse = amg\n";
-    let spec = parse_scenario(text).expect("spec parses");
-    assert!(matches!(
-        spec.gmg().map(|g| &g.coarse),
-        Some(CoarseKind::Amg { .. })
-    ));
-    let amg_builds = || prof::snapshot().event("setup/amg").map_or(0, |e| e.calls);
-    prof::enable();
-    let before = amg_builds();
-    let s = run_scenario(&spec, 1);
-    assert!(s.converged);
-    assert!(
-        amg_builds() > before,
-        "no AMG build under `solver.coarse = amg`"
-    );
-
-    let spec = parse_scenario("scenario = sinker\nm = 4\nlevels = 2\nsolver.fine_kind = tensor\n")
-        .expect("spec parses");
-    assert_eq!(spec.gmg().map(|g| g.fine_kind), Some(OperatorKind::Tensor));
 }
