@@ -11,8 +11,8 @@
 //!
 //! Run: `cargo run --release -p ptatin-bench --bin vanka_comparison [--quick]`
 
+use ptatin_bench::coupled::{eta_qp_per_level, CoupledVankaMg};
 use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup, write_csv, Args};
-use ptatin_core::coupled::{eta_qp_per_level, CoupledVankaMg};
 use ptatin_core::solver::KrylovOperatorChoice;
 use ptatin_la::krylov::{fgmres, KrylovConfig};
 use ptatin_ops::OperatorKind;

@@ -28,6 +28,8 @@
 //! regression bounds belong to the repository benchmark (`benchmark/`,
 //! `BENCHMARK.json`).
 
+pub mod coupled;
+
 use ptatin_core::models::sinker::{SinkerConfig, SinkerModel};
 use ptatin_core::{CoarseKind, CoefficientFields, GmgConfig};
 use ptatin_la::operator::LinearOperator;

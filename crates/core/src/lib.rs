@@ -6,7 +6,6 @@
 //! free surfaces, and the paper's model problems.
 
 pub mod coefficients;
-pub mod coupled;
 pub mod models;
 pub mod nonlinear;
 pub mod output;

@@ -4,9 +4,12 @@
 //! walls, free surface on top, flow driven purely by the density contrast.
 
 use crate::coefficients::{update_coefficients, CoefficientFields, StateFields};
-use crate::solver::{build_stokes_solver_cached, GmgConfig, SetupCache, StokesSolver};
+use crate::solver::{
+    build_stokes_solver_cached, GmgConfig, KrylovOperatorChoice, SetupCache, StokesSolver,
+};
 use ptatin_fem::assemble::{assemble_body_force, Q2QuadTables};
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
+use ptatin_la::krylov::{KrylovConfig, SolveStats};
 use ptatin_mesh::hierarchy::MeshHierarchy;
 use ptatin_mesh::StructuredMesh;
 use ptatin_mpm::points::{seed_regular, MaterialPoints};
@@ -64,6 +67,74 @@ pub struct SinkerModel {
     pub gravity: [f64; 3],
 }
 
+/// A solved sinker: the coefficient state, the solver built on it, the
+/// right-hand side and the Picard solution with its Krylov statistics.
+pub struct SinkerSolution {
+    pub fields: CoefficientFields,
+    pub solver: StokesSolver,
+    pub rhs: Vec<f64>,
+    pub x: Vec<f64>,
+    pub stats: SolveStats,
+    /// Wall time of the Krylov solve alone (s).
+    pub solve_seconds: f64,
+}
+
+impl SinkerSolution {
+    /// Extreme vertical velocities `(min, max)`: the sinking spheres and
+    /// the return flow.
+    pub fn w_range(&self) -> (f64, f64) {
+        self.x[..self.solver.nu]
+            .chunks_exact(3)
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), u| {
+                (lo.min(u[2]), hi.max(u[2]))
+            })
+    }
+}
+
+impl SinkerConfig {
+    /// The spheres [`SinkerModel::new`] places for this configuration, or
+    /// why it cannot place them.
+    pub fn spheres(&self) -> Result<Vec<[f64; 3]>, String> {
+        place_spheres(self, &mut StdRng::seed_from_u64(self.seed))
+    }
+}
+
+/// Place `cfg.n_spheres` non-intersecting spheres of radius `cfg.radius`
+/// inside the unit cube by rejection, drawing from `rng`. `Err` when the
+/// radius leaves no room for a centre or 100 000 draws do not place them
+/// all.
+fn place_spheres(cfg: &SinkerConfig, rng: &mut StdRng) -> Result<Vec<[f64; 3]>, String> {
+    let r = cfg.radius;
+    if 2.0 * r >= 1.0 {
+        return Err(format!(
+            "radius = {r} leaves no room for a sphere in the unit cube (must be below 0.5)"
+        ));
+    }
+    let mut spheres: Vec<[f64; 3]> = Vec::new();
+    let mut guard = 0;
+    while spheres.len() < cfg.n_spheres {
+        guard += 1;
+        if guard >= 100_000 {
+            return Err(format!(
+                "cannot place {} spheres of radius {r} without overlap in the unit cube",
+                cfg.n_spheres
+            ));
+        }
+        let c = [
+            rng.gen_range(r..1.0 - r),
+            rng.gen_range(r..1.0 - r),
+            rng.gen_range(r..1.0 - r),
+        ];
+        if spheres.iter().all(|s| {
+            let d2 = (s[0] - c[0]).powi(2) + (s[1] - c[1]).powi(2) + (s[2] - c[2]).powi(2);
+            d2 > (2.0 * r) * (2.0 * r)
+        }) {
+            spheres.push(c);
+        }
+    }
+    Ok(spheres)
+}
+
 /// Free-slip walls + free surface at the top (z max): the sinker boundary
 /// conditions of §IV-A.
 pub fn sinker_bc(mesh: &StructuredMesh) -> DirichletBc {
@@ -78,27 +149,14 @@ pub fn sinker_bc(mesh: &StructuredMesh) -> DirichletBc {
 }
 
 impl SinkerModel {
+    /// Panics when the spheres cannot be placed ([`SinkerConfig::spheres`]
+    /// tells beforehand; the scenario grammar refuses such specs).
     pub fn new(cfg: SinkerConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        // Non-intersecting sphere placement by rejection.
-        let mut spheres: Vec<[f64; 3]> = Vec::new();
+        // PANIC-OK: documented constructor contract; `SinkerConfig::spheres`
+        // reports the same error beforehand.
+        let spheres = place_spheres(&cfg, &mut rng).unwrap_or_else(|e| panic!("{e}"));
         let r = cfg.radius;
-        let mut guard = 0;
-        while spheres.len() < cfg.n_spheres {
-            guard += 1;
-            assert!(guard < 100_000, "cannot place spheres without overlap");
-            let c = [
-                rng.gen_range(r..1.0 - r),
-                rng.gen_range(r..1.0 - r),
-                rng.gen_range(r..1.0 - r),
-            ];
-            if spheres.iter().all(|s| {
-                let d2 = (s[0] - c[0]).powi(2) + (s[1] - c[1]).powi(2) + (s[2] - c[2]).powi(2);
-                d2 > (2.0 * r) * (2.0 * r)
-            }) {
-                spheres.push(c);
-            }
-        }
         let mesh = StructuredMesh::new_box(cfg.m, cfg.m, cfg.m, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]);
         let hier = MeshHierarchy::new(mesh, cfg.levels);
         let bcs: Vec<DirichletBc> = hier.meshes.iter().map(sinker_bc).collect();
@@ -155,6 +213,38 @@ impl SinkerModel {
         )
     }
 
+    /// The sinker's Krylov settings: GCR to a relative residual of 1e-5,
+    /// at most 600 iterations. Every sinker path solves with these.
+    pub fn krylov_config() -> KrylovConfig {
+        KrylovConfig::default().with_rtol(1e-5).with_max_it(600)
+    }
+
+    /// Evaluate the coefficients, build the model's solver (`cfg.gmg`) and
+    /// solve the Picard system from zero with [`Self::krylov_config`].
+    pub fn solve(&self) -> SinkerSolution {
+        let fields = self.coefficients();
+        let solver = self.build_solver(&fields, &self.cfg.gmg);
+        let rhs = self.rhs(&solver, &fields);
+        let mut x = vec![0.0; solver.nu + solver.np];
+        let t0 = std::time::Instant::now();
+        let stats = solver.solve(
+            &rhs,
+            &mut x,
+            &Self::krylov_config(),
+            KrylovOperatorChoice::Picard,
+            None,
+        );
+        let solve_seconds = t0.elapsed().as_secs_f64();
+        SinkerSolution {
+            fields,
+            solver,
+            rhs,
+            x,
+            stats,
+            solve_seconds,
+        }
+    }
+
     /// Full-space right-hand side `[f_u; 0]` (homogeneous Dirichlet data:
     /// constrained entries zeroed).
     pub fn rhs(&self, solver: &StokesSolver, fields: &CoefficientFields) -> Vec<f64> {
@@ -171,8 +261,6 @@ impl SinkerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::KrylovOperatorChoice;
-    use ptatin_la::krylov::KrylovConfig;
 
     #[test]
     fn spheres_do_not_intersect() {
@@ -202,27 +290,12 @@ mod tests {
             delta_eta: 1e2,
             ..SinkerConfig::default()
         });
-        let fields = model.coefficients();
-        let solver = model.build_solver(&fields, &model.cfg.gmg);
-        let rhs = model.rhs(&solver, &fields);
-        let mut x = vec![0.0; solver.nu + solver.np];
-        let stats = solver.solve(
-            &rhs,
-            &mut x,
-            &KrylovConfig::default().with_rtol(1e-5).with_max_it(300),
-            KrylovOperatorChoice::Picard,
-            None,
-        );
-        assert!(stats.converged, "{stats:?}");
+        let sol = model.solve();
+        assert!(sol.stats.converged, "{:?}", sol.stats);
         // The dense spheres sink: somewhere the vertical velocity is
         // negative; by incompressibility there is return flow (positive
         // somewhere).
-        let mut min_w = f64::INFINITY;
-        let mut max_w = f64::NEG_INFINITY;
-        for n in 0..solver.nu / 3 {
-            min_w = min_w.min(x[3 * n + 2]);
-            max_w = max_w.max(x[3 * n + 2]);
-        }
+        let (min_w, max_w) = sol.w_range();
         assert!(min_w < -1e-6, "no sinking flow: {min_w}");
         assert!(max_w > 1e-7, "no return flow: {max_w}");
     }

@@ -26,11 +26,8 @@ use crate::spec::{JobSpec, Scenario};
 use ptatin_ckpt::faults;
 use ptatin_ckpt::{fnv1a64, CkptError, JobDir};
 use ptatin_core::models::rift::{RiftConfig, RiftModel};
-use ptatin_core::models::sinker::{SinkerConfig, SinkerModel};
 use ptatin_core::recovery::{run_rift_with, RunConfig, RunControl, RunOutcome, YieldPoint};
-use ptatin_core::solver::KrylovOperatorChoice;
 use ptatin_core::NonlinearOutcome;
-use ptatin_la::krylov::KrylovConfig;
 use ptatin_prof as prof;
 use ptatin_prof::json::Value;
 use std::collections::VecDeque;
@@ -220,12 +217,8 @@ pub fn run_sweep(
                 let rc = rc.clone();
                 run_slice_rift(&mut st, &rc, cfg, sink, &mut summary)?
             }
-            Scenario::Sinker(sc) => {
-                let sc = sc.clone();
-                run_slice_sinker(&mut st, &sc, cfg, sink)
-            }
-            // The registry's steady scenarios run like sinker jobs: one
-            // non-preemptible solve per slice.
+            // The steady scenarios (sinker and the rest of the registry):
+            // one non-preemptible solve per slice.
             other => {
                 let sc = other.clone();
                 run_slice_steady(&mut st, &sc, cfg, sink)
@@ -447,11 +440,11 @@ fn run_slice_rift(
     }
 }
 
-/// One slice of a registry scenario job (SolCx, shear band, falling
-/// block): a single non-preemptible run through
+/// One slice of a steady scenario job (sinker, SolCx, shear band,
+/// falling block): a single non-preemptible run through
 /// [`ptatin_scenarios::run_scenario`]. The state hash covers the named
 /// metrics of the run — bitwise comparable across schedules at a fixed
-/// thread count, like the sinker's solution hash.
+/// thread count.
 fn run_slice_steady(
     st: &mut Active,
     scenario: &Scenario,
@@ -490,67 +483,6 @@ fn run_slice_steady(
         let mut bytes = Vec::new();
         for (name, v) in &summary.metrics {
             bytes.extend_from_slice(name.as_bytes());
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        SliceEnd::Finished(JobOutcome::Completed, Some(fnv1a64(&bytes)))
-    } else {
-        SliceEnd::Finished(
-            JobOutcome::Aborted {
-                last: NonlinearOutcome::Stall,
-            },
-            None,
-        )
-    }
-}
-
-/// One slice of a sinker job: a single non-preemptible steady solve.
-fn run_slice_sinker(
-    st: &mut Active,
-    scfg: &SinkerConfig,
-    cfg: &EnsembleConfig,
-    sink: &mut EventSink,
-) -> SliceEnd {
-    let id = st.spec.id;
-    let t_slice = Instant::now();
-    if let Some(b) = cfg.flop_budget {
-        if st.flops >= b {
-            return SliceEnd::Finished(JobOutcome::BudgetExhausted, None);
-        }
-    }
-    faults::set_current_job(Some(id));
-    let job_scope = prof::scope_dyn(&format!("EnsembleJob[{id:05}]"));
-    let flops0 = prof::flops_total();
-
-    let model = SinkerModel::new(scfg.clone());
-    let fields = model.coefficients();
-    let solver = model.build_solver(&fields, &scfg.gmg);
-    let rhs = model.rhs(&solver, &fields);
-    let mut x = vec![0.0; solver.nu + solver.np];
-    let stats = solver.solve(
-        &rhs,
-        &mut x,
-        &KrylovConfig::default().with_rtol(1e-5).with_max_it(300),
-        KrylovOperatorChoice::Picard,
-        None,
-    );
-    let slice_flops = prof::flops_total().saturating_sub(flops0);
-    drop(job_scope);
-    faults::set_current_job(None);
-    st.flops += slice_flops;
-    st.slices += 1;
-    st.steps_done = 1;
-    st.service_seconds += t_slice.elapsed().as_secs_f64();
-    sink.emit(
-        "job_slice",
-        vec![
-            ("job", Value::Num(id as f64)),
-            ("committed", num(1)),
-            ("flops", Value::Num(slice_flops as f64)),
-        ],
-    );
-    if stats.converged {
-        let mut bytes = Vec::with_capacity(8 * x.len());
-        for v in &x {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
         SliceEnd::Finished(JobOutcome::Completed, Some(fnv1a64(&bytes)))

@@ -437,18 +437,6 @@ pub fn assemble_forcing(
     out
 }
 
-/// Total mesh volume by quadrature (diagnostics and tests).
-pub fn mesh_volume(mesh: &StructuredMesh, tables: &Q2QuadTables) -> f64 {
-    let mut v = 0.0;
-    for e in 0..mesh.num_elements() {
-        let corners = mesh.element_corner_coords(e);
-        for q in 0..tables.nqp() {
-            v += qp_geometry(&corners, tables.quad.points[q], tables.quad.weights[q]).wdetj;
-        }
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,14 +451,23 @@ mod tests {
     }
 
     #[test]
-    fn volume_of_unit_cube() {
+    fn quadrature_weights_sum_to_the_volume() {
         let tables = Q2QuadTables::standard();
-        let mesh = box_mesh(2);
-        assert!((mesh_volume(&mesh, &tables) - 1.0).abs() < 1e-12);
+        let volume = |mesh: &StructuredMesh| -> f64 {
+            let mut v = 0.0;
+            for e in 0..mesh.num_elements() {
+                let corners = mesh.element_corner_coords(e);
+                for (&xi, &w) in tables.quad.points.iter().zip(&tables.quad.weights) {
+                    v += qp_geometry(&corners, xi, w).wdetj;
+                }
+            }
+            v
+        };
+        assert!((volume(&box_mesh(2)) - 1.0).abs() < 1e-12);
         // Deformed mesh keeps positive volume.
         let mut m2 = box_mesh(2);
         m2.deform(|c| [c[0] + 0.1 * c[1] * c[2], c[1], c[2]]);
-        let v = mesh_volume(&m2, &tables);
+        let v = volume(&m2);
         assert!(v > 0.9 && v < 1.2);
     }
 

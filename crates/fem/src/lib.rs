@@ -26,8 +26,8 @@ pub mod quadrature;
 
 pub use assemble::{
     assemble_body_force, assemble_gradient, assemble_pressure_mass, assemble_viscous,
-    element_gradient_matrix, element_pressure_mass, element_viscous_matrix, mesh_volume,
-    num_pressure_dofs, num_velocity_dofs, PressureMassBlocks, Q2QuadTables,
+    element_gradient_matrix, element_pressure_mass, element_viscous_matrix, num_pressure_dofs,
+    num_velocity_dofs, PressureMassBlocks, Q2QuadTables,
 };
 pub use bc::{DirichletBc, VelocityBcBuilder};
 pub use quadrature::Quadrature;

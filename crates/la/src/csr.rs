@@ -464,26 +464,6 @@ impl Csr {
         pt.matmul(&ap)
     }
 
-    /// Zero a set of rows and put `1` on their diagonal (Dirichlet rows).
-    pub fn zero_rows_set_identity(&mut self, rows: &[usize]) {
-        let mut is_bc = vec![false; self.nrows];
-        for &r in rows {
-            is_bc[r] = true;
-        }
-        for i in 0..self.nrows {
-            if !is_bc[i] {
-                continue;
-            }
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                self.values[k] = if self.indices[k] as usize == i {
-                    1.0
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-
     /// Symmetric Dirichlet elimination: zero rows *and* columns of the
     /// constrained dofs, setting the diagonal to 1. Off-diagonal column
     /// contributions should already have been moved to the RHS by the caller.
@@ -860,13 +840,9 @@ mod tests {
 
     #[test]
     fn dirichlet_rows() {
-        let mut a = small();
-        a.zero_rows_set_identity(&[0]);
-        assert_eq!(a.get(0, 0), 1.0);
-        assert_eq!(a.get(0, 1), 0.0);
-        assert_eq!(a.get(1, 0), -1.0, "columns untouched");
         let mut b = small();
         b.zero_rows_cols_set_identity(&[0]);
+        assert_eq!(b.get(0, 1), 0.0, "row zeroed");
         assert_eq!(b.get(1, 0), 0.0, "columns zeroed");
         assert_eq!(b.get(0, 0), 1.0);
     }

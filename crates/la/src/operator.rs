@@ -229,31 +229,6 @@ impl<A: LinearOperator> Preconditioner for OperatorPc<A> {
     }
 }
 
-/// A scaled operator `alpha * A` (borrowed), useful for sign flips.
-pub struct ScaledOperator<'a> {
-    pub alpha: f64,
-    pub inner: &'a dyn LinearOperator,
-}
-
-impl LinearOperator for ScaledOperator<'_> {
-    fn nrows(&self) -> usize {
-        self.inner.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.inner.ncols()
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply(x, y);
-        crate::vec_ops::scale(self.alpha, y);
-    }
-    fn diagonal(&self) -> Option<Vec<f64>> {
-        self.inner.diagonal().map(|mut d| {
-            crate::vec_ops::scale(self.alpha, &mut d);
-            d
-        })
-    }
-}
-
 /// Wrapper accumulating wall-time and call counts of operator
 /// applications — instruments the "MatMult" rows of the paper's Table IV.
 pub struct TimedOperator<A: LinearOperator> {
@@ -394,18 +369,5 @@ mod tests {
         assert_eq!(t.diagonal().unwrap(), vec![2.0, 3.0]);
         t.reset();
         assert_eq!(t.calls(), 0);
-    }
-
-    #[test]
-    fn scaled_operator_scales() {
-        let a = Diag(vec![1.0, 2.0]);
-        let s = ScaledOperator {
-            alpha: -1.0,
-            inner: &a,
-        };
-        let mut y = vec![0.0; 2];
-        s.apply(&[1.0, 1.0], &mut y);
-        assert_eq!(y, vec![-1.0, -2.0]);
-        assert_eq!(s.diagonal().unwrap(), vec![-1.0, -2.0]);
     }
 }

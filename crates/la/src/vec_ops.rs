@@ -117,23 +117,6 @@ pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
-/// w ← alpha * x + y
-pub fn waxpy(alpha: f64, x: &[f64], y: &[f64], w: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    assert_eq!(x.len(), w.len());
-    if w.len() < PAR_MIN {
-        for i in 0..w.len() {
-            w[i] = alpha * x[i] + y[i];
-        }
-    } else {
-        par::par_chunks_mut(w, |off, c| {
-            for (i, wi) in c.iter_mut().enumerate() {
-                *wi = alpha * x[off + i] + y[off + i];
-            }
-        });
-    }
-}
-
 /// Pointwise multiply: y ← d .* x (used for Jacobi preconditioning).
 pub fn pointwise_mult(d: &[f64], x: &[f64], y: &mut [f64]) {
     assert_eq!(d.len(), x.len());
@@ -358,15 +341,12 @@ mod tests {
     }
 
     #[test]
-    fn axpby_waxpy_pointwise() {
+    fn axpby_pointwise() {
         let x = vec![1.0, 2.0, 3.0];
         let y = vec![4.0, 5.0, 6.0];
         let mut z = y.clone();
         axpby(2.0, &x, 3.0, &mut z);
         assert_eq!(z, vec![14.0, 19.0, 24.0]);
-        let mut w = vec![0.0; 3];
-        waxpy(-1.0, &x, &y, &mut w);
-        assert_eq!(w, vec![3.0, 3.0, 3.0]);
         let mut p = vec![0.0; 3];
         pointwise_mult(&x, &y, &mut p);
         assert_eq!(p, vec![4.0, 10.0, 18.0]);

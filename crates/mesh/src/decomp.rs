@@ -98,15 +98,6 @@ impl ElementPartition {
         si + self.px * (sj + self.py * sk)
     }
 
-    #[inline]
-    pub fn subdomain_ijk(&self, s: usize) -> (usize, usize, usize) {
-        (
-            s % self.px,
-            (s / self.px) % self.py,
-            s / (self.px * self.py),
-        )
-    }
-
     fn locate(split: &[usize], e: usize) -> usize {
         // split is sorted; find the range containing e.
         match split.binary_search(&e) {
@@ -130,64 +121,6 @@ impl ElementPartition {
         let ek = e / (self.mx * self.my);
         self.subdomain_of_element_ijk(ei, ej, ek)
     }
-
-    /// Element-range box `(x, y, z)` of subdomain `s` as half-open ranges.
-    pub fn subdomain_elements_box(
-        &self,
-        s: usize,
-    ) -> (
-        std::ops::Range<usize>,
-        std::ops::Range<usize>,
-        std::ops::Range<usize>,
-    ) {
-        let (si, sj, sk) = self.subdomain_ijk(s);
-        (
-            self.xsplit[si]..self.xsplit[si + 1],
-            self.ysplit[sj]..self.ysplit[sj + 1],
-            self.zsplit[sk]..self.zsplit[sk + 1],
-        )
-    }
-
-    /// All flat element indices of subdomain `s`.
-    pub fn subdomain_elements(&self, s: usize) -> Vec<usize> {
-        let (rx, ry, rz) = self.subdomain_elements_box(s);
-        let mut out = Vec::with_capacity(rx.len() * ry.len() * rz.len());
-        for ek in rz.clone() {
-            for ej in ry.clone() {
-                for ei in rx.clone() {
-                    out.push(ei + self.mx * (ej + self.my * ek));
-                }
-            }
-        }
-        out
-    }
-
-    /// Subdomain indices adjacent (including diagonals) to `s` — the
-    /// neighbours material points can migrate to in one advection step.
-    pub fn neighbors(&self, s: usize) -> Vec<usize> {
-        let (si, sj, sk) = self.subdomain_ijk(s);
-        let mut out = Vec::new();
-        for dk in -1i64..=1 {
-            for dj in -1i64..=1 {
-                for di in -1i64..=1 {
-                    if di == 0 && dj == 0 && dk == 0 {
-                        continue;
-                    }
-                    let (ni, nj, nk) = (si as i64 + di, sj as i64 + dj, sk as i64 + dk);
-                    if ni >= 0
-                        && nj >= 0
-                        && nk >= 0
-                        && (ni as usize) < self.px
-                        && (nj as usize) < self.py
-                        && (nk as usize) < self.pz
-                    {
-                        out.push(self.subdomain_index(ni as usize, nj as usize, nk as usize));
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -198,19 +131,32 @@ mod tests {
         StructuredMesh::new_box(4, 4, 4, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
     }
 
+    /// Elements per subdomain, counted through `subdomain_of_element`.
+    fn owned_counts(m: &StructuredMesh, p: &ElementPartition) -> Vec<usize> {
+        let mut counts = vec![0; p.num_subdomains()];
+        for e in 0..m.num_elements() {
+            counts[p.subdomain_of_element(e)] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn partition_covers_all_elements_once() {
         let m = mesh();
         let p = ElementPartition::new(&m, 2, 2, 1);
-        let mut seen = vec![false; m.num_elements()];
-        for s in 0..p.num_subdomains() {
-            for e in p.subdomain_elements(s) {
-                assert!(!seen[e], "element {e} in two subdomains");
-                seen[e] = true;
-                assert_eq!(p.subdomain_of_element(e), s);
-            }
+        assert_eq!(owned_counts(&m, &p), vec![16; 4]);
+        // The owner of element (i, j, k) is the box its indices fall in.
+        for e in 0..m.num_elements() {
+            let (i, j, k) = (e % 4, (e / 4) % 4, e / 16);
+            assert_eq!(
+                p.subdomain_of_element(e),
+                p.subdomain_index(i / 2, j / 2, 0)
+            );
+            assert_eq!(
+                p.subdomain_of_element_ijk(i, j, k),
+                p.subdomain_of_element(e)
+            );
         }
-        assert!(seen.iter().all(|&b| b));
     }
 
     #[test]
@@ -224,19 +170,11 @@ mod tests {
 
     #[test]
     fn uneven_splits() {
+        // x: 5 elements into ranges of 3 and 2; y and z one element each.
         let m = StructuredMesh::new_box(5, 3, 2, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]);
         let p = ElementPartition::new(&m, 2, 3, 2);
-        let total: usize = (0..p.num_subdomains())
-            .map(|s| p.subdomain_elements(s).len())
-            .sum();
-        assert_eq!(total, m.num_elements());
-    }
-
-    #[test]
-    fn neighbors_interior_corner() {
-        let m = mesh();
-        let p = ElementPartition::new(&m, 2, 2, 2);
-        // Corner subdomain has 7 neighbours in a 2x2x2 decomposition.
-        assert_eq!(p.neighbors(0).len(), 7);
+        let counts = owned_counts(&m, &p);
+        assert_eq!(counts, [3, 2].repeat(6));
+        assert_eq!(counts.iter().sum::<usize>(), m.num_elements());
     }
 }

@@ -28,5 +28,5 @@ pub use points::{seed_regular, MaterialPoints, PointState};
 pub use population::{control_population, element_counts, PopulationConfig, PopulationStats};
 pub use projection::{
     coarsen_corner_field, corners_to_quadrature, corners_to_quadrature_log, interpolate_velocity,
-    project_to_corners, restrict_corner_field,
+    project_to_corners,
 };

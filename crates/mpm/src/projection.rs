@@ -334,60 +334,6 @@ pub fn corners_to_quadrature_log(
     out
 }
 
-/// Restrict a strictly positive corner field to a coarsened mesh by full
-/// weighting in log space: each coarse corner is the geometric mean of its
-/// coincident fine corner and the neighbours within one fine cell
-/// (`[½,1,½]³` stencil, normalized) — the right mean for viscosity, whose
-/// thin weak zones and inclusions would otherwise alias away when they are
-/// only marginally resolved on the coarse grid. The coupled Vanka baseline
-/// restricts this way; the field-split builder injects
-/// ([`coarsen_corner_field`]).
-pub fn restrict_corner_field(
-    fine: &StructuredMesh,
-    coarse: &StructuredMesh,
-    fine_field: &[f64],
-) -> Vec<f64> {
-    assert_eq!(fine.mx, 2 * coarse.mx);
-    assert_eq!(fine.my, 2 * coarse.my);
-    assert_eq!(fine.mz, 2 * coarse.mz);
-    assert_eq!(fine_field.len(), fine.num_corners());
-    let (fcx, fcy, fcz) = fine.corner_dims();
-    let (ccx, ccy, ccz) = coarse.corner_dims();
-    let value = |i: isize, j: isize, k: isize| -> Option<f64> {
-        if i < 0 || j < 0 || k < 0 {
-            return None;
-        }
-        let (i, j, k) = (i as usize, j as usize, k as usize);
-        if i >= fcx || j >= fcy || k >= fcz {
-            return None;
-        }
-        Some(fine_field[fine.corner_index(i, j, k)].max(1e-300).ln())
-    };
-    let mut out = Vec::with_capacity(coarse.num_corners());
-    for k in 0..ccz {
-        for j in 0..ccy {
-            for i in 0..ccx {
-                let (fi, fj, fk) = (2 * i as isize, 2 * j as isize, 2 * k as isize);
-                let mut num = 0.0;
-                let mut den = 0.0;
-                for dk in -1isize..=1 {
-                    for dj in -1isize..=1 {
-                        for di in -1isize..=1 {
-                            if let Some(v) = value(fi + di, fj + dj, fk + dk) {
-                                let w = (2.0f64).powi(-((di.abs() + dj.abs() + dk.abs()) as i32));
-                                num += w * v;
-                                den += w;
-                            }
-                        }
-                    }
-                }
-                out.push((num / den).exp());
-            }
-        }
-    }
-    out
-}
-
 /// Restrict a corner field to a coarsened mesh by injection (coarse corner
 /// `(i,j,k)` coincides with fine corner `(2i,2j,2k)`) — how coefficient
 /// fields follow the mesh hierarchy for rediscretized coarse operators.

@@ -97,7 +97,11 @@ fn load_corners<V: Lane>(corners: &[[F64x4; 3]; 8]) -> [[V; 3]; 8] {
 /// `(J⁻ᵀ, w·det J)` with the exact operation sequence of the scalar path.
 /// Panics like the scalar path when any lane's element is inverted.
 #[inline(always)]
-fn lane_geometry<V: Lane>(q1g: &[[f64; 3]; 8], w: f64, corners: &[[V; 3]; 8]) -> ([[V; 3]; 3], V) {
+pub(crate) fn lane_geometry<V: Lane>(
+    q1g: &[[f64; 3]; 8],
+    w: f64,
+    corners: &[[V; 3]; 8],
+) -> ([[V; 3]; 3], V) {
     let mut j = [[V::splat(0.0); 3]; 3];
     for (c, corner) in corners.iter().enumerate() {
         for i in 0..3 {

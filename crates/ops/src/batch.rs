@@ -46,6 +46,7 @@
 //! give the same bits — asserted by tests. `PTATIN_NO_AVX=1` forces the
 //! portable path for newly constructed operators.
 
+use crate::asm_batch::lane_geometry;
 use crate::data::{MaskScratch, ViscousOpData, NQP};
 use crate::kernels::{for_each_lane_colored, q1_grad_tables, ColorScatter};
 use crate::tensor::Tensor1d;
@@ -263,11 +264,11 @@ pub struct BatchedGeometry {
 }
 
 /// The metric terms of every lane, `[lane][qp]`: per lane the Jacobian
-/// of the trilinear map, `det3` and the inverse of four elements at once,
-/// each lane slot in the operation order of [`crate::kernels::qp_jacobian`] and
-/// `ptatin_la::dense::inv3` (plain mul/add/sub/div, nothing fused), so
-/// every real slot holds the scalar bits. Ghost slots replicate a real
-/// element and are then overwritten with `+0.0`.
+/// of the trilinear map, `det3` and the inverse of four elements at once
+/// ([`crate::asm_batch::lane_geometry`], the operation order of
+/// [`crate::kernels::qp_jacobian`] and `ptatin_la::dense::inv3`), so every
+/// real slot holds the scalar bits. Ghost slots replicate a real element
+/// and are then overwritten with `+0.0`.
 struct LaneMetrics<'a> {
     corners: &'a [[[f64; 3]; NQ1]],
     lanes: &'a [LaneNodes],
@@ -280,60 +281,27 @@ impl LaneKernel for LaneMetrics<'_> {
 
     #[inline(always)]
     fn run<V: Lane>(self) -> Vec<QpGeoLane> {
-        let zero = V::splat(0.0);
-        let one = V::splat(1.0);
         let mut geo = Vec::with_capacity(self.lanes.len() * NQP);
         for ln in self.lanes {
             let c = ln.elems.map(|e| &self.corners[e as usize]);
-            let mut x = [[zero; 3]; NQ1];
+            let mut x = [[V::splat(0.0); 3]; NQ1];
             for k in 0..NQ1 {
                 for i in 0..3 {
                     x[k][i] = V::from_array([c[0][k][i], c[1][k][i], c[2][k][i], c[3][k][i]]);
                 }
             }
             for q in 0..NQP {
-                // Σ_k corner_k ⊗ ∇N_k from 0.0, ascending k.
-                let mut j = [[zero; 3]; 3];
-                for k in 0..NQ1 {
-                    let g = self.q1g[q][k];
-                    let g = [V::splat(g[0]), V::splat(g[1]), V::splat(g[2])];
-                    for i in 0..3 {
-                        j[i][0] = j[i][0] + x[k][i] * g[0];
-                        j[i][1] = j[i][1] + x[k][i] * g[1];
-                        j[i][2] = j[i][2] + x[k][i] * g[2];
-                    }
-                }
-                let det = j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
-                    - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
-                    + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]);
-                let id = one / det;
-                let inv = [
-                    [
-                        (j[1][1] * j[2][2] - j[1][2] * j[2][1]) * id,
-                        (j[0][2] * j[2][1] - j[0][1] * j[2][2]) * id,
-                        (j[0][1] * j[1][2] - j[0][2] * j[1][1]) * id,
-                    ],
-                    [
-                        (j[1][2] * j[2][0] - j[1][0] * j[2][2]) * id,
-                        (j[0][0] * j[2][2] - j[0][2] * j[2][0]) * id,
-                        (j[0][2] * j[1][0] - j[0][0] * j[1][2]) * id,
-                    ],
-                    [
-                        (j[1][0] * j[2][1] - j[1][1] * j[2][0]) * id,
-                        (j[0][1] * j[2][0] - j[0][0] * j[2][1]) * id,
-                        (j[0][0] * j[1][1] - j[0][1] * j[1][0]) * id,
-                    ],
-                ];
+                let (ijt, wdet) = lane_geometry(&self.q1g[q], self.weights[q], &x);
                 let mut gl = QpGeoLane {
                     jinv: [[F64x4::ZERO; 3]; 3],
                     wdet: F64x4::ZERO,
                 };
                 for d in 0..3 {
                     for l in 0..3 {
-                        inv[d][l].store(&mut gl.jinv[d][l].0);
+                        ijt[l][d].store(&mut gl.jinv[d][l].0);
                     }
                 }
-                (V::splat(self.weights[q]) * det).store(&mut gl.wdet.0);
+                wdet.store(&mut gl.wdet.0);
                 for s in ln.nreal as usize..LANES {
                     for row in &mut gl.jinv {
                         for v in row {

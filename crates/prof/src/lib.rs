@@ -13,9 +13,9 @@
 //!   flops and flops/s directly comparable to the paper's Table 1.
 //! * **Solver records** — `prof::record_ksp(..)` captures per-solve
 //!   iteration counts and residual histories.
-//! * **Reporters** — a `-log_view`-style text table ([`log_view_string`]),
-//!   hand-rolled JSON ([`json_string`], [`write_json`]) and CSV
-//!   ([`csv_string`], [`write_csv`]); no external dependencies.
+//! * **Reporters** — a `-log_view`-style text table ([`log_view_string`])
+//!   and hand-rolled JSON ([`json_string`], [`write_json`]); no external
+//!   dependencies.
 //!
 //! Profiling is **off by default**. When disabled, every entry point is
 //! a single relaxed atomic load and an immediate return, so the hooks
@@ -46,7 +46,7 @@ pub mod json;
 mod report;
 
 pub use json::Value;
-pub use report::{csv_string, json_string, log_view_string};
+pub use report::{json_string, log_view_string};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -476,17 +476,6 @@ pub fn write_json(path: &std::path::Path) -> std::io::Result<()> {
         }
     }
     std::fs::write(path, json_string(&snapshot()))
-}
-
-/// Render the current snapshot's event table as CSV and write it to
-/// `path`, creating parent directories as needed.
-pub fn write_csv(path: &std::path::Path) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, csv_string(&snapshot()))
 }
 
 /// Print the `-log_view`-style report for the current snapshot to

@@ -171,19 +171,6 @@ fn ksp_value(k: &KspRecord) -> Value {
     ])
 }
 
-/// Render the event table as CSV (`event,calls,incl_s,excl_s,flops,bytes`).
-pub fn csv_string(snap: &Snapshot) -> String {
-    let mut out = String::from("event,calls,incl_s,excl_s,flops,bytes\n");
-    for e in &snap.events {
-        let _ = writeln!(
-            out,
-            "{},{},{:.9},{:.9},{},{}",
-            e.name, e.calls, e.incl_seconds, e.excl_seconds, e.flops, e.bytes
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,16 +242,5 @@ mod tests {
         let ksp = v.get("ksp").unwrap().as_arr().unwrap();
         assert_eq!(ksp[0].get("iterations").unwrap().as_f64().unwrap(), 12.0);
         assert_eq!(ksp[0].get("rtol").unwrap().as_f64().unwrap(), 0.05);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let text = csv_string(&sample());
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "event,calls,incl_s,excl_s,flops,bytes"
-        );
-        assert_eq!(lines.count(), 2);
     }
 }

@@ -9,8 +9,6 @@ use ptatin_core::models::shear_band::ShearBandModel;
 use ptatin_core::models::sinker::SinkerModel;
 use ptatin_core::models::solcx::SolCxModel;
 use ptatin_core::recovery::{run_rift_with, RunConfig, RunControl, RunOutcome};
-use ptatin_core::solver::KrylovOperatorChoice;
-use ptatin_la::krylov::KrylovConfig;
 
 /// Uniform result of one scenario run: convergence, iteration effort and
 /// a list of named scalar metrics (what they are depends on the kind).
@@ -80,31 +78,14 @@ pub fn run_scenario(scenario: &Scenario, steps: usize) -> RunSummary {
             }
         }
         Scenario::Sinker(cfg) => {
-            let model = SinkerModel::new(cfg.clone());
-            let fields = model.coefficients();
-            let solver = model.build_solver(&fields, &cfg.gmg);
-            let rhs = model.rhs(&solver, &fields);
-            let mut x = vec![0.0; solver.nu + solver.np];
-            let stats = solver.solve(
-                &rhs,
-                &mut x,
-                &KrylovConfig::default().with_rtol(1e-5).with_max_it(300),
-                KrylovOperatorChoice::Picard,
-                None,
-            );
-            // Extreme vertical velocities: the sinking plume and its
-            // return flow.
-            let (mut w_min, mut w_max) = (f64::INFINITY, f64::NEG_INFINITY);
-            for n in 0..solver.nu / 3 {
-                w_min = w_min.min(x[3 * n + 2]);
-                w_max = w_max.max(x[3 * n + 2]);
-            }
+            let sol = SinkerModel::new(cfg.clone()).solve();
+            let (w_min, w_max) = sol.w_range();
             RunSummary {
                 kind: "sinker",
-                converged: stats.converged,
-                iterations: stats.iterations,
+                converged: sol.stats.converged,
+                iterations: sol.stats.iterations,
                 metrics: vec![
-                    m("final_residual", stats.final_residual),
+                    m("final_residual", sol.stats.final_residual),
                     m("w_min", w_min),
                     m("w_max", w_max),
                 ],

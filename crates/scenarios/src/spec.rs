@@ -424,7 +424,21 @@ impl ScenarioProto {
                 let c = &self.rift;
                 ([("mx", c.mx), ("my", c.my), ("mz", c.mz)], c.levels)
             }
-            Kind::Sinker => ([("m", self.sinker.m); 3], self.sinker.levels),
+            Kind::Sinker => {
+                let c = &self.sinker;
+                // The model places its spheres by seeded rejection: run the
+                // same draws here so a spec they cannot satisfy fails to
+                // parse instead of panicking in the run.
+                if let Err(msg) = c.spheres() {
+                    let line = ["n_spheres", "radius", "seed"]
+                        .iter()
+                        .map(|k| self.line_of(k))
+                        .max()
+                        .unwrap_or(0);
+                    return Err((line, msg));
+                }
+                ([("m", c.m); 3], c.levels)
+            }
             Kind::SolCx => {
                 let c = &self.solcx;
                 if c.mx % 2 != 0 {

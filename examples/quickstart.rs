@@ -9,7 +9,6 @@
 
 use ptatin3d::core::models::sinker::{SinkerConfig, SinkerModel};
 use ptatin3d::core::{GmgConfig, KrylovOperatorChoice};
-use ptatin_la::krylov::KrylovConfig;
 
 fn main() {
     // 1. Describe the model: 8³ Q2 elements, viscosity contrast 10⁴,
@@ -49,14 +48,15 @@ fn main() {
     );
 
     // 4. Solve the coupled system with GCR and the block-lower-triangular
-    //    field-split preconditioner (Eq. 17).
+    //    field-split preconditioner (Eq. 17), with the sinker's Krylov
+    //    settings (`SinkerModel::solve` runs steps 2–4 in one call).
     let rhs = model.rhs(&solver, &fields);
     let mut x = vec![0.0; solver.nu + solver.np];
     let t0 = std::time::Instant::now();
     let stats = solver.solve(
         &rhs,
         &mut x,
-        &KrylovConfig::default().with_rtol(1e-5).with_max_it(500),
+        &SinkerModel::krylov_config(),
         KrylovOperatorChoice::Picard,
         None,
     );

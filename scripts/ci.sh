@@ -277,6 +277,18 @@ if [[ $FAST -eq 0 ]]; then
     grep -q 'converged: false, ‖b − Ax‖/‖b‖ = [0-9.]*e[-+0-9]*' <<< "$OUT" \
         || { echo "no true residual in: $OUT"; exit 1; }
 
+    # Every sinker path solves with the model's one Krylov setting: the
+    # same spec through `ptatin scenario` also stops at 600 iterations.
+    step "unconverged sinker scenario (exit 3 at the 600-iteration cap)"
+    printf '%s\n' "scenario = sinker" "m = 8" "levels = 3" "delta_eta = 1e6" \
+        > "$CKDIR/sinker_unconverged.scn"
+    rc=0
+    OUT=$(target/release/ptatin scenario file="$CKDIR/sinker_unconverged.scn" threads=1) \
+        || rc=$?
+    [[ $rc -eq 3 ]] || { echo "expected exit 3, got $rc"; exit 1; }
+    grep -q 'sinker: converged=false iterations=600$' <<< "$OUT" \
+        || { echo "sinker scenario did not stop at 600 iterations: $OUT"; exit 1; }
+
     # One registry-driven scenario end to end through the CLI: the
     # checked-in shear-band spec must parse, run and converge (exit 0).
     step "registry-driven shear-band scenario (CLI end to end)"

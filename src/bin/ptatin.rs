@@ -92,10 +92,9 @@ use ptatin3d::core::output::{
     cell_average, corner_vector_field, write_vtk_mesh, write_vtk_points, Field,
 };
 use ptatin3d::core::recovery::{run_rift as drive_rift, RunConfig, RunOutcome};
-use ptatin3d::core::{GmgConfig, KrylovOperatorChoice};
+use ptatin3d::core::GmgConfig;
 use ptatin3d::ensemble::{self, EnsembleConfig, EventSink};
 use ptatin3d::scenarios;
-use ptatin_la::krylov::KrylovConfig;
 use ptatin_la::par;
 use std::path::{Path, PathBuf};
 
@@ -480,29 +479,18 @@ fn run_sinker(args: &Args) {
         },
         ..defaults
     });
-    let fields = model.coefficients();
-    let solver = model.build_solver(&fields, &model.cfg.gmg);
-    let rhs = model.rhs(&solver, &fields);
-    let mut x = vec![0.0; solver.nu + solver.np];
-    let t0 = std::time::Instant::now();
-    let stats = solver.solve(
-        &rhs,
-        &mut x,
-        &KrylovConfig::default().with_rtol(1e-5).with_max_it(600),
-        KrylovOperatorChoice::Picard,
-        None,
-    );
-    let elapsed = t0.elapsed().as_secs_f64();
+    let sol = model.solve();
     println!(
-        "solve: {} iterations in {elapsed:.2}s (converged: {}, ‖b − Ax‖/‖b‖ = {:.3e})",
-        stats.iterations,
-        stats.converged,
-        solver.relative_residual(&rhs, &x)
+        "solve: {} iterations in {:.2}s (converged: {}, ‖b − Ax‖/‖b‖ = {:.3e})",
+        sol.stats.iterations,
+        sol.solve_seconds,
+        sol.stats.converged,
+        sol.solver.relative_residual(&sol.rhs, &sol.x)
     );
     let mesh = model.hier.finest();
-    let vel = corner_vector_field(mesh, &x[..solver.nu]);
-    let eta_cell = cell_average(mesh.num_elements(), 27, &fields.eta_qp);
-    let rho_cell = cell_average(mesh.num_elements(), 27, &fields.rho_qp);
+    let vel = corner_vector_field(mesh, &sol.x[..sol.solver.nu]);
+    let eta_cell = cell_average(mesh.num_elements(), 27, &sol.fields.eta_qp);
+    let rho_cell = cell_average(mesh.num_elements(), 27, &sol.fields.rho_qp);
     let mesh_vtk = out.join("sinker_mesh.vtk");
     write_vtk_mesh(
         &mesh_vtk,
@@ -520,7 +508,7 @@ fn run_sinker(args: &Args) {
         "wrote {}/sinker_mesh.vtk and sinker_points.vtk",
         out.display()
     );
-    if !stats.converged {
+    if !sol.stats.converged {
         std::process::exit(3);
     }
 }

@@ -193,3 +193,39 @@ fn scenario_file_naming_a_solver_key_exits_2() {
     assert!(out.stdout.is_empty(), "the spec must not start a run");
     let _ = std::fs::remove_file(&spec);
 }
+
+/// A sinker spec whose spheres cannot be placed (too many, or too large
+/// for the unit cube) is refused at the line that makes it impossible,
+/// with exit status 2 — never the model's placement panic (exit 101).
+#[test]
+fn scenario_file_with_unplaceable_spheres_exits_2() {
+    let cases = [
+        (
+            "m = 4\nlevels = 2\nradius = 0.45\n",
+            "scenario line 4: cannot place 8 spheres of radius 0.45 without overlap",
+        ),
+        (
+            "n_spheres = 500\nm = 4\n",
+            "scenario line 2: cannot place 500 spheres of radius 0.1 without overlap",
+        ),
+        (
+            "m = 4\nradius = 0.5\n",
+            "scenario line 3: radius = 0.5 leaves no room for a sphere",
+        ),
+    ];
+    for (i, (keys, complaint)) in cases.iter().enumerate() {
+        let spec =
+            std::env::temp_dir().join(format!("ptatin_cli_spheres_{}_{i}.scn", std::process::id()));
+        std::fs::write(&spec, format!("scenario = sinker\n{keys}")).expect("spec file");
+        let file = format!("file={}", spec.display());
+        let out = ptatin(&["scenario", &file]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{keys}: {stderr}");
+        assert!(stderr.contains(complaint), "{keys}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{keys}: the spec must not start a run"
+        );
+        let _ = std::fs::remove_file(&spec);
+    }
+}

@@ -18,6 +18,7 @@ use ptatin3d::ensemble::{
     run_sweep, EnsembleConfig, EventSink, JobOutcome, SweepSpec, SweepSummary,
 };
 use ptatin3d::prof;
+use ptatin3d::scenarios::run_scenario;
 use ptatin_la::par;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -235,6 +236,7 @@ fn crash_of_one_job_does_not_disturb_the_others() {
             .expand()
             .expect("sinker sweep expands");
     sinker[0].id = 3;
+    let sinker_scenario = sinker[0].scenario.clone();
     jobs.extend(sinker);
 
     faults::reset();
@@ -274,7 +276,20 @@ fn crash_of_one_job_does_not_disturb_the_others() {
         JobOutcome::Completed,
         "sinker job disturbed"
     );
-    assert!(sink_r.final_state_hash.is_some());
+    // The sinker job is the registry's steady solve: its state hash is
+    // the hash of a solo `run_scenario`'s named metrics, bit for bit.
+    let solo = run_scenario(&sinker_scenario, 1);
+    assert!(solo.converged, "solo sinker run must converge");
+    let mut bytes = Vec::new();
+    for (name, v) in &solo.metrics {
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    assert_eq!(
+        sink_r.final_state_hash,
+        Some(fnv1a64(&bytes)),
+        "sinker job: ensemble state differs from its solo run"
+    );
 
     std::fs::remove_dir_all(&root).ok();
     par::set_num_threads(0);

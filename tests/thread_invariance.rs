@@ -175,7 +175,7 @@ fn batched_operator_invariant_and_bitwise() {
 fn default_config_bitwise_across_thread_counts_and_simd_paths() {
     let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // The production hierarchy — batched kernel on both smoothed levels,
-    // AMG coarse solve — promises more than the tolerance bands above:
+    // sparse Cholesky coarse solve — promises more than the tolerance bands above:
     // the iterate itself is identical at every thread count and on both
     // kernel paths (`BatchedViscousOp` reads `PTATIN_NO_AVX` when it is
     // built, so the portable kernel can be selected per solver; the
