@@ -476,7 +476,7 @@ fn dispatch_path(g: &CallGraph, reaches: &[bool], start: usize) -> String {
 /// through `la::simd`'s `run_lanes`, so `crates/la/src/simd.rs` is the
 /// only file that may hold a `#[target_feature]` kernel: a root one (with
 /// a caller outside the `target_feature` family, or none — the helpers of
-/// a kept hand-written twin inherit their root's verdict) anywhere else is
+/// an annotated root inherit its verdict) anywhere else is
 /// a finding. And a library fn generic over `Lane` — a `LaneKernel::run`
 /// included — must be `#[inline(always)]`: outlined, it loses the
 /// wrapper's target features and every lane operation becomes a call.

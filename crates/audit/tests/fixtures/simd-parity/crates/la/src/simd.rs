@@ -5,7 +5,8 @@ pub trait Lane: Copy {
 }
 
 pub trait LaneKernel {
-    fn run<V: Lane>(self);
+    type Out: ?Sized;
+    fn run<V: Lane>(self, out: &mut Self::Out);
 }
 
 #[derive(Clone, Copy)]
@@ -19,6 +20,6 @@ impl Lane for Wide {
 
 // SAFETY: fixture wrapper; callers check avx2 at runtime.
 #[target_feature(enable = "avx2")]
-pub unsafe fn run_lanes<K: LaneKernel>(kernel: K) {
-    kernel.run::<Wide>()
+pub unsafe fn run_lanes<K: LaneKernel>(kernel: K, out: &mut K::Out) {
+    kernel.run::<Wide>(out)
 }

@@ -70,8 +70,8 @@ pub fn viscous_diagonal(data: &ViscousOpData, geom: &BatchedGeometry) -> Vec<f64
             data,
             geom,
             grad: &crate::data::shared_tables().grad,
-            diag: &mut diag,
         },
+        &mut diag,
     );
     for &d in &data.constrained {
         diag[d] = 1.0;
@@ -86,20 +86,14 @@ struct LaneDiagonal<'a> {
     data: &'a ViscousOpData,
     geom: &'a BatchedGeometry,
     grad: &'a [[[f64; 3]; NQ2]],
-    diag: &'a mut [f64],
 }
 
 impl LaneKernel for LaneDiagonal<'_> {
-    type Output = ();
+    type Out = [f64];
 
     #[inline(always)]
-    fn run<V: Lane>(self) {
-        let Self {
-            data,
-            geom,
-            grad,
-            diag,
-        } = self;
+    fn run<V: Lane>(self, diag: &mut [f64]) {
+        let Self { data, geom, grad } = self;
         let zero_geo = QpGeoLane {
             jinv: [[F64x4::ZERO; 3]; 3],
             wdet: F64x4::ZERO,

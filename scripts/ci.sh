@@ -18,6 +18,13 @@ export CARGO_NET_OFFLINE=true
 if [[ $FAST -eq 0 ]]; then
     step "release build (library, binaries, benches)"
     cargo build --release --workspace --bins --benches
+
+    # The lane kernels' bitwise contracts under the codegen production
+    # runs: the crate unit tests of la/ops and the fused-operator and
+    # operator-equivalence suites, built with optimizations.
+    step "release-mode kernel tests"
+    cargo test --release -q -p ptatin-la -p ptatin-ops --lib
+    cargo test --release -q --test fused_stokes_operator --test operator_equivalence
 fi
 
 # Workspace invariants: zero unsuppressed findings from the audit's ten
@@ -198,6 +205,21 @@ if [[ $FAST -eq 0 ]]; then
         grep -q '"jobs":16,' "$BENCH_DOC" && grep -q '"completed":16,' "$BENCH_DOC" \
             && grep -q '"failed":0,' "$BENCH_DOC" \
             || { echo "bench document does not show 16 completed jobs at nt=$nt"; exit 1; }
+    done
+
+    # One lane body serves both SIMD paths, so a whole run gives the same
+    # bytes on each: the 8³ sinker and two rift steps write identical VTK
+    # files with and without PTATIN_NO_AVX=1 (DESIGN.md §9).
+    step "sinker and rift VTK byte-identical across SIMD paths"
+    for run in "sinker m=8" "rift steps=2"; do
+        name=${run%% *}
+        target/release/ptatin $run threads=1 out="$CKDIR/simd_avx_$name" > /dev/null
+        PTATIN_NO_AVX=1 target/release/ptatin $run threads=1 \
+            out="$CKDIR/simd_portable_$name" > /dev/null
+        for f in "$CKDIR/simd_avx_$name"/*.vtk; do
+            cmp "$f" "$CKDIR/simd_portable_$name/$(basename "$f")" \
+                || { echo "$name: $(basename "$f") differs between SIMD paths"; exit 1; }
+        done
     done
 
     # SolCx analytic verification gate (smoke: 2 refinement levels, rate
