@@ -316,8 +316,8 @@ fn nested_dispatch_fixture_flags_direct_and_two_hop() {
 
 /// One lane body per SIMD kernel: `norm_avx` is a `#[target_feature]`
 /// kernel outside `la::simd`, and the `Lane`-generic `dot3` and
-/// `Scale::run` are not `#[inline(always)]`. The annotated kept twin (and
-/// the helper only it calls), the forced-inline lane code, test code and
+/// `Scale::run` are not `#[inline(always)]`. The annotated root (and the
+/// helper only it calls), the forced-inline lane code, test code and
 /// `la::simd`'s own wrapper stay silent.
 #[test]
 fn simd_parity_fixture_flags_stray_target_feature_and_outlined_lane_code() {
