@@ -9,7 +9,6 @@ use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup};
 use ptatin_la::operator::Preconditioner;
 use ptatin_mg::amg::{build_sa_amg, AmgConfig, CoarseSolverKind};
 use ptatin_mg::nullspace::constant_mode;
-use ptatin_ops::OperatorKind;
 use std::time::Instant;
 
 fn laplace3d(n: usize) -> ptatin_la::Csr {
@@ -67,7 +66,7 @@ fn main() {
     let m = 8;
     let levels = levels_for(m, 3);
     let (model, fields) = sinker_setup(m, levels, 1e4);
-    let solver = model.build_solver(&fields, &paper_gmg_config(levels, OperatorKind::Tensor));
+    let solver = model.build_solver(&fields, &paper_gmg_config(levels));
     let r: Vec<f64> = (0..solver.nu).map(|i| (i as f64 * 0.13).sin()).collect();
     let mut z = vec![0.0; solver.nu];
     let secs = time_it(5, || solver.mg.apply(&r, &mut z));

@@ -5,7 +5,8 @@
 //! Plain `fn main()` timing harness (`harness = false`): run with
 //! `cargo bench --bench stokes_solve`. No registry dependencies.
 
-use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup};
+use ptatin_bench::{levels_for, paper_gmg_config, reference_solver, sinker_setup, Reference};
+use ptatin_core::solver::SetupCache;
 use ptatin_core::KrylovOperatorChoice;
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_ops::OperatorKind;
@@ -17,7 +18,16 @@ fn main() {
     let levels = levels_for(m, 3);
     for kind in [OperatorKind::Assembled, OperatorKind::Tensor] {
         let (model, fields) = sinker_setup(m, levels, 1e4);
-        let solver = model.build_solver(&fields, &paper_gmg_config(levels, kind));
+        let gmg = paper_gmg_config(levels);
+        let reference = Reference::Fine(kind);
+        let solver = reference_solver(
+            &model.hier,
+            &fields.eta_corner,
+            &model.bcs,
+            &gmg,
+            reference,
+            &mut SetupCache::new(),
+        );
         let rhs = model.rhs(&solver, &fields);
         let solve = || {
             let mut x = vec![0.0; solver.nu + solver.np];

@@ -1,9 +1,10 @@
-//! One-off phase breakdown of the solver setup: fresh vs warm-cache
-//! rebuild, printed as -log_view tables.
+//! One-off phase breakdown of the setup of the every-level-assembled
+//! reference hierarchy: fresh vs warm-cache rebuild, printed as -log_view
+//! tables.
 
-use ptatin_bench::sinker_setup;
+use ptatin_bench::{reference_solver, sinker_setup, Reference};
 use ptatin_core::models::sinker::sinker_bc;
-use ptatin_core::solver::{build_stokes_solver_cached, CoarseKind, GmgConfig, SetupCache};
+use ptatin_core::solver::{CoarseKind, GmgConfig, SetupCache};
 use ptatin_fem::bc::DirichletBc;
 use ptatin_la::par;
 use ptatin_ops::OperatorKind;
@@ -20,30 +21,30 @@ fn main() {
     let bcs: Vec<DirichletBc> = model.hier.meshes.iter().map(sinker_bc).collect();
     let gmg = GmgConfig {
         levels,
-        fine_kind: OperatorKind::Assembled,
         galerkin_coarsest: false,
         coarse: CoarseKind::Amg { coarse_blocks: 4 },
         ..GmgConfig::default()
     };
+    let assembled = Reference::Fine(OperatorKind::Assembled);
     let mut cache = SetupCache::new();
     prof::enable();
-    let _ = build_stokes_solver_cached(
+    let _ = reference_solver(
         &model.hier,
         &fields.eta_corner,
         &bcs,
         &gmg,
-        None,
+        assembled,
         &mut cache,
     );
     eprintln!("== fresh setup ==");
     eprint!("{}", prof::log_view_string(&prof::snapshot()));
     prof::reset();
-    let _ = build_stokes_solver_cached(
+    let _ = reference_solver(
         &model.hier,
         &fields.eta_corner,
         &bcs,
         &gmg,
-        None,
+        assembled,
         &mut cache,
     );
     eprintln!("== warm rebuild ==");

@@ -21,7 +21,6 @@
 use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup, write_csv, Args};
 use ptatin_core::solver::{CoarseKind, GmgConfig, KrylovOperatorChoice};
 use ptatin_la::krylov::KrylovConfig;
-use ptatin_ops::OperatorKind;
 
 fn main() {
     let args = Args::parse();
@@ -36,7 +35,7 @@ fn main() {
     println!("{:>7} {:>5} {:>10}", "V(m,m)", "its", "solve s");
     for depth in [1usize, 2, 3] {
         let (model, fields) = sinker_setup(m, levels, 1e4);
-        let mut gmg = paper_gmg_config(levels, OperatorKind::Tensor);
+        let mut gmg = paper_gmg_config(levels);
         gmg.pre_smooth = depth;
         gmg.post_smooth = depth;
         let solver = model.build_solver(&fields, &gmg);
@@ -57,7 +56,7 @@ fn main() {
     println!("{:>14} {:>5} {:>10}", "coarse op", "its", "solve s");
     for (name, galerkin) in [("Galerkin", true), ("rediscretized", false)] {
         let (model, fields) = sinker_setup(m, levels, 1e4);
-        let mut gmg = paper_gmg_config(levels, OperatorKind::Tensor);
+        let mut gmg = paper_gmg_config(levels);
         gmg.galerkin_coarsest = galerkin;
         let solver = model.build_solver(&fields, &gmg);
         let rhs = model.rhs(&solver, &fields);
@@ -85,7 +84,7 @@ fn main() {
         let gmg = GmgConfig {
             levels: levels.min(2),
             coarse: CoarseKind::Direct,
-            ..paper_gmg_config(levels.min(2), OperatorKind::Tensor)
+            ..paper_gmg_config(levels.min(2))
         };
         let solver = model.build_solver(&fields, &gmg);
         let rhs = model.rhs(&solver, &fields);
@@ -122,7 +121,7 @@ fn main() {
         ("W", ptatin_mg::CycleType::W),
     ] {
         let (model, fields) = sinker_setup(m, levels, 1e4);
-        let mut gmg = paper_gmg_config(levels, OperatorKind::Tensor);
+        let mut gmg = paper_gmg_config(levels);
         gmg.coarse = CoarseKind::Direct;
         gmg.cycle = cyc;
         let solver = model.build_solver(&fields, &gmg);

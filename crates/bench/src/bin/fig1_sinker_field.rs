@@ -13,7 +13,6 @@ use ptatin_core::KrylovOperatorChoice;
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_mpm::locate::{locate_point, ElementLocator};
 use ptatin_mpm::projection::interpolate_velocity;
-use ptatin_ops::OperatorKind;
 
 fn main() {
     let args = Args::parse();
@@ -21,7 +20,7 @@ fn main() {
     let levels = levels_for(m, 3);
     println!("# Fig. 1 reproduction — sinker field and streamlines at {m}^3");
     let (model, fields) = sinker_setup(m, levels, 1e4);
-    let gmg = paper_gmg_config(levels, OperatorKind::Tensor);
+    let gmg = paper_gmg_config(levels);
     let solver = model.build_solver(&fields, &gmg);
     let rhs = model.rhs(&solver, &fields);
     let mut x = vec![0.0; solver.nu + solver.np];

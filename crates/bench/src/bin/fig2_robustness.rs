@@ -13,7 +13,6 @@
 use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup, write_csv, Args};
 use ptatin_core::KrylovOperatorChoice;
 use ptatin_la::krylov::KrylovConfig;
-use ptatin_ops::OperatorKind;
 
 fn main() {
     let args = Args::parse();
@@ -29,7 +28,7 @@ fn main() {
     let mut its_per_contrast = Vec::new();
     for &de in &contrasts {
         let (model, fields) = sinker_setup(m, levels, de);
-        let gmg = paper_gmg_config(levels, OperatorKind::Tensor);
+        let gmg = paper_gmg_config(levels);
         let solver = model.build_solver(&fields, &gmg);
         let rhs = model.rhs(&solver, &fields);
         let nu = solver.nu;

@@ -12,7 +12,10 @@
 //!
 //! Run: `cargo run --release -p ptatin-bench --bin table2_scaling [--quick]`
 
-use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup, write_csv, Args};
+use ptatin_bench::{
+    levels_for, paper_gmg_config, reference_solver, sinker_setup, write_csv, Args, Reference,
+};
+use ptatin_core::solver::SetupCache;
 use ptatin_core::KrylovOperatorChoice;
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_la::par;
@@ -47,9 +50,16 @@ fn main() {
             par::set_num_threads(c);
             for kind in kinds {
                 let (model, fields) = sinker_setup(m, levels, 1e4);
-                let gmg = paper_gmg_config(levels, kind);
+                let gmg = paper_gmg_config(levels);
                 let t_build = std::time::Instant::now();
-                let solver = model.build_solver(&fields, &gmg);
+                let solver = reference_solver(
+                    &model.hier,
+                    &fields.eta_corner,
+                    &model.bcs,
+                    &gmg,
+                    Reference::Fine(kind),
+                    &mut SetupCache::new(),
+                );
                 let _setup = t_build.elapsed().as_secs_f64();
                 let rhs = model.rhs(&solver, &fields);
                 let mut x = vec![0.0; solver.nu + solver.np];

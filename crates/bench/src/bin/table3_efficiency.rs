@@ -6,7 +6,11 @@
 //!
 //! Run: `cargo run --release -p ptatin-bench --bin table3_efficiency [--quick]`
 
-use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup, time_apply, write_csv, Args};
+use ptatin_bench::{
+    levels_for, paper_gmg_config, reference_solver, sinker_setup, time_apply, write_csv, Args,
+    Reference,
+};
+use ptatin_core::solver::SetupCache;
 use ptatin_core::KrylovOperatorChoice;
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_ops::{assembled_model, mf_model, tensor_batched_model, tensor_model, OperatorKind};
@@ -34,8 +38,18 @@ fn main() {
         let nel = m * m * m;
         for kind in kinds {
             let (model, fields) = sinker_setup(m, levels, 1e4);
-            let gmg = paper_gmg_config(levels, kind);
-            let solver = model.build_solver(&fields, &gmg);
+            let gmg = paper_gmg_config(levels);
+            let solver = match kind {
+                OperatorKind::TensorBatched => model.build_solver(&fields, &gmg),
+                _ => reference_solver(
+                    &model.hier,
+                    &fields.eta_corner,
+                    &model.bcs,
+                    &gmg,
+                    Reference::Fine(kind),
+                    &mut SetupCache::new(),
+                ),
+            };
             // (a) "MG res": one fine-level operator application.
             let fine = solver.timers.level_ops.last().expect("fine level");
             let res_s = time_apply(fine.as_ref(), if args.quick() { 3 } else { 10 });

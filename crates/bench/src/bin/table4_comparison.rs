@@ -2,11 +2,12 @@
 //! geometric multigrid preconditioner against robust assembled-matrix
 //! multi-level alternatives, on the same sinker Stokes problem:
 //!
-//! * **GMG-i** — production hybrid: tensor matrix-free fine level,
-//!   rediscretized assembled intermediate, Galerkin coarsest, SA-AMG
-//!   coarse solve (§IV-A),
+//! * **GMG-i** — the paper's production hierarchy: the scalar tensor
+//!   kernel on the fine level, rediscretized matrix-free levels below it,
+//!   Galerkin coarsest, SA-AMG coarse solve (§IV-A),
 //! * **GMG-ii** — fully assembled: fine level assembled, all coarse
-//!   operators by Galerkin projection, same smoother/coarse solver,
+//!   operators by Galerkin projection, same smoother/coarse solver (both
+//!   GMG rows are `ptatin_bench::Reference` hierarchies),
 //! * **SA-i** — smoothed aggregation AMG (GAMG-like) on the assembled
 //!   fine operator, threshold 0.01, rigid-body modes,
 //! * **SAML-i** — ML-like SA: drop tolerance 0.01, coarse problem ≤ 100,
@@ -18,9 +19,11 @@
 //!
 //! Run: `cargo run --release -p ptatin-bench --bin table4_comparison [--quick]`
 
-use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup, write_csv, Args};
+use ptatin_bench::{
+    levels_for, paper_gmg_config, reference_solver, sinker_setup, write_csv, Args, Reference,
+};
 use ptatin_core::models::sinker::sinker_bc;
-use ptatin_core::solver::solve_stokes_with_pc;
+use ptatin_core::solver::{solve_stokes_with_pc, SetupCache};
 use ptatin_fem::assemble::{PressureMassBlocks, Q2QuadTables};
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_la::operator::{Preconditioner, TimedOperator};
@@ -83,16 +86,19 @@ fn main() {
     let mut results: Vec<Row> = Vec::new();
 
     // -- GMG-i and GMG-ii ---------------------------------------------------
-    for (name, gmg_cfg) in [
-        ("GMG-i", paper_gmg_config(levels, OperatorKind::Tensor)),
-        ("GMG-ii", {
-            let mut c = paper_gmg_config(levels, OperatorKind::Assembled);
-            c.galerkin_intermediate = true;
-            c
-        }),
+    for (name, reference) in [
+        ("GMG-i", Reference::Fine(OperatorKind::Tensor)),
+        ("GMG-ii", Reference::GalerkinIntermediate),
     ] {
         let t_setup = std::time::Instant::now();
-        let solver = model.build_solver(&fields, &gmg_cfg);
+        let solver = reference_solver(
+            &model.hier,
+            &fields.eta_corner,
+            &model.bcs,
+            &paper_gmg_config(levels),
+            reference,
+            &mut SetupCache::new(),
+        );
         let pc_setup_s = t_setup.elapsed().as_secs_f64();
         let rhs = model.rhs(&solver, &fields);
         let a_timed = TimedOperator::new(&solver.a_fine);

@@ -15,7 +15,6 @@ use ptatin_bench::coupled::{eta_qp_per_level, CoupledVankaMg};
 use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup, write_csv, Args};
 use ptatin_core::solver::KrylovOperatorChoice;
 use ptatin_la::krylov::{fgmres, KrylovConfig};
-use ptatin_ops::OperatorKind;
 
 fn main() {
     let args = Args::parse();
@@ -28,7 +27,7 @@ fn main() {
     // Field-split (the paper's design).
     let (model, fields) = sinker_setup(m, levels, 1e4);
     let t0 = std::time::Instant::now();
-    let solver = model.build_solver(&fields, &paper_gmg_config(levels, OperatorKind::Tensor));
+    let solver = model.build_solver(&fields, &paper_gmg_config(levels));
     let fs_setup = t0.elapsed().as_secs_f64();
     let rhs = model.rhs(&solver, &fields);
     let mut x = vec![0.0; solver.nu + solver.np];

@@ -29,11 +29,13 @@
 //! `BENCHMARK.json`).
 
 pub mod coupled;
+pub mod reference;
+
+pub use reference::{reference_solver, Reference};
 
 use ptatin_core::models::sinker::{SinkerConfig, SinkerModel};
 use ptatin_core::{CoarseKind, CoefficientFields, GmgConfig};
 use ptatin_la::operator::LinearOperator;
-use ptatin_ops::OperatorKind;
 use std::time::Instant;
 
 /// Simple deterministic argument helper: `--quick` plus `key=value` pairs.
@@ -109,12 +111,11 @@ pub fn sinker_setup(m: usize, levels: usize, delta_eta: f64) -> (SinkerModel, Co
 
 /// The paper's production GMG configuration (§IV-A): three levels,
 /// Galerkin coarsest operator, V(2,2) Chebyshev/Jacobi, SA-AMG coarse
-/// solve — with the fine-level operator kind as the swappable axis. The
-/// product factors its coarse grid instead; the tables keep the paper's.
-pub fn paper_gmg_config(levels: usize, kind: OperatorKind) -> GmgConfig {
+/// solve. The product factors its coarse grid instead; the tables keep the
+/// paper's. Their other operator kinds are [`Reference`] hierarchies.
+pub fn paper_gmg_config(levels: usize) -> GmgConfig {
     GmgConfig {
         levels,
-        fine_kind: kind,
         coarse: CoarseKind::Amg { coarse_blocks: 4 },
         ..GmgConfig::default()
     }

@@ -8,9 +8,8 @@
 use ptatin_core::models::sinker::{SinkerConfig, SinkerModel};
 use ptatin_core::solver::{CoarseKind, GmgConfig, KrylovOperatorChoice};
 use ptatin_la::krylov::KrylovConfig;
-use ptatin_ops::OperatorKind;
 
-fn run(m: usize, levels: usize, coarse: CoarseKind, galerkin_mid: bool, label: &str) {
+fn run(m: usize, levels: usize, coarse: CoarseKind, label: &str) {
     let model = SinkerModel::new(SinkerConfig {
         m,
         levels,
@@ -20,12 +19,6 @@ fn run(m: usize, levels: usize, coarse: CoarseKind, galerkin_mid: bool, label: &
     let fields = model.coefficients();
     let gmg = GmgConfig {
         levels,
-        fine_kind: if galerkin_mid {
-            OperatorKind::Assembled
-        } else {
-            GmgConfig::default().fine_kind
-        },
-        galerkin_intermediate: galerkin_mid,
         coarse,
         ..GmgConfig::default()
     };
@@ -51,28 +44,18 @@ fn main() {
         m,
         2,
         CoarseKind::Direct,
-        false,
         "2 levels, Galerkin coarsest, direct",
     );
     run(
         m,
         3,
         CoarseKind::Direct,
-        false,
         "3 levels, rediscretized mid, direct",
     );
     run(
         m,
         3,
         CoarseKind::Amg { coarse_blocks: 4 },
-        false,
         "3 levels, rediscretized mid, AMG-PCG",
-    );
-    run(
-        m,
-        3,
-        CoarseKind::Direct,
-        true,
-        "3 levels, all-Galerkin, direct",
     );
 }

@@ -39,8 +39,9 @@ use ptatin_fem::geometry::{map_to_physical, qp_geometry};
 use ptatin_la::krylov::{KrylovConfig, SolveStats};
 use ptatin_mesh::hierarchy::MeshHierarchy;
 use ptatin_mesh::StructuredMesh;
-use ptatin_ops::OperatorKind;
+use ptatin_ops::{BatchedViscousOp, ViscousOpData};
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 /// Stream-function amplitude at the interface: `g(½) = V`.
 const V_AMP: f64 = 1.0;
@@ -159,8 +160,6 @@ pub struct SolCxConfig {
     pub eta_left: f64,
     /// Viscosity right of the interface.
     pub eta_right: f64,
-    /// Fine-level operator kind.
-    pub fine_kind: OperatorKind,
     /// Krylov relative tolerance — tight, so the algebraic error stays far
     /// below the discretization error being measured.
     pub rtol: f64,
@@ -177,7 +176,6 @@ impl Default for SolCxConfig {
             levels: 2,
             eta_left: 1.0,
             eta_right: 1e4,
-            fine_kind: GmgConfig::default().fine_kind,
             rtol: 1e-10,
             max_it: 1500,
         }
@@ -245,7 +243,6 @@ impl SolCxModel {
     pub fn build_solver(&self) -> StokesSolver {
         let gmg = GmgConfig {
             levels: self.cfg.levels,
-            fine_kind: self.cfg.fine_kind,
             ..GmgConfig::default()
         };
         let eta = |x: [f64; 3]| self.exact.eta(x);
@@ -276,22 +273,13 @@ impl SolCxModel {
         bc.apply_to_vector(&mut u0);
         let p0 = vec![0.0; np];
         let eta_qp = analytic_eta_qp(fine, &tables, &|x| self.exact.eta(x));
-        let a_unmasked = ptatin_ops::build_viscous_operator(
-            self.cfg.fine_kind,
+        let a_unmasked = BatchedViscousOp::new(Arc::new(ViscousOpData::new(
             fine,
             eta_qp,
             &DirichletBc::new(),
-        );
+        )));
         let mut r = vec![0.0; nu + np];
-        crate::nonlinear::stokes_residual(
-            a_unmasked.as_ref(),
-            &solver.b_full,
-            bc,
-            &u0,
-            &p0,
-            &f_u,
-            &mut r,
-        );
+        crate::nonlinear::stokes_residual(&a_unmasked, &solver.b_full, bc, &u0, &p0, &f_u, &mut r);
         for v in &mut r {
             *v = -*v;
         }

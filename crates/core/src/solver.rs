@@ -12,7 +12,7 @@ use ptatin_la::chebyshev::{inverse_diagonal, Chebyshev};
 use ptatin_la::cholesky::CholeskySymbolic;
 use ptatin_la::coupling::CouplingBlock;
 use ptatin_la::csr::Csr;
-use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
+use ptatin_la::krylov::{cg, fgmres, gcr, KrylovConfig, Monitor, SolveStats};
 use ptatin_la::operator::{with_block_scratch, LinearOperator, Preconditioner, TimedOperator};
 use ptatin_la::schwarz::DirectSolver;
 use ptatin_la::shared::SharedCsr;
@@ -29,8 +29,7 @@ use ptatin_mg::nullspace::rigid_body_modes;
 use ptatin_mpm::projection::{coarsen_corner_field, corners_to_quadrature_log};
 use ptatin_ops::{
     assemble_gradient_batched, detected_simd_path, pressure_mass_blocks_batched,
-    viscous_numeric_batched_into, BatchedGeometry, BatchedViscousOp, MfViscousOp, OperatorKind,
-    TensorCViscousOp, TensorViscousOp, ViscousOpData,
+    viscous_numeric_batched_into, BatchedGeometry, BatchedViscousOp, ViscousOpData,
 };
 use ptatin_prof as prof;
 use std::sync::Arc;
@@ -54,18 +53,17 @@ pub enum CoarseKind {
 }
 
 /// Velocity-block multigrid configuration (the knobs varied in §IV).
+///
+/// Every smoothed level applies the batched tensor kernel
+/// (`TensorBatched`, §III-E) and smooths with the `ptatin_ops::diag`
+/// diagonal. Matrices exist only for the coarse solve and as the input of
+/// its Galerkin product. The reference hierarchies Tables II–IV compare
+/// against (other fine-level kinds, every level assembled, GMG-ii) are
+/// built outside the library, by `ptatin_bench::reference_solver`.
 #[derive(Clone, Debug)]
 pub struct GmgConfig {
     /// Number of geometric levels (paper: 3).
     pub levels: usize,
-    /// Operator application on the finest level. The smoothed levels below
-    /// it are matrix-free (`TensorBatched`) unless this is `Assembled` or
-    /// `galerkin_intermediate` is set, which keep every level assembled.
-    pub fine_kind: OperatorKind,
-    /// Intermediate levels via Galerkin projection of the level above
-    /// (requires an assembled finer level — GMG-ii) instead of
-    /// rediscretization (GMG-i).
-    pub galerkin_intermediate: bool,
     /// Coarsest operator via Galerkin projection (paper default) instead
     /// of rediscretization.
     pub galerkin_coarsest: bool,
@@ -81,8 +79,6 @@ impl Default for GmgConfig {
     fn default() -> Self {
         Self {
             levels: 3,
-            fine_kind: OperatorKind::TensorBatched,
-            galerkin_intermediate: false,
             galerkin_coarsest: true,
             pre_smooth: 2,
             post_smooth: 2,
@@ -94,24 +90,6 @@ impl Default for GmgConfig {
 
 /// Power iterations for the Chebyshev λmax estimate of every smoothed level.
 pub const CHEB_EST_ITERS: usize = 10;
-
-/// The operator that backs smoothed level `l` (1 = coarsest smoothed,
-/// `cfg.levels - 1` = finest). A level rediscretized from its mesh is
-/// matrix-free — the finest of kind `cfg.fine_kind`, the ones below it
-/// [`OperatorKind::TensorBatched`] — and smooths with the `ptatin_ops::diag`
-/// diagonal. Matrices exist only as Galerkin products, as inputs to them,
-/// and for the coarse solve; the two assembled reference hierarchies of
-/// Table IV keep theirs: `fine_kind = Assembled` (every level assembled)
-/// and `galerkin_intermediate` (GMG-ii, which requires the former).
-fn level_kind(cfg: &GmgConfig, l: usize) -> OperatorKind {
-    if l == cfg.levels - 1 {
-        cfg.fine_kind
-    } else if cfg.galerkin_intermediate || cfg.fine_kind == OperatorKind::Assembled {
-        OperatorKind::Assembled
-    } else {
-        OperatorKind::TensorBatched
-    }
-}
 
 /// Handles for instrumentation of the velocity MG.
 pub struct GmgTimers {
@@ -147,9 +125,10 @@ pub struct StokesSolver {
     /// Optional Newton-linearized J_uu action (Picard stays in `mg`).
     pub a_newton: Option<ArcOp>,
     /// J_pu with Dirichlet velocity columns zeroed. A handle: the batched
-    /// path applies the block inside its element pass, so only a reader of
-    /// the matrix (a reference `fine_kind`, [`StokesSolver::solve_scr`], a
-    /// diagnostic) assembles it, once, for every holder of the handle.
+    /// kernel applies the block inside its element pass, so only a reader
+    /// of the matrix ([`StokesSolver::solve_scr`], the solve of a velocity
+    /// block that is not the batched kernel, a diagnostic) assembles it,
+    /// once, for every holder of the handle.
     pub b_masked: SharedCsr,
     /// J_pu untouched (residual evaluation), deferred like `b_masked`.
     pub b_full: SharedCsr,
@@ -159,42 +138,6 @@ pub struct StokesSolver {
     pub timers: GmgTimers,
     /// Fine-level Dirichlet constraints.
     pub bc: DirichletBc,
-}
-
-/// Build the matrix-free viscous operator of the requested kind as a
-/// shared handle. `base` caches the gathered element tables across
-/// rebuilds (see [`SetupCache`]).
-fn build_arc_operator(
-    kind: OperatorKind,
-    mesh: &ptatin_mesh::StructuredMesh,
-    eta_qp: Vec<f64>,
-    bc: &DirichletBc,
-    newton: Option<ptatin_ops::NewtonData>,
-    base: &mut OpBase,
-) -> ArcOp {
-    match kind {
-        // PANIC-OK: the level loop takes assembled levels from their cached
-        // pattern and the Newton action maps `Assembled` to a matrix-free
-        // kind, so no caller passes it.
-        OperatorKind::Assembled => unreachable!("assembled levels have no matrix-free form"),
-        OperatorKind::MatrixFree => {
-            let data = make_op_data(&mut base.data, mesh, eta_qp, bc, newton);
-            Arc::new(MfViscousOp::new(Arc::new(data)))
-        }
-        OperatorKind::Tensor => {
-            let data = make_op_data(&mut base.data, mesh, eta_qp, bc, newton);
-            Arc::new(TensorViscousOp::new(Arc::new(data)))
-        }
-        OperatorKind::TensorC => {
-            assert!(newton.is_none(), "TensorC stores the Picard coefficient");
-            let data = make_op_data(&mut base.data, mesh, eta_qp, bc, None);
-            Arc::new(TensorCViscousOp::new(Arc::new(data)))
-        }
-        OperatorKind::TensorBatched => {
-            let data = make_op_data(&mut base.data, mesh, eta_qp, bc, newton);
-            Arc::new(base.batched_op(data))
-        }
-    }
 }
 
 /// How the effective viscosity reaches the quadrature points of every
@@ -292,8 +235,9 @@ struct TopologyTier {
     /// every level over its velocity dofs, and the on-demand handles of
     /// their filtered blocked prolongations.
     transfers: Option<(Arc<[NestedTransfer]>, Vec<SharedCsr>)>,
-    /// Cached transposes of the prolongations (the reusable half of RAP).
-    transfer_t: Vec<Option<Csr>>,
+    /// Cached transpose of the coarsest prolongation (the reusable half of
+    /// RAP; only the coarsest operator is ever a product).
+    transfer_t: Option<Csr>,
     /// Per-level viscous sparsity patterns (levels that get assembled).
     patterns: Vec<Option<ViscousPattern>>,
     /// Per-level assembled-value buffers (reused allocations).
@@ -452,7 +396,6 @@ impl SetupCache {
         let levels = hier.num_levels();
         self.topo.patterns.resize_with(levels, || None);
         self.topo.values.resize_with(levels, Vec::new);
-        self.topo.transfer_t.resize_with(levels - 1, || None);
         self.geom.op_base.resize_with(levels, OpBase::default);
     }
 
@@ -540,6 +483,19 @@ impl OpBase {
             .get_or_insert_with(|| Arc::new(BatchedGeometry::new(&data)))
             .clone();
         BatchedViscousOp::with_geometry(Arc::new(data), geom, detected_simd_path())
+    }
+
+    /// The level's batched operator for the viscosity `eta_qp` (and the
+    /// Newton coefficient, if any) as a shared handle.
+    fn level_op(
+        &mut self,
+        mesh: &ptatin_mesh::StructuredMesh,
+        eta_qp: Vec<f64>,
+        bc: &DirichletBc,
+        newton: Option<ptatin_ops::NewtonData>,
+    ) -> ArcOp {
+        let data = make_op_data(&mut self.data, mesh, eta_qp, bc, newton);
+        Arc::new(self.batched_op(data))
     }
 }
 
@@ -728,16 +684,25 @@ pub fn build_stokes_solver_spec_cached(
     });
     let coarse_needed = lagged_coarse.is_none();
 
-    // Level matrices. A level is assembled only where the rule of
-    // [`level_kind`] smooths on a matrix, as the input of a Galerkin
-    // product, or for the coarse solve; a matrix that was only a Galerkin
-    // input is dropped as soon as the product is formed, before the
-    // matrix-free level operators are built. Assembly goes through the
-    // per-level cached patterns; Galerkin products read the prolongation
-    // handles and reuse their cached transposes. A lagged coarse factor
-    // needs no coarsest matrix.
+    // The coarsest matrix, for the coarse solve: with nested Dirichlet
+    // sets the Galerkin product is assembled from the elements of level 1
+    // directly — the product with the embedded-trilinear transfer is the
+    // Q1 stiffness matrix on their corner grid (DESIGN.md §4) — otherwise
+    // level 1 is assembled as its input, and dropped once the product is
+    // formed. Assembly goes through the per-level cached patterns; the
+    // product reads the prolongation handle and reuses its cached
+    // transpose. A lagged coarse factor needs no coarsest matrix.
     let top = levels - 1;
-    let mut assembled: Vec<Option<Csr>> = vec![None; levels];
+    let direct = cfg.galerkin_coarsest
+        && cache
+            .topo
+            .galerkin_q1
+            .get_or_insert_with(|| {
+                transfers[0]
+                    .dirichlet_sets_nested()
+                    .then(|| GalerkinQ1Pattern::build(&hier.meshes[1], mask(0)))
+            })
+            .is_some();
     let assemble = |cache: &mut SetupCache, l: usize| {
         assembled_level_cached(
             &mut cache.topo.patterns[l],
@@ -749,67 +714,27 @@ pub fn build_stokes_solver_spec_cached(
             &bcs[l],
         )
     };
-    let galerkin = |cache: &mut SetupCache, l: usize, above: &Csr| {
-        let _s = prof::scope("setup/rap");
-        let p = &prolongations[l];
-        let pt = cache.topo.transfer_t[l].get_or_insert_with(|| p.transpose());
-        galerkin_coarse_with_pt(above, p, pt, mask(l))
-    };
-    if cfg.galerkin_intermediate {
-        assert_eq!(
-            cfg.fine_kind,
-            OperatorKind::Assembled,
-            "Galerkin intermediate levels require an assembled fine level"
-        );
-        let mut above = assemble(cache, top);
-        let lowest = usize::from(!coarse_needed);
-        for l in (lowest..top).rev() {
-            let ac = galerkin(cache, l, &above);
-            assembled[l + 1] = Some(std::mem::replace(&mut above, ac));
+    let coarsest = coarse_needed.then(|| match &cache.topo.galerkin_q1 {
+        Some(Some(pat)) if direct => {
+            let _s = prof::scope("setup/galerkin");
+            galerkin_coarse_q1(
+                pat,
+                &hier.meshes[1],
+                &tables,
+                &eta_qp[1],
+                runtime_simd_path(),
+                &mut cache.topo.lane_scratch,
+            )
         }
-        assembled[lowest] = Some(above);
-    } else {
-        let keeps_matrix = |l: usize| level_kind(cfg, l) == OperatorKind::Assembled;
-        // With level 1 matrix-free the Galerkin coarsest operator is
-        // assembled from the elements of level 1 directly — the product
-        // with the embedded-trilinear transfer is the Q1 stiffness matrix
-        // on their corner grid (DESIGN.md §4) — provided the Dirichlet
-        // sets are nested; otherwise level 1 is assembled as RAP input.
-        let direct = cfg.galerkin_coarsest
-            && !keeps_matrix(1)
-            && cache
-                .topo
-                .galerkin_q1
-                .get_or_insert_with(|| {
-                    transfers[0]
-                        .dirichlet_sets_nested()
-                        .then(|| GalerkinQ1Pattern::build(&hier.meshes[1], mask(0)))
-                })
-                .is_some();
-        for l in 1..levels {
-            if keeps_matrix(l) || (coarse_needed && l == 1 && cfg.galerkin_coarsest && !direct) {
-                assembled[l] = Some(assemble(cache, l));
-            }
+        _ if cfg.galerkin_coarsest => {
+            let above = assemble(cache, 1);
+            let _s = prof::scope("setup/rap");
+            let p = &prolongations[0];
+            let pt = cache.topo.transfer_t.get_or_insert_with(|| p.transpose());
+            galerkin_coarse_with_pt(&above, p, pt, mask(0))
         }
-        assembled[0] = coarse_needed.then(|| match (&cache.topo.galerkin_q1, &assembled[1]) {
-            (Some(Some(pat)), _) if direct => {
-                let _s = prof::scope("setup/galerkin");
-                galerkin_coarse_q1(
-                    pat,
-                    &hier.meshes[1],
-                    &tables,
-                    &eta_qp[1],
-                    runtime_simd_path(),
-                    &mut cache.topo.lane_scratch,
-                )
-            }
-            (_, Some(above)) if cfg.galerkin_coarsest => galerkin(cache, 0, above),
-            _ => assemble(cache, 0),
-        });
-        if !keeps_matrix(1) {
-            assembled[1] = None;
-        }
-    }
+        _ => assemble(cache, 0),
+    });
 
     // Coarse solver: the lagged factor, or one built from the coarsest
     // assembled matrix.
@@ -822,8 +747,8 @@ pub fn build_stokes_solver_spec_cached(
         cache.lag.coarse = Some(lagged);
         solver
     } else {
-        // PANIC-OK: with no lagged factor every branch above assigns assembled[0].
-        let a0 = assembled[0].take().expect("coarsest matrix built");
+        // PANIC-OK: with no lagged factor the coarsest matrix is built above.
+        let a0 = coarsest.expect("coarsest matrix built");
         match &cfg.coarse {
             CoarseKind::Direct => {
                 let symbolic = {
@@ -872,31 +797,12 @@ pub fn build_stokes_solver_spec_cached(
     };
     drop(_coarse_scope);
 
-    // Smoothed levels, each backed by the operator [`level_kind`] names.
+    // Smoothed levels, each the batched kernel on its mesh.
     let mut bounds: Vec<(f64, f64)> = Vec::with_capacity(levels - 1);
     let mut level_ops: Vec<Arc<TimedOperator<ArcOp>>> = Vec::new();
     let mut gmg_levels: Vec<GmgLevel> = Vec::new();
     for l in 1..levels {
-        let kind = level_kind(cfg, l);
-        // Keep the `Arc<Csr>` of assembled levels alongside the timing
-        // wrapper, so the level can report its matrix.
-        let (op, csr): (ArcOp, Option<Arc<Csr>>) = match assembled[l].take() {
-            Some(a) => {
-                let a = Arc::new(a);
-                (a.clone() as ArcOp, Some(a))
-            }
-            None => (
-                build_arc_operator(
-                    kind,
-                    &hier.meshes[l],
-                    eta_qp[l].clone(),
-                    &bcs[l],
-                    None,
-                    &mut cache.geom.op_base[l],
-                ),
-                None,
-            ),
-        };
+        let op = cache.geom.op_base[l].level_op(&hier.meshes[l], eta_qp[l].clone(), &bcs[l], None);
         let timed = Arc::new(TimedOperator::new(op));
         // λmax power iteration, or the bounds of the lag tier (the
         // diagonal is always fresh). At tolerance 0 the lagged bounds are
@@ -923,7 +829,7 @@ pub fn build_stokes_solver_spec_cached(
         drop(_lag);
         drop(_s);
         level_ops.push(timed.clone());
-        gmg_levels.push(GmgLevel::new(timed as ArcOp, smoother, csr));
+        gmg_levels.push(GmgLevel::new(timed as ArcOp, smoother));
     }
     cache.lag.lambda = match (lagged_lambda, drift_eta) {
         (Some(m), _) => Some(m),
@@ -946,23 +852,12 @@ pub fn build_stokes_solver_spec_cached(
     // PANIC-OK: MeshHierarchy::build asserts levels >= 2.
     let a_fine = mg.levels.last().expect("at least two levels").op.clone();
 
-    // Newton action (matrix-free only). When η′ ≡ 0 the Newton action
-    // equals the Picard operator exactly; reuse it (solve() falls back
-    // to `a_fine`) instead of building a second matrix-free operator
-    // whose apply may differ in round-off.
+    // Newton action. When η′ ≡ 0 the Newton action equals the Picard
+    // operator exactly; reuse it (solve() falls back to `a_fine`) instead
+    // of building a second operator whose apply may differ in round-off.
     let a_newton = newton.filter(|nd| nd.eta_prime.iter().any(|&e| e != 0.0));
     let a_newton = a_newton.map(|nd| {
-        build_arc_operator(
-            match cfg.fine_kind {
-                OperatorKind::Assembled | OperatorKind::TensorC => OperatorKind::TensorBatched,
-                k => k,
-            },
-            fine_mesh,
-            eta_qp[top].clone(),
-            &bcs[top],
-            Some(nd),
-            &mut cache.geom.op_base[top],
-        )
+        cache.geom.op_base[top].level_op(fine_mesh, eta_qp[top].clone(), &bcs[top], Some(nd))
     });
 
     // Coupling blocks and Schur preconditioner on the fine level. The
@@ -1248,5 +1143,5 @@ pub fn solve_stokes_with_pc<M: Preconditioner + ?Sized>(
         Some(_) => cfg.clone(),
         None => cfg.clone().with_label("Stokes"),
     };
-    gcr_monitored(&op, &pc, rhs, x, &cfg, monitor)
+    gcr(&op, &pc, rhs, x, &cfg, monitor)
 }

@@ -508,7 +508,7 @@ fn gmres_impl(
 /// search directions `p_i` are never built, so `x` only moves at a
 /// restart and on exit (convergence, `max_it` or a breakdown). The
 /// residual recurrence is exactly the textbook one.
-pub fn gcr_monitored(
+pub fn gcr(
     a: &dyn LinearOperator,
     pc: &dyn Preconditioner,
     b: &[f64],
@@ -517,7 +517,7 @@ pub fn gcr_monitored(
     monitor: Monitor,
 ) -> SolveStats {
     let _ev = prof::scope("KSPSolve_GCR");
-    let stats = gcr_monitored_impl(a, pc, b, x, cfg, monitor);
+    let stats = gcr_impl(a, pc, b, x, cfg, monitor);
     finish_ksp("GCR", cfg, &stats);
     stats
 }
@@ -529,7 +529,7 @@ pub fn gcr_monitored(
 /// diagonal, the norms on it), so the update `Σ γ_i p_i` is `Z c` with
 /// `U c = γ`. Orthogonalizing only `A p` reads the basis once less per
 /// Gram–Schmidt step than carrying `p` along.
-fn gcr_monitored_impl(
+fn gcr_impl(
     a: &dyn LinearOperator,
     pc: &dyn Preconditioner,
     b: &[f64],
@@ -638,17 +638,6 @@ fn gcr_update(x: &mut [f64], zs: &[Vec<f64>], u: &[f64], gamma: &mut [f64]) {
     for (zi, &ci) in zs.iter().zip(gamma.iter()) {
         v::axpy(ci, zi, x);
     }
-}
-
-/// GCR(m) without a monitor.
-pub fn gcr(
-    a: &dyn LinearOperator,
-    pc: &dyn Preconditioner,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: &KrylovConfig,
-) -> SolveStats {
-    gcr_monitored(a, pc, b, x, cfg, None)
 }
 
 #[cfg(test)]
@@ -810,7 +799,7 @@ mod tests {
             }
             seen.push(rn);
         };
-        let stats = gcr_monitored(
+        let stats = gcr(
             &a,
             &JacobiPc::from_operator(&a),
             &b,
@@ -835,6 +824,7 @@ mod tests {
             &b,
             &mut x,
             &KrylovConfig::default().with_rtol(1e-8).with_restart(4),
+            None,
         );
         assert!(stats.converged, "{stats:?}");
         check_solution(&a, &b, &x, 1e-7);
@@ -845,7 +835,12 @@ mod tests {
         let a = laplace1d(10);
         let b = vec![0.0; 10];
         let mut x = vec![0.0; 10];
-        for f in [cg, gmres, fgmres, gcr] {
+        let gcr5 = |a: &dyn LinearOperator,
+                    pc: &dyn Preconditioner,
+                    b: &[f64],
+                    x: &mut [f64],
+                    cfg: &KrylovConfig| gcr(a, pc, b, x, cfg, None);
+        for f in [cg, gmres, fgmres, gcr5] {
             let stats = f(&a, &IdentityPc, &b, &mut x, &KrylovConfig::default());
             assert!(stats.converged);
             assert_eq!(stats.outcome, SolveOutcome::Converged);
@@ -906,6 +901,7 @@ mod tests {
             &b,
             &mut x,
             &KrylovConfig::default().with_rtol(1e-12),
+            None,
         );
         assert_eq!(
             stats.outcome,
@@ -938,6 +934,7 @@ mod tests {
             &b,
             &mut x2,
             &KrylovConfig::default().with_rtol(1e-10).with_label("test"),
+            None,
         );
         assert_eq!(
             outer.outcome,
@@ -952,6 +949,7 @@ mod tests {
             &b,
             &mut x3,
             &KrylovConfig::default().with_rtol(1e-10).with_label("test"),
+            None,
         );
         assert_eq!(retry.outcome, SolveOutcome::Converged);
         fault::disarm();
@@ -1029,7 +1027,7 @@ mod tests {
     ) -> SolveStats {
         let cfg = cfg.clone().with_history();
         let (mut x_new, mut x_ref) = (x0.to_vec(), x0.to_vec());
-        let s_new = gcr(a, pc, b, &mut x_new, &cfg);
+        let s_new = gcr(a, pc, b, &mut x_new, &cfg, None);
         let s_ref = gcr_forming_p(a, pc, b, &mut x_ref, &cfg);
         let bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(
@@ -1138,6 +1136,7 @@ mod tests {
             &b,
             &mut x,
             &KrylovConfig::default().with_label("test"),
+            None,
         );
         fault::disarm();
         assert_eq!(s.outcome, SolveOutcome::Breakdown(BreakdownKind::Injected));
@@ -1160,7 +1159,7 @@ mod tests {
         let b = vec![1.0; n];
         let mut x = vec![0.5; n];
         let pc = NanPc(AtomicUsize::new(0));
-        let s = gcr(&a, &pc, &b, &mut x, &KrylovConfig::default());
+        let s = gcr(&a, &pc, &b, &mut x, &KrylovConfig::default(), None);
         assert_eq!(
             pc.0.load(Ordering::Relaxed),
             1,
@@ -1187,6 +1186,7 @@ mod tests {
             &b,
             &mut x,
             &KrylovConfig::default().with_rtol(1e-10),
+            None,
         );
         assert!(stats.converged);
         check_solution(&a, &b, &x, 1e-9);

@@ -48,9 +48,7 @@ pub use coupling::CouplingBlock;
 pub use csr::{Csr, CsrBuilder};
 pub use dense::{DenseLu, DenseMatrix};
 pub use ilu::Ilu0;
-pub use krylov::{
-    cg, fgmres, gcr, gcr_monitored, gmres, BreakdownKind, KrylovConfig, SolveOutcome, SolveStats,
-};
+pub use krylov::{cg, fgmres, gcr, gmres, BreakdownKind, KrylovConfig, SolveOutcome, SolveStats};
 pub use operator::{IdentityPc, JacobiPc, LinearOperator, Preconditioner, TimedOperator};
 pub use schwarz::{AdditiveSchwarz, DirectSolver, SubdomainSolve};
 pub use shared::SharedCsr;

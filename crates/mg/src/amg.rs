@@ -685,9 +685,9 @@ mod tests {
         let rhs = vec![1.0; a.nrows()];
         let cfg = KrylovConfig::default().with_rtol(1e-8);
         let mut x1 = vec![0.0; a.nrows()];
-        let s1 = gcr(&a, &weak, &rhs, &mut x1, &cfg);
+        let s1 = gcr(&a, &weak, &rhs, &mut x1, &cfg, None);
         let mut x2 = vec![0.0; a.nrows()];
-        let s2 = gcr(&a, &strong, &rhs, &mut x2, &cfg);
+        let s2 = gcr(&a, &strong, &rhs, &mut x2, &cfg, None);
         assert!(s1.converged && s2.converged);
         assert!(
             s2.iterations <= s1.iterations,

@@ -101,25 +101,12 @@ pub type ArcOp = std::sync::Arc<dyn LinearOperator + Send + Sync>;
 pub struct GmgLevel {
     pub op: ArcOp,
     pub smoother: Chebyshev,
-    /// The level's assembled matrix, when it has one (the reference
-    /// hierarchies of Table IV); `op` applies the same operator.
-    matrix: Option<Arc<Csr>>,
 }
 
 impl GmgLevel {
-    /// Level whose residuals and smoothing sweeps apply `op`; `matrix`
-    /// is the assembled form of `op`, if the level has one.
-    pub fn new(op: ArcOp, smoother: Chebyshev, matrix: Option<Arc<Csr>>) -> Self {
-        Self {
-            op,
-            smoother,
-            matrix,
-        }
-    }
-
-    /// The assembled matrix of this level, if it keeps one.
-    pub fn matrix(&self) -> Option<&Csr> {
-        self.matrix.as_deref()
+    /// Level whose residuals and smoothing sweeps apply `op`.
+    pub fn new(op: ArcOp, smoother: Chebyshev) -> Self {
+        Self { op, smoother }
     }
 }
 
@@ -468,7 +455,7 @@ mod tests {
         let mut lvls = Vec::new();
         for a in ops.into_iter().skip(1) {
             let smoother = Chebyshev::new(&a, 2, 10);
-            lvls.push(GmgLevel::new(Arc::new(a), smoother, None));
+            lvls.push(GmgLevel::new(Arc::new(a), smoother));
         }
         let rhs: Vec<f64> = {
             let n = fine_a.nrows();
@@ -489,6 +476,7 @@ mod tests {
             &rhs,
             &mut x,
             &KrylovConfig::default().with_rtol(1e-8).with_max_it(100),
+            None,
         );
         assert!(stats.converged, "{stats:?}");
         assert!(
@@ -509,6 +497,7 @@ mod tests {
             &rhs4,
             &mut x4,
             &KrylovConfig::default().with_rtol(1e-8).with_max_it(200),
+            None,
         );
         let (a8, mg8, rhs8) = build_gmg(8, 3, 2, 2);
         let mut x8 = vec![0.0; a8.nrows()];
@@ -518,6 +507,7 @@ mod tests {
             &rhs8,
             &mut x8,
             &KrylovConfig::default().with_rtol(1e-8).with_max_it(200),
+            None,
         );
         assert!(s4.converged && s8.converged);
         assert!(
@@ -538,6 +528,7 @@ mod tests {
             &rhs,
             &mut x,
             &KrylovConfig::default().with_rtol(1e-8).with_max_it(200),
+            None,
         );
         let (a2, mg33, rhs2) = build_gmg(4, 2, 3, 3);
         let mut x2 = vec![0.0; a2.nrows()];
@@ -547,6 +538,7 @@ mod tests {
             &rhs2,
             &mut x2,
             &KrylovConfig::default().with_rtol(1e-8).with_max_it(200),
+            None,
         );
         assert!(s11.converged && s33.converged);
         assert!(s33.iterations <= s11.iterations);
@@ -564,6 +556,7 @@ mod tests {
             &rhs,
             &mut xv,
             &KrylovConfig::default().with_rtol(1e-8).with_max_it(200),
+            None,
         );
         let (a2, mgw, rhs2) = build_gmg(8, 3, 2, 2);
         let mgw = mgw.with_cycle(crate::gmg::CycleType::W);
@@ -574,6 +567,7 @@ mod tests {
             &rhs2,
             &mut xw,
             &KrylovConfig::default().with_rtol(1e-8).with_max_it(200),
+            None,
         );
         assert!(sv.converged && sw.converged);
         assert!(

@@ -34,7 +34,6 @@ use ptatin_core::models::shear_band::ShearBandConfig;
 use ptatin_core::models::sinker::SinkerConfig;
 use ptatin_core::models::solcx::SolCxConfig;
 use ptatin_core::GmgConfig;
-use ptatin_ops::OperatorKind;
 use ptatin_rheology::{DruckerPrager, Material, Plasticity, ViscousLaw};
 use std::fmt;
 use std::path::Path;
@@ -57,32 +56,6 @@ impl fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
-
-/// Operator-kind names as used by `ptatin verify fine_kind=`. A run that
-/// names none uses `GmgConfig::default().fine_kind`.
-const OPERATOR_KIND_NAMES: [(&str, OperatorKind); 5] = [
-    ("assembled", OperatorKind::Assembled),
-    ("matrix_free", OperatorKind::MatrixFree),
-    ("tensor", OperatorKind::Tensor),
-    ("tensor_c", OperatorKind::TensorC),
-    ("tensor_batched", OperatorKind::TensorBatched),
-];
-
-/// Parse an operator-kind name (`tensor_batched`, …).
-pub fn parse_operator_kind(v: &str) -> Option<OperatorKind> {
-    OPERATOR_KIND_NAMES
-        .iter()
-        .find(|(name, _)| *name == v)
-        .map(|&(_, kind)| kind)
-}
-
-/// The name [`parse_operator_kind`] maps to `kind`.
-pub fn operator_kind_name(kind: OperatorKind) -> &'static str {
-    OPERATOR_KIND_NAMES
-        .iter()
-        .find(|(_, k)| *k == kind)
-        .map_or("?", |&(name, _)| name)
-}
 
 /// Scenario kind selected by the `scenario =` key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -720,7 +693,6 @@ pub fn parse_scenario_file(path: impl AsRef<Path>) -> Result<ScenarioSpec, Scena
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptatin_ops::OperatorKind;
 
     fn parse_err(text: &str) -> ScenarioError {
         parse_scenario(text).unwrap_err()
@@ -970,18 +942,5 @@ material.block.theta = 4.0
         let e = parse_err("mx =\n");
         assert_eq!(e.line, 1);
         assert_eq!(e.msg, "empty key or value");
-    }
-
-    #[test]
-    fn operator_kind_names_round_trip() {
-        for (name, kind) in OPERATOR_KIND_NAMES {
-            assert_eq!(parse_operator_kind(name), Some(kind));
-            assert_eq!(operator_kind_name(kind), name);
-        }
-        assert_eq!(
-            parse_operator_kind(operator_kind_name(GmgConfig::default().fine_kind)),
-            Some(OperatorKind::TensorBatched)
-        );
-        assert_eq!(parse_operator_kind("gpu"), None);
     }
 }

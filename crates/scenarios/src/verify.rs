@@ -10,8 +10,6 @@
 //! picture.
 
 use ptatin_core::models::solcx::{SolCxConfig, SolCxModel};
-use ptatin_core::GmgConfig;
-use ptatin_ops::OperatorKind;
 
 /// Gate policy: which resolutions to run and which fitted rates to demand.
 #[derive(Clone, Debug)]
@@ -24,7 +22,6 @@ pub struct GateConfig {
     pub my: usize,
     pub eta_left: f64,
     pub eta_right: f64,
-    pub fine_kind: OperatorKind,
     pub levels: usize,
     /// Krylov relative tolerance — tight so algebraic error stays far
     /// below the discretization error being measured.
@@ -45,7 +42,6 @@ impl GateConfig {
             my: 2,
             eta_left: 1.0,
             eta_right: 1e4,
-            fine_kind: GmgConfig::default().fine_kind,
             levels: 2,
             rtol: 1e-10,
             max_it: 2000,
@@ -168,7 +164,6 @@ pub fn run_gate(cfg: &GateConfig) -> GateReport {
             levels: cfg.levels,
             eta_left: cfg.eta_left,
             eta_right: cfg.eta_right,
-            fine_kind: cfg.fine_kind,
             rtol: cfg.rtol,
             max_it: cfg.max_it,
         };

@@ -134,7 +134,9 @@ PTATIN_TEST_THREADS=4 cargo test -q -p ptatin-la --features pool-sanitizer par::
 # line stencils against the lane-packed CSR), advection/location, Galerkin Q1 assembly and envelope Cholesky lane
 # kernels (whole coarse matrix and block-Jacobi blocks) and the lane loops
 # of a solver build (diagonal, pack metrics) must satisfy the same
-# 1e-12 / bitwise contracts as the hardware path (DESIGN.md §9).
+# 1e-12 / bitwise contracts as the hardware path (DESIGN.md §9), and the
+# SolCx goldens, which run the batched kernel, must hold on its portable
+# path.
 step "equivalence + thread invariance with AVX disabled (PTATIN_NO_AVX=1)"
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test operator_equivalence
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test thread_invariance
@@ -146,6 +148,7 @@ PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test divergence_pass
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test nested_transfer
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test build_loops
 PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test exact_subdomain_solves
+PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 cargo test -q --test golden_runs
 
 # Fault-injection matrix on the release binary: every injected failure
 # class must be recovered (exit 0) or reported cleanly (crash => 42),

@@ -10,7 +10,7 @@
 //!                 [events=FILE|-] [ckpt-dir=DIR] [bench=FILE]
 //!                 [keep-ckpt] [no-preempt] [--fault=LIST]
 //! ptatin scenario file=SPEC [steps=N]
-//! ptatin verify   [mode=full|smoke] [fine_kind=KIND]
+//! ptatin verify   [mode=full|smoke]
 //! ```
 //!
 //! Every subcommand takes `threads=N` (worker threads; default
@@ -70,9 +70,8 @@
 //! Verification gate (`ptatin verify`): run the SolCx analytic
 //! convergence gate — solve the sharp-viscosity-jump problem at a ladder
 //! of resolutions and fit the L² error rates. `mode=smoke` runs the
-//! two-level variant CI uses on every invocation; `fine_kind=` selects
-//! the fine-level operator (assembled|matrix_free|tensor|tensor_c|
-//! tensor_batched). The report prints each rate in decimal *and* as raw
+//! two-level variant CI uses on every invocation. The solves run the
+//! production solver. The report prints each rate in decimal *and* as raw
 //! f64 bits so two runs at different thread counts can be diffed
 //! textually. Exit status: 0 on PASS, 3 on FAIL.
 //!
@@ -137,7 +136,7 @@ fn accepted(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static st
             &["keep-ckpt", "no-preempt"],
         ),
         "scenario" => (&["file", "steps"], &[]),
-        "verify" => (&["mode", "fine_kind"], &[]),
+        "verify" => (&["mode"], &[]),
         _ => return None,
     })
 }
@@ -151,10 +150,7 @@ fn usage() {
     eprintln!("  ensemble: sweep=FILE slice=2 retries=2 flop-budget=N events=FILE|-");
     eprintln!("            ckpt-dir=DIR bench=FILE [keep-ckpt] [no-preempt] --fault=LIST");
     eprintln!("  scenario: file=SPEC steps=N");
-    eprintln!(
-        "  verify:   mode=full|smoke fine_kind={}",
-        scenarios::operator_kind_name(GmgConfig::default().fine_kind)
-    );
+    eprintln!("  verify:   mode=full|smoke");
 }
 
 /// Report a command-line error with the usage text and exit 2.
@@ -331,7 +327,7 @@ fn run_scenario_cmd(args: &Args) {
 
 fn run_verify(args: &Args) {
     let mode = args.get("mode", String::from("full"));
-    let mut cfg = match mode.as_str() {
+    let cfg = match mode.as_str() {
         "full" => scenarios::GateConfig::full(),
         "smoke" => scenarios::GateConfig::smoke(),
         other => {
@@ -339,22 +335,7 @@ fn run_verify(args: &Args) {
             std::process::exit(2);
         }
     };
-    let kind = args.get("fine_kind", String::new());
-    if !kind.is_empty() {
-        cfg.fine_kind = scenarios::parse_operator_kind(&kind).unwrap_or_else(|| {
-            eprintln!(
-                "verify: unknown operator kind `{kind}` \
-                 (assembled|matrix_free|tensor|tensor_c|tensor_batched)"
-            );
-            std::process::exit(2);
-        });
-    }
-    println!(
-        "verify: solcx {} gate, fine_kind={:?}, {} threads",
-        mode,
-        cfg.fine_kind,
-        par::num_threads()
-    );
+    println!("verify: solcx {mode} gate, {} threads", par::num_threads());
     let report = scenarios::run_gate(&cfg);
     print!("{}", report.render());
     if !report.pass() {

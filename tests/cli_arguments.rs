@@ -20,6 +20,7 @@ fn assert_rejected(args: &[&str], complaint: &str) {
     assert!(stderr.contains(complaint), "{args:?}: {stderr}");
     assert!(stderr.contains("usage: ptatin"), "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} must not start a run");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
 }
 
 #[test]
@@ -38,6 +39,11 @@ fn unknown_keys_and_flags_exit_2_with_usage() {
         "--checkpoint-evry=2",
     );
     assert_rejected(&["verify", "mode=smoke", "m=4"], "unknown argument `m=4`");
+    // `verify` takes `mode=` only: its solves run the production solver.
+    assert_rejected(
+        &["verify", "fine_kind=tensor"],
+        "unknown argument `fine_kind=tensor`",
+    );
     assert_rejected(&["frobnicate"], "unknown subcommand `frobnicate`");
 }
 

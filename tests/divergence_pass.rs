@@ -5,7 +5,8 @@
 //! with ghost slots, on both SIMD paths and at every thread count — and the
 //! assembled block's product to round-off. And the on-demand contract of the
 //! gradient block: the production sinker and rift solves never assemble it,
-//! while a reference `fine_kind` assembles it once and shares it.
+//! while a reader of the matrix (`StokesSolver::solve_scr`) assembles it
+//! once and shares it.
 
 use ptatin_bench::sinker_setup;
 use ptatin_core::models::rift::{rift_bc, RiftConfig, RiftModel};
@@ -218,12 +219,11 @@ fn production_solves_leave_the_gradient_block_unassembled() {
 }
 
 #[test]
-fn a_reference_fine_kind_assembles_the_block_once_and_shares_it() {
+fn solve_scr_assembles_the_block_once_and_shares_it() {
     let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (model, fields) = sinker_setup(4, 2, 1e3);
     let gmg = GmgConfig {
         levels: 2,
-        fine_kind: ptatin_ops::OperatorKind::Tensor,
         coarse: CoarseKind::Direct,
         ..GmgConfig::default()
     };
@@ -241,27 +241,25 @@ fn a_reference_fine_kind_assembles_the_block_once_and_shares_it() {
         );
         let rhs = model.rhs(&solver, &fields);
         let mut x = vec![0.0; solver.nu + solver.np];
-        let stats = solver.solve(
+        let (stats, _) = solver.solve_scr(
             &rhs,
             &mut x,
-            &KrylovConfig::default().with_rtol(1e-8).with_max_it(400),
-            KrylovOperatorChoice::Picard,
-            None,
+            &KrylovConfig::default().with_rtol(1e-8).with_max_it(200),
+            1e-10,
         );
         assert!(stats.converged);
         its.push(stats.iterations);
         assert!(solver.b_masked.is_assembled() && solver.b_full.is_assembled());
         blocks.push(solver.b_masked.clone());
     }
-    // The block-composed operator and the SpMV in the preconditioner are
-    // the ones the solve ran before the gradient block was deferred.
-    assert_eq!(its, vec![TENSOR_SINKER4_ITS; 2]);
+    // Both solves read the same matrix.
+    assert_eq!(its, vec![SCR_SINKER4_ITS; 2]);
     assert!(
         std::ptr::eq(blocks[0].csr(), blocks[1].csr()),
         "the second build re-assembled or copied b_masked"
     );
 }
 
-/// Iterations of the 4³ sinker (Δη = 10³, two levels, direct coarse solve)
-/// with the scalar Tensor fine operator at rtol 1e-8.
-const TENSOR_SINKER4_ITS: usize = 43;
+/// Outer iterations of the Schur-complement reduction of the 4³ sinker
+/// (Δη = 10³, two levels, direct coarse solve) at rtol 1e-8.
+const SCR_SINKER4_ITS: usize = 13;

@@ -18,11 +18,11 @@
 
 use ptatin3d::core::models::rift::{RiftConfig, RiftModel};
 use ptatin3d::core::models::solcx::{SolCxConfig, SolCxModel};
+use ptatin3d::core::solver::SetupCache;
 use ptatin3d::core::{CoarseKind, GmgConfig, KrylovOperatorChoice, NonlinearConfig};
-use ptatin_bench::{paper_gmg_config, sinker_setup};
+use ptatin_bench::{paper_gmg_config, reference_solver, sinker_setup, Reference};
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_la::par;
-use ptatin_ops::OperatorKind;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -119,17 +119,24 @@ fn golden_sinker_solve() {
     // plateau and the count (43) is stable to ±1 ulp input changes, so
     // the golden is a real regression signal instead of a coin flip.
     //
-    // The fine level is pinned to the assembled matrix, which is what this
-    // golden has always run: until the multigrid honoured `fine_kind` on a
-    // two-level hierarchy, the matrix assembled for the Galerkin product
-    // stood in for whatever kind was asked for (here `Tensor`).
+    // The fine level is the assembled matrix of the reference hierarchy,
+    // which is what this golden has always run (the production matrix-free
+    // fine level takes 44 iterations here).
     let gmg = GmgConfig {
         levels: 2,
         coarse: CoarseKind::Direct,
-        ..paper_gmg_config(2, OperatorKind::Assembled)
+        ..paper_gmg_config(2)
     };
     let (model, fields) = sinker_setup(4, gmg.levels, 1e3);
-    let solver = model.build_solver(&fields, &gmg);
+    let reference = Reference::Fine(ptatin_ops::OperatorKind::Assembled);
+    let solver = reference_solver(
+        &model.hier,
+        &fields.eta_corner,
+        &model.bcs,
+        &gmg,
+        reference,
+        &mut SetupCache::new(),
+    );
     let rhs = model.rhs(&solver, &fields);
     let mut x = vec![0.0; solver.nu + solver.np];
     let stats = solver.solve(
@@ -163,7 +170,6 @@ fn solcx_record(eta_left: f64, eta_right: f64) -> Record {
         levels: 2,
         eta_left,
         eta_right,
-        fine_kind: OperatorKind::Tensor,
         rtol: 1e-10,
         max_it: 2000,
     })
@@ -184,7 +190,7 @@ fn golden_solcx_iso() {
     let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     check_golden(
         "solcx_iso_6x6x2.txt",
-        "solcx 6x6x2 levels=2 eta_left=eta_right=1 (isoviscous), GMG(tensor), rtol=1e-10, nt=1",
+        "solcx 6x6x2 levels=2 eta_left=eta_right=1 (isoviscous), GMG(batched tensor), rtol=1e-10, nt=1",
         &solcx_record(1.0, 1.0),
     );
 }
@@ -194,7 +200,7 @@ fn golden_solcx_vv1e4() {
     let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     check_golden(
         "solcx_vv1e4_6x6x2.txt",
-        "solcx 6x6x2 levels=2 eta_left=1 eta_right=1e4 (sharp jump), GMG(tensor), rtol=1e-10, nt=1",
+        "solcx 6x6x2 levels=2 eta_left=1 eta_right=1e4 (sharp jump), GMG(batched tensor), rtol=1e-10, nt=1",
         &solcx_record(1.0, 1e4),
     );
 }

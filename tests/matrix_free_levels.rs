@@ -1,10 +1,10 @@
-//! The multigrid's level rule (DESIGN.md §4): levels rediscretized from a
-//! mesh are matrix-free, matrices exist only as Galerkin products, inputs
-//! to them, or for the coarse solve — and the assembled reference
-//! hierarchies stay selectable.
+//! The multigrid's level rule (DESIGN.md §4): every smoothed level is the
+//! batched matrix-free kernel, matrices exist only as Galerkin products,
+//! inputs to them, or for the coarse solve — and the assembled reference
+//! hierarchy of the bench harness V-cycles like the matrix-free one.
 
-use ptatin_bench::sinker_setup;
-use ptatin_core::models::sinker::sinker_bc;
+use ptatin_bench::{reference_solver, sinker_setup, Reference};
+use ptatin_core::models::sinker::{sinker_bc, SinkerModel};
 use ptatin_core::solver::{
     build_stokes_solver_cached, CoarseKind, GmgConfig, KrylovOperatorChoice, SetupCache,
     StokesSolver,
@@ -13,7 +13,6 @@ use ptatin_fem::bc::DirichletBc;
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_la::operator::{LinearOperator, Preconditioner};
 use ptatin_la::par;
-use ptatin_ops::OperatorKind;
 use std::sync::Mutex;
 
 /// Serializes the tests that pin the process-global thread count.
@@ -27,76 +26,40 @@ fn direct(levels: usize) -> GmgConfig {
     }
 }
 
-fn assembled_levels(solver: &StokesSolver) -> Vec<bool> {
-    solver
-        .mg
-        .levels
-        .iter()
-        .map(|l| l.matrix().is_some())
-        .collect()
+/// Which levels a build through a fresh cache assembled a Q2 matrix for.
+fn assembled_levels(model: &SinkerModel, eta: &[f64], gmg: &GmgConfig) -> Vec<bool> {
+    let mut cache = SetupCache::new();
+    build_stokes_solver_cached(&model.hier, eta, &model.bcs, gmg, None, &mut cache);
+    cache.viscous_pattern_levels()
 }
 
 #[test]
 fn default_levels_hold_no_matrix() {
     for (m, levels) in [(8, 3), (4, 2)] {
         let (model, fields) = sinker_setup(m, levels, 1e3);
-        let none = vec![false; levels - 1];
-        let all = vec![true; levels - 1];
         let gmg = GmgConfig {
             levels,
             ..GmgConfig::default()
         };
+        // No level ever gets a Q2 sparsity pattern: the smoothed levels are
+        // the batched kernel, and the Galerkin coarsest operator comes from
+        // the elements of level 1.
         assert_eq!(
-            assembled_levels(&model.build_solver(&fields, &gmg)),
-            none,
-            "default, {levels} levels"
-        );
-        // Nor does a default build form one on the way: the Galerkin
-        // coarsest operator comes from the elements of level 1, so no
-        // level ever gets a Q2 sparsity pattern.
-        let bcs: Vec<DirichletBc> = model.hier.meshes.iter().map(sinker_bc).collect();
-        let mut cache = SetupCache::new();
-        build_stokes_solver_cached(
-            &model.hier,
-            &fields.eta_corner,
-            &bcs,
-            &gmg,
-            None,
-            &mut cache,
-        );
-        assert_eq!(
-            cache.viscous_pattern_levels(),
+            assembled_levels(&model, &fields.eta_corner, &gmg),
             vec![false; levels],
             "default, {levels} levels"
         );
-        // The scalar Table I kinds are matrix-free on every level too.
-        let tensor = GmgConfig {
-            fine_kind: OperatorKind::Tensor,
-            ..direct(levels)
+        // A rediscretized coarsest operator is the one matrix assembled.
+        let mut only_coarsest = vec![false; levels];
+        only_coarsest[0] = true;
+        let rediscretized = GmgConfig {
+            galerkin_coarsest: false,
+            ..gmg
         };
         assert_eq!(
-            assembled_levels(&model.build_solver(&fields, &tensor)),
-            none,
-            "tensor, {levels} levels"
-        );
-        // The two assembled reference hierarchies keep their matrices.
-        let gmg_i = GmgConfig {
-            fine_kind: OperatorKind::Assembled,
-            ..direct(levels)
-        };
-        assert_eq!(
-            assembled_levels(&model.build_solver(&fields, &gmg_i)),
-            all,
-            "assembled, {levels} levels"
-        );
-        let gmg_ii = GmgConfig {
-            galerkin_intermediate: true,
-            ..gmg_i
-        };
-        assert_eq!(
-            assembled_levels(&model.build_solver(&fields, &gmg_ii)),
-            all,
-            "GMG-ii, {levels} levels"
+            assembled_levels(&model, &fields.eta_corner, &rediscretized),
+            only_coarsest,
+            "rediscretized coarsest, {levels} levels"
         );
     }
 }
@@ -123,13 +86,14 @@ fn warm_rebuild_is_bitwise_fresh_across_viscosity_and_config_switches() {
     let (model, fields) = sinker_setup(8, 3, 1e3);
     let bcs: Vec<DirichletBc> = model.hier.meshes.iter().map(sinker_bc).collect();
     let matrix_free = direct(3);
-    let assembled = GmgConfig {
-        fine_kind: OperatorKind::Assembled,
+    let deeper = GmgConfig {
+        pre_smooth: 3,
+        post_smooth: 3,
         ..direct(3)
     };
-    let gmg_ii = GmgConfig {
-        galerkin_intermediate: true,
-        ..assembled.clone()
+    let rediscretized = GmgConfig {
+        galerkin_coarsest: false,
+        ..direct(3)
     };
     let eta0 = fields.eta_corner.clone();
     let eta1: Vec<f64> = eta0.iter().map(|&v| 2.0 * v).collect();
@@ -137,16 +101,17 @@ fn warm_rebuild_is_bitwise_fresh_across_viscosity_and_config_switches() {
 
     // One cache through: a first build, a viscosity update (λ memo
     // misses), a frozen viscosity (hits), then the same viscosity under
-    // other level rules — the λ memo of level 1 was taken on the batched
-    // kernel and must not be handed to the assembled matrix, nor the
-    // assembled matrix's to the Galerkin product — and back.
+    // other product configurations — the recovery ladder's deeper
+    // smoothing, whose Chebyshev bounds must not come from the V(2,2)
+    // build, and a rediscretized coarsest operator, whose pattern the
+    // coarse symbolic phase must not take for the Galerkin one — and back.
     let mut cache = SetupCache::new();
     let sequence = [
         ("first build", &eta0, &matrix_free),
         ("viscosity update", &eta1, &matrix_free),
         ("frozen viscosity", &eta1, &matrix_free),
-        ("switch to assembled levels", &eta1, &assembled),
-        ("switch to Galerkin levels", &eta1, &gmg_ii),
+        ("switch to deeper smoothing", &eta1, &deeper),
+        ("switch to rediscretized coarsest", &eta1, &rediscretized),
         ("switch back", &eta1, &matrix_free),
     ];
     for (what, eta, gmg) in sequence {
@@ -166,12 +131,14 @@ fn matrix_free_vcycle_matches_assembled_vcycle() {
     par::set_num_threads(1);
     let (model, fields) = sinker_setup(8, 3, 1e3);
     let matrix_free = model.build_solver(&fields, &direct(3));
-    let assembled = model.build_solver(
-        &fields,
-        &GmgConfig {
-            fine_kind: OperatorKind::Assembled,
-            ..direct(3)
-        },
+    let reference = Reference::Fine(ptatin_ops::OperatorKind::Assembled);
+    let assembled = reference_solver(
+        &model.hier,
+        &fields.eta_corner,
+        &model.bcs,
+        &direct(3),
+        reference,
+        &mut SetupCache::new(),
     );
     let rhs = model.rhs(&matrix_free, &fields);
     let nu = matrix_free.nu;
@@ -225,7 +192,6 @@ fn presmoothing_from_zero_matches_the_general_sweep_and_saves_an_apply() {
         };
         let solver = model.build_solver(&fields, &gmg);
         for level in &solver.mg.levels {
-            assert!(level.matrix().is_none(), "matrix-free level");
             let n = level.op.nrows();
             let mut b: Vec<f64> = (0..n)
                 .map(|i| ((i * 37 % 101) as f64 - 50.0) / 50.0)

@@ -3,6 +3,7 @@
 //! velocity / pressure pair, the discrete velocity error must shrink at
 //! the element's asymptotic rate (O(h³) in L²) under refinement.
 
+use ptatin_bench::{reference_solver, Reference};
 use ptatin_core::solver::{
     build_stokes_solver_cached, CoarseKind, GmgConfig, KrylovOperatorChoice, SetupCache,
 };
@@ -75,12 +76,23 @@ fn mms_errors(m: usize, kind: OperatorKind) -> (f64, f64) {
     let eta_corner = vec![1.0; fine.num_corners()];
     let gmg = GmgConfig {
         levels,
-        fine_kind: kind,
         coarse: CoarseKind::Direct,
         ..GmgConfig::default()
     };
-    let solver =
-        build_stokes_solver_cached(&hier, &eta_corner, &bcs, &gmg, None, &mut SetupCache::new());
+    let mut cache = SetupCache::new();
+    let solver = match kind {
+        OperatorKind::TensorBatched => {
+            build_stokes_solver_cached(&hier, &eta_corner, &bcs, &gmg, None, &mut cache)
+        }
+        _ => reference_solver(
+            &hier,
+            &eta_corner,
+            &bcs,
+            &gmg,
+            Reference::Fine(kind),
+            &mut cache,
+        ),
+    };
     // RHS: consistent load vector ∫ f̂·φ plus Dirichlet lifting. We solve
     // via the residual formulation: x0 holds the BC values, solve
     // J δ = −F(x0), x = x0 + δ.
@@ -273,7 +285,6 @@ fn pressure_is_captured_up_to_its_order() {
     let eta_corner = vec![1.0; fine.num_corners()];
     let gmg = GmgConfig {
         levels,
-        fine_kind: OperatorKind::Tensor,
         coarse: CoarseKind::Direct,
         ..GmgConfig::default()
     };

@@ -10,12 +10,10 @@
 //! rift solves never assemble one, while a Galerkin build assembles each
 //! once and shares it.
 
-use ptatin_bench::sinker_setup;
+use ptatin_bench::{reference_solver, sinker_setup, Reference};
 use ptatin_core::models::rift::{rift_bc, RiftConfig, RiftModel};
 use ptatin_core::models::sinker::sinker_bc;
-use ptatin_core::solver::{
-    build_stokes_solver_cached, CoarseKind, GmgConfig, KrylovOperatorChoice, SetupCache,
-};
+use ptatin_core::solver::{CoarseKind, GmgConfig, KrylovOperatorChoice, SetupCache};
 use ptatin_fem::assemble::num_velocity_dofs;
 use ptatin_fem::bc::{DirichletBc, VelocityBcBuilder};
 use ptatin_la::krylov::KrylovConfig;
@@ -26,7 +24,6 @@ use ptatin_la::vec_ops;
 use ptatin_mesh::hierarchy::{expand_blocked, MeshHierarchy};
 use ptatin_mesh::StructuredMesh;
 use ptatin_mg::gmg::{dirichlet_sets_nested, filter_transfer};
-use ptatin_ops::OperatorKind;
 use ptatin_prng::{Rng, StdRng};
 use std::sync::Mutex;
 
@@ -244,19 +241,17 @@ fn a_galerkin_build_assembles_each_prolongation_once_and_shares_it() {
     let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (model, fields) = sinker_setup(8, 3, 1e3);
     let gmg = GmgConfig {
-        fine_kind: OperatorKind::Assembled,
-        galerkin_intermediate: true,
         coarse: CoarseKind::Direct,
         ..GmgConfig::default()
     };
     let mut cache = SetupCache::new();
     let build = |cache: &mut SetupCache| {
-        build_stokes_solver_cached(
+        reference_solver(
             &model.hier,
             &fields.eta_corner,
             &model.bcs,
             &gmg,
-            None,
+            Reference::GalerkinIntermediate,
             cache,
         )
     };

@@ -579,7 +579,6 @@ fn cached_solver_rebuild_bitwise_matches_fresh_build() {
     let bcs: Vec<DirichletBc> = model.hier.meshes.iter().map(sinker_bc).collect();
     let gmg = GmgConfig {
         levels: 2,
-        fine_kind: OperatorKind::Assembled,
         galerkin_coarsest: false,
         coarse: CoarseKind::Amg { coarse_blocks: 2 },
         ..GmgConfig::default()

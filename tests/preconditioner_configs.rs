@@ -4,18 +4,31 @@
 //! degenerate to Picard for linear materials, and the SA-AMG velocity
 //! preconditioner must be a drop-in replacement in the field-split frame.
 
-use ptatin_bench::{paper_gmg_config, sinker_setup};
+use ptatin_bench::{paper_gmg_config, reference_solver, sinker_setup, Reference};
 use ptatin_core::models::sinker::sinker_bc;
-use ptatin_core::solver::{solve_stokes_with_pc, GmgConfig, KrylovOperatorChoice};
+use ptatin_core::solver::{solve_stokes_with_pc, KrylovOperatorChoice, SetupCache};
 use ptatin_fem::assemble::{PressureMassBlocks, Q2QuadTables};
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_mg::amg::{build_sa_amg, AmgConfig, CoarseSolverKind};
 use ptatin_mg::nullspace::rigid_body_modes;
 use ptatin_ops::{assembled_viscous_op, OperatorKind};
 
-fn solve_with(gmg: GmgConfig, m: usize) -> (Vec<f64>, usize) {
+/// Two-level sinker solve on the production hierarchy or a reference one
+/// of the bench harness.
+fn solve_with(reference: Option<Reference>, m: usize) -> (Vec<f64>, usize) {
+    let gmg = paper_gmg_config(2);
     let (model, fields) = sinker_setup(m, gmg.levels, 1e3);
-    let solver = model.build_solver(&fields, &gmg);
+    let solver = match reference {
+        Some(r) => reference_solver(
+            &model.hier,
+            &fields.eta_corner,
+            &model.bcs,
+            &gmg,
+            r,
+            &mut SetupCache::new(),
+        ),
+        None => model.build_solver(&fields, &gmg),
+    };
     let rhs = model.rhs(&solver, &fields);
     let mut x = vec![0.0; solver.nu + solver.np];
     let stats = solver.solve(
@@ -32,19 +45,8 @@ fn solve_with(gmg: GmgConfig, m: usize) -> (Vec<f64>, usize) {
 #[test]
 fn gmg_i_and_gmg_ii_agree_on_the_solution() {
     let m = 4;
-    let gmg_i = paper_gmg_config(2, OperatorKind::Tensor);
-    let gmg_ii = GmgConfig {
-        galerkin_intermediate: true,
-        ..paper_gmg_config(2, OperatorKind::Assembled)
-    };
-    let (x1, _) = solve_with(GmgConfig { levels: 2, ..gmg_i }, m);
-    let (x2, _) = solve_with(
-        GmgConfig {
-            levels: 2,
-            ..gmg_ii
-        },
-        m,
-    );
+    let (x1, _) = solve_with(Some(Reference::Fine(OperatorKind::Tensor)), m);
+    let (x2, _) = solve_with(Some(Reference::GalerkinIntermediate), m);
     let scale = x1.iter().fold(0.0f64, |a, v| a.max(v.abs()));
     for i in 0..x1.len() {
         assert!(
@@ -61,7 +63,7 @@ fn newton_with_zero_eta_prime_matches_picard() {
     // in the same number of iterations.
     let m = 4;
     let (model, fields) = sinker_setup(m, 2, 1e3);
-    let gmg = paper_gmg_config(2, OperatorKind::Tensor);
+    let gmg = paper_gmg_config(2);
     // Build with explicit zero Newton data.
     let tables = Q2QuadTables::standard();
     let nqp = tables.nqp();
@@ -107,13 +109,7 @@ fn sa_amg_velocity_pc_solves_the_same_system() {
     // the same field-split frame; the solution must agree with GMG's.
     let m = 4;
     let (model, fields) = sinker_setup(m, 2, 1e3);
-    let (x_ref, _) = solve_with(
-        GmgConfig {
-            levels: 2,
-            ..paper_gmg_config(2, OperatorKind::Tensor)
-        },
-        m,
-    );
+    let (x_ref, _) = solve_with(None, m);
     let mesh = model.hier.finest();
     let tables = Q2QuadTables::standard();
     let bc = sinker_bc(mesh);

@@ -6,7 +6,6 @@ use ptatin_bench::{levels_for, paper_gmg_config, sinker_setup};
 use ptatin_core::solver::{CoarseKind, GmgConfig, KrylovOperatorChoice};
 use ptatin_la::krylov::KrylovConfig;
 use ptatin_la::vec_ops;
-use ptatin_ops::OperatorKind;
 
 #[test]
 fn scr_matches_full_space_solution() {
@@ -97,7 +96,7 @@ fn gmg_iterations_stable_under_refinement() {
     for m in [4usize, 8] {
         let levels = levels_for(m, 3);
         let (model, fields) = sinker_setup(m, levels, 1e4);
-        let solver = model.build_solver(&fields, &paper_gmg_config(levels, OperatorKind::Tensor));
+        let solver = model.build_solver(&fields, &paper_gmg_config(levels));
         let rhs = model.rhs(&solver, &fields);
         let mut x = vec![0.0; solver.nu + solver.np];
         let stats = solver.solve(

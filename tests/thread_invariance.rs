@@ -13,8 +13,8 @@
 //! CI runs the whole suite at `PTATIN_TEST_THREADS=1` and `4` on top of
 //! these explicit sweeps (scripts/ci.sh).
 
-use ptatin_bench::{paper_gmg_config, sinker_setup};
-use ptatin_core::solver::{GmgConfig, KrylovOperatorChoice};
+use ptatin_bench::{paper_gmg_config, reference_solver, sinker_setup, Reference};
+use ptatin_core::solver::{GmgConfig, KrylovOperatorChoice, SetupCache};
 use ptatin_la::chebyshev::Chebyshev;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::KrylovConfig;
@@ -37,11 +37,22 @@ struct SolveOut {
     x: Vec<f64>,
 }
 
-/// Sinker Stokes solve (m=4, 2 levels, Δη = 10³) at `nt` threads.
-fn solve_sinker(gmg: &GmgConfig, nt: usize) -> SolveOut {
+/// Sinker Stokes solve (m=4, 2 levels, Δη = 10³) at `nt` threads, on the
+/// production hierarchy or a reference one of the bench harness.
+fn solve_sinker(gmg: &GmgConfig, reference: Option<Reference>, nt: usize) -> SolveOut {
     par::set_num_threads(nt);
     let (model, fields) = sinker_setup(4, gmg.levels, 1e3);
-    let solver = model.build_solver(&fields, gmg);
+    let solver = match reference {
+        Some(r) => reference_solver(
+            &model.hier,
+            &fields.eta_corner,
+            &model.bcs,
+            gmg,
+            r,
+            &mut SetupCache::new(),
+        ),
+        None => model.build_solver(&fields, gmg),
+    };
     let rhs = model.rhs(&solver, &fields);
     let mut x = vec![0.0; solver.nu + solver.np];
     let stats = solver.solve(
@@ -95,13 +106,10 @@ fn assert_thread_invariant(label: &str, runs: &[(usize, SolveOut)]) {
 #[test]
 fn sinker_solve_invariant_under_thread_count() {
     let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let gmg = GmgConfig {
-        levels: 2,
-        ..paper_gmg_config(2, OperatorKind::Tensor)
-    };
+    let gmg_i = Some(Reference::Fine(OperatorKind::Tensor));
     let runs: Vec<(usize, SolveOut)> = [1usize, 2, 4]
         .into_iter()
-        .map(|nt| (nt, solve_sinker(&gmg, nt)))
+        .map(|nt| (nt, solve_sinker(&paper_gmg_config(2), gmg_i, nt)))
         .collect();
     assert_thread_invariant("GMG-i(tensor)", &runs);
 }
@@ -111,27 +119,14 @@ fn preconditioner_config_matrix_invariant_under_thread_count() {
     let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // The Table IV configurations exercised by the preconditioner tests:
     // all-assembled GMG and the Galerkin-intermediate variant (GMG-ii).
-    let configs: Vec<(&str, GmgConfig)> = vec![
-        (
-            "assembled",
-            GmgConfig {
-                levels: 2,
-                ..paper_gmg_config(2, OperatorKind::Assembled)
-            },
-        ),
-        (
-            "GMG-ii(galerkin)",
-            GmgConfig {
-                levels: 2,
-                galerkin_intermediate: true,
-                ..paper_gmg_config(2, OperatorKind::Assembled)
-            },
-        ),
+    let configs = [
+        ("assembled", Reference::Fine(OperatorKind::Assembled)),
+        ("GMG-ii(galerkin)", Reference::GalerkinIntermediate),
     ];
-    for (label, gmg) in configs {
+    for (label, reference) in configs {
         let runs: Vec<(usize, SolveOut)> = [1usize, 2, 4]
             .into_iter()
-            .map(|nt| (nt, solve_sinker(&gmg, nt)))
+            .map(|nt| (nt, solve_sinker(&paper_gmg_config(2), Some(reference), nt)))
             .collect();
         assert_thread_invariant(label, &runs);
     }
@@ -144,18 +139,15 @@ fn batched_operator_invariant_and_bitwise() {
     // promises: lane formation is thread-count independent (lanes are
     // built once per color, and `par_ranges_aligned` never splits one
     // across threads), so only reduction regrouping may change across nt.
-    let gmg = GmgConfig {
-        levels: 2,
-        ..paper_gmg_config(2, OperatorKind::TensorBatched)
-    };
+    let gmg = paper_gmg_config(2);
     let runs: Vec<(usize, SolveOut)> = [1usize, 2, 4]
         .into_iter()
-        .map(|nt| (nt, solve_sinker(&gmg, nt)))
+        .map(|nt| (nt, solve_sinker(&gmg, None, nt)))
         .collect();
     assert_thread_invariant("GMG-i(tensor-batched)", &runs);
     // And at a fixed thread count the solve is bitwise reproducible.
-    let a = solve_sinker(&gmg, 4);
-    let b = solve_sinker(&gmg, 4);
+    let a = solve_sinker(&gmg, None, 4);
+    let b = solve_sinker(&gmg, None, 4);
     assert_eq!(a.iterations, b.iterations);
     assert_eq!(
         a.final_residual.to_bits(),
@@ -342,12 +334,9 @@ fn batched_projection_and_fused_smoother_bitwise_across_thread_counts() {
 #[test]
 fn fixed_thread_count_is_bitwise_deterministic() {
     let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let gmg = GmgConfig {
-        levels: 2,
-        ..paper_gmg_config(2, OperatorKind::Tensor)
-    };
-    let a = solve_sinker(&gmg, 4);
-    let b = solve_sinker(&gmg, 4);
+    let gmg = paper_gmg_config(2);
+    let a = solve_sinker(&gmg, None, 4);
+    let b = solve_sinker(&gmg, None, 4);
     assert_eq!(a.iterations, b.iterations);
     assert_eq!(
         a.final_residual.to_bits(),
